@@ -37,9 +37,9 @@ from .extraction import (
     ExtractionMatrix,
     KnotVectors,
     SmoothnessConstraints,
+    apply_factor,
     build_constraints,
     build_knot_vectors,
-    constraint_band,
     extraction_operator,
     nullspace_step,
     supersmoothness,
@@ -51,9 +51,7 @@ from .sections import (
     PolynomialFamily,
     SectionSpace,
     TrigonometricFamily,
-    eval_span_derivatives,
     gpb_weights,
-    normalized_pair,
     validate_ect,
 )
 from .space import (
@@ -95,24 +93,22 @@ __all__ = [
     "SpaceConfig",
     "SplineCurve",
     "TrigonometricFamily",
+    "apply_factor",
     "build_bernstein",
     "build_constraints",
     "build_knot_vectors",
     "build_space",
     "closed_form_bernstein",
     "conic_profile_demo_config",
-    "constraint_band",
     "endpoint_jump_table",
     "eval_basis",
     "eval_curve",
-    "eval_span_derivatives",
     "extraction_operator",
     "gpb_weights",
     "insert_knot",
     "jump",
     "jump_vector",
     "mixed_family_demo_config",
-    "normalized_pair",
     "nullspace_step",
     "supersmoothness",
     "unit_integral_scaling",

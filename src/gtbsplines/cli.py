@@ -172,16 +172,13 @@ def cmd_verify(args) -> int:
     ok = True
 
     xs = np.linspace(a, b, 400)
-    pou = max(abs(eval_basis(space, float(x))[:, 0].sum() - 1.0) for x in xs)
+    values = np.array([eval_basis(space, float(x))[:, 0] for x in xs])  # (400, N)
+    pou = max(abs(row.sum() - 1.0) for row in values)
     ok &= _check("partition-of-unity", pou <= 1e-12, f"max deviation {pou:.3g}")
 
     kv = space.knots
-    support_err = 0.0
-    for k in range(space.n_basis):
-        for x in xs:
-            if kv.u[k] <= x <= kv.v[k]:
-                continue
-            support_err = max(support_err, abs(eval_basis(space, float(x))[k, 0]))
+    outside = (xs[:, None] < kv.u) | (xs[:, None] > kv.v)
+    support_err = np.max(np.abs(values[outside]), initial=0.0)
     ok &= _check("local-support", support_err <= 1e-13, f"max leak {support_err:.3g}")
 
     jump_err = 0.0

@@ -44,11 +44,22 @@ __all__ = [
 ]
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; anything that is not a whole number is rejected
+    rather than truncated."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
 def family_from_dict(d: dict) -> SectionFamily:
     try:
         kind = d["family"]
-        degree = int(d["degree"])
-    except (KeyError, TypeError, ValueError) as exc:
+        degree = _integer(d["degree"], "section degree")
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed section entry {d!r}") from exc
     if kind == "polynomial":
         return PolynomialFamily(degree)
@@ -86,7 +97,7 @@ class SpaceConfig:
 
     def __post_init__(self):
         self.breakpoints = [float(x) for x in self.breakpoints]
-        self.smoothness = [int(r) for r in self.smoothness]
+        self.smoothness = [_integer(r, "smoothness") for r in self.smoothness]
         if self.control_points is not None:
             self.control_points = np.atleast_2d(np.asarray(self.control_points, dtype=float))
         m = len(self.breakpoints) - 1

@@ -7,10 +7,12 @@ vector ``a`` whose explicit nullspace factor is a two-band matrix of
 nonnegative coefficients that sum to one column-wise; the product of all
 factors is the extraction operator ``C`` with ``B(x) = C b(x)``.
 
-Instead of testing floating-point entries of ``a`` against zero, the
-implementation tracks the knot vectors of each intermediate space and derives
-the nonzero band of every constraint structurally; out-of-band entries are
-only ever rounding noise and are checked against a relative tolerance.
+A factor is kept as its band coefficients only (:func:`nullspace_step`), and
+:func:`apply_factor` is the one place that knows the two-band layout; a
+knot-insertion map is a single factor of the same form.  Instead of testing
+floating-point entries of ``a`` against zero, the band of every constraint is
+read off the knot vectors of the space; out-of-band entries are only ever
+rounding noise and are checked against a relative tolerance.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .bernstein import BernsteinBasis
 from .errors import BasisNonexistenceError, ConfigError, GTBError
-from .sections import Partition, SectionSpace
+from .sections import Partition
 
 __all__ = [
     "KnotVectors",
@@ -29,8 +31,8 @@ __all__ = [
     "supersmoothness",
     "SmoothnessConstraints",
     "build_constraints",
-    "constraint_band",
     "nullspace_step",
+    "apply_factor",
     "ExtractionMatrix",
     "extraction_operator",
 ]
@@ -186,18 +188,22 @@ class SmoothnessConstraints:
     the ``j``-th derivative at breakpoint ``x_i`` for every global Bernstein
     function: the left-limit derivatives in the rows of interval ``i`` and the
     negated right-limit derivatives in the rows of interval ``i + 1``, exact
-    zeros elsewhere.
+    zeros elsewhere.  Rows ``block_start[i - 1] .. block_start[i] - 1`` belong
+    to interval ``i``.
 
     ``bands[rho]`` is the 1-based inclusive index range of the entries that
     are structurally nonzero once the preceding ``rho`` constraints have been
-    applied.
+    applied.  When the ``j``-th-derivative constraint at ``x_i`` is reached,
+    the running space is smooth to order ``r`` left of ``x_i``, to order
+    ``j - 1`` at ``x_i``, and discontinuous to the right, so exactly the
+    functions ``mu[i - 1] + p_i - j + 1 .. sigma[i] + 1`` of the knot vectors
+    jump at ``x_i``.
     """
 
     matrix: np.ndarray
     columns: list[tuple[int, int]]
     bands: list[tuple[int, int]]
-    degrees: tuple[int, ...]
-    smoothness: tuple[int, ...]
+    block_start: np.ndarray
 
     @property
     def n_constraints(self) -> int:
@@ -208,34 +214,11 @@ class SmoothnessConstraints:
         return self.matrix.shape[0]
 
 
-def constraint_band(degrees, smoothness, i: int, j: int) -> tuple[int, int]:
-    """Structural nonzero band of the constraint ``(x_i, order j)``.
-
-    Constraints are applied breakpoint by breakpoint, order by order.  When
-    the ``j``-th-derivative constraint at ``x_i`` is reached, the running
-    space is smooth to order ``r`` at breakpoints left of ``x_i``, to order
-    ``j - 1`` at ``x_i``, and discontinuous to the right.  In that space
-    exactly the functions ``mu .. sigma + 1`` (1-based) jump at ``x_i``:
-
-    ``mu = sum_{l<i} (p_l - r_l) + p_i - j + 1``,
-    ``sigma = p_1 + 1 + sum_{l<i} (p_{l+1} - r_l)``.
-    """
-    mu = sum(degrees[l - 1] - smoothness[l] for l in range(1, i)) + degrees[i - 1] - j + 1
-    sigma = degrees[0] + 1 + sum(degrees[l] - smoothness[l] for l in range(1, i))
-    return mu, sigma + 1
-
-
-def build_constraints(
-    sections: list[SectionSpace],
-    bases: list[BernsteinBasis],
-    partition: Partition,
-    smoothness,
-) -> SmoothnessConstraints:
-    """Assemble the smoothness-constraint matrix from Bernstein endpoint tables."""
-    m = partition.num_intervals
-    degrees = tuple(s.degree for s in sections)
-    smoothness = tuple(int(r) for r in smoothness)
-    validate_smoothness(degrees, smoothness, partition.breakpoints)
+def build_constraints(bases: list[BernsteinBasis], kv: KnotVectors) -> SmoothnessConstraints:
+    """Assemble the smoothness-constraint matrix from Bernstein endpoint tables
+    for the degrees and smoothness recorded in the knot vectors ``kv``."""
+    degrees, smoothness = kv.degrees, kv.smoothness
+    m = len(degrees)
     if len(bases) != m:
         raise ConfigError(f"need {m} Bernstein bases, got {len(bases)}")
 
@@ -254,52 +237,29 @@ def build_constraints(
             matrix[block_start[i - 1] : block_start[i], col] = left
             matrix[block_start[i] : block_start[i + 1], col] = -right
             columns.append((i, j))
-            bands.append(constraint_band(degrees, smoothness, i, j))
+            bands.append((int(kv.mu[i - 1]) + degrees[i - 1] - j + 1, int(kv.sigma[i]) + 1))
             col += 1
-    return SmoothnessConstraints(matrix, columns, bands, degrees, smoothness)
+    return SmoothnessConstraints(matrix, columns, bands, block_start)
 
 
-def _infer_band(a: np.ndarray) -> tuple[int, int]:
-    scale = np.max(np.abs(a))
-    if scale == 0.0:
-        raise BasisNonexistenceError("constraint vector is identically zero")
-    nz = np.nonzero(np.abs(a) > _OUT_OF_BAND_RTOL * scale)[0]
-    return int(nz[0]) + 1, int(nz[-1]) + 1
+def nullspace_step(a: np.ndarray, band: tuple[int, int]) -> np.ndarray:
+    """Band coefficients of the explicit nullspace factor of one constraint.
 
-
-def nullspace_step(a: np.ndarray, band: tuple[int, int] | None = None) -> np.ndarray:
-    """Explicit nullspace factor of one smoothness constraint.
-
-    Given the jump vector ``a`` of the current basis (length ``n``), returns
-    the ``(n-1) x n`` matrix ``C`` with ``C a = 0`` whose rows combine
-    adjacent basis functions:
-
-    * identity rows left of the band,
-    * within the band (1-based ``lo .. hi``) the cascade
-      ``alpha_lo = 1``, ``beta_{k+1} = -alpha_k a_k / a_{k+1}``,
-      ``alpha_{k+1} = 1 - beta_{k+1}``, placing ``alpha_k`` on the diagonal
-      and ``beta_{k+1}`` on the superdiagonal,
-    * shifted identity rows right of the band.
+    Given the jump vector ``a`` of the current basis (length ``n``) and the
+    1-based inclusive range ``band = (lo, hi)`` of its structurally nonzero
+    entries, returns the ``hi - lo`` coefficients
+    ``beta_{lo+1} .. beta_hi`` of the cascade
+    ``alpha_lo = 1``, ``beta_{k+1} = -alpha_k a_k / a_{k+1}``,
+    ``alpha_{k+1} = 1 - beta_{k+1}``.  They define the ``(n-1) x n`` two-band
+    factor ``F`` with ``F a = 0`` that :func:`apply_factor` applies.
 
     All band coefficients are strictly positive when the smooth basis exists;
     a divisor below ``1e-12 * max|a|`` or a nonpositive coefficient aborts
     with :class:`~gtbsplines.errors.BasisNonexistenceError`.
-
-    Parameters
-    ----------
-    a : array
-        Constraint vector.
-    band : (lo, hi), optional
-        1-based inclusive range of structurally nonzero entries.  When
-        omitted it is inferred from the numerically nonzero entries, which is
-        only reliable for well-scaled stand-alone inputs; the extraction loop
-        always passes the band explicitly.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
-    if n < 2:
-        raise BasisNonexistenceError("constraint vector too short")
-    lo, hi = _infer_band(a) if band is None else band
+    lo, hi = band
     if not (1 <= lo < hi <= n):
         raise BasisNonexistenceError(f"invalid constraint band [{lo}, {hi}] for length {n}")
     scale = np.max(np.abs(a))
@@ -310,11 +270,8 @@ def nullspace_step(a: np.ndarray, band: tuple[int, int] | None = None) -> np.nda
             f"not numerically zero (max {np.max(out_of_band):.3g} vs scale {scale:.3g})"
         )
 
-    c = np.zeros((n - 1, n))
-    for k in range(lo - 1):
-        c[k, k] = 1.0
-    c[lo - 1, lo - 1] = 1.0
-    beta = 1.0
+    beta = np.empty(hi - lo)
+    alpha = 1.0
     for k in range(lo, hi):  # 0-based positions k-1 -> k of the cascade
         denom = a[k]
         if abs(denom) <= _DEGENERACY_RTOL * scale:
@@ -322,45 +279,54 @@ def nullspace_step(a: np.ndarray, band: tuple[int, int] | None = None) -> np.nda
                 f"degenerate jump at band position {k + 1}: the smooth basis "
                 "does not exist for this space"
             )
-        beta = -c[k - 1, k - 1] * a[k - 1] / denom
-        if beta <= 0.0:
+        beta[k - lo] = -alpha * a[k - 1] / denom
+        alpha = 1.0 - beta[k - lo]
+        if beta[k - lo] <= 0.0 or (k < hi - 1 and alpha <= 0.0):
             raise BasisNonexistenceError(
                 f"nonpositive combination coefficient at band position {k + 1}: "
                 "the smooth basis does not exist for this space"
             )
-        c[k - 1, k] = beta
-        if k < hi - 1:
-            alpha = 1.0 - beta
-            if alpha <= 0.0:
-                raise BasisNonexistenceError(
-                    f"nonpositive combination coefficient at band position {k + 1}: "
-                    "the smooth basis does not exist for this space"
-                )
-            c[k, k] = alpha
     # Column sums force the band-end coefficient to exactly one and its
     # complement to exactly zero; the computed ratio only ever differs from
     # one by the rounding noise of the input vector.  Snapping keeps every
     # factor (and hence every product) nonnegative with exact unit column
     # sums.
-    if abs(beta - 1.0) > 1e-6:
+    if abs(beta[-1] - 1.0) > 1e-6:
         raise GTBError(
-            f"inconsistent constraint vector: band-end coefficient {beta!r} "
+            f"inconsistent constraint vector: band-end coefficient {beta[-1]!r} "
             "deviates from one far beyond rounding"
         )
-    c[hi - 2, hi - 1] = 1.0
-    for k in range(hi - 1, n - 1):
-        c[k, k + 1] = 1.0
-    return c
+    beta[-1] = 1.0
+    return beta
+
+
+def apply_factor(rows: np.ndarray, band: tuple[int, int], beta: np.ndarray) -> np.ndarray:
+    """``F @ rows`` for the two-band factor ``F`` of band ``(lo, hi)`` with
+    coefficients ``beta`` (length ``hi - lo``).
+
+    Rows left of the band pass through; band row ``k`` (1-based,
+    ``lo <= k < hi``) becomes ``alpha_k row_k + beta_{k+1} row_{k+1}`` with
+    ``alpha_lo = 1`` and ``alpha_{k+1} = 1 - beta_{k+1}``; rows right of the
+    band shift up by one.  ``apply_factor(np.eye(n), band, beta)`` is the
+    dense ``(n-1) x n`` factor.
+    """
+    lo, hi = band
+    beta = beta.reshape((-1,) + (1,) * (rows.ndim - 1))
+    out = np.concatenate([rows[: hi - 1], rows[hi:]])
+    out[lo : hi - 1] *= 1.0 - beta[:-1]
+    out[lo - 1 : hi - 1] += beta * rows[lo:hi]
+    return out
 
 
 @dataclass(eq=False)
 class ExtractionMatrix:
-    """Dense extraction operator together with its rank-one-update factors.
+    """Dense extraction operator together with the cascade that built it.
 
     ``operator`` maps the global Bernstein vector to the smooth basis vector.
-    ``factors[rho]`` is the two-band nullspace factor applied at step ``rho``;
-    keeping them allows coefficient transfer under knot insertion without
-    refactoring.
+    ``factors[rho]`` holds the ``hi - lo`` band coefficients of the two-band
+    factor applied at step ``rho`` with band ``bands[rho]``;
+    ``apply_factor(np.eye(n), bands[rho], factors[rho])`` recovers the dense
+    factor, where ``n = n_bernstein - rho``.
     """
 
     operator: np.ndarray
@@ -386,14 +352,12 @@ def extraction_operator(constraints: SmoothnessConstraints) -> ExtractionMatrix:
     The result has nonnegative entries and unit column sums and annihilates
     every original constraint column.
     """
-    total = constraints.n_bernstein
-    c = np.eye(total)
-    a = constraints.matrix.copy()
+    c = np.eye(constraints.n_bernstein)
+    a = constraints.matrix  # the columns not yet applied, in the running basis
     factors: list[np.ndarray] = []
-    for rho in range(constraints.n_constraints):
-        band = constraints.bands[rho]
+    for rho, band in enumerate(constraints.bands):
         try:
-            factor = nullspace_step(a[:, rho], band)
+            beta = nullspace_step(a[:, 0], band)
         except BasisNonexistenceError as exc:
             i, j = constraints.columns[rho]
             raise BasisNonexistenceError(
@@ -401,9 +365,9 @@ def extraction_operator(constraints: SmoothnessConstraints) -> ExtractionMatrix:
                 breakpoint_index=i,
                 order=j,
             ) from exc
-        factors.append(factor)
-        c = factor @ c
-        a = factor @ a
+        factors.append(beta)
+        c = apply_factor(c, band, beta)
+        a = apply_factor(a[:, 1:], band, beta)
 
     result = ExtractionMatrix(c, factors, list(constraints.columns), list(constraints.bands))
     _validate_extraction(result)

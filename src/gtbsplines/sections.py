@@ -37,8 +37,6 @@ __all__ = [
     "ExponentialFamily",
     "GeneralizedPolynomialFamily",
     "SectionSpace",
-    "eval_span_derivatives",
-    "normalized_pair",
     "gpb_weights",
     "weight_system",
     "endpoint_collocation_matrix",
@@ -61,6 +59,8 @@ class Partition:
         bp = tuple(float(x) for x in self.breakpoints)
         if len(bp) < 2:
             raise InvalidFamilyError("a partition needs at least two breakpoints")
+        if not all(math.isfinite(x) for x in bp):
+            raise InvalidFamilyError(f"breakpoints must be finite, got {bp}")
         if any(b <= a for a, b in zip(bp, bp[1:])):
             raise InvalidFamilyError("breakpoints must be strictly increasing")
         object.__setattr__(self, "breakpoints", bp)
@@ -109,8 +109,10 @@ class TrigonometricFamily:
     def __post_init__(self):
         if self.degree < 1:
             raise InvalidFamilyError("trigonometric degree must be >= 1")
-        if self.omega <= 0.0:
-            raise InvalidFamilyError("trigonometric omega must be positive")
+        if not 0.0 < self.omega < math.inf:
+            raise InvalidFamilyError(
+                f"trigonometric omega must be positive and finite, got {self.omega}"
+            )
 
 
 @dataclass(frozen=True)
@@ -121,8 +123,10 @@ class ExponentialFamily:
     def __post_init__(self):
         if self.degree < 1:
             raise InvalidFamilyError("exponential degree must be >= 1")
-        if self.omega <= 0.0:
-            raise InvalidFamilyError("exponential omega must be positive")
+        if not 0.0 < self.omega < math.inf:
+            raise InvalidFamilyError(
+                f"exponential omega must be positive and finite, got {self.omega}"
+            )
 
 
 @dataclass(frozen=True)
@@ -317,20 +321,6 @@ class SectionSpace:
             return c[0] * fam.u(x, p - 1 + order) + c[1] * fam.v(x, p - 1 + order)
 
         return u_star, v_star
-
-
-def eval_span_derivatives(section: SectionSpace, x: float, max_order: int) -> np.ndarray:
-    """Derivative table of the section's span basis at ``x``.
-
-    Entry ``(j, d)`` holds the ``d``-th derivative of span function ``j``;
-    see :meth:`SectionSpace.span_derivatives`.
-    """
-    return section.span_derivatives(x, max_order)
-
-
-def normalized_pair(section: SectionSpace):
-    """Endpoint-normalized generator pair ``(U*, V*)`` of a section."""
-    return section.normalized_pair()
 
 
 def gpb_weights(section: SectionSpace, samples: int = 100):

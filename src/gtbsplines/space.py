@@ -30,6 +30,7 @@ from .errors import (
 from .extraction import (
     ExtractionMatrix,
     KnotVectors,
+    apply_factor,
     build_constraints,
     build_knot_vectors,
     extraction_operator,
@@ -109,16 +110,6 @@ class GTSplineSpace:
         sigma = int(self.knots.sigma[i])
         return sigma - self.degrees[i - 1], sigma
 
-    # Thin method forms of the module-level operations.
-    def eval_basis(self, x, max_order: int = 0) -> np.ndarray:
-        return eval_basis(self, x, max_order)
-
-    def jump(self, i: int, order: int, k: int) -> float:
-        return jump(self, i, order, k)
-
-    def insert_knot(self, x_new: float):
-        return insert_knot(self, x_new)
-
 
 def _check_section_families(sections: list[SectionSpace]) -> None:
     for s in sections:
@@ -159,25 +150,22 @@ def _assemble(
     bases: list[BernsteinBasis],
     smoothness,
 ) -> GTSplineSpace:
-    smoothness = tuple(int(r) for r in smoothness)
-    degrees = tuple(s.degree for s in sections)
     _warn_maximal_joints(sections, smoothness)
-    kv = build_knot_vectors(partition, degrees, smoothness)
-    constraints = build_constraints(sections, bases, partition, smoothness)
+    kv = build_knot_vectors(partition, [s.degree for s in sections], smoothness)
+    constraints = build_constraints(bases, kv)
     ext = extraction_operator(constraints)
     if ext.n_basis != kv.n_basis:
         raise GTBError(
             f"internal: dimension mismatch {ext.n_basis} != {kv.n_basis}"
         )
-    block_start = np.concatenate([[0], np.cumsum([p + 1 for p in degrees])])
     return GTSplineSpace(
         partition=partition,
         sections=sections,
         bases=bases,
-        smoothness=smoothness,
+        smoothness=kv.smoothness,
         knots=kv,
         extraction=ext,
-        block_start=block_start,
+        block_start=constraints.block_start,
     )
 
 
@@ -389,9 +377,7 @@ def insert_knot(space: GTSplineSpace, x_new: float):
     if not (1 <= lo < hi <= n):
         raise GTBError(f"internal: invalid insertion band [{lo}, {hi}] for length {n}")
 
-    factor = np.zeros((n - 1, n))
-    for k in range(1, lo):
-        factor[k - 1, k - 1] = 1.0
+    beta = np.empty(hi - lo)
     alpha = 1.0
     for k in range(lo, hi):  # band rows; beta_{k+1} via the neighbor's peak
         x_star, peak = _peak_point(refined, k + 1)
@@ -402,13 +388,9 @@ def insert_knot(space: GTSplineSpace, x_new: float):
             )
         b_old = float(eval_basis(space, x_star)[k - 1, 0])
         refined_pair = eval_basis(refined, x_star)[k - 1 : k + 1, 0]
-        beta = (b_old - alpha * refined_pair[0]) / refined_pair[1]
-        factor[k - 1, k - 1] = alpha
-        factor[k - 1, k] = beta
-        alpha = 1.0 - beta
-    for k in range(hi, n):
-        factor[k - 1, k] = 1.0
-    return refined, factor.T.copy()
+        beta[k - lo] = (b_old - alpha * refined_pair[0]) / refined_pair[1]
+        alpha = 1.0 - beta[k - lo]
+    return refined, apply_factor(np.eye(n), (lo, hi), beta).T
 
 
 def unit_integral_scaling(space: GTSplineSpace) -> np.ndarray:

@@ -13,6 +13,7 @@ from gtbsplines import (
     SpaceConfig,
     SplineCurve,
     TrigonometricFamily,
+    apply_factor,
     build_knot_vectors,
     build_space,
     eval_basis,
@@ -137,7 +138,10 @@ def test_criterion_05_extraction_structure():
         c = space.operator
         ok &= c.min() >= -1e-14 and c.max() <= 1.0 + 1e-14
         ok &= np.max(np.abs(c.sum(axis=0) - 1.0)) <= 1e-12
-        for factor, (lo, hi) in zip(space.extraction.factors, space.extraction.bands):
+        for rho, (beta, (lo, hi)) in enumerate(
+            zip(space.extraction.factors, space.extraction.bands)
+        ):
+            factor = apply_factor(np.eye(space.n_bernstein - rho), (lo, hi), beta)
             rows, cols = factor.shape
             ok &= cols == rows + 1
             mask = np.ones_like(factor, dtype=bool)

@@ -113,6 +113,16 @@ class TestVerify:
         assert "PASS partition-of-unity" in out
         assert "FAIL" not in out
 
+    def test_local_support_reports_leak(self, demo_config_path, capsys, monkeypatch):
+        # Shift every basis value by 1e-9: each point outside a support then
+        # leaks exactly that much.
+        import gtbsplines.cli as cli
+
+        exact = cli.eval_basis
+        monkeypatch.setattr(cli, "eval_basis", lambda *args: exact(*args) + 1e-9)
+        assert main(["verify", demo_config_path]) == 1
+        assert "FAIL local-support (max leak 1e-09)" in capsys.readouterr().out
+
     def test_uniform_polynomial_uses_classical_oracle(self, tmp_path, capsys):
         cfg = {
             "breakpoints": [0.0, 1.0, 2.0, 3.0],
@@ -124,16 +134,59 @@ class TestVerify:
         assert main(["verify", str(path)]) == 0
         assert "PASS oracle-cox-de-boor" in capsys.readouterr().out
 
-    def test_invalid_trig_parameter_fails_validation(self, tmp_path, capsys):
-        cfg = {
-            "breakpoints": [0.0, 4.0],
-            "sections": [{"family": "trigonometric", "degree": 2, "omega": 1.0}],
-            "smoothness": [],
-        }
-        path = tmp_path / "badtrig.json"
+    @pytest.mark.parametrize(
+        "cfg, word",
+        [
+            (
+                {
+                    "breakpoints": [0.0, 4.0],
+                    "sections": [{"family": "trigonometric", "degree": 2, "omega": 1.0}],
+                    "smoothness": [],
+                },
+                "omega",
+            ),
+            (
+                {
+                    "breakpoints": [0.0, 1.0],
+                    "sections": [{"family": "polynomial", "degree": 2.9}],
+                    "smoothness": [],
+                },
+                "degree",
+            ),
+            (
+                {
+                    "breakpoints": [0.0, 1.0, 2.0],
+                    "sections": [{"family": "polynomial", "degree": 3}] * 2,
+                    "smoothness": [1.7],
+                },
+                "smoothness",
+            ),
+            (
+                {
+                    "breakpoints": [0.0, 1.0],
+                    "sections": [{"family": "trigonometric", "degree": 2, "omega": math.nan}],
+                    "smoothness": [],
+                },
+                "omega",
+            ),
+            (
+                {
+                    "breakpoints": [0.0, math.inf],
+                    "sections": [{"family": "polynomial", "degree": 2}],
+                    "smoothness": [],
+                },
+                "finite",
+            ),
+        ],
+        ids=["trig-omega-length", "degree-2.9", "smoothness-1.7", "omega-nan", "breakpoint-inf"],
+    )
+    def test_invalid_trig_parameter_fails_validation(self, cfg, word, tmp_path, capsys):
+        path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))
         assert main(["verify", str(path)]) == 2
-        assert "omega" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert word in captured.err
+        assert captured.out == ""
 
 
 class TestInsert:

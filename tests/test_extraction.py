@@ -13,11 +13,11 @@ from gtbsplines import (
     PolynomialFamily,
     SectionSpace,
     TrigonometricFamily,
+    apply_factor,
     build_bernstein,
     build_constraints,
     build_knot_vectors,
     build_space,
-    constraint_band,
     extraction_operator,
     nullspace_step,
     supersmoothness,
@@ -113,7 +113,8 @@ def _demo_constraints():
         SectionSpace(2.5, 5.0, PolynomialFamily(4)),
     ]
     bases = [build_bernstein(s) for s in sections]
-    return build_constraints(sections, bases, DEMO_PARTITION, DEMO_SMOOTHNESS)
+    kv = build_knot_vectors(DEMO_PARTITION, DEMO_DEGREES, DEMO_SMOOTHNESS)
+    return build_constraints(bases, kv)
 
 
 class TestConstraints:
@@ -121,7 +122,8 @@ class TestConstraints:
         part = Partition((0.0, 1.0, 2.0))
         sections = [SectionSpace(0, 1, PolynomialFamily(1)), SectionSpace(1, 2, PolynomialFamily(1))]
         bases = [build_bernstein(s) for s in sections]
-        constraints = build_constraints(sections, bases, part, (-1, 0, -1))
+        kv = build_knot_vectors(part, (1, 1), (-1, 0, -1))
+        constraints = build_constraints(bases, kv)
         assert constraints.matrix.shape == (4, 1)
         assert np.allclose(constraints.matrix[:, 0], [0.0, 1.0, -1.0, 0.0])
 
@@ -129,7 +131,8 @@ class TestConstraints:
         part = Partition((0.0, 1.0, 2.0))
         sections = [SectionSpace(0, 1, PolynomialFamily(2)), SectionSpace(1, 2, PolynomialFamily(2))]
         bases = [build_bernstein(s) for s in sections]
-        constraints = build_constraints(sections, bases, part, (-1, -1, -1))
+        kv = build_knot_vectors(part, (2, 2), (-1, -1, -1))
+        constraints = build_constraints(bases, kv)
         assert constraints.matrix.shape == (6, 0)
 
     def test_demo_shape_and_structural_zeros(self):
@@ -142,21 +145,24 @@ class TestConstraints:
             assert np.all(constraints.matrix[:3, col] == 0.0)
 
     def test_band_layout(self):
-        assert constraint_band(DEMO_DEGREES, DEMO_SMOOTHNESS, 1, 0) == (3, 4)
-        assert constraint_band(DEMO_DEGREES, DEMO_SMOOTHNESS, 1, 2) == (1, 4)
-        assert constraint_band(DEMO_DEGREES, DEMO_SMOOTHNESS, 2, 0) == (4, 5)
-        assert constraint_band(DEMO_DEGREES, DEMO_SMOOTHNESS, 2, 2) == (2, 5)
+        constraints = _demo_constraints()
+        bands = dict(zip(constraints.columns, constraints.bands))
+        assert bands[(1, 0)] == (3, 4)
+        assert bands[(1, 2)] == (1, 4)
+        assert bands[(2, 0)] == (4, 5)
+        assert bands[(2, 2)] == (2, 5)
 
 
 class TestNullspaceStep:
     def test_hand_example(self):
-        factor = nullspace_step(np.array([0.0, 1.0, -1.0, 0.0]))
+        beta = nullspace_step(np.array([0.0, 1.0, -1.0, 0.0]), (2, 3))
+        factor = apply_factor(np.eye(4), (2, 3), beta)
         expected = np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]], dtype=float)
         assert np.array_equal(factor, expected)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(BasisNonexistenceError):
-            nullspace_step(np.zeros(4))
+            nullspace_step(np.zeros(4), (1, 4))
 
     def test_degenerate_band_entry_rejected(self):
         a = np.array([0.0, 1.0, 1e-15, -1.0, 0.0])
@@ -192,7 +198,7 @@ class TestNullspaceStep:
         for k in range(lo, hi):  # 0-based position k holds band entry k+1
             beta = 1.0 - alphas[k + 1] if k + 1 < hi else 1.0
             a[k] = -alphas[k] * a[k - 1] / beta
-        factor = nullspace_step(a, (lo, hi))
+        factor = apply_factor(np.eye(n), (lo, hi), nullspace_step(a, (lo, hi)))
         assert factor.shape == (n - 1, n)
         assert np.max(np.abs(factor @ a)) <= 1e-13 * np.max(np.abs(a))
         for k, alpha in alphas.items():
@@ -207,15 +213,16 @@ class TestExtractionOperator:
         part = Partition((0.0, 1.0, 2.0))
         sections = [SectionSpace(0, 1, PolynomialFamily(2)), SectionSpace(1, 2, PolynomialFamily(2))]
         bases = [build_bernstein(s) for s in sections]
-        constraints = build_constraints(sections, bases, part, (-1, -1, -1))
-        ext = extraction_operator(constraints)
+        kv = build_knot_vectors(part, (2, 2), (-1, -1, -1))
+        ext = extraction_operator(build_constraints(bases, kv))
         assert np.array_equal(ext.operator, np.eye(6))
 
     def test_two_hats_assembly(self):
         part = Partition((0.0, 1.0, 2.0))
         sections = [SectionSpace(0, 1, PolynomialFamily(1)), SectionSpace(1, 2, PolynomialFamily(1))]
         bases = [build_bernstein(s) for s in sections]
-        ext = extraction_operator(build_constraints(sections, bases, part, (-1, 0, -1)))
+        kv = build_knot_vectors(part, (1, 1), (-1, 0, -1))
+        ext = extraction_operator(build_constraints(bases, kv))
         expected = np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]], dtype=float)
         assert np.allclose(ext.operator, expected)
 
@@ -230,30 +237,30 @@ class TestExtractionOperator:
             cfg = random_config(rng)
             space = build_space(cfg)
             a = space.extraction
-            residual = space.operator @ build_constraints(
-                space.sections, space.bases, space.partition, space.smoothness
-            ).matrix
+            residual = space.operator @ build_constraints(space.bases, space.knots).matrix
             if residual.size:
                 scale = max(1.0, np.max(np.abs(space.operator)))
                 assert np.max(np.abs(residual)) <= 1e-11 * max(
                     1.0,
                     np.max(
                         np.abs(
-                            build_constraints(
-                                space.sections,
-                                space.bases,
-                                space.partition,
-                                space.smoothness,
-                            ).matrix
+                            build_constraints(space.bases, space.knots).matrix
                         )
                     ),
                 ), f"constraint residual too large for {cfg}"
             assert a.n_basis == space.n_bernstein - len(a.factors)
 
+    def test_factors_store_band_coefficients_only(self, mixed_space, rng):
+        spaces = [mixed_space] + [build_space(random_config(rng)) for _ in range(12)]
+        for space in spaces:
+            for beta, (lo, hi) in zip(space.extraction.factors, space.extraction.bands):
+                assert beta.size == hi - lo
+
     def test_factor_two_band_structure(self, mixed_space):
-        for factor, (lo, hi) in zip(
-            mixed_space.extraction.factors, mixed_space.extraction.bands
+        for rho, (beta, (lo, hi)) in enumerate(
+            zip(mixed_space.extraction.factors, mixed_space.extraction.bands)
         ):
+            factor = apply_factor(np.eye(mixed_space.n_bernstein - rho), (lo, hi), beta)
             rows, cols = factor.shape
             assert cols == rows + 1
             for k in range(rows):
@@ -280,11 +287,12 @@ class TestExtractionOperator:
         # the jumps recomputed independently from endpoint tables.
         space = mixed_space
         running = np.eye(space.n_bernstein)
-        for factor, (i, j), (lo, hi) in zip(
+        for beta, (i, j), (lo, hi) in zip(
             space.extraction.factors,
             space.extraction.columns,
             space.extraction.bands,
         ):
+            factor = apply_factor(np.eye(running.shape[0]), (lo, hi), beta)
             g = np.zeros(space.n_bernstein)
             bl = slice(space.block_start[i - 1], space.block_start[i])
             br = slice(space.block_start[i], space.block_start[i + 1])

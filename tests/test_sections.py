@@ -15,9 +15,7 @@ from gtbsplines import (
     PolynomialFamily,
     SectionSpace,
     TrigonometricFamily,
-    eval_span_derivatives,
     gpb_weights,
-    normalized_pair,
     validate_ect,
 )
 from gtbsplines.sections import endpoint_collocation_matrix
@@ -52,7 +50,7 @@ class TestPartition:
 class TestSpanDerivatives:
     def test_monomial_table(self):
         section = SectionSpace(0.0, 1.0, PolynomialFamily(2))
-        table = eval_span_derivatives(section, 0.5, 2)
+        table = section.span_derivatives(0.5, 2)
         assert np.allclose(table[0], [1.0, 0.0, 0.0])
         assert np.allclose(table[1], [0.5, 1.0, 0.0])
         assert np.allclose(table[2], [0.25, 1.0, 2.0])
@@ -60,23 +58,23 @@ class TestSpanDerivatives:
     def test_trig_pair_endpoint_derivative(self):
         # V* = sin(omega (x - lo)) / sin(omega L): value 0, slope omega/sin(omega L).
         section = SectionSpace(1.0, 2.5, TrigonometricFamily(3, math.pi / 2))
-        table = eval_span_derivatives(section, 1.0, 1)
+        table = section.span_derivatives(1.0, 1)
         omega, length = math.pi / 2, 1.5
         assert table[3, 0] == pytest.approx(0.0, abs=1e-15)
         assert table[3, 1] == pytest.approx(omega / math.sin(omega * length), rel=1e-14)
 
     def test_exponential_normalized_endpoint(self):
         section = SectionSpace(2.5, 5.0, ExponentialFamily(4, 10.0))
-        table = eval_span_derivatives(section, 5.0, 0)
+        table = section.span_derivatives(5.0, 0)
         assert table[4, 0] == pytest.approx(1.0, rel=1e-14)
         assert abs(table[3, 0]) < 1e-15
 
     def test_domain_and_order_errors(self):
         section = SectionSpace(0.0, 1.0, PolynomialFamily(2))
         with pytest.raises(DomainError):
-            eval_span_derivatives(section, 1.5, 0)
+            section.span_derivatives(1.5, 0)
         with pytest.raises(OrderError):
-            eval_span_derivatives(section, 0.5, 3)
+            section.span_derivatives(0.5, 3)
 
     @pytest.mark.parametrize("section", ALL_SECTIONS, ids=lambda s: repr(s.family))
     def test_first_derivative_matches_finite_differences(self, section, rng):
@@ -118,7 +116,7 @@ class TestFamilyValidation:
 
 class TestNormalizedPair:
     def test_affine_pair(self):
-        u_star, v_star = normalized_pair(SectionSpace(0.0, 1.0, PolynomialFamily(2)))
+        u_star, v_star = SectionSpace(0.0, 1.0, PolynomialFamily(2)).normalized_pair()
         xs = np.linspace(0, 1, 11)
         assert np.allclose([u_star(x) for x in xs], 1 - xs)
         assert np.allclose([v_star(x) for x in xs], xs)
@@ -127,7 +125,7 @@ class TestNormalizedPair:
         # On [1, 5/2] with omega = pi/2 the normalized pair is
         # -sqrt(2) cos(pi/4 + pi x / 2) and -sqrt(2) cos(pi x / 2).
         section = SectionSpace(1.0, 2.5, TrigonometricFamily(3, math.pi / 2))
-        u_star, v_star = normalized_pair(section)
+        u_star, v_star = section.normalized_pair()
         for x in np.linspace(1.0, 2.5, 17):
             assert u_star(float(x)) == pytest.approx(
                 -math.sqrt(2) * math.cos(math.pi / 4 + math.pi * x / 2), abs=1e-14
@@ -138,7 +136,7 @@ class TestNormalizedPair:
 
     def test_exp_pair_closed_form(self):
         section = SectionSpace(2.5, 5.0, ExponentialFamily(4, 10.0))
-        u_star, _ = normalized_pair(section)
+        u_star, _ = section.normalized_pair()
         for x in np.linspace(2.5, 5.0, 9):
             expected = math.sinh(50 - 10 * x) / math.sinh(25)
             assert u_star(float(x)) == pytest.approx(expected, abs=1e-14)
@@ -147,7 +145,7 @@ class TestNormalizedPair:
         "section", [s for s in ALL_SECTIONS if s.degree >= 1], ids=lambda s: repr(s.family)
     )
     def test_endpoint_conditions(self, section):
-        u_star, v_star = normalized_pair(section)
+        u_star, v_star = section.normalized_pair()
         assert u_star(section.x_lo) == pytest.approx(1.0, abs=1e-14)
         assert u_star(section.x_hi) == pytest.approx(0.0, abs=1e-14)
         assert v_star(section.x_lo) == pytest.approx(0.0, abs=1e-14)
@@ -160,7 +158,7 @@ class TestNormalizedPair:
             v=lambda x, d: (math.cos(x), -math.sin(x), -math.cos(x), math.sin(x))[d % 4],
         )
         section = SectionSpace(0.0, 1.0, fam)
-        u_star, v_star = normalized_pair(section)
+        u_star, v_star = section.normalized_pair()
         assert u_star(0.0) == pytest.approx(1.0, abs=1e-14)
         assert v_star(1.0) == pytest.approx(1.0, abs=1e-14)
 
