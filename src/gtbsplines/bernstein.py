@@ -66,13 +66,19 @@ class BernsteinBasis:
     def degree(self) -> int:
         return self.section.degree
 
-    def evaluate(self, x: float, max_order: int = 0) -> np.ndarray:
+    def evaluate(self, x, max_order: int = 0) -> np.ndarray:
         """Values and derivatives of all basis functions at ``x``.
 
-        Returns a ``(p+1, max_order+1)`` array; entry ``(j, d)`` is
-        ``D^d b_j(x)``.
+        For a scalar ``x`` returns a ``(p+1, max_order+1)`` array; entry
+        ``(j, d)`` is ``D^d b_j(x)``.  For a 1-D array of ``n`` points returns
+        the ``(n, p+1, max_order+1)`` stack of those tables.  Span tables are
+        built point by point, so both forms give identical values.
         """
-        return self.coeffs @ self.section.span_derivatives(x, max_order)
+        span = self.section.span_derivatives
+        if isinstance(x, float) or np.ndim(x) == 0:
+            return self.coeffs @ span(x, max_order)
+        tables = np.array([span(t, max_order) for t in x], dtype=float)
+        return self.coeffs @ tables.reshape(-1, self.section.dim, max_order + 1)
 
 
 def _hermite_solve(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:

@@ -72,21 +72,36 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _sample_csv(space, n: int, deriv: int) -> str:
+def _write_sample_csv(path: str, space, n: int, deriv: int) -> None:
+    """Write ``n`` uniform samples of all basis functions and derivatives.
+
+    Only the functions active on a row's interval are formatted; every other
+    cell is exactly zero and is written as a literal ``0``.  Rows are written
+    one interval at a time.
+    """
     a, b = space.domain
     xs = np.linspace(a, b, n)
+    n_basis = space.n_basis
     header = ["x"]
     for d in range(deriv + 1):
         prefix = "" if d == 0 else ("d" if d == 1 else f"d{d}")
-        header.extend(f"{prefix}B{k}" for k in range(1, space.n_basis + 1))
-    rows = [",".join(header)]
-    for x in xs:
-        table = eval_basis(space, float(x), deriv)
-        cells = [_fmt(x)]
-        for d in range(deriv + 1):
-            cells.extend(_fmt(v) for v in table[:, d])
-        rows.append(",".join(cells))
-    return "\n".join(rows) + "\n"
+        header.extend(f"{prefix}B{k}" for k in range(1, n_basis + 1))
+    elems = space.partition.locate(xs)  # nondecreasing, since xs is sorted
+    table = eval_basis(space, xs, deriv)
+    starts = np.searchsorted(elems, np.arange(1, space.partition.num_intervals + 2))
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for e in range(1, space.partition.num_intervals + 1):
+            rows = slice(starts[e - 1], starts[e])
+            if rows.start == rows.stop:
+                continue
+            lo, hi = space.active_range(e)
+            slots = ["0"] * (lo - 1) + ["%.17g"] * (hi - lo + 1) + ["0"] * (n_basis - hi)
+            template = ",".join(["%.17g"] + slots * (deriv + 1)) + "\n"
+            # row-major over (derivative order, active function), as the header
+            active = table[rows, lo - 1 : hi].transpose(0, 2, 1)
+            values = np.column_stack([xs[rows], active.reshape(len(active), -1)])
+            fh.write("".join([template % tuple(v) for v in values.tolist()]))
 
 
 def cmd_build(args) -> int:
@@ -104,7 +119,7 @@ def cmd_sample(args) -> int:
     max_deriv = min(space.degrees)
     if not (0 <= args.deriv <= max_deriv):
         raise ConfigError(f"--deriv must lie in [0, {max_deriv}] for this space")
-    _write(args.csv, _sample_csv(space, args.n, args.deriv))
+    _write_sample_csv(args.csv, space, args.n, args.deriv)
     return EXIT_OK
 
 
@@ -114,8 +129,7 @@ def cmd_demo(args) -> int:
     if args.name == "example1":
         for r in (-1, 0, 1, 2):
             space = build_space(mixed_family_demo_config((r, r)))
-            text = _sample_csv(space, args.n, 2)
-            _write(f"{outdir}/example1_r{r}.csv", text)
+            _write_sample_csv(f"{outdir}/example1_r{r}.csv", space, args.n, 2)
             _write(f"{outdir}/example1_r{r}_summary.txt", _space_summary(space))
         return EXIT_OK
     if args.name == "example2":
@@ -125,8 +139,7 @@ def cmd_demo(args) -> int:
         a, b = space.domain
         xs = np.linspace(a, b, args.n)
         rows = ["x,X,Y"]
-        for x in xs:
-            pt = curve(float(x))
+        for x, pt in zip(xs, curve(xs)):
             rows.append(f"{_fmt(x)},{_fmt(pt[0])},{_fmt(pt[1])}")
         _write(f"{outdir}/example2_curve.csv", "\n".join(rows) + "\n")
         rows = ["X,Y"]
@@ -146,8 +159,7 @@ def _profile_residuals(curve: SplineCurve, n: int) -> str:
     rows = ["x,segment,residual"]
     for seg in range(3):
         xs = np.linspace(bp[seg], bp[seg + 1], n)
-        for x in xs:
-            X, Y = curve(float(x))
+        for x, (X, Y) in zip(xs, curve(xs)):
             if seg == 0:
                 res = (X - 2.0) ** 2 + Y**2 - 1.0
             elif seg == 1:
@@ -172,8 +184,8 @@ def cmd_verify(args) -> int:
     ok = True
 
     xs = np.linspace(a, b, 400)
-    values = np.array([eval_basis(space, float(x))[:, 0] for x in xs])  # (400, N)
-    pou = max(abs(row.sum() - 1.0) for row in values)
+    values = eval_basis(space, xs)[:, :, 0]  # (400, N)
+    pou = np.max(np.abs(values.sum(axis=1) - 1.0))
     ok &= _check("partition-of-unity", pou <= 1e-12, f"max deviation {pou:.3g}")
 
     kv = space.knots
@@ -206,18 +218,20 @@ def cmd_verify(args) -> int:
     if uniform_poly:
         p = config.degrees[0]
         knots = cox_de_boor_knots(config.breakpoints, p, config.smoothness)
-        err = 0.0
-        for x in probe:
-            ours = eval_basis(space, float(x), min(1, p))
-            ref = cox_de_boor_basis(knots, p, float(x), min(1, p))
-            err = max(err, float(np.max(np.abs(ours - ref))))
+        ours = eval_basis(space, probe, min(1, p))
+        ref = np.array([cox_de_boor_basis(knots, p, float(x), min(1, p)) for x in probe])
+        err = float(np.max(np.abs(ours - ref)))
         ok &= _check("oracle-cox-de-boor", err <= 1e-12, f"max dev {err:.3g}")
     else:
-        err = 0.0
-        for x in probe[::2]:
-            vals = eval_basis(space, float(x))[:, 0]
-            for k in range(1, space.n_basis + 1):
-                err = max(err, abs(vals[k - 1] - local_recurrence_eval(space, k, float(x))))
+        probe = probe[::2]
+        ours = eval_basis(space, probe)[:, :, 0]
+        ref = np.array(
+            [
+                [local_recurrence_eval(space, k, float(x)) for k in range(1, space.n_basis + 1)]
+                for x in probe
+            ]
+        )
+        err = float(np.max(np.abs(ours - ref)))
         ok &= _check("oracle-integral-recurrence", err <= 1e-7, f"max dev {err:.3g}")
 
     return EXIT_OK if ok else EXIT_RUNTIME

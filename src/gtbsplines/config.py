@@ -55,6 +55,14 @@ def _integer(value, what: str) -> int:
     raise ConfigError(f"{what} must be an integer, got {value!r}")
 
 
+def _number(value, what: str) -> float:
+    """``value`` as a float; a value ``float`` cannot convert is rejected."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+
+
 def family_from_dict(d: dict) -> SectionFamily:
     try:
         kind = d["family"]
@@ -66,7 +74,7 @@ def family_from_dict(d: dict) -> SectionFamily:
     if kind in ("trigonometric", "exponential"):
         if "omega" not in d:
             raise ConfigError(f"section {d!r} needs an omega parameter")
-        omega = float(d["omega"])
+        omega = _number(d["omega"], "section omega")
         cls = TrigonometricFamily if kind == "trigonometric" else ExponentialFamily
         return cls(degree, omega)
     raise ConfigError(f"unknown section family {kind!r}")
@@ -96,10 +104,16 @@ class SpaceConfig:
     control_points: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
-        self.breakpoints = [float(x) for x in self.breakpoints]
+        self.breakpoints = [_number(x, "breakpoint") for x in self.breakpoints]
         self.smoothness = [_integer(r, "smoothness") for r in self.smoothness]
         if self.control_points is not None:
-            self.control_points = np.atleast_2d(np.asarray(self.control_points, dtype=float))
+            try:
+                control = np.asarray(self.control_points, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"control points must be rows of numbers: {exc}"
+                ) from exc
+            self.control_points = np.atleast_2d(control)
         m = len(self.breakpoints) - 1
         if m < 1:
             raise ConfigError("need at least two breakpoints")

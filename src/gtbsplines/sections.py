@@ -23,6 +23,7 @@ intervals.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -77,19 +78,29 @@ class Partition:
     def b(self) -> float:
         return self.breakpoints[-1]
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.breakpoints, dtype=float)
-
     def interval(self, i: int) -> tuple[float, float]:
         """Closed hull of interval ``i`` (1-based)."""
         return self.breakpoints[i - 1], self.breakpoints[i]
 
-    def locate(self, x: float) -> int:
-        """1-based index of the interval containing ``x`` (right-limit rule)."""
-        if not (self.a <= x <= self.b):
-            raise DomainError(f"x={x!r} outside [{self.a}, {self.b}]")
-        idx = int(np.searchsorted(self.breakpoints, x, side="right"))
-        return min(idx, self.num_intervals)
+    def locate(self, x):
+        """1-based index of the interval containing ``x`` (right-limit rule).
+
+        ``x`` is a scalar, giving an ``int``, or a 1-D array, giving an
+        integer array of the same length.
+        """
+        if isinstance(x, float) or np.ndim(x) == 0:
+            if not (self.a <= x <= self.b):
+                raise DomainError(f"x={x!r} outside [{self.a}, {self.b}]")
+            return min(bisect_right(self.breakpoints, x), self.num_intervals)
+        xs = np.asarray(x, dtype=float)
+        if xs.ndim != 1:
+            raise DomainError(f"points must be a scalar or a 1-D array, got shape {xs.shape}")
+        outside = ~((self.a <= xs) & (xs <= self.b))
+        if outside.any():
+            bad = float(xs[np.argmax(outside)])
+            raise DomainError(f"x={bad!r} outside [{self.a}, {self.b}]")
+        idx = np.searchsorted(self.breakpoints, xs, side="right")
+        return np.minimum(idx, self.num_intervals)
 
 
 @dataclass(frozen=True)
@@ -232,8 +243,8 @@ class SectionSpace:
             self._monomial_rows(out, x, n_rows=p + 1)
             return out
         self._monomial_rows(out, x, n_rows=p - 1)
-        out[p - 1, :] = [self._pair_derivative(x, d)[0] for d in range(max_order + 1)]
-        out[p, :] = [self._pair_derivative(x, d)[1] for d in range(max_order + 1)]
+        for d in range(max_order + 1):
+            out[p - 1, d], out[p, d] = self._pair_derivative(x, d)
         return out
 
     def _monomial_rows(self, out: np.ndarray, x: float, n_rows: int) -> None:

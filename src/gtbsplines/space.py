@@ -3,8 +3,12 @@
 A :class:`GTSplineSpace` bundles the partition, the per-interval sections
 with their Bernstein bases, the two knot vectors, and the extraction
 operator ``C`` mapping the global Bernstein vector to the smooth basis
-``B(x) = C b(x)``.  All evaluation is one matrix-vector product over the
-Bernstein values of the single interval containing ``x``.
+``B(x) = C b(x)``.  The operator is local: on interval ``e`` only the
+``p_e + 1`` functions from ``sigma(e) - p_e`` on are nonzero, so each space
+keeps, per interval, that square block of ``C`` (Bezier element
+extraction).  Evaluation at a point or at an array of points is one product
+of that block with the Bernstein values of the interval, stacked over the
+points of each interval.
 
 Objects are immutable after construction; evaluation is pure and safe to
 call concurrently.  Knot insertion returns new objects.
@@ -76,6 +80,17 @@ class GTSplineSpace:
     knots: KnotVectors
     extraction: ExtractionMatrix = field(repr=False)
     block_start: np.ndarray = field(repr=False)
+    element_blocks: tuple[np.ndarray, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # Per interval, the rows of its active functions in its column block
+        # of the operator; every other entry of that column block is zero.
+        starts = self.block_start
+        blocks = []
+        for e in range(1, self.partition.num_intervals + 1):
+            lo, hi = self.active_range(e)
+            blocks.append(self.operator[lo - 1 : hi, starts[e - 1] : starts[e]].copy())
+        self.element_blocks = tuple(blocks)
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -190,23 +205,51 @@ def build_space(config: SpaceConfig) -> GTSplineSpace:
     return _assemble(partition, sections, bases, config.full_smoothness)
 
 
-def eval_basis(space: GTSplineSpace, x: float, max_order: int = 0) -> np.ndarray:
-    """All basis functions and derivatives at one point.
+def eval_basis(space: GTSplineSpace, x, max_order: int = 0) -> np.ndarray:
+    """All basis functions and derivatives at a point or at an array of points.
 
-    Returns an ``(N, max_order + 1)`` array whose column ``d`` holds the
-    ``d``-th derivatives of all basis functions at ``x``.  Interior
-    breakpoints evaluate from the right; the right domain endpoint evaluates
-    from the left.
+    For a scalar ``x`` returns an ``(N, max_order + 1)`` array whose column
+    ``d`` holds the ``d``-th derivatives of all basis functions at ``x``.
+    For a 1-D array of ``n`` points returns the ``(n, N, max_order + 1)``
+    stack of those tables, equal entry for entry to the scalar calls; the
+    points may be unsorted or repeated.  Interior breakpoints evaluate from
+    the right; the right domain endpoint evaluates from the left.
     """
-    i = space.partition.locate(x)
-    p_i = space.degrees[i - 1]
-    if not (0 <= max_order <= p_i):
+    elems = space.partition.locate(x)
+    if isinstance(elems, int):
+        lo, values = _element_values(space, elems, x, max_order)
+        out = np.zeros((space.n_basis, max_order + 1))
+        out[lo : lo + len(values)] = values
+        return out
+    xs = np.asarray(x, dtype=float)
+    # indices of the points of each interval that holds any
+    order = np.argsort(elems, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(elems[order], prepend=0)))[1:]
+    for at in groups:
+        _check_order(space, int(elems[at[0]]), max_order)
+    out = np.zeros((len(xs), space.n_basis, max_order + 1))
+    for at in groups:
+        lo, values = _element_values(space, int(elems[at[0]]), xs[at], max_order)
+        out[at, lo : lo + values.shape[1]] = values
+    return out
+
+
+def _check_order(space: GTSplineSpace, e: int, max_order: int) -> None:
+    p_e = space.degrees[e - 1]
+    if not (0 <= max_order <= p_e):
         raise OrderError(
-            f"max_order={max_order} exceeds the local degree {p_i} on interval {i}"
+            f"max_order={max_order} exceeds the local degree {p_e} on interval {e}"
         )
-    bvals = space.bases[i - 1].evaluate(x, max_order)
-    block = slice(space.block_start[i - 1], space.block_start[i])
-    return space.operator[:, block] @ bvals
+
+
+def _element_values(space: GTSplineSpace, e: int, x, max_order: int):
+    """The evaluation kernel.  Returns ``(lo, values)``: the 0-based index of
+    the first function active on interval ``e`` (1-based) and the values of
+    the active functions at ``x``, a point or a 1-D array of points of that
+    interval."""
+    _check_order(space, e, max_order)
+    bvals = space.bases[e - 1].evaluate(x, max_order)
+    return space.active_range(e)[0] - 1, space.element_blocks[e - 1] @ bvals
 
 
 def _onesided_vector(space: GTSplineSpace, i: int, order: int, side: str) -> np.ndarray:
@@ -268,7 +311,7 @@ class SplineCurve:
     def geometric_dim(self) -> int:
         return self.control.shape[1]
 
-    def __call__(self, x: float, order: int = 0) -> np.ndarray:
+    def __call__(self, x, order: int = 0) -> np.ndarray:
         return eval_curve(self, x, order)
 
     def insert_knot(self, x_new: float) -> "SplineCurve":
@@ -276,10 +319,15 @@ class SplineCurve:
         return SplineCurve(refined, transfer @ self.control)
 
 
-def eval_curve(curve: SplineCurve, x: float, order: int = 0) -> np.ndarray:
-    """Curve point (or ``order``-th derivative vector) at parameter ``x``."""
-    basis = eval_basis(curve.space, x, order)[:, order]
-    return curve.control.T @ basis
+def eval_curve(curve: SplineCurve, x, order: int = 0) -> np.ndarray:
+    """Curve point (or ``order``-th derivative vector) at parameter ``x``.
+
+    A scalar ``x`` gives a ``(d,)`` vector, a 1-D array of ``n`` points an
+    ``(n, d)`` array.
+    """
+    basis = eval_basis(curve.space, x, order)[..., order, None]
+    # One matrix-vector product per point, so that rows equal scalar calls.
+    return (curve.control.T @ basis)[..., 0]
 
 
 def _refined_components(space: GTSplineSpace, x_new: float):
@@ -333,14 +381,12 @@ def _refined_components(space: GTSplineSpace, x_new: float):
 
 
 def _peak_point(space: GTSplineSpace, k: int, samples: int = 65) -> tuple[float, float]:
-    """A point where basis function ``k`` (1-based) is largest, by sampling."""
-    lo, hi = space.knots.u[k - 1], space.knots.v[k - 1]
-    best_x, best_v = lo, -1.0
-    for x in np.linspace(lo, hi, samples):
-        v = abs(float(eval_basis(space, float(x))[k - 1, 0]))
-        if v > best_v:
-            best_x, best_v = float(x), v
-    return best_x, best_v
+    """The first of ``samples`` uniform points on the support of basis
+    function ``k`` (1-based) where it is largest, and its value there."""
+    xs = np.linspace(space.knots.u[k - 1], space.knots.v[k - 1], samples)
+    values = np.abs(eval_basis(space, xs)[:, k - 1, 0])
+    j = int(np.argmax(values))
+    return float(xs[j]), float(values[j])
 
 
 def insert_knot(space: GTSplineSpace, x_new: float):
@@ -402,13 +448,10 @@ def unit_integral_scaling(space: GTSplineSpace) -> np.ndarray:
     """
     n_nodes = 2 * max(space.degrees) + 2
     integrals = np.zeros(space.n_basis)
-    for i, (section, basis) in enumerate(zip(space.sections, space.bases)):
+    for e, section in enumerate(space.sections, start=1):
         xs, ws = section_rule(section, n_nodes)
-        bern_ints = np.zeros(section.dim)
-        for x, w in zip(xs, ws):
-            bern_ints += w * basis.evaluate(x, 0)[:, 0]
-        block = slice(space.block_start[i], space.block_start[i + 1])
-        integrals += space.operator[:, block] @ bern_ints
+        lo, values = _element_values(space, e, xs, 0)
+        integrals[lo : lo + section.dim] += ws @ values[:, :, 0]
     if np.any(integrals <= 0.0):
         raise GTBError("nonpositive basis integral; space is degenerate")
     return 1.0 / integrals

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gtbsplines import (
+    ConditioningWarning,
     EctViolationError,
     ExponentialFamily,
     GeneralizedPolynomialFamily,
@@ -97,7 +98,7 @@ class TestHermiteConstruction:
             u=lambda x, d: (x, 1.0, 0.0)[min(d, 2)],
             v=lambda x, d: (2 * x, 2.0, 0.0)[min(d, 2)],
         )
-        with pytest.raises(EctViolationError):
+        with pytest.warns(ConditioningWarning), pytest.raises(EctViolationError):
             build_bernstein(SectionSpace(0.0, 1.0, fam))
 
 

@@ -177,8 +177,42 @@ class TestVerify:
                 },
                 "finite",
             ),
+            (
+                {
+                    "breakpoints": [0.0, 1.0],
+                    "sections": [{"family": "trigonometric", "degree": 2, "omega": "abc"}],
+                    "smoothness": [],
+                },
+                "omega",
+            ),
+            (
+                {
+                    "breakpoints": ["x", 1, 2],
+                    "sections": [{"family": "polynomial", "degree": 2}] * 2,
+                    "smoothness": [1],
+                },
+                "breakpoint",
+            ),
+            (
+                {
+                    "breakpoints": [0.0, 1.0],
+                    "sections": [{"family": "polynomial", "degree": 1}],
+                    "smoothness": [],
+                    "control_points": [[0.0, 0.0], ["x", 1.0]],
+                },
+                "control points",
+            ),
         ],
-        ids=["trig-omega-length", "degree-2.9", "smoothness-1.7", "omega-nan", "breakpoint-inf"],
+        ids=[
+            "trig-omega-length",
+            "degree-2.9",
+            "smoothness-1.7",
+            "omega-nan",
+            "breakpoint-inf",
+            "omega-abc",
+            "breakpoint-x",
+            "control-point-x",
+        ],
     )
     def test_invalid_trig_parameter_fails_validation(self, cfg, word, tmp_path, capsys):
         path = tmp_path / "bad.json"

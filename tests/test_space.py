@@ -26,6 +26,19 @@ from gtbsplines.oracle import cox_de_boor_basis, cox_de_boor_knots
 from helpers import boehm_insert, central_diff, random_config
 
 
+def custom_pair_space():
+    """Span {1, x, e^x, e^(2x)} on [0, 1] glued C^1 to a cubic on [1, 2]."""
+    from gtbsplines import GeneralizedPolynomialFamily
+
+    custom = GeneralizedPolynomialFamily(
+        3,
+        u=lambda x, d: math.exp(x),
+        v=lambda x, d: (2.0**d) * math.exp(2.0 * x),
+        name="exp-pair",
+    )
+    return build_space(SpaceConfig([0.0, 1.0, 2.0], [custom, PolynomialFamily(3)], [1]))
+
+
 class TestBuildSpace:
     def test_demo_dimensions(self, mixed_space):
         assert (mixed_space.n_basis, mixed_space.n_bernstein, mixed_space.n_constraints) == (
@@ -71,20 +84,9 @@ class TestBuildSpace:
             assert space.n_basis == space.n_bernstein - space.n_constraints
 
     def test_custom_pair_section_space(self):
-        # span {1, x, e^x, e^(2x)} glued C^1 to a cubic: the custom pair goes
-        # through the same validation, extraction, and evaluation machinery.
-        from gtbsplines import GeneralizedPolynomialFamily
-
-        custom = GeneralizedPolynomialFamily(
-            3,
-            u=lambda x, d: math.exp(x),
-            v=lambda x, d: (2.0**d) * math.exp(2.0 * x),
-            name="exp-pair",
-        )
-        cfg = SpaceConfig(
-            [0.0, 1.0, 2.0], [custom, PolynomialFamily(3)], [1]
-        )
-        space = build_space(cfg)
+        # The custom pair goes through the same validation, extraction, and
+        # evaluation machinery.
+        space = custom_pair_space()
         assert space.n_basis == 6
         for x in np.linspace(0.0, 2.0, 101):
             vals = eval_basis(space, float(x))[:, 0]
@@ -168,6 +170,60 @@ class TestEvalBasis:
             eval_basis(mixed_space, 5.5)
         with pytest.raises(OrderError):
             eval_basis(mixed_space, 0.5, 3)  # first interval is quadratic
+
+
+class TestEvalBasisArrays:
+    @pytest.fixture(params=["mixed", "profile", "custom-pair", "random"])
+    def space(self, request, mixed_space, profile_space):
+        if request.param == "mixed":  # polynomial, trigonometric, exponential
+            return mixed_space
+        if request.param == "profile":
+            return profile_space
+        if request.param == "custom-pair":
+            return custom_pair_space()
+        return build_space(random_config(np.random.default_rng(7), n_intervals=5))
+
+    def test_rows_equal_scalar_calls(self, space, rng):
+        a, b = space.domain
+        inner = rng.uniform(a, b, 40)
+        bp = np.array(space.partition.breakpoints)
+        # unsorted, repeated, both domain ends and every interior breakpoint
+        xs = np.concatenate([[b], inner, bp[1:-1], [a], inner[:5], bp[::-1]])
+        for order in range(min(space.degrees) + 1):
+            table = eval_basis(space, xs, order)
+            assert table.shape == (len(xs), space.n_basis, order + 1)
+            for x, row in zip(xs, table):
+                assert np.array_equal(row, eval_basis(space, float(x), order))
+
+    def test_empty_array(self, space):
+        for order in (0, 1):
+            assert eval_basis(space, np.array([]), order).shape == (0, space.n_basis, order + 1)
+
+    def test_errors_match_scalar_calls(self, mixed_space):
+        a, b = mixed_space.domain
+        cases = [  # points, the one point among them that fails alone, order
+            ([1.0, b + 0.5, 2.0], b + 0.5, 0, DomainError),
+            ([a - 1e-9], a - 1e-9, 0, DomainError),
+            ([3.0, math.nan], math.nan, 0, DomainError),
+            ([3.0, 4.0, 0.5], 0.5, 3, OrderError),  # first interval is quadratic
+        ]
+        for xs, bad, order, error in cases:
+            with pytest.raises(error):
+                eval_basis(mixed_space, bad, order)
+            with pytest.raises(error):
+                eval_basis(mixed_space, np.array(xs), order)
+        assert eval_basis(mixed_space, np.array([3.0, 4.0]), 3).shape == (2, 6, 4)
+        with pytest.raises(DomainError):
+            eval_basis(mixed_space, np.ones((2, 2)))
+
+    def test_curve_rows_equal_scalar_calls(self, profile_space, profile_config):
+        curve = SplineCurve(profile_space, profile_config.control_points)
+        xs = np.linspace(*profile_space.domain, 31)[::-1]
+        for order in (0, 1):
+            points = eval_curve(curve, xs, order)
+            assert points.shape == (len(xs), 2)
+            for x, point in zip(xs, points):
+                assert np.array_equal(point, eval_curve(curve, float(x), order))
 
 
 class TestJumps:
