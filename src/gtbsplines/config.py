@@ -56,11 +56,14 @@ def _integer(value, what: str) -> int:
 
 
 def _number(value, what: str) -> float:
-    """``value`` as a float; a value ``float`` cannot convert is rejected."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+    """``value`` as a float; a string, even a numeric one, and anything else
+    ``float`` cannot convert are rejected."""
+    if not isinstance(value, str):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{what} must be a number, got {value!r}")
 
 
 def family_from_dict(d: dict) -> SectionFamily:
@@ -108,12 +111,16 @@ class SpaceConfig:
         self.smoothness = [_integer(r, "smoothness") for r in self.smoothness]
         if self.control_points is not None:
             try:
-                control = np.asarray(self.control_points, dtype=float)
+                control = np.asarray(self.control_points)
             except (TypeError, ValueError) as exc:
+                raise ConfigError(f"control points must be rows of numbers: {exc}") from exc
+            # Integer and float entries only: numpy would parse numeric
+            # strings, and an object array holds something that is no number.
+            if control.dtype.kind not in "iuf":
                 raise ConfigError(
-                    f"control points must be rows of numbers: {exc}"
-                ) from exc
-            self.control_points = np.atleast_2d(control)
+                    f"control points must be rows of numbers, got {control.dtype} entries"
+                )
+            self.control_points = np.atleast_2d(control.astype(float, copy=False))
         m = len(self.breakpoints) - 1
         if m < 1:
             raise ConfigError("need at least two breakpoints")

@@ -7,6 +7,13 @@ Two kinds of oracles live here:
   integrating differences of neighbors.  Functions are represented as
   per-element Chebyshev interpolants, so the oracle shares no coefficient
   representation with the production path; target accuracy ~1e-10.
+  Construction is linear algebra on one cached rule per node count: the
+  matrices that fit node values to coefficients and map coefficients to the
+  within-element cumulative integral at the nodes, and the row that maps
+  them to the element mass.  Each section's weights are evaluated once, on
+  its element's nodes, and each cumulative once per intermediate function.
+  Both recurrence oracles (:class:`RecurrenceEvaluator` and
+  :class:`RecurrenceBernstein`) integrate through the same rule.
 * The classical Cox-de Boor recursion for uniform-degree polynomial spaces,
   including derivatives, as an entirely separate reference.
 
@@ -17,6 +24,7 @@ use, not production evaluation.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import numpy.polynomial.chebyshev as _cheb
@@ -37,14 +45,38 @@ __all__ = [
 
 _BASE_NODES = 48
 _MAX_NODES = 512
-_FIT_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _fit_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+class _Rule(NamedTuple):
+    """Chebyshev rule on ``n`` first-kind nodes of ``[-1, 1]``.
+
+    ``fit`` maps values at the nodes to Chebyshev coefficients; ``cumulative``
+    maps coefficients to the integral from -1 to each node, ``mass`` to the
+    integral over ``[-1, 1]``.
+    """
+
+    t_nodes: np.ndarray
+    fit: np.ndarray
+    cumulative: np.ndarray
+    mass: np.ndarray
+
+
+_FIT_CACHE: dict[int, _Rule] = {}
+
+
+def _fit_rule(n: int) -> _Rule:
     rule = _FIT_CACHE.get(n)
     if rule is None:
         t_nodes = _cheb.chebpts1(n)
-        rule = (t_nodes, np.linalg.inv(_cheb.chebvander(t_nodes, n - 1)))
+        # Column j holds the coefficients of the antiderivative of T_j.
+        antiderivative = _cheb.chebint(np.eye(n), axis=0)
+        at_minus_one = _cheb.chebvander(-1.0, n)[0]
+        rule = _Rule(
+            t_nodes,
+            np.linalg.inv(_cheb.chebvander(t_nodes, n - 1)),
+            (_cheb.chebvander(t_nodes, n) - at_minus_one) @ antiderivative,
+            (_cheb.chebvander(1.0, n)[0] - at_minus_one) @ antiderivative,
+        )
         _FIT_CACHE[n] = rule
     return rule
 
@@ -61,7 +93,7 @@ def _section_nodes(section: SectionSpace) -> int:
 
 
 class _Element:
-    """One partition interval with cached Chebyshev nodes."""
+    """One partition interval with its Chebyshev rule."""
 
     def __init__(self, lo: float, hi: float, n_nodes: int = _BASE_NODES):
         self.lo = lo
@@ -69,34 +101,43 @@ class _Element:
         self.half = 0.5 * (hi - lo)
         self.mid = 0.5 * (lo + hi)
         self.n_nodes = n_nodes
-        self.t_nodes, self._fit_matrix = _fit_rule(n_nodes)
-        self.nodes = self.mid + self.half * self.t_nodes
+        self.rule = _fit_rule(n_nodes)
+        self.nodes = self.mid + self.half * self.rule.t_nodes
 
     def to_t(self, x):
         return (np.asarray(x) - self.mid) / self.half
 
     def fit(self, values) -> np.ndarray:
-        return self._fit_matrix @ np.asarray(values, dtype=float)
+        return self.rule.fit @ np.asarray(values, dtype=float)
+
+    def cumulative(self, coef: np.ndarray) -> np.ndarray:
+        """Integral of the piece ``coef`` from ``lo`` to each node."""
+        return self.half * (self.rule.cumulative @ coef)
+
+    def mass(self, coef: np.ndarray) -> float:
+        """Integral of the piece ``coef`` over the element."""
+        return float(self.half * (self.rule.mass @ coef))
 
 
 class _LevelFunction:
     """Per-element Chebyshev pieces of one intermediate function, with its
-    antiderivative data."""
+    element masses and, for a positive total mass, its unit-mass cumulative
+    on the nodes of each element it has a piece on."""
 
     def __init__(self, pieces: list[np.ndarray | None], elements: list[_Element]):
         self.pieces = pieces
-        self.anti = []
+        within: list[np.ndarray | None] = [None] * len(pieces)
         self.elem_integrals = np.zeros(len(pieces))
         for e, coef in enumerate(pieces):
-            if coef is None:
-                self.anti.append(None)
-                continue
-            ci = _cheb.chebint(coef)
-            offset = _cheb.chebval(-1.0, ci)
-            self.anti.append((ci, offset))
-            self.elem_integrals[e] = elements[e].half * (_cheb.chebval(1.0, ci) - offset)
+            if coef is not None:
+                within[e] = elements[e].cumulative(coef)
+                self.elem_integrals[e] = elements[e].mass(coef)
         self.prefix = np.concatenate([[0.0], np.cumsum(self.elem_integrals)])
         self.total = float(self.prefix[-1])
+        self.cumulative = [
+            None if w is None or self.total <= 0.0 else (self.prefix[e] + w) / self.total
+            for e, w in enumerate(within)
+        ]
 
 
 class RecurrenceEvaluator:
@@ -126,10 +167,11 @@ class RecurrenceEvaluator:
         ]
         self.u = space.knots.u
         self.v = space.knots.v
-        self._weights = []
-        for section in space.sections:
+        # Weights w_0 .. w_p of each section on its element's nodes.
+        self._weights: list[np.ndarray] = []
+        for section, elem in zip(space.sections, self.elements):
             try:
-                self._weights.append(weight_system(section))
+                self._weights.append(weight_system(section, elem.nodes))
             except Exception as exc:
                 raise OracleUnsupportedError(
                     f"no computable weight ladder for {section!r}: {exc}"
@@ -165,12 +207,10 @@ class RecurrenceEvaluator:
             # unit step at the left support knot.
             step = 1.0 if self.u[j - 1] <= elem.lo else 0.0
             return np.full(elem.n_nodes, step)
-        base = fn.prefix[e]
-        if fn.anti[e] is None:
-            return np.full(elem.n_nodes, base / fn.total)
-        ci, offset = fn.anti[e]
-        within = elem.half * (_cheb.chebval(elem.t_nodes, ci) - offset)
-        return (base + within) / fn.total
+        cumulative = fn.cumulative[e]
+        if cumulative is None:
+            return np.full(elem.n_nodes, fn.prefix[e] / fn.total)
+        return cumulative
 
     def _build(self) -> None:
         degrees = self.space.degrees
@@ -190,25 +230,18 @@ class RecurrenceEvaluator:
                     if self.mode == "local":
                         if q < gap:
                             continue
-                        if q == gap:
-                            vals = self._weights[e][p_e](self.elements[e].nodes)
-                        else:
-                            w = self._weights[e][p - q](self.elements[e].nodes)
-                            diff = self._term_cumulative(prev, k, e) - self._term_cumulative(
-                                prev, k + 1, e
-                            )
-                            vals = w * diff
+                        base = q == gap
                     else:
                         if p - q > p_e:
                             continue
-                        if q == 0:
-                            vals = self._weights[e][p_e](self.elements[e].nodes)
-                        else:
-                            w = self._weights[e][p - q](self.elements[e].nodes)
-                            diff = self._term_cumulative(prev, k, e) - self._term_cumulative(
-                                prev, k + 1, e
-                            )
-                            vals = w * diff
+                        base = q == 0
+                    if base:
+                        vals = self._weights[e][p_e]
+                    else:
+                        diff = self._term_cumulative(prev, k, e) - self._term_cumulative(
+                            prev, k + 1, e
+                        )
+                        vals = self._weights[e][p - q] * diff
                     pieces[e] = self.elements[e].fit(vals)
                     nonzero = True
                 if nonzero:
@@ -244,17 +277,17 @@ def global_recurrence_eval(space: GTSplineSpace, k: int, x: float) -> float:
     return _evaluator(space, "global").evaluate(k, x)
 
 
-_EVALUATOR_CACHE: dict[tuple[int, str], RecurrenceEvaluator] = {}
+# Evaluators of the last space queried, one per mode.  Each holds its space,
+# so evaluators of earlier spaces are dropped rather than kept alive.
+_EVALUATOR_CACHE: dict[str, RecurrenceEvaluator] = {}
 
 
 def _evaluator(space: GTSplineSpace, mode: str) -> RecurrenceEvaluator:
-    key = (id(space), mode)
-    found = _EVALUATOR_CACHE.get(key)
+    found = _EVALUATOR_CACHE.get(mode)
     if found is None or found.space is not space:
-        found = RecurrenceEvaluator(space, mode)
-        if len(_EVALUATOR_CACHE) > 16:
-            _EVALUATOR_CACHE.clear()
-        _EVALUATOR_CACHE[key] = found
+        for other in [m for m, ev in _EVALUATOR_CACHE.items() if ev.space is not space]:
+            del _EVALUATOR_CACHE[other]
+        found = _EVALUATOR_CACHE[mode] = RecurrenceEvaluator(space, mode)
     return found
 
 
@@ -274,40 +307,25 @@ class RecurrenceBernstein:
             )
         self.section = section
         self.element = _Element(section.x_lo, section.x_hi, _section_nodes(section))
-        u_star, v_star = section.normalized_pair()
-        nodes = self.element.nodes
-        ladder = [
-            self.element.fit([u_star(x) for x in nodes]),
-            self.element.fit([v_star(x) for x in nodes]),
-        ]
-        self.level_integrals: list[list[float]] = [self._masses(ladder)]
+        pair = section.normalized_pair_derivatives()
+        values = np.array([pair(x) for x in self.element.nodes])
+        ladder = [self.element.fit(values[:, 0]), self.element.fit(values[:, 1])]
+        masses = self._masses(ladder)
+        self.level_integrals: list[list[float]] = [masses]
         for q in range(2, section.degree + 1):
-            ladder = self._lift(ladder)
-            self.level_integrals.append(self._masses(ladder))
+            ladder = self._lift(ladder, masses)
+            masses = self._masses(ladder)
+            self.level_integrals.append(masses)
         self.coefficients = ladder
 
     def _masses(self, ladder) -> list[float]:
-        out = []
-        for coef in ladder:
-            ci = _cheb.chebint(coef)
-            out.append(
-                float(self.element.half * (_cheb.chebval(1.0, ci) - _cheb.chebval(-1.0, ci)))
-            )
-        return out
+        return [self.element.mass(coef) for coef in ladder]
 
-    def _lift(self, ladder):
-        masses = self._masses(ladder)
-        cums = []
-        for coef, mass in zip(ladder, masses):
-            ci = _cheb.chebint(coef)
-            offset = _cheb.chebval(-1.0, ci)
-            cums.append(
-                self.element.fit(
-                    self.element.half
-                    * (_cheb.chebval(self.element.t_nodes, ci) - offset)
-                    / mass
-                )
-            )
+    def _lift(self, ladder, masses):
+        cums = [
+            self.element.fit(self.element.cumulative(coef) / mass)
+            for coef, mass in zip(ladder, masses)
+        ]
         q = len(ladder)
         lifted = [np.zeros(1)] * (q + 1)
         lifted[0] = -cums[0]

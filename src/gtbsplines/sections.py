@@ -258,8 +258,8 @@ class SectionSpace:
                 fac *= j - d
         return
 
-    def _pair_derivative(self, x: float, d: int) -> tuple[float, float]:
-        """d-th derivative of the two non-polynomial span functions at x."""
+    def _pair_derivative(self, x: float, order: int = 0) -> tuple[float, float]:
+        """``order``-th derivative of the two non-polynomial span functions at x."""
         fam = self.family
         if isinstance(fam, TrigonometricFamily):
             w, L = fam.omega, self.length
@@ -267,17 +267,17 @@ class SectionSpace:
             a = w * (self.x_hi - x)
             b = w * (x - self.x_lo)
             # derivative cycle of sin: sin, cos, -sin, -cos
-            cyc_a = (math.sin(a), math.cos(a), -math.sin(a), -math.cos(a))[d % 4]
-            cyc_b = (math.sin(b), math.cos(b), -math.sin(b), -math.cos(b))[d % 4]
-            return ((-w) ** d) * cyc_a / s, (w**d) * cyc_b / s
+            cyc_a = (math.sin(a), math.cos(a), -math.sin(a), -math.cos(a))[order % 4]
+            cyc_b = (math.sin(b), math.cos(b), -math.sin(b), -math.cos(b))[order % 4]
+            return ((-w) ** order) * cyc_a / s, (w**order) * cyc_b / s
         if isinstance(fam, ExponentialFamily):
             w, L = fam.omega, self.length
             a = w * (self.x_hi - x)
             b = w * (x - self.x_lo)
-            ratio = _sinh_ratio if d % 2 == 0 else _cosh_ratio
-            return ((-w) ** d) * ratio(a, w * L), (w**d) * ratio(b, w * L)
+            ratio = _sinh_ratio if order % 2 == 0 else _cosh_ratio
+            return ((-w) ** order) * ratio(a, w * L), (w**order) * ratio(b, w * L)
         if isinstance(fam, GeneralizedPolynomialFamily):
-            return float(fam.u(x, d)), float(fam.v(x, d))
+            return float(fam.u(x, order)), float(fam.v(x, order))
         raise InvalidFamilyError(f"family {fam!r} has no two-function pair")
 
     # -- normalized pair and weights --------------------------------------
@@ -289,24 +289,29 @@ class SectionSpace:
         satisfy ``U*(x_lo) = 1``, ``U*(x_hi) = 0``, ``V*(x_lo) = 0``,
         ``V*(x_hi) = 1``.
         """
+        pair = self.normalized_pair_derivatives()
+        return (
+            lambda x, order=0: pair(x, order)[0],
+            lambda x, order=0: pair(x, order)[1],
+        )
+
+    def normalized_pair_derivatives(self):
+        """The pair ``(U*, V*)`` of :meth:`normalized_pair` as one callable
+        ``f(x, order=0)`` returning ``(D^order U*(x), D^order V*(x))``, for
+        callers that need both functions at the same point."""
         fam = self.family
         lo, hi, L = self.x_lo, self.x_hi, self.length
         if isinstance(fam, PolynomialFamily):
             if fam.degree < 1:
                 raise InvalidFamilyError("normalized pair needs degree >= 1")
 
-            def u_star(x, order=0):
-                return ((hi - x) / L, -1.0 / L, 0.0)[min(order, 2)]
+            def affine(x, order=0):
+                k = min(order, 2)
+                return ((hi - x) / L, -1.0 / L, 0.0)[k], ((x - lo) / L, 1.0 / L, 0.0)[k]
 
-            def v_star(x, order=0):
-                return ((x - lo) / L, 1.0 / L, 0.0)[min(order, 2)]
-
-            return u_star, v_star
+            return affine
         if isinstance(fam, (TrigonometricFamily, ExponentialFamily)):
-            return (
-                lambda x, order=0: self._pair_derivative(x, order)[0],
-                lambda x, order=0: self._pair_derivative(x, order)[1],
-            )
+            return self._pair_derivative
         # Custom pair: normalize D^(p-1) of the raw generators by a 2x2
         # endpoint solve.
         p = fam.degree
@@ -325,13 +330,39 @@ class SectionSpace:
             ) from exc
         cu, cv = combo[:, 0], combo[:, 1]
 
-        def u_star(x, order=0, c=cu):
-            return c[0] * fam.u(x, p - 1 + order) + c[1] * fam.v(x, p - 1 + order)
+        def custom(x, order=0):
+            gu, gv = fam.u(x, p - 1 + order), fam.v(x, p - 1 + order)
+            return cu[0] * gu + cu[1] * gv, cv[0] * gu + cv[1] * gv
 
-        def v_star(x, order=0, c=cv):
-            return c[0] * fam.u(x, p - 1 + order) + c[1] * fam.v(x, p - 1 + order)
+        return custom
 
-        return u_star, v_star
+
+def _weight_values(pair, xs) -> np.ndarray:
+    """``w_{p-1}`` and ``w_p`` (unscaled) at the points ``xs`` as a
+    ``(2, len(xs))`` array, from one evaluation of the pair per order and
+    point."""
+    out = np.empty((2, len(xs)))
+    for i, x in enumerate(xs):
+        u, v = pair(x)
+        du, dv = pair(x, 1)
+        s = u + v
+        out[0, i] = s
+        out[1, i] = (u * dv - v * du) / (s * s)
+    return out
+
+
+def _positive_weight_pair(section: SectionSpace, samples: int = 100):
+    """The section's normalized pair callable, once both non-trivial weights
+    are found strictly positive on a uniform grid of ``samples`` points."""
+    pair = section.normalized_pair_derivatives()
+    values = _weight_values(pair, np.linspace(section.x_lo, section.x_hi, samples))
+    for row, name in zip(values, ("u*+v*", "wronskian weight")):
+        if not np.all(row > 0.0):
+            raise InvalidFamilyError(
+                f"weight {name} is not strictly positive on "
+                f"[{section.x_lo}, {section.x_hi}]"
+            )
+    return pair
 
 
 def gpb_weights(section: SectionSpace, samples: int = 100):
@@ -342,52 +373,46 @@ def gpb_weights(section: SectionSpace, samples: int = 100):
     * ``w_{p-1} = U* + V*``,
     * ``w_p = (U* DV* - V* DU*) / (U* + V*)^2``.
 
-    Both must be strictly positive on the interval; positivity is verified on
-    a uniform sample grid and a violation raises
-    :class:`~gtbsplines.errors.InvalidFamilyError`.
+    Each evaluates the pair ``(U*, V*)`` once per derivative order it needs:
+    ``w_{p-1}`` once, ``w_p`` twice (orders 0 and 1).  Both must be strictly
+    positive on the interval; positivity is verified on a uniform sample
+    grid and a violation raises :class:`~gtbsplines.errors.InvalidFamilyError`.
     """
-    u_star, v_star = section.normalized_pair()
+    pair = _positive_weight_pair(section, samples)
 
     def w_lower(x):
-        return u_star(x) + v_star(x)
+        u, v = pair(x)
+        return u + v
 
     def w_top(x):
-        s = u_star(x) + v_star(x)
-        wr = u_star(x) * v_star(x, 1) - v_star(x) * u_star(x, 1)
-        return wr / (s * s)
+        return float(_weight_values(pair, [x])[1, 0])
 
-    xs = np.linspace(section.x_lo, section.x_hi, samples)
-    for w, name in ((w_lower, "u*+v*"), (w_top, "wronskian weight")):
-        vals = np.array([w(x) for x in xs])
-        if not np.all(vals > 0.0):
-            raise InvalidFamilyError(
-                f"weight {name} is not strictly positive on "
-                f"[{section.x_lo}, {section.x_hi}]"
-            )
     return w_lower, w_top
 
 
-def weight_system(section: SectionSpace):
-    """Full weight list ``[w_0, ..., w_p]`` of a section, scaled so that every
-    weight has value 1 at the section endpoints.
+def weight_system(section: SectionSpace, xs) -> np.ndarray:
+    """Values of the full weight list ``[w_0, ..., w_p]`` of a section at the
+    points ``xs``, as a ``(p + 1, len(xs))`` array, each weight scaled so that
+    it has value 1 at the section endpoints.
 
     The first ``p - 1`` weights are identically one.  The top weight is the
     Wronskian expression of :func:`gpb_weights` divided by its (common)
     endpoint value, a constant rescaling that leaves the section space
     unchanged but lets weights of adjoining sections glue continuously.
-    Used by the integral-recurrence oracles.
+    Positivity is checked as in :func:`gpb_weights`, and both weights come
+    from one evaluation of the pair per order and point.  Used by the
+    integral-recurrence oracles, which call it once per element, on the
+    element's interpolation nodes.
     """
     p = section.degree
-    one = np.vectorize(lambda x: 1.0)
+    out = np.ones((p + 1, len(xs)))
     if p == 0:
-        return [one]
-    u_star, v_star = section.normalized_pair()
-    w_lower, w_top = gpb_weights(section)
-    kappa = w_top(section.x_lo)
-    weights = [one] * (p - 1)
-    weights.append(np.vectorize(w_lower))
-    weights.append(np.vectorize(lambda x: w_top(x) / kappa))
-    return weights
+        return out
+    pair = _positive_weight_pair(section)
+    values = _weight_values(pair, [section.x_lo, *xs])
+    out[p - 1] = values[0, 1:]
+    out[p] = values[1, 1:] / values[1, 0]
+    return out
 
 
 def endpoint_collocation_matrix(section: SectionSpace, n_lo: int) -> np.ndarray:

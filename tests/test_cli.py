@@ -123,6 +123,16 @@ class TestVerify:
         assert main(["verify", demo_config_path]) == 1
         assert "FAIL local-support (max leak 1e-09)" in capsys.readouterr().out
 
+    def test_recurrence_oracle_reports_deviation(self, demo_config_path, capsys, monkeypatch):
+        # Shift every recurrence value by 1e-6, above the 1e-7 tolerance: the
+        # check must still see the oracle it compares against.
+        import gtbsplines.cli as cli
+
+        exact = cli.local_recurrence_eval
+        monkeypatch.setattr(cli, "local_recurrence_eval", lambda *args: exact(*args) + 1e-6)
+        assert main(["verify", demo_config_path]) == 1
+        assert "FAIL oracle-integral-recurrence (max dev 1e-06)" in capsys.readouterr().out
+
     def test_uniform_polynomial_uses_classical_oracle(self, tmp_path, capsys):
         cfg = {
             "breakpoints": [0.0, 1.0, 2.0, 3.0],
@@ -202,6 +212,31 @@ class TestVerify:
                 },
                 "control points",
             ),
+            (
+                {
+                    "breakpoints": [0.0, 1.0],
+                    "sections": [{"family": "trigonometric", "degree": 2, "omega": "1.5"}],
+                    "smoothness": [],
+                },
+                "omega",
+            ),
+            (
+                {
+                    "breakpoints": ["0", "1e0"],
+                    "sections": [{"family": "polynomial", "degree": 2}],
+                    "smoothness": [],
+                },
+                "breakpoint",
+            ),
+            (
+                {
+                    "breakpoints": [0.0, 1.0],
+                    "sections": [{"family": "polynomial", "degree": 1}],
+                    "smoothness": [],
+                    "control_points": [[0.0, 0.0], ["1", 1.0]],
+                },
+                "control points",
+            ),
         ],
         ids=[
             "trig-omega-length",
@@ -212,6 +247,9 @@ class TestVerify:
             "omega-abc",
             "breakpoint-x",
             "control-point-x",
+            "omega-numeric-string",
+            "breakpoint-numeric-string",
+            "control-point-numeric-string",
         ],
     )
     def test_invalid_trig_parameter_fails_validation(self, cfg, word, tmp_path, capsys):

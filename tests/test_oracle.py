@@ -1,6 +1,9 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
+import numpy.polynomial.chebyshev as cheb
 import pytest
 from scipy.interpolate import BSpline
 
@@ -15,9 +18,12 @@ from gtbsplines import (
     build_space,
     eval_basis,
 )
-from gtbsplines.config import mixed_family_demo_config
+from gtbsplines import oracle
+from gtbsplines.config import conic_profile_demo_config, mixed_family_demo_config
 from gtbsplines.oracle import (
     RecurrenceEvaluator,
+    _fit_rule,
+    _section_nodes,
     bernstein_recurrence,
     cox_de_boor_basis,
     cox_de_boor_knots,
@@ -26,6 +32,60 @@ from gtbsplines.oracle import (
 )
 
 from helpers import random_config
+
+
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "gen_inputs.py"
+
+
+def _used_node_counts() -> list[int]:
+    """Chebyshev node counts of the sections of both demo spaces and of the
+    three benchmark spaces (seed 1)."""
+    spec = importlib.util.spec_from_file_location("bench_gen_inputs", BENCH_INPUTS)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    configs = [mixed_family_demo_config(), conic_profile_demo_config()]
+    configs += [SpaceConfig.from_dict(gen.generate(w, 1)[0]) for w in gen.WORKLOADS]
+    return sorted(
+        {
+            _section_nodes(SectionSpace(lo, hi, family))
+            for cfg in configs
+            for lo, hi, family in zip(cfg.breakpoints, cfg.breakpoints[1:], cfg.sections)
+        }
+    )
+
+
+def test_integration_matrices_match_chebint(rng):
+    counts = _used_node_counts()
+    assert len(counts) >= 5
+    for n in counts:
+        rule = _fit_rule(n)
+        for _ in range(3):
+            coef = rng.standard_normal(n)
+            anti = cheb.chebint(coef)
+            offset = cheb.chebval(-1.0, anti)
+            cumulative = cheb.chebval(rule.t_nodes, anti) - offset
+            mass = cheb.chebval(1.0, anti) - offset
+            scale = max(np.max(np.abs(cumulative)), abs(mass))
+            assert np.max(np.abs(rule.cumulative @ coef - cumulative)) <= 1e-13 * scale, n
+            assert abs(rule.mass @ coef - mass) <= 1e-13 * scale, n
+
+
+def test_evaluator_cache_keeps_last_space_only(monkeypatch):
+    monkeypatch.setattr(oracle, "_EVALUATOR_CACHE", {})
+    spaces = [
+        build_space(SpaceConfig([0.0, 1.0, 2.0], [PolynomialFamily(p)] * 2, [p - 1]))
+        for p in (1, 2, 3)
+    ]
+    for space in spaces:
+        local_recurrence_eval(space, 1, 0.5)
+        global_recurrence_eval(space, 1, 0.5)
+        assert len(oracle._EVALUATOR_CACHE) <= 2
+    last = spaces[-1]
+    assert all(ev.space is last for ev in oracle._EVALUATOR_CACHE.values())
+    cached = oracle._EVALUATOR_CACHE["local"]
+    for k in range(1, last.n_basis + 1):
+        local_recurrence_eval(last, k, 1.5)
+    assert oracle._EVALUATOR_CACHE["local"] is cached
 
 
 class TestLocalRecurrence:
