@@ -13,7 +13,6 @@ from .bernstein import (
     BernsteinBasis,
     build_bernstein,
     closed_form_bernstein,
-    endpoint_jump_table,
 )
 from .config import (
     SpaceConfig,
@@ -41,6 +40,7 @@ from .extraction import (
     build_constraints,
     build_knot_vectors,
     extraction_operator,
+    jump_rows,
     nullspace_step,
     supersmoothness,
 )
@@ -51,7 +51,6 @@ from .sections import (
     PolynomialFamily,
     SectionSpace,
     TrigonometricFamily,
-    gpb_weights,
     validate_ect,
 )
 from .space import (
@@ -61,7 +60,6 @@ from .space import (
     eval_basis,
     eval_curve,
     insert_knot,
-    jump,
     jump_vector,
     unit_integral_scaling,
 )
@@ -100,13 +98,11 @@ __all__ = [
     "build_space",
     "closed_form_bernstein",
     "conic_profile_demo_config",
-    "endpoint_jump_table",
     "eval_basis",
     "eval_curve",
     "extraction_operator",
-    "gpb_weights",
     "insert_knot",
-    "jump",
+    "jump_rows",
     "jump_vector",
     "mixed_family_demo_config",
     "nullspace_step",

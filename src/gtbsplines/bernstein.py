@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConditioningWarning, EctViolationError, OrderError
+from .errors import ConditioningWarning, EctViolationError
 from .sections import (
     ExponentialFamily,
     PolynomialFamily,
@@ -28,7 +28,7 @@ from .sections import (
     TrigonometricFamily,
 )
 
-__all__ = ["BernsteinBasis", "build_bernstein", "closed_form_bernstein", "endpoint_jump_table"]
+__all__ = ["BernsteinBasis", "build_bernstein", "closed_form_bernstein"]
 
 _COND_LIMIT = 1e12
 
@@ -209,13 +209,3 @@ def closed_form_bernstein(section: SectionSpace) -> BernsteinBasis | None:
 
     return None
 
-
-def endpoint_jump_table(basis: BernsteinBasis, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided derivative rows used to assemble smoothness constraints.
-
-    Returns ``(at_hi, at_lo)``: the vectors ``(D^order b_j(x_hi))_j`` and
-    ``(D^order b_j(x_lo))_j``.
-    """
-    if not (0 <= order <= basis.degree):
-        raise OrderError(f"order={order} outside [0, {basis.degree}]")
-    return basis.right_table[:, order].copy(), basis.left_table[:, order].copy()

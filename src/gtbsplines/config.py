@@ -45,20 +45,22 @@ __all__ = [
 
 
 def _integer(value, what: str) -> int:
-    """``value`` as an int; anything that is not a whole number is rejected
-    rather than truncated."""
-    try:
-        if int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
+    """``value`` as an int; a boolean and anything that is not a whole
+    number are rejected rather than converted or truncated."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            if int(value) == value:
+                return int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
     raise ConfigError(f"{what} must be an integer, got {value!r}")
 
 
 def _number(value, what: str) -> float:
-    """``value`` as a float; a string, even a numeric one, and anything else
-    ``float`` cannot convert are rejected."""
-    if not isinstance(value, str):
+    """``value`` as a float; a string, even a numeric one, a boolean (which
+    ``float`` reads as 0 or 1) and anything else ``float`` cannot convert are
+    rejected."""
+    if not isinstance(value, (str, bool, np.bool_)):
         try:
             return float(value)
         except (TypeError, ValueError, OverflowError):

@@ -2,16 +2,19 @@
 
 The smooth B-spline-like basis of a mixed-degree spline space is obtained
 from the piecewise (discontinuous) global Bernstein basis by annihilating
-one smoothness constraint at a time.  Each constraint contributes a jump
-vector ``a`` whose explicit nullspace factor is a two-band matrix of
-nonnegative coefficients that sum to one column-wise; the product of all
-factors is the extraction operator ``C`` with ``B(x) = C b(x)``.
+one smoothness constraint at a time.  Each constraint is the jump of one
+derivative at one breakpoint; :func:`jump_rows` is the one place that
+computes such a jump, for any functions given by their coefficient rows
+over the global Bernstein basis.  The cascade reads each jump from the
+running operator itself, and its explicit nullspace factor is a two-band
+matrix of nonnegative coefficients that sum to one column-wise; the product
+of all factors is the extraction operator ``C`` with ``B(x) = C b(x)``.
 
 A factor is kept as its band coefficients only (:func:`nullspace_step`), and
 :func:`apply_factor` is the one place that knows the two-band layout; a
 knot-insertion map is a single factor of the same form.  Instead of testing
-floating-point entries of ``a`` against zero, the band of every constraint is
-read off the knot vectors of the space; out-of-band entries are only ever
+floating-point entries of a jump against zero, the band of every constraint
+is read off the knot vectors of the space; out-of-band entries are only ever
 rounding noise and are checked against a relative tolerance.
 """
 
@@ -31,6 +34,7 @@ __all__ = [
     "supersmoothness",
     "SmoothnessConstraints",
     "build_constraints",
+    "jump_rows",
     "nullspace_step",
     "apply_factor",
     "ExtractionMatrix",
@@ -181,15 +185,13 @@ def supersmoothness(kv: KnotVectors, degrees, smoothness, k: int) -> tuple[int, 
 
 @dataclass(eq=False)
 class SmoothnessConstraints:
-    """Jump conditions of the global Bernstein basis, one column per
-    constraint.
+    """The ordered jump conditions of the global Bernstein basis.
 
-    Column ``rho(i, j) = sum_{k<i} (r_k + 1) + j`` (0-based) holds the jump of
-    the ``j``-th derivative at breakpoint ``x_i`` for every global Bernstein
-    function: the left-limit derivatives in the rows of interval ``i`` and the
-    negated right-limit derivatives in the rows of interval ``i + 1``, exact
-    zeros elsewhere.  Rows ``block_start[i - 1] .. block_start[i] - 1`` belong
-    to interval ``i``.
+    Constraint ``rho(i, j) = sum_{k<i} (r_k + 1) + j`` (0-based) asks the
+    jump of the ``j``-th derivative at breakpoint ``x_i`` to vanish;
+    ``columns[rho] = (i, j)`` and :func:`jump_rows` computes that jump from
+    ``bases`` and ``block_start``.  Global Bernstein functions
+    ``block_start[i - 1] .. block_start[i] - 1`` belong to interval ``i``.
 
     ``bands[rho]`` is the 1-based inclusive index range of the entries that
     are structurally nonzero once the preceding ``rho`` constraints have been
@@ -200,46 +202,53 @@ class SmoothnessConstraints:
     jump at ``x_i``.
     """
 
-    matrix: np.ndarray
+    bases: list[BernsteinBasis]
     columns: list[tuple[int, int]]
     bands: list[tuple[int, int]]
     block_start: np.ndarray
 
     @property
     def n_constraints(self) -> int:
-        return self.matrix.shape[1]
+        return len(self.columns)
 
     @property
     def n_bernstein(self) -> int:
-        return self.matrix.shape[0]
+        return int(self.block_start[-1])
 
 
 def build_constraints(bases: list[BernsteinBasis], kv: KnotVectors) -> SmoothnessConstraints:
-    """Assemble the smoothness-constraint matrix from Bernstein endpoint tables
-    for the degrees and smoothness recorded in the knot vectors ``kv``."""
+    """Order the smoothness constraints of the degrees and smoothness recorded
+    in the knot vectors ``kv`` and read off their bands."""
     degrees, smoothness = kv.degrees, kv.smoothness
     m = len(degrees)
     if len(bases) != m:
         raise ConfigError(f"need {m} Bernstein bases, got {len(bases)}")
 
     block_start = np.concatenate([[0], np.cumsum([p + 1 for p in degrees])])
-    total = int(block_start[-1])
-    n_constraints = sum(r + 1 for r in smoothness[1:m])
-
-    matrix = np.zeros((total, n_constraints))
     columns: list[tuple[int, int]] = []
     bands: list[tuple[int, int]] = []
-    col = 0
     for i in range(1, m):
         for j in range(smoothness[i] + 1):
-            left = bases[i - 1].right_table[:, j]
-            right = bases[i].left_table[:, j]
-            matrix[block_start[i - 1] : block_start[i], col] = left
-            matrix[block_start[i] : block_start[i + 1], col] = -right
             columns.append((i, j))
             bands.append((int(kv.mu[i - 1]) + degrees[i - 1] - j + 1, int(kv.sigma[i]) + 1))
-            col += 1
-    return SmoothnessConstraints(matrix, columns, bands, block_start)
+    return SmoothnessConstraints(bases, columns, bands, block_start)
+
+
+def jump_rows(
+    c: np.ndarray, bases: list[BernsteinBasis], block_start: np.ndarray, i: int, j: int
+) -> np.ndarray:
+    """Jumps ``D^j_- f(x_i) - D^j_+ f(x_i)`` at interior breakpoint ``x_i``
+    (1-based) of the functions ``f`` whose coefficients over the global
+    Bernstein basis are the rows of ``c``.
+
+    Only the column blocks of the two intervals meeting at ``x_i`` enter:
+    the left-limit derivatives come from the right endpoint table of
+    interval ``i``, the right-limit ones from the left endpoint table of
+    interval ``i + 1``.
+    """
+    left = c[:, block_start[i - 1] : block_start[i]] @ bases[i - 1].right_table[:, j]
+    right = c[:, block_start[i] : block_start[i + 1]] @ bases[i].left_table[:, j]
+    return left - right
 
 
 def nullspace_step(a: np.ndarray, band: tuple[int, int]) -> np.ndarray:
@@ -346,20 +355,19 @@ class ExtractionMatrix:
 def extraction_operator(constraints: SmoothnessConstraints) -> ExtractionMatrix:
     """Run the constraint cascade and return the extraction operator.
 
-    Starting from the identity, each constraint column is annihilated by its
-    nullspace factor; the factor also updates the remaining constraint
-    columns so that later constraints are expressed in the running basis.
+    Starting from the identity, each constraint's jump is read from the
+    running operator with :func:`jump_rows` and annihilated by its nullspace
+    factor, so the running operator is the only matrix the cascade updates.
     The result has nonnegative entries and unit column sums and annihilates
-    every original constraint column.
+    every constraint.
     """
     c = np.eye(constraints.n_bernstein)
-    a = constraints.matrix  # the columns not yet applied, in the running basis
     factors: list[np.ndarray] = []
-    for rho, band in enumerate(constraints.bands):
+    for (i, j), band in zip(constraints.columns, constraints.bands):
+        a = jump_rows(c, constraints.bases, constraints.block_start, i, j)
         try:
-            beta = nullspace_step(a[:, 0], band)
+            beta = nullspace_step(a, band)
         except BasisNonexistenceError as exc:
-            i, j = constraints.columns[rho]
             raise BasisNonexistenceError(
                 f"constraint (breakpoint {i}, order {j}): {exc}",
                 breakpoint_index=i,
@@ -367,7 +375,6 @@ def extraction_operator(constraints: SmoothnessConstraints) -> ExtractionMatrix:
             ) from exc
         factors.append(beta)
         c = apply_factor(c, band, beta)
-        a = apply_factor(a[:, 1:], band, beta)
 
     result = ExtractionMatrix(c, factors, list(constraints.columns), list(constraints.bands))
     _validate_extraction(result)

@@ -38,7 +38,6 @@ __all__ = [
     "local_recurrence_eval",
     "global_recurrence_eval",
     "RecurrenceBernstein",
-    "bernstein_recurrence",
     "cox_de_boor_knots",
     "cox_de_boor_basis",
 ]
@@ -349,11 +348,6 @@ class RecurrenceBernstein:
             scale /= self.element.half
             # chebder differentiates in t; each order picks up 1/half
         return out
-
-
-def bernstein_recurrence(section: SectionSpace) -> RecurrenceBernstein:
-    """Integral-ladder Bernstein basis of a section (test oracle)."""
-    return RecurrenceBernstein(section)
 
 
 # -- classical polynomial reference ---------------------------------------

@@ -1,4 +1,4 @@
-"""Gauss-Legendre quadrature rules on intervals and panel subdivisions."""
+"""Composite Gauss-Legendre rules on sections."""
 
 from __future__ import annotations
 
@@ -13,26 +13,7 @@ from .sections import (
     TrigonometricFamily,
 )
 
-__all__ = ["gauss_legendre", "panel_rule", "section_rule"]
-
-
-def gauss_legendre(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes and weights on [lo, hi]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    return mid + half * x, half * w
-
-
-def panel_rule(lo: float, hi: float, n: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite n-point Gauss-Legendre rule on ``panels`` equal panels."""
-    edges = np.linspace(lo, hi, panels + 1)
-    nodes, weights = [], []
-    for p_lo, p_hi in zip(edges[:-1], edges[1:]):
-        x, w = gauss_legendre(n, p_lo, p_hi)
-        nodes.append(x)
-        weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
+__all__ = ["section_rule"]
 
 
 def section_panels(section: SectionSpace) -> int:
@@ -50,6 +31,17 @@ def section_panels(section: SectionSpace) -> int:
     return 1
 
 
-def section_rule(section: SectionSpace, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite rule on a section, sized by the section's stiffness."""
-    return panel_rule(section.x_lo, section.x_hi, n, section_panels(section))
+def section_rule(
+    section: SectionSpace, x: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Composite rule on a section, sized by the section's stiffness.
+
+    The reference rule ``(x, w)`` on ``[-1, 1]``, for example
+    ``numpy.polynomial.legendre.leggauss(n)``, is mapped onto each of
+    ``section_panels(section)`` equal panels; nodes and weights are returned
+    panel after panel.
+    """
+    edges = np.linspace(section.x_lo, section.x_hi, section_panels(section) + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()

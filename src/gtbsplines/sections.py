@@ -38,7 +38,6 @@ __all__ = [
     "ExponentialFamily",
     "GeneralizedPolynomialFamily",
     "SectionSpace",
-    "gpb_weights",
     "weight_system",
     "endpoint_collocation_matrix",
     "validate_ect",
@@ -282,23 +281,14 @@ class SectionSpace:
 
     # -- normalized pair and weights --------------------------------------
 
-    def normalized_pair(self):
+    def normalized_pair_derivatives(self):
         """Normalized two-function generators ``(U*, V*)`` of the section.
 
-        Both are callables ``f(x, order=0)`` returning exact derivatives and
-        satisfy ``U*(x_lo) = 1``, ``U*(x_hi) = 0``, ``V*(x_lo) = 0``,
+        Returns one callable ``f(x, order=0)`` giving the exact derivatives
+        ``(D^order U*(x), D^order V*(x))``; the pair satisfies
+        ``U*(x_lo) = 1``, ``U*(x_hi) = 0``, ``V*(x_lo) = 0``,
         ``V*(x_hi) = 1``.
         """
-        pair = self.normalized_pair_derivatives()
-        return (
-            lambda x, order=0: pair(x, order)[0],
-            lambda x, order=0: pair(x, order)[1],
-        )
-
-    def normalized_pair_derivatives(self):
-        """The pair ``(U*, V*)`` of :meth:`normalized_pair` as one callable
-        ``f(x, order=0)`` returning ``(D^order U*(x), D^order V*(x))``, for
-        callers that need both functions at the same point."""
         fam = self.family
         lo, hi, L = self.x_lo, self.x_hi, self.length
         if isinstance(fam, PolynomialFamily):
@@ -365,42 +355,21 @@ def _positive_weight_pair(section: SectionSpace, samples: int = 100):
     return pair
 
 
-def gpb_weights(section: SectionSpace, samples: int = 100):
-    """The two non-trivial weight functions of a generalized polynomial section.
-
-    Returns ``(w_{p-1}, w_p)`` as callables of ``x``:
-
-    * ``w_{p-1} = U* + V*``,
-    * ``w_p = (U* DV* - V* DU*) / (U* + V*)^2``.
-
-    Each evaluates the pair ``(U*, V*)`` once per derivative order it needs:
-    ``w_{p-1}`` once, ``w_p`` twice (orders 0 and 1).  Both must be strictly
-    positive on the interval; positivity is verified on a uniform sample
-    grid and a violation raises :class:`~gtbsplines.errors.InvalidFamilyError`.
-    """
-    pair = _positive_weight_pair(section, samples)
-
-    def w_lower(x):
-        u, v = pair(x)
-        return u + v
-
-    def w_top(x):
-        return float(_weight_values(pair, [x])[1, 0])
-
-    return w_lower, w_top
-
-
 def weight_system(section: SectionSpace, xs) -> np.ndarray:
     """Values of the full weight list ``[w_0, ..., w_p]`` of a section at the
     points ``xs``, as a ``(p + 1, len(xs))`` array, each weight scaled so that
     it has value 1 at the section endpoints.
 
-    The first ``p - 1`` weights are identically one.  The top weight is the
-    Wronskian expression of :func:`gpb_weights` divided by its (common)
-    endpoint value, a constant rescaling that leaves the section space
-    unchanged but lets weights of adjoining sections glue continuously.
-    Positivity is checked as in :func:`gpb_weights`, and both weights come
-    from one evaluation of the pair per order and point.  Used by the
+    With the normalized pair ``(U*, V*)`` of
+    :meth:`SectionSpace.normalized_pair_derivatives`, the first ``p - 1``
+    weights are identically one, ``w_{p-1} = U* + V*``, and the top weight is
+    the Wronskian expression ``(U* DV* - V* DU*) / (U* + V*)^2`` divided by
+    its (common) endpoint value, a constant rescaling that leaves the section
+    space unchanged but lets weights of adjoining sections glue continuously.
+    Both non-trivial weights must be strictly positive on the interval; this
+    is verified on a uniform 100-point grid and a violation raises
+    :class:`~gtbsplines.errors.InvalidFamilyError`.  Both weights come from
+    one evaluation of the pair per order and point.  Used by the
     integral-recurrence oracles, which call it once per element, on the
     element's interpolation nodes.
     """

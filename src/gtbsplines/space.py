@@ -38,6 +38,7 @@ from .extraction import (
     build_constraints,
     build_knot_vectors,
     extraction_operator,
+    jump_rows,
     supersmoothness,
 )
 from .quadrature import section_rule
@@ -56,7 +57,6 @@ __all__ = [
     "SplineCurve",
     "build_space",
     "eval_basis",
-    "jump",
     "jump_vector",
     "eval_curve",
     "insert_knot",
@@ -252,18 +252,6 @@ def _element_values(space: GTSplineSpace, e: int, x, max_order: int):
     return space.active_range(e)[0] - 1, space.element_blocks[e - 1] @ bvals
 
 
-def _onesided_vector(space: GTSplineSpace, i: int, order: int, side: str) -> np.ndarray:
-    """One-sided order-th derivatives of all basis functions at breakpoint i."""
-    g = np.zeros(space.n_bernstein)
-    if side == "left":
-        block = slice(space.block_start[i - 1], space.block_start[i])
-        g[block] = space.bases[i - 1].right_table[:, order]
-    else:
-        block = slice(space.block_start[i], space.block_start[i + 1])
-        g[block] = space.bases[i].left_table[:, order]
-    return space.operator @ g
-
-
 def jump_vector(space: GTSplineSpace, i: int, order: int) -> np.ndarray:
     """Jumps ``D^order_- B_k(x_i) - D^order_+ B_k(x_i)`` for all ``k``.
 
@@ -278,18 +266,7 @@ def jump_vector(space: GTSplineSpace, i: int, order: int) -> np.ndarray:
             f"jump order {order} exceeds min local degree {min(p_left, p_right)} "
             f"at breakpoint {i}"
         )
-    return _onesided_vector(space, i, order, "left") - _onesided_vector(
-        space, i, order, "right"
-    )
-
-
-def jump(space: GTSplineSpace, i: int, order: int, k: int) -> float:
-    """Jump of the ``order``-th derivative of basis function ``k`` (1-based)
-    at interior breakpoint ``i``."""
-    vec = jump_vector(space, i, order)
-    if not (1 <= k <= space.n_basis):
-        raise DomainError(f"basis index {k} outside [1, {space.n_basis}]")
-    return float(vec[k - 1])
+    return jump_rows(space.operator, space.bases, space.block_start, i, order)
 
 
 @dataclass(eq=False)
@@ -446,10 +423,10 @@ def unit_integral_scaling(space: GTSplineSpace) -> np.ndarray:
     Gauss-Legendre rule (order ``2 max(p) + 2``, panel count adapted to each
     section's stiffness), assembled through the extraction operator.
     """
-    n_nodes = 2 * max(space.degrees) + 2
+    reference = np.polynomial.legendre.leggauss(2 * max(space.degrees) + 2)
     integrals = np.zeros(space.n_basis)
     for e, section in enumerate(space.sections, start=1):
-        xs, ws = section_rule(section, n_nodes)
+        xs, ws = section_rule(section, *reference)
         lo, values = _element_values(space, e, xs, 0)
         integrals[lo : lo + section.dim] += ws @ values[:, :, 0]
     if np.any(integrals <= 0.0):

@@ -30,3 +30,19 @@ def test_oracle_cache_can_be_emptied():
     from gtbsplines import oracle
 
     assert callable(oracle._EVALUATOR_CACHE.clear)
+
+
+def test_traced_build_records_cascade(tracer):
+    from gtbsplines import space
+    from gtbsplines.config import mixed_family_demo_config
+
+    original = space.extraction_operator
+    run = tracer.Tracer()
+    run.install()
+    try:
+        space.build_space(mixed_family_demo_config())
+    finally:
+        run.uninstall()
+    assert "extraction.cascade" in run.names
+    assert run.operator_sizes
+    assert space.extraction_operator is original

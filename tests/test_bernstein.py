@@ -8,13 +8,11 @@ from gtbsplines import (
     EctViolationError,
     ExponentialFamily,
     GeneralizedPolynomialFamily,
-    OrderError,
     PolynomialFamily,
     SectionSpace,
     TrigonometricFamily,
     build_bernstein,
     closed_form_bernstein,
-    endpoint_jump_table,
 )
 
 SECTIONS = [
@@ -138,18 +136,10 @@ class TestClosedForms:
 class TestEndpointJumpTable:
     def test_linear_hat_rows(self):
         basis01 = build_bernstein(SectionSpace(0.0, 1.0, PolynomialFamily(1)))
-        at_hi, _ = endpoint_jump_table(basis01, 0)
-        assert np.allclose(at_hi, [0.0, 1.0])
+        assert np.allclose(basis01.right_table[:, 0], [0.0, 1.0])
         basis12 = build_bernstein(SectionSpace(1.0, 2.0, PolynomialFamily(1)))
-        _, at_lo = endpoint_jump_table(basis12, 0)
-        assert np.allclose(at_lo, [1.0, 0.0])
+        assert np.allclose(basis12.left_table[:, 0], [1.0, 0.0])
 
     def test_quadratic_first_derivative_row(self):
         basis = build_bernstein(SectionSpace(0.0, 1.0, PolynomialFamily(2)))
-        _, at_lo = endpoint_jump_table(basis, 1)
-        assert np.allclose(at_lo, [-2.0, 2.0, 0.0], atol=1e-13)
-
-    def test_order_bound(self):
-        basis = build_bernstein(SectionSpace(0.0, 1.0, PolynomialFamily(2)))
-        with pytest.raises(OrderError):
-            endpoint_jump_table(basis, 3)
+        assert np.allclose(basis.left_table[:, 1], [-2.0, 2.0, 0.0], atol=1e-13)

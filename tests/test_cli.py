@@ -237,6 +237,38 @@ class TestVerify:
                 },
                 "control points",
             ),
+            (
+                {
+                    "breakpoints": [0.0, 1.0],
+                    "sections": [{"family": "trigonometric", "degree": 2, "omega": True}],
+                    "smoothness": [],
+                },
+                "omega",
+            ),
+            (
+                {
+                    "breakpoints": [False, True],
+                    "sections": [{"family": "polynomial", "degree": 2}],
+                    "smoothness": [],
+                },
+                "breakpoint",
+            ),
+            (
+                {
+                    "breakpoints": [0.0, 1.0],
+                    "sections": [{"family": "polynomial", "degree": True}],
+                    "smoothness": [],
+                },
+                "degree",
+            ),
+            (
+                {
+                    "breakpoints": [0.0, 1.0, 2.0],
+                    "sections": [{"family": "polynomial", "degree": 3}] * 2,
+                    "smoothness": [True],
+                },
+                "smoothness",
+            ),
         ],
         ids=[
             "trig-omega-length",
@@ -250,6 +282,10 @@ class TestVerify:
             "omega-numeric-string",
             "breakpoint-numeric-string",
             "control-point-numeric-string",
+            "omega-bool",
+            "breakpoint-bool",
+            "degree-bool",
+            "smoothness-bool",
         ],
     )
     def test_invalid_trig_parameter_fails_validation(self, cfg, word, tmp_path, capsys):

@@ -19,6 +19,7 @@ from gtbsplines import (
     build_knot_vectors,
     build_space,
     extraction_operator,
+    jump_rows,
     nullspace_step,
     supersmoothness,
 )
@@ -117,32 +118,43 @@ def _demo_constraints():
     return build_constraints(bases, kv)
 
 
+def _jump_columns(constraints):
+    """The jumps of every global Bernstein function, one column per
+    constraint."""
+    eye = np.eye(constraints.n_bernstein)
+    columns = [
+        jump_rows(eye, constraints.bases, constraints.block_start, i, j)
+        for i, j in constraints.columns
+    ]
+    return np.array(columns).reshape(-1, eye.shape[0]).T
+
+
 class TestConstraints:
     def test_two_linear_hats_column(self):
         part = Partition((0.0, 1.0, 2.0))
         sections = [SectionSpace(0, 1, PolynomialFamily(1)), SectionSpace(1, 2, PolynomialFamily(1))]
         bases = [build_bernstein(s) for s in sections]
         kv = build_knot_vectors(part, (1, 1), (-1, 0, -1))
-        constraints = build_constraints(bases, kv)
-        assert constraints.matrix.shape == (4, 1)
-        assert np.allclose(constraints.matrix[:, 0], [0.0, 1.0, -1.0, 0.0])
+        jumps = _jump_columns(build_constraints(bases, kv))
+        assert jumps.shape == (4, 1)
+        assert np.allclose(jumps[:, 0], [0.0, 1.0, -1.0, 0.0])
 
     def test_discontinuous_joint_contributes_nothing(self):
         part = Partition((0.0, 1.0, 2.0))
         sections = [SectionSpace(0, 1, PolynomialFamily(2)), SectionSpace(1, 2, PolynomialFamily(2))]
         bases = [build_bernstein(s) for s in sections]
         kv = build_knot_vectors(part, (2, 2), (-1, -1, -1))
-        constraints = build_constraints(bases, kv)
-        assert constraints.matrix.shape == (6, 0)
+        jumps = _jump_columns(build_constraints(bases, kv))
+        assert jumps.shape == (6, 0)
 
     def test_demo_shape_and_structural_zeros(self):
-        constraints = _demo_constraints()
-        assert constraints.matrix.shape == (12, 6)
+        jumps = _jump_columns(_demo_constraints())
+        assert jumps.shape == (12, 6)
         # columns of breakpoint 1 touch only the blocks of intervals 1 and 2
         for col in range(3):
-            assert np.all(constraints.matrix[7:, col] == 0.0)
+            assert np.all(jumps[7:, col] == 0.0)
         for col in range(3, 6):
-            assert np.all(constraints.matrix[:3, col] == 0.0)
+            assert np.all(jumps[:3, col] == 0.0)
 
     def test_band_layout(self):
         constraints = _demo_constraints()
@@ -237,16 +249,16 @@ class TestExtractionOperator:
             cfg = random_config(rng)
             space = build_space(cfg)
             a = space.extraction
-            residual = space.operator @ build_constraints(space.bases, space.knots).matrix
+            constraints = build_constraints(space.bases, space.knots)
+            residual = np.array(
+                [
+                    jump_rows(space.operator, space.bases, space.block_start, i, j)
+                    for i, j in constraints.columns
+                ]
+            )
             if residual.size:
-                scale = max(1.0, np.max(np.abs(space.operator)))
                 assert np.max(np.abs(residual)) <= 1e-11 * max(
-                    1.0,
-                    np.max(
-                        np.abs(
-                            build_constraints(space.bases, space.knots).matrix
-                        )
-                    ),
+                    1.0, np.max(np.abs(_jump_columns(constraints)))
                 ), f"constraint residual too large for {cfg}"
             assert a.n_basis == space.n_bernstein - len(a.factors)
 

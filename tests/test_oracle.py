@@ -21,10 +21,10 @@ from gtbsplines import (
 from gtbsplines import oracle
 from gtbsplines.config import conic_profile_demo_config, mixed_family_demo_config
 from gtbsplines.oracle import (
+    RecurrenceBernstein,
     RecurrenceEvaluator,
     _fit_rule,
     _section_nodes,
-    bernstein_recurrence,
     cox_de_boor_basis,
     cox_de_boor_knots,
     global_recurrence_eval,
@@ -150,7 +150,7 @@ class TestGlobalRecurrence:
 class TestBernsteinRecurrence:
     def test_polynomial_matches_binomial(self):
         section = SectionSpace(0.0, 1.0, PolynomialFamily(2))
-        ladder = bernstein_recurrence(section)
+        ladder = RecurrenceBernstein(section)
         for x in np.linspace(0, 1, 17):
             vals = ladder.evaluate(float(x))[:, 0]
             assert vals[1] == pytest.approx(2 * x * (1 - x), abs=1e-9)
@@ -158,19 +158,20 @@ class TestBernsteinRecurrence:
     def test_trig_matches_closed_form(self):
         omega = 1.0
         section = SectionSpace(0.0, 1.0, TrigonometricFamily(2, omega))
-        ladder = bernstein_recurrence(section)
+        ladder = RecurrenceBernstein(section)
         for x in np.linspace(0, 1, 17):
             expected = (1 - math.cos(omega * (1 - x))) / (1 - math.cos(omega))
             assert ladder.evaluate(float(x))[0, 0] == pytest.approx(expected, abs=1e-9)
 
     def test_base_level_is_normalized_pair(self):
         section = SectionSpace(0.0, 1.0, ExponentialFamily(1, 2.0))
-        ladder = bernstein_recurrence(section)
-        u_star, v_star = section.normalized_pair()
+        ladder = RecurrenceBernstein(section)
+        pair = section.normalized_pair_derivatives()
         for x in np.linspace(0, 1, 9):
             vals = ladder.evaluate(float(x))[:, 0]
-            assert vals[0] == pytest.approx(u_star(float(x)), abs=1e-12)
-            assert vals[1] == pytest.approx(v_star(float(x)), abs=1e-12)
+            u_star, v_star = pair(float(x))
+            assert vals[0] == pytest.approx(u_star, abs=1e-12)
+            assert vals[1] == pytest.approx(v_star, abs=1e-12)
 
     def test_agrees_with_hermite_construction(self, rng):
         for section in (
@@ -178,7 +179,7 @@ class TestBernsteinRecurrence:
             SectionSpace(0.0, 1.5, ExponentialFamily(3, 2.0)),
             SectionSpace(-1.0, 1.0, PolynomialFamily(4)),
         ):
-            ladder = bernstein_recurrence(section)
+            ladder = RecurrenceBernstein(section)
             hermite = build_bernstein(section)
             for x in rng.uniform(section.x_lo, section.x_hi, 25):
                 delta = ladder.evaluate(float(x))[:, 0] - hermite.evaluate(float(x))[:, 0]
@@ -186,7 +187,7 @@ class TestBernsteinRecurrence:
 
     def test_degree_zero_unsupported(self):
         with pytest.raises(OracleUnsupportedError):
-            bernstein_recurrence(SectionSpace(0.0, 1.0, PolynomialFamily(0)))
+            RecurrenceBernstein(SectionSpace(0.0, 1.0, PolynomialFamily(0)))
 
 
 class TestOracleAgreementOnRandomSpaces:

@@ -15,10 +15,9 @@ from gtbsplines import (
     PolynomialFamily,
     SectionSpace,
     TrigonometricFamily,
-    gpb_weights,
     validate_ect,
 )
-from gtbsplines.sections import endpoint_collocation_matrix
+from gtbsplines.sections import endpoint_collocation_matrix, weight_system
 
 from helpers import central_diff
 
@@ -116,40 +115,43 @@ class TestFamilyValidation:
 
 class TestNormalizedPair:
     def test_affine_pair(self):
-        u_star, v_star = SectionSpace(0.0, 1.0, PolynomialFamily(2)).normalized_pair()
+        pair = SectionSpace(0.0, 1.0, PolynomialFamily(2)).normalized_pair_derivatives()
         xs = np.linspace(0, 1, 11)
-        assert np.allclose([u_star(x) for x in xs], 1 - xs)
-        assert np.allclose([v_star(x) for x in xs], xs)
+        assert np.allclose([pair(x)[0] for x in xs], 1 - xs)
+        assert np.allclose([pair(x)[1] for x in xs], xs)
 
     def test_trig_pair_closed_form(self):
         # On [1, 5/2] with omega = pi/2 the normalized pair is
         # -sqrt(2) cos(pi/4 + pi x / 2) and -sqrt(2) cos(pi x / 2).
         section = SectionSpace(1.0, 2.5, TrigonometricFamily(3, math.pi / 2))
-        u_star, v_star = section.normalized_pair()
+        pair = section.normalized_pair_derivatives()
         for x in np.linspace(1.0, 2.5, 17):
-            assert u_star(float(x)) == pytest.approx(
+            u_star, v_star = pair(float(x))
+            assert u_star == pytest.approx(
                 -math.sqrt(2) * math.cos(math.pi / 4 + math.pi * x / 2), abs=1e-14
             )
-            assert v_star(float(x)) == pytest.approx(
+            assert v_star == pytest.approx(
                 -math.sqrt(2) * math.cos(math.pi * x / 2), abs=1e-14
             )
 
     def test_exp_pair_closed_form(self):
         section = SectionSpace(2.5, 5.0, ExponentialFamily(4, 10.0))
-        u_star, _ = section.normalized_pair()
+        pair = section.normalized_pair_derivatives()
         for x in np.linspace(2.5, 5.0, 9):
             expected = math.sinh(50 - 10 * x) / math.sinh(25)
-            assert u_star(float(x)) == pytest.approx(expected, abs=1e-14)
+            assert pair(float(x))[0] == pytest.approx(expected, abs=1e-14)
 
     @pytest.mark.parametrize(
         "section", [s for s in ALL_SECTIONS if s.degree >= 1], ids=lambda s: repr(s.family)
     )
     def test_endpoint_conditions(self, section):
-        u_star, v_star = section.normalized_pair()
-        assert u_star(section.x_lo) == pytest.approx(1.0, abs=1e-14)
-        assert u_star(section.x_hi) == pytest.approx(0.0, abs=1e-14)
-        assert v_star(section.x_lo) == pytest.approx(0.0, abs=1e-14)
-        assert v_star(section.x_hi) == pytest.approx(1.0, abs=1e-14)
+        pair = section.normalized_pair_derivatives()
+        u_lo, v_lo = pair(section.x_lo)
+        u_hi, v_hi = pair(section.x_hi)
+        assert u_lo == pytest.approx(1.0, abs=1e-14)
+        assert u_hi == pytest.approx(0.0, abs=1e-14)
+        assert v_lo == pytest.approx(0.0, abs=1e-14)
+        assert v_hi == pytest.approx(1.0, abs=1e-14)
 
     def test_custom_pair_solves_endpoint_system(self):
         fam = GeneralizedPolynomialFamily(
@@ -158,30 +160,30 @@ class TestNormalizedPair:
             v=lambda x, d: (math.cos(x), -math.sin(x), -math.cos(x), math.sin(x))[d % 4],
         )
         section = SectionSpace(0.0, 1.0, fam)
-        u_star, v_star = section.normalized_pair()
-        assert u_star(0.0) == pytest.approx(1.0, abs=1e-14)
-        assert v_star(1.0) == pytest.approx(1.0, abs=1e-14)
+        pair = section.normalized_pair_derivatives()
+        assert pair(0.0)[0] == pytest.approx(1.0, abs=1e-14)
+        assert pair(1.0)[1] == pytest.approx(1.0, abs=1e-14)
 
 
 class TestGpbWeights:
+    # rows p - 1 and p of the weight system are the two non-trivial weights
     def test_polynomial_weights_are_one_on_unit_interval(self):
-        w1, w2 = gpb_weights(SectionSpace(0.0, 1.0, PolynomialFamily(2)))
         xs = np.linspace(0, 1, 11)
-        assert np.allclose([w1(x) for x in xs], 1.0)
-        assert np.allclose([w2(x) for x in xs], 1.0)
+        w1, w2 = weight_system(SectionSpace(0.0, 1.0, PolynomialFamily(2)), xs)[1:]
+        assert np.allclose(w1, 1.0)
+        assert np.allclose(w2, 1.0)
 
     def test_trig_weight_endpoint_value(self):
         section = SectionSpace(1.0, 2.5, TrigonometricFamily(3, math.pi / 2))
-        w_lower, _ = gpb_weights(section)
-        assert w_lower(1.0) == pytest.approx(1.0, abs=1e-14)
-        assert w_lower(2.5) == pytest.approx(1.0, abs=1e-14)
+        w_lower = weight_system(section, [1.0, 2.5])[2]
+        assert w_lower[0] == pytest.approx(1.0, abs=1e-14)
+        assert w_lower[1] == pytest.approx(1.0, abs=1e-14)
 
     def test_exponential_weights_positive(self):
         section = SectionSpace(2.5, 5.0, ExponentialFamily(4, 10.0))
-        w_lower, w_top = gpb_weights(section)
-        for x in np.linspace(2.5, 5.0, 100):
-            assert w_lower(float(x)) > 0.0
-            assert w_top(float(x)) > 0.0
+        w_lower, w_top = weight_system(section, np.linspace(2.5, 5.0, 100))[3:]
+        assert np.all(w_lower > 0.0)
+        assert np.all(w_top > 0.0)
 
 
 @settings(max_examples=30, deadline=None)

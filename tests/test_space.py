@@ -16,7 +16,6 @@ from gtbsplines import (
     eval_basis,
     eval_curve,
     insert_knot,
-    jump,
     jump_vector,
     unit_integral_scaling,
 )
@@ -254,10 +253,6 @@ class TestJumps:
                 assert abs(vec[k - 1]) > 1e-8
             else:
                 assert abs(vec[k - 1]) <= 1e-10
-
-    def test_scalar_accessor(self, mixed_space):
-        vec = jump_vector(mixed_space, 2, 3)
-        assert jump(mixed_space, 2, 3, 1) == pytest.approx(vec[0])
 
     def test_index_validation(self, mixed_space):
         with pytest.raises(DomainError):
