@@ -199,9 +199,10 @@ def cmd_verify(args) -> int:
             jump_err = max(jump_err, np.max(np.abs(jump_vector(space, i, order))))
     ok &= _check("smoothness-jumps", jump_err <= 1e-9, f"max jump {jump_err:.3g}")
 
-    c = space.operator
-    col_err = np.max(np.abs(c.sum(axis=0) - 1.0)) if c.size else 0.0
-    neg = -min(c.min(), 0.0) if c.size else 0.0
+    # Each operator column has its nonzeros in one element block.
+    blocks = space.element_blocks
+    col_err = np.max(np.abs(np.concatenate([b.sum(axis=0) for b in blocks]) - 1.0))
+    neg = -min(min(b.min() for b in blocks), 0.0)
     ok &= _check("extraction-column-sums", col_err <= 1e-12, f"max {col_err:.3g}")
     ok &= _check("extraction-nonnegative", neg <= 1e-14, f"min entry {-neg:.3g}")
 

@@ -122,6 +122,10 @@ class SpaceConfig:
                 raise ConfigError(
                     f"control points must be rows of numbers, got {control.dtype} entries"
                 )
+            # numpy reads a boolean among numbers as 0 or 1.
+            entries = np.asarray(self.control_points, dtype=object).flat
+            if any(isinstance(v, (bool, np.bool_)) for v in entries):
+                raise ConfigError("control points must be rows of numbers, got a boolean entry")
             self.control_points = np.atleast_2d(control.astype(float, copy=False))
         m = len(self.breakpoints) - 1
         if m < 1:

@@ -10,6 +10,14 @@ running operator itself, and its explicit nullspace factor is a two-band
 matrix of nonnegative coefficients that sum to one column-wise; the product
 of all factors is the extraction operator ``C`` with ``B(x) = C b(x)``.
 
+``C`` is local: on each interval only ``p + 1`` basis functions are active,
+so it is kept as one square block per interval (Bezier element extraction,
+as in Borden, Scott, Evans and Hughes, IJNME 87, 2011).  The cascade never
+forms ``C`` either: it runs on a window of the running operator that holds
+the rows meeting the two intervals of the current breakpoint, and cuts the
+element blocks out of it as their rows become final, so a build takes time
+and memory linear in the number of intervals.
+
 A factor is kept as its band coefficients only (:func:`nullspace_step`), and
 :func:`apply_factor` is the one place that knows the two-band layout; a
 knot-insertion map is a single factor of the same form.  Instead of testing
@@ -20,6 +28,7 @@ rounding noise and are checked against a relative tolerance.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -235,7 +244,7 @@ def build_constraints(bases: list[BernsteinBasis], kv: KnotVectors) -> Smoothnes
 
 
 def jump_rows(
-    c: np.ndarray, bases: list[BernsteinBasis], block_start: np.ndarray, i: int, j: int
+    c: np.ndarray, bases: list[BernsteinBasis], block_start: Sequence[int], i: int, j: int
 ) -> np.ndarray:
     """Jumps ``D^j_- f(x_i) - D^j_+ f(x_i)`` at interior breakpoint ``x_i``
     (1-based) of the functions ``f`` whose coefficients over the global
@@ -271,15 +280,18 @@ def nullspace_step(a: np.ndarray, band: tuple[int, int]) -> np.ndarray:
     lo, hi = band
     if not (1 <= lo < hi <= n):
         raise BasisNonexistenceError(f"invalid constraint band [{lo}, {hi}] for length {n}")
-    scale = np.max(np.abs(a))
-    out_of_band = np.abs(np.concatenate([a[: lo - 1], a[hi:]]))
-    if out_of_band.size and np.max(out_of_band) > _OUT_OF_BAND_RTOL * scale:
+    # A jump has a handful of entries, so the arithmetic runs on Python
+    # floats: the same IEEE doubles, without numpy's per-operation overhead.
+    a = a.tolist()
+    scale = max(map(abs, a))
+    out_of_band = [abs(v) for v in a[: lo - 1] + a[hi:]]
+    if out_of_band and max(out_of_band) > _OUT_OF_BAND_RTOL * scale:
         raise GTBError(
             f"constraint entries outside the structural band [{lo}, {hi}] are "
-            f"not numerically zero (max {np.max(out_of_band):.3g} vs scale {scale:.3g})"
+            f"not numerically zero (max {max(out_of_band):.3g} vs scale {scale:.3g})"
         )
 
-    beta = np.empty(hi - lo)
+    beta = []
     alpha = 1.0
     for k in range(lo, hi):  # 0-based positions k-1 -> k of the cascade
         denom = a[k]
@@ -288,9 +300,9 @@ def nullspace_step(a: np.ndarray, band: tuple[int, int]) -> np.ndarray:
                 f"degenerate jump at band position {k + 1}: the smooth basis "
                 "does not exist for this space"
             )
-        beta[k - lo] = -alpha * a[k - 1] / denom
-        alpha = 1.0 - beta[k - lo]
-        if beta[k - lo] <= 0.0 or (k < hi - 1 and alpha <= 0.0):
+        beta.append(-alpha * a[k - 1] / denom)
+        alpha = 1.0 - beta[-1]
+        if beta[-1] <= 0.0 or (k < hi - 1 and alpha <= 0.0):
             raise BasisNonexistenceError(
                 f"nonpositive combination coefficient at band position {k + 1}: "
                 "the smooth basis does not exist for this space"
@@ -306,7 +318,7 @@ def nullspace_step(a: np.ndarray, band: tuple[int, int]) -> np.ndarray:
             "deviates from one far beyond rounding"
         )
     beta[-1] = 1.0
-    return beta
+    return np.array(beta)
 
 
 def apply_factor(rows: np.ndarray, band: tuple[int, int], beta: np.ndarray) -> np.ndarray:
@@ -327,69 +339,133 @@ def apply_factor(rows: np.ndarray, band: tuple[int, int], beta: np.ndarray) -> n
     return out
 
 
+def _first_rows(block_start: np.ndarray, columns: list[tuple[int, int]]) -> np.ndarray:
+    """0-based index of the first basis function active on each interval:
+    the interval's first global Bernstein index less the number of
+    constraints at the breakpoints left of it."""
+    breakpoints = [i for i, _ in columns]
+    intervals = np.arange(1, len(block_start))
+    return block_start[:-1] - np.searchsorted(breakpoints, intervals)
+
+
 @dataclass(eq=False)
 class ExtractionMatrix:
-    """Dense extraction operator together with the cascade that built it.
+    """The extraction operator as element blocks, with the cascade that
+    built it.
 
-    ``operator`` maps the global Bernstein vector to the smooth basis vector.
+    ``blocks[e - 1]`` is the square block of the operator ``C`` on interval
+    ``e`` (1-based): its rows are the ``p_e + 1`` basis functions active on
+    the interval, its columns the interval's Bernstein functions.  Every
+    other entry of ``C`` is zero, so the blocks are all that is stored
+    (Bezier element extraction); :attr:`operator` assembles the dense ``C``
+    from them.
+
     ``factors[rho]`` holds the ``hi - lo`` band coefficients of the two-band
-    factor applied at step ``rho`` with band ``bands[rho]``;
-    ``apply_factor(np.eye(n), bands[rho], factors[rho])`` recovers the dense
-    factor, where ``n = n_bernstein - rho``.
+    factor applied at step ``rho`` with band ``bands[rho]`` to the constraint
+    ``columns[rho] = (i, j)``; ``apply_factor(np.eye(n), bands[rho],
+    factors[rho])`` recovers the dense factor, where ``n = n_bernstein - rho``.
     """
 
-    operator: np.ndarray
+    blocks: tuple[np.ndarray, ...] = field(repr=False)
     factors: list[np.ndarray] = field(repr=False)
     columns: list[tuple[int, int]]
     bands: list[tuple[int, int]]
+    n_basis: int
+    n_bernstein: int
 
     @property
-    def n_basis(self) -> int:
-        return self.operator.shape[0]
-
-    @property
-    def n_bernstein(self) -> int:
-        return self.operator.shape[1]
+    def operator(self) -> np.ndarray:
+        """The dense ``n_basis x n_bernstein`` operator, assembled from the
+        blocks on each access, for inspection; the library reads only the
+        blocks."""
+        starts = np.concatenate([[0], np.cumsum([len(b) for b in self.blocks])])
+        c = np.zeros((self.n_basis, self.n_bernstein))
+        for block, row, col in zip(self.blocks, _first_rows(starts, self.columns), starts):
+            c[row : row + len(block), col : col + len(block)] = block
+        return c
 
 
 def extraction_operator(constraints: SmoothnessConstraints) -> ExtractionMatrix:
     """Run the constraint cascade and return the extraction operator.
 
-    Starting from the identity, each constraint's jump is read from the
-    running operator with :func:`jump_rows` and annihilated by its nullspace
-    factor, so the running operator is the only matrix the cascade updates.
-    The result has nonnegative entries and unit column sums and annihilates
-    every constraint.
+    Each constraint's jump is read with :func:`jump_rows` from the running
+    operator and annihilated by its nullspace factor.  The jumps at ``x_i``
+    involve only the running functions that meet intervals ``i`` and
+    ``i + 1``, so the cascade holds just a window of the running operator:
+    the rows from the first one active on the oldest unfinished interval,
+    over the columns from that interval on.  At each breakpoint the window
+    grows by the identity rows of interval ``i + 1`` and takes that
+    breakpoint's factors.  Rows that do not meet interval ``i + 1`` take no
+    part in later factors, so every interval whose active rows are all such
+    rows has its element block cut out, and the window drops the rows and
+    columns left of the next unfinished interval.  The result has
+    nonnegative entries and unit column sums and annihilates every
+    constraint.
     """
-    c = np.eye(constraints.n_bernstein)
+    bases, columns, bands = constraints.bases, constraints.columns, constraints.bands
+    starts = constraints.block_start.tolist()
+    first_rows = _first_rows(constraints.block_start, columns).tolist()
+    m = len(bases)
+    win = np.eye(starts[1])
+    win_row = win_col = 0  # running row and Bernstein column of win[0, 0]
+    blocks: list[np.ndarray] = []
     factors: list[np.ndarray] = []
-    for (i, j), band in zip(constraints.columns, constraints.bands):
-        a = jump_rows(c, constraints.bases, constraints.block_start, i, j)
-        try:
-            beta = nullspace_step(a, band)
-        except BasisNonexistenceError as exc:
-            raise BasisNonexistenceError(
-                f"constraint (breakpoint {i}, order {j}): {exc}",
-                breakpoint_index=i,
-                order=j,
-            ) from exc
-        factors.append(beta)
-        c = apply_factor(c, band, beta)
+    for i in range(1, m + 1):
+        if i < m:
+            n_rows, n_cols = win.shape
+            width = starts[i + 1] - starts[i]
+            grown = np.zeros((n_rows + width, n_cols + width))
+            grown[:n_rows, :n_cols] = win
+            np.fill_diagonal(grown[n_rows:, n_cols:], 1.0)
+            win = grown
+            # Intervals i and i + 1 as the first pair of a two-interval space.
+            pair, local = bases[i - 1 : i + 1], np.subtract(starts[i - 1 : i + 2], win_col)
+            while len(factors) < len(columns) and columns[len(factors)][0] == i:
+                j = columns[len(factors)][1]
+                lo, hi = bands[len(factors)]
+                band = (lo - win_row, hi - win_row)
+                try:
+                    beta = nullspace_step(jump_rows(win, pair, local, 1, j), band)
+                except BasisNonexistenceError as exc:
+                    raise BasisNonexistenceError(
+                        f"constraint (breakpoint {i}, order {j}): {exc}",
+                        breakpoint_index=i,
+                        order=j,
+                    ) from exc
+                factors.append(beta)
+                win = apply_factor(win, band, beta)
+        # Rows before the first one active on interval i + 1 are final.
+        final = first_rows[i] if i < m else win_row + len(win)
+        while len(blocks) < m:
+            e = len(blocks)
+            row, col, width = first_rows[e], starts[e], starts[e + 1] - starts[e]
+            if row + width > final:
+                break
+            row, col = row - win_row, col - win_col
+            blocks.append(win[row : row + width, col : col + width].copy())
+        if len(blocks) < m:
+            row, col = first_rows[len(blocks)], starts[len(blocks)]
+            win = win[row - win_row :, col - win_col :]
+            win_row, win_col = row, col
 
-    result = ExtractionMatrix(c, factors, list(constraints.columns), list(constraints.bands))
+    n_bernstein = starts[-1]
+    result = ExtractionMatrix(
+        tuple(blocks), factors, list(columns), list(bands), n_bernstein - len(factors), n_bernstein
+    )
     _validate_extraction(result)
     return result
 
 
 def _validate_extraction(ext: ExtractionMatrix) -> None:
-    c = ext.operator
-    if c.size == 0:
-        return
-    if c.min() < -1e-14 or c.max() > 1.0 + 1e-14:
+    # Each operator column has its nonzeros in one element block.  Every
+    # entry is a sum of products of positive coefficients, so an entry
+    # outside the blocks would show as a block column sum short of one.
+    entries = np.concatenate([b.ravel() for b in ext.blocks])
+    if entries.min() < -1e-14 or entries.max() > 1.0 + 1e-14:
         raise GTBError(
-            f"extraction operator entries outside [0, 1]: min {c.min():.3g}, "
-            f"max {c.max():.3g}"
+            f"extraction operator entries outside [0, 1]: min {entries.min():.3g}, "
+            f"max {entries.max():.3g}"
         )
-    col_sums = c.sum(axis=0)
+    col_sums = np.concatenate([b.sum(axis=0) for b in ext.blocks])
     if np.max(np.abs(col_sums - 1.0)) > 1e-12:
         raise GTBError("extraction operator column sums deviate from one")

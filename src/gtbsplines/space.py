@@ -4,11 +4,13 @@ A :class:`GTSplineSpace` bundles the partition, the per-interval sections
 with their Bernstein bases, the two knot vectors, and the extraction
 operator ``C`` mapping the global Bernstein vector to the smooth basis
 ``B(x) = C b(x)``.  The operator is local: on interval ``e`` only the
-``p_e + 1`` functions from ``sigma(e) - p_e`` on are nonzero, so each space
-keeps, per interval, that square block of ``C`` (Bezier element
-extraction).  Evaluation at a point or at an array of points is one product
-of that block with the Bernstein values of the interval, stacked over the
-points of each interval.
+``p_e + 1`` functions from ``sigma(e) - p_e`` on are nonzero, so ``C`` is
+stored only as that square block per interval (Bezier element extraction),
+as the cascade emits it.  Evaluation at a point or at an array of points is
+one product of a block with the Bernstein values of the interval, stacked
+over the points of each interval; a breakpoint jump reads the blocks of the
+two intervals that meet there.  ``GTSplineSpace.operator`` assembles the
+dense ``C`` on demand, for inspection only.
 
 Objects are immutable after construction; evaluation is pure and safe to
 call concurrently.  Knot insertion returns new objects.
@@ -80,17 +82,12 @@ class GTSplineSpace:
     knots: KnotVectors
     extraction: ExtractionMatrix = field(repr=False)
     block_start: np.ndarray = field(repr=False)
-    element_blocks: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
-    def __post_init__(self):
-        # Per interval, the rows of its active functions in its column block
-        # of the operator; every other entry of that column block is zero.
-        starts = self.block_start
-        blocks = []
-        for e in range(1, self.partition.num_intervals + 1):
-            lo, hi = self.active_range(e)
-            blocks.append(self.operator[lo - 1 : hi, starts[e - 1] : starts[e]].copy())
-        self.element_blocks = tuple(blocks)
+    @property
+    def element_blocks(self) -> tuple[np.ndarray, ...]:
+        """Per interval, the rows of its active functions in its column block
+        of the operator; every other entry of that column block is zero."""
+        return self.extraction.blocks
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -110,6 +107,7 @@ class GTSplineSpace:
 
     @property
     def operator(self) -> np.ndarray:
+        """Dense view of the extraction operator, assembled on each access."""
         return self.extraction.operator
 
     @property
@@ -266,7 +264,19 @@ def jump_vector(space: GTSplineSpace, i: int, order: int) -> np.ndarray:
             f"jump order {order} exceeds min local degree {min(p_left, p_right)} "
             f"at breakpoint {i}"
         )
-    return jump_rows(space.operator, space.bases, space.block_start, i, order)
+    # The rows of the functions active on intervals i and i + 1 over the
+    # columns of those intervals, from their element blocks.
+    lo = space.active_range(i)[0] - 1
+    first, hi = space.active_range(i + 1)
+    left, right = space.element_blocks[i - 1 : i + 1]
+    width = len(left)
+    c = np.zeros((hi - lo, width + len(right)))
+    c[:width, :width] = left
+    c[first - 1 - lo :, width:] = right
+    starts = (0, width, width + len(right))
+    out = np.zeros(space.n_basis)
+    out[lo:hi] = jump_rows(c, space.bases[i - 1 : i + 1], starts, 1, order)
+    return out
 
 
 @dataclass(eq=False)

@@ -1,5 +1,6 @@
-"""Shared test utilities: finite differences, random space configs, and
-classical polynomial oracles (Boehm insertion, per-element extraction)."""
+"""Shared test utilities: finite differences, random space configs,
+classical polynomial oracles (Boehm insertion, per-element extraction), and
+the extraction cascade on the dense running operator."""
 
 from __future__ import annotations
 
@@ -12,6 +13,9 @@ from gtbsplines import (
     PolynomialFamily,
     SpaceConfig,
     TrigonometricFamily,
+    apply_factor,
+    jump_rows,
+    nullspace_step,
 )
 
 
@@ -113,3 +117,25 @@ def classical_element_extraction(space, cdb_basis_at):
         block = slice(space.block_start[e], space.block_start[e + 1])
         c[:, block] = np.linalg.solve(bern.T, nvals.T).T
     return c
+
+
+def dense_cascade(constraints):
+    """Reference extraction cascade on the whole running operator.
+
+    Starts from the ``M x M`` identity and applies every factor to all rows
+    and columns.  Returns ``(operator, factors)``; the windowed production
+    cascade must give the same numbers bit for bit.
+    """
+    c = np.eye(constraints.n_bernstein)
+    factors = []
+    for (i, j), band in zip(constraints.columns, constraints.bands):
+        beta = nullspace_step(jump_rows(c, constraints.bases, constraints.block_start, i, j), band)
+        factors.append(beta)
+        c = apply_factor(c, band, beta)
+    return c, factors
+
+
+def uniform_cubic_config(n_intervals: int) -> SpaceConfig:
+    """C^2 cubic splines on ``n_intervals`` unit intervals."""
+    breakpoints = [float(x) for x in range(n_intervals + 1)]
+    return SpaceConfig(breakpoints, [PolynomialFamily(3)] * n_intervals, [2] * (n_intervals - 1))

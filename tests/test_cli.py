@@ -269,6 +269,15 @@ class TestVerify:
                 },
                 "smoothness",
             ),
+            (
+                {
+                    "breakpoints": [0.0, 1.0],
+                    "sections": [{"family": "polynomial", "degree": 1}],
+                    "smoothness": [],
+                    "control_points": [[True, 0.0], [1.0, 1.0]],
+                },
+                "control points",
+            ),
         ],
         ids=[
             "trig-omega-length",
@@ -286,6 +295,7 @@ class TestVerify:
             "breakpoint-bool",
             "degree-bool",
             "smoothness-bool",
+            "control-point-bool-mixed",
         ],
     )
     def test_invalid_trig_parameter_fails_validation(self, cfg, word, tmp_path, capsys):

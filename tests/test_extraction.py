@@ -18,15 +18,25 @@ from gtbsplines import (
     build_constraints,
     build_knot_vectors,
     build_space,
+    eval_basis,
     extraction_operator,
     jump_rows,
     nullspace_step,
     supersmoothness,
 )
-from gtbsplines.config import SpaceConfig, mixed_family_demo_config
+from gtbsplines.config import (
+    SpaceConfig,
+    conic_profile_demo_config,
+    mixed_family_demo_config,
+)
 from gtbsplines.oracle import cox_de_boor_basis, cox_de_boor_knots
 
-from helpers import classical_element_extraction, random_config
+from helpers import (
+    classical_element_extraction,
+    dense_cascade,
+    random_config,
+    uniform_cubic_config,
+)
 
 DEMO_PARTITION = Partition((0.0, 1.0, 2.5, 5.0))
 DEMO_DEGREES = (2, 3, 4)
@@ -350,3 +360,42 @@ class TestExtractionOperator:
                 # operator must still be a valid extraction
                 c = space.operator
                 assert np.max(np.abs(c.sum(axis=0) - 1.0)) <= 1e-12
+
+    def test_blocks_and_factors_match_dense_cascade(self):
+        rng = np.random.default_rng(606)
+        configs = [mixed_family_demo_config(), conic_profile_demo_config(), uniform_cubic_config(80)]
+        configs += [random_config(rng) for _ in range(50)]
+        for cfg in configs:
+            space = build_space(cfg)
+            dense, factors = dense_cascade(build_constraints(space.bases, space.knots))
+            ext = space.extraction
+            assert len(ext.factors) == len(factors)
+            for beta, expected in zip(ext.factors, factors):
+                assert np.array_equal(beta, expected)
+            starts = space.block_start
+            for e, block in enumerate(space.element_blocks, start=1):
+                lo, hi = space.active_range(e)
+                assert np.array_equal(block, dense[lo - 1 : hi, starts[e - 1] : starts[e]])
+            # nothing of the dense operator lies outside the blocks
+            assert np.array_equal(ext.operator, dense)
+
+    def test_large_space_stores_element_blocks_only(self):
+        m = 640
+        cfg = uniform_cubic_config(m)
+        space = build_space(cfg)
+        ext = space.extraction
+        n_bernstein = space.n_bernstein
+        stored = []
+        for value in vars(ext).values():
+            items = value if isinstance(value, (list, tuple)) else [value]
+            stored += [a for a in items if isinstance(a, np.ndarray)]
+        assert all(n_bernstein not in a.shape for a in stored)
+        bound = 8 * (
+            sum((p + 1) ** 2 for p in space.degrees)
+            + sum(hi - lo for lo, hi in ext.bands)
+        )
+        assert sum(a.nbytes for a in stored) <= bound + 1024
+        points = np.linspace(0.0, float(m), 9)
+        knots = cox_de_boor_knots(cfg.breakpoints, 3, cfg.smoothness)
+        ref = np.array([cox_de_boor_basis(knots, 3, float(x), 1) for x in points])
+        assert np.max(np.abs(eval_basis(space, points, 1) - ref)) <= 1e-12

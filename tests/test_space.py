@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from gtbsplines import (
     AdmissibilityWarning,
     DomainError,
+    ExtractionMatrix,
     InsertionError,
     OrderError,
     PolynomialFamily,
@@ -19,6 +21,7 @@ from gtbsplines import (
     jump_vector,
     unit_integral_scaling,
 )
+from gtbsplines.cli import main
 from gtbsplines.config import mixed_family_demo_config
 from gtbsplines.oracle import cox_de_boor_basis, cox_de_boor_knots
 
@@ -53,6 +56,27 @@ class TestBuildSpace:
         space = build_space(SpaceConfig([0.0, 1.0], [PolynomialFamily(3)], []))
         assert space.n_basis == 4
         assert np.array_equal(space.operator, np.eye(4))
+
+    def test_library_never_reads_dense_operator(self, monkeypatch, tmp_path):
+        def dense(self):
+            raise AssertionError("the dense operator view was read")
+
+        monkeypatch.setattr(ExtractionMatrix, "operator", property(dense))
+        config = mixed_family_demo_config()
+        space = build_space(config)
+        eval_basis(space, 1.7, 2)
+        eval_basis(space, np.linspace(0.0, 5.0, 41), 1)
+        curve = SplineCurve(space, np.arange(12.0).reshape(6, 2))
+        eval_curve(curve, 3.3, 1)
+        eval_curve(curve, np.linspace(0.0, 5.0, 11))
+        jump_vector(space, 1, 2)
+        unit_integral_scaling(space)
+        insert_knot(space, 3.7)
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(config.to_dict()))
+        assert main(["verify", str(path)]) == 0
+        csv = str(tmp_path / "s.csv")
+        assert main(["sample", str(path), "--n", "21", "--deriv", "1", "--csv", csv]) == 0
 
     def test_piecewise_constants_merge(self):
         space = build_space(
