@@ -5,15 +5,17 @@ binomial Bernstein polynomials: ``b_j`` vanishes to order ``j`` at the left
 endpoint and to order ``p - j`` at the right endpoint, the basis is
 nonnegative, and for sections containing constants it sums to one.
 
-The production construction solves one dense Hermite interpolation problem
-per function directly in the section's span basis; no integration is
-involved.  Closed forms are available for polynomial sections of any degree
+The production construction gathers the dense Hermite interpolation
+problems of all ``p + 1`` functions from the section's endpoint tables and
+solves them as one stack directly in the span basis, after one batched
+condition check; no integration is involved.  Closed forms are available for polynomial sections of any degree
 and for trigonometric/exponential sections of degree one and two, and serve
 as independent cross-checks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -81,73 +83,84 @@ class BernsteinBasis:
         return self.coeffs @ tables.reshape(-1, self.section.dim, max_order + 1)
 
 
-def _hermite_solve(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    cond = np.linalg.cond(matrix)
-    if not np.isfinite(cond):
-        raise EctViolationError(f"singular collocation matrix while building {what}")
-    if cond > _COND_LIMIT:
-        warnings.warn(
-            f"collocation matrix for {what} has condition number {cond:.3g}",
-            ConditioningWarning,
-            stacklevel=3,
-        )
-    try:
-        return np.linalg.solve(matrix, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise EctViolationError(f"singular collocation matrix while building {what}") from exc
+@functools.lru_cache(maxsize=None)
+def _hermite_systems(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices and right-hand sides of the ``p + 1`` Hermite systems.
+
+    The indices point into the stacked endpoint table ``[t_lo | t_hi]^T``,
+    whose rows ``d`` and ``p + 1 + d`` hold the ``d``-th derivatives of the
+    span basis at ``x_lo`` resp. ``x_hi``.  System ``j`` takes the low
+    orders ``0 .. j-1``, the high orders ``0 .. p-j-1`` and its
+    normalization row: low order ``j`` for ``j < p``, high order ``0`` for
+    ``j = p``.  The normalization row comes first for ``b_0`` and last
+    otherwise; the right-hand side is one there and zero elsewhere.  (The
+    computed condition number of a nearly singular matrix depends on its
+    row order, so this keeps the one a function-by-function solve reports.)
+    """
+    rows = np.array(
+        [[0] + [p + 1 + d for d in range(p)]]
+        + [
+            list(range(j)) + [p + 1 + d for d in range(p - j)] + [j if j < p else p + 1]
+            for j in range(1, p + 1)
+        ]
+    )
+    unit = np.zeros((p + 1, p + 1, 1))
+    unit[1:, p] = 1.0
+    unit[0, 0] = 1.0
+    rows.flags.writeable = unit.flags.writeable = False
+    return rows, unit
 
 
 def build_bernstein(section: SectionSpace) -> BernsteinBasis:
     """Construct the Bernstein-like basis of a section by Hermite solves.
 
-    The functions are built in order ``b_0, b_1, ...``:
+    Function ``b_j`` has derivatives ``0 .. j-1`` vanishing at ``x_lo``,
+    derivatives ``0 .. p-j-1`` vanishing at ``x_hi``, and one normalization:
 
-    * ``b_0``: value 1 at ``x_lo``, derivatives ``0 .. p-1`` vanish at ``x_hi``;
-    * ``b_j`` (``0 < j < p``): derivatives ``0 .. j-1`` vanish at ``x_lo``,
-      derivatives ``0 .. p-j-1`` vanish at ``x_hi``, and the ``j``-th
-      derivative at ``x_lo`` cancels the accumulated ``j``-th derivatives of
-      ``b_0 .. b_{j-1}`` (this pins the scaling so the basis sums to one
-      whenever constants belong to the section);
-    * ``b_p``: derivatives ``0 .. p-1`` vanish at ``x_lo``, value 1 at
-      ``x_hi``.
+    * ``b_0`` has value 1 at ``x_lo`` and ``b_p`` value 1 at ``x_hi``;
+    * for ``0 < j < p`` the ``j``-th derivative of ``b_j`` at ``x_lo``
+      cancels the accumulated ``j``-th derivatives of ``b_0 .. b_{j-1}``
+      (this pins the scaling so the basis sums to one whenever constants
+      belong to the section).
 
-    Each solve is a dense ``(p+1) x (p+1)`` system on the endpoint
-    collocation tables of the span basis, solved with partial pivoting.
+    The ``p + 1`` systems are dense ``(p+1) x (p+1)`` matrices gathered from
+    the endpoint tables of the span basis and solved as one stack with
+    partial pivoting, each against a unit normalization value; ``b_1 ..
+    b_{p-1}`` are then scaled in order, since each scale reads the ones
+    before it.  The condition numbers of the whole stack are checked first,
+    in ``j`` order: a non-finite one raises
+    :class:`~gtbsplines.errors.EctViolationError`, each one above ``1e12``
+    warns with :class:`~gtbsplines.errors.ConditioningWarning`.
     """
     p = section.degree
     t_lo = section.span_derivatives(section.x_lo, p)
     t_hi = section.span_derivatives(section.x_hi, p)
-    coeffs = np.zeros((p + 1, p + 1))
-    left = np.zeros((p + 1, p + 1))
-
-    for j in range(p + 1):
-        rows = []
-        rhs = []
-        if j == 0:
-            rows.append(t_lo[:, 0])
-            rhs.append(1.0)
-            for d in range(p):
-                rows.append(t_hi[:, d])
-                rhs.append(0.0)
-        elif j < p:
-            for d in range(j):
-                rows.append(t_lo[:, d])
-                rhs.append(0.0)
-            for d in range(p - j):
-                rows.append(t_hi[:, d])
-                rhs.append(0.0)
-            rows.append(t_lo[:, j])
-            rhs.append(-float(np.sum(left[:j, j])))
-        else:
-            for d in range(p):
-                rows.append(t_lo[:, d])
-                rhs.append(0.0)
-            rows.append(t_hi[:, 0])
-            rhs.append(1.0)
-        c = _hermite_solve(np.array(rows), np.array(rhs), f"b_{j} of {section!r}")
-        coeffs[j] = c
-        left[j] = c @ t_lo
-
+    rows, unit = _hermite_systems(p)
+    systems = np.concatenate([t_lo, t_hi], axis=1).T[rows]
+    for j, cond in enumerate(np.linalg.cond(systems).tolist()):
+        if not math.isfinite(cond):
+            raise EctViolationError(
+                f"singular collocation matrix while building b_{j} of {section!r}"
+            )
+        if cond > _COND_LIMIT:
+            warnings.warn(
+                ConditioningWarning(
+                    f"collocation matrix for b_{j} of {section!r} has condition "
+                    f"number {cond:.3g}",
+                    condition=cond,
+                ),
+                stacklevel=2,
+            )
+    try:
+        coeffs = np.linalg.solve(systems, unit)[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise EctViolationError(
+            f"singular collocation matrix while building the basis of {section!r}"
+        ) from exc
+    left = coeffs @ t_lo
+    for j in range(1, p):
+        coeffs[j] *= -float(np.sum(left[:j, j]))
+        left[j] = coeffs[j] @ t_lo
     return BernsteinBasis(section, coeffs, left, coeffs @ t_hi)
 
 

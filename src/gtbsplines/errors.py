@@ -57,4 +57,14 @@ class AdmissibilityWarning(UserWarning):
 
 
 class ConditioningWarning(UserWarning):
-    """A linear solve had an estimated condition number above 1e12."""
+    """A linear solve had an estimated condition number above 1e12.
+
+    Attributes
+    ----------
+    condition : float or None
+        The estimated condition number, when known.
+    """
+
+    def __init__(self, message, condition=None):
+        super().__init__(message)
+        self.condition = condition

@@ -46,6 +46,7 @@ __all__ = [
     "jump_rows",
     "nullspace_step",
     "apply_factor",
+    "pin_band_end",
     "ExtractionMatrix",
     "extraction_operator",
 ]
@@ -307,18 +308,26 @@ def nullspace_step(a: np.ndarray, band: tuple[int, int]) -> np.ndarray:
                 f"nonpositive combination coefficient at band position {k + 1}: "
                 "the smooth basis does not exist for this space"
             )
-    # Column sums force the band-end coefficient to exactly one and its
-    # complement to exactly zero; the computed ratio only ever differs from
-    # one by the rounding noise of the input vector.  Snapping keeps every
-    # factor (and hence every product) nonnegative with exact unit column
-    # sums.
+    pin_band_end(beta)
+    return np.array(beta)
+
+
+def pin_band_end(beta) -> None:
+    """Set the band-end coefficient ``beta[-1]`` of a two-band factor to
+    exactly one, in place.
+
+    Column sums force it to one and its complement to zero; a computed value
+    only ever differs from one by rounding noise.  Pinning keeps every factor
+    (and hence every product) nonnegative with exact unit column sums, and
+    every row of an insertion transfer map summing to one.  A deviation above
+    ``1e-6`` raises :class:`~gtbsplines.errors.GTBError`.
+    """
     if abs(beta[-1] - 1.0) > 1e-6:
         raise GTBError(
-            f"inconsistent constraint vector: band-end coefficient {beta[-1]!r} "
+            f"inconsistent two-band factor: band-end coefficient {float(beta[-1])!r} "
             "deviates from one far beyond rounding"
         )
     beta[-1] = 1.0
-    return np.array(beta)
 
 
 def apply_factor(rows: np.ndarray, band: tuple[int, int], beta: np.ndarray) -> np.ndarray:

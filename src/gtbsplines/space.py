@@ -41,6 +41,7 @@ from .extraction import (
     build_knot_vectors,
     extraction_operator,
     jump_rows,
+    pin_band_end,
     supersmoothness,
 )
 from .quadrature import section_rule
@@ -388,7 +389,8 @@ def insert_knot(space: GTSplineSpace, x_new: float):
     relating the two bases, ``B_old = F B_new``, is recovered by sequential
     value matching: with ``alpha_lo = 1`` and ``alpha_{k+1} = 1 - beta_{k+1}``
     (column sums are one), each ``beta_{k+1}`` follows from one evaluation of
-    both bases at a peak point of the neighbor function.  This keeps the
+    both bases at a peak point of the neighbor function, and the band-end
+    coefficient is then pinned to one as in the cascade.  This keeps the
     coefficients absolutely accurate even when the underlying derivative
     jumps at the new knot span many orders of magnitude.
 
@@ -399,7 +401,8 @@ def insert_knot(space: GTSplineSpace, x_new: float):
     transfer : (N+1, N) ndarray
         Coefficient map: a curve with coefficients ``d`` in the original
         space equals the curve with ``transfer @ d`` in the refined space.
-        Every row sums to one.
+        Every row sums to one.  The map is the only array of its size the
+        call allocates.
     """
     partition, sections, bases, smoothness, i, _order = _refined_components(space, x_new)
     refined = _assemble(partition, sections, bases, smoothness)
@@ -423,7 +426,18 @@ def insert_knot(space: GTSplineSpace, x_new: float):
         refined_pair = eval_basis(refined, x_star)[k - 1 : k + 1, 0]
         beta[k - lo] = (b_old - alpha * refined_pair[0]) / refined_pair[1]
         alpha = 1.0 - beta[k - lo]
-    return refined, apply_factor(np.eye(n), (lo, hi), beta).T
+    pin_band_end(beta)
+    # The transpose of the (n-1) x n two-band factor F: unit entries outside
+    # the band, the band's own factor inside it.
+    transfer = np.zeros((n, n - 1))
+    head = np.arange(lo - 1)
+    transfer[head, head] = 1.0
+    tail = np.arange(hi - 1, n - 1)
+    transfer[tail + 1, tail] = 1.0
+    transfer[lo - 1 : hi, lo - 1 : hi - 1] = apply_factor(
+        np.eye(hi - lo + 1), (1, hi - lo + 1), beta
+    ).T
+    return refined, transfer
 
 
 def unit_integral_scaling(space: GTSplineSpace) -> np.ndarray:

@@ -1,14 +1,19 @@
 """Shared test utilities: finite differences, random space configs,
-classical polynomial oracles (Boehm insertion, per-element extraction), and
-the extraction cascade on the dense running operator."""
+classical polynomial oracles (Boehm insertion, per-element extraction), the
+extraction cascade on the dense running operator, and the Bernstein
+construction by one Hermite solve per function."""
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
 from gtbsplines import (
+    BernsteinBasis,
+    ConditioningWarning,
+    EctViolationError,
     ExponentialFamily,
     PolynomialFamily,
     SpaceConfig,
@@ -139,3 +144,46 @@ def uniform_cubic_config(n_intervals: int) -> SpaceConfig:
     """C^2 cubic splines on ``n_intervals`` unit intervals."""
     breakpoints = [float(x) for x in range(n_intervals + 1)]
     return SpaceConfig(breakpoints, [PolynomialFamily(3)] * n_intervals, [2] * (n_intervals - 1))
+
+
+def sequential_bernstein(section) -> BernsteinBasis:
+    """Reference Bernstein construction: one condition check and one Hermite
+    solve per function, in the order ``b_0, b_1, ...``, each against its own
+    normalization value (``b_j`` for ``0 < j < p`` cancels the accumulated
+    ``j``-th derivatives of ``b_0 .. b_{j-1}`` at ``x_lo``).  The stacked
+    production solve must agree to rounding and warn and raise alike."""
+    p = section.degree
+    t_lo = section.span_derivatives(section.x_lo, p)
+    t_hi = section.span_derivatives(section.x_hi, p)
+    coeffs = np.zeros((p + 1, p + 1))
+    left = np.zeros((p + 1, p + 1))
+    for j in range(p + 1):
+        if j == 0:
+            rows = [t_lo[:, 0]] + [t_hi[:, d] for d in range(p)]
+            rhs = [1.0] + [0.0] * p
+        elif j < p:
+            rows = [t_lo[:, d] for d in range(j)] + [t_hi[:, d] for d in range(p - j)]
+            rows.append(t_lo[:, j])
+            rhs = [0.0] * p + [-float(np.sum(left[:j, j]))]
+        else:
+            rows = [t_lo[:, d] for d in range(p)] + [t_hi[:, 0]]
+            rhs = [0.0] * p + [1.0]
+        matrix = np.array(rows)
+        what = f"b_{j} of {section!r}"
+        cond = np.linalg.cond(matrix)
+        if not np.isfinite(cond):
+            raise EctViolationError(f"singular collocation matrix while building {what}")
+        if cond > 1e12:
+            warnings.warn(
+                ConditioningWarning(
+                    f"collocation matrix for {what} has condition number {cond:.3g}",
+                    condition=float(cond),
+                ),
+                stacklevel=2,
+            )
+        try:
+            coeffs[j] = np.linalg.solve(matrix, np.array(rhs))
+        except np.linalg.LinAlgError as exc:
+            raise EctViolationError(f"singular collocation matrix while building {what}") from exc
+        left[j] = coeffs[j] @ t_lo
+    return BernsteinBasis(section, coeffs, left, coeffs @ t_hi)

@@ -8,12 +8,16 @@ from gtbsplines import (
     EctViolationError,
     ExponentialFamily,
     GeneralizedPolynomialFamily,
+    Partition,
     PolynomialFamily,
     SectionSpace,
     TrigonometricFamily,
     build_bernstein,
     closed_form_bernstein,
 )
+from gtbsplines.config import conic_profile_demo_config, mixed_family_demo_config
+
+from helpers import random_config, sequential_bernstein
 
 SECTIONS = [
     SectionSpace(0.0, 1.0, PolynomialFamily(0)),
@@ -96,8 +100,64 @@ class TestHermiteConstruction:
             u=lambda x, d: (x, 1.0, 0.0)[min(d, 2)],
             v=lambda x, d: (2 * x, 2.0, 0.0)[min(d, 2)],
         )
-        with pytest.warns(ConditioningWarning), pytest.raises(EctViolationError):
-            build_bernstein(SectionSpace(0.0, 1.0, fam))
+        section = SectionSpace(0.0, 1.0, fam)
+        with pytest.warns(ConditioningWarning) as stacked, pytest.raises(EctViolationError):
+            build_bernstein(section)
+        with pytest.warns(ConditioningWarning) as sequential, pytest.raises(EctViolationError):
+            sequential_bernstein(section)
+        # The reference stops at the first failing solve; the stacked build
+        # checks every system before its one solve.
+        _assert_same_warnings(list(stacked)[: len(sequential)], sequential)
+
+
+def _assert_same_warnings(got, want):
+    """Conditioning warnings for the same ``b_j`` in the same order, with
+    condition numbers within 1e-8 relative."""
+    assert [str(w.message).split()[3] for w in got] == [
+        str(w.message).split()[3] for w in want
+    ]
+    for g, w in zip(got, want):
+        assert g.message.condition == pytest.approx(w.message.condition, rel=1e-8)
+
+
+def _sections_of(config) -> list[SectionSpace]:
+    partition = Partition(tuple(config.breakpoints))
+    return [
+        SectionSpace(*partition.interval(i + 1), fam) for i, fam in enumerate(config.sections)
+    ]
+
+
+def _assert_matches_sequential(section):
+    stacked, reference = build_bernstein(section), sequential_bernstein(section)
+    for name in ("coeffs", "left_table", "right_table"):
+        got, want = getattr(stacked, name), getattr(reference, name)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
+
+
+class TestStackedSolve:
+    """The stacked Hermite solve against the one-solve-per-function reference."""
+
+    @pytest.mark.parametrize("section", SECTIONS, ids=lambda s: repr(s.family))
+    def test_matches_sequential_reference(self, section):
+        _assert_matches_sequential(section)
+
+    def test_matches_sequential_reference_on_spaces(self):
+        configs = [mixed_family_demo_config(), conic_profile_demo_config()]
+        rng = np.random.default_rng(777)
+        configs += [random_config(rng) for _ in range(300)]
+        for config in configs:
+            for section in _sections_of(config):
+                _assert_matches_sequential(section)
+
+    @pytest.mark.parametrize("degree", [6, 8])
+    def test_conditioning_warnings_match_reference(self, degree):
+        section = SectionSpace(0.0, 0.01, PolynomialFamily(degree))
+        with pytest.warns(ConditioningWarning) as stacked:
+            build_bernstein(section)
+        with pytest.warns(ConditioningWarning) as sequential:
+            sequential_bernstein(section)
+        assert len(stacked) == len(sequential) == degree + 1
+        _assert_same_warnings(stacked, sequential)
 
 
 class TestClosedForms:

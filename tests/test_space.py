@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from gtbsplines import (
     AdmissibilityWarning,
     DomainError,
+    ExponentialFamily,
     ExtractionMatrix,
     InsertionError,
     OrderError,
@@ -25,7 +27,7 @@ from gtbsplines.cli import main
 from gtbsplines.config import mixed_family_demo_config
 from gtbsplines.oracle import cox_de_boor_basis, cox_de_boor_knots
 
-from helpers import boehm_insert, central_diff, random_config
+from helpers import boehm_insert, central_diff, random_config, uniform_cubic_config
 
 
 def custom_pair_space():
@@ -337,6 +339,39 @@ class TestInsertKnot:
                 fine = curve.insert_knot(x_new)
                 for x in xs:
                     assert np.max(np.abs(curve(float(x)) - fine(float(x)))) <= 1e-12
+
+    def test_rows_sum_to_one_near_element_end(self):
+        # A 12-interval cycle of a cubic, a trigonometric cubic (omega 1.2
+        # on length 1.25), an exponential quartic and a quartic, joined C^2
+        # and C^1 in turn; the knot goes 1 % of the trigonometric element's
+        # length from its right end, where value matching leaves the
+        # band-end coefficient off one by rounding.
+        cycle = [
+            (PolynomialFamily(3), 1.0),
+            (TrigonometricFamily(3, 1.2), 1.25),
+            (ExponentialFamily(4, 6.0), 1.0),
+            (PolynomialFamily(4), 1.0),
+        ] * 3
+        breakpoints = [0.0]
+        for _, length in cycle:
+            breakpoints.append(breakpoints[-1] + length)
+        smoothness = [(2, 1)[i % 2] for i in range(len(cycle) - 1)]
+        space = build_space(SpaceConfig(breakpoints, [f for f, _ in cycle], smoothness))
+        lo, hi = breakpoints[1:3]
+        refined, transfer = insert_knot(space, hi - 0.01 * (hi - lo))
+        assert refined.n_basis == space.n_basis + 1
+        assert np.max(np.abs(transfer.sum(axis=1) - 1.0)) <= 4.5e-16
+
+    def test_transfer_is_the_only_dense_allocation(self):
+        space = build_space(uniform_cubic_config(640))
+        tracemalloc.start()
+        try:
+            _, transfer = insert_knot(space, 320.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert transfer.shape == (space.n_basis + 1, space.n_basis)
+        assert peak <= 1.5 * transfer.nbytes
 
     def test_band_edge_coefficients(self, mixed_space):
         refined, transfer = insert_knot(mixed_space, 1.0)
