@@ -73,14 +73,11 @@ class BernsteinBasis:
 
         For a scalar ``x`` returns a ``(p+1, max_order+1)`` array; entry
         ``(j, d)`` is ``D^d b_j(x)``.  For a 1-D array of ``n`` points returns
-        the ``(n, p+1, max_order+1)`` stack of those tables.  Span tables are
-        built point by point, so both forms give identical values.
+        the ``(n, p+1, max_order+1)`` stack of those tables from one span
+        table call for all points; each table equals the scalar call's bit
+        for bit.
         """
-        span = self.section.span_derivatives
-        if isinstance(x, float) or np.ndim(x) == 0:
-            return self.coeffs @ span(x, max_order)
-        tables = np.array([span(t, max_order) for t in x], dtype=float)
-        return self.coeffs @ tables.reshape(-1, self.section.dim, max_order + 1)
+        return self.coeffs @ self.section.span_derivatives(x, max_order)
 
 
 @functools.lru_cache(maxsize=None)
@@ -165,15 +162,13 @@ def build_bernstein(section: SectionSpace) -> BernsteinBasis:
 
 
 def _fit_span_coefficients(section: SectionSpace, values) -> np.ndarray:
-    """Express a function with known point values in the span basis by
-    collocation at Chebyshev points."""
+    """Express a function in the span basis by collocation at Chebyshev
+    points; ``values`` maps an array of points to the function's values."""
     p = section.degree
     k = np.arange(p + 1)
     t = np.cos((2 * k + 1) * math.pi / (2 * (p + 1)))
     xs = 0.5 * (section.x_lo + section.x_hi) + 0.5 * section.length * t
-    vander = np.array([section.span_derivatives(x, 0)[:, 0] for x in xs])
-    rhs = np.array([values(x) for x in xs])
-    return np.linalg.solve(vander, rhs)
+    return np.linalg.solve(section.span_derivatives(xs, 0)[:, :, 0], values(xs))
 
 
 def closed_form_bernstein(section: SectionSpace) -> BernsteinBasis | None:
@@ -201,8 +196,8 @@ def closed_form_bernstein(section: SectionSpace) -> BernsteinBasis | None:
     if isinstance(fam, (TrigonometricFamily, ExponentialFamily)):
         w = fam.omega
         trig = isinstance(fam, TrigonometricFamily)
-        f = math.sin if trig else math.sinh
-        g = math.cos if trig else math.cosh
+        f = np.sin if trig else np.sinh
+        g = np.cos if trig else np.cosh
         if p == 1:
             funcs = [
                 lambda x: f(w * (hi - x)) / f(w * L),

@@ -17,11 +17,16 @@ derivative tables.  The span basis uses interval-shifted monomials
 interval-normalized pair ``{U*, V*}`` (endpoint values 0 and 1) instead of
 raw ``sin``/``sinh`` values; this keeps endpoint collocation matrices
 well conditioned even for stiff parameters such as ``sinh(10 x)`` on wide
-intervals.
+intervals.  One kernel, :meth:`SectionSpace.span_derivatives`, tabulates the
+span basis at a point or, in one numpy pass, at an array of points; powers
+come from repeated products and ``sin``/``cos``/``sinh``/``cosh``/``exp``/
+``expm1`` from numpy, once per call, so a point gives the same bits alone as
+inside an array.  The normalized pairs and the weights accept arrays too.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -42,6 +47,23 @@ __all__ = [
     "endpoint_collocation_matrix",
     "validate_ect",
 ]
+
+
+def _points_in(x, lo: float, hi: float):
+    """``x`` as a float or a 1-D float array, checked to lie in ``[lo, hi]``;
+    a violation names the first offending point."""
+    if isinstance(x, float) or np.ndim(x) == 0:
+        x = float(x)
+        if not (lo <= x <= hi):
+            raise DomainError(f"x={x!r} outside [{lo}, {hi}]")
+        return x
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim != 1:
+        raise DomainError(f"points must be a scalar or a 1-D array, got shape {xs.shape}")
+    outside = ~((lo <= xs) & (xs <= hi))
+    if outside.any():
+        raise DomainError(f"x={float(xs[np.argmax(outside)])!r} outside [{lo}, {hi}]")
+    return xs
 
 
 @dataclass(frozen=True)
@@ -87,18 +109,10 @@ class Partition:
         ``x`` is a scalar, giving an ``int``, or a 1-D array, giving an
         integer array of the same length.
         """
-        if isinstance(x, float) or np.ndim(x) == 0:
-            if not (self.a <= x <= self.b):
-                raise DomainError(f"x={x!r} outside [{self.a}, {self.b}]")
+        x = _points_in(x, self.a, self.b)
+        if isinstance(x, float):
             return min(bisect_right(self.breakpoints, x), self.num_intervals)
-        xs = np.asarray(x, dtype=float)
-        if xs.ndim != 1:
-            raise DomainError(f"points must be a scalar or a 1-D array, got shape {xs.shape}")
-        outside = ~((self.a <= xs) & (xs <= self.b))
-        if outside.any():
-            bad = float(xs[np.argmax(outside)])
-            raise DomainError(f"x={bad!r} outside [{self.a}, {self.b}]")
-        idx = np.searchsorted(self.breakpoints, xs, side="right")
+        idx = np.searchsorted(self.breakpoints, x, side="right")
         return np.minimum(idx, self.num_intervals)
 
 
@@ -162,18 +176,29 @@ SectionFamily = (
 )
 
 
-def _sinh_ratio(a: float, b: float) -> float:
-    """sinh(a)/sinh(b) for 0 <= a <= b, stable for large arguments."""
-    if b < 30.0:
-        return math.sinh(a) / math.sinh(b)
-    return math.exp(a - b) * (-math.expm1(-2.0 * a)) / (-math.expm1(-2.0 * b))
+@functools.lru_cache(maxsize=None)
+def _monomial_layout(n_rows: int, width: int) -> tuple[tuple[float, int], ...]:
+    """Row-major ``(j, d)`` entries ``(factor, k)`` of the shifted-monomial
+    table: ``D^d (x - x_lo)^j = j!/(j-d)! (x - x_lo)^(j-d)`` is ``factor``
+    times the ``k``-th power, ``k = j - d``; entries with ``d > j`` are
+    ``0.0`` times the 0-th power, exactly zero."""
+    layout = []
+    for j in range(n_rows):
+        fac = 1.0
+        for d in range(width):
+            if d > j:
+                layout.append((0.0, 0))
+                continue
+            layout.append((fac, j - d))
+            fac *= j - d
+    return tuple(layout)
 
 
-def _cosh_ratio(a: float, b: float) -> float:
-    """cosh(a)/sinh(b) for 0 <= a <= b, stable for large arguments."""
-    if b < 30.0:
-        return math.cosh(a) / math.sinh(b)
-    return math.exp(a - b) * (1.0 + math.exp(-2.0 * a)) / (-math.expm1(-2.0 * b))
+def _call_pointwise(f: Callable[[float, int], float], x, order: int):
+    """A user callable ``f(x, order)`` at a point or at each point of an array."""
+    if np.ndim(x) == 0:
+        return float(f(x, order))
+    return np.array([f(t, order) for t in x.tolist()], dtype=float)
 
 
 class SectionSpace:
@@ -221,63 +246,94 @@ class SectionSpace:
 
     # -- span basis ------------------------------------------------------
 
-    def span_derivatives(self, x: float, max_order: int) -> np.ndarray:
-        """Derivative table of the span basis at a point.
+    def span_derivatives(self, x, max_order: int) -> np.ndarray:
+        """Derivative table of the span basis at a point or at an array of points.
 
-        Returns a ``(p + 1, max_order + 1)`` array whose entry ``(j, d)`` is
-        the ``d``-th derivative of span function ``j`` at ``x``.  Row order:
+        For a scalar ``x`` returns a ``(p + 1, max_order + 1)`` array whose
+        entry ``(j, d)`` is the ``d``-th derivative of span function ``j`` at
+        ``x``.  For a 1-D array of ``n`` points returns the
+        ``(n, p + 1, max_order + 1)`` stack of those tables.  Row order:
         shifted monomials first, then (for two-function families) ``U*`` and
-        ``V*``.
+        ``V*``.  Both forms run the same floating-point operations, so each
+        table of the stack equals the scalar call bit for bit.
         """
-        x = float(x)
-        if not (self.x_lo <= x <= self.x_hi):
-            raise DomainError(f"x={x!r} outside [{self.x_lo}, {self.x_hi}]")
+        x = _points_in(x, self.x_lo, self.x_hi)
         if not (0 <= max_order <= self.degree):
             raise OrderError(
                 f"max_order={max_order} outside [0, {self.degree}] for this section"
             )
-        p = self.degree
-        out = np.zeros((p + 1, max_order + 1))
-        if isinstance(self.family, PolynomialFamily):
-            self._monomial_rows(out, x, n_rows=p + 1)
-            return out
-        self._monomial_rows(out, x, n_rows=p - 1)
-        for d in range(max_order + 1):
-            out[p - 1, d], out[p, d] = self._pair_derivative(x, d)
-        return out
-
-    def _monomial_rows(self, out: np.ndarray, x: float, n_rows: int) -> None:
-        # D^d (x - x_lo)^j = j!/(j-d)! (x - x_lo)^(j-d)
+        p, width = self.degree, max_order + 1
+        polynomial = isinstance(self.family, PolynomialFamily)
+        n_monomials = p + 1 if polynomial else p - 1
+        # powers of t = x - x_lo by repeated products, entries in row-major
+        # (j, d) order
         t = x - self.x_lo
-        max_order = out.shape[1] - 1
-        for j in range(n_rows):
-            fac = 1.0
-            for d in range(min(j, max_order) + 1):
-                out[j, d] = fac * t ** (j - d)
-                fac *= j - d
-        return
+        powers = [1.0]
+        for _ in range(1, n_monomials):
+            powers.append(powers[-1] * t)
+        entries = [fac * powers[k] for fac, k in _monomial_layout(n_monomials, width)]
+        if not polynomial:
+            us, vs = self._pair_derivatives(x, range(width))
+            entries += us
+            entries += vs
+        if not isinstance(x, np.ndarray):
+            return np.array(entries).reshape(p + 1, width)
+        out = np.empty((len(x), len(entries)))
+        for i, column in enumerate(entries):
+            out[:, i] = column
+        return out.reshape(len(x), p + 1, width)
 
-    def _pair_derivative(self, x: float, order: int = 0) -> tuple[float, float]:
-        """``order``-th derivative of the two non-polynomial span functions at x."""
+    def _pair_derivatives(self, x, orders) -> tuple[list, list]:
+        """Derivatives of the two non-polynomial span functions ``U``, ``V``
+        at a point or at a 1-D array of points: the lists
+        ``[D^d U(x) for d in orders]`` and ``[D^d V(x) for d in orders]``.
+        Each transcendental function is evaluated once per call, whatever
+        the number of orders."""
         fam = self.family
-        if isinstance(fam, TrigonometricFamily):
-            w, L = fam.omega, self.length
-            s = math.sin(w * L)
-            a = w * (self.x_hi - x)
-            b = w * (x - self.x_lo)
-            # derivative cycle of sin: sin, cos, -sin, -cos
-            cyc_a = (math.sin(a), math.cos(a), -math.sin(a), -math.cos(a))[order % 4]
-            cyc_b = (math.sin(b), math.cos(b), -math.sin(b), -math.cos(b))[order % 4]
-            return ((-w) ** order) * cyc_a / s, (w**order) * cyc_b / s
-        if isinstance(fam, ExponentialFamily):
-            w, L = fam.omega, self.length
-            a = w * (self.x_hi - x)
-            b = w * (x - self.x_lo)
-            ratio = _sinh_ratio if order % 2 == 0 else _cosh_ratio
-            return ((-w) ** order) * ratio(a, w * L), (w**order) * ratio(b, w * L)
         if isinstance(fam, GeneralizedPolynomialFamily):
-            return float(fam.u(x, order)), float(fam.v(x, order))
-        raise InvalidFamilyError(f"family {fam!r} has no two-function pair")
+            return (
+                [_call_pointwise(fam.u, x, d) for d in orders],
+                [_call_pointwise(fam.v, x, d) for d in orders],
+            )
+        if not isinstance(fam, (TrigonometricFamily, ExponentialFamily)):
+            raise InvalidFamilyError(f"family {fam!r} has no two-function pair")
+        # At a point, numpy's values are turned into Python floats: the
+        # same bits as the array entries, and cheaper arithmetic.
+        scalar = not isinstance(x, np.ndarray)
+        w, wl = fam.omega, fam.omega * self.length
+        a = w * (self.x_hi - x)
+        b = w * (x - self.x_lo)
+        if isinstance(fam, TrigonometricFamily):
+            s = math.sin(wl)
+            sa, ca, sb, cb = np.sin(a), np.cos(a), np.sin(b), np.cos(b)
+            if scalar:
+                sa, ca, sb, cb = float(sa), float(ca), float(sb), float(cb)
+            # derivative cycle of sin: sin, cos, -sin, -cos
+            cyc_a, cyc_b = (sa, ca, -sa, -ca), (sb, cb, -sb, -cb)
+            return (
+                [(-w) ** d * cyc_a[d % 4] / s for d in orders],
+                [w**d * cyc_b[d % 4] / s for d in orders],
+            )
+        # (sinh, cosh)(v) / sinh(wl), the derivative cycle of sinh, stable
+        # for large arguments
+        if wl < 30.0:
+            den = math.sinh(wl)
+            sha, cha, shb, chb = np.sinh(a), np.cosh(a), np.sinh(b), np.cosh(b)
+            if scalar:
+                sha, cha, shb, chb = float(sha), float(cha), float(shb), float(chb)
+            ratio_a, ratio_b = (sha / den, cha / den), (shb / den, chb / den)
+        else:
+            den = -math.expm1(-2.0 * wl)
+            ea, ma, pa = np.exp(a - wl), -np.expm1(-2.0 * a), 1.0 + np.exp(-2.0 * a)
+            eb, mb, pb = np.exp(b - wl), -np.expm1(-2.0 * b), 1.0 + np.exp(-2.0 * b)
+            if scalar:
+                ea, ma, pa = float(ea), float(ma), float(pa)
+                eb, mb, pb = float(eb), float(mb), float(pb)
+            ratio_a, ratio_b = (ea * ma / den, ea * pa / den), (eb * mb / den, eb * pb / den)
+        return (
+            [(-w) ** d * ratio_a[d % 2] for d in orders],
+            [w**d * ratio_b[d % 2] for d in orders],
+        )
 
     # -- normalized pair and weights --------------------------------------
 
@@ -285,9 +341,11 @@ class SectionSpace:
         """Normalized two-function generators ``(U*, V*)`` of the section.
 
         Returns one callable ``f(x, order=0)`` giving the exact derivatives
-        ``(D^order U*(x), D^order V*(x))``; the pair satisfies
-        ``U*(x_lo) = 1``, ``U*(x_hi) = 0``, ``V*(x_lo) = 0``,
-        ``V*(x_hi) = 1``.
+        ``(D^order U*(x), D^order V*(x))`` at a point, as floats, or at a 1-D
+        array of points, as arrays; the pair satisfies ``U*(x_lo) = 1``,
+        ``U*(x_hi) = 0``, ``V*(x_lo) = 0``, ``V*(x_hi) = 1``.  Only the
+        user's ``u``/``v`` callables of a custom pair are called point by
+        point.
         """
         fam = self.family
         lo, hi, L = self.x_lo, self.x_hi, self.length
@@ -296,12 +354,21 @@ class SectionSpace:
                 raise InvalidFamilyError("normalized pair needs degree >= 1")
 
             def affine(x, order=0):
-                k = min(order, 2)
-                return ((hi - x) / L, -1.0 / L, 0.0)[k], ((x - lo) / L, 1.0 / L, 0.0)[k]
+                if order == 0:
+                    return (hi - x) / L, (x - lo) / L
+                du, dv = (-1.0 / L, 1.0 / L) if order == 1 else (0.0, 0.0)
+                if np.ndim(x) == 0:
+                    return du, dv
+                return np.full(len(x), du), np.full(len(x), dv)
 
             return affine
         if isinstance(fam, (TrigonometricFamily, ExponentialFamily)):
-            return self._pair_derivative
+
+            def pair(x, order=0):
+                us, vs = self._pair_derivatives(x, (order,))
+                return us[0], vs[0]
+
+            return pair
         # Custom pair: normalize D^(p-1) of the raw generators by a 2x2
         # endpoint solve.
         p = fam.degree
@@ -321,38 +388,20 @@ class SectionSpace:
         cu, cv = combo[:, 0], combo[:, 1]
 
         def custom(x, order=0):
-            gu, gv = fam.u(x, p - 1 + order), fam.v(x, p - 1 + order)
+            gu = _call_pointwise(fam.u, x, p - 1 + order)
+            gv = _call_pointwise(fam.v, x, p - 1 + order)
             return cu[0] * gu + cu[1] * gv, cv[0] * gu + cv[1] * gv
 
         return custom
 
 
-def _weight_values(pair, xs) -> np.ndarray:
+def _weight_values(pair, xs: np.ndarray) -> np.ndarray:
     """``w_{p-1}`` and ``w_p`` (unscaled) at the points ``xs`` as a
-    ``(2, len(xs))`` array, from one evaluation of the pair per order and
-    point."""
-    out = np.empty((2, len(xs)))
-    for i, x in enumerate(xs):
-        u, v = pair(x)
-        du, dv = pair(x, 1)
-        s = u + v
-        out[0, i] = s
-        out[1, i] = (u * dv - v * du) / (s * s)
-    return out
-
-
-def _positive_weight_pair(section: SectionSpace, samples: int = 100):
-    """The section's normalized pair callable, once both non-trivial weights
-    are found strictly positive on a uniform grid of ``samples`` points."""
-    pair = section.normalized_pair_derivatives()
-    values = _weight_values(pair, np.linspace(section.x_lo, section.x_hi, samples))
-    for row, name in zip(values, ("u*+v*", "wronskian weight")):
-        if not np.all(row > 0.0):
-            raise InvalidFamilyError(
-                f"weight {name} is not strictly positive on "
-                f"[{section.x_lo}, {section.x_hi}]"
-            )
-    return pair
+    ``(2, len(xs))`` array, from one array evaluation of the pair per order."""
+    u, v = pair(xs)
+    du, dv = pair(xs, 1)
+    s = u + v
+    return np.array([s, (u * dv - v * du) / (s * s)])
 
 
 def weight_system(section: SectionSpace, xs) -> np.ndarray:
@@ -368,8 +417,8 @@ def weight_system(section: SectionSpace, xs) -> np.ndarray:
     space unchanged but lets weights of adjoining sections glue continuously.
     Both non-trivial weights must be strictly positive on the interval; this
     is verified on a uniform 100-point grid and a violation raises
-    :class:`~gtbsplines.errors.InvalidFamilyError`.  Both weights come from
-    one evaluation of the pair per order and point.  Used by the
+    :class:`~gtbsplines.errors.InvalidFamilyError`.  The grid and ``xs`` go
+    through one array evaluation of the pair per order.  Used by the
     integral-recurrence oracles, which call it once per element, on the
     element's interpolation nodes.
     """
@@ -377,10 +426,18 @@ def weight_system(section: SectionSpace, xs) -> np.ndarray:
     out = np.ones((p + 1, len(xs)))
     if p == 0:
         return out
-    pair = _positive_weight_pair(section)
-    values = _weight_values(pair, [section.x_lo, *xs])
-    out[p - 1] = values[0, 1:]
-    out[p] = values[1, 1:] / values[1, 0]
+    pair = section.normalized_pair_derivatives()
+    grid = np.linspace(section.x_lo, section.x_hi, 100)
+    values = _weight_values(pair, np.concatenate([grid, xs]))
+    for row, name in zip(values[:, : len(grid)], ("u*+v*", "wronskian weight")):
+        if not np.all(row > 0.0):
+            raise InvalidFamilyError(
+                f"weight {name} is not strictly positive on "
+                f"[{section.x_lo}, {section.x_hi}]"
+            )
+    # the grid starts at x_lo, where the top weight takes its endpoint value
+    out[p - 1] = values[0, len(grid) :]
+    out[p] = values[1, len(grid) :] / values[1, 0]
     return out
 
 

@@ -1,7 +1,8 @@
 """Shared test utilities: finite differences, random space configs,
 classical polynomial oracles (Boehm insertion, per-element extraction), the
-extraction cascade on the dense running operator, and the Bernstein
-construction by one Hermite solve per function."""
+extraction cascade on the dense running operator, the Bernstein
+construction by one Hermite solve per function, and the span tables, pairs
+and weights evaluated point by point with ``math``."""
 
 from __future__ import annotations
 
@@ -15,7 +16,11 @@ from gtbsplines import (
     ConditioningWarning,
     EctViolationError,
     ExponentialFamily,
+    GeneralizedPolynomialFamily,
+    InvalidFamilyError,
+    Partition,
     PolynomialFamily,
+    SectionSpace,
     SpaceConfig,
     TrigonometricFamily,
     apply_factor,
@@ -187,3 +192,113 @@ def sequential_bernstein(section) -> BernsteinBasis:
             raise EctViolationError(f"singular collocation matrix while building {what}") from exc
         left[j] = coeffs[j] @ t_lo
     return BernsteinBasis(section, coeffs, left, coeffs @ t_hi)
+
+
+def sections_of(config) -> list[SectionSpace]:
+    """The section spaces of a config, one per interval."""
+    partition = Partition(tuple(config.breakpoints))
+    return [
+        SectionSpace(*partition.interval(i + 1), fam) for i, fam in enumerate(config.sections)
+    ]
+
+
+def _reference_ratio(even: bool, a: float, b: float) -> float:
+    """sinh(a)/sinh(b) (``even``) or cosh(a)/sinh(b) for 0 <= a <= b."""
+    if b < 30.0:
+        return (math.sinh(a) if even else math.cosh(a)) / math.sinh(b)
+    tail = -math.expm1(-2.0 * a) if even else 1.0 + math.exp(-2.0 * a)
+    return math.exp(a - b) * tail / (-math.expm1(-2.0 * b))
+
+
+def reference_raw_pair(section, x: float, order: int) -> tuple[float, float]:
+    """``order``-th derivative of the two non-polynomial span functions at one
+    point, from ``math`` and once per order."""
+    fam = section.family
+    if isinstance(fam, GeneralizedPolynomialFamily):
+        return float(fam.u(x, order)), float(fam.v(x, order))
+    w, wl = fam.omega, fam.omega * section.length
+    a = w * (section.x_hi - x)
+    b = w * (x - section.x_lo)
+    if isinstance(fam, TrigonometricFamily):
+        s = math.sin(wl)
+        cyc_a = (math.sin(a), math.cos(a), -math.sin(a), -math.cos(a))[order % 4]
+        cyc_b = (math.sin(b), math.cos(b), -math.sin(b), -math.cos(b))[order % 4]
+        return ((-w) ** order) * cyc_a / s, (w**order) * cyc_b / s
+    even = order % 2 == 0
+    return (
+        ((-w) ** order) * _reference_ratio(even, a, wl),
+        (w**order) * _reference_ratio(even, b, wl),
+    )
+
+
+def reference_span_derivatives(section, x: float, max_order: int) -> np.ndarray:
+    """Reference span table at one point: ``t ** k`` powers and the pair from
+    ``math``, entry by entry.  The production kernel takes powers by
+    repeated products and transcendental values from numpy, so it agrees to
+    rounding."""
+    x = float(x)
+    p = section.degree
+    out = np.zeros((p + 1, max_order + 1))
+    polynomial = isinstance(section.family, PolynomialFamily)
+    t = x - section.x_lo
+    for j in range(p + 1 if polynomial else p - 1):
+        fac = 1.0
+        for d in range(min(j, max_order) + 1):
+            out[j, d] = fac * t ** (j - d)
+            fac *= j - d
+    if not polynomial:
+        for d in range(max_order + 1):
+            out[p - 1, d], out[p, d] = reference_raw_pair(section, x, d)
+    return out
+
+
+def reference_pair(section):
+    """Reference normalized pair ``f(x, order=0)`` of a section at one point,
+    from ``math``; see :meth:`SectionSpace.normalized_pair_derivatives`."""
+    fam = section.family
+    lo, hi, L = section.x_lo, section.x_hi, section.length
+    if isinstance(fam, PolynomialFamily):
+        return lambda x, order=0: (
+            ((hi - x) / L, -1.0 / L, 0.0)[min(order, 2)],
+            ((x - lo) / L, 1.0 / L, 0.0)[min(order, 2)],
+        )
+    if not isinstance(fam, GeneralizedPolynomialFamily):
+        return lambda x, order=0: reference_raw_pair(section, x, order)
+    p = fam.degree
+    gen = np.array([[fam.u(lo, p - 1), fam.v(lo, p - 1)], [fam.u(hi, p - 1), fam.v(hi, p - 1)]])
+    combo = np.linalg.solve(gen, np.eye(2))
+    cu, cv = combo[:, 0], combo[:, 1]
+
+    def custom(x, order=0):
+        gu, gv = fam.u(x, p - 1 + order), fam.v(x, p - 1 + order)
+        return cu[0] * gu + cu[1] * gv, cv[0] * gu + cv[1] * gv
+
+    return custom
+
+
+def reference_weight_system(section, xs) -> np.ndarray:
+    """Reference weight list ``[w_0, ..., w_p]`` at ``xs``: positivity
+    checked on the 100-point grid, then the weights at ``x_lo`` and ``xs``,
+    each from two pair calls per point."""
+    p = section.degree
+    out = np.ones((p + 1, len(xs)))
+    if p == 0:
+        return out
+    pair = reference_pair(section)
+
+    def weights(points):
+        values = np.empty((2, len(points)))
+        for i, x in enumerate(points):
+            u, v = pair(x)
+            du, dv = pair(x, 1)
+            s = u + v
+            values[:, i] = s, (u * dv - v * du) / (s * s)
+        return values
+
+    grid = weights(np.linspace(section.x_lo, section.x_hi, 100))
+    if not np.all(grid > 0.0):
+        raise InvalidFamilyError(f"a weight is not strictly positive on {section!r}")
+    values = weights([section.x_lo, *xs])
+    out[p - 1] = values[0, 1:]
+    out[p] = values[1, 1:] / values[1, 0]
+    return out

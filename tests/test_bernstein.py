@@ -8,7 +8,6 @@ from gtbsplines import (
     EctViolationError,
     ExponentialFamily,
     GeneralizedPolynomialFamily,
-    Partition,
     PolynomialFamily,
     SectionSpace,
     TrigonometricFamily,
@@ -17,7 +16,7 @@ from gtbsplines import (
 )
 from gtbsplines.config import conic_profile_demo_config, mixed_family_demo_config
 
-from helpers import random_config, sequential_bernstein
+from helpers import random_config, sections_of, sequential_bernstein
 
 SECTIONS = [
     SectionSpace(0.0, 1.0, PolynomialFamily(0)),
@@ -120,13 +119,6 @@ def _assert_same_warnings(got, want):
         assert g.message.condition == pytest.approx(w.message.condition, rel=1e-8)
 
 
-def _sections_of(config) -> list[SectionSpace]:
-    partition = Partition(tuple(config.breakpoints))
-    return [
-        SectionSpace(*partition.interval(i + 1), fam) for i, fam in enumerate(config.sections)
-    ]
-
-
 def _assert_matches_sequential(section):
     stacked, reference = build_bernstein(section), sequential_bernstein(section)
     for name in ("coeffs", "left_table", "right_table"):
@@ -146,7 +138,7 @@ class TestStackedSolve:
         rng = np.random.default_rng(777)
         configs += [random_config(rng) for _ in range(300)]
         for config in configs:
-            for section in _sections_of(config):
+            for section in sections_of(config):
                 _assert_matches_sequential(section)
 
     @pytest.mark.parametrize("degree", [6, 8])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,13 @@ from gtbsplines import (
 )
 from gtbsplines.sections import endpoint_collocation_matrix, weight_system
 
-from helpers import central_diff
+from helpers import (
+    central_diff,
+    random_config,
+    reference_span_derivatives,
+    reference_weight_system,
+    sections_of,
+)
 
 ALL_SECTIONS = [
     SectionSpace(0.0, 1.0, PolynomialFamily(0)),
@@ -30,6 +37,27 @@ ALL_SECTIONS = [
     SectionSpace(2.5, 5.0, ExponentialFamily(4, 10.0)),
     SectionSpace(0.0, 0.7, ExponentialFamily(2, 1.5)),
 ]
+
+# span {1, x, e^x, e^(2x)}
+EXP_PAIR = GeneralizedPolynomialFamily(
+    3, u=lambda x, d: math.exp(x), v=lambda x, d: (2.0**d) * math.exp(2.0 * x), name="exp-pair"
+)
+
+# one section of each family, the exponential one on both sides of the
+# overflow-safe branch at omega * length = 30
+ARRAY_SECTIONS = [
+    SectionSpace(-1.0, 2.0, PolynomialFamily(4)),
+    SectionSpace(1.0, 2.5, TrigonometricFamily(3, math.pi / 2)),
+    SectionSpace(0.0, 1.0, EXP_PAIR),
+    SectionSpace(2.5, 5.0, ExponentialFamily(4, 10.0)),  # omega * length = 25
+    SectionSpace(0.0, 1.0, ExponentialFamily(4, 40.0)),  # omega * length = 40
+]
+
+
+def _points(section, rng) -> np.ndarray:
+    """Both ends, random interior points, unsorted and repeated."""
+    inner = rng.uniform(section.x_lo, section.x_hi, 30)
+    return np.concatenate([[section.x_hi], inner, [section.x_lo], inner[:4]])
 
 
 class TestPartition:
@@ -74,6 +102,29 @@ class TestSpanDerivatives:
             section.span_derivatives(1.5, 0)
         with pytest.raises(OrderError):
             section.span_derivatives(0.5, 3)
+
+    @pytest.mark.parametrize("section", ARRAY_SECTIONS, ids=lambda s: repr(s.family))
+    def test_array_equals_scalar_calls(self, section, rng):
+        xs = _points(section, rng)
+        for order in range(section.degree + 1):
+            table = section.span_derivatives(xs, order)
+            assert table.shape == (len(xs), section.dim, order + 1)
+            stacked = np.array([section.span_derivatives(float(x), order) for x in xs])
+            assert np.array_equal(table, stacked)
+        assert section.span_derivatives(np.array([]), 1).shape == (0, section.dim, 2)
+
+    def test_array_errors_name_first_offending_point(self):
+        section = SectionSpace(0.0, 1.0, ExponentialFamily(4, 40.0))
+        for xs, bad in (([0.5, 1.5, -1.0], 1.5), ([0.2, math.nan, 2.0], math.nan)):
+            with pytest.raises(DomainError, match=re.escape(f"x={bad!r} outside")):
+                section.span_derivatives(np.array(xs), 0)
+        with pytest.raises(DomainError):
+            section.span_derivatives(np.full((2, 2), 0.5), 0)
+        with pytest.raises(OrderError) as scalar:
+            section.span_derivatives(0.5, 5)
+        with pytest.raises(OrderError) as array:
+            section.span_derivatives(np.array([0.2, 0.5]), 5)
+        assert str(array.value) == str(scalar.value)
 
     @pytest.mark.parametrize("section", ALL_SECTIONS, ids=lambda s: repr(s.family))
     def test_first_derivative_matches_finite_differences(self, section, rng):
@@ -153,6 +204,17 @@ class TestNormalizedPair:
         assert v_lo == pytest.approx(0.0, abs=1e-14)
         assert v_hi == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize(
+        "section", [SectionSpace(0.0, 1.0, PolynomialFamily(2))] + ARRAY_SECTIONS[1:],
+        ids=lambda s: repr(s.family),
+    )
+    def test_array_equals_scalar_calls(self, section, rng):
+        pair = section.normalized_pair_derivatives()
+        xs = _points(section, rng)
+        for order in range(3):
+            stacked = np.array([pair(float(x), order) for x in xs]).T
+            assert np.array_equal(np.array(pair(xs, order)), stacked)
+
     def test_custom_pair_solves_endpoint_system(self):
         fam = GeneralizedPolynomialFamily(
             3,
@@ -184,6 +246,36 @@ class TestGpbWeights:
         w_lower, w_top = weight_system(section, np.linspace(2.5, 5.0, 100))[3:]
         assert np.all(w_lower > 0.0)
         assert np.all(w_top > 0.0)
+
+
+def _assert_close_to_reference(section):
+    """Span tables (per derivative order) and weights within 1e-14 of the
+    ``math``-based per-point reference, relative to each array's largest
+    entry."""
+    p = section.degree
+    xs = np.linspace(section.x_lo, section.x_hi, 17)
+    table = section.span_derivatives(xs, p)
+    want = np.array([reference_span_derivatives(section, x, p) for x in xs])
+    for d in range(p + 1):
+        err = np.max(np.abs(table[..., d] - want[..., d]))
+        assert err <= 1e-14 * np.max(np.abs(want[..., d])), (section, d)
+    weights, want = weight_system(section, xs), reference_weight_system(section, xs)
+    assert np.max(np.abs(weights - want)) <= 1e-14 * np.max(np.abs(want)), section
+
+
+class TestMathReference:
+    """The numpy kernel moves the span tables and weights of the point-by-point
+    ``math`` evaluation in the last bits only."""
+
+    @pytest.mark.parametrize("section", ALL_SECTIONS + ARRAY_SECTIONS, ids=lambda s: repr(s.family))
+    def test_sections(self, section):
+        _assert_close_to_reference(section)
+
+    def test_random_spaces(self):
+        rng = np.random.default_rng(777)
+        for _ in range(300):
+            for section in sections_of(random_config(rng)):
+                _assert_close_to_reference(section)
 
 
 @settings(max_examples=30, deadline=None)

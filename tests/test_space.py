@@ -13,6 +13,7 @@ from gtbsplines import (
     InsertionError,
     OrderError,
     PolynomialFamily,
+    SectionSpace,
     SpaceConfig,
     SplineCurve,
     TrigonometricFamily,
@@ -79,6 +80,25 @@ class TestBuildSpace:
         assert main(["verify", str(path)]) == 0
         csv = str(tmp_path / "s.csv")
         assert main(["sample", str(path), "--n", "21", "--deriv", "1", "--csv", csv]) == 0
+
+    def test_sample_builds_one_span_table_per_element(self, monkeypatch, tmp_path):
+        calls = 0
+        span = SectionSpace.span_derivatives
+
+        def counted(self, x, max_order):
+            nonlocal calls
+            calls += 1
+            return span(self, x, max_order)
+
+        monkeypatch.setattr(SectionSpace, "span_derivatives", counted)
+        config = mixed_family_demo_config()
+        build_space(config)
+        build_calls, calls = calls, 0
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(config.to_dict()))
+        csv = str(tmp_path / "s.csv")
+        assert main(["sample", str(path), "--n", "4001", "--deriv", "2", "--csv", csv]) == 0
+        assert calls <= build_calls + len(config.sections)
 
     def test_piecewise_constants_merge(self):
         space = build_space(
