@@ -125,16 +125,23 @@ def build_bernstein(section: SectionSpace) -> BernsteinBasis:
     partial pivoting, each against a unit normalization value; ``b_1 ..
     b_{p-1}`` are then scaled in order, since each scale reads the ones
     before it.  The condition numbers of the whole stack are checked first,
-    in ``j`` order: a non-finite one raises
-    :class:`~gtbsplines.errors.EctViolationError`, each one above ``1e12``
+    in ``j`` order, once the endpoint tables are finite: a non-finite table,
+    a failed check or a non-finite number raises
+    :class:`~gtbsplines.errors.EctViolationError`, each number above ``1e12``
     warns with :class:`~gtbsplines.errors.ConditioningWarning`.
     """
     p = section.degree
     t_lo = section.span_derivatives(section.x_lo, p)
     t_hi = section.span_derivatives(section.x_hi, p)
+    if not np.isfinite([t_lo, t_hi]).all():  # p!/(p-d)! overflows from p = 171 on
+        raise EctViolationError(f"non-finite endpoint derivative tables of {section!r}")
     rows, unit = _hermite_systems(p)
     systems = np.concatenate([t_lo, t_hi], axis=1).T[rows]
-    for j, cond in enumerate(np.linalg.cond(systems).tolist()):
+    try:
+        conds = np.linalg.cond(systems).tolist()
+    except np.linalg.LinAlgError as exc:
+        raise EctViolationError(f"condition check failed for {section!r}: {exc}") from exc
+    for j, cond in enumerate(conds):
         if not math.isfinite(cond):
             raise EctViolationError(
                 f"singular collocation matrix while building b_{j} of {section!r}"

@@ -95,7 +95,7 @@ def _write_sample_csv(path: str, space, n: int, deriv: int) -> None:
             rows = slice(starts[e - 1], starts[e])
             if rows.start == rows.stop:
                 continue
-            lo, hi = space.active_range(e)
+            lo, hi = space.knots.active_range(e)
             slots = ["0"] * (lo - 1) + ["%.17g"] * (hi - lo + 1) + ["0"] * (n_basis - hi)
             template = ",".join(["%.17g"] + slots * (deriv + 1)) + "\n"
             # row-major over (derivative order, active function), as the header

@@ -20,10 +20,14 @@ and memory linear in the number of intervals.
 
 A factor is kept as its band coefficients only (:func:`nullspace_step`), and
 :func:`apply_factor` is the one place that knows the two-band layout; a
-knot-insertion map is a single factor of the same form.  Instead of testing
-floating-point entries of a jump against zero, the band of every constraint
-is read off the knot vectors of the space; out-of-band entries are only ever
-rounding noise and are checked against a relative tolerance.
+knot-insertion map is a single factor of the same form.  The knot vectors
+own the index layout, as in classical spline codes: :class:`KnotVectors`
+gives each interval's Bernstein block and active rows, the order of the
+constraints and the band of each one (:meth:`KnotVectors.band`), which
+the cascade, the element blocks, evaluation and knot insertion all read.
+No entry of a jump is tested against zero to find its band; out-of-band
+entries are only ever rounding noise and are checked against a relative
+tolerance.
 """
 
 from __future__ import annotations
@@ -78,7 +82,7 @@ def validate_smoothness(degrees, smoothness, breakpoints=None) -> None:
 
 @dataclass(eq=False)
 class KnotVectors:
-    """Support descriptors of the basis functions.
+    """Support descriptors of the basis functions, and the index layout.
 
     ``u[k]`` and ``v[k]`` (0-based here) are the endpoints of the support of
     basis function ``k``; together they generalize the classical open knot
@@ -87,6 +91,9 @@ class KnotVectors:
     running multiplicity sums
 
     ``sigma[i] = sum_{j<i} (p_{j+1} - r_j)``,  ``mu[i] = sum_{j<=i} (p_j - r_j)``.
+
+    Global Bernstein functions ``block_start[e - 1] .. block_start[e] - 1``
+    (0-based) belong to interval ``e``.
     """
 
     u: np.ndarray
@@ -97,10 +104,37 @@ class KnotVectors:
     mu: np.ndarray
     degrees: tuple[int, ...]
     smoothness: tuple[int, ...]
+    block_start: np.ndarray
 
     @property
     def n_basis(self) -> int:
         return len(self.u)
+
+    @property
+    def n_bernstein(self) -> int:
+        return int(self.block_start[-1])
+
+    def active_range(self, e: int) -> tuple[int, int]:
+        """1-based inclusive range of the basis functions active on interval
+        ``e`` (1-based): the ``p_e + 1`` functions ending at ``sigma[e]``."""
+        sigma = int(self.sigma[e])
+        return sigma - self.degrees[e - 1], sigma
+
+    def band(self, i: int, j: int) -> tuple[int, int]:
+        """1-based inclusive range ``mu[i - 1] + p_i - j + 1 .. sigma[i] + 1``
+        of the functions whose ``j``-th derivative jumps at ``x_i`` when the
+        space is smooth to order ``j - 1`` there, as required left of it and
+        discontinuous right of it: the band of constraint ``(i, j)``, and for
+        ``j = r_i + 1`` that of a knot insertion leaving order ``r_i``."""
+        return int(self.mu[i - 1]) + self.degrees[i - 1] - j + 1, int(self.sigma[i]) + 1
+
+    @property
+    def columns(self) -> list[tuple[int, int]]:
+        """The smoothness constraints in cascade order: ``columns[rho] =
+        (i, j)`` asks the jump of the ``j``-th derivative at ``x_i`` to
+        vanish, with ``rho = sum_{i'<i} (r_{i'} + 1) + j`` (0-based)."""
+        m = len(self.degrees)
+        return [(i, j) for i in range(1, m) for j in range(self.smoothness[i] + 1)]
 
 
 def build_knot_vectors(partition: Partition, degrees, smoothness) -> KnotVectors:
@@ -153,6 +187,7 @@ def build_knot_vectors(partition: Partition, degrees, smoothness) -> KnotVectors
         mu=mu,
         degrees=degrees,
         smoothness=smoothness,
+        block_start=np.concatenate([[0], np.cumsum([p + 1 for p in degrees])]),
     )
     if len(u_vals) != len(v_vals):
         raise GTBError("internal: knot vectors of unequal length")
@@ -195,53 +230,23 @@ def supersmoothness(kv: KnotVectors, degrees, smoothness, k: int) -> tuple[int, 
 
 @dataclass(eq=False)
 class SmoothnessConstraints:
-    """The ordered jump conditions of the global Bernstein basis.
-
-    Constraint ``rho(i, j) = sum_{k<i} (r_k + 1) + j`` (0-based) asks the
-    jump of the ``j``-th derivative at breakpoint ``x_i`` to vanish;
-    ``columns[rho] = (i, j)`` and :func:`jump_rows` computes that jump from
-    ``bases`` and ``block_start``.  Global Bernstein functions
-    ``block_start[i - 1] .. block_start[i] - 1`` belong to interval ``i``.
-
-    ``bands[rho]`` is the 1-based inclusive index range of the entries that
-    are structurally nonzero once the preceding ``rho`` constraints have been
-    applied.  When the ``j``-th-derivative constraint at ``x_i`` is reached,
-    the running space is smooth to order ``r`` left of ``x_i``, to order
-    ``j - 1`` at ``x_i``, and discontinuous to the right, so exactly the
-    functions ``mu[i - 1] + p_i - j + 1 .. sigma[i] + 1`` of the knot vectors
-    jump at ``x_i``.
-    """
+    """The jump conditions of the global Bernstein basis: the Bernstein
+    bases of the intervals with the knot vectors that order the constraints
+    (:attr:`KnotVectors.columns`) and give their bands
+    (:meth:`KnotVectors.band`).  :func:`jump_rows` computes each jump from
+    ``bases`` and ``knots.block_start``."""
 
     bases: list[BernsteinBasis]
-    columns: list[tuple[int, int]]
-    bands: list[tuple[int, int]]
-    block_start: np.ndarray
-
-    @property
-    def n_constraints(self) -> int:
-        return len(self.columns)
-
-    @property
-    def n_bernstein(self) -> int:
-        return int(self.block_start[-1])
+    knots: KnotVectors
 
 
 def build_constraints(bases: list[BernsteinBasis], kv: KnotVectors) -> SmoothnessConstraints:
-    """Order the smoothness constraints of the degrees and smoothness recorded
-    in the knot vectors ``kv`` and read off their bands."""
-    degrees, smoothness = kv.degrees, kv.smoothness
-    m = len(degrees)
+    """Pair the Bernstein bases with the knot vectors ``kv`` that order
+    their smoothness constraints."""
+    m = len(kv.degrees)
     if len(bases) != m:
         raise ConfigError(f"need {m} Bernstein bases, got {len(bases)}")
-
-    block_start = np.concatenate([[0], np.cumsum([p + 1 for p in degrees])])
-    columns: list[tuple[int, int]] = []
-    bands: list[tuple[int, int]] = []
-    for i in range(1, m):
-        for j in range(smoothness[i] + 1):
-            columns.append((i, j))
-            bands.append((int(kv.mu[i - 1]) + degrees[i - 1] - j + 1, int(kv.sigma[i]) + 1))
-    return SmoothnessConstraints(bases, columns, bands, block_start)
+    return SmoothnessConstraints(bases, kv)
 
 
 def jump_rows(
@@ -348,15 +353,6 @@ def apply_factor(rows: np.ndarray, band: tuple[int, int], beta: np.ndarray) -> n
     return out
 
 
-def _first_rows(block_start: np.ndarray, columns: list[tuple[int, int]]) -> np.ndarray:
-    """0-based index of the first basis function active on each interval:
-    the interval's first global Bernstein index less the number of
-    constraints at the breakpoints left of it."""
-    breakpoints = [i for i, _ in columns]
-    intervals = np.arange(1, len(block_start))
-    return block_start[:-1] - np.searchsorted(breakpoints, intervals)
-
-
 @dataclass(eq=False)
 class ExtractionMatrix:
     """The extraction operator as element blocks, with the cascade that
@@ -371,25 +367,28 @@ class ExtractionMatrix:
 
     ``factors[rho]`` holds the ``hi - lo`` band coefficients of the two-band
     factor applied at step ``rho`` with band ``bands[rho]`` to the constraint
-    ``columns[rho] = (i, j)``; ``apply_factor(np.eye(n), bands[rho],
-    factors[rho])`` recovers the dense factor, where ``n = n_bernstein - rho``.
+    ``knots.columns[rho] = (i, j)``; ``apply_factor(np.eye(n), bands[rho],
+    factors[rho])`` recovers the dense factor, where ``n = knots.n_bernstein - rho``.
     """
 
     blocks: tuple[np.ndarray, ...] = field(repr=False)
     factors: list[np.ndarray] = field(repr=False)
-    columns: list[tuple[int, int]]
-    bands: list[tuple[int, int]]
-    n_basis: int
-    n_bernstein: int
+    knots: KnotVectors = field(repr=False)
+
+    @property
+    def bands(self) -> list[tuple[int, int]]:
+        """The band of each factor, in cascade order."""
+        return [self.knots.band(i, j) for i, j in self.knots.columns]
 
     @property
     def operator(self) -> np.ndarray:
         """The dense ``n_basis x n_bernstein`` operator, assembled from the
         blocks on each access, for inspection; the library reads only the
         blocks."""
-        starts = np.concatenate([[0], np.cumsum([len(b) for b in self.blocks])])
-        c = np.zeros((self.n_basis, self.n_bernstein))
-        for block, row, col in zip(self.blocks, _first_rows(starts, self.columns), starts):
+        kv = self.knots
+        c = np.zeros((kv.n_basis, kv.n_bernstein))
+        for e, block in enumerate(self.blocks, start=1):
+            row, col = kv.active_range(e)[0] - 1, kv.block_start[e - 1]
             c[row : row + len(block), col : col + len(block)] = block
         return c
 
@@ -411,10 +410,11 @@ def extraction_operator(constraints: SmoothnessConstraints) -> ExtractionMatrix:
     nonnegative entries and unit column sums and annihilates every
     constraint.
     """
-    bases, columns, bands = constraints.bases, constraints.columns, constraints.bands
-    starts = constraints.block_start.tolist()
-    first_rows = _first_rows(constraints.block_start, columns).tolist()
+    bases, kv = constraints.bases, constraints.knots
+    columns, starts = kv.columns, kv.block_start.tolist()
     m = len(bases)
+    # 0-based row of the first function active on each interval
+    first_rows = [kv.active_range(e)[0] - 1 for e in range(1, m + 1)]
     win = np.eye(starts[1])
     win_row = win_col = 0  # running row and Bernstein column of win[0, 0]
     blocks: list[np.ndarray] = []
@@ -431,7 +431,7 @@ def extraction_operator(constraints: SmoothnessConstraints) -> ExtractionMatrix:
             pair, local = bases[i - 1 : i + 1], np.subtract(starts[i - 1 : i + 2], win_col)
             while len(factors) < len(columns) and columns[len(factors)][0] == i:
                 j = columns[len(factors)][1]
-                lo, hi = bands[len(factors)]
+                lo, hi = kv.band(i, j)
                 band = (lo - win_row, hi - win_row)
                 try:
                     beta = nullspace_step(jump_rows(win, pair, local, 1, j), band)
@@ -457,10 +457,11 @@ def extraction_operator(constraints: SmoothnessConstraints) -> ExtractionMatrix:
             win = win[row - win_row :, col - win_col :]
             win_row, win_col = row, col
 
-    n_bernstein = starts[-1]
-    result = ExtractionMatrix(
-        tuple(blocks), factors, list(columns), list(bands), n_bernstein - len(factors), n_bernstein
-    )
+    if starts[-1] - len(factors) != kv.n_basis:
+        raise GTBError(
+            f"internal: dimension mismatch {starts[-1] - len(factors)} != {kv.n_basis}"
+        )
+    result = ExtractionMatrix(tuple(blocks), factors, kv)
     _validate_extraction(result)
     return result
 

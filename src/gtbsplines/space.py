@@ -3,10 +3,11 @@
 A :class:`GTSplineSpace` bundles the partition, the per-interval sections
 with their Bernstein bases, the two knot vectors, and the extraction
 operator ``C`` mapping the global Bernstein vector to the smooth basis
-``B(x) = C b(x)``.  The operator is local: on interval ``e`` only the
-``p_e + 1`` functions from ``sigma(e) - p_e`` on are nonzero, so ``C`` is
-stored only as that square block per interval (Bezier element extraction),
-as the cascade emits it.  Evaluation at a point or at an array of points is
+``B(x) = C b(x)``.  The index layout is read from the knot vectors only:
+on interval ``e`` only the ``p_e + 1`` functions ``knots.active_range(e)``
+are nonzero, so ``C`` is stored only as that square block per interval
+(Bezier element extraction), as the cascade emits it, and a knot insertion
+takes its band from ``knots.band``.  Evaluation at a point or an array is
 one product of a block with the Bernstein values of the interval, stacked
 over the points of each interval; a breakpoint jump reads the blocks of the
 two intervals that meet there.  ``GTSplineSpace.operator`` assembles the
@@ -72,17 +73,15 @@ class GTSplineSpace:
     """A spline space with pieces from per-interval section spaces.
 
     ``n_basis = n_bernstein - n_constraints`` always holds; on interval ``i``
-    (1-based) exactly the basis functions ``sigma(i) - p_i .. sigma(i)``
-    are active, and basis function ``k`` vanishes outside ``[u_k, v_k]``.
+    (1-based) exactly the basis functions ``knots.active_range(i)`` are
+    active, and basis function ``k`` vanishes outside ``[u_k, v_k]``.
     """
 
     partition: Partition
     sections: list[SectionSpace]
     bases: list[BernsteinBasis]
-    smoothness: tuple[int, ...]
     knots: KnotVectors
     extraction: ExtractionMatrix = field(repr=False)
-    block_start: np.ndarray = field(repr=False)
 
     @property
     def element_blocks(self) -> tuple[np.ndarray, ...]:
@@ -95,12 +94,16 @@ class GTSplineSpace:
         return self.knots.degrees
 
     @property
+    def smoothness(self) -> tuple[int, ...]:
+        return self.knots.smoothness
+
+    @property
     def n_basis(self) -> int:
-        return self.extraction.n_basis
+        return self.knots.n_basis
 
     @property
     def n_bernstein(self) -> int:
-        return self.extraction.n_bernstein
+        return self.knots.n_bernstein
 
     @property
     def n_constraints(self) -> int:
@@ -118,11 +121,6 @@ class GTSplineSpace:
     def supersmoothness(self, k: int) -> tuple[int, int]:
         """Exact end smoothness pair ``(r_u(k), r_v(k))`` of basis ``k`` (1-based)."""
         return supersmoothness(self.knots, self.degrees, self.smoothness, k)
-
-    def active_range(self, i: int) -> tuple[int, int]:
-        """1-based inclusive basis index range active on interval ``i``."""
-        sigma = int(self.knots.sigma[i])
-        return sigma - self.degrees[i - 1], sigma
 
 
 def _check_section_families(sections: list[SectionSpace]) -> None:
@@ -166,21 +164,8 @@ def _assemble(
 ) -> GTSplineSpace:
     _warn_maximal_joints(sections, smoothness)
     kv = build_knot_vectors(partition, [s.degree for s in sections], smoothness)
-    constraints = build_constraints(bases, kv)
-    ext = extraction_operator(constraints)
-    if ext.n_basis != kv.n_basis:
-        raise GTBError(
-            f"internal: dimension mismatch {ext.n_basis} != {kv.n_basis}"
-        )
-    return GTSplineSpace(
-        partition=partition,
-        sections=sections,
-        bases=bases,
-        smoothness=kv.smoothness,
-        knots=kv,
-        extraction=ext,
-        block_start=constraints.block_start,
-    )
+    ext = extraction_operator(build_constraints(bases, kv))
+    return GTSplineSpace(partition, sections, bases, kv, ext)
 
 
 def build_space(config: SpaceConfig) -> GTSplineSpace:
@@ -248,7 +233,7 @@ def _element_values(space: GTSplineSpace, e: int, x, max_order: int):
     interval."""
     _check_order(space, e, max_order)
     bvals = space.bases[e - 1].evaluate(x, max_order)
-    return space.active_range(e)[0] - 1, space.element_blocks[e - 1] @ bvals
+    return space.knots.active_range(e)[0] - 1, space.element_blocks[e - 1] @ bvals
 
 
 def jump_vector(space: GTSplineSpace, i: int, order: int) -> np.ndarray:
@@ -267,8 +252,8 @@ def jump_vector(space: GTSplineSpace, i: int, order: int) -> np.ndarray:
         )
     # The rows of the functions active on intervals i and i + 1 over the
     # columns of those intervals, from their element blocks.
-    lo = space.active_range(i)[0] - 1
-    first, hi = space.active_range(i + 1)
+    lo = space.knots.active_range(i)[0] - 1
+    first, hi = space.knots.active_range(i + 1)
     left, right = space.element_blocks[i - 1 : i + 1]
     width = len(left)
     c = np.zeros((hi - lo, width + len(right)))
@@ -368,15 +353,6 @@ def _refined_components(space: GTSplineSpace, x_new: float):
     )
 
 
-def _peak_point(space: GTSplineSpace, k: int, samples: int = 65) -> tuple[float, float]:
-    """The first of ``samples`` uniform points on the support of basis
-    function ``k`` (1-based) where it is largest, and its value there."""
-    xs = np.linspace(space.knots.u[k - 1], space.knots.v[k - 1], samples)
-    values = np.abs(eval_basis(space, xs)[:, k - 1, 0])
-    j = int(np.argmax(values))
-    return float(xs[j]), float(values[j])
-
-
 def insert_knot(space: GTSplineSpace, x_new: float):
     """Insert one knot, preserving every spline in the space.
 
@@ -387,12 +363,17 @@ def insert_knot(space: GTSplineSpace, x_new: float):
 
     The refined space is rebuilt from scratch and the single two-band factor
     relating the two bases, ``B_old = F B_new``, is recovered by sequential
-    value matching: with ``alpha_lo = 1`` and ``alpha_{k+1} = 1 - beta_{k+1}``
-    (column sums are one), each ``beta_{k+1}`` follows from one evaluation of
-    both bases at a peak point of the neighbor function, and the band-end
-    coefficient is then pinned to one as in the cascade.  This keeps the
-    coefficients absolutely accurate even when the underlying derivative
-    jumps at the new knot span many orders of magnitude.
+    value matching on the band ``refined.knots.band(i, r + 1)`` of the
+    smoothness order ``r + 1`` the refinement no longer enforces at its
+    breakpoint ``x_i``.  With ``alpha_lo = 1`` and
+    ``alpha_{k+1} = 1 - beta_{k+1}`` (column sums are one), each
+    ``beta_{k+1}`` follows from both bases at a peak point of the neighbor
+    function ``k + 1``: the first of 65 uniform points on its support where
+    it is largest.  One evaluation of the refined basis on all those grids
+    and one of each basis at the chosen points serve the whole band; the
+    band-end coefficient is then pinned to one as in the cascade.  This
+    keeps the coefficients absolutely accurate even when the underlying
+    derivative jumps at the new knot span many orders of magnitude.
 
     Returns
     -------
@@ -404,28 +385,39 @@ def insert_knot(space: GTSplineSpace, x_new: float):
         Every row sums to one.  The map is the only array of its size the
         call allocates.
     """
-    partition, sections, bases, smoothness, i, _order = _refined_components(space, x_new)
+    partition, sections, bases, smoothness, i, order = _refined_components(space, x_new)
     refined = _assemble(partition, sections, bases, smoothness)
 
-    lo = int(refined.knots.mu[i])
-    hi = int(refined.knots.sigma[i]) + 1
+    lo, hi = refined.knots.band(i, order)
     n = refined.n_basis
     if not (1 <= lo < hi <= n):
         raise GTBError(f"internal: invalid insertion band [{lo}, {hi}] for length {n}")
 
-    beta = np.empty(hi - lo)
-    alpha = 1.0
-    for k in range(lo, hi):  # band rows; beta_{k+1} via the neighbor's peak
-        x_star, peak = _peak_point(refined, k + 1)
-        if peak < 1e-6:
+    # Row r of the band pairs old function k = lo + r with its refined
+    # neighbor k + 1 (0-based index k), matched at that neighbor's peak.
+    neighbors = np.arange(lo, hi)
+    rows = np.arange(hi - lo)
+    samples = 65
+    grids = np.linspace(refined.knots.u[neighbors], refined.knots.v[neighbors], samples, axis=1)
+    # each grid point's value of the neighbor whose support the grid spans
+    scan = eval_basis(refined, grids.ravel())[np.arange(grids.size), neighbors.repeat(samples), 0]
+    values = np.abs(scan.reshape(grids.shape))
+    at = values.argmax(axis=1)
+    for r in rows:
+        if values[r, at[r]] < 1e-6:
             raise GTBError(
-                f"refined basis function {k + 1} is numerically negligible; "
+                f"refined basis function {neighbors[r] + 1} is numerically negligible; "
                 "cannot extract the insertion factor"
             )
-        b_old = float(eval_basis(space, x_star)[k - 1, 0])
-        refined_pair = eval_basis(refined, x_star)[k - 1 : k + 1, 0]
-        beta[k - lo] = (b_old - alpha * refined_pair[0]) / refined_pair[1]
-        alpha = 1.0 - beta[k - lo]
+    x_star = grids[rows, at]
+    b_old = eval_basis(space, x_star)[rows, neighbors - 1, 0]
+    b_new = eval_basis(refined, x_star)[:, :, 0]
+
+    beta = np.empty(hi - lo)
+    alpha = 1.0
+    for r, k in enumerate(neighbors):
+        beta[r] = (b_old[r] - alpha * b_new[r, k - 1]) / b_new[r, k]
+        alpha = 1.0 - beta[r]
     pin_band_end(beta)
     # The transpose of the (n-1) x n two-band factor F: unit entries outside
     # the band, the band's own factor inside it.

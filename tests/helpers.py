@@ -1,6 +1,7 @@
 """Shared test utilities: finite differences, random space configs,
 classical polynomial oracles (Boehm insertion, per-element extraction), the
-extraction cascade on the dense running operator, the Bernstein
+extraction cascade on the dense running operator, knot insertion by value
+matching one band function at a time, the Bernstein
 construction by one Hermite solve per function, and the span tables, pairs
 and weights evaluated point by point with ``math``."""
 
@@ -23,7 +24,9 @@ from gtbsplines import (
     SectionSpace,
     SpaceConfig,
     TrigonometricFamily,
+    GTBError,
     apply_factor,
+    eval_basis,
     jump_rows,
     nullspace_step,
 )
@@ -124,7 +127,7 @@ def classical_element_extraction(space, cdb_basis_at):
             for j in range(p + 1):
                 bern[j, col] = math.comb(p, j) * t**j * (1 - t) ** (p - j)
         nvals = np.array([cdb_basis_at(float(x)) for x in ts]).T
-        block = slice(space.block_start[e], space.block_start[e + 1])
+        block = slice(space.knots.block_start[e], space.knots.block_start[e + 1])
         c[:, block] = np.linalg.solve(bern.T, nvals.T).T
     return c
 
@@ -136,13 +139,57 @@ def dense_cascade(constraints):
     and columns.  Returns ``(operator, factors)``; the windowed production
     cascade must give the same numbers bit for bit.
     """
-    c = np.eye(constraints.n_bernstein)
+    kv = constraints.knots
+    c = np.eye(kv.n_bernstein)
     factors = []
-    for (i, j), band in zip(constraints.columns, constraints.bands):
-        beta = nullspace_step(jump_rows(c, constraints.bases, constraints.block_start, i, j), band)
+    for i, j in kv.columns:
+        band = kv.band(i, j)
+        beta = nullspace_step(jump_rows(c, constraints.bases, kv.block_start, i, j), band)
         factors.append(beta)
         c = apply_factor(c, band, beta)
     return c, factors
+
+
+def _peak_point(space, k: int, samples: int = 65) -> tuple[float, float]:
+    """The first of ``samples`` uniform points on the support of basis
+    function ``k`` (1-based) where it is largest, and its value there."""
+    xs = np.linspace(space.knots.u[k - 1], space.knots.v[k - 1], samples)
+    values = np.abs(eval_basis(space, xs)[:, k - 1, 0])
+    j = int(np.argmax(values))
+    return float(xs[j]), float(values[j])
+
+
+def reference_transfer(space, refined, i: int) -> np.ndarray:
+    """Reference knot-insertion map by value matching, one band function at
+    a time: a peak search and one scalar evaluation of each basis per
+    function.  ``refined`` is the refinement of ``space`` at its breakpoint
+    ``x_i``; the band is the support ``mu[i] .. sigma[i] + 1`` of the
+    refined jumps of order ``r_i + 1`` at ``x_i``.  The production
+    ``insert_knot`` must give the same map bit for bit."""
+    lo = int(refined.knots.mu[i])
+    hi = int(refined.knots.sigma[i]) + 1
+    n = refined.n_basis
+    beta = np.empty(hi - lo)
+    alpha = 1.0
+    for k in range(lo, hi):
+        x_star, peak = _peak_point(refined, k + 1)
+        if peak < 1e-6:
+            raise GTBError(
+                f"refined basis function {k + 1} is numerically negligible; "
+                "cannot extract the insertion factor"
+            )
+        b_old = float(eval_basis(space, x_star)[k - 1, 0])
+        refined_pair = eval_basis(refined, x_star)[k - 1 : k + 1, 0]
+        beta[k - lo] = (b_old - alpha * refined_pair[0]) / refined_pair[1]
+        alpha = 1.0 - beta[k - lo]
+    beta[-1] = 1.0
+    transfer = np.zeros((n, n - 1))
+    transfer[: lo - 1, : lo - 1] = np.eye(lo - 1)
+    transfer[hi:, hi - 1 :] = np.eye(n - hi)
+    transfer[lo - 1 : hi, lo - 1 : hi - 1] = apply_factor(
+        np.eye(hi - lo + 1), (1, hi - lo + 1), beta
+    ).T
+    return transfer
 
 
 def uniform_cubic_config(n_intervals: int) -> SpaceConfig:

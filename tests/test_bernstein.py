@@ -109,6 +109,28 @@ class TestHermiteConstruction:
         _assert_same_warnings(list(stacked)[: len(sequential)], sequential)
 
 
+class TestDegreeRange:
+    def test_overflowing_degree_raises_before_lapack(self, monkeypatch):
+        # From p = 171 on the factorials of the span tables overflow; the
+        # build must stop before LAPACK sees the NaN entries.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("LAPACK reached with non-finite tables")
+
+        monkeypatch.setattr(np.linalg, "cond", unreachable)
+        monkeypatch.setattr(np.linalg, "solve", unreachable)
+        for degree in (171, 200):
+            with pytest.raises(EctViolationError, match=f"degree={degree}"):
+                build_bernstein(SectionSpace(0.0, 1.0, PolynomialFamily(degree)))
+
+    def test_failed_condition_check_names_section(self, monkeypatch):
+        def diverging(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "cond", diverging)
+        with pytest.raises(EctViolationError, match=r"PolynomialFamily\(degree=3\)"):
+            build_bernstein(SectionSpace(0.0, 1.0, PolynomialFamily(3)))
+
+
 def _assert_same_warnings(got, want):
     """Conditioning warnings for the same ``b_j`` in the same order, with
     condition numbers within 1e-8 relative."""

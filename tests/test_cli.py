@@ -53,6 +53,20 @@ class TestBuild:
         err = capsys.readouterr().err
         assert "x_1" in err
 
+    def test_overflowing_degree_is_one_error_line(self, tmp_path, capfd):
+        cfg = {
+            "breakpoints": [0.0, 1.0],
+            "sections": [{"family": "polynomial", "degree": 200}],
+            "smoothness": [],
+        }
+        path = tmp_path / "p200.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["build", str(path), str(tmp_path / "x.txt")]) == 1
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "degree=200" in err
+
     def test_single_patch_reports_identity(self, tmp_path):
         cfg = {
             "breakpoints": [0.0, 1.0],

@@ -52,6 +52,18 @@ class TestKnotVectors:
         assert list(kv.sigma) == [0, 3, 4, 6]
         assert list(kv.mu) == [0, 0, 1, 6]
 
+    def test_demo_layout(self):
+        kv = build_knot_vectors(DEMO_PARTITION, DEMO_DEGREES, DEMO_SMOOTHNESS)
+        assert list(kv.block_start) == [0, 3, 7, 12]
+        assert kv.n_bernstein == 12
+        assert [kv.active_range(e) for e in (1, 2, 3)] == [(1, 3), (1, 4), (2, 6)]
+        assert kv.columns == [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
+        assert [kv.band(i, j) for i, j in kv.columns] == [
+            (3, 4), (2, 4), (1, 4), (4, 5), (3, 5), (2, 5)
+        ]
+        # one order past the smoothness at x_2: the jump the space keeps
+        assert kv.band(2, 3) == (int(kv.mu[2]), int(kv.sigma[2]) + 1) == (1, 5)
+
     def test_single_patch(self):
         kv = build_knot_vectors(Partition((0.0, 1.0)), (2,), (-1, -1))
         assert np.array_equal(kv.u, [0.0, 0.0, 0.0])
@@ -131,10 +143,10 @@ def _demo_constraints():
 def _jump_columns(constraints):
     """The jumps of every global Bernstein function, one column per
     constraint."""
-    eye = np.eye(constraints.n_bernstein)
+    eye = np.eye(constraints.knots.n_bernstein)
     columns = [
-        jump_rows(eye, constraints.bases, constraints.block_start, i, j)
-        for i, j in constraints.columns
+        jump_rows(eye, constraints.bases, constraints.knots.block_start, i, j)
+        for i, j in constraints.knots.columns
     ]
     return np.array(columns).reshape(-1, eye.shape[0]).T
 
@@ -168,7 +180,7 @@ class TestConstraints:
 
     def test_band_layout(self):
         constraints = _demo_constraints()
-        bands = dict(zip(constraints.columns, constraints.bands))
+        bands = {(i, j): constraints.knots.band(i, j) for i, j in constraints.knots.columns}
         assert bands[(1, 0)] == (3, 4)
         assert bands[(1, 2)] == (1, 4)
         assert bands[(2, 0)] == (4, 5)
@@ -262,15 +274,28 @@ class TestExtractionOperator:
             constraints = build_constraints(space.bases, space.knots)
             residual = np.array(
                 [
-                    jump_rows(space.operator, space.bases, space.block_start, i, j)
-                    for i, j in constraints.columns
+                    jump_rows(space.operator, space.bases, space.knots.block_start, i, j)
+                    for i, j in constraints.knots.columns
                 ]
             )
             if residual.size:
                 assert np.max(np.abs(residual)) <= 1e-11 * max(
                     1.0, np.max(np.abs(_jump_columns(constraints)))
                 ), f"constraint residual too large for {cfg}"
-            assert a.n_basis == space.n_bernstein - len(a.factors)
+            assert a.knots.n_basis == space.n_bernstein - len(a.factors)
+
+    def test_bands_are_the_jump_supports(self, rng):
+        # Each band read off the knot vectors is exactly where the jump of
+        # the reference cascade's running operator is nonzero.
+        for _ in range(40):
+            space = build_space(random_config(rng))
+            kv = space.knots
+            c = np.eye(kv.n_bernstein)
+            for (i, j), beta in zip(kv.columns, space.extraction.factors):
+                a = np.abs(jump_rows(c, space.bases, kv.block_start, i, j))
+                support = np.flatnonzero(a > 1e-10 * a.max()) + 1
+                assert (support[0], support[-1]) == kv.band(i, j)
+                c = apply_factor(c, kv.band(i, j), beta)
 
     def test_factors_store_band_coefficients_only(self, mixed_space, rng):
         spaces = [mixed_space] + [build_space(random_config(rng)) for _ in range(12)]
@@ -311,13 +336,13 @@ class TestExtractionOperator:
         running = np.eye(space.n_bernstein)
         for beta, (i, j), (lo, hi) in zip(
             space.extraction.factors,
-            space.extraction.columns,
+            space.knots.columns,
             space.extraction.bands,
         ):
             factor = apply_factor(np.eye(running.shape[0]), (lo, hi), beta)
             g = np.zeros(space.n_bernstein)
-            bl = slice(space.block_start[i - 1], space.block_start[i])
-            br = slice(space.block_start[i], space.block_start[i + 1])
+            bl = slice(space.knots.block_start[i - 1], space.knots.block_start[i])
+            br = slice(space.knots.block_start[i], space.knots.block_start[i + 1])
             g[bl] = space.bases[i - 1].right_table[:, j]
             g[br] -= space.bases[i].left_table[:, j]
             jumps = running @ g
@@ -372,9 +397,9 @@ class TestExtractionOperator:
             assert len(ext.factors) == len(factors)
             for beta, expected in zip(ext.factors, factors):
                 assert np.array_equal(beta, expected)
-            starts = space.block_start
+            starts = space.knots.block_start
             for e, block in enumerate(space.element_blocks, start=1):
-                lo, hi = space.active_range(e)
+                lo, hi = space.knots.active_range(e)
                 assert np.array_equal(block, dense[lo - 1 : hi, starts[e - 1] : starts[e]])
             # nothing of the dense operator lies outside the blocks
             assert np.array_equal(ext.operator, dense)

@@ -5,11 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import gtbsplines.space as space_module
 from gtbsplines import (
     AdmissibilityWarning,
     DomainError,
     ExponentialFamily,
     ExtractionMatrix,
+    GTBError,
     InsertionError,
     OrderError,
     PolynomialFamily,
@@ -28,7 +30,13 @@ from gtbsplines.cli import main
 from gtbsplines.config import mixed_family_demo_config
 from gtbsplines.oracle import cox_de_boor_basis, cox_de_boor_knots
 
-from helpers import boehm_insert, central_diff, random_config, uniform_cubic_config
+from helpers import (
+    boehm_insert,
+    central_diff,
+    random_config,
+    reference_transfer,
+    uniform_cubic_config,
+)
 
 
 def custom_pair_space():
@@ -202,10 +210,10 @@ class TestEvalBasis:
         # On each interval the active functions must span the full section:
         # their Bernstein coordinate block has full rank.
         for i in range(1, mixed_space.partition.num_intervals + 1):
-            k_lo, k_hi = mixed_space.active_range(i)
+            k_lo, k_hi = mixed_space.knots.active_range(i)
             block = mixed_space.operator[
                 k_lo - 1 : k_hi,
-                mixed_space.block_start[i - 1] : mixed_space.block_start[i],
+                mixed_space.knots.block_start[i - 1] : mixed_space.knots.block_start[i],
             ]
             assert block.shape[0] == block.shape[1]
             assert np.linalg.matrix_rank(block) == block.shape[0]
@@ -327,7 +335,7 @@ class TestCurve:
         curve = SplineCurve(mixed_space, control)
         for x in rng.uniform(*mixed_space.domain, 50):
             i = mixed_space.partition.locate(float(x))
-            k_lo, k_hi = mixed_space.active_range(i)
+            k_lo, k_hi = mixed_space.knots.active_range(i)
             active = control[k_lo - 1 : k_hi]
             pt = curve(float(x))
             assert np.all(pt >= active.min(axis=0) - 1e-12)
@@ -439,6 +447,55 @@ class TestInsertKnot:
                 fine = curve.insert_knot(x_new)
                 for x in np.linspace(a, b, 120):
                     assert np.max(np.abs(curve(float(x)) - fine(float(x)))) <= 1e-11
+
+    def test_maps_equal_reference_value_matching(self):
+        # Every interior breakpoint and interval midpoint: the band read off
+        # the refined knot vectors is the support of the jumps the
+        # refinement no longer enforces, and the map equals the one-function-
+        # at-a-time reference bit for bit.
+        rng = np.random.default_rng(777)
+        for _ in range(60):
+            space = build_space(random_config(rng))
+            bp = space.partition.breakpoints
+            targets = [x for i, x in enumerate(bp[1:-1], 1) if space.smoothness[i] >= 0]
+            targets += [0.5 * (x + y) for x, y in zip(bp, bp[1:])]
+            for x_new in targets:
+                refined, transfer = insert_knot(space, x_new)
+                i = refined.partition.breakpoints.index(x_new)
+                kv = refined.knots
+                band = kv.band(i, refined.smoothness[i] + 1)
+                assert band == (int(kv.mu[i]), int(kv.sigma[i]) + 1)
+                assert np.array_equal(transfer, reference_transfer(space, refined, i))
+
+    def test_three_evaluations_per_insertion(self, mixed_space, monkeypatch):
+        calls = []
+        counted = space_module.eval_basis
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(space_module, "eval_basis", counting)
+        for x_new in (1.0, 1.7, 4.0):  # a breakpoint, a trig and an exp split
+            calls.clear()
+            insert_knot(mixed_space, x_new)
+            assert len(calls) <= 3
+
+    def test_negligible_neighbor_is_named(self, mixed_space, monkeypatch):
+        refined, _ = insert_knot(mixed_space, 1.0)
+        lo, hi = refined.knots.band(1, refined.smoothness[1] + 1)
+        assert hi - lo >= 2
+        real = space_module.eval_basis
+
+        def faint(space, x, max_order=0):
+            out = real(space, x, max_order)
+            if space.n_basis == refined.n_basis:
+                out[..., lo + 1 :, :] *= 1e-9  # functions lo + 2 .. N
+            return out
+
+        monkeypatch.setattr(space_module, "eval_basis", faint)
+        with pytest.raises(GTBError, match=f"refined basis function {lo + 2} is numerically"):
+            insert_knot(mixed_space, 1.0)
 
     def test_precondition_errors(self, mixed_space, profile_space):
         with pytest.raises(InsertionError):
