@@ -42,7 +42,6 @@ from .extraction import (
     extraction_operator,
     jump_rows,
     nullspace_step,
-    supersmoothness,
 )
 from .sections import (
     ExponentialFamily,
@@ -106,7 +105,6 @@ __all__ = [
     "jump_vector",
     "mixed_family_demo_config",
     "nullspace_step",
-    "supersmoothness",
     "unit_integral_scaling",
     "validate_ect",
 ]

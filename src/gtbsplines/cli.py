@@ -60,7 +60,7 @@ def _space_summary(space) -> str:
         "k u_k v_k r_u r_v",
     ]
     for k in range(1, space.n_basis + 1):
-        r_u, r_v = space.supersmoothness(k)
+        r_u, r_v = kv.supersmoothness(k)
         lines.append(f"{k} {_fmt(kv.u[k - 1])} {_fmt(kv.v[k - 1])} {r_u} {r_v}")
     if space.n_constraints == 0:
         lines.append("extraction identity")
@@ -227,11 +227,8 @@ def cmd_verify(args) -> int:
         probe = probe[::2]
         ours = eval_basis(space, probe)[:, :, 0]
         ref = np.array(
-            [
-                [local_recurrence_eval(space, k, float(x)) for k in range(1, space.n_basis + 1)]
-                for x in probe
-            ]
-        )
+            [local_recurrence_eval(space, k, probe) for k in range(1, space.n_basis + 1)]
+        ).T
         err = float(np.max(np.abs(ours - ref)))
         ok &= _check("oracle-integral-recurrence", err <= 1e-7, f"max dev {err:.3g}")
 

@@ -24,7 +24,10 @@ knot-insertion map is a single factor of the same form.  The knot vectors
 own the index layout, as in classical spline codes: :class:`KnotVectors`
 gives each interval's Bernstein block and active rows, the order of the
 constraints and the band of each one (:meth:`KnotVectors.band`), which
-the cascade, the element blocks, evaluation and knot insertion all read.
+the cascade, the element blocks, evaluation and knot insertion all read,
+and the exact end smoothness of each function
+(:meth:`KnotVectors.supersmoothness`), all from its running multiplicity
+sums.
 No entry of a jump is tested against zero to find its band; out-of-band
 entries are only ever rounding noise and are checked against a relative
 tolerance.
@@ -44,7 +47,6 @@ from .sections import Partition
 __all__ = [
     "KnotVectors",
     "build_knot_vectors",
-    "supersmoothness",
     "SmoothnessConstraints",
     "build_constraints",
     "jump_rows",
@@ -86,11 +88,13 @@ class KnotVectors:
 
     ``u[k]`` and ``v[k]`` (0-based here) are the endpoints of the support of
     basis function ``k``; together they generalize the classical open knot
-    vector.  ``u_index``/``v_index`` store the breakpoint index of each knot,
-    so multiplicity counting never compares floats.  ``sigma``/``mu`` are the
-    running multiplicity sums
+    vector.  ``sigma``/``mu`` are the running multiplicity sums
 
-    ``sigma[i] = sum_{j<i} (p_{j+1} - r_j)``,  ``mu[i] = sum_{j<=i} (p_j - r_j)``.
+    ``sigma[i] = sum_{j<i} (p_{j+1} - r_j)``,  ``mu[i] = sum_{j<=i} (p_j - r_j)``,
+
+    so ``u`` holds ``x_i`` at the 0-based positions ``sigma[i] ..
+    sigma[i + 1] - 1`` and ``v`` holds ``x_j`` at ``mu[j - 1] .. mu[j] - 1``;
+    every multiplicity is read from them, never by comparing floats.
 
     Global Bernstein functions ``block_start[e - 1] .. block_start[e] - 1``
     (0-based) belong to interval ``e``.
@@ -98,8 +102,6 @@ class KnotVectors:
 
     u: np.ndarray
     v: np.ndarray
-    u_index: np.ndarray
-    v_index: np.ndarray
     sigma: np.ndarray
     mu: np.ndarray
     degrees: tuple[int, ...]
@@ -136,6 +138,29 @@ class KnotVectors:
         m = len(self.degrees)
         return [(i, j) for i in range(1, m) for j in range(self.smoothness[i] + 1)]
 
+    def supersmoothness(self, k: int) -> tuple[int, int]:
+        """Exact smoothness orders ``(r_u(k), r_v(k))`` of basis function
+        ``k`` (1-based) at the two ends of its support.
+
+        With ``u_k = x_i`` and ``v_k = x_j``,
+
+        ``r_u(k) = p_{i+1} - 1 - max{l >= 0 : u_k = u_{k+l}}`` and
+        ``r_v(k) = p_j - 1 - max{l >= 0 : v_k = v_{k-l}}``,
+
+        where the runs of equal knots end at ``sigma[i + 1]`` and start at
+        ``mu[j - 1]``.  These can exceed the smoothness the space requires at
+        that breakpoint.
+        """
+        n = self.n_basis
+        if not (1 <= k <= n):
+            raise ConfigError(f"basis index {k} outside [1, {n}]")
+        k0 = k - 1
+        i = int(np.searchsorted(self.sigma, k0, "right")) - 1
+        j = int(np.searchsorted(self.mu, k0, "right"))
+        r_u = self.degrees[i] - int(self.sigma[i + 1]) + k0
+        r_v = self.degrees[j - 1] - 1 - (k0 - int(self.mu[j - 1]))
+        return r_u, r_v
+
 
 def build_knot_vectors(partition: Partition, degrees, smoothness) -> KnotVectors:
     """Build the two knot vectors of a spline space.
@@ -160,36 +185,20 @@ def build_knot_vectors(partition: Partition, degrees, smoothness) -> KnotVectors
         raise ConfigError(f"need {m} degrees, got {len(degrees)}")
     validate_smoothness(degrees, smoothness, partition.breakpoints)
 
-    bp = partition.breakpoints
-    u_vals, u_idx = [], []
-    for i in range(m):
-        mult = degrees[i] - smoothness[i]
-        u_vals.extend([bp[i]] * mult)
-        u_idx.extend([i] * mult)
-    v_vals, v_idx = [], []
-    for i in range(1, m + 1):
-        mult = degrees[i - 1] - smoothness[i]
-        v_vals.extend([bp[i]] * mult)
-        v_idx.extend([i] * mult)
-
-    sigma = np.zeros(m + 1, dtype=int)
-    mu = np.zeros(m + 1, dtype=int)
-    for i in range(1, m + 1):
-        sigma[i] = sigma[i - 1] + degrees[i - 1] - smoothness[i - 1]
-        mu[i] = mu[i - 1] + degrees[i - 1] - smoothness[i]
-
+    # multiplicities p_{i+1} - r_i of x_i in u and p_i - r_i of x_i in v
+    sigma = np.cumsum([0] + [p - r for p, r in zip(degrees, smoothness[:-1])])
+    mu = np.cumsum([0] + [p - r for p, r in zip(degrees, smoothness[1:])])
+    bp = np.array(partition.breakpoints)
     kv = KnotVectors(
-        u=np.array(u_vals),
-        v=np.array(v_vals),
-        u_index=np.array(u_idx, dtype=int),
-        v_index=np.array(v_idx, dtype=int),
+        u=np.repeat(bp[:-1], np.diff(sigma)),
+        v=np.repeat(bp[1:], np.diff(mu)),
         sigma=sigma,
         mu=mu,
         degrees=degrees,
         smoothness=smoothness,
         block_start=np.concatenate([[0], np.cumsum([p + 1 for p in degrees])]),
     )
-    if len(u_vals) != len(v_vals):
+    if len(kv.u) != len(kv.v):
         raise GTBError("internal: knot vectors of unequal length")
     # u_k <= v_{k-1} and u_k < v_k for all k
     if not np.all(kv.u < kv.v):
@@ -197,35 +206,6 @@ def build_knot_vectors(partition: Partition, degrees, smoothness) -> KnotVectors
     if not np.all(kv.u[1:] <= kv.v[:-1]):
         raise GTBError("internal: knot vector ordering violated (u_k <= v_{k-1})")
     return kv
-
-
-def supersmoothness(kv: KnotVectors, degrees, smoothness, k: int) -> tuple[int, int]:
-    """Exact smoothness orders of basis function ``k`` (1-based) at the two
-    ends of its support.
-
-    With ``u_k = x_i`` and ``v_k = x_j``,
-
-    ``r_u(k) = p_{i+1} - 1 - max{l >= 0 : u_k = u_{k+l}}`` and
-    ``r_v(k) = p_j - 1 - max{l >= 0 : v_k = v_{k-l}}``.
-
-    These can exceed the smoothness the space requires at that breakpoint.
-    """
-    n = kv.n_basis
-    if not (1 <= k <= n):
-        raise ConfigError(f"basis index {k} outside [1, {n}]")
-    k0 = k - 1
-    i = kv.u_index[k0]
-    run = 0
-    while k0 + run + 1 < n and kv.u_index[k0 + run + 1] == i:
-        run += 1
-    r_u = degrees[i] - 1 - run
-
-    j = kv.v_index[k0]
-    run = 0
-    while k0 - run - 1 >= 0 and kv.v_index[k0 - run - 1] == j:
-        run += 1
-    r_v = degrees[j - 1] - 1 - run
-    return int(r_u), int(r_v)
 
 
 @dataclass(eq=False)

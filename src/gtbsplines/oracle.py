@@ -161,19 +161,19 @@ class RecurrenceEvaluator:
         self.n_basis = space.n_basis
         bp = space.partition.breakpoints
         self.elements = [
-            _Element(bp[e], bp[e + 1], _section_nodes(space.sections[e]))
-            for e in range(len(bp) - 1)
+            _Element(bp[e], bp[e + 1], _section_nodes(basis.section))
+            for e, basis in enumerate(space.bases)
         ]
         self.u = space.knots.u
         self.v = space.knots.v
         # Weights w_0 .. w_p of each section on its element's nodes.
         self._weights: list[np.ndarray] = []
-        for section, elem in zip(space.sections, self.elements):
+        for basis, elem in zip(space.bases, self.elements):
             try:
-                self._weights.append(weight_system(section, elem.nodes))
+                self._weights.append(weight_system(basis.section, elem.nodes))
             except Exception as exc:
                 raise OracleUnsupportedError(
-                    f"no computable weight ladder for {section!r}: {exc}"
+                    f"no computable weight ladder for {basis.section!r}: {exc}"
                 ) from exc
         self.levels: list[dict[int, _LevelFunction]] = []
         self._build()
@@ -253,21 +253,31 @@ class RecurrenceEvaluator:
         """Masses of the level-``q`` intermediate functions."""
         return {k: fn.total for k, fn in self.levels[q].items()}
 
-    def evaluate(self, k: int, x: float, level: int | None = None) -> float:
-        """Value of intermediate function ``k`` at ``x`` (top level by default)."""
+    def evaluate(self, k: int, x, level: int | None = None):
+        """Value of intermediate function ``k`` at ``x`` (top level by default).
+
+        A scalar ``x`` gives a float, a 1-D array of points the array of
+        their values.  The points are located once, and only those on an
+        element where the function has a piece are summed, each on its own:
+        a Clenshaw step on the one or two points an element holds costs
+        several times a step on a scalar.
+        """
         q = self.p_max if level is None else level
         fn = self.levels[q].get(k)
-        if fn is None:
-            return 0.0
-        e = self.space.partition.locate(x) - 1
-        coef = fn.pieces[e]
-        if coef is None:
-            return 0.0
-        return float(_cheb.chebval(self.elements[e].to_t(x), coef))
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        out = np.zeros(len(xs))
+        if fn is not None:
+            elems = self.space.partition.locate(xs) - 1
+            for at, e in enumerate(elems.tolist()):
+                coef = fn.pieces[e]
+                if coef is not None:
+                    out[at] = _cheb.chebval(self.elements[e].to_t(xs[at]), coef)
+        return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def local_recurrence_eval(space: GTSplineSpace, k: int, x: float) -> float:
-    """Basis value by the per-element integral recurrence (test oracle)."""
+def local_recurrence_eval(space: GTSplineSpace, k: int, x):
+    """Basis value by the per-element integral recurrence (test oracle), at
+    a point or a 1-D array of points."""
     return _evaluator(space, "local").evaluate(k, x)
 
 

@@ -1,9 +1,10 @@
 """Assembled spline spaces: evaluation, curves, knot insertion, scaling.
 
-A :class:`GTSplineSpace` bundles the partition, the per-interval sections
-with their Bernstein bases, the two knot vectors, and the extraction
+A :class:`GTSplineSpace` bundles the partition, the per-interval Bernstein
+bases (each holding its section), the two knot vectors, and the extraction
 operator ``C`` mapping the global Bernstein vector to the smooth basis
-``B(x) = C b(x)``.  The index layout is read from the knot vectors only:
+``B(x) = C b(x)``; a space is assembled from its partition, bases and
+smoothness alone.  The index layout is read from the knot vectors only:
 on interval ``e`` only the ``p_e + 1`` functions ``knots.active_range(e)``
 are nonzero, so ``C`` is stored only as that square block per interval
 (Bezier element extraction), as the cascade emits it, and a knot insertion
@@ -43,7 +44,6 @@ from .extraction import (
     extraction_operator,
     jump_rows,
     pin_band_end,
-    supersmoothness,
 )
 from .quadrature import section_rule
 from .sections import (
@@ -75,10 +75,11 @@ class GTSplineSpace:
     ``n_basis = n_bernstein - n_constraints`` always holds; on interval ``i``
     (1-based) exactly the basis functions ``knots.active_range(i)`` are
     active, and basis function ``k`` vanishes outside ``[u_k, v_k]``.
+    ``bases[i - 1].section`` is the section of interval ``i``, and
+    ``knots.supersmoothness(k)`` the exact end smoothness of function ``k``.
     """
 
     partition: Partition
-    sections: list[SectionSpace]
     bases: list[BernsteinBasis]
     knots: KnotVectors
     extraction: ExtractionMatrix = field(repr=False)
@@ -118,10 +119,6 @@ class GTSplineSpace:
     def domain(self) -> tuple[float, float]:
         return self.partition.a, self.partition.b
 
-    def supersmoothness(self, k: int) -> tuple[int, int]:
-        """Exact end smoothness pair ``(r_u(k), r_v(k))`` of basis ``k`` (1-based)."""
-        return supersmoothness(self.knots, self.degrees, self.smoothness, k)
-
 
 def _check_section_families(sections: list[SectionSpace]) -> None:
     for s in sections:
@@ -136,11 +133,11 @@ def _check_section_families(sections: list[SectionSpace]) -> None:
             validate_ect(s)
 
 
-def _warn_maximal_joints(sections, smoothness) -> None:
+def _warn_maximal_joints(bases, smoothness) -> None:
     # Existence of the smooth basis is guaranteed only below the maximal
     # order, except for polynomial-polynomial joints.
-    for i in range(1, len(sections)):
-        left, right = sections[i - 1], sections[i]
+    for i in range(1, len(bases)):
+        left, right = bases[i - 1].section, bases[i].section
         if smoothness[i] < min(left.degree, right.degree):
             continue
         if isinstance(left.family, PolynomialFamily) and isinstance(
@@ -156,16 +153,11 @@ def _warn_maximal_joints(sections, smoothness) -> None:
         )
 
 
-def _assemble(
-    partition: Partition,
-    sections: list[SectionSpace],
-    bases: list[BernsteinBasis],
-    smoothness,
-) -> GTSplineSpace:
-    _warn_maximal_joints(sections, smoothness)
-    kv = build_knot_vectors(partition, [s.degree for s in sections], smoothness)
+def _assemble(partition: Partition, bases: list[BernsteinBasis], smoothness) -> GTSplineSpace:
+    _warn_maximal_joints(bases, smoothness)
+    kv = build_knot_vectors(partition, [b.degree for b in bases], smoothness)
     ext = extraction_operator(build_constraints(bases, kv))
-    return GTSplineSpace(partition, sections, bases, kv, ext)
+    return GTSplineSpace(partition, bases, kv, ext)
 
 
 def build_space(config: SpaceConfig) -> GTSplineSpace:
@@ -186,7 +178,7 @@ def build_space(config: SpaceConfig) -> GTSplineSpace:
     ]
     _check_section_families(sections)
     bases = [build_bernstein(s) for s in sections]
-    return _assemble(partition, sections, bases, config.full_smoothness)
+    return _assemble(partition, bases, config.full_smoothness)
 
 
 def eval_basis(space: GTSplineSpace, x, max_order: int = 0) -> np.ndarray:
@@ -304,8 +296,8 @@ def eval_curve(curve: SplineCurve, x, order: int = 0) -> np.ndarray:
 
 
 def _refined_components(space: GTSplineSpace, x_new: float):
-    """Partition/sections/bases/smoothness of the one-knot refinement,
-    plus the refined breakpoint index and the constraint order removed."""
+    """Partition/bases/smoothness of the one-knot refinement, plus the
+    refined breakpoint index and the constraint order removed."""
     a, b = space.domain
     if not (a < x_new < b):
         raise InsertionError(f"insertion point {x_new!r} outside ({a}, {b})")
@@ -322,35 +314,19 @@ def _refined_components(space: GTSplineSpace, x_new: float):
             )
         smooth = list(space.smoothness)
         smooth[i] = r_i - 1
-        return (
-            space.partition,
-            list(space.sections),
-            list(space.bases),
-            tuple(smooth),
-            i,
-            r_i,
-        )
+        return space.partition, list(space.bases), tuple(smooth), i, r_i
 
     e = space.partition.locate(x_new)  # 1-based interval containing x_new
-    section = space.sections[e - 1]
+    section = space.bases[e - 1].section
     left = section.restricted(section.x_lo, x_new)
     right = section.restricted(x_new, section.x_hi)
-    sections = list(space.sections)
-    sections[e - 1 : e] = [left, right]
     bases = list(space.bases)
     bases[e - 1 : e] = [build_bernstein(left), build_bernstein(right)]
     new_bp = list(bp)
     new_bp.insert(e, x_new)
     smooth = list(space.smoothness)
     smooth.insert(e, section.degree - 1)
-    return (
-        Partition(tuple(new_bp)),
-        sections,
-        bases,
-        tuple(smooth),
-        e,
-        section.degree,
-    )
+    return Partition(tuple(new_bp)), bases, tuple(smooth), e, section.degree
 
 
 def insert_knot(space: GTSplineSpace, x_new: float):
@@ -369,8 +345,9 @@ def insert_knot(space: GTSplineSpace, x_new: float):
     ``alpha_{k+1} = 1 - beta_{k+1}`` (column sums are one), each
     ``beta_{k+1}`` follows from both bases at a peak point of the neighbor
     function ``k + 1``: the first of 65 uniform points on its support where
-    it is largest.  One evaluation of the refined basis on all those grids
-    and one of each basis at the chosen points serve the whole band; the
+    it is largest.  Two evaluations serve the whole band: one of the refined
+    basis on all those grids, whose table also gives the refined values at
+    the chosen points, and one of the original basis at those points; the
     band-end coefficient is then pinned to one as in the cascade.  This
     keeps the coefficients absolutely accurate even when the underlying
     derivative jumps at the new knot span many orders of magnitude.
@@ -385,8 +362,8 @@ def insert_knot(space: GTSplineSpace, x_new: float):
         Every row sums to one.  The map is the only array of its size the
         call allocates.
     """
-    partition, sections, bases, smoothness, i, order = _refined_components(space, x_new)
-    refined = _assemble(partition, sections, bases, smoothness)
+    partition, bases, smoothness, i, order = _refined_components(space, x_new)
+    refined = _assemble(partition, bases, smoothness)
 
     lo, hi = refined.knots.band(i, order)
     n = refined.n_basis
@@ -399,9 +376,9 @@ def insert_knot(space: GTSplineSpace, x_new: float):
     rows = np.arange(hi - lo)
     samples = 65
     grids = np.linspace(refined.knots.u[neighbors], refined.knots.v[neighbors], samples, axis=1)
-    # each grid point's value of the neighbor whose support the grid spans
-    scan = eval_basis(refined, grids.ravel())[np.arange(grids.size), neighbors.repeat(samples), 0]
-    values = np.abs(scan.reshape(grids.shape))
+    # table[r, s, k]: refined function k + 1 at point s of neighbor lo + r's grid
+    table = eval_basis(refined, grids.ravel()).reshape(hi - lo, samples, n)
+    values = np.abs(table[rows, :, neighbors])
     at = values.argmax(axis=1)
     for r in rows:
         if values[r, at[r]] < 1e-6:
@@ -409,14 +386,16 @@ def insert_knot(space: GTSplineSpace, x_new: float):
                 f"refined basis function {neighbors[r] + 1} is numerically negligible; "
                 "cannot extract the insertion factor"
             )
-    x_star = grids[rows, at]
-    b_old = eval_basis(space, x_star)[rows, neighbors - 1, 0]
-    b_new = eval_basis(refined, x_star)[:, :, 0]
+    # The refined pair k, k + 1 of each row at its peak, taken out of the
+    # table so that the table is freed before the transfer map is allocated.
+    b_new = table[rows[:, None], at[:, None], neighbors[:, None] + [-1, 0]]
+    del table
+    b_old = eval_basis(space, grids[rows, at])[rows, neighbors - 1, 0]
 
     beta = np.empty(hi - lo)
     alpha = 1.0
-    for r, k in enumerate(neighbors):
-        beta[r] = (b_old[r] - alpha * b_new[r, k - 1]) / b_new[r, k]
+    for r in rows:
+        beta[r] = (b_old[r] - alpha * b_new[r, 0]) / b_new[r, 1]
         alpha = 1.0 - beta[r]
     pin_band_end(beta)
     # The transpose of the (n-1) x n two-band factor F: unit entries outside
@@ -441,10 +420,10 @@ def unit_integral_scaling(space: GTSplineSpace) -> np.ndarray:
     """
     reference = np.polynomial.legendre.leggauss(2 * max(space.degrees) + 2)
     integrals = np.zeros(space.n_basis)
-    for e, section in enumerate(space.sections, start=1):
-        xs, ws = section_rule(section, *reference)
+    for e, basis in enumerate(space.bases, start=1):
+        xs, ws = section_rule(basis.section, *reference)
         lo, values = _element_values(space, e, xs, 0)
-        integrals[lo : lo + section.dim] += ws @ values[:, :, 0]
+        integrals[lo : lo + basis.section.dim] += ws @ values[:, :, 0]
     if np.any(integrals <= 0.0):
         raise GTBError("nonpositive basis integral; space is degenerate")
     return 1.0 / integrals

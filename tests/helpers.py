@@ -1,5 +1,6 @@
 """Shared test utilities: finite differences, random space configs,
 classical polynomial oracles (Boehm insertion, per-element extraction), the
+end smoothness of a basis function by counting runs of equal knots, the
 extraction cascade on the dense running operator, knot insertion by value
 matching one band function at a time, the Bernstein
 construction by one Hermite solve per function, and the span tables, pairs
@@ -105,6 +106,29 @@ def boehm_insert(knots: np.ndarray, degree: int, control: np.ndarray, x_new: flo
             new_control[k] = control[k - 1]
     new_knots = np.insert(knots, span + 1, x_new)
     return new_knots, new_control
+
+
+def reference_supersmoothness(degrees, smoothness, k: int) -> tuple[int, int]:
+    """End smoothness ``(r_u(k), r_v(k))`` of basis function ``k`` (1-based)
+    by counting runs of equal knots.  Each knot is listed by its breakpoint
+    index, ``i`` with multiplicity ``p_{i+1} - r_i`` in ``u`` and ``p_i -
+    r_i`` in ``v``, so the runs never compare floats; then
+    ``r_u = p_{i+1} - 1 - (run after u_k)``, ``r_v = p_j - 1 - (run before v_k)``."""
+    m = len(degrees)
+    u_index = [i for i in range(m) for _ in range(degrees[i] - smoothness[i])]
+    v_index = [i for i in range(1, m + 1) for _ in range(degrees[i - 1] - smoothness[i])]
+    n, k0 = len(u_index), k - 1
+    i = u_index[k0]
+    run = 0
+    while k0 + run + 1 < n and u_index[k0 + run + 1] == i:
+        run += 1
+    r_u = degrees[i] - 1 - run
+    j = v_index[k0]
+    run = 0
+    while k0 - run - 1 >= 0 and v_index[k0 - run - 1] == j:
+        run += 1
+    r_v = degrees[j - 1] - 1 - run
+    return r_u, r_v
 
 
 def classical_element_extraction(space, cdb_basis_at):

@@ -19,7 +19,6 @@ from gtbsplines import (
     eval_basis,
     insert_knot,
     jump_vector,
-    supersmoothness,
     unit_integral_scaling,
 )
 from gtbsplines.config import conic_profile_demo_config, mixed_family_demo_config
@@ -59,7 +58,7 @@ def test_criterion_01_knot_vector_triples_table():
     degrees, smoothness = (2, 3, 4), (-1, 2, 2, -1)
     kv = build_knot_vectors(partition, degrees, smoothness)
     triples = [
-        (kv.u[k - 1], kv.v[k - 1], *supersmoothness(kv, degrees, smoothness, k))
+        (kv.u[k - 1], kv.v[k - 1], *kv.supersmoothness(k))
         for k in range(1, kv.n_basis + 1)
     ]
     elapsed = time.perf_counter() - start

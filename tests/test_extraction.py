@@ -22,7 +22,6 @@ from gtbsplines import (
     extraction_operator,
     jump_rows,
     nullspace_step,
-    supersmoothness,
 )
 from gtbsplines.config import (
     SpaceConfig,
@@ -35,6 +34,7 @@ from helpers import (
     classical_element_extraction,
     dense_cascade,
     random_config,
+    reference_supersmoothness,
     uniform_cubic_config,
 )
 
@@ -97,23 +97,41 @@ class TestKnotVectors:
 class TestSupersmoothness:
     def test_demo_table(self):
         kv = build_knot_vectors(DEMO_PARTITION, DEMO_DEGREES, DEMO_SMOOTHNESS)
-        pairs = [
-            supersmoothness(kv, DEMO_DEGREES, DEMO_SMOOTHNESS, k) for k in range(1, 7)
-        ]
+        pairs = [kv.supersmoothness(k) for k in range(1, 7)]
         assert [p[0] for p in pairs] == [-1, 0, 1, 2, 2, 3]
         assert [p[1] for p in pairs] == [2, 3, 2, 1, 0, -1]
 
     def test_single_quadratic_patch(self):
         kv = build_knot_vectors(Partition((0.0, 1.0)), (2,), (-1, -1))
-        pairs = [supersmoothness(kv, (2,), (-1, -1), k) for k in range(1, 4)]
+        pairs = [kv.supersmoothness(k) for k in range(1, 4)]
         assert pairs == [(-1, 1), (0, 0), (1, -1)]
 
     def test_uniform_cubic_first_function(self):
         kv = build_knot_vectors(
             Partition((0.0, 1.0, 2.0, 3.0)), (3, 3, 3), (-1, 2, 2, -1)
         )
-        r_u, _ = supersmoothness(kv, (3, 3, 3), (-1, 2, 2, -1), 1)
+        r_u, _ = kv.supersmoothness(1)
         assert r_u == -1
+
+    def test_closed_form_matches_run_counting(self, rng):
+        configs = [random_config(rng) for _ in range(300)]
+        layouts = [(c.breakpoints, c.degrees, c.full_smoothness) for c in configs]
+        layouts += [
+            # polynomial joints at r = p: x_1 in neither knot vector, then
+            # in u only; an r = -1 joint; a constant section
+            ((0.0, 1.0, 2.0, 3.0), (2, 2, 3), (-1, 2, -1, -1)),
+            ((0.0, 1.0, 2.0, 3.0), (1, 3, 1), (-1, 1, 1, -1)),
+            ((0.0, 1.0, 2.0), (0, 2), (-1, 0, -1)),
+        ]
+        for breakpoints, degrees, smoothness in layouts:
+            kv = build_knot_vectors(Partition(tuple(breakpoints)), degrees, smoothness)
+            for k in range(1, kv.n_basis + 1):
+                assert kv.supersmoothness(k) == reference_supersmoothness(
+                    degrees, smoothness, k
+                )
+            for k in (0, kv.n_basis + 1):
+                with pytest.raises(ConfigError):
+                    kv.supersmoothness(k)
 
     def test_lower_bound_is_interior_smoothness(self, rng):
         for _ in range(20):
@@ -122,9 +140,9 @@ class TestSupersmoothness:
                 Partition(tuple(cfg.breakpoints)), cfg.degrees, cfg.full_smoothness
             )
             for k in range(1, kv.n_basis + 1):
-                r_u, r_v = supersmoothness(kv, cfg.degrees, cfg.full_smoothness, k)
-                i = kv.u_index[k - 1]
-                j = kv.v_index[k - 1]
+                r_u, r_v = kv.supersmoothness(k)
+                i = cfg.breakpoints.index(kv.u[k - 1])
+                j = cfg.breakpoints.index(kv.v[k - 1])
                 assert r_u >= cfg.full_smoothness[i]
                 assert r_v >= cfg.full_smoothness[j]
 

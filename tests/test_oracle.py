@@ -99,6 +99,16 @@ class TestLocalRecurrence:
         )
         assert local_recurrence_eval(space, 2, 1.0) == pytest.approx(1.0, abs=1e-8)
 
+    def test_array_equals_scalar_calls(self, mixed_space):
+        # unsorted and repeated points, breakpoints and both domain ends
+        bp = mixed_space.partition.breakpoints
+        xs = np.concatenate([np.linspace(5.0, 0.0, 23), bp, bp[1:2]])
+        for k in range(1, mixed_space.n_basis + 1):
+            got = local_recurrence_eval(mixed_space, k, xs)
+            want = [local_recurrence_eval(mixed_space, k, float(x)) for x in xs]
+            assert all(isinstance(v, float) for v in want)
+            assert got.shape == xs.shape and np.array_equal(got, want)
+
     def test_matches_extraction_on_mixed_demo(self, mixed_space):
         xs = np.linspace(0.0, 5.0, 20)
         for k in range(1, mixed_space.n_basis + 1):
