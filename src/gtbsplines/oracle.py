@@ -14,24 +14,32 @@ Two kinds of oracles live here:
   its element's nodes, and each cumulative once per intermediate function.
   Both recurrence oracles (:class:`RecurrenceEvaluator` and
   :class:`RecurrenceBernstein`) integrate through the same rule.
+  Each intermediate function keeps its pieces, masses and cumulatives only
+  over the elements its support covers, so construction is linear in the
+  number of functions.
 * The classical Cox-de Boor recursion for uniform-degree polynomial spaces,
-  including derivatives, as an entirely separate reference.
+  including derivatives, as an entirely separate reference: it uses no
+  extraction, space or Bernstein code.  It is local: one span search per
+  point, then the triangular scheme of Piegl and Tiller on the ``p + 1``
+  active functions, O(p^2) per point, over a point or an array of points.
 
-Everything here is single-threaded and intended for test and verification
-use, not production evaluation.
+Everything here is single-threaded and intended for the tests and the
+``verify`` command, not production evaluation.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 import numpy.polynomial.chebyshev as _cheb
 
-from .errors import OracleUnsupportedError
-from .sections import SectionSpace, weight_system
-from .space import GTSplineSpace
+from .errors import ConfigError, OracleUnsupportedError
+from .sections import SectionSpace, _points_in, weight_system
+
+if TYPE_CHECKING:
+    from .space import GTSplineSpace
 
 __all__ = [
     "RecurrenceEvaluator",
@@ -119,24 +127,31 @@ class _Element:
 
 
 class _LevelFunction:
-    """Per-element Chebyshev pieces of one intermediate function, with its
-    element masses and, for a positive total mass, its unit-mass cumulative
-    on the nodes of each element it has a piece on."""
+    """Chebyshev pieces of one intermediate function on the elements
+    ``first, first + 1, ...`` its support covers (``None`` where it has no
+    piece), with their masses and, for a positive total mass, its unit-mass
+    cumulative on the nodes of each element it has a piece on."""
 
-    def __init__(self, pieces: list[np.ndarray | None], elements: list[_Element]):
+    def __init__(self, first: int, pieces: list[np.ndarray | None], elements: list[_Element]):
+        self.first = first
         self.pieces = pieces
         within: list[np.ndarray | None] = [None] * len(pieces)
-        self.elem_integrals = np.zeros(len(pieces))
-        for e, coef in enumerate(pieces):
+        masses = np.zeros(len(pieces))
+        for i, coef in enumerate(pieces):
             if coef is not None:
-                within[e] = elements[e].cumulative(coef)
-                self.elem_integrals[e] = elements[e].mass(coef)
-        self.prefix = np.concatenate([[0.0], np.cumsum(self.elem_integrals)])
+                within[i] = elements[first + i].cumulative(coef)
+                masses[i] = elements[first + i].mass(coef)
+        self.prefix = np.concatenate([[0.0], np.cumsum(masses)])
         self.total = float(self.prefix[-1])
         self.cumulative = [
-            None if w is None or self.total <= 0.0 else (self.prefix[e] + w) / self.total
-            for e, w in enumerate(within)
+            None if w is None or self.total <= 0.0 else (self.prefix[i] + w) / self.total
+            for i, w in enumerate(within)
         ]
+
+    def piece(self, e: int) -> np.ndarray | None:
+        """Chebyshev coefficients on element ``e``, ``None`` off the cover."""
+        i = e - self.first
+        return self.pieces[i] if 0 <= i < len(self.pieces) else None
 
 
 class RecurrenceEvaluator:
@@ -164,8 +179,10 @@ class RecurrenceEvaluator:
             _Element(bp[e], bp[e + 1], _section_nodes(basis.section))
             for e, basis in enumerate(space.bases)
         ]
-        self.u = space.knots.u
-        self.v = space.knots.v
+        # Support ends as element indices: function k (1-based) starts on
+        # element _first_element[k - 1] and ends before _stop_element[k - 1].
+        self._first_element = np.searchsorted(bp, space.knots.u, "left").tolist()
+        self._stop_element = (np.searchsorted(bp, space.knots.v, "right") - 1).tolist()
         # Weights w_0 .. w_p of each section on its element's nodes.
         self._weights: list[np.ndarray] = []
         for basis, elem in zip(space.bases, self.elements):
@@ -180,19 +197,12 @@ class RecurrenceEvaluator:
 
     # -- construction ------------------------------------------------------
 
-    def _support_elements(self, k: int, q: int) -> list[int]:
+    def _support_elements(self, k: int, q: int) -> range:
         """0-based element indices covered by the support of function (k, q)."""
         right_idx = k - self.p_max + q
         if right_idx < 1:
-            return []
-        lo, hi = self.u[k - 1], self.v[right_idx - 1]
-        if lo >= hi:
-            return []
-        out = []
-        for e, elem in enumerate(self.elements):
-            if lo <= elem.lo and elem.hi <= hi:
-                out.append(e)
-        return out
+            return range(0)
+        return range(self._first_element[k - 1], self._stop_element[right_idx - 1])
 
     def _term_cumulative(self, level: dict[int, _LevelFunction], j: int, e: int) -> np.ndarray:
         """Unit-mass cumulative of term ``j`` of the previous level on
@@ -204,11 +214,14 @@ class RecurrenceEvaluator:
         if fn is None or fn.total <= 0.0:
             # Zero-mass convention: the normalized cumulative degenerates to a
             # unit step at the left support knot.
-            step = 1.0 if self.u[j - 1] <= elem.lo else 0.0
+            step = 1.0 if self._first_element[j - 1] <= e else 0.0
             return np.full(elem.n_nodes, step)
-        cumulative = fn.cumulative[e]
+        i = e - fn.first
+        cumulative = fn.cumulative[i] if 0 <= i < len(fn.cumulative) else None
         if cumulative is None:
-            return np.full(elem.n_nodes, fn.prefix[e] / fn.total)
+            # the mass left of element e: none before the cover, all after it
+            left = fn.prefix[min(max(i, 0), len(fn.pieces))]
+            return np.full(elem.n_nodes, left / fn.total)
         return cumulative
 
     def _build(self) -> None:
@@ -221,9 +234,9 @@ class RecurrenceEvaluator:
                 cover = self._support_elements(k, q)
                 if not cover:
                     continue
-                pieces: list[np.ndarray | None] = [None] * len(self.elements)
+                pieces: list[np.ndarray | None] = [None] * len(cover)
                 nonzero = False
-                for e in cover:
+                for i, e in enumerate(cover):
                     p_e = degrees[e]
                     gap = p - p_e
                     if self.mode == "local":
@@ -241,17 +254,13 @@ class RecurrenceEvaluator:
                             prev, k + 1, e
                         )
                         vals = self._weights[e][p - q] * diff
-                    pieces[e] = self.elements[e].fit(vals)
+                    pieces[i] = self.elements[e].fit(vals)
                     nonzero = True
                 if nonzero:
-                    level[k] = _LevelFunction(pieces, self.elements)
+                    level[k] = _LevelFunction(cover.start, pieces, self.elements)
             self.levels.append(level)
 
     # -- queries -----------------------------------------------------------
-
-    def level_integrals(self, q: int) -> dict[int, float]:
-        """Masses of the level-``q`` intermediate functions."""
-        return {k: fn.total for k, fn in self.levels[q].items()}
 
     def evaluate(self, k: int, x, level: int | None = None):
         """Value of intermediate function ``k`` at ``x`` (top level by default).
@@ -269,7 +278,7 @@ class RecurrenceEvaluator:
         if fn is not None:
             elems = self.space.partition.locate(xs) - 1
             for at, e in enumerate(elems.tolist()):
-                coef = fn.pieces[e]
+                coef = fn.piece(e)
                 if coef is not None:
                     out[at] = _cheb.chebval(self.elements[e].to_t(xs[at]), coef)
         return float(out[0]) if np.ndim(x) == 0 else out
@@ -319,12 +328,8 @@ class RecurrenceBernstein:
         pair = section.normalized_pair_derivatives()
         values = np.array([pair(x) for x in self.element.nodes])
         ladder = [self.element.fit(values[:, 0]), self.element.fit(values[:, 1])]
-        masses = self._masses(ladder)
-        self.level_integrals: list[list[float]] = [masses]
         for q in range(2, section.degree + 1):
-            ladder = self._lift(ladder, masses)
-            masses = self._masses(ladder)
-            self.level_integrals.append(masses)
+            ladder = self._lift(ladder, self._masses(ladder))
         self.coefficients = ladder
 
     def _masses(self, ladder) -> list[float]:
@@ -374,63 +379,63 @@ def cox_de_boor_knots(breakpoints, degree: int, interior_smoothness) -> np.ndarr
     return np.asarray(knots, dtype=float)
 
 
-def _cdb_values(knots: np.ndarray, degree: int, x: float) -> np.ndarray:
-    """Values of all basis functions of one level ladder at ``x``."""
-    n0 = len(knots) - 1
-    vals = np.zeros(n0)
-    if x >= knots[-1]:
-        # left-limit convention at the right end: last nonempty span
-        for k in range(n0 - 1, -1, -1):
-            if knots[k] < knots[k + 1]:
-                vals[k] = 1.0
-                break
-    else:
-        for k in range(n0):
-            if knots[k] <= x < knots[k + 1]:
-                vals[k] = 1.0
-                break
-    for q in range(1, degree + 1):
-        new = np.zeros(len(knots) - q - 1)
-        for k in range(len(new)):
-            acc = 0.0
-            den = knots[k + q] - knots[k]
-            if den > 0.0:
-                acc += (x - knots[k]) / den * vals[k]
-            den = knots[k + q + 1] - knots[k + 1]
-            if den > 0.0:
-                acc += (knots[k + q + 1] - x) / den * vals[k + 1]
-            new[k] = acc
-        vals = new
-    return vals
-
-
-def cox_de_boor_basis(knots, degree: int, x: float, max_order: int = 0) -> np.ndarray:
+def cox_de_boor_basis(knots, degree: int, x, max_order: int = 0) -> np.ndarray:
     """Values and derivatives of all B-splines on an open knot vector.
 
-    Returns ``(n_basis, max_order + 1)`` with ``n_basis = len(knots) - degree
-    - 1``.  Derivatives use the standard difference formula applied to the
-    lower-degree ladder.
+    A scalar ``x`` gives ``(n_basis, max_order + 1)`` with ``n_basis =
+    len(knots) - degree - 1``; a 1-D array of points gives ``(len(x),
+    n_basis, max_order + 1)``, each row equal bit for bit to the scalar call.
+    Orders above ``degree`` are zero.
+
+    Each point is located in its knot span by one search: right limits at
+    interior knots, the last nonempty span at the right end.  Only the
+    ``degree + 1`` functions active there are computed, by the triangular
+    scheme of Piegl and Tiller (*The NURBS Book*, A2.2-A2.3), in
+    O(degree^2) per point.  A point outside ``[knots[0], knots[-1]]`` or not
+    finite raises :class:`DomainError`.
     """
     knots = np.asarray(knots, dtype=float)
-    n = len(knots) - degree - 1
-    out = np.zeros((n, max_order + 1))
-    for d in range(max_order + 1):
-        if d > degree:
-            break
-        lower = _cdb_values(knots, degree - d, x)
-        # coefficients of each D^d N_{k,p} over the degree-(p-d) ladder
-        for k in range(n):
-            coefs = {k: 1.0}
-            for step in range(d):
-                q = degree - step
-                new: dict[int, float] = {}
-                for idx, c in coefs.items():
-                    den = knots[idx + q] - knots[idx]
-                    if den > 0.0:
-                        new[idx] = new.get(idx, 0.0) + c * q / den
-                    den = knots[idx + q + 1] - knots[idx + 1]
-                    if den > 0.0:
-                        new[idx + 1] = new.get(idx + 1, 0.0) - c * q / den
-                coefs = new
-            out[k, d] = sum(c * lower[idx] for idx, c in coefs.items())
-    return out
+    p = degree
+    n = len(knots) - p - 1
+    if n < p + 1 or not knots[0] == knots[p] < knots[n] == knots[-1]:
+        raise ConfigError(f"not an open knot vector of degree {p}: {knots!r}")
+    pts = np.atleast_1d(_points_in(x, float(knots[0]), float(knots[-1])))
+    last = int(np.searchsorted(knots, knots[-1], "left")) - 1
+    span = np.minimum(np.searchsorted(knots, pts, "right") - 1, last)
+    left = [pts - knots[span + 1 - j] for j in range(p + 1)]
+    right = [knots[span + j] - pts for j in range(p + 1)]
+    # With s the span of a point, ndu[r][j] (r <= j) is the degree-j function
+    # s - j + r there, ndu[j][r] (r < j) the knot difference that divides it.
+    ndu = [[None] * (p + 1) for _ in range(p + 1)]
+    ndu[0][0] = np.ones(len(pts))
+    for j in range(1, p + 1):
+        saved = 0.0
+        for r in range(j):
+            ndu[j][r] = right[r + 1] + left[j - r]
+            temp = ndu[r][j - 1] / ndu[j][r]
+            ndu[r][j] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        ndu[j][j] = saved
+    active = np.zeros((len(pts), p + 1, max_order + 1))
+    for r in range(p + 1):
+        active[:, r, 0] = ndu[r][p]
+        # a[j]: coefficient of the degree-(p - k) function s - p + r - k + j
+        # in the k-th derivative of function s - p + r, up to p! / (p - k)!
+        a = [1.0]
+        for k in range(1, min(max_order, p) + 1):
+            rk, pk = r - k, p - k
+            a = [0.0, *a, 0.0]
+            lower = [0.0] * (k + 1)
+            d = 0.0
+            for j in range(max(0, -rk), min(k, p - r) + 1):
+                lower[j] = (a[j + 1] - a[j]) / ndu[pk + 1][rk + j]
+                d = d + lower[j] * ndu[rk + j][pk]
+            active[:, r, k] = d
+            a = lower
+    factor = p
+    for k in range(1, min(max_order, p) + 1):
+        active[:, :, k] *= factor
+        factor *= p - k
+    out = np.zeros((len(pts), n, max_order + 1))
+    out[np.arange(len(pts))[:, None], span[:, None] - p + np.arange(p + 1)] = active
+    return out[0] if np.ndim(x) == 0 else out

@@ -1,10 +1,10 @@
 """Shared test utilities: finite differences, random space configs,
-classical polynomial oracles (Boehm insertion, per-element extraction), the
-end smoothness of a basis function by counting runs of equal knots, the
-extraction cascade on the dense running operator, knot insertion by value
-matching one band function at a time, the Bernstein
-construction by one Hermite solve per function, and the span tables, pairs
-and weights evaluated point by point with ``math``."""
+classical polynomial oracles (Boehm insertion, the global Cox-de Boor
+recursion, per-element extraction), the end smoothness of a basis function
+by counting runs of equal knots, the extraction cascade on the dense running
+operator, knot insertion by value matching one band function at a time, the
+Bernstein construction by one Hermite solve per function, and the span
+tables, pairs and weights evaluated point by point with ``math``."""
 
 from __future__ import annotations
 
@@ -106,6 +106,67 @@ def boehm_insert(knots: np.ndarray, degree: int, control: np.ndarray, x_new: flo
             new_control[k] = control[k - 1]
     new_knots = np.insert(knots, span + 1, x_new)
     return new_knots, new_control
+
+
+def _reference_cdb_values(knots: np.ndarray, degree: int, x: float) -> np.ndarray:
+    """Values of all basis functions of one level ladder at ``x``."""
+    n0 = len(knots) - 1
+    vals = np.zeros(n0)
+    if x >= knots[-1]:
+        # left-limit convention at the right end: last nonempty span
+        for k in range(n0 - 1, -1, -1):
+            if knots[k] < knots[k + 1]:
+                vals[k] = 1.0
+                break
+    else:
+        for k in range(n0):
+            if knots[k] <= x < knots[k + 1]:
+                vals[k] = 1.0
+                break
+    for q in range(1, degree + 1):
+        new = np.zeros(len(knots) - q - 1)
+        for k in range(len(new)):
+            acc = 0.0
+            den = knots[k + q] - knots[k]
+            if den > 0.0:
+                acc += (x - knots[k]) / den * vals[k]
+            den = knots[k + q + 1] - knots[k + 1]
+            if den > 0.0:
+                acc += (knots[k + q + 1] - x) / den * vals[k + 1]
+            new[k] = acc
+        vals = new
+    return vals
+
+
+def reference_cox_de_boor(knots, degree: int, x: float, max_order: int = 0) -> np.ndarray:
+    """Values and derivatives of all B-splines on a knot vector at one point
+    inside it, by the global recursion over all ``len(knots) - 1`` degree-0
+    functions: ``(n_basis, max_order + 1)``.  Derivatives expand each
+    ``D^d N_{k,p}`` over the degree-``(p - d)`` ladder by the difference
+    formula.  The local production oracle must agree to rounding."""
+    knots = np.asarray(knots, dtype=float)
+    n = len(knots) - degree - 1
+    out = np.zeros((n, max_order + 1))
+    for d in range(max_order + 1):
+        if d > degree:
+            break
+        lower = _reference_cdb_values(knots, degree - d, x)
+        # coefficients of each D^d N_{k,p} over the degree-(p-d) ladder
+        for k in range(n):
+            coefs = {k: 1.0}
+            for step in range(d):
+                q = degree - step
+                new: dict[int, float] = {}
+                for idx, c in coefs.items():
+                    den = knots[idx + q] - knots[idx]
+                    if den > 0.0:
+                        new[idx] = new.get(idx, 0.0) + c * q / den
+                    den = knots[idx + q + 1] - knots[idx + 1]
+                    if den > 0.0:
+                        new[idx + 1] = new.get(idx + 1, 0.0) - c * q / den
+                coefs = new
+            out[k, d] = sum(c * lower[idx] for idx, c in coefs.items())
+    return out
 
 
 def reference_supersmoothness(degrees, smoothness, k: int) -> tuple[int, int]:

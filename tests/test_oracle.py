@@ -8,6 +8,8 @@ import pytest
 from scipy.interpolate import BSpline
 
 from gtbsplines import (
+    ConfigError,
+    DomainError,
     ExponentialFamily,
     OracleUnsupportedError,
     PolynomialFamily,
@@ -31,7 +33,7 @@ from gtbsplines.oracle import (
     local_recurrence_eval,
 )
 
-from helpers import random_config
+from helpers import random_config, reference_cox_de_boor
 
 
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "gen_inputs.py"
@@ -256,3 +258,33 @@ class TestCoxDeBoor:
         vals = cox_de_boor_basis(knots, 2, 2.0)
         assert vals[-1, 0] == pytest.approx(1.0)
         assert abs(vals[:-1, 0]).max() == 0.0
+
+    @pytest.mark.parametrize("degree", range(7))
+    def test_matches_global_recursion(self, degree, rng):
+        for _ in range(3):
+            # interior multiplicities 1 .. p + 1, i.e. smoothness p - 1 .. -1
+            breakpoints = np.cumsum(np.concatenate([[-1.0], rng.uniform(0.3, 1.5, 6)]))
+            smoothness = rng.integers(-1, degree, 5)
+            knots = cox_de_boor_knots(breakpoints, degree, smoothness)
+            xs = np.concatenate([knots, rng.uniform(knots[0], knots[-1], 40)])
+            # order degree + 1 is identically zero in both
+            got = cox_de_boor_basis(knots, degree, xs, degree + 1)
+            ref = np.array([reference_cox_de_boor(knots, degree, x, degree + 1) for x in xs])
+            for d in range(degree + 2):
+                scale = np.max(np.abs(ref[:, :, d]))
+                assert np.max(np.abs(got[:, :, d] - ref[:, :, d])) <= 1e-14 * scale, d
+            want = [cox_de_boor_basis(knots, degree, float(x), degree + 1) for x in xs]
+            assert got.shape == (len(xs), len(knots) - degree - 1, degree + 2)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("bad", [2.5, -0.5, math.nan, math.inf, -math.inf])
+    def test_point_outside_domain_raises(self, bad):
+        knots = cox_de_boor_knots([0.0, 1.0, 2.0], 2, [1])
+        with pytest.raises(DomainError):
+            cox_de_boor_basis(knots, 2, bad)
+        with pytest.raises(DomainError):
+            cox_de_boor_basis(knots, 2, np.array([0.5, bad]), 1)
+
+    def test_knot_vector_not_open_raises(self):
+        with pytest.raises(ConfigError):
+            cox_de_boor_basis([0.0, 0.0, 1.0, 2.0, 2.0, 2.0], 2, 1.0)
