@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ConditioningWarning, EctViolationError
 from .sections import (
+    COND_LIMIT,
     ExponentialFamily,
     PolynomialFamily,
     SectionSpace,
@@ -31,8 +32,6 @@ from .sections import (
 )
 
 __all__ = ["BernsteinBasis", "build_bernstein", "closed_form_bernstein"]
-
-_COND_LIMIT = 1e12
 
 
 @dataclass(eq=False)
@@ -146,7 +145,7 @@ def build_bernstein(section: SectionSpace) -> BernsteinBasis:
             raise EctViolationError(
                 f"singular collocation matrix while building b_{j} of {section!r}"
             )
-        if cond > _COND_LIMIT:
+        if cond > COND_LIMIT:
             warnings.warn(
                 ConditioningWarning(
                     f"collocation matrix for b_{j} of {section!r} has condition "

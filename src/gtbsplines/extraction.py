@@ -16,7 +16,8 @@ as in Borden, Scott, Evans and Hughes, IJNME 87, 2011).  The cascade never
 forms ``C`` either: it runs on a window of the running operator that holds
 the rows meeting the two intervals of the current breakpoint, and cuts the
 element blocks out of it as their rows become final, so a build takes time
-and memory linear in the number of intervals.
+and memory linear in the number of intervals.  Dense rows of ``C`` come
+from the blocks through :meth:`ExtractionMatrix.window` alone.
 
 A factor is kept as its band coefficients only (:func:`nullspace_step`), and
 :func:`apply_factor` is the one place that knows the two-band layout; a
@@ -27,10 +28,9 @@ constraints and the band of each one (:meth:`KnotVectors.band`), which
 the cascade, the element blocks, evaluation and knot insertion all read,
 and the exact end smoothness of each function
 (:meth:`KnotVectors.supersmoothness`), all from its running multiplicity
-sums.
-No entry of a jump is tested against zero to find its band; out-of-band
-entries are only ever rounding noise and are checked against a relative
-tolerance.
+sums.  No entry of a jump is tested against zero to find its band;
+out-of-band entries are only ever rounding noise and are checked against
+a relative tolerance.
 """
 
 from __future__ import annotations
@@ -342,8 +342,8 @@ class ExtractionMatrix:
     ``e`` (1-based): its rows are the ``p_e + 1`` basis functions active on
     the interval, its columns the interval's Bernstein functions.  Every
     other entry of ``C`` is zero, so the blocks are all that is stored
-    (Bezier element extraction); :attr:`operator` assembles the dense ``C``
-    from them.
+    (Bezier element extraction); :meth:`window` assembles dense rows of
+    ``C`` from them, and :attr:`operator` is the full window.
 
     ``factors[rho]`` holds the ``hi - lo`` band coefficients of the two-band
     factor applied at step ``rho`` with band ``bands[rho]`` to the constraint
@@ -362,15 +362,25 @@ class ExtractionMatrix:
 
     @property
     def operator(self) -> np.ndarray:
-        """The dense ``n_basis x n_bernstein`` operator, assembled from the
-        blocks on each access, for inspection; the library reads only the
-        blocks."""
+        """The full :meth:`window`: the dense ``n_basis x n_bernstein`` operator."""
+        return self.window(0, self.knots.n_basis, 1, len(self.blocks))
+
+    def window(self, row_lo: int, row_hi: int, e_lo: int, e_hi: int) -> np.ndarray:
+        """Dense rows ``row_lo .. row_hi - 1`` (0-based) of the operator over
+        the Bernstein columns of intervals ``e_lo .. e_hi`` (1-based,
+        inclusive), assembled from the blocks: the one dense assembly."""
         kv = self.knots
-        c = np.zeros((kv.n_basis, kv.n_bernstein))
-        for e, block in enumerate(self.blocks, start=1):
-            row, col = kv.active_range(e)[0] - 1, kv.block_start[e - 1]
-            c[row : row + len(block), col : col + len(block)] = block
-        return c
+        out = np.zeros((row_hi - row_lo, kv.block_start[e_hi] - kv.block_start[e_lo - 1]))
+        col = 0
+        for e, block in enumerate(self.blocks[e_lo - 1 : e_hi], start=e_lo):
+            row, width = kv.active_range(e)[0] - 1, len(block)
+            # Block rows skip .. stop - 1 are in the window (no max/min: hot path).
+            skip = row_lo - row if row < row_lo else 0
+            stop = row_hi - row if row_hi < row + width else width
+            if skip < stop:
+                out[row + skip - row_lo : row + stop - row_lo, col : col + width] = block[skip:stop]
+            col += width
+        return out
 
 
 def extraction_operator(constraints: SmoothnessConstraints) -> ExtractionMatrix:
@@ -386,9 +396,9 @@ def extraction_operator(constraints: SmoothnessConstraints) -> ExtractionMatrix:
     breakpoint's factors.  Rows that do not meet interval ``i + 1`` take no
     part in later factors, so every interval whose active rows are all such
     rows has its element block cut out, and the window drops the rows and
-    columns left of the next unfinished interval.  The result has
-    nonnegative entries and unit column sums and annihilates every
-    constraint.
+    columns left of the next unfinished interval.  The result is
+    nonnegative with unit column sums and annihilates every constraint.  A
+    failing constraint re-raises its error, prefixed with its location.
     """
     bases, kv = constraints.bases, constraints.knots
     columns, starts = kv.columns, kv.block_start.tolist()
@@ -415,12 +425,11 @@ def extraction_operator(constraints: SmoothnessConstraints) -> ExtractionMatrix:
                 band = (lo - win_row, hi - win_row)
                 try:
                     beta = nullspace_step(jump_rows(win, pair, local, 1, j), band)
-                except BasisNonexistenceError as exc:
-                    raise BasisNonexistenceError(
-                        f"constraint (breakpoint {i}, order {j}): {exc}",
-                        breakpoint_index=i,
-                        order=j,
-                    ) from exc
+                except GTBError as exc:
+                    where = f"constraint (breakpoint {i}, order {j}): {exc}"
+                    if isinstance(exc, BasisNonexistenceError):
+                        raise BasisNonexistenceError(where, breakpoint_index=i, order=j) from exc
+                    raise type(exc)(where) from exc
                 factors.append(beta)
                 win = apply_factor(win, band, beta)
         # Rows before the first one active on interval i + 1 are final.

@@ -48,6 +48,8 @@ __all__ = [
     "validate_ect",
 ]
 
+COND_LIMIT = 1e12  # condition number above which a collocation solve is ill conditioned
+
 
 def _points_in(x, lo: float, hi: float):
     """``x`` as a float or a 1-D float array, checked to lie in ``[lo, hi]``;
@@ -461,9 +463,9 @@ def endpoint_collocation_matrix(section: SectionSpace, n_lo: int) -> np.ndarray:
     return np.array(rows)
 
 
-def validate_ect(section: SectionSpace, cond_limit: float = 1e12) -> None:
+def validate_ect(section: SectionSpace) -> None:
     """Heuristic ECT check: every two-point endpoint collocation split must be
-    nonsingular (and reasonably conditioned).
+    nonsingular, with condition number at most ``COND_LIMIT``.
 
     This is a necessary condition only; it is the documented validation applied
     to user-supplied generalized polynomial pairs.
@@ -473,7 +475,7 @@ def validate_ect(section: SectionSpace, cond_limit: float = 1e12) -> None:
         if not np.all(np.isfinite(mat)):
             raise EctViolationError("collocation matrix has non-finite entries")
         cond = np.linalg.cond(mat)
-        if not np.isfinite(cond) or cond > cond_limit:
+        if not np.isfinite(cond) or cond > COND_LIMIT:
             raise EctViolationError(
                 f"endpoint collocation split {n_lo}/{section.degree + 1 - n_lo} is "
                 f"singular or ill conditioned (cond ~ {cond:.3g})"

@@ -7,12 +7,11 @@ operator ``C`` mapping the global Bernstein vector to the smooth basis
 smoothness alone.  The index layout is read from the knot vectors only:
 on interval ``e`` only the ``p_e + 1`` functions ``knots.active_range(e)``
 are nonzero, so ``C`` is stored only as that square block per interval
-(Bezier element extraction), as the cascade emits it, and a knot insertion
-takes its band from ``knots.band``.  Evaluation at a point or an array is
-one product of a block with the Bernstein values of the interval, stacked
-over the points of each interval; a breakpoint jump reads the blocks of the
-two intervals that meet there.  ``GTSplineSpace.operator`` assembles the
-dense ``C`` on demand, for inspection only.
+(Bezier element extraction), as the cascade emits it.  Evaluation at a
+point or an array is one product of a block with the Bernstein values of
+the interval, stacked over the points of each interval.  A breakpoint jump
+and a knot insertion read dense windows of ``C`` over a few intervals;
+``GTSplineSpace.operator``, the full ``C``, is for inspection only.
 
 Objects are immutable after construction; evaluation is pure and safe to
 call concurrently.  Knot insertion returns new objects.
@@ -242,16 +241,11 @@ def jump_vector(space: GTSplineSpace, i: int, order: int) -> np.ndarray:
             f"jump order {order} exceeds min local degree {min(p_left, p_right)} "
             f"at breakpoint {i}"
         )
-    # The rows of the functions active on intervals i and i + 1 over the
-    # columns of those intervals, from their element blocks.
+    # The functions active on intervals i and i + 1, over those intervals.
     lo = space.knots.active_range(i)[0] - 1
-    first, hi = space.knots.active_range(i + 1)
-    left, right = space.element_blocks[i - 1 : i + 1]
-    width = len(left)
-    c = np.zeros((hi - lo, width + len(right)))
-    c[:width, :width] = left
-    c[first - 1 - lo :, width:] = right
-    starts = (0, width, width + len(right))
+    hi = space.knots.active_range(i + 1)[1]
+    c = space.extraction.window(lo, hi, i, i + 1)
+    starts = (0, p_left + 1, p_left + p_right + 2)
     out = np.zeros(space.n_basis)
     out[lo:hi] = jump_rows(c, space.bases[i - 1 : i + 1], starts, 1, order)
     return out
@@ -337,20 +331,18 @@ def insert_knot(space: GTSplineSpace, x_new: float):
     two sections of the same family and the new breakpoint joins them with
     maximal smoothness ``p - 1``.
 
-    The refined space is rebuilt from scratch and the single two-band factor
-    relating the two bases, ``B_old = F B_new``, is recovered by sequential
-    value matching on the band ``refined.knots.band(i, r + 1)`` of the
-    smoothness order ``r + 1`` the refinement no longer enforces at its
-    breakpoint ``x_i``.  With ``alpha_lo = 1`` and
-    ``alpha_{k+1} = 1 - beta_{k+1}`` (column sums are one), each
-    ``beta_{k+1}`` follows from both bases at a peak point of the neighbor
-    function ``k + 1``: the first of 65 uniform points on its support where
-    it is largest.  Two evaluations serve the whole band: one of the refined
-    basis on all those grids, whose table also gives the refined values at
-    the chosen points, and one of the original basis at those points; the
-    band-end coefficient is then pinned to one as in the cascade.  This
-    keeps the coefficients absolutely accurate even when the underlying
-    derivative jumps at the new knot span many orders of magnitude.
+    The refined space is rebuilt from scratch, and the two-band factor of
+    ``B_old = F B_new`` is read from the two operators without evaluation:
+    ``C_old R = F C_new``, where ``R``, the identity except on a split
+    interval, maps the old Bernstein functions to the refined ones through
+    the endpoint tables at each half's outer end.  ``F`` has the band
+    ``refined.knots.band(i, r + 1)`` of the order ``r + 1`` no longer
+    enforced at the breakpoint ``x_i``; with ``alpha_lo = 1`` and
+    ``alpha_{k+1} = 1 - beta_{k+1}``, row ``k`` gives ``beta_{k+1}`` in the
+    column of the largest coefficient of refined function ``k + 1``.  A
+    ``beta`` that is not finite and positive, or an interior ``alpha`` that
+    is not positive, raises :class:`~gtbsplines.errors.GTBError` naming that
+    function; the band-end coefficient is pinned to one as in the cascade.
 
     Returns
     -------
@@ -365,38 +357,36 @@ def insert_knot(space: GTSplineSpace, x_new: float):
     partition, bases, smoothness, i, order = _refined_components(space, x_new)
     refined = _assemble(partition, bases, smoothness)
 
-    lo, hi = refined.knots.band(i, order)
+    kv = refined.knots
+    lo, hi = kv.band(i, order)
     n = refined.n_basis
-    if not (1 <= lo < hi <= n):
-        raise GTBError(f"internal: invalid insertion band [{lo}, {hi}] for length {n}")
+    # Refined intervals e_lo .. e_hi run from the start of function lo's
+    # support to the end of function hi's; the old ones lack the split.
+    e_lo = int(np.searchsorted(kv.sigma, lo - 1, "right"))
+    e_hi = int(np.searchsorted(kv.mu, hi - 1, "right"))
+    split = len(bases) > len(space.bases)
+    new = refined.extraction.window(lo - 1, hi, e_lo, e_hi)
+    old = space.extraction.window(lo - 1, hi - 1, e_lo, e_hi - split)
+    if split:
+        whole, left, right = space.bases[i - 1], bases[i - 1], bases[i]
+        at = space.knots.block_start[i - 1] - space.knots.block_start[e_lo - 1]
+        r_left = np.linalg.solve(left.left_table.T, whole.left_table.T).T
+        r_right = np.linalg.solve(right.right_table.T, whole.right_table.T).T
+        piece, rest = old[:, at : at + len(r_left)], old[:, at + len(r_left) :]
+        old = np.hstack([old[:, :at], piece @ r_left, piece @ r_right, rest])
 
-    # Row r of the band pairs old function k = lo + r with its refined
-    # neighbor k + 1 (0-based index k), matched at that neighbor's peak.
-    neighbors = np.arange(lo, hi)
-    rows = np.arange(hi - lo)
-    samples = 65
-    grids = np.linspace(refined.knots.u[neighbors], refined.knots.v[neighbors], samples, axis=1)
-    # table[r, s, k]: refined function k + 1 at point s of neighbor lo + r's grid
-    table = eval_basis(refined, grids.ravel()).reshape(hi - lo, samples, n)
-    values = np.abs(table[rows, :, neighbors])
-    at = values.argmax(axis=1)
-    for r in rows:
-        if values[r, at[r]] < 1e-6:
-            raise GTBError(
-                f"refined basis function {neighbors[r] + 1} is numerically negligible; "
-                "cannot extract the insertion factor"
-            )
-    # The refined pair k, k + 1 of each row at its peak, taken out of the
-    # table so that the table is freed before the transfer map is allocated.
-    b_new = table[rows[:, None], at[:, None], neighbors[:, None] + [-1, 0]]
-    del table
-    b_old = eval_basis(space, grids[rows, at])[rows, neighbors - 1, 0]
-
-    beta = np.empty(hi - lo)
-    alpha = 1.0
-    for r in rows:
-        beta[r] = (b_old[r] - alpha * b_new[r, 0]) / b_new[r, 1]
+    # Band row r: old function lo + r (1-based) and refined lo + r, lo + r + 1.
+    rows, cols = np.arange(hi - lo), new[1:].argmax(axis=1)
+    b_old, b_new, b_next = old[rows, cols], new[rows, cols], new[rows + 1, cols]
+    beta, alpha = np.empty(hi - lo), 1.0
+    for r in range(hi - lo):
+        beta[r] = (b_old[r] - alpha * b_new[r]) / b_next[r]
         alpha = 1.0 - beta[r]
+        if not (np.isfinite(beta[r]) and beta[r] > 0.0 and (alpha > 0.0 or r == hi - lo - 1)):
+            raise GTBError(
+                f"insertion at x={x_new!r}: nonpositive or non-finite coefficient "
+                f"{beta[r]!r} of refined basis function {lo + r + 1}"
+            )
     pin_band_end(beta)
     # The transpose of the (n-1) x n two-band factor F: unit entries outside
     # the band, the band's own factor inside it.

@@ -250,7 +250,8 @@ def reference_transfer(space, refined, i: int) -> np.ndarray:
     function.  ``refined`` is the refinement of ``space`` at its breakpoint
     ``x_i``; the band is the support ``mu[i] .. sigma[i] + 1`` of the
     refined jumps of order ``r_i + 1`` at ``x_i``.  The production
-    ``insert_knot`` must give the same map bit for bit."""
+    ``insert_knot`` reads its map from the operators instead; this one is
+    its reference within a tolerance."""
     lo = int(refined.knots.mu[i])
     hi = int(refined.knots.sigma[i]) + 1
     n = refined.n_basis

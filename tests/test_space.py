@@ -368,12 +368,11 @@ class TestInsertKnot:
                 for x in xs:
                     assert np.max(np.abs(curve(float(x)) - fine(float(x)))) <= 1e-12
 
-    def test_rows_sum_to_one_near_element_end(self):
-        # A 12-interval cycle of a cubic, a trigonometric cubic (omega 1.2
-        # on length 1.25), an exponential quartic and a quartic, joined C^2
-        # and C^1 in turn; the knot goes 1 % of the trigonometric element's
-        # length from its right end, where value matching leaves the
-        # band-end coefficient off one by rounding.
+    @staticmethod
+    def _cycle_space():
+        """A 12-interval cycle of a cubic, a trigonometric cubic (omega 1.2
+        on length 1.25), an exponential quartic and a quartic, joined C^2
+        and C^1 in turn, and the ends of its trigonometric element."""
         cycle = [
             (PolynomialFamily(3), 1.0),
             (TrigonometricFamily(3, 1.2), 1.25),
@@ -385,10 +384,23 @@ class TestInsertKnot:
             breakpoints.append(breakpoints[-1] + length)
         smoothness = [(2, 1)[i % 2] for i in range(len(cycle) - 1)]
         space = build_space(SpaceConfig(breakpoints, [f for f, _ in cycle], smoothness))
-        lo, hi = breakpoints[1:3]
+        return space, breakpoints[1:3]
+
+    def test_rows_sum_to_one_near_element_end(self):
+        # The knot goes 1 % of the trigonometric element's length from its
+        # right end, where the computed band-end coefficient is off one by
+        # rounding.
+        space, (lo, hi) = self._cycle_space()
         refined, transfer = insert_knot(space, hi - 0.01 * (hi - lo))
         assert refined.n_basis == space.n_basis + 1
         assert np.max(np.abs(transfer.sum(axis=1) - 1.0)) <= 4.5e-16
+
+    def test_cascade_failure_names_its_constraint(self):
+        # 0.3 % from the same end, the refined cascade finds jump entries
+        # outside their band; the error names the breakpoint and order.
+        space, (lo, hi) = self._cycle_space()
+        with pytest.raises(GTBError, match=r"^constraint \(breakpoint 3, order 0\): constraint"):
+            insert_knot(space, hi - 0.003 * (hi - lo))
 
     def test_transfer_is_the_only_dense_allocation(self):
         space = build_space(uniform_cubic_config(640))
@@ -451,12 +463,15 @@ class TestInsertKnot:
     def test_maps_equal_reference_value_matching(self):
         # Every interior breakpoint and interval midpoint: the band read off
         # the refined knot vectors is the support of the jumps the
-        # refinement no longer enforces, and the map equals the one-function-
-        # at-a-time reference bit for bit.
+        # refinement no longer enforces, and on 2,001 points the map keeps
+        # the basis, sum_k |(T^T B_new - B_old)_k|, within twice the
+        # deviation of the value-matched reference map, or within 1e-13.
         rng = np.random.default_rng(777)
         for _ in range(60):
             space = build_space(random_config(rng))
             bp = space.partition.breakpoints
+            xs = np.linspace(*space.domain, 2001)
+            before = eval_basis(space, xs)[:, :, 0]
             targets = [x for i, x in enumerate(bp[1:-1], 1) if space.smoothness[i] >= 0]
             targets += [0.5 * (x + y) for x, y in zip(bp, bp[1:])]
             for x_new in targets:
@@ -465,36 +480,39 @@ class TestInsertKnot:
                 kv = refined.knots
                 band = kv.band(i, refined.smoothness[i] + 1)
                 assert band == (int(kv.mu[i]), int(kv.sigma[i]) + 1)
-                assert np.array_equal(transfer, reference_transfer(space, refined, i))
+                after = eval_basis(refined, xs)[:, :, 0]
 
-    def test_two_evaluations_per_insertion(self, mixed_space, monkeypatch):
-        calls = []
-        counted = space_module.eval_basis
+                def moved(t):
+                    return np.max(np.abs(after @ t - before).sum(axis=1))
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return counted(*args, **kwargs)
+                reference = moved(reference_transfer(space, refined, i))
+                assert moved(transfer) <= max(2.0 * reference, 1e-13)
 
-        monkeypatch.setattr(space_module, "eval_basis", counting)
+    def test_no_evaluation_per_insertion(self, mixed_space, monkeypatch):
+        def evaluating(*args, **kwargs):
+            raise AssertionError("insert_knot evaluated a basis")
+
+        monkeypatch.setattr(space_module, "eval_basis", evaluating)
         for x_new in (1.0, 1.7, 4.0):  # a breakpoint, a trig and an exp split
-            calls.clear()
             insert_knot(mixed_space, x_new)
-            assert len(calls) <= 2
 
-    def test_negligible_neighbor_is_named(self, mixed_space, monkeypatch):
+    # -1 makes beta_{lo+2} negative, 1e3 makes it exceed one, so that the
+    # interior alpha_{lo+2} = 1 - beta_{lo+2} is negative.
+    @pytest.mark.parametrize("scale", [-1.0, 1e3])
+    def test_nonpositive_coefficient_is_named(self, mixed_space, monkeypatch, scale):
         refined, _ = insert_knot(mixed_space, 1.0)
         lo, hi = refined.knots.band(1, refined.smoothness[1] + 1)
-        assert hi - lo >= 2
-        real = space_module.eval_basis
+        assert hi - lo >= 3
+        real = ExtractionMatrix.window
 
-        def faint(space, x, max_order=0):
-            out = real(space, x, max_order)
-            if space.n_basis == refined.n_basis:
-                out[..., lo + 1 :, :] *= 1e-9  # functions lo + 2 .. N
+        def scaled(self, row_lo, *args):
+            out = real(self, row_lo, *args)
+            if self.knots.n_basis == mixed_space.n_basis:
+                out[lo - row_lo] *= scale  # old function lo + 1 (1-based)
             return out
 
-        monkeypatch.setattr(space_module, "eval_basis", faint)
-        with pytest.raises(GTBError, match=f"refined basis function {lo + 2} is numerically"):
+        monkeypatch.setattr(ExtractionMatrix, "window", scaled)
+        with pytest.raises(GTBError, match=f"x=1.0: .* refined basis function {lo + 2}$"):
             insert_knot(mixed_space, 1.0)
 
     def test_precondition_errors(self, mixed_space, profile_space):
