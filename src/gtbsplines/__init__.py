@@ -9,11 +9,7 @@ Knot insertion, derivative evaluation, curve representation, unit-integral
 scaling, and independent recurrence/Cox-de Boor oracles are included.
 """
 
-from .bernstein import (
-    BernsteinBasis,
-    build_bernstein,
-    closed_form_bernstein,
-)
+from .bernstein import BernsteinBasis, build_bernstein
 from .config import (
     SpaceConfig,
     conic_profile_demo_config,
@@ -95,7 +91,6 @@ __all__ = [
     "build_constraints",
     "build_knot_vectors",
     "build_space",
-    "closed_form_bernstein",
     "conic_profile_demo_config",
     "eval_basis",
     "eval_curve",

@@ -5,12 +5,10 @@ binomial Bernstein polynomials: ``b_j`` vanishes to order ``j`` at the left
 endpoint and to order ``p - j`` at the right endpoint, the basis is
 nonnegative, and for sections containing constants it sums to one.
 
-The production construction gathers the dense Hermite interpolation
+The construction gathers the dense Hermite interpolation
 problems of all ``p + 1`` functions from the section's endpoint tables and
 solves them as one stack directly in the span basis, after one batched
-condition check; no integration is involved.  Closed forms are available for polynomial sections of any degree
-and for trigonometric/exponential sections of degree one and two, and serve
-as independent cross-checks.
+condition check; no integration is involved.
 """
 
 from __future__ import annotations
@@ -23,15 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConditioningWarning, EctViolationError
-from .sections import (
-    COND_LIMIT,
-    ExponentialFamily,
-    PolynomialFamily,
-    SectionSpace,
-    TrigonometricFamily,
-)
+from .sections import COND_LIMIT, SectionSpace
 
-__all__ = ["BernsteinBasis", "build_bernstein", "closed_form_bernstein"]
+__all__ = ["BernsteinBasis", "build_bernstein"]
 
 
 @dataclass(eq=False)
@@ -52,16 +44,8 @@ class BernsteinBasis:
 
     section: SectionSpace
     coeffs: np.ndarray
-    left_table: np.ndarray = field(repr=False, default=None)
-    right_table: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self.left_table is None or self.right_table is None:
-            p = self.section.degree
-            t_lo = self.section.span_derivatives(self.section.x_lo, p)
-            t_hi = self.section.span_derivatives(self.section.x_hi, p)
-            self.left_table = self.coeffs @ t_lo
-            self.right_table = self.coeffs @ t_hi
+    left_table: np.ndarray = field(repr=False)
+    right_table: np.ndarray = field(repr=False)
 
     @property
     def degree(self) -> int:
@@ -165,61 +149,4 @@ def build_bernstein(section: SectionSpace) -> BernsteinBasis:
         coeffs[j] *= -float(np.sum(left[:j, j]))
         left[j] = coeffs[j] @ t_lo
     return BernsteinBasis(section, coeffs, left, coeffs @ t_hi)
-
-
-def _fit_span_coefficients(section: SectionSpace, values) -> np.ndarray:
-    """Express a function in the span basis by collocation at Chebyshev
-    points; ``values`` maps an array of points to the function's values."""
-    p = section.degree
-    k = np.arange(p + 1)
-    t = np.cos((2 * k + 1) * math.pi / (2 * (p + 1)))
-    xs = 0.5 * (section.x_lo + section.x_hi) + 0.5 * section.length * t
-    return np.linalg.solve(section.span_derivatives(xs, 0)[:, :, 0], values(xs))
-
-
-def closed_form_bernstein(section: SectionSpace) -> BernsteinBasis | None:
-    """Closed-form Bernstein basis where one is known, else ``None``.
-
-    Supported: polynomial sections of any degree (binomial form), and
-    trigonometric/exponential sections of degree 1 and 2 (sine/cosine and
-    sinh/cosh forms).  The closed forms are re-expressed in the section's
-    span basis.
-    """
-    fam = section.family
-    p = section.degree
-    lo, hi, L = section.x_lo, section.x_hi, section.length
-
-    if isinstance(fam, PolynomialFamily):
-        # b_j = C(p, j) t^j (1-t)^(p-j) with t = (x - lo)/L, expanded into
-        # shifted monomials (x - lo)^k.
-        coeffs = np.zeros((p + 1, p + 1))
-        for j in range(p + 1):
-            cj = math.comb(p, j)
-            for s in range(p - j + 1):
-                coeffs[j, j + s] = cj * math.comb(p - j, s) * (-1.0) ** s / L ** (j + s)
-        return BernsteinBasis(section, coeffs)
-
-    if isinstance(fam, (TrigonometricFamily, ExponentialFamily)):
-        w = fam.omega
-        trig = isinstance(fam, TrigonometricFamily)
-        f = np.sin if trig else np.sinh
-        g = np.cos if trig else np.cosh
-        if p == 1:
-            funcs = [
-                lambda x: f(w * (hi - x)) / f(w * L),
-                lambda x: f(w * (x - lo)) / f(w * L),
-            ]
-        elif p == 2:
-            den = 1.0 - g(w * L)
-            funcs = [
-                lambda x: (1.0 - g(w * (hi - x))) / den,
-                lambda x: (g(w * (hi - x)) + g(w * (x - lo)) - g(w * L) - 1.0) / den,
-                lambda x: (1.0 - g(w * (x - lo))) / den,
-            ]
-        else:
-            return None
-        coeffs = np.array([_fit_span_coefficients(section, fn) for fn in funcs])
-        return BernsteinBasis(section, coeffs)
-
-    return None
 

@@ -200,7 +200,7 @@ def cmd_verify(args) -> int:
     ok &= _check("smoothness-jumps", jump_err <= 1e-9, f"max jump {jump_err:.3g}")
 
     # Each operator column has its nonzeros in one element block.
-    blocks = space.element_blocks
+    blocks = space.extraction.blocks
     col_err = np.max(np.abs(np.concatenate([b.sum(axis=0) for b in blocks]) - 1.0))
     neg = -min(min(b.min() for b in blocks), 0.0)
     ok &= _check("extraction-column-sums", col_err <= 1e-12, f"max {col_err:.3g}")

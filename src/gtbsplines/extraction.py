@@ -26,11 +26,11 @@ own the index layout, as in classical spline codes: :class:`KnotVectors`
 gives each interval's Bernstein block and active rows, the order of the
 constraints and the band of each one (:meth:`KnotVectors.band`), which
 the cascade, the element blocks, evaluation and knot insertion all read,
-and the exact end smoothness of each function
-(:meth:`KnotVectors.supersmoothness`), all from its running multiplicity
-sums.  No entry of a jump is tested against zero to find its band;
-out-of-band entries are only ever rounding noise and are checked against
-a relative tolerance.
+and the support and exact end smoothness of each function
+(:meth:`KnotVectors.support`, :meth:`KnotVectors.supersmoothness`), all
+from its running multiplicity sums.  No entry of a jump is tested against
+zero to find its band; out-of-band entries are only ever rounding noise
+and are checked against a relative tolerance.
 """
 
 from __future__ import annotations
@@ -138,11 +138,19 @@ class KnotVectors:
         m = len(self.degrees)
         return [(i, j) for i in range(1, m) for j in range(self.smoothness[i] + 1)]
 
+    def support(self, k):
+        """Breakpoint indices ``(i, j)`` with ``u_k = x_i``, ``v_k = x_j``: the
+        runs of ``sigma``, ``mu`` holding ``k`` (1-based; an int or int array)."""
+        k0 = np.asarray(k) - 1
+        i = np.searchsorted(self.sigma, k0, "right") - 1
+        j = np.searchsorted(self.mu, k0, "right")
+        return (int(i), int(j)) if np.ndim(k) == 0 else (i, j)
+
     def supersmoothness(self, k: int) -> tuple[int, int]:
         """Exact smoothness orders ``(r_u(k), r_v(k))`` of basis function
         ``k`` (1-based) at the two ends of its support.
 
-        With ``u_k = x_i`` and ``v_k = x_j``,
+        With ``(i, j) = support(k)``, so ``u_k = x_i`` and ``v_k = x_j``,
 
         ``r_u(k) = p_{i+1} - 1 - max{l >= 0 : u_k = u_{k+l}}`` and
         ``r_v(k) = p_j - 1 - max{l >= 0 : v_k = v_{k-l}}``,
@@ -155,8 +163,7 @@ class KnotVectors:
         if not (1 <= k <= n):
             raise ConfigError(f"basis index {k} outside [1, {n}]")
         k0 = k - 1
-        i = int(np.searchsorted(self.sigma, k0, "right")) - 1
-        j = int(np.searchsorted(self.mu, k0, "right"))
+        i, j = self.support(k)
         r_u = self.degrees[i] - int(self.sigma[i + 1]) + k0
         r_v = self.degrees[j - 1] - 1 - (k0 - int(self.mu[j - 1]))
         return r_u, r_v
@@ -346,19 +353,15 @@ class ExtractionMatrix:
     ``C`` from them, and :attr:`operator` is the full window.
 
     ``factors[rho]`` holds the ``hi - lo`` band coefficients of the two-band
-    factor applied at step ``rho`` with band ``bands[rho]`` to the constraint
-    ``knots.columns[rho] = (i, j)``; ``apply_factor(np.eye(n), bands[rho],
-    factors[rho])`` recovers the dense factor, where ``n = knots.n_bernstein - rho``.
+    factor applied at step ``rho`` to the constraint ``knots.columns[rho] =
+    (i, j)``, whose band is ``(lo, hi) = knots.band(i, j)``;
+    ``apply_factor(np.eye(n), (lo, hi), factors[rho])`` recovers the dense
+    factor, where ``n = knots.n_bernstein - rho``.
     """
 
     blocks: tuple[np.ndarray, ...] = field(repr=False)
     factors: list[np.ndarray] = field(repr=False)
     knots: KnotVectors = field(repr=False)
-
-    @property
-    def bands(self) -> list[tuple[int, int]]:
-        """The band of each factor, in cascade order."""
-        return [self.knots.band(i, j) for i, j in self.knots.columns]
 
     @property
     def operator(self) -> np.ndarray:

@@ -12,8 +12,6 @@ Two kinds of oracles live here:
   within-element cumulative integral at the nodes, and the row that maps
   them to the element mass.  Each section's weights are evaluated once, on
   its element's nodes, and each cumulative once per intermediate function.
-  Both recurrence oracles (:class:`RecurrenceEvaluator` and
-  :class:`RecurrenceBernstein`) integrate through the same rule.
   Each intermediate function keeps its pieces, masses and cumulatives only
   over the elements its support covers, so construction is linear in the
   number of functions.
@@ -45,7 +43,6 @@ __all__ = [
     "RecurrenceEvaluator",
     "local_recurrence_eval",
     "global_recurrence_eval",
-    "RecurrenceBernstein",
     "cox_de_boor_knots",
     "cox_de_boor_basis",
 ]
@@ -181,8 +178,8 @@ class RecurrenceEvaluator:
         ]
         # Support ends as element indices: function k (1-based) starts on
         # element _first_element[k - 1] and ends before _stop_element[k - 1].
-        self._first_element = np.searchsorted(bp, space.knots.u, "left").tolist()
-        self._stop_element = (np.searchsorted(bp, space.knots.v, "right") - 1).tolist()
+        first, stop = space.knots.support(np.arange(1, self.n_basis + 1))
+        self._first_element, self._stop_element = first.tolist(), stop.tolist()
         # Weights w_0 .. w_p of each section on its element's nodes.
         self._weights: list[np.ndarray] = []
         for basis, elem in zip(space.bases, self.elements):
@@ -307,62 +304,6 @@ def _evaluator(space: GTSplineSpace, mode: str) -> RecurrenceEvaluator:
             del _EVALUATOR_CACHE[other]
         found = _EVALUATOR_CACHE[mode] = RecurrenceEvaluator(space, mode)
     return found
-
-
-class RecurrenceBernstein:
-    """Bernstein-like basis of one section built by the integral ladder.
-
-    The construction starts from the normalized generator pair and repeatedly
-    integrates unit-mass differences; only quadrature-level accuracy is
-    claimed.  Evaluation supports derivatives through Chebyshev
-    differentiation.
-    """
-
-    def __init__(self, section: SectionSpace):
-        if section.degree < 1:
-            raise OracleUnsupportedError(
-                "the integral ladder needs a section of degree >= 1"
-            )
-        self.section = section
-        self.element = _Element(section.x_lo, section.x_hi, _section_nodes(section))
-        pair = section.normalized_pair_derivatives()
-        values = np.array([pair(x) for x in self.element.nodes])
-        ladder = [self.element.fit(values[:, 0]), self.element.fit(values[:, 1])]
-        for q in range(2, section.degree + 1):
-            ladder = self._lift(ladder, self._masses(ladder))
-        self.coefficients = ladder
-
-    def _masses(self, ladder) -> list[float]:
-        return [self.element.mass(coef) for coef in ladder]
-
-    def _lift(self, ladder, masses):
-        cums = [
-            self.element.fit(self.element.cumulative(coef) / mass)
-            for coef, mass in zip(ladder, masses)
-        ]
-        q = len(ladder)
-        lifted = [np.zeros(1)] * (q + 1)
-        lifted[0] = -cums[0]
-        lifted[0][0] += 1.0
-        for j in range(1, q):
-            lifted[j] = cums[j - 1] - cums[j]
-        lifted[q] = cums[q - 1]
-        return lifted
-
-    def evaluate(self, x: float, max_order: int = 0) -> np.ndarray:
-        """(p+1, max_order+1) table of values and derivatives at ``x``."""
-        p = self.section.degree
-        out = np.zeros((p + 1, max_order + 1))
-        t = self.element.to_t(x)
-        scale = 1.0
-        coefs = list(self.coefficients)
-        for d in range(max_order + 1):
-            for j in range(p + 1):
-                out[j, d] = scale * _cheb.chebval(t, coefs[j])
-            coefs = [_cheb.chebder(c) if len(c) > 1 else np.zeros(1) for c in coefs]
-            scale /= self.element.half
-            # chebder differentiates in t; each order picks up 1/half
-        return out
 
 
 # -- classical polynomial reference ---------------------------------------

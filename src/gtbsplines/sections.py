@@ -44,7 +44,6 @@ __all__ = [
     "GeneralizedPolynomialFamily",
     "SectionSpace",
     "weight_system",
-    "endpoint_collocation_matrix",
     "validate_ect",
 ]
 
@@ -443,40 +442,37 @@ def weight_system(section: SectionSpace, xs) -> np.ndarray:
     return out
 
 
-def endpoint_collocation_matrix(section: SectionSpace, n_lo: int) -> np.ndarray:
-    """Two-point Hermite collocation matrix of the span basis.
-
-    Row block 1: derivatives of order ``0 .. n_lo - 1`` at ``x_lo``;
-    row block 2: orders ``0 .. p - n_lo`` at ``x_hi``.  Any such split is
-    nonsingular exactly when the section is an extended Tchebycheff space.
-    """
-    p = section.degree
-    if not (0 <= n_lo <= p + 1):
-        raise OrderError(f"n_lo={n_lo} outside [0, {p + 1}]")
-    rows = []
-    if n_lo > 0:
-        t_lo = section.span_derivatives(section.x_lo, n_lo - 1)
-        rows.extend(t_lo[:, d] for d in range(n_lo))
-    if n_lo <= p:
-        t_hi = section.span_derivatives(section.x_hi, p - n_lo)
-        rows.extend(t_hi[:, d] for d in range(p - n_lo + 1))
-    return np.array(rows)
+@functools.lru_cache(maxsize=None)
+def _ect_splits(p: int) -> np.ndarray:
+    """Row indices of the ``p + 2`` endpoint collocation splits in the stacked
+    table ``[t_lo | t_hi]^T``: split ``n_lo`` takes rows ``0 .. n_lo - 1``
+    (low orders) and ``p + 1 .. 2p + 1 - n_lo`` (high orders ``0 .. p - n_lo``)."""
+    rows = np.array([[*range(n_lo), *range(p + 1, 2 * p + 2 - n_lo)] for n_lo in range(p + 2)])
+    rows.flags.writeable = False
+    return rows
 
 
 def validate_ect(section: SectionSpace) -> None:
     """Heuristic ECT check: every two-point endpoint collocation split must be
     nonsingular, with condition number at most ``COND_LIMIT``.
 
-    This is a necessary condition only; it is the documented validation applied
-    to user-supplied generalized polynomial pairs.
+    Split ``n_lo`` collocates the span basis in the orders ``0 .. n_lo - 1``
+    at ``x_lo`` and ``0 .. p - n_lo`` at ``x_hi``; all ``p + 2`` are gathered
+    from the two endpoint tables, checked in one condition call and reported
+    in ``n_lo`` order.  This is a necessary condition only; it is the
+    documented validation applied to user-supplied generalized pairs.
     """
-    for n_lo in range(section.degree + 2):
-        mat = endpoint_collocation_matrix(section, n_lo)
-        if not np.all(np.isfinite(mat)):
+    p = section.degree
+    t_lo, t_hi = (section.span_derivatives(x, p) for x in (section.x_lo, section.x_hi))
+    splits = np.concatenate([t_lo, t_hi], axis=1).T[_ect_splits(p)]
+    finite = np.isfinite(splits)
+    # A split with a non-finite entry is reported as such, never by its number.
+    conds = np.linalg.cond(np.where(finite, splits, 0.0)).tolist()
+    for n_lo, (ok, cond) in enumerate(zip(finite.all(axis=(1, 2)).tolist(), conds)):
+        if not ok:
             raise EctViolationError("collocation matrix has non-finite entries")
-        cond = np.linalg.cond(mat)
-        if not np.isfinite(cond) or cond > COND_LIMIT:
+        if not math.isfinite(cond) or cond > COND_LIMIT:
             raise EctViolationError(
-                f"endpoint collocation split {n_lo}/{section.degree + 1 - n_lo} is "
+                f"endpoint collocation split {n_lo}/{p + 1 - n_lo} is "
                 f"singular or ill conditioned (cond ~ {cond:.3g})"
             )

@@ -84,12 +84,6 @@ class GTSplineSpace:
     extraction: ExtractionMatrix = field(repr=False)
 
     @property
-    def element_blocks(self) -> tuple[np.ndarray, ...]:
-        """Per interval, the rows of its active functions in its column block
-        of the operator; every other entry of that column block is zero."""
-        return self.extraction.blocks
-
-    @property
     def degrees(self) -> tuple[int, ...]:
         return self.knots.degrees
 
@@ -224,7 +218,7 @@ def _element_values(space: GTSplineSpace, e: int, x, max_order: int):
     interval."""
     _check_order(space, e, max_order)
     bvals = space.bases[e - 1].evaluate(x, max_order)
-    return space.knots.active_range(e)[0] - 1, space.element_blocks[e - 1] @ bvals
+    return space.knots.active_range(e)[0] - 1, space.extraction.blocks[e - 1] @ bvals
 
 
 def jump_vector(space: GTSplineSpace, i: int, order: int) -> np.ndarray:
@@ -266,10 +260,6 @@ class SplineCurve:
                 f"dimension {self.space.n_basis}"
             )
 
-    @property
-    def geometric_dim(self) -> int:
-        return self.control.shape[1]
-
     def __call__(self, x, order: int = 0) -> np.ndarray:
         return eval_curve(self, x, order)
 
@@ -301,6 +291,10 @@ def _refined_components(space: GTSplineSpace, x_new: float):
 
     if hits:
         i = hits[0]
+        if i in (0, len(bp) - 1):
+            raise InsertionError(
+                f"insertion point {x_new!r} coincides with the domain end x={bp[i]!r}"
+            )
         r_i = space.smoothness[i]
         if r_i < 0:
             raise InsertionError(
@@ -329,7 +323,9 @@ def insert_knot(space: GTSplineSpace, x_new: float):
     For an existing interior breakpoint the smoothness there drops by one
     (requires ``r_i >= 0``); otherwise the containing section is split into
     two sections of the same family and the new breakpoint joins them with
-    maximal smoothness ``p - 1``.
+    maximal smoothness ``p - 1``.  A point within ``1e-12`` of the domain
+    length of a breakpoint is that breakpoint; at a domain end it raises
+    :class:`~gtbsplines.errors.InsertionError`.
 
     The refined space is rebuilt from scratch, and the two-band factor of
     ``B_old = F B_new`` is read from the two operators without evaluation:
@@ -362,8 +358,7 @@ def insert_knot(space: GTSplineSpace, x_new: float):
     n = refined.n_basis
     # Refined intervals e_lo .. e_hi run from the start of function lo's
     # support to the end of function hi's; the old ones lack the split.
-    e_lo = int(np.searchsorted(kv.sigma, lo - 1, "right"))
-    e_hi = int(np.searchsorted(kv.mu, hi - 1, "right"))
+    e_lo, e_hi = kv.support(lo)[0] + 1, kv.support(hi)[1]
     split = len(bases) > len(space.bases)
     new = refined.extraction.window(lo - 1, hi, e_lo, e_hi)
     old = space.extraction.window(lo - 1, hi - 1, e_lo, e_hi - split)

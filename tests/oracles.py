@@ -1,0 +1,150 @@
+"""Bernstein-basis references that share no construction with the library.
+
+* :func:`closed_form_bernstein`: closed-form Bernstein bases for polynomial
+  sections of any degree and trigonometric/exponential sections of degree
+  one and two, re-expressed in the section's span basis.
+* :class:`RecurrenceBernstein`: the Bernstein basis of one section built by
+  the integral ladder on per-element Chebyshev interpolants, through the
+  same cached rule as the library's recurrence evaluator.
+
+The library builds each basis by one stacked Hermite solve; these are the
+independent cross-checks of that construction.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import numpy.polynomial.chebyshev as _cheb
+
+from gtbsplines import (
+    BernsteinBasis,
+    ExponentialFamily,
+    OracleUnsupportedError,
+    PolynomialFamily,
+    SectionSpace,
+    TrigonometricFamily,
+)
+from gtbsplines.oracle import _Element, _section_nodes
+
+
+def _basis(section: SectionSpace, coeffs: np.ndarray) -> BernsteinBasis:
+    """The basis with span coefficients ``coeffs`` and its endpoint tables."""
+    p = section.degree
+    t_lo = section.span_derivatives(section.x_lo, p)
+    t_hi = section.span_derivatives(section.x_hi, p)
+    return BernsteinBasis(section, coeffs, coeffs @ t_lo, coeffs @ t_hi)
+
+
+def _fit_span_coefficients(section: SectionSpace, values) -> np.ndarray:
+    """Express a function in the span basis by collocation at Chebyshev
+    points; ``values`` maps an array of points to the function's values."""
+    p = section.degree
+    k = np.arange(p + 1)
+    t = np.cos((2 * k + 1) * math.pi / (2 * (p + 1)))
+    xs = 0.5 * (section.x_lo + section.x_hi) + 0.5 * section.length * t
+    return np.linalg.solve(section.span_derivatives(xs, 0)[:, :, 0], values(xs))
+
+
+def closed_form_bernstein(section: SectionSpace) -> BernsteinBasis | None:
+    """Closed-form Bernstein basis where one is known, else ``None``.
+
+    Supported: polynomial sections of any degree (binomial form), and
+    trigonometric/exponential sections of degree 1 and 2 (sine/cosine and
+    sinh/cosh forms).  The closed forms are re-expressed in the section's
+    span basis.
+    """
+    fam = section.family
+    p = section.degree
+    lo, hi, L = section.x_lo, section.x_hi, section.length
+
+    if isinstance(fam, PolynomialFamily):
+        # b_j = C(p, j) t^j (1-t)^(p-j) with t = (x - lo)/L, expanded into
+        # shifted monomials (x - lo)^k.
+        coeffs = np.zeros((p + 1, p + 1))
+        for j in range(p + 1):
+            cj = math.comb(p, j)
+            for s in range(p - j + 1):
+                coeffs[j, j + s] = cj * math.comb(p - j, s) * (-1.0) ** s / L ** (j + s)
+        return _basis(section, coeffs)
+
+    if isinstance(fam, (TrigonometricFamily, ExponentialFamily)):
+        w = fam.omega
+        trig = isinstance(fam, TrigonometricFamily)
+        f = np.sin if trig else np.sinh
+        g = np.cos if trig else np.cosh
+        if p == 1:
+            funcs = [
+                lambda x: f(w * (hi - x)) / f(w * L),
+                lambda x: f(w * (x - lo)) / f(w * L),
+            ]
+        elif p == 2:
+            den = 1.0 - g(w * L)
+            funcs = [
+                lambda x: (1.0 - g(w * (hi - x))) / den,
+                lambda x: (g(w * (hi - x)) + g(w * (x - lo)) - g(w * L) - 1.0) / den,
+                lambda x: (1.0 - g(w * (x - lo))) / den,
+            ]
+        else:
+            return None
+        coeffs = np.array([_fit_span_coefficients(section, fn) for fn in funcs])
+        return _basis(section, coeffs)
+
+    return None
+
+
+class RecurrenceBernstein:
+    """Bernstein-like basis of one section built by the integral ladder.
+
+    The construction starts from the normalized generator pair and repeatedly
+    integrates unit-mass differences; only quadrature-level accuracy is
+    claimed.  Evaluation supports derivatives through Chebyshev
+    differentiation.
+    """
+
+    def __init__(self, section: SectionSpace):
+        if section.degree < 1:
+            raise OracleUnsupportedError(
+                "the integral ladder needs a section of degree >= 1"
+            )
+        self.section = section
+        self.element = _Element(section.x_lo, section.x_hi, _section_nodes(section))
+        pair = section.normalized_pair_derivatives()
+        values = np.array([pair(x) for x in self.element.nodes])
+        ladder = [self.element.fit(values[:, 0]), self.element.fit(values[:, 1])]
+        for q in range(2, section.degree + 1):
+            ladder = self._lift(ladder, self._masses(ladder))
+        self.coefficients = ladder
+
+    def _masses(self, ladder) -> list[float]:
+        return [self.element.mass(coef) for coef in ladder]
+
+    def _lift(self, ladder, masses):
+        cums = [
+            self.element.fit(self.element.cumulative(coef) / mass)
+            for coef, mass in zip(ladder, masses)
+        ]
+        q = len(ladder)
+        lifted = [np.zeros(1)] * (q + 1)
+        lifted[0] = -cums[0]
+        lifted[0][0] += 1.0
+        for j in range(1, q):
+            lifted[j] = cums[j - 1] - cums[j]
+        lifted[q] = cums[q - 1]
+        return lifted
+
+    def evaluate(self, x: float, max_order: int = 0) -> np.ndarray:
+        """(p+1, max_order+1) table of values and derivatives at ``x``."""
+        p = self.section.degree
+        out = np.zeros((p + 1, max_order + 1))
+        t = self.element.to_t(x)
+        scale = 1.0
+        coefs = list(self.coefficients)
+        for d in range(max_order + 1):
+            for j in range(p + 1):
+                out[j, d] = scale * _cheb.chebval(t, coefs[j])
+            coefs = [_cheb.chebder(c) if len(c) > 1 else np.zeros(1) for c in coefs]
+            scale /= self.element.half
+            # chebder differentiates in t; each order picks up 1/half
+        return out

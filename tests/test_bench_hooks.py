@@ -1,7 +1,10 @@
 """The benchmark's span tracer rebinds library names from outside the
-package; a renamed or dropped name would break only the traced benchmark
-run, so this test checks that every name it wraps still exists."""
+package, and its workload calls library functions and reads operator
+attributes; a renamed or dropped name would break only the benchmark run,
+so these tests check that every name either one uses still exists."""
 
+import dataclasses
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -24,6 +27,31 @@ def test_every_wrapped_name_resolves(tracer):
     for name, path, attr in hooks:
         owner = tracer._owner(path)
         assert attr in owner.__dict__, f"{name}: {path} has no attribute {attr!r}"
+
+
+# (module, function) pairs that bench/workload.py calls
+WORKLOAD_CALLS = [
+    ("space", "build_space"),
+    ("space", "eval_basis"),
+    ("space", "insert_knot"),
+    ("oracle", "local_recurrence_eval"),
+    ("oracle", "cox_de_boor_knots"),
+    ("oracle", "cox_de_boor_basis"),
+    ("cli", "main"),
+]
+
+
+@pytest.mark.parametrize("module, name", WORKLOAD_CALLS)
+def test_every_workload_call_resolves(module, name):
+    assert callable(getattr(importlib.import_module(f"gtbsplines.{module}"), name, None))
+
+
+def test_operator_attributes_the_bench_reads_exist():
+    from gtbsplines import ExtractionMatrix, GTSplineSpace
+
+    assert isinstance(GTSplineSpace.__dict__.get("operator"), property)
+    assert isinstance(ExtractionMatrix.__dict__.get("operator"), property)
+    assert "factors" in {f.name for f in dataclasses.fields(ExtractionMatrix)}
 
 
 def test_oracle_cache_can_be_emptied():

@@ -12,11 +12,11 @@ from gtbsplines import (
     SectionSpace,
     TrigonometricFamily,
     build_bernstein,
-    closed_form_bernstein,
 )
 from gtbsplines.config import conic_profile_demo_config, mixed_family_demo_config
 
 from helpers import random_config, sections_of, sequential_bernstein
+from oracles import closed_form_bernstein
 
 SECTIONS = [
     SectionSpace(0.0, 1.0, PolynomialFamily(0)),

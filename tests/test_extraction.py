@@ -89,6 +89,19 @@ class TestKnotVectors:
             if all(r >= 0 for r in cfg.smoothness):
                 assert np.all(kv.u[1:] < kv.v[:-1])
 
+    def test_support_reads_the_knot_vectors(self, rng):
+        kv = build_knot_vectors(DEMO_PARTITION, DEMO_DEGREES, DEMO_SMOOTHNESS)
+        assert [kv.support(k) for k in (1, 4, 5, 6)] == [(0, 2), (1, 3), (2, 3), (2, 3)]
+        for _ in range(60):
+            cfg = random_config(rng)
+            bp = np.array(cfg.breakpoints)
+            kv = build_knot_vectors(Partition(tuple(bp)), cfg.degrees, cfg.full_smoothness)
+            ks = np.arange(1, kv.n_basis + 1)
+            i, j = kv.support(ks)
+            assert np.array_equal(bp[i], kv.u)
+            assert np.array_equal(bp[j], kv.v)
+            assert [kv.support(int(k)) for k in ks] == list(zip(i.tolist(), j.tolist()))
+
     def test_smoothness_bound_violation(self):
         with pytest.raises(ConfigError):
             build_knot_vectors(Partition((0.0, 1.0, 2.0)), (2, 2), (-1, 3, -1))
@@ -318,13 +331,15 @@ class TestExtractionOperator:
     def test_factors_store_band_coefficients_only(self, mixed_space, rng):
         spaces = [mixed_space] + [build_space(random_config(rng)) for _ in range(12)]
         for space in spaces:
-            for beta, (lo, hi) in zip(space.extraction.factors, space.extraction.bands):
+            kv = space.knots
+            bands = [kv.band(i, j) for i, j in kv.columns]
+            for beta, (lo, hi) in zip(space.extraction.factors, bands):
                 assert beta.size == hi - lo
 
     def test_factor_two_band_structure(self, mixed_space):
-        for rho, (beta, (lo, hi)) in enumerate(
-            zip(mixed_space.extraction.factors, mixed_space.extraction.bands)
-        ):
+        kv = mixed_space.knots
+        bands = [kv.band(i, j) for i, j in kv.columns]
+        for rho, (beta, (lo, hi)) in enumerate(zip(mixed_space.extraction.factors, bands)):
             factor = apply_factor(np.eye(mixed_space.n_bernstein - rho), (lo, hi), beta)
             rows, cols = factor.shape
             assert cols == rows + 1
@@ -352,11 +367,8 @@ class TestExtractionOperator:
         # the jumps recomputed independently from endpoint tables.
         space = mixed_space
         running = np.eye(space.n_bernstein)
-        for beta, (i, j), (lo, hi) in zip(
-            space.extraction.factors,
-            space.knots.columns,
-            space.extraction.bands,
-        ):
+        for beta, (i, j) in zip(space.extraction.factors, space.knots.columns):
+            lo, hi = space.knots.band(i, j)
             factor = apply_factor(np.eye(running.shape[0]), (lo, hi), beta)
             g = np.zeros(space.n_bernstein)
             bl = slice(space.knots.block_start[i - 1], space.knots.block_start[i])
@@ -416,7 +428,7 @@ class TestExtractionOperator:
             for beta, expected in zip(ext.factors, factors):
                 assert np.array_equal(beta, expected)
             starts = space.knots.block_start
-            for e, block in enumerate(space.element_blocks, start=1):
+            for e, block in enumerate(ext.blocks, start=1):
                 lo, hi = space.knots.active_range(e)
                 assert np.array_equal(block, dense[lo - 1 : hi, starts[e - 1] : starts[e]])
             # nothing of the dense operator lies outside the blocks
@@ -435,7 +447,7 @@ class TestExtractionOperator:
         assert all(n_bernstein not in a.shape for a in stored)
         bound = 8 * (
             sum((p + 1) ** 2 for p in space.degrees)
-            + sum(hi - lo for lo, hi in ext.bands)
+            + sum(hi - lo for lo, hi in (ext.knots.band(i, j) for i, j in ext.knots.columns))
         )
         assert sum(a.nbytes for a in stored) <= bound + 1024
         points = np.linspace(0.0, float(m), 9)

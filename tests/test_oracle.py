@@ -23,7 +23,6 @@ from gtbsplines import (
 from gtbsplines import oracle
 from gtbsplines.config import conic_profile_demo_config, mixed_family_demo_config
 from gtbsplines.oracle import (
-    RecurrenceBernstein,
     RecurrenceEvaluator,
     _fit_rule,
     _section_nodes,
@@ -34,6 +33,7 @@ from gtbsplines.oracle import (
 )
 
 from helpers import random_config, reference_cox_de_boor
+from oracles import RecurrenceBernstein
 
 
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "gen_inputs.py"

@@ -18,7 +18,7 @@ from gtbsplines import (
     TrigonometricFamily,
     validate_ect,
 )
-from gtbsplines.sections import endpoint_collocation_matrix, weight_system
+from gtbsplines.sections import _ect_splits, weight_system
 
 from helpers import (
     central_diff,
@@ -143,9 +143,32 @@ class TestSpanDerivatives:
     @pytest.mark.parametrize("section", ALL_SECTIONS, ids=lambda s: repr(s.family))
     def test_endpoint_collocation_nonsingular(self, section):
         validate_ect(section)
-        for n_lo in range(section.degree + 2):
-            mat = endpoint_collocation_matrix(section, n_lo)
+        p = section.degree
+        t_lo, t_hi = (section.span_derivatives(x, p) for x in (section.x_lo, section.x_hi))
+        splits = np.concatenate([t_lo, t_hi], axis=1).T[_ect_splits(p)]
+        assert splits.shape == (p + 2, p + 1, p + 1)
+        for mat in splits:
             assert abs(np.linalg.det(mat)) > 0.0
+
+    @pytest.mark.parametrize(
+        "section", ALL_SECTIONS + [SectionSpace(0.0, 1.0, EXP_PAIR)], ids=lambda s: repr(s.family)
+    )
+    def test_validate_ect_gathers_all_splits_once(self, section, monkeypatch):
+        calls = {"span": 0, "cond": 0}
+        span, cond = SectionSpace.span_derivatives, np.linalg.cond
+
+        def counted_span(self, x, max_order):
+            calls["span"] += 1
+            return span(self, x, max_order)
+
+        def counted_cond(x, *args, **kwargs):
+            calls["cond"] += 1
+            return cond(x, *args, **kwargs)
+
+        monkeypatch.setattr(SectionSpace, "span_derivatives", counted_span)
+        monkeypatch.setattr(np.linalg, "cond", counted_cond)
+        validate_ect(section)
+        assert calls == {"span": 2, "cond": 1}
 
 
 class TestFamilyValidation:

@@ -515,6 +515,12 @@ class TestInsertKnot:
         with pytest.raises(GTBError, match=f"x=1.0: .* refined basis function {lo + 2}$"):
             insert_knot(mixed_space, 1.0)
 
+    @pytest.mark.parametrize("x_new", [1e-13, 5.0 - 1e-13])
+    def test_point_at_domain_end_is_named(self, mixed_space, x_new):
+        # within the breakpoint tolerance of a domain end, not of a breakpoint
+        with pytest.raises(InsertionError, match="domain end"):
+            insert_knot(mixed_space, x_new)
+
     def test_precondition_errors(self, mixed_space, profile_space):
         with pytest.raises(InsertionError):
             insert_knot(mixed_space, 0.0)  # domain endpoint
