@@ -46,7 +46,6 @@ from .sections import (
     PolynomialFamily,
     SectionSpace,
     TrigonometricFamily,
-    validate_ect,
 )
 from .space import (
     GTSplineSpace,
@@ -101,5 +100,4 @@ __all__ = [
     "mixed_family_demo_config",
     "nullspace_step",
     "unit_integral_scaling",
-    "validate_ect",
 ]

@@ -5,10 +5,10 @@ binomial Bernstein polynomials: ``b_j`` vanishes to order ``j`` at the left
 endpoint and to order ``p - j`` at the right endpoint, the basis is
 nonnegative, and for sections containing constants it sums to one.
 
-The construction gathers the dense Hermite interpolation
-problems of all ``p + 1`` functions from the section's endpoint tables and
-solves them as one stack directly in the span basis, after one batched
-condition check; no integration is involved.
+The construction gathers the dense Hermite interpolation problems of all
+``p + 1`` functions, and for a custom pair the ECT collocation splits, from
+the section's endpoint tables; one condition call checks them all, and the
+Hermite problems are solved as one stack in the span basis.
 """
 
 from __future__ import annotations
@@ -21,9 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConditioningWarning, EctViolationError
-from .sections import COND_LIMIT, SectionSpace
+from .sections import GeneralizedPolynomialFamily, SectionSpace
 
 __all__ = ["BernsteinBasis", "build_bernstein"]
+
+COND_LIMIT = 1e12  # condition number above which a collocation solve is ill conditioned
 
 
 @dataclass(eq=False)
@@ -64,25 +66,29 @@ class BernsteinBasis:
 
 
 @functools.lru_cache(maxsize=None)
-def _hermite_systems(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row indices and right-hand sides of the ``p + 1`` Hermite systems.
+def _endpoint_systems(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices of the ``p + 3`` endpoint systems of a section, and the
+    right-hand sides of its ``p + 1`` Hermite systems.
 
     The indices point into the stacked endpoint table ``[t_lo | t_hi]^T``,
     whose rows ``d`` and ``p + 1 + d`` hold the ``d``-th derivatives of the
-    span basis at ``x_lo`` resp. ``x_hi``.  System ``j`` takes the low
-    orders ``0 .. j-1``, the high orders ``0 .. p-j-1`` and its
-    normalization row: low order ``j`` for ``j < p``, high order ``0`` for
-    ``j = p``.  The normalization row comes first for ``b_0`` and last
+    span basis at ``x_lo`` resp. ``x_hi``.  Collocation split ``n_lo`` takes
+    the low orders ``0 .. n_lo-1`` and the high orders ``0 .. p-n_lo``;
+    systems ``0`` and ``p + 2`` are splits ``0`` and ``p + 1``.  System
+    ``j + 1`` is the Hermite system of ``b_j``: the rows of split ``j + 1``
+    (of split ``p`` for ``j = p``), with the normalization row -- low order
+    ``j``, high order ``0`` for ``j = p`` -- first for ``b_0`` and last
     otherwise; the right-hand side is one there and zero elsewhere.  (The
     computed condition number of a nearly singular matrix depends on its
     row order, so this keeps the one a function-by-function solve reports.)
     """
     rows = np.array(
-        [[0] + [p + 1 + d for d in range(p)]]
+        [[p + 1 + d for d in range(p + 1)], [0] + [p + 1 + d for d in range(p)]]
         + [
             list(range(j)) + [p + 1 + d for d in range(p - j)] + [j if j < p else p + 1]
             for j in range(1, p + 1)
         ]
+        + [list(range(p + 1))]
     )
     unit = np.zeros((p + 1, p + 1, 1))
     unit[1:, p] = 1.0
@@ -107,23 +113,43 @@ def build_bernstein(section: SectionSpace) -> BernsteinBasis:
     the endpoint tables of the span basis and solved as one stack with
     partial pivoting, each against a unit normalization value; ``b_1 ..
     b_{p-1}`` are then scaled in order, since each scale reads the ones
-    before it.  The condition numbers of the whole stack are checked first,
-    in ``j`` order, once the endpoint tables are finite: a non-finite table,
-    a failed check or a non-finite number raises
-    :class:`~gtbsplines.errors.EctViolationError`, each number above ``1e12``
-    warns with :class:`~gtbsplines.errors.ConditioningWarning`.
+    before it.  The condition numbers of the whole stack are computed in one
+    call once the endpoint tables are finite; a non-finite table, a failed
+    call or a non-finite number (in ``j`` order) raises
+    :class:`~gtbsplines.errors.EctViolationError`, and each number above
+    ``1e12`` warns with :class:`~gtbsplines.errors.ConditioningWarning`.
+
+    A custom pair (:class:`~gtbsplines.sections.GeneralizedPolynomialFamily`)
+    must first pass a necessary ECT check in the same condition call: each
+    of its ``p + 2`` endpoint collocation splits needs a finite condition
+    number of at most ``1e12``.  The first split that fails, in ``n_lo``
+    order, raises ``EctViolationError`` naming the split and the section
+    before any warning, as does a user function that overflows at an end.
     """
     p = section.degree
-    t_lo = section.span_derivatives(section.x_lo, p)
-    t_hi = section.span_derivatives(section.x_hi, p)
+    custom = isinstance(section.family, GeneralizedPolynomialFamily)
+    try:
+        t_lo = section.span_derivatives(section.x_lo, p)
+        t_hi = section.span_derivatives(section.x_hi, p)
+    except OverflowError as exc:  # a custom pair's user functions
+        raise EctViolationError(f"endpoint derivatives of {section!r} overflow") from exc
     if not np.isfinite([t_lo, t_hi]).all():  # p!/(p-d)! overflows from p = 171 on
         raise EctViolationError(f"non-finite endpoint derivative tables of {section!r}")
-    rows, unit = _hermite_systems(p)
-    systems = np.concatenate([t_lo, t_hi], axis=1).T[rows]
+    rows, unit = _endpoint_systems(p)
+    systems = np.concatenate([t_lo, t_hi], axis=1).T[rows if custom else rows[1:-1]]
     try:
         conds = np.linalg.cond(systems).tolist()
     except np.linalg.LinAlgError as exc:
         raise EctViolationError(f"condition check failed for {section!r}: {exc}") from exc
+    if custom:
+        # split n_lo is system n_lo, except split p + 1, the last system
+        for n_lo, cond in enumerate(conds[: p + 1] + conds[-1:]):
+            if not math.isfinite(cond) or cond > COND_LIMIT:
+                raise EctViolationError(
+                    f"endpoint collocation split {n_lo}/{p + 1 - n_lo} of {section!r} "
+                    f"is singular or ill conditioned (cond ~ {cond:.3g})"
+                )
+        systems, conds = systems[1:-1], conds[1:-1]
     for j, cond in enumerate(conds):
         if not math.isfinite(cond):
             raise EctViolationError(

@@ -63,7 +63,7 @@ _DEGENERACY_RTOL = 1e-12
 _OUT_OF_BAND_RTOL = 1e-10
 
 
-def validate_smoothness(degrees, smoothness, breakpoints=None) -> None:
+def validate_smoothness(degrees, smoothness, breakpoints) -> None:
     """Check the admissibility bounds ``-1 <= r_i <= min(p_i, p_{i+1})`` with
     ``r_0 = r_m = -1``."""
     m = len(degrees)
@@ -76,9 +76,8 @@ def validate_smoothness(degrees, smoothness, breakpoints=None) -> None:
     for i in range(1, m):
         lim = min(degrees[i - 1], degrees[i])
         if not (-1 <= smoothness[i] <= lim):
-            where = f"x_{i}" if breakpoints is None else f"x_{i}={breakpoints[i]!r}"
             raise ConfigError(
-                f"smoothness r={smoothness[i]} at {where} outside [-1, {lim}]"
+                f"smoothness r={smoothness[i]} at x_{i}={breakpoints[i]!r} outside [-1, {lim}]"
             )
 
 

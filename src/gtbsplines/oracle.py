@@ -27,6 +27,7 @@ Everything here is single-threaded and intended for the tests and the
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -65,24 +66,18 @@ class _Rule(NamedTuple):
     mass: np.ndarray
 
 
-_FIT_CACHE: dict[int, _Rule] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _fit_rule(n: int) -> _Rule:
-    rule = _FIT_CACHE.get(n)
-    if rule is None:
-        t_nodes = _cheb.chebpts1(n)
-        # Column j holds the coefficients of the antiderivative of T_j.
-        antiderivative = _cheb.chebint(np.eye(n), axis=0)
-        at_minus_one = _cheb.chebvander(-1.0, n)[0]
-        rule = _Rule(
-            t_nodes,
-            np.linalg.inv(_cheb.chebvander(t_nodes, n - 1)),
-            (_cheb.chebvander(t_nodes, n) - at_minus_one) @ antiderivative,
-            (_cheb.chebvander(1.0, n)[0] - at_minus_one) @ antiderivative,
-        )
-        _FIT_CACHE[n] = rule
-    return rule
+    t_nodes = _cheb.chebpts1(n)
+    # Column j holds the coefficients of the antiderivative of T_j.
+    antiderivative = _cheb.chebint(np.eye(n), axis=0)
+    at_minus_one = _cheb.chebvander(-1.0, n)[0]
+    return _Rule(
+        t_nodes,
+        np.linalg.inv(_cheb.chebvander(t_nodes, n - 1)),
+        (_cheb.chebvander(t_nodes, n) - at_minus_one) @ antiderivative,
+        (_cheb.chebvander(1.0, n)[0] - at_minus_one) @ antiderivative,
+    )
 
 
 def _section_nodes(section: SectionSpace) -> int:

@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, EctViolationError, InvalidFamilyError, OrderError
+from .errors import DomainError, InvalidFamilyError, OrderError
 
 __all__ = [
     "Partition",
@@ -44,10 +44,7 @@ __all__ = [
     "GeneralizedPolynomialFamily",
     "SectionSpace",
     "weight_system",
-    "validate_ect",
 ]
-
-COND_LIMIT = 1e12  # condition number above which a collocation solve is ill conditioned
 
 
 def _points_in(x, lo: float, hi: float):
@@ -440,39 +437,3 @@ def weight_system(section: SectionSpace, xs) -> np.ndarray:
     out[p - 1] = values[0, len(grid) :]
     out[p] = values[1, len(grid) :] / values[1, 0]
     return out
-
-
-@functools.lru_cache(maxsize=None)
-def _ect_splits(p: int) -> np.ndarray:
-    """Row indices of the ``p + 2`` endpoint collocation splits in the stacked
-    table ``[t_lo | t_hi]^T``: split ``n_lo`` takes rows ``0 .. n_lo - 1``
-    (low orders) and ``p + 1 .. 2p + 1 - n_lo`` (high orders ``0 .. p - n_lo``)."""
-    rows = np.array([[*range(n_lo), *range(p + 1, 2 * p + 2 - n_lo)] for n_lo in range(p + 2)])
-    rows.flags.writeable = False
-    return rows
-
-
-def validate_ect(section: SectionSpace) -> None:
-    """Heuristic ECT check: every two-point endpoint collocation split must be
-    nonsingular, with condition number at most ``COND_LIMIT``.
-
-    Split ``n_lo`` collocates the span basis in the orders ``0 .. n_lo - 1``
-    at ``x_lo`` and ``0 .. p - n_lo`` at ``x_hi``; all ``p + 2`` are gathered
-    from the two endpoint tables, checked in one condition call and reported
-    in ``n_lo`` order.  This is a necessary condition only; it is the
-    documented validation applied to user-supplied generalized pairs.
-    """
-    p = section.degree
-    t_lo, t_hi = (section.span_derivatives(x, p) for x in (section.x_lo, section.x_hi))
-    splits = np.concatenate([t_lo, t_hi], axis=1).T[_ect_splits(p)]
-    finite = np.isfinite(splits)
-    # A split with a non-finite entry is reported as such, never by its number.
-    conds = np.linalg.cond(np.where(finite, splits, 0.0)).tolist()
-    for n_lo, (ok, cond) in enumerate(zip(finite.all(axis=(1, 2)).tolist(), conds)):
-        if not ok:
-            raise EctViolationError("collocation matrix has non-finite entries")
-        if not math.isfinite(cond) or cond > COND_LIMIT:
-            raise EctViolationError(
-                f"endpoint collocation split {n_lo}/{p + 1 - n_lo} is "
-                f"singular or ill conditioned (cond ~ {cond:.3g})"
-            )

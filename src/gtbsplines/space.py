@@ -47,12 +47,10 @@ from .extraction import (
 from .quadrature import section_rule
 from .sections import (
     ExponentialFamily,
-    GeneralizedPolynomialFamily,
     Partition,
     PolynomialFamily,
     SectionSpace,
     TrigonometricFamily,
-    validate_ect,
 )
 
 __all__ = [
@@ -122,8 +120,6 @@ def _check_section_families(sections: list[SectionSpace]) -> None:
                 "exponential sections of a spline space need degree >= 2 "
                 "(degree 1 has no constants, breaking partition of unity)"
             )
-        if isinstance(fam, GeneralizedPolynomialFamily):
-            validate_ect(s)
 
 
 def _warn_maximal_joints(bases, smoothness) -> None:

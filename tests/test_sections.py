@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from gtbsplines import (
     DomainError,
+    EctViolationError,
     ExponentialFamily,
     GeneralizedPolynomialFamily,
     InvalidFamilyError,
@@ -15,10 +17,12 @@ from gtbsplines import (
     Partition,
     PolynomialFamily,
     SectionSpace,
+    SpaceConfig,
     TrigonometricFamily,
-    validate_ect,
+    build_space,
 )
-from gtbsplines.sections import _ect_splits, weight_system
+from gtbsplines.bernstein import COND_LIMIT, _endpoint_systems
+from gtbsplines.sections import weight_system
 
 from helpers import (
     central_diff,
@@ -140,20 +144,23 @@ class TestSpanDerivatives:
                 scale = max(1.0, abs(exact))
                 assert abs(exact - approx) <= 1e-6 * scale
 
-    @pytest.mark.parametrize("section", ALL_SECTIONS, ids=lambda s: repr(s.family))
+    @pytest.mark.parametrize(
+        "section", ALL_SECTIONS + [SectionSpace(0.0, 1.0, EXP_PAIR)], ids=lambda s: repr(s.family)
+    )
     def test_endpoint_collocation_nonsingular(self, section):
-        validate_ect(section)
         p = section.degree
         t_lo, t_hi = (section.span_derivatives(x, p) for x in (section.x_lo, section.x_hi))
-        splits = np.concatenate([t_lo, t_hi], axis=1).T[_ect_splits(p)]
-        assert splits.shape == (p + 2, p + 1, p + 1)
-        for mat in splits:
+        rows, _ = _endpoint_systems(p)
+        systems = np.concatenate([t_lo, t_hi], axis=1).T[rows]
+        assert systems.shape == (p + 3, p + 1, p + 1)
+        for mat in systems:
             assert abs(np.linalg.det(mat)) > 0.0
+        assert np.linalg.cond(systems).max() <= COND_LIMIT
 
     @pytest.mark.parametrize(
         "section", ALL_SECTIONS + [SectionSpace(0.0, 1.0, EXP_PAIR)], ids=lambda s: repr(s.family)
     )
-    def test_validate_ect_gathers_all_splits_once(self, section, monkeypatch):
+    def test_build_space_gathers_endpoint_systems_once(self, section, monkeypatch):
         calls = {"span": 0, "cond": 0}
         span, cond = SectionSpace.span_derivatives, np.linalg.cond
 
@@ -167,8 +174,36 @@ class TestSpanDerivatives:
 
         monkeypatch.setattr(SectionSpace, "span_derivatives", counted_span)
         monkeypatch.setattr(np.linalg, "cond", counted_cond)
-        validate_ect(section)
+        build_space(SpaceConfig([section.x_lo, section.x_hi], [section.family], []))
         assert calls == {"span": 2, "cond": 1}
+
+
+class TestCustomPairCheck:
+    """A custom pair that is no ECT section, or whose functions overflow on
+    the section, ends the build in an error naming the section, with no
+    conditioning warning before it."""
+
+    SINGULAR = GeneralizedPolynomialFamily(
+        2,
+        u=lambda x, d: (x, 1.0, 0.0)[min(d, 2)],
+        v=lambda x, d: (2 * x, 2.0, 0.0)[min(d, 2)],
+        name="dependent-pair",
+    )
+
+    @pytest.mark.parametrize(
+        "config, match",
+        [
+            (SpaceConfig([0.0, 1.0], [SINGULAR], []), r"split 0/3 of .*dependent-pair"),
+            (SpaceConfig([0.0, 800.0], [EXP_PAIR], []), r"\[0\.0, 800\.0\].*exp-pair.* overflow"),
+        ],
+        ids=["singular", "overflow"],
+    )
+    def test_build_space_raises_naming_section(self, config, match):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(EctViolationError, match=match):
+                build_space(config)
+        assert caught == []
 
 
 class TestFamilyValidation:
