@@ -5,10 +5,13 @@ binomial Bernstein polynomials: ``b_j`` vanishes to order ``j`` at the left
 endpoint and to order ``p - j`` at the right endpoint, the basis is
 nonnegative, and for sections containing constants it sums to one.
 
-The construction gathers the dense Hermite interpolation problems of all
-``p + 1`` functions, and for a custom pair the ECT collocation splits, from
-the section's endpoint tables; one condition call checks them all, and the
-Hermite problems are solved as one stack in the span basis.
+A polynomial section's span basis is its binomial Bernstein basis, so its
+endpoint tables are exact constants, cached per degree and scaled by
+``L^-d``; nothing is solved.  For the other families the construction gathers
+the dense Hermite interpolation problems of all ``p + 1`` functions, and for a
+custom pair the ECT collocation splits, from the section's endpoint tables;
+one condition call checks them all, and the Hermite problems are solved as
+one stack in the span basis.
 """
 
 from __future__ import annotations
@@ -21,7 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConditioningWarning, EctViolationError
-from .sections import GeneralizedPolynomialFamily, SectionSpace
+from .sections import (
+    GeneralizedPolynomialFamily,
+    PolynomialFamily,
+    SectionSpace,
+    _as_float,
+    _inverse_powers,
+)
 
 __all__ = ["BernsteinBasis", "build_bernstein"]
 
@@ -36,8 +45,11 @@ class BernsteinBasis:
     ----------
     section : SectionSpace
         The section the basis lives on.
-    coeffs : (p+1, p+1) ndarray
-        Row ``j`` expresses ``b_j`` in the section's span basis.
+    coeffs : (p+1, p+1) ndarray or None
+        Row ``j`` expresses ``b_j`` in the section's span basis.  ``None``
+        means the span basis is the Bernstein basis itself, as for every
+        polynomial section; a polynomial build then depends on the interval
+        length ``L`` only through the ``L^-d`` scaling of derivative ``d``.
     left_table, right_table : (p+1, p+1) ndarray
         Endpoint derivative tables: entry ``(j, d)`` is ``D^d b_j`` at
         ``x_lo`` resp. ``x_hi``.  Precomputed once; smoothness constraints
@@ -45,7 +57,7 @@ class BernsteinBasis:
     """
 
     section: SectionSpace
-    coeffs: np.ndarray
+    coeffs: np.ndarray | None
     left_table: np.ndarray = field(repr=False)
     right_table: np.ndarray = field(repr=False)
 
@@ -62,7 +74,24 @@ class BernsteinBasis:
         table call for all points; each table equals the scalar call's bit
         for bit.
         """
-        return self.coeffs @ self.section.span_derivatives(x, max_order)
+        table = self.section.span_derivatives(x, max_order)
+        return table if self.coeffs is None else self.coeffs @ table
+
+
+@functools.lru_cache(maxsize=None)
+def _binomial_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint tables of the degree-``p`` Bernstein polynomials in ``t`` on
+    ``[0, 1]``: ``D^d B_j(0) = p!/(p-d)! (-1)^(d-j) C(d, j)`` (zero for
+    ``j > d``) and, by the mirror ``B_j(t) = B_(p-j)(1 - t)``,
+    ``D^d B_j(1) = (-1)^d D^d B_(p-j)(0)``.  Each entry is its integer
+    rounded once; entries beyond the float range are infinite."""
+    left = np.zeros((p + 1, p + 1))
+    for d in range(p + 1):
+        for j in range(d + 1):
+            left[j, d] = _as_float((-1) ** (d - j) * math.perm(p, d) * math.comb(d, j))
+    right = left[::-1] * (-1.0) ** np.arange(p + 1)
+    left.flags.writeable = right.flags.writeable = False
+    return left, right
 
 
 @functools.lru_cache(maxsize=None)
@@ -98,7 +127,12 @@ def _endpoint_systems(p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_bernstein(section: SectionSpace) -> BernsteinBasis:
-    """Construct the Bernstein-like basis of a section by Hermite solves.
+    """Construct the Bernstein-like basis of a section.
+
+    A polynomial section needs no solve: its span basis is the Bernstein
+    basis (``coeffs is None``), and its endpoint tables are
+    :func:`_binomial_tables` with column ``d`` scaled by ``L^-d``.  Every
+    other section is built by Hermite solves in its span basis.
 
     Function ``b_j`` has derivatives ``0 .. j-1`` vanishing at ``x_lo``,
     derivatives ``0 .. p-j-1`` vanishing at ``x_hi``, and one normalization:
@@ -114,8 +148,8 @@ def build_bernstein(section: SectionSpace) -> BernsteinBasis:
     partial pivoting, each against a unit normalization value; ``b_1 ..
     b_{p-1}`` are then scaled in order, since each scale reads the ones
     before it.  The condition numbers of the whole stack are computed in one
-    call once the endpoint tables are finite; a non-finite table, a failed
-    call or a non-finite number (in ``j`` order) raises
+    call once the endpoint tables are finite; a failed call or a non-finite
+    number (in ``j`` order) raises
     :class:`~gtbsplines.errors.EctViolationError`, and each number above
     ``1e12`` warns with :class:`~gtbsplines.errors.ConditioningWarning`.
 
@@ -125,16 +159,28 @@ def build_bernstein(section: SectionSpace) -> BernsteinBasis:
     number of at most ``1e12``.  The first split that fails, in ``n_lo``
     order, raises ``EctViolationError`` naming the split and the section
     before any warning, as does a user function that overflows at an end.
+
+    For every family a non-finite endpoint table (the factorials overflow
+    from ``p = 171`` on, and ``L^-d`` on tiny intervals) raises
+    ``EctViolationError`` naming the section.
     """
     p = section.degree
+    polynomial = isinstance(section.family, PolynomialFamily)
     custom = isinstance(section.family, GeneralizedPolynomialFamily)
-    try:
-        t_lo = section.span_derivatives(section.x_lo, p)
-        t_hi = section.span_derivatives(section.x_hi, p)
-    except OverflowError as exc:  # a custom pair's user functions
-        raise EctViolationError(f"endpoint derivatives of {section!r} overflow") from exc
-    if not np.isfinite([t_lo, t_hi]).all():  # p!/(p-d)! overflows from p = 171 on
+    if polynomial:
+        scale = np.array(_inverse_powers(section.length, p))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            t_lo, t_hi = (table * scale for table in _binomial_tables(p))
+    else:
+        try:
+            t_lo = section.span_derivatives(section.x_lo, p)
+            t_hi = section.span_derivatives(section.x_hi, p)
+        except OverflowError as exc:  # a custom pair's user functions
+            raise EctViolationError(f"endpoint derivatives of {section!r} overflow") from exc
+    if not np.isfinite([t_lo, t_hi]).all():
         raise EctViolationError(f"non-finite endpoint derivative tables of {section!r}")
+    if polynomial:
+        return BernsteinBasis(section, None, t_lo, t_hi)
     rows, unit = _endpoint_systems(p)
     systems = np.concatenate([t_lo, t_hi], axis=1).T[rows if custom else rows[1:-1]]
     try:

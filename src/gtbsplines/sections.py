@@ -12,13 +12,16 @@ on one closed interval of the partition.  Four families are supported:
   u(x), v(x)}`` for user-supplied functions with exact derivatives.
 
 For numerical work every section exposes a *span basis* together with exact
-derivative tables.  The span basis uses interval-shifted monomials
-``(x - x_lo)^j`` and, for the trigonometric/exponential families, the
-interval-normalized pair ``{U*, V*}`` (endpoint values 0 and 1) instead of
-raw ``sin``/``sinh`` values; this keeps endpoint collocation matrices
-well conditioned even for stiff parameters such as ``sinh(10 x)`` on wide
-intervals.  One kernel, :meth:`SectionSpace.span_derivatives`, tabulates the
-span basis at a point or, in one numpy pass, at an array of points; powers
+derivative tables.  A polynomial section's span basis is its Bernstein basis,
+the binomial polynomials ``C(p, k) t^k s^(p-k)`` in ``t = (x - x_lo)/L`` and
+``s = (x_hi - x)/L``, so its derivatives are exact lower-degree Bernstein
+values scaled by ``L^-d``.  The other families use interval-shifted monomials
+``(x - x_lo)^j`` for ``j < p - 1`` and, for the trigonometric/exponential
+families, the interval-normalized pair ``{U*, V*}`` (endpoint values 0 and 1)
+instead of raw ``sin``/``sinh`` values; this keeps endpoint collocation
+matrices well conditioned even for stiff parameters such as ``sinh(10 x)`` on
+wide intervals.  One kernel, :meth:`SectionSpace.span_derivatives`, tabulates
+the span basis at a point or, in one numpy pass, at an array of points; powers
 come from repeated products and ``sin``/``cos``/``sinh``/``cosh``/``exp``/
 ``expm1`` from numpy, once per call, so a point gives the same bits alone as
 inside an array.  The normalized pairs and the weights accept arrays too.
@@ -192,6 +195,57 @@ def _monomial_layout(n_rows: int, width: int) -> tuple[tuple[float, int], ...]:
     return tuple(layout)
 
 
+def _as_float(n: int) -> float:
+    """The integer ``n`` rounded to a float; ``+-inf`` beyond the float range."""
+    try:
+        return float(n)
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
+
+
+def _inverse_powers(length: float, n: int) -> list[float]:
+    """``[1, 1/L, ..., 1/L^n]`` by repeated division; ``inf`` past the float
+    range, where ``L ** -n`` would raise."""
+    out = [1.0]
+    for _ in range(n):
+        out.append(out[-1] / length)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _bernstein_layout(p: int, width: int) -> tuple[tuple, tuple, tuple]:
+    """Layout ``(monomials, heads, tails)`` of the derivative table of the
+    degree-``p`` Bernstein basis, orders ``0 .. width-1``.
+
+    Entry ``(j, d)`` is ``D^d b_j = p!/(p-d)! L^-d sum_i (-1)^(d-i) C(d, i)
+    B^(p-d)_(j-i)`` with ``B^q_k = C(q, k) t^k s^(q-k)``: a sum over ``i`` of
+    a factor, which folds in the sign and the three integers, times the
+    monomial ``t^k s^(q-k) L^-d``, ``q = p - d``.  ``monomials`` lists these
+    as ``(k, q - k, d)``, ``heads`` each entry's first term ``(factor,
+    monomial)``, row-major, and ``tails`` every further term ``(entry,
+    factor, monomial)``, in ``i`` order.
+    """
+    monomials, heads, tails, start = [], [], [], []
+    for d in range(width):
+        start.append(len(monomials))
+        monomials += [(k, p - d - k, d) for k in range(p - d + 1)]
+    for j in range(p + 1):
+        for d in range(width):
+            q = p - d
+            terms = [
+                (
+                    _as_float(
+                        (-1) ** (d - i) * math.perm(p, d) * math.comb(d, i) * math.comb(q, j - i)
+                    ),
+                    start[d] + j - i,
+                )
+                for i in range(max(0, j - q), min(d, j) + 1)
+            ]
+            tails += [(len(heads), f, k) for f, k in terms[1:]]
+            heads.append(terms[0])
+    return tuple(monomials), tuple(heads), tuple(tails)
+
+
 def _call_pointwise(f: Callable[[float, int], float], x, order: int):
     """A user callable ``f(x, order)`` at a point or at each point of an array."""
     if np.ndim(x) == 0:
@@ -250,10 +304,13 @@ class SectionSpace:
         For a scalar ``x`` returns a ``(p + 1, max_order + 1)`` array whose
         entry ``(j, d)`` is the ``d``-th derivative of span function ``j`` at
         ``x``.  For a 1-D array of ``n`` points returns the
-        ``(n, p + 1, max_order + 1)`` stack of those tables.  Row order:
-        shifted monomials first, then (for two-function families) ``U*`` and
-        ``V*``.  Both forms run the same floating-point operations, so each
-        table of the stack equals the scalar call bit for bit.
+        ``(n, p + 1, max_order + 1)`` stack of those tables.  Row order: for
+        a polynomial section the Bernstein polynomials ``b_0 .. b_p`` in
+        ``t = (x - x_lo)/L``; otherwise the shifted monomials
+        ``(x - x_lo)^j``, ``j < p - 1``, then the pair ``U``, ``V`` (``U*``,
+        ``V*`` for the trigonometric/exponential families).  Both forms run
+        the same floating-point operations, so each table of the stack equals
+        the scalar call bit for bit.
         """
         x = _points_in(x, self.x_lo, self.x_hi)
         if not (0 <= max_order <= self.degree):
@@ -261,16 +318,29 @@ class SectionSpace:
                 f"max_order={max_order} outside [0, {self.degree}] for this section"
             )
         p, width = self.degree, max_order + 1
-        polynomial = isinstance(self.family, PolynomialFamily)
-        n_monomials = p + 1 if polynomial else p - 1
-        # powers of t = x - x_lo by repeated products, entries in row-major
-        # (j, d) order
-        t = x - self.x_lo
-        powers = [1.0]
-        for _ in range(1, n_monomials):
-            powers.append(powers[-1] * t)
-        entries = [fac * powers[k] for fac, k in _monomial_layout(n_monomials, width)]
-        if not polynomial:
+        if isinstance(self.family, PolynomialFamily):
+            # powers by repeated products, a monomial's three factors left
+            # to right, an entry's terms in i order
+            L = self.length
+            t, s = (x - self.x_lo) / L, (self.x_hi - x) / L
+            t_pow, s_pow = [1.0], [1.0]
+            for _ in range(p):
+                t_pow.append(t_pow[-1] * t)
+                s_pow.append(s_pow[-1] * s)
+            scale = _inverse_powers(L, max_order)
+            monomials, heads, tails = _bernstein_layout(p, width)
+            mono = [scale[d] * t_pow[a] * s_pow[b] for a, b, d in monomials]
+            entries = [f * mono[k] for f, k in heads]
+            for e, f, k in tails:
+                entries[e] += f * mono[k]  # in place on an array: a fresh product
+        else:
+            # powers of t = x - x_lo by repeated products, entries in
+            # row-major (j, d) order
+            t = x - self.x_lo
+            powers = [1.0]
+            for _ in range(1, p - 1):
+                powers.append(powers[-1] * t)
+            entries = [fac * powers[k] for fac, k in _monomial_layout(p - 1, width)]
             us, vs = self._pair_derivatives(x, range(width))
             entries += us
             entries += vs

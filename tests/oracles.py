@@ -1,14 +1,16 @@
 """Bernstein-basis references that share no construction with the library.
 
 * :func:`closed_form_bernstein`: closed-form Bernstein bases for polynomial
-  sections of any degree and trigonometric/exponential sections of degree
-  one and two, re-expressed in the section's span basis.
+  sections of any degree, evaluated from ``math`` alone, and for
+  trigonometric/exponential sections of degree one and two, re-expressed in
+  the section's span basis.
 * :class:`RecurrenceBernstein`: the Bernstein basis of one section built by
   the integral ladder on per-element Chebyshev interpolants, through the
   same cached rule as the library's recurrence evaluator.
 
-The library builds each basis by one stacked Hermite solve; these are the
-independent cross-checks of that construction.
+The library takes a polynomial section's basis from its exact endpoint
+tables and builds every other one by a stacked Hermite solve; these are the
+independent cross-checks of both constructions.
 """
 
 from __future__ import annotations
@@ -47,27 +49,51 @@ def _fit_span_coefficients(section: SectionSpace, values) -> np.ndarray:
     return np.linalg.solve(section.span_derivatives(xs, 0)[:, :, 0], values(xs))
 
 
-def closed_form_bernstein(section: SectionSpace) -> BernsteinBasis | None:
+class BinomialBernstein:
+    """The binomial Bernstein basis ``b_j = C(p, j) t^j s^(p-j)`` of a
+    polynomial section, ``t = (x - x_lo)/L``, ``s = (x_hi - x)/L``, at one
+    point from ``math`` alone.  Derivatives follow Leibniz's rule for the
+    product ``t^j s^(p-j)``; the library differences lower-degree bases
+    instead."""
+
+    def __init__(self, section: SectionSpace):
+        self.section = section
+
+    def evaluate(self, x: float, max_order: int = 0) -> np.ndarray:
+        """(p+1, max_order+1) table of values and derivatives at ``x``."""
+        sec, p = self.section, self.section.degree
+        t, s = (x - sec.x_lo) / sec.length, (sec.x_hi - x) / sec.length
+        out = np.zeros((p + 1, max_order + 1))
+        for j in range(p + 1):
+            for d in range(max_order + 1):
+                # r derivatives fall on t^j, d - r on s^(p-j); each of the
+                # latter brings a factor -1
+                out[j, d] = sum(
+                    math.comb(d, r)
+                    * math.perm(j, r)
+                    * math.perm(p - j, d - r)
+                    * (-1) ** (d - r)
+                    * t ** (j - r)
+                    * s ** (p - j - d + r)
+                    for r in range(max(0, d - p + j), min(d, j) + 1)
+                ) * math.comb(p, j) / sec.length**d
+        return out
+
+
+def closed_form_bernstein(section: SectionSpace) -> BernsteinBasis | BinomialBernstein | None:
     """Closed-form Bernstein basis where one is known, else ``None``.
 
-    Supported: polynomial sections of any degree (binomial form), and
-    trigonometric/exponential sections of degree 1 and 2 (sine/cosine and
-    sinh/cosh forms).  The closed forms are re-expressed in the section's
-    span basis.
+    Supported: polynomial sections of any degree (binomial form, see
+    :class:`BinomialBernstein`), and trigonometric/exponential sections of
+    degree 1 and 2 (sine/cosine and sinh/cosh forms), re-expressed in the
+    section's span basis.
     """
     fam = section.family
     p = section.degree
     lo, hi, L = section.x_lo, section.x_hi, section.length
 
     if isinstance(fam, PolynomialFamily):
-        # b_j = C(p, j) t^j (1-t)^(p-j) with t = (x - lo)/L, expanded into
-        # shifted monomials (x - lo)^k.
-        coeffs = np.zeros((p + 1, p + 1))
-        for j in range(p + 1):
-            cj = math.comb(p, j)
-            for s in range(p - j + 1):
-                coeffs[j, j + s] = cj * math.comb(p - j, s) * (-1.0) ** s / L ** (j + s)
-        return _basis(section, coeffs)
+        return BinomialBernstein(section)
 
     if isinstance(fam, (TrigonometricFamily, ExponentialFamily)):
         w = fam.omega

@@ -3,16 +3,22 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtbsplines import (
     ConditioningWarning,
     EctViolationError,
     ExponentialFamily,
     GeneralizedPolynomialFamily,
+    GTBError,
     PolynomialFamily,
     SectionSpace,
+    SpaceConfig,
     TrigonometricFamily,
     build_bernstein,
+    build_space,
+    eval_basis,
 )
 from gtbsplines.config import conic_profile_demo_config, mixed_family_demo_config
 
@@ -28,6 +34,20 @@ SECTIONS = [
     SectionSpace(0.0, 1.0, TrigonometricFamily(2, 2.5)),
     SectionSpace(2.5, 5.0, ExponentialFamily(4, 10.0)),
     SectionSpace(0.0, 0.8, ExponentialFamily(3, 2.0)),
+]
+
+# sections built by the stacked Hermite solve: every family but the polynomial
+# one, whose span basis is its Bernstein basis
+SOLVED_SECTIONS = [s for s in SECTIONS if not isinstance(s.family, PolynomialFamily)] + [
+    SectionSpace(0.0, 1.0, TrigonometricFamily(1, 1.0)),
+    SectionSpace(-1.0, 2.0, ExponentialFamily(5, 1.5)),
+    SectionSpace(
+        0.0,
+        1.0,
+        GeneralizedPolynomialFamily(
+            3, u=lambda x, d: math.exp(x), v=lambda x, d: 2.0**d * math.exp(2.0 * x)
+        ),
+    ),
 ]
 
 CLOSED_FORM_SECTIONS = [
@@ -123,13 +143,19 @@ class TestDegreeRange:
             with pytest.raises(EctViolationError, match=f"degree={degree}"):
                 build_bernstein(SectionSpace(0.0, 1.0, PolynomialFamily(degree)))
 
+    def test_overflowing_length_scale_names_section(self):
+        # 1e-9 ** -40 is past the float range: the scaled exact tables are
+        # not finite, and the build stops without a numpy warning
+        with pytest.raises(EctViolationError, match=r"\[0\.0, 1e-09\].*degree=40"):
+            build_bernstein(SectionSpace(0.0, 1e-9, PolynomialFamily(40)))
+
     def test_failed_condition_check_names_section(self, monkeypatch):
         def diverging(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "cond", diverging)
-        with pytest.raises(EctViolationError, match=r"PolynomialFamily\(degree=3\)"):
-            build_bernstein(SectionSpace(0.0, 1.0, PolynomialFamily(3)))
+        with pytest.raises(EctViolationError, match=r"TrigonometricFamily\(degree=3, "):
+            build_bernstein(SectionSpace(0.0, 1.0, TrigonometricFamily(3, 1.0)))
 
 
 def _assert_same_warnings(got, want):
@@ -152,7 +178,7 @@ def _assert_matches_sequential(section):
 class TestStackedSolve:
     """The stacked Hermite solve against the one-solve-per-function reference."""
 
-    @pytest.mark.parametrize("section", SECTIONS, ids=lambda s: repr(s.family))
+    @pytest.mark.parametrize("section", SOLVED_SECTIONS, ids=lambda s: repr(s.family))
     def test_matches_sequential_reference(self, section):
         _assert_matches_sequential(section)
 
@@ -162,11 +188,18 @@ class TestStackedSolve:
         configs += [random_config(rng) for _ in range(300)]
         for config in configs:
             for section in sections_of(config):
-                _assert_matches_sequential(section)
+                if not isinstance(section.family, PolynomialFamily):
+                    _assert_matches_sequential(section)
 
-    @pytest.mark.parametrize("degree", [6, 8])
-    def test_conditioning_warnings_match_reference(self, degree):
-        section = SectionSpace(0.0, 0.01, PolynomialFamily(degree))
+    @pytest.mark.parametrize(
+        "family, length",
+        [(TrigonometricFamily(6, 1.0), 0.01), (ExponentialFamily(8, 1.0), 0.1)],
+        ids=["6", "8"],
+    )
+    def test_conditioning_warnings_match_reference(self, family, length):
+        # short sections: the shifted monomials (x - x_lo)^j span scales
+        # L^j apart, so every Hermite system of the section warns
+        degree, section = family.degree, SectionSpace(0.0, length, family)
         with pytest.warns(ConditioningWarning) as stacked:
             build_bernstein(section)
         with pytest.warns(ConditioningWarning) as sequential:
@@ -218,3 +251,101 @@ class TestEndpointJumpTable:
     def test_quadratic_first_derivative_row(self):
         basis = build_bernstein(SectionSpace(0.0, 1.0, PolynomialFamily(2)))
         assert np.allclose(basis.left_table[:, 1], [-2.0, 2.0, 0.0], atol=1e-13)
+
+
+class TestPolynomialEnvelope:
+    """Polynomial sections take their exact Bernstein tables: three-element
+    C^(p-1) and C^(p-2) spaces build without a warning up to the degrees and
+    down to the interval lengths the README states, with partition of unity
+    and nonnegativity to rounding."""
+
+    @staticmethod
+    def _space(p, length, smoothness):
+        breakpoints = [0.0, length, 2.0 * length, 3.0 * length]
+        return build_space(SpaceConfig(breakpoints, [PolynomialFamily(p)] * 3, [smoothness] * 2))
+
+    @pytest.mark.parametrize(
+        "p, length",
+        [(3, 1.0), (11, 1.0), (20, 1.0), (30, 1.0), (6, 0.01), (12, 0.01), (3, 1e-9), (25, 1e3)],
+    )
+    @pytest.mark.parametrize("drop", [1, 2], ids=["C(p-1)", "C(p-2)"])
+    def test_builds_at_the_edge(self, p, length, drop):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            space = self._space(p, length, p - drop)
+        assert caught == []
+        values = eval_basis(space, np.linspace(*space.domain, 601))[:, :, 0]
+        assert np.max(np.abs(values.sum(axis=1) - 1.0)) <= 1e-12
+        assert values.min() >= -1e-14
+
+    def test_degree_forty_names_its_constraint(self):
+        with pytest.raises(GTBError, match=r"constraint \(breakpoint \d+, order \d+\): "):
+            self._space(40, 1.0, 39)
+
+    def test_tables_are_the_span_tables_at_the_ends(self):
+        # the exact tables and the product-form kernel agree bit for bit
+        for section in (SECTIONS[3], SectionSpace(0.0, 1e-9, PolynomialFamily(12))):
+            basis, p = build_bernstein(section), section.degree
+            assert basis.coeffs is None
+            assert np.array_equal(basis.left_table, section.span_derivatives(section.x_lo, p))
+            assert np.array_equal(basis.right_table, section.span_derivatives(section.x_hi, p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.integers(min_value=1, max_value=16),
+    scale=st.floats(min_value=1e-3, max_value=1e3),
+    offset=st.floats(min_value=-10.0, max_value=10.0),
+)
+def test_polynomial_tables_under_affine_change(p, scale, offset):
+    """Moving a polynomial section from [0, 1] to [c, c + s] keeps its values
+    and scales derivative d by L^-d, L the moved section's length.  The
+    offset c = offset * s keeps the points' own rounding, relative to L,
+    at the level of a unit interval."""
+    unit = build_bernstein(SectionSpace(0.0, 1.0, PolynomialFamily(p)))
+    c = offset * scale
+    moved = build_bernstein(SectionSpace(c, c + scale, PolynomialFamily(p)))
+    L, orders = moved.section.length, min(p, 4)
+    u = np.linspace(0.0, 1.0, 33)
+    xs = np.clip(c + u * L, moved.section.x_lo, moved.section.x_hi)
+    xs[0], xs[-1] = moved.section.x_lo, moved.section.x_hi
+    want = unit.evaluate(u, orders)
+    got = moved.evaluate(xs, orders) * L ** np.arange(orders + 1)
+    for d in range(orders + 1):
+        tol = 1e-12 * np.max(np.abs(want[..., d]))
+        assert np.max(np.abs(got[..., d] - want[..., d])) <= tol, d
+    for got, want in ((moved.left_table, unit.left_table), (moved.right_table, unit.right_table)):
+        got = got * L ** np.arange(p + 1)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _mp_bernstein(mp, p, lo, hi, x, max_order):
+    """Bernstein table at ``x`` in the working precision of the mpmath module
+    ``mp``: Leibniz's rule on ``C(p, j) t^j s^(p-j)``, the float inputs taken
+    exactly."""
+    lo, hi, x = mp.mpf(lo), mp.mpf(hi), mp.mpf(x)
+    L = hi - lo
+    t, s = (x - lo) / L, (hi - x) / L
+    out = np.zeros((p + 1, max_order + 1))
+    for j in range(p + 1):
+        for d in range(max_order + 1):
+            total = mp.mpf(0)
+            for r in range(max(0, d - p + j), min(d, j) + 1):
+                total += (
+                    mp.binomial(d, r) * mp.ff(j, r) * mp.ff(p - j, d - r) * (-1) ** (d - r)
+                    * t ** (j - r) * s ** (p - j - d + r)
+                )
+            out[j, d] = float(mp.binomial(p, j) * total / L**d)
+    return out
+
+
+@pytest.mark.parametrize("p, lo, hi", [(25, 0.0, 1.0), (25, -3.0, 997.0), (12, 0.0, 1e-9)])
+def test_polynomial_tables_match_mpmath(p, lo, hi):
+    # mpmath is installed with the test tools here but is no test extra
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.linspace(lo, hi, 41)
+    got = build_bernstein(SectionSpace(lo, hi, PolynomialFamily(p))).evaluate(xs, 2)
+    with mpmath.workdps(50):
+        want = np.array([_mp_bernstein(mpmath, p, lo, hi, float(x), 2) for x in xs])
+    for d in range(3):
+        assert np.max(np.abs(got[..., d] - want[..., d])) <= 1e-13 * np.max(np.abs(want[..., d]))

@@ -51,6 +51,7 @@ EXP_PAIR = GeneralizedPolynomialFamily(
 # overflow-safe branch at omega * length = 30
 ARRAY_SECTIONS = [
     SectionSpace(-1.0, 2.0, PolynomialFamily(4)),
+    SectionSpace(0.0, 1e-3, PolynomialFamily(9)),
     SectionSpace(1.0, 2.5, TrigonometricFamily(3, math.pi / 2)),
     SectionSpace(0.0, 1.0, EXP_PAIR),
     SectionSpace(2.5, 5.0, ExponentialFamily(4, 10.0)),  # omega * length = 25
@@ -79,12 +80,14 @@ class TestPartition:
 
 
 class TestSpanDerivatives:
-    def test_monomial_table(self):
-        section = SectionSpace(0.0, 1.0, PolynomialFamily(2))
-        table = section.span_derivatives(0.5, 2)
-        assert np.allclose(table[0], [1.0, 0.0, 0.0])
-        assert np.allclose(table[1], [0.5, 1.0, 0.0])
-        assert np.allclose(table[2], [0.25, 1.0, 2.0])
+    def test_bernstein_table(self):
+        # (1-t)^2, 2t(1-t), t^2 with t = (x - 1)/2 = 1/4; each derivative
+        # brings a factor 1/L = 1/2
+        section = SectionSpace(1.0, 3.0, PolynomialFamily(2))
+        table = section.span_derivatives(1.5, 2)
+        assert np.allclose(table[0], [0.5625, -0.75, 0.5], rtol=0.0, atol=1e-15)
+        assert np.allclose(table[1], [0.375, 0.5, -1.0], rtol=0.0, atol=1e-15)
+        assert np.allclose(table[2], [0.0625, 0.25, 0.5], rtol=0.0, atol=1e-15)
 
     def test_trig_pair_endpoint_derivative(self):
         # V* = sin(omega (x - lo)) / sin(omega L): value 0, slope omega/sin(omega L).
@@ -175,7 +178,9 @@ class TestSpanDerivatives:
         monkeypatch.setattr(SectionSpace, "span_derivatives", counted_span)
         monkeypatch.setattr(np.linalg, "cond", counted_cond)
         build_space(SpaceConfig([section.x_lo, section.x_hi], [section.family], []))
-        assert calls == {"span": 2, "cond": 1}
+        # a polynomial section reads its exact tables: no span table, no check
+        polynomial = isinstance(section.family, PolynomialFamily)
+        assert calls == ({"span": 0, "cond": 0} if polynomial else {"span": 2, "cond": 1})
 
 
 class TestCustomPairCheck:
@@ -263,7 +268,7 @@ class TestNormalizedPair:
         assert v_hi == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize(
-        "section", [SectionSpace(0.0, 1.0, PolynomialFamily(2))] + ARRAY_SECTIONS[1:],
+        "section", [SectionSpace(0.0, 1.0, PolynomialFamily(2))] + ARRAY_SECTIONS[2:],
         ids=lambda s: repr(s.family),
     )
     def test_array_equals_scalar_calls(self, section, rng):

@@ -440,6 +440,16 @@ class TestInsertKnot:
         _, expected = boehm_insert(knots, 3, control, 1.6)
         assert np.max(np.abs(transfer @ control - expected)) <= 1e-13
 
+    def test_matches_boehm_near_element_end(self):
+        # a knot 0.5 % of the element from its end: the short piece's basis
+        # comes from the exact Bernstein tables, with no Hermite solve
+        cfg = SpaceConfig([0.0, 1.0, 2.0, 3.0], [PolynomialFamily(4)] * 3, [3, 3])
+        space = build_space(cfg)
+        _, transfer = insert_knot(space, 1.995)
+        knots = cox_de_boor_knots(cfg.breakpoints, 4, cfg.smoothness)
+        _, expected = boehm_insert(knots, 4, np.eye(space.n_basis), 1.995)
+        assert np.max(np.abs(transfer - expected)) <= 1e-12
+
     def test_insert_into_constant_sections(self):
         space = build_space(SpaceConfig([0.0, 2.0], [PolynomialFamily(0)], []))
         refined, transfer = insert_knot(space, 1.0)
