@@ -13,7 +13,7 @@ from .sections import (
     TrigonometricFamily,
 )
 
-__all__ = ["section_rule"]
+__all__ = ["composite_rule"]
 
 
 def section_panels(section: SectionSpace) -> int:
@@ -31,17 +31,21 @@ def section_panels(section: SectionSpace) -> int:
     return 1
 
 
-def section_rule(
-    section: SectionSpace, x: np.ndarray, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Composite rule on a section, sized by the section's stiffness.
-
-    The reference rule ``(x, w)`` on ``[-1, 1]``, for example
-    ``numpy.polynomial.legendre.leggauss(n)``, is mapped onto each of
-    ``section_panels(section)`` equal panels; nodes and weights are returned
-    panel after panel.
-    """
-    edges = np.linspace(section.x_lo, section.x_hi, section_panels(section) + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+def composite_rule(sections: list[SectionSpace], x: np.ndarray, w: np.ndarray) -> tuple:
+    """The reference rule ``(x, w)`` on ``[-1, 1]``, for example
+    ``numpy.polynomial.legendre.leggauss(n)``, mapped onto the
+    ``section_panels(section)`` equal panels of every section in one pass:
+    the nodes, the weights and each node's 1-based section index, section
+    after section and panel after panel."""
+    panels = np.array([section_panels(s) for s in sections])
+    owner = np.repeat(np.arange(len(sections)), panels)
+    # the index of each panel within its section
+    j = np.arange(len(owner)) - np.repeat(np.cumsum(panels) - panels, panels)
+    # panel ends where numpy.linspace puts them: x_lo + j step, the last at x_hi
+    x_lo, x_hi = (np.array([getattr(s, end) for s in sections]) for end in ("x_lo", "x_hi"))
+    step = ((x_hi - x_lo) / panels)[owner]
+    left = x_lo[owner] + j * step
+    right = np.where(j + 1 == panels[owner], x_hi[owner], x_lo[owner] + (j + 1) * step)
+    mid, half = 0.5 * (left + right), 0.5 * (right - left)
+    nodes = (mid[:, None] + half[:, None] * x).ravel()
+    return nodes, (half[:, None] * w).ravel(), np.repeat(owner + 1, len(x))

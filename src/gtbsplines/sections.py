@@ -20,11 +20,13 @@ values scaled by ``L^-d``.  The other families use interval-shifted monomials
 families, the interval-normalized pair ``{U*, V*}`` (endpoint values 0 and 1)
 instead of raw ``sin``/``sinh`` values; this keeps endpoint collocation
 matrices well conditioned even for stiff parameters such as ``sinh(10 x)`` on
-wide intervals.  One kernel, :meth:`SectionSpace.span_derivatives`, tabulates
-the span basis at a point or, in one numpy pass, at an array of points; powers
-come from repeated products and ``sin``/``cos``/``sinh``/``cosh``/``exp``/
-``expm1`` from numpy, once per call, so a point gives the same bits alone as
-inside an array.  The normalized pairs and the weights accept arrays too.
+wide intervals.  One table arithmetic tabulates the span basis at a point
+(:meth:`SectionSpace.span_derivatives`) or, in one numpy pass, at an array of
+points of one section or of many sections of one kind and degree (the grouped
+array kernel of :mod:`gtbsplines.space`); powers come from repeated products
+and ``sin``/``cos``/``sinh``/``cosh``/``exp``/``expm1`` from numpy, once per
+call, so a point gives the same bits alone as inside an array.  The
+normalized pairs and the weights accept arrays too.
 """
 
 from __future__ import annotations
@@ -253,6 +255,109 @@ def _call_pointwise(f: Callable[[float, int], float], x, order: int):
     return np.array([f(t, order) for t in x.tolist()], dtype=float)
 
 
+def _pair_constants(family, length: float, orders):
+    """``(stiff, w, w L, den, [(-w)^d], [w^d])`` over ``orders`` for a
+    trigonometric/exponential pair on a section of length ``L``, ``den`` its
+    normalizer ``sin(w L)``, ``sinh(w L)`` or, if ``stiff`` (``w L >= 30``),
+    ``1 - e^(-2 w L)``; ``None`` for the other families."""
+    if not isinstance(family, (TrigonometricFamily, ExponentialFamily)):
+        return None
+    w, wl = family.omega, family.omega * length
+    if isinstance(family, TrigonometricFamily):
+        stiff, den = False, math.sin(wl)
+    elif wl < 30.0:
+        stiff, den = False, math.sinh(wl)
+    else:
+        stiff, den = True, -math.expm1(-2.0 * wl)
+    return stiff, w, wl, den, [(-w) ** d for d in orders], [w**d for d in orders]
+
+
+def _pair_rows(family, x, x_lo, x_hi, constants, orders) -> tuple[list, list]:
+    """``[D^d U(x) for d in orders]`` and ``[D^d V(x) for d in orders]`` of
+    the two non-polynomial span functions, from :func:`_pair_constants`
+    whose factor lists start at the same orders.  Each transcendental
+    function is evaluated once per call, whatever the number of orders."""
+    if isinstance(family, GeneralizedPolynomialFamily):
+        return (
+            [_call_pointwise(family.u, x, d) for d in orders],
+            [_call_pointwise(family.v, x, d) for d in orders],
+        )
+    # At a point, numpy's values are turned into Python floats: the
+    # same bits as the array entries, and cheaper arithmetic.
+    scalar = not isinstance(x, np.ndarray)
+    stiff, w, wl, den, neg, pos = constants
+    a = w * (x_hi - x)
+    b = w * (x - x_lo)
+    if isinstance(family, TrigonometricFamily):
+        sa, ca, sb, cb = np.sin(a), np.cos(a), np.sin(b), np.cos(b)
+        if scalar:
+            sa, ca, sb, cb = float(sa), float(ca), float(sb), float(cb)
+        # derivative cycle of sin: sin, cos, -sin, -cos
+        cyc_a, cyc_b = (sa, ca, -sa, -ca), (sb, cb, -sb, -cb)
+        return (
+            [f * cyc_a[d % 4] / den for f, d in zip(neg, orders)],
+            [f * cyc_b[d % 4] / den for f, d in zip(pos, orders)],
+        )
+    # (sinh, cosh)(v) / sinh(wl), the derivative cycle of sinh, stable
+    # for large arguments
+    if not stiff:
+        sha, cha, shb, chb = np.sinh(a), np.cosh(a), np.sinh(b), np.cosh(b)
+        if scalar:
+            sha, cha, shb, chb = float(sha), float(cha), float(shb), float(chb)
+        ratio_a, ratio_b = (sha / den, cha / den), (shb / den, chb / den)
+    else:
+        ea, ma, pa = np.exp(a - wl), -np.expm1(-2.0 * a), 1.0 + np.exp(-2.0 * a)
+        eb, mb, pb = np.exp(b - wl), -np.expm1(-2.0 * b), 1.0 + np.exp(-2.0 * b)
+        if scalar:
+            ea, ma, pa = float(ea), float(ma), float(pa)
+            eb, mb, pb = float(eb), float(mb), float(pb)
+        ratio_a, ratio_b = (ea * ma / den, ea * pa / den), (eb * mb / den, eb * pb / den)
+    return (
+        [f * ratio_a[d % 2] for f, d in zip(neg, orders)],
+        [f * ratio_b[d % 2] for f, d in zip(pos, orders)],
+    )
+
+
+def _span_table(family, x, x_lo, x_hi, width: int, pair) -> np.ndarray:
+    """:meth:`SectionSpace.span_derivatives` unchecked, at a point of the
+    section ``[x_lo, x_hi]`` with its ``_pair``, or at an array of points of
+    sections of one kind, degree and ``stiff`` (one custom pair) with
+    ``x_lo``, ``x_hi`` and the numbers of ``pair`` given per point."""
+    p = family.degree
+    if isinstance(family, PolynomialFamily):
+        # powers by repeated products, a monomial's three factors left
+        # to right, an entry's terms in i order
+        length = x_hi - x_lo
+        t, s = (x - x_lo) / length, (x_hi - x) / length
+        t_pow, s_pow = [1.0], [1.0]
+        for _ in range(p):
+            t_pow.append(t_pow[-1] * t)
+            s_pow.append(s_pow[-1] * s)
+        scale = _inverse_powers(length, width - 1)
+        monomials, heads, tails = _bernstein_layout(p, width)
+        mono = [scale[d] * t_pow[a] * s_pow[b] for a, b, d in monomials]
+        entries = [f * mono[k] for f, k in heads]
+        for e, f, k in tails:
+            entries[e] += f * mono[k]  # in place on an array: a fresh product
+    else:
+        # powers of t = x - x_lo by repeated products, entries in
+        # row-major (j, d) order
+        t = x - x_lo
+        powers = [1.0]
+        for _ in range(1, p - 1):
+            powers.append(powers[-1] * t)
+        entries = [fac * powers[k] for fac, k in _monomial_layout(p - 1, width)]
+        us, vs = _pair_rows(family, x, x_lo, x_hi, pair, range(width))
+        entries += us
+        entries += vs
+    if not isinstance(x, np.ndarray):
+        return np.array(entries).reshape(p + 1, width)
+    out = np.empty((len(x), len(entries)))
+    for i, column in enumerate(entries):
+        out[:, i] = column
+    return out.reshape(len(x), p + 1, width)
+
+
 class SectionSpace:
     """One ECT section: a family on a closed interval ``[x_lo, x_hi]``.
 
@@ -284,6 +389,7 @@ class SectionSpace:
         self.degree = family.degree
         self.dim = family.degree + 1
         self.length = x_hi - x_lo
+        self._pair = _pair_constants(family, self.length, range(family.degree + 1))
 
     def __repr__(self):
         return f"SectionSpace([{self.x_lo}, {self.x_hi}], {self.family!r})"
@@ -309,99 +415,15 @@ class SectionSpace:
         ``t = (x - x_lo)/L``; otherwise the shifted monomials
         ``(x - x_lo)^j``, ``j < p - 1``, then the pair ``U``, ``V`` (``U*``,
         ``V*`` for the trigonometric/exponential families).  Both forms run
-        the same floating-point operations, so each table of the stack equals
-        the scalar call bit for bit.
+        the same floating-point operations (:func:`_span_table`), so each
+        table of the stack equals the scalar call bit for bit.
         """
         x = _points_in(x, self.x_lo, self.x_hi)
         if not (0 <= max_order <= self.degree):
             raise OrderError(
                 f"max_order={max_order} outside [0, {self.degree}] for this section"
             )
-        p, width = self.degree, max_order + 1
-        if isinstance(self.family, PolynomialFamily):
-            # powers by repeated products, a monomial's three factors left
-            # to right, an entry's terms in i order
-            L = self.length
-            t, s = (x - self.x_lo) / L, (self.x_hi - x) / L
-            t_pow, s_pow = [1.0], [1.0]
-            for _ in range(p):
-                t_pow.append(t_pow[-1] * t)
-                s_pow.append(s_pow[-1] * s)
-            scale = _inverse_powers(L, max_order)
-            monomials, heads, tails = _bernstein_layout(p, width)
-            mono = [scale[d] * t_pow[a] * s_pow[b] for a, b, d in monomials]
-            entries = [f * mono[k] for f, k in heads]
-            for e, f, k in tails:
-                entries[e] += f * mono[k]  # in place on an array: a fresh product
-        else:
-            # powers of t = x - x_lo by repeated products, entries in
-            # row-major (j, d) order
-            t = x - self.x_lo
-            powers = [1.0]
-            for _ in range(1, p - 1):
-                powers.append(powers[-1] * t)
-            entries = [fac * powers[k] for fac, k in _monomial_layout(p - 1, width)]
-            us, vs = self._pair_derivatives(x, range(width))
-            entries += us
-            entries += vs
-        if not isinstance(x, np.ndarray):
-            return np.array(entries).reshape(p + 1, width)
-        out = np.empty((len(x), len(entries)))
-        for i, column in enumerate(entries):
-            out[:, i] = column
-        return out.reshape(len(x), p + 1, width)
-
-    def _pair_derivatives(self, x, orders) -> tuple[list, list]:
-        """Derivatives of the two non-polynomial span functions ``U``, ``V``
-        at a point or at a 1-D array of points: the lists
-        ``[D^d U(x) for d in orders]`` and ``[D^d V(x) for d in orders]``.
-        Each transcendental function is evaluated once per call, whatever
-        the number of orders."""
-        fam = self.family
-        if isinstance(fam, GeneralizedPolynomialFamily):
-            return (
-                [_call_pointwise(fam.u, x, d) for d in orders],
-                [_call_pointwise(fam.v, x, d) for d in orders],
-            )
-        if not isinstance(fam, (TrigonometricFamily, ExponentialFamily)):
-            raise InvalidFamilyError(f"family {fam!r} has no two-function pair")
-        # At a point, numpy's values are turned into Python floats: the
-        # same bits as the array entries, and cheaper arithmetic.
-        scalar = not isinstance(x, np.ndarray)
-        w, wl = fam.omega, fam.omega * self.length
-        a = w * (self.x_hi - x)
-        b = w * (x - self.x_lo)
-        if isinstance(fam, TrigonometricFamily):
-            s = math.sin(wl)
-            sa, ca, sb, cb = np.sin(a), np.cos(a), np.sin(b), np.cos(b)
-            if scalar:
-                sa, ca, sb, cb = float(sa), float(ca), float(sb), float(cb)
-            # derivative cycle of sin: sin, cos, -sin, -cos
-            cyc_a, cyc_b = (sa, ca, -sa, -ca), (sb, cb, -sb, -cb)
-            return (
-                [(-w) ** d * cyc_a[d % 4] / s for d in orders],
-                [w**d * cyc_b[d % 4] / s for d in orders],
-            )
-        # (sinh, cosh)(v) / sinh(wl), the derivative cycle of sinh, stable
-        # for large arguments
-        if wl < 30.0:
-            den = math.sinh(wl)
-            sha, cha, shb, chb = np.sinh(a), np.cosh(a), np.sinh(b), np.cosh(b)
-            if scalar:
-                sha, cha, shb, chb = float(sha), float(cha), float(shb), float(chb)
-            ratio_a, ratio_b = (sha / den, cha / den), (shb / den, chb / den)
-        else:
-            den = -math.expm1(-2.0 * wl)
-            ea, ma, pa = np.exp(a - wl), -np.expm1(-2.0 * a), 1.0 + np.exp(-2.0 * a)
-            eb, mb, pb = np.exp(b - wl), -np.expm1(-2.0 * b), 1.0 + np.exp(-2.0 * b)
-            if scalar:
-                ea, ma, pa = float(ea), float(ma), float(pa)
-                eb, mb, pb = float(eb), float(mb), float(pb)
-            ratio_a, ratio_b = (ea * ma / den, ea * pa / den), (eb * mb / den, eb * pb / den)
-        return (
-            [(-w) ** d * ratio_a[d % 2] for d in orders],
-            [w**d * ratio_b[d % 2] for d in orders],
-        )
+        return _span_table(self.family, x, self.x_lo, self.x_hi, max_order + 1, self._pair)
 
     # -- normalized pair and weights --------------------------------------
 
@@ -433,8 +455,8 @@ class SectionSpace:
         if isinstance(fam, (TrigonometricFamily, ExponentialFamily)):
 
             def pair(x, order=0):
-                us, vs = self._pair_derivatives(x, (order,))
-                return us[0], vs[0]
+                (u,), (v,) = _pair_rows(fam, x, lo, hi, _pair_constants(fam, L, [order]), [order])
+                return u, v
 
             return pair
         # Custom pair: normalize D^(p-1) of the raw generators by a 2x2

@@ -8,9 +8,10 @@ smoothness alone.  The index layout is read from the knot vectors only:
 on interval ``e`` only the ``p_e + 1`` functions ``knots.active_range(e)``
 are nonzero, so ``C`` is stored only as that square block per interval
 (Bezier element extraction), as the cascade emits it.  Evaluation at a
-point or an array is one product of a block with the Bernstein values of
-the interval, stacked over the points of each interval.  A breakpoint jump
-and a knot insertion read dense windows of ``C`` over a few intervals;
+point is one product of a block with the Bernstein values of the interval;
+an array takes one batched product and one span-table pass per group of
+intervals of one family kind and degree.  A breakpoint jump and a knot
+insertion read dense windows of ``C`` over a few intervals;
 ``GTSplineSpace.operator``, the full ``C``, is for inspection only.
 
 Objects are immutable after construction; evaluation is pure and safe to
@@ -44,13 +45,15 @@ from .extraction import (
     jump_rows,
     pin_band_end,
 )
-from .quadrature import section_rule
+from .quadrature import composite_rule
 from .sections import (
     ExponentialFamily,
+    GeneralizedPolynomialFamily,
     Partition,
     PolynomialFamily,
     SectionSpace,
     TrigonometricFamily,
+    _span_table,
 )
 
 __all__ = [
@@ -182,20 +185,16 @@ def eval_basis(space: GTSplineSpace, x, max_order: int = 0) -> np.ndarray:
     """
     elems = space.partition.locate(x)
     if isinstance(elems, int):
-        lo, values = _element_values(space, elems, x, max_order)
+        _check_order(space, elems, max_order)
+        values = space.extraction.blocks[elems - 1] @ space.bases[elems - 1].evaluate(x, max_order)
+        lo = space.knots.active_range(elems)[0] - 1
         out = np.zeros((space.n_basis, max_order + 1))
         out[lo : lo + len(values)] = values
         return out
     xs = np.asarray(x, dtype=float)
-    # indices of the points of each interval that holds any
-    order = np.argsort(elems, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(elems[order], prepend=0)))[1:]
-    for at in groups:
-        _check_order(space, int(elems[at[0]]), max_order)
     out = np.zeros((len(xs), space.n_basis, max_order + 1))
-    for at in groups:
-        lo, values = _element_values(space, int(elems[at[0]]), xs[at], max_order)
-        out[at, lo : lo + values.shape[1]] = values
+    for at, first, values in _local_values(space, xs, elems, max_order):
+        out[at[:, None], first[:, None] + np.arange(values.shape[1])] = values
     return out
 
 
@@ -207,37 +206,71 @@ def _check_order(space: GTSplineSpace, e: int, max_order: int) -> None:
         )
 
 
-def _element_values(space: GTSplineSpace, e: int, x, max_order: int):
-    """The evaluation kernel.  Returns ``(lo, values)``: the 0-based index of
-    the first function active on interval ``e`` (1-based) and the values of
-    the active functions at ``x``, a point or a 1-D array of points of that
-    interval."""
-    _check_order(space, e, max_order)
-    bvals = space.bases[e - 1].evaluate(x, max_order)
-    return space.knots.active_range(e)[0] - 1, space.extraction.blocks[e - 1] @ bvals
+def _local_values(space: GTSplineSpace, xs: np.ndarray, elems: np.ndarray, max_order: int):
+    """The array kernel at the points ``xs`` of the 1-based intervals
+    ``elems``.  Per group of intervals of one family kind, degree and pair
+    branch (a custom pair: one interval) it yields ``(at, first, values)``:
+    the group's points (indices into ``xs``), the 0-based first function
+    active at each and their ``(len(at), p + 1, max_order + 1)`` values, from
+    one span-table pass and one batched product each with the coefficients
+    and the blocks, each row with the scalar call's bits and errors."""
+    bad = (np.array(space.degrees)[elems - 1] < max_order) | (max_order < 0)
+    if bad.any():
+        _check_order(space, int(elems[bad].min()), max_order)
+    groups = {}  # the intervals holding points of each group, ascending
+    for e in np.flatnonzero(np.bincount(elems)).tolist():
+        section = space.bases[e - 1].section
+        stiff = section._pair and section._pair[0]
+        custom = isinstance(section.family, GeneralizedPolynomialFamily)
+        key = e if custom else (type(section.family), section.degree, stiff)
+        groups.setdefault(key, []).append(e)
+    breakpoints = np.array(space.partition.breakpoints)
+    for intervals in groups.values():
+        inside = np.zeros(len(breakpoints), dtype=bool)
+        inside[intervals] = True
+        at = np.flatnonzero(inside[elems])
+        local = np.searchsorted(intervals, elems[at])  # each point's place in intervals
+        bases = [space.bases[e - 1] for e in intervals]
+        section, pair = bases[0].section, bases[0].section._pair
+        if pair is not None:
+            w, wl, den, neg, pos = (np.array(c) for c in zip(*(b.section._pair[1:] for b in bases)))
+            pair = (pair[0], w[local], wl[local], den[local], neg[local].T, pos[local].T)
+        x_lo, x_hi = breakpoints[elems[at] - 1], breakpoints[elems[at]]
+        values = _span_table(section.family, xs[at], x_lo, x_hi, max_order + 1, pair)
+        if bases[0].coeffs is not None:
+            values = np.stack([b.coeffs for b in bases])[local] @ values
+        values = np.stack([space.extraction.blocks[e - 1] for e in intervals])[local] @ values
+        del x_lo, x_hi, pair  # free the per-point inputs before the caller scatters
+        yield at, space.knots.sigma[elems[at]] - section.degree - 1, values
 
 
-def jump_vector(space: GTSplineSpace, i: int, order: int) -> np.ndarray:
+def jump_vector(space: GTSplineSpace, i: int, order) -> np.ndarray:
     """Jumps ``D^order_- B_k(x_i) - D^order_+ B_k(x_i)`` for all ``k``.
 
-    ``i`` is a 1-based interior breakpoint index.
+    ``i`` is a 1-based interior breakpoint index.  An int ``order`` gives
+    the ``(N,)`` vector, a 1-D sequence of ``n`` orders the ``(N, n)`` array
+    of those vectors from one operator window.
     """
     m = space.partition.num_intervals
     if not (1 <= i <= m - 1):
         raise DomainError(f"breakpoint index {i} outside [1, {m - 1}]")
     p_left, p_right = space.degrees[i - 1], space.degrees[i]
-    if not (0 <= order <= min(p_left, p_right)):
-        raise OrderError(
-            f"jump order {order} exceeds min local degree {min(p_left, p_right)} "
-            f"at breakpoint {i}"
-        )
+    orders = np.asarray(order, dtype=int)
     # The functions active on intervals i and i + 1, over those intervals.
     lo = space.knots.active_range(i)[0] - 1
     hi = space.knots.active_range(i + 1)[1]
     c = space.extraction.window(lo, hi, i, i + 1)
     starts = (0, p_left + 1, p_left + p_right + 2)
-    out = np.zeros(space.n_basis)
-    out[lo:hi] = jump_rows(c, space.bases[i - 1 : i + 1], starts, 1, order)
+    out = np.zeros((space.n_basis,) + orders.shape)
+    # One product per order, so that each column equals the int call's bits.
+    columns = out[lo:hi].reshape(hi - lo, -1)
+    for col, j in enumerate(orders.reshape(-1).tolist()):
+        if not (0 <= j <= min(p_left, p_right)):
+            raise OrderError(
+                f"jump order {j} exceeds min local degree {min(p_left, p_right)} "
+                f"at breakpoint {i}"
+            )
+        columns[:, col] = jump_rows(c, space.bases[i - 1 : i + 1], starts, 1, j)
     return out
 
 
@@ -395,16 +428,16 @@ def insert_knot(space: GTSplineSpace, x_new: float):
 def unit_integral_scaling(space: GTSplineSpace) -> np.ndarray:
     """Positive scalings ``s_k`` such that ``s_k B_k`` has unit integral.
 
-    Integrals are computed per element with a fixed-order composite
-    Gauss-Legendre rule (order ``2 max(p) + 2``, panel count adapted to each
-    section's stiffness), assembled through the extraction operator.
+    The integrals use a composite Gauss-Legendre rule of order ``2 max(p) + 2``
+    (panel count adapted to each section's stiffness) on all sections at once,
+    evaluated by the array kernel and summed per basis function.
     """
     reference = np.polynomial.legendre.leggauss(2 * max(space.degrees) + 2)
+    nodes, weights, elems = composite_rule([b.section for b in space.bases], *reference)
     integrals = np.zeros(space.n_basis)
-    for e, basis in enumerate(space.bases, start=1):
-        xs, ws = section_rule(basis.section, *reference)
-        lo, values = _element_values(space, e, xs, 0)
-        integrals[lo : lo + basis.section.dim] += ws @ values[:, :, 0]
+    for at, first, values in _local_values(space, nodes, elems, 0):
+        rows = first[:, None] + np.arange(values.shape[1])
+        np.add.at(integrals, rows, weights[at, None] * values[:, :, 0])
     if np.any(integrals <= 0.0):
         raise GTBError("nonpositive basis integral; space is degenerate")
     return 1.0 / integrals

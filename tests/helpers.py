@@ -3,8 +3,9 @@ classical polynomial oracles (Boehm insertion, the global Cox-de Boor
 recursion, per-element extraction), the end smoothness of a basis function
 by counting runs of equal knots, the extraction cascade on the dense running
 operator, knot insertion by value matching one band function at a time, the
-Bernstein construction by one Hermite solve per function, and the span
-tables, pairs and weights evaluated point by point with ``math``."""
+Bernstein construction by one Hermite solve per function, the basis
+integrals element by element, and the span tables, pairs and weights
+evaluated point by point with ``math``."""
 
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from gtbsplines import (
     jump_rows,
     nullspace_step,
 )
+from gtbsplines.quadrature import section_panels
 
 
 def central_diff(f, x: float, h: float = 1e-6) -> float:
@@ -282,6 +284,24 @@ def uniform_cubic_config(n_intervals: int) -> SpaceConfig:
     """C^2 cubic splines on ``n_intervals`` unit intervals."""
     breakpoints = [float(x) for x in range(n_intervals + 1)]
     return SpaceConfig(breakpoints, [PolynomialFamily(3)] * n_intervals, [2] * (n_intervals - 1))
+
+
+def reference_unit_integrals(space) -> np.ndarray:
+    """The basis integrals element by element: the per-section composite
+    Gauss-Legendre rule (order ``2 max(p) + 2`` on ``section_panels`` equal
+    panels from ``numpy.linspace``), one Bernstein evaluation and one block
+    product per element, summed into the active functions."""
+    x, w = np.polynomial.legendre.leggauss(2 * max(space.degrees) + 2)
+    integrals = np.zeros(space.n_basis)
+    for e, basis in enumerate(space.bases, start=1):
+        section = basis.section
+        edges = np.linspace(section.x_lo, section.x_hi, section_panels(section) + 1)
+        mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+        xs, ws = (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+        values = space.extraction.blocks[e - 1] @ basis.evaluate(xs, 0)
+        lo = space.knots.active_range(e)[0] - 1
+        integrals[lo : lo + section.dim] += ws @ values[:, :, 0]
+    return integrals
 
 
 def sequential_bernstein(section) -> BernsteinBasis:

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import gtbsplines.sections as sections_module
 import gtbsplines.space as space_module
 from gtbsplines import (
     AdmissibilityWarning,
@@ -35,6 +36,7 @@ from helpers import (
     central_diff,
     random_config,
     reference_transfer,
+    reference_unit_integrals,
     uniform_cubic_config,
 )
 
@@ -50,6 +52,28 @@ def custom_pair_space():
         name="exp-pair",
     )
     return build_space(SpaceConfig([0.0, 1.0, 2.0], [custom, PolynomialFamily(3)], [1]))
+
+
+def jittered_cubic_config(n_intervals: int) -> SpaceConfig:
+    """C^2 cubics on ``n_intervals`` intervals of random lengths in [0.5, 1.5]."""
+    lengths = np.random.default_rng(80).uniform(0.5, 1.5, n_intervals)
+    breakpoints = np.concatenate([[0.0], np.cumsum(lengths)]).tolist()
+    return SpaceConfig(breakpoints, [PolynomialFamily(3)] * n_intervals, [2] * (n_intervals - 1))
+
+
+def count_span_tables(monkeypatch) -> list[int]:
+    """Count the calls of the span-table arithmetic that the point and the
+    array evaluation share; returns the one-element counter."""
+    calls = [0]
+    table = sections_module._span_table
+
+    def counted(*args):
+        calls[0] += 1
+        return table(*args)
+
+    monkeypatch.setattr(sections_module, "_span_table", counted)
+    monkeypatch.setattr(space_module, "_span_table", counted)
+    return calls
 
 
 class TestBuildSpace:
@@ -90,23 +114,29 @@ class TestBuildSpace:
         assert main(["sample", str(path), "--n", "21", "--deriv", "1", "--csv", csv]) == 0
 
     def test_sample_builds_one_span_table_per_element(self, monkeypatch, tmp_path):
-        calls = 0
-        span = SectionSpace.span_derivatives
-
-        def counted(self, x, max_order):
-            nonlocal calls
-            calls += 1
-            return span(self, x, max_order)
-
-        monkeypatch.setattr(SectionSpace, "span_derivatives", counted)
+        calls = count_span_tables(monkeypatch)
         config = mixed_family_demo_config()
         build_space(config)
-        build_calls, calls = calls, 0
+        build_calls = calls[0]
         path = tmp_path / "space.json"
         path.write_text(json.dumps(config.to_dict()))
         csv = str(tmp_path / "s.csv")
+        calls[0] = 0
         assert main(["sample", str(path), "--n", "4001", "--deriv", "2", "--csv", csv]) == 0
-        assert calls <= build_calls + len(config.sections)
+        # three kernel groups: the quadratic, the trigonometric cubic and the
+        # exponential quartic (omega L = 25, below the stiff branch)
+        assert calls[0] <= build_calls + 3
+
+    def test_arrays_build_one_span_table_per_group(self, monkeypatch):
+        cubic = build_space(jittered_cubic_config(80))
+        mixed = build_space(mixed_family_demo_config())
+        calls = count_span_tables(monkeypatch)
+        eval_basis(cubic, np.linspace(*cubic.domain, 400), 2)
+        assert calls[0] == 1
+        for space, groups in ((cubic, 1), (mixed, 3)):
+            calls[0] = 0
+            unit_integral_scaling(space)
+            assert calls[0] == groups
 
     def test_piecewise_constants_merge(self):
         space = build_space(
@@ -226,7 +256,9 @@ class TestEvalBasis:
 
 
 class TestEvalBasisArrays:
-    @pytest.fixture(params=["mixed", "profile", "custom-pair", "random"])
+    @pytest.fixture(
+        params=["mixed", "profile", "custom-pair", "random", "cubic-80", "poly-234", "exp-stiff"]
+    )
     def space(self, request, mixed_space, profile_space):
         if request.param == "mixed":  # polynomial, trigonometric, exponential
             return mixed_space
@@ -234,6 +266,15 @@ class TestEvalBasisArrays:
             return profile_space
         if request.param == "custom-pair":
             return custom_pair_space()
+        if request.param == "cubic-80":  # many elements, one group
+            return build_space(jittered_cubic_config(80))
+        if request.param == "poly-234":  # polynomial degrees 2, 3, 4
+            families = [PolynomialFamily(p) for p in (3, 2, 4, 3, 4)]
+            return build_space(SpaceConfig([0.0, 0.7, 1.5, 2.0, 3.1, 4.0], families, [1, 2, 2, 1]))
+        if request.param == "exp-stiff":  # omega L = 20, 40, 25, 36: both pair branches
+            families = [ExponentialFamily(3, 10.0), ExponentialFamily(3, 20.0)] * 2
+            breakpoints = [0.0, 2.0, 4.0, 6.5, 8.3]
+            return build_space(SpaceConfig(breakpoints, families, [1, 2, 1]))
         return build_space(random_config(np.random.default_rng(7), n_intervals=5))
 
     def test_rows_equal_scalar_calls(self, space, rng):
@@ -266,6 +307,14 @@ class TestEvalBasisArrays:
             with pytest.raises(error):
                 eval_basis(mixed_space, np.array(xs), order)
         assert eval_basis(mixed_space, np.array([3.0, 4.0]), 3).shape == (2, 6, 4)
+        # the failing quadratic interval is in a later group than the first point's
+        families = [PolynomialFamily(4), TrigonometricFamily(3, 1.0), PolynomialFamily(2)]
+        space = build_space(SpaceConfig([0.0, 1.0, 2.0, 3.0], families, [1, 1]))
+        with pytest.raises(OrderError) as alone:
+            eval_basis(space, 2.5, 3)
+        with pytest.raises(OrderError) as within:
+            eval_basis(space, np.array([0.5, 1.5, 2.5, 0.2]), 3)
+        assert str(within.value) == str(alone.value)
         with pytest.raises(DomainError):
             eval_basis(mixed_space, np.ones((2, 2)))
 
@@ -313,6 +362,20 @@ class TestJumps:
             jump_vector(mixed_space, 3, 0)
         with pytest.raises(OrderError):
             jump_vector(mixed_space, 1, 3)
+
+    def test_sequence_of_orders(self, mixed_space, profile_space):
+        for space in (mixed_space, profile_space, custom_pair_space()):
+            for i in range(1, space.partition.num_intervals):
+                top = min(space.degrees[i - 1], space.degrees[i])
+                orders = list(range(top, -1, -1)) + [0]
+                table = jump_vector(space, i, orders)
+                assert table.shape == (space.n_basis, len(orders))
+                for column, order in zip(table.T, orders):
+                    want = jump_vector(space, i, order)
+                    assert np.max(np.abs(column - want)) <= 1e-15 * np.max(np.abs(want))
+                for bad in ([top + 1], [0, top + 1, 1], np.array([1, top + 2])):
+                    with pytest.raises(OrderError):
+                        jump_vector(space, i, bad)
 
 
 class TestCurve:
@@ -554,6 +617,15 @@ class TestUnitIntegralScaling:
     def test_single_quadratic_patch(self):
         space = build_space(SpaceConfig([0.0, 1.0], [PolynomialFamily(2)], []))
         assert np.allclose(unit_integral_scaling(space), [3.0, 3.0, 3.0], rtol=1e-13)
+
+    def test_matches_element_by_element_reference(self, mixed_space, profile_space):
+        rng = np.random.default_rng(16)
+        spaces = [mixed_space, profile_space, custom_pair_space()]
+        spaces += [build_space(random_config(rng, n_intervals=6)) for _ in range(3)]
+        for space in spaces:
+            want = reference_unit_integrals(space)
+            got = 1.0 / unit_integral_scaling(space)
+            assert np.max(np.abs(got - want) / want) <= 1e-14
 
     def test_total_length(self, rng):
         for _ in range(6):
