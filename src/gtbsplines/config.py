@@ -33,6 +33,7 @@ from .sections import (
     PolynomialFamily,
     SectionFamily,
     TrigonometricFamily,
+    _integer,
 )
 
 __all__ = [
@@ -42,18 +43,6 @@ __all__ = [
     "mixed_family_demo_config",
     "conic_profile_demo_config",
 ]
-
-
-def _integer(value, what: str) -> int:
-    """``value`` as an int; a boolean and anything that is not a whole
-    number are rejected rather than converted or truncated."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            if int(value) == value:
-                return int(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise ConfigError(f"{what} must be an integer, got {value!r}")
 
 
 def _number(value, what: str) -> float:
@@ -71,7 +60,7 @@ def _number(value, what: str) -> float:
 def family_from_dict(d: dict) -> SectionFamily:
     try:
         kind = d["family"]
-        degree = _integer(d["degree"], "section degree")
+        degree = _integer(d["degree"], "section degree", ConfigError)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed section entry {d!r}") from exc
     if kind == "polynomial":
@@ -110,7 +99,7 @@ class SpaceConfig:
 
     def __post_init__(self):
         self.breakpoints = [_number(x, "breakpoint") for x in self.breakpoints]
-        self.smoothness = [_integer(r, "smoothness") for r in self.smoothness]
+        self.smoothness = [_integer(r, "smoothness", ConfigError) for r in self.smoothness]
         if self.control_points is not None:
             try:
                 control = np.asarray(self.control_points)

@@ -236,11 +236,12 @@ def build_constraints(bases: list[BernsteinBasis], kv: KnotVectors) -> Smoothnes
 
 
 def jump_rows(
-    c: np.ndarray, bases: list[BernsteinBasis], block_start: Sequence[int], i: int, j: int
+    c: np.ndarray, bases: list[BernsteinBasis], block_start: Sequence[int], i: int, j: int | slice
 ) -> np.ndarray:
     """Jumps ``D^j_- f(x_i) - D^j_+ f(x_i)`` at interior breakpoint ``x_i``
     (1-based) of the functions ``f`` whose coefficients over the global
-    Bernstein basis are the rows of ``c``.
+    Bernstein basis are the rows of ``c``: one value per row for an int
+    ``j``, one column per order for a slice of orders ``j``.
 
     Only the column blocks of the two intervals meeting at ``x_i`` enter:
     the left-limit derivatives come from the right endpoint table of

@@ -12,15 +12,17 @@ on one closed interval of the partition.  Four families are supported:
   u(x), v(x)}`` for user-supplied functions with exact derivatives.
 
 For numerical work every section exposes a *span basis* together with exact
-derivative tables.  A polynomial section's span basis is its Bernstein basis,
-the binomial polynomials ``C(p, k) t^k s^(p-k)`` in ``t = (x - x_lo)/L`` and
-``s = (x_hi - x)/L``, so its derivatives are exact lower-degree Bernstein
-values scaled by ``L^-d``.  The other families use interval-shifted monomials
-``(x - x_lo)^j`` for ``j < p - 1`` and, for the trigonometric/exponential
-families, the interval-normalized pair ``{U*, V*}`` (endpoint values 0 and 1)
-instead of raw ``sin``/``sinh`` values; this keeps endpoint collocation
-matrices well conditioned even for stiff parameters such as ``sinh(10 x)`` on
-wide intervals.  One table arithmetic tabulates the span basis at a point
+derivative tables.  Every family starts from the binomial Bernstein
+polynomials ``C(q, k) t^k s^(q-k)`` of degree ``q`` in ``t = (x - x_lo)/L``
+and ``s = (x_hi - x)/L``, whose derivatives are exact lower-degree Bernstein
+values scaled by ``L^-d``: ``q = p`` for a polynomial section, whose span
+basis is then its Bernstein basis, and ``q = p - 2`` otherwise.  The other
+families append their pair: the user's ``u``, ``v`` for a custom pair and,
+for the trigonometric/exponential families, the interval-normalized pair
+``{U*, V*}`` (endpoint values 0 and 1) instead of raw ``sin``/``sinh``
+values; this keeps endpoint collocation matrices well conditioned even for
+stiff parameters such as ``sinh(10 x)`` on wide intervals.  One table
+arithmetic tabulates the span basis at a point
 (:meth:`SectionSpace.span_derivatives`) or, in one numpy pass, at an array of
 points of one section or of many sections of one kind and degree (the grouped
 array kernel of :mod:`gtbsplines.space`); powers come from repeated products
@@ -67,6 +69,18 @@ def _points_in(x, lo: float, hi: float):
     if outside.any():
         raise DomainError(f"x={float(xs[np.argmax(outside)])!r} outside [{lo}, {hi}]")
     return xs
+
+
+def _integer(value, what: str, error: type[Exception]) -> int:
+    """``value`` as an int; a boolean and anything that is not a whole
+    number raise ``error`` rather than being converted or truncated."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            if int(value) == value:
+                return int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise error(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -179,24 +193,6 @@ SectionFamily = (
 )
 
 
-@functools.lru_cache(maxsize=None)
-def _monomial_layout(n_rows: int, width: int) -> tuple[tuple[float, int], ...]:
-    """Row-major ``(j, d)`` entries ``(factor, k)`` of the shifted-monomial
-    table: ``D^d (x - x_lo)^j = j!/(j-d)! (x - x_lo)^(j-d)`` is ``factor``
-    times the ``k``-th power, ``k = j - d``; entries with ``d > j`` are
-    ``0.0`` times the 0-th power, exactly zero."""
-    layout = []
-    for j in range(n_rows):
-        fac = 1.0
-        for d in range(width):
-            if d > j:
-                layout.append((0.0, 0))
-                continue
-            layout.append((fac, j - d))
-            fac *= j - d
-    return tuple(layout)
-
-
 def _as_float(n: int) -> float:
     """The integer ``n`` rounded to a float; ``+-inf`` beyond the float range."""
     try:
@@ -215,33 +211,37 @@ def _inverse_powers(length: float, n: int) -> list[float]:
 
 
 @functools.lru_cache(maxsize=None)
-def _bernstein_layout(p: int, width: int) -> tuple[tuple, tuple, tuple]:
+def _bernstein_layout(q: int, width: int) -> tuple[tuple, tuple, tuple]:
     """Layout ``(monomials, heads, tails)`` of the derivative table of the
-    degree-``p`` Bernstein basis, orders ``0 .. width-1``.
+    degree-``q`` Bernstein basis, orders ``0 .. width-1``.
 
-    Entry ``(j, d)`` is ``D^d b_j = p!/(p-d)! L^-d sum_i (-1)^(d-i) C(d, i)
-    B^(p-d)_(j-i)`` with ``B^q_k = C(q, k) t^k s^(q-k)``: a sum over ``i`` of
+    Entry ``(j, d)`` is ``D^d b_j = q!/(q-d)! L^-d sum_i (-1)^(d-i) C(d, i)
+    B^(q-d)_(j-i)`` with ``B^r_k = C(r, k) t^k s^(r-k)``: a sum over ``i`` of
     a factor, which folds in the sign and the three integers, times the
-    monomial ``t^k s^(q-k) L^-d``, ``q = p - d``.  ``monomials`` lists these
-    as ``(k, q - k, d)``, ``heads`` each entry's first term ``(factor,
+    monomial ``t^k s^(r-k) L^-d``, ``r = q - d``.  ``monomials`` lists these
+    as ``(k, r - k, d)``, ``heads`` each entry's first term ``(factor,
     monomial)``, row-major, and ``tails`` every further term ``(entry,
-    factor, monomial)``, in ``i`` order.
+    factor, monomial)``, in ``i`` order.  An order ``d > q`` has no
+    monomials; its entries are ``0.0`` times the first monomial, exact zeros.
     """
     monomials, heads, tails, start = [], [], [], []
     for d in range(width):
         start.append(len(monomials))
-        monomials += [(k, p - d - k, d) for k in range(p - d + 1)]
-    for j in range(p + 1):
+        monomials += [(k, q - d - k, d) for k in range(q - d + 1)]
+    for j in range(q + 1):
         for d in range(width):
-            q = p - d
+            r = q - d
+            if r < 0:
+                heads.append((0.0, 0))
+                continue
             terms = [
                 (
                     _as_float(
-                        (-1) ** (d - i) * math.perm(p, d) * math.comb(d, i) * math.comb(q, j - i)
+                        (-1) ** (d - i) * math.perm(q, d) * math.comb(d, i) * math.comb(r, j - i)
                     ),
                     start[d] + j - i,
                 )
-                for i in range(max(0, j - q), min(d, j) + 1)
+                for i in range(max(0, j - r), min(d, j) + 1)
             ]
             tails += [(len(heads), f, k) for f, k in terms[1:]]
             heads.append(terms[0])
@@ -324,29 +324,22 @@ def _span_table(family, x, x_lo, x_hi, width: int, pair) -> np.ndarray:
     sections of one kind, degree and ``stiff`` (one custom pair) with
     ``x_lo``, ``x_hi`` and the numbers of ``pair`` given per point."""
     p = family.degree
-    if isinstance(family, PolynomialFamily):
-        # powers by repeated products, a monomial's three factors left
-        # to right, an entry's terms in i order
-        length = x_hi - x_lo
-        t, s = (x - x_lo) / length, (x_hi - x) / length
-        t_pow, s_pow = [1.0], [1.0]
-        for _ in range(p):
-            t_pow.append(t_pow[-1] * t)
-            s_pow.append(s_pow[-1] * s)
-        scale = _inverse_powers(length, width - 1)
-        monomials, heads, tails = _bernstein_layout(p, width)
-        mono = [scale[d] * t_pow[a] * s_pow[b] for a, b, d in monomials]
-        entries = [f * mono[k] for f, k in heads]
-        for e, f, k in tails:
-            entries[e] += f * mono[k]  # in place on an array: a fresh product
-    else:
-        # powers of t = x - x_lo by repeated products, entries in
-        # row-major (j, d) order
-        t = x - x_lo
-        powers = [1.0]
-        for _ in range(1, p - 1):
-            powers.append(powers[-1] * t)
-        entries = [fac * powers[k] for fac, k in _monomial_layout(p - 1, width)]
+    q = p if isinstance(family, PolynomialFamily) else p - 2
+    # powers by repeated products, a monomial's three factors left to
+    # right, an entry's terms in i order
+    length = x_hi - x_lo
+    t, s = (x - x_lo) / length, (x_hi - x) / length
+    t_pow, s_pow = [1.0], [1.0]
+    for _ in range(q):
+        t_pow.append(t_pow[-1] * t)
+        s_pow.append(s_pow[-1] * s)
+    scale = _inverse_powers(length, width - 1)
+    monomials, heads, tails = _bernstein_layout(q, width)
+    mono = [scale[d] * t_pow[a] * s_pow[b] for a, b, d in monomials]
+    entries = [f * mono[k] for f, k in heads]
+    for e, f, k in tails:
+        entries[e] += f * mono[k]  # in place on an array: a fresh product
+    if q < p:
         us, vs = _pair_rows(family, x, x_lo, x_hi, pair, range(width))
         entries += us
         entries += vs
@@ -410,15 +403,18 @@ class SectionSpace:
         For a scalar ``x`` returns a ``(p + 1, max_order + 1)`` array whose
         entry ``(j, d)`` is the ``d``-th derivative of span function ``j`` at
         ``x``.  For a 1-D array of ``n`` points returns the
-        ``(n, p + 1, max_order + 1)`` stack of those tables.  Row order: for
-        a polynomial section the Bernstein polynomials ``b_0 .. b_p`` in
-        ``t = (x - x_lo)/L``; otherwise the shifted monomials
-        ``(x - x_lo)^j``, ``j < p - 1``, then the pair ``U``, ``V`` (``U*``,
-        ``V*`` for the trigonometric/exponential families).  Both forms run
-        the same floating-point operations (:func:`_span_table`), so each
-        table of the stack equals the scalar call bit for bit.
+        ``(n, p + 1, max_order + 1)`` stack of those tables.  Row order: the
+        Bernstein polynomials ``b_0 .. b_q`` in ``t = (x - x_lo)/L``, ``q =
+        p`` for a polynomial section and ``p - 2`` otherwise, whose orders
+        above ``q`` are exact zeros; then, for the other families, the pair
+        ``U``, ``V`` (``U*``, ``V*`` for the trigonometric/exponential
+        families).  Both forms run the same floating-point operations
+        (:func:`_span_table`), so each table of the stack equals the scalar
+        call bit for bit.
         """
         x = _points_in(x, self.x_lo, self.x_hi)
+        if type(max_order) is not int:  # an int skips the call on the scalar path
+            max_order = _integer(max_order, "max_order", OrderError)
         if not (0 <= max_order <= self.degree):
             raise OrderError(
                 f"max_order={max_order} outside [0, {self.degree}] for this section"

@@ -53,6 +53,7 @@ from .sections import (
     PolynomialFamily,
     SectionSpace,
     TrigonometricFamily,
+    _integer,
     _span_table,
 )
 
@@ -184,8 +185,8 @@ def eval_basis(space: GTSplineSpace, x, max_order: int = 0) -> np.ndarray:
     the right; the right domain endpoint evaluates from the left.
     """
     elems = space.partition.locate(x)
+    max_order = _check_order(space, elems, max_order)
     if isinstance(elems, int):
-        _check_order(space, elems, max_order)
         values = space.extraction.blocks[elems - 1] @ space.bases[elems - 1].evaluate(x, max_order)
         lo = space.knots.active_range(elems)[0] - 1
         out = np.zeros((space.n_basis, max_order + 1))
@@ -198,25 +199,34 @@ def eval_basis(space: GTSplineSpace, x, max_order: int = 0) -> np.ndarray:
     return out
 
 
-def _check_order(space: GTSplineSpace, e: int, max_order: int) -> None:
-    p_e = space.degrees[e - 1]
+def _check_order(space: GTSplineSpace, elems, max_order) -> int:
+    """``max_order`` as an int, checked against the local degree of the
+    1-based interval ``elems`` or of each interval of an array of them; the
+    lowest offending interval is named."""
+    if type(max_order) is not int:  # an int skips the call on the scalar path
+        max_order = _integer(max_order, "max_order", OrderError)
+    if not isinstance(elems, int):
+        bad = (np.array(space.degrees)[elems - 1] < max_order) | (max_order < 0)
+        if not bad.any():
+            return max_order
+        elems = int(elems[bad].min())
+    p_e = space.degrees[elems - 1]
     if not (0 <= max_order <= p_e):
         raise OrderError(
-            f"max_order={max_order} exceeds the local degree {p_e} on interval {e}"
+            f"max_order={max_order} exceeds the local degree {p_e} on interval {elems}"
         )
+    return max_order
 
 
 def _local_values(space: GTSplineSpace, xs: np.ndarray, elems: np.ndarray, max_order: int):
     """The array kernel at the points ``xs`` of the 1-based intervals
-    ``elems``.  Per group of intervals of one family kind, degree and pair
-    branch (a custom pair: one interval) it yields ``(at, first, values)``:
-    the group's points (indices into ``xs``), the 0-based first function
-    active at each and their ``(len(at), p + 1, max_order + 1)`` values, from
-    one span-table pass and one batched product each with the coefficients
-    and the blocks, each row with the scalar call's bits and errors."""
-    bad = (np.array(space.degrees)[elems - 1] < max_order) | (max_order < 0)
-    if bad.any():
-        _check_order(space, int(elems[bad].min()), max_order)
+    ``elems``, for a ``max_order`` checked by :func:`_check_order`.  Per
+    group of intervals of one family kind, degree and pair branch (a custom
+    pair: one interval) it yields ``(at, first, values)``: the group's
+    points (indices into ``xs``), the 0-based first function active at each
+    and their ``(len(at), p + 1, max_order + 1)`` values, from one
+    span-table pass and one batched product each with the coefficients and
+    the blocks, each row with the scalar call's bits."""
     groups = {}  # the intervals holding points of each group, ascending
     for e in np.flatnonzero(np.bincount(elems)).tolist():
         section = space.bases[e - 1].section
@@ -249,28 +259,30 @@ def jump_vector(space: GTSplineSpace, i: int, order) -> np.ndarray:
 
     ``i`` is a 1-based interior breakpoint index.  An int ``order`` gives
     the ``(N,)`` vector, a 1-D sequence of ``n`` orders the ``(N, n)`` array
-    of those vectors from one operator window.
+    of those vectors from one operator window and one product.
     """
     m = space.partition.num_intervals
+    i = _integer(i, "breakpoint index", DomainError)
     if not (1 <= i <= m - 1):
         raise DomainError(f"breakpoint index {i} outside [1, {m - 1}]")
     p_left, p_right = space.degrees[i - 1], space.degrees[i]
-    orders = np.asarray(order, dtype=int)
+    top = min(p_left, p_right)
+    scalar = np.ndim(order) == 0
+    orders = [_integer(j, "jump order", OrderError) for j in ([order] if scalar else order)]
+    for j in orders:
+        if not (0 <= j <= top):
+            raise OrderError(f"jump order {j} exceeds min local degree {top} at breakpoint {i}")
     # The functions active on intervals i and i + 1, over those intervals.
     lo = space.knots.active_range(i)[0] - 1
     hi = space.knots.active_range(i + 1)[1]
     c = space.extraction.window(lo, hi, i, i + 1)
     starts = (0, p_left + 1, p_left + p_right + 2)
-    out = np.zeros((space.n_basis,) + orders.shape)
-    # One product per order, so that each column equals the int call's bits.
-    columns = out[lo:hi].reshape(hi - lo, -1)
-    for col, j in enumerate(orders.reshape(-1).tolist()):
-        if not (0 <= j <= min(p_left, p_right)):
-            raise OrderError(
-                f"jump order {j} exceeds min local degree {min(p_left, p_right)} "
-                f"at breakpoint {i}"
-            )
-        columns[:, col] = jump_rows(c, space.bases[i - 1 : i + 1], starts, 1, j)
+    # One product for every order up to ``top``, so that a column has the
+    # same bits whichever orders are asked for.
+    jumps = jump_rows(c, space.bases[i - 1 : i + 1], starts, 1, slice(0, top + 1))
+    columns = orders[0] if scalar else orders
+    out = np.zeros((space.n_basis,) + np.shape(columns))
+    out[lo:hi] = jumps[:, columns]
     return out
 
 
@@ -303,7 +315,7 @@ def eval_curve(curve: SplineCurve, x, order: int = 0) -> np.ndarray:
     A scalar ``x`` gives a ``(d,)`` vector, a 1-D array of ``n`` points an
     ``(n, d)`` array.
     """
-    basis = eval_basis(curve.space, x, order)[..., order, None]
+    basis = eval_basis(curve.space, x, order)[..., -1, None]  # column ``order``
     # One matrix-vector product per point, so that rows equal scalar calls.
     return (curve.control.T @ basis)[..., 0]
 

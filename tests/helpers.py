@@ -387,36 +387,30 @@ def reference_raw_pair(section, x: float, order: int) -> tuple[float, float]:
 def reference_span_derivatives(section, x: float, max_order: int) -> np.ndarray:
     """Reference span table at one point, entry by entry from ``math``.
 
-    Polynomial rows: the Bernstein form ``D^d b_j = p!/(p-d)! L^-d sum_i
-    (-1)^(d-i) C(d, i) B^(p-d)_(j-i)`` with ``B^q_k = C(q, k) t^k s^(q-k)``
-    and ``t ** k`` powers.  Trigonometric/exponential/custom rows: ``t ** k``
-    powers of the shifted monomials and the pair from ``math``.  The
-    production kernel takes powers by repeated products, folds the integers
-    of each term into one factor and takes transcendental values from numpy,
-    so it agrees to rounding."""
+    Rows ``0 .. q`` (``q = p`` for a polynomial section, ``p - 2`` otherwise)
+    are the Bernstein form ``D^d b_j = q!/(q-d)! L^-d sum_i (-1)^(d-i) C(d,
+    i) B^(q-d)_(j-i)`` with ``B^r_k = C(r, k) t^k s^(r-k)`` and ``t ** k``
+    powers, zero for ``d > q``; a non-polynomial section's last two rows are
+    the pair from ``math``.  The production kernel takes powers by repeated
+    products, folds the integers of each term into one factor and takes
+    transcendental values from numpy, so it agrees to rounding."""
     x = float(x)
     p = section.degree
+    q = p if isinstance(section.family, PolynomialFamily) else p - 2
+    L = section.length
+    t, s = (x - section.x_lo) / L, (section.x_hi - x) / L
     out = np.zeros((p + 1, max_order + 1))
-    if isinstance(section.family, PolynomialFamily):
-        L = section.length
-        t, s = (x - section.x_lo) / L, (section.x_hi - x) / L
-        for j in range(p + 1):
-            for d in range(max_order + 1):
-                q = p - d
-                total = 0.0
-                for i in range(max(0, j - q), min(d, j) + 1):
-                    bern = math.comb(q, j - i) * t ** (j - i) * s ** (q - j + i)
-                    total += (-1) ** (d - i) * math.comb(d, i) * bern
-                out[j, d] = math.perm(p, d) * total / L**d
-        return out
-    t = x - section.x_lo
-    for j in range(p - 1):
-        fac = 1.0
-        for d in range(min(j, max_order) + 1):
-            out[j, d] = fac * t ** (j - d)
-            fac *= j - d
-    for d in range(max_order + 1):
-        out[p - 1, d], out[p, d] = reference_raw_pair(section, x, d)
+    for j in range(q + 1):
+        for d in range(min(q, max_order) + 1):
+            r = q - d
+            total = 0.0
+            for i in range(max(0, j - r), min(d, j) + 1):
+                bern = math.comb(r, j - i) * t ** (j - i) * s ** (r - j + i)
+                total += (-1) ** (d - i) * math.comb(d, i) * bern
+            out[j, d] = math.perm(q, d) * total / L**d
+    if q < p:
+        for d in range(max_order + 1):
+            out[p - 1, d], out[p, d] = reference_raw_pair(section, x, d)
     return out
 
 

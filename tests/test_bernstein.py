@@ -197,8 +197,9 @@ class TestStackedSolve:
         ids=["6", "8"],
     )
     def test_conditioning_warnings_match_reference(self, family, length):
-        # short sections: the shifted monomials (x - x_lo)^j span scales
-        # L^j apart, so every Hermite system of the section warns
+        # short sections: the Hermite systems are solved in units of x, where
+        # conditions of order d scale as L^-d, so every system of the section
+        # warns
         degree, section = family.degree, SectionSpace(0.0, length, family)
         with pytest.warns(ConditioningWarning) as stacked:
             build_bernstein(section)
@@ -341,7 +342,7 @@ def _mp_bernstein(mp, p, lo, hi, x, max_order):
 
 @pytest.mark.parametrize("p, lo, hi", [(25, 0.0, 1.0), (25, -3.0, 997.0), (12, 0.0, 1e-9)])
 def test_polynomial_tables_match_mpmath(p, lo, hi):
-    # mpmath is installed with the test tools here but is no test extra
+    # mpmath is in the test extra; without it the test skips
     mpmath = pytest.importorskip("mpmath")
     xs = np.linspace(lo, hi, 41)
     got = build_bernstein(SectionSpace(lo, hi, PolynomialFamily(p))).evaluate(xs, 2)

@@ -59,6 +59,20 @@ ARRAY_SECTIONS = [
 ]
 
 
+# non-polynomial sections with p >= 2: trigonometric, exponential on both
+# sides of omega * length = 30, and custom pairs
+LAYOUT_SECTIONS = [
+    SectionSpace(0.0, 1.0, TrigonometricFamily(2, 2.0)),
+    SectionSpace(1.0, 2.5, TrigonometricFamily(3, math.pi / 2)),
+    SectionSpace(-0.3, 0.2, TrigonometricFamily(8, 5.0)),
+    SectionSpace(0.0, 0.7, ExponentialFamily(2, 1.5)),
+    SectionSpace(2.5, 5.0, ExponentialFamily(4, 10.0)),  # omega * length = 25
+    SectionSpace(0.0, 1.0, ExponentialFamily(6, 40.0)),  # omega * length = 40
+    SectionSpace(0.0, 1.0, EXP_PAIR),
+    SectionSpace(-2.0, 3.0, GeneralizedPolynomialFamily(5, EXP_PAIR.u, EXP_PAIR.v)),
+]
+
+
 def _points(section, rng) -> np.ndarray:
     """Both ends, random interior points, unsorted and repeated."""
     inner = rng.uniform(section.x_lo, section.x_hi, 30)
@@ -110,6 +124,14 @@ class TestSpanDerivatives:
         with pytest.raises(OrderError):
             section.span_derivatives(0.5, 3)
 
+    def test_order_is_an_integer(self):
+        section = SectionSpace(0.0, 1.0, TrigonometricFamily(3, 1.0))
+        for x in (0.5, np.array([0.2, 0.5])):
+            assert np.array_equal(section.span_derivatives(x, 2.0), section.span_derivatives(x, 2))
+            for order in (1.5, True, np.bool_(False), "1", None):
+                with pytest.raises(OrderError, match="must be an integer"):
+                    section.span_derivatives(x, order)
+
     @pytest.mark.parametrize("section", ARRAY_SECTIONS, ids=lambda s: repr(s.family))
     def test_array_equals_scalar_calls(self, section, rng):
         xs = _points(section, rng)
@@ -119,6 +141,21 @@ class TestSpanDerivatives:
             stacked = np.array([section.span_derivatives(float(x), order) for x in xs])
             assert np.array_equal(table, stacked)
         assert section.span_derivatives(np.array([]), 1).shape == (0, section.dim, 2)
+
+    @pytest.mark.parametrize("section", LAYOUT_SECTIONS, ids=lambda s: repr(s.family))
+    def test_rows_below_the_pair_are_the_polynomial_table(self, section, rng):
+        # One layout for every family: rows 0 .. p-2 are the span table of
+        # the degree p-2 polynomial section on the same interval, bit for
+        # bit, and exact zeros above order p-2.
+        p = section.degree
+        poly = SectionSpace(section.x_lo, section.x_hi, PolynomialFamily(p - 2))
+        for x in (section.x_lo, 0.5 * (section.x_lo + section.x_hi), section.x_hi):
+            for xs in (x, _points(section, rng)):
+                for order in range(p + 1):
+                    rows = section.span_derivatives(xs, order)[..., : p - 1, :]
+                    low = min(order, p - 2)
+                    assert np.array_equal(rows[..., : low + 1], poly.span_derivatives(xs, low))
+                    assert np.all(rows[..., low + 1 :] == 0.0)
 
     def test_array_errors_name_first_offending_point(self):
         section = SectionSpace(0.0, 1.0, ExponentialFamily(4, 40.0))
@@ -339,6 +376,35 @@ class TestMathReference:
         for _ in range(300):
             for section in sections_of(random_config(rng)):
                 _assert_close_to_reference(section)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    family=st.sampled_from([TrigonometricFamily, ExponentialFamily]),
+    p=st.integers(min_value=2, max_value=8),
+    lo=st.floats(min_value=-1.0, max_value=1.0),
+    length=st.floats(min_value=0.5, max_value=2.0),
+    u=st.floats(min_value=0.0, max_value=1.0),
+    scale=st.floats(min_value=1e-6, max_value=1e3),
+    shift=st.floats(min_value=-10.0, max_value=10.0),
+)
+def test_span_table_is_invariant_under_change_of_unit(
+    data, family, p, lo, length, u, scale, shift
+):
+    # Under x -> s x + c and omega -> omega / s, column d of the span table
+    # scales by s^-d: a section does not depend on the unit of x.
+    top = math.pi - 0.1 if family is TrigonometricFamily else 40.0
+    wl = data.draw(st.floats(min_value=1e-3, max_value=top), label="omega * length")
+    section = SectionSpace(lo, lo + length, family(p, wl / length))
+    c = shift * scale
+    mapped = SectionSpace(scale * lo + c, scale * (lo + length) + c, family(p, wl / length / scale))
+    xs = lo + length * np.array([0.0, u, 1.0])
+    table = section.span_derivatives(xs, p)
+    got = mapped.span_derivatives(np.clip(scale * xs + c, mapped.x_lo, mapped.x_hi), p)
+    for d in range(p + 1):
+        want = table[..., d] * scale**-d
+        assert np.max(np.abs(got[..., d] - want)) <= 1e-12 * np.max(np.abs(want)), d
 
 
 @settings(max_examples=30, deadline=None)

@@ -254,6 +254,20 @@ class TestEvalBasis:
         with pytest.raises(OrderError):
             eval_basis(mixed_space, 0.5, 3)  # first interval is quadratic
 
+    def test_orders_are_integers(self, mixed_space, profile_space, profile_config):
+        # A whole-number float is that order; a boolean or a fraction is
+        # refused, never truncated.
+        curve = SplineCurve(profile_space, profile_config.control_points)
+        for x in (0.5, np.array([0.5, 3.0])):
+            assert np.array_equal(eval_basis(mixed_space, x, 1.0), eval_basis(mixed_space, x, 1))
+            assert np.array_equal(curve(x, np.int64(1)), curve(x, 1))
+            assert np.array_equal(curve(x, 1.0), curve(x, 1))
+            for order in (1.5, True, np.bool_(True), -0.5, "1", None):
+                with pytest.raises(OrderError, match="must be an integer"):
+                    eval_basis(mixed_space, x, order)
+                with pytest.raises(OrderError, match="must be an integer"):
+                    curve(x, order)
+
 
 class TestEvalBasisArrays:
     @pytest.fixture(
@@ -363,6 +377,19 @@ class TestJumps:
         with pytest.raises(OrderError):
             jump_vector(mixed_space, 1, 3)
 
+    def test_index_and_orders_are_integers(self, mixed_space):
+        # A whole-number float is that index or order; a boolean or a
+        # fraction is refused, never truncated.
+        want = jump_vector(mixed_space, 1, [0, 2])
+        assert np.array_equal(jump_vector(mixed_space, 1.0, 0), want[:, 0])
+        assert np.array_equal(jump_vector(mixed_space, np.int64(1), np.array([0.0, 2.0])), want)
+        for i in (1.5, True, np.bool_(True), "1", None):
+            with pytest.raises(DomainError, match="must be an integer"):
+                jump_vector(mixed_space, i, 0)
+        for order in (1.5, True, np.bool_(True), "1", None, [0, 1.7], [True], np.array([0.5])):
+            with pytest.raises(OrderError, match="must be an integer"):
+                jump_vector(mixed_space, 1, order)
+
     def test_sequence_of_orders(self, mixed_space, profile_space):
         for space in (mixed_space, profile_space, custom_pair_space()):
             for i in range(1, space.partition.num_intervals):
@@ -460,9 +487,10 @@ class TestInsertKnot:
 
     def test_cascade_failure_names_its_constraint(self):
         # 0.3 % from the same end, the refined cascade finds jump entries
-        # outside their band; the error names the breakpoint and order.
+        # outside their band at the new knot, refined breakpoint 2; the
+        # error names the breakpoint and order.
         space, (lo, hi) = self._cycle_space()
-        with pytest.raises(GTBError, match=r"^constraint \(breakpoint 3, order 0\): constraint"):
+        with pytest.raises(GTBError, match=r"^constraint \(breakpoint 2, order 0\): constraint"):
             insert_knot(space, hi - 0.003 * (hi - lo))
 
     def test_transfer_is_the_only_dense_allocation(self):
