@@ -34,6 +34,7 @@ from .sections import (
     SectionFamily,
     TrigonometricFamily,
     _integer,
+    _number,
 )
 
 __all__ = [
@@ -43,18 +44,6 @@ __all__ = [
     "mixed_family_demo_config",
     "conic_profile_demo_config",
 ]
-
-
-def _number(value, what: str) -> float:
-    """``value`` as a float; a string, even a numeric one, a boolean (which
-    ``float`` reads as 0 or 1) and anything else ``float`` cannot convert are
-    rejected."""
-    if not isinstance(value, (str, bool, np.bool_)):
-        try:
-            return float(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise ConfigError(f"{what} must be a number, got {value!r}")
 
 
 def family_from_dict(d: dict) -> SectionFamily:
@@ -68,7 +57,7 @@ def family_from_dict(d: dict) -> SectionFamily:
     if kind in ("trigonometric", "exponential"):
         if "omega" not in d:
             raise ConfigError(f"section {d!r} needs an omega parameter")
-        omega = _number(d["omega"], "section omega")
+        omega = _number(d["omega"], "section omega", ConfigError)
         cls = TrigonometricFamily if kind == "trigonometric" else ExponentialFamily
         return cls(degree, omega)
     raise ConfigError(f"unknown section family {kind!r}")
@@ -98,7 +87,7 @@ class SpaceConfig:
     control_points: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
-        self.breakpoints = [_number(x, "breakpoint") for x in self.breakpoints]
+        self.breakpoints = [_number(x, "breakpoint", ConfigError) for x in self.breakpoints]
         self.smoothness = [_integer(r, "smoothness", ConfigError) for r in self.smoothness]
         if self.control_points is not None:
             try:

@@ -21,14 +21,17 @@ families append their pair: the user's ``u``, ``v`` for a custom pair and,
 for the trigonometric/exponential families, the interval-normalized pair
 ``{U*, V*}`` (endpoint values 0 and 1) instead of raw ``sin``/``sinh``
 values; this keeps endpoint collocation matrices well conditioned even for
-stiff parameters such as ``sinh(10 x)`` on wide intervals.  One table
-arithmetic tabulates the span basis at a point
+stiff parameters such as ``sinh(10 x)`` on wide intervals.  The pair is a
+function of ``omega * L``, ``t`` and ``s``; the exponential one has the one
+overflow-free formula ``sinh(v)/sinh(omega L) = e^(v - omega L) (1 -
+e^(-2v)) / (1 - e^(-2 omega L))`` (and ``1 + e^(-2v)`` for ``cosh``) for
+every ``omega L``.  One table arithmetic tabulates the span basis at a point
 (:meth:`SectionSpace.span_derivatives`) or, in one numpy pass, at an array of
 points of one section or of many sections of one kind and degree (the grouped
 array kernel of :mod:`gtbsplines.space`); powers come from repeated products
-and ``sin``/``cos``/``sinh``/``cosh``/``exp``/``expm1`` from numpy, once per
-call, so a point gives the same bits alone as inside an array.  The
-normalized pairs and the weights accept arrays too.
+and ``sin``/``cos``/``exp``/``expm1`` from numpy, once per call, so a point
+gives the same bits alone as inside an array.  The normalized pairs and the
+weights accept arrays too.
 """
 
 from __future__ import annotations
@@ -83,6 +86,18 @@ def _integer(value, what: str, error: type[Exception]) -> int:
     raise error(f"{what} must be an integer, got {value!r}")
 
 
+def _number(value, what: str, error: type[Exception]) -> float:
+    """``value`` as a float; a string, even a numeric one, a boolean (which
+    ``float`` reads as 0 or 1) and anything else ``float`` cannot convert
+    raise ``error``."""
+    if not isinstance(value, (str, bool, np.bool_)):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise error(f"{what} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Partition:
     """Strictly increasing breakpoints ``x_0 < x_1 < ... < x_m``.
@@ -133,13 +148,27 @@ class Partition:
         return np.minimum(idx, self.num_intervals)
 
 
+def _check_parameters(family, kind: str, min_degree: int) -> None:
+    """Store a family's ``degree`` as an int of at least ``min_degree`` and
+    its ``omega``, if it has one, as a positive finite float; anything else
+    raises :class:`InvalidFamilyError`."""
+    degree = _integer(family.degree, f"{kind} degree", InvalidFamilyError)
+    if degree < min_degree:
+        raise InvalidFamilyError(f"{kind} degree must be >= {min_degree}")
+    object.__setattr__(family, "degree", degree)
+    if hasattr(family, "omega"):
+        omega = _number(family.omega, f"{kind} omega", InvalidFamilyError)
+        if not 0.0 < omega < math.inf:
+            raise InvalidFamilyError(f"{kind} omega must be positive and finite, got {omega}")
+        object.__setattr__(family, "omega", omega)
+
+
 @dataclass(frozen=True)
 class PolynomialFamily:
     degree: int
 
     def __post_init__(self):
-        if self.degree < 0:
-            raise InvalidFamilyError("polynomial degree must be >= 0")
+        _check_parameters(self, "polynomial", 0)
 
 
 @dataclass(frozen=True)
@@ -148,12 +177,7 @@ class TrigonometricFamily:
     omega: float
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise InvalidFamilyError("trigonometric degree must be >= 1")
-        if not 0.0 < self.omega < math.inf:
-            raise InvalidFamilyError(
-                f"trigonometric omega must be positive and finite, got {self.omega}"
-            )
+        _check_parameters(self, "trigonometric", 1)
 
 
 @dataclass(frozen=True)
@@ -162,12 +186,7 @@ class ExponentialFamily:
     omega: float
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise InvalidFamilyError("exponential degree must be >= 1")
-        if not 0.0 < self.omega < math.inf:
-            raise InvalidFamilyError(
-                f"exponential omega must be positive and finite, got {self.omega}"
-            )
+        _check_parameters(self, "exponential", 1)
 
 
 @dataclass(frozen=True)
@@ -184,8 +203,7 @@ class GeneralizedPolynomialFamily:
     name: str = "custom"
 
     def __post_init__(self):
-        if self.degree < 2:
-            raise InvalidFamilyError("generalized polynomial degree must be >= 2")
+        _check_parameters(self, "generalized polynomial", 2)
 
 
 SectionFamily = (
@@ -256,38 +274,33 @@ def _call_pointwise(f: Callable[[float, int], float], x, order: int):
 
 
 def _pair_constants(family, length: float, orders):
-    """``(stiff, w, w L, den, [(-w)^d], [w^d])`` over ``orders`` for a
-    trigonometric/exponential pair on a section of length ``L``, ``den`` its
-    normalizer ``sin(w L)``, ``sinh(w L)`` or, if ``stiff`` (``w L >= 30``),
-    ``1 - e^(-2 w L)``; ``None`` for the other families."""
+    """``(w L, den, [(-w)^d], [w^d])`` over ``orders`` for a
+    trigonometric/exponential pair with parameter ``w`` on a section of
+    length ``L``, ``den`` its normalizer ``sin(w L)`` or ``1 - e^(-2 w L)``;
+    ``None`` for the other families.  The powers come from repeated
+    products, so a huge ``w`` gives ``inf`` factors instead of raising."""
     if not isinstance(family, (TrigonometricFamily, ExponentialFamily)):
         return None
     w, wl = family.omega, family.omega * length
-    if isinstance(family, TrigonometricFamily):
-        stiff, den = False, math.sin(wl)
-    elif wl < 30.0:
-        stiff, den = False, math.sinh(wl)
-    else:
-        stiff, den = True, -math.expm1(-2.0 * wl)
-    return stiff, w, wl, den, [(-w) ** d for d in orders], [w**d for d in orders]
+    den = math.sin(wl) if isinstance(family, TrigonometricFamily) else -math.expm1(-2.0 * wl)
+    neg, pos = [1.0], [1.0]
+    for _ in range(max(orders)):
+        neg.append(neg[-1] * -w)
+        pos.append(pos[-1] * w)
+    return wl, den, [neg[d] for d in orders], [pos[d] for d in orders]
 
 
-def _pair_rows(family, x, x_lo, x_hi, constants, orders) -> tuple[list, list]:
-    """``[D^d U(x) for d in orders]`` and ``[D^d V(x) for d in orders]`` of
-    the two non-polynomial span functions, from :func:`_pair_constants`
-    whose factor lists start at the same orders.  Each transcendental
-    function is evaluated once per call, whatever the number of orders."""
-    if isinstance(family, GeneralizedPolynomialFamily):
-        return (
-            [_call_pointwise(family.u, x, d) for d in orders],
-            [_call_pointwise(family.v, x, d) for d in orders],
-        )
+def _pair_rows(family, t, s, constants, orders) -> tuple[list, list]:
+    """``[D^d U*(x) for d in orders]`` and ``[D^d V*(x) for d in orders]``
+    of a trigonometric/exponential section at ``t = (x - x_lo)/L`` and ``s =
+    (x_hi - x)/L``, from :func:`_pair_constants` whose factor lists start at
+    the same orders.  Each transcendental function is evaluated once per
+    call, whatever the number of orders."""
     # At a point, numpy's values are turned into Python floats: the
     # same bits as the array entries, and cheaper arithmetic.
-    scalar = not isinstance(x, np.ndarray)
-    stiff, w, wl, den, neg, pos = constants
-    a = w * (x_hi - x)
-    b = w * (x - x_lo)
+    scalar = not isinstance(t, np.ndarray)
+    wl, den, neg, pos = constants
+    a, b = wl * s, wl * t
     if isinstance(family, TrigonometricFamily):
         sa, ca, sb, cb = np.sin(a), np.cos(a), np.sin(b), np.cos(b)
         if scalar:
@@ -298,20 +311,13 @@ def _pair_rows(family, x, x_lo, x_hi, constants, orders) -> tuple[list, list]:
             [f * cyc_a[d % 4] / den for f, d in zip(neg, orders)],
             [f * cyc_b[d % 4] / den for f, d in zip(pos, orders)],
         )
-    # (sinh, cosh)(v) / sinh(wl), the derivative cycle of sinh, stable
-    # for large arguments
-    if not stiff:
-        sha, cha, shb, chb = np.sinh(a), np.cosh(a), np.sinh(b), np.cosh(b)
-        if scalar:
-            sha, cha, shb, chb = float(sha), float(cha), float(shb), float(chb)
-        ratio_a, ratio_b = (sha / den, cha / den), (shb / den, chb / den)
-    else:
-        ea, ma, pa = np.exp(a - wl), -np.expm1(-2.0 * a), 1.0 + np.exp(-2.0 * a)
-        eb, mb, pb = np.exp(b - wl), -np.expm1(-2.0 * b), 1.0 + np.exp(-2.0 * b)
-        if scalar:
-            ea, ma, pa = float(ea), float(ma), float(pa)
-            eb, mb, pb = float(eb), float(mb), float(pb)
-        ratio_a, ratio_b = (ea * ma / den, ea * pa / den), (eb * mb / den, eb * pb / den)
+    # (sinh, cosh)(v) / sinh(wl) = e^(v - wl) (1 -+ e^(-2v)) / (1 - e^(-2 wl)),
+    # the derivative cycle of sinh: exact and overflow-free for every wl > 0
+    ea, ma, eb, mb = np.exp(a - wl), np.expm1(-2.0 * a), np.exp(b - wl), np.expm1(-2.0 * b)
+    if scalar:
+        ea, ma, eb, mb = float(ea), float(ma), float(eb), float(mb)
+    ea, eb = ea / den, eb / den
+    ratio_a, ratio_b = (-ma * ea, (2.0 + ma) * ea), (-mb * eb, (2.0 + mb) * eb)
     return (
         [f * ratio_a[d % 2] for f, d in zip(neg, orders)],
         [f * ratio_b[d % 2] for f, d in zip(pos, orders)],
@@ -321,8 +327,8 @@ def _pair_rows(family, x, x_lo, x_hi, constants, orders) -> tuple[list, list]:
 def _span_table(family, x, x_lo, x_hi, width: int, pair) -> np.ndarray:
     """:meth:`SectionSpace.span_derivatives` unchecked, at a point of the
     section ``[x_lo, x_hi]`` with its ``_pair``, or at an array of points of
-    sections of one kind, degree and ``stiff`` (one custom pair) with
-    ``x_lo``, ``x_hi`` and the numbers of ``pair`` given per point."""
+    sections of one kind and degree (one custom pair) with ``x_lo``,
+    ``x_hi`` and the numbers of ``pair`` given per point."""
     p = family.degree
     q = p if isinstance(family, PolynomialFamily) else p - 2
     # powers by repeated products, a monomial's three factors left to
@@ -339,10 +345,13 @@ def _span_table(family, x, x_lo, x_hi, width: int, pair) -> np.ndarray:
     entries = [f * mono[k] for f, k in heads]
     for e, f, k in tails:
         entries[e] += f * mono[k]  # in place on an array: a fresh product
-    if q < p:
-        us, vs = _pair_rows(family, x, x_lo, x_hi, pair, range(width))
+    if pair is not None:
+        us, vs = _pair_rows(family, t, s, pair, range(width))
         entries += us
         entries += vs
+    elif q < p:  # a custom pair: the user's functions
+        entries += [_call_pointwise(family.u, x, d) for d in range(width)]
+        entries += [_call_pointwise(family.v, x, d) for d in range(width)]
     if not isinstance(x, np.ndarray):
         return np.array(entries).reshape(p + 1, width)
     out = np.empty((len(x), len(entries)))
@@ -451,7 +460,8 @@ class SectionSpace:
         if isinstance(fam, (TrigonometricFamily, ExponentialFamily)):
 
             def pair(x, order=0):
-                (u,), (v,) = _pair_rows(fam, x, lo, hi, _pair_constants(fam, L, [order]), [order])
+                t, s = (x - lo) / L, (hi - x) / L
+                (u,), (v,) = _pair_rows(fam, t, s, _pair_constants(fam, L, [order]), [order])
                 return u, v
 
             return pair

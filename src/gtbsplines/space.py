@@ -10,9 +10,10 @@ are nonzero, so ``C`` is stored only as that square block per interval
 (Bezier element extraction), as the cascade emits it.  Evaluation at a
 point is one product of a block with the Bernstein values of the interval;
 an array takes one batched product and one span-table pass per group of
-intervals of one family kind and degree.  A breakpoint jump and a knot
-insertion read dense windows of ``C`` over a few intervals;
-``GTSplineSpace.operator``, the full ``C``, is for inspection only.
+intervals of one family kind and degree.  A breakpoint jump reads the two
+element blocks at it, and a knot insertion dense windows of ``C`` over a
+few intervals; ``GTSplineSpace.operator``, the full ``C``, is for
+inspection only.
 
 Objects are immutable after construction; evaluation is pure and safe to
 call concurrently.  Knot insertion returns new objects.
@@ -42,7 +43,6 @@ from .extraction import (
     build_constraints,
     build_knot_vectors,
     extraction_operator,
-    jump_rows,
     pin_band_end,
 )
 from .quadrature import composite_rule
@@ -221,8 +221,8 @@ def _check_order(space: GTSplineSpace, elems, max_order) -> int:
 def _local_values(space: GTSplineSpace, xs: np.ndarray, elems: np.ndarray, max_order: int):
     """The array kernel at the points ``xs`` of the 1-based intervals
     ``elems``, for a ``max_order`` checked by :func:`_check_order`.  Per
-    group of intervals of one family kind, degree and pair branch (a custom
-    pair: one interval) it yields ``(at, first, values)``: the group's
+    group of intervals of one family kind and degree (a custom pair: one
+    interval) it yields ``(at, first, values)``: the group's
     points (indices into ``xs``), the 0-based first function active at each
     and their ``(len(at), p + 1, max_order + 1)`` values, from one
     span-table pass and one batched product each with the coefficients and
@@ -230,9 +230,8 @@ def _local_values(space: GTSplineSpace, xs: np.ndarray, elems: np.ndarray, max_o
     groups = {}  # the intervals holding points of each group, ascending
     for e in np.flatnonzero(np.bincount(elems)).tolist():
         section = space.bases[e - 1].section
-        stiff = section._pair and section._pair[0]
         custom = isinstance(section.family, GeneralizedPolynomialFamily)
-        key = e if custom else (type(section.family), section.degree, stiff)
+        key = e if custom else (type(section.family), section.degree)
         groups.setdefault(key, []).append(e)
     breakpoints = np.array(space.partition.breakpoints)
     for intervals in groups.values():
@@ -243,8 +242,8 @@ def _local_values(space: GTSplineSpace, xs: np.ndarray, elems: np.ndarray, max_o
         bases = [space.bases[e - 1] for e in intervals]
         section, pair = bases[0].section, bases[0].section._pair
         if pair is not None:
-            w, wl, den, neg, pos = (np.array(c) for c in zip(*(b.section._pair[1:] for b in bases)))
-            pair = (pair[0], w[local], wl[local], den[local], neg[local].T, pos[local].T)
+            wl, den, neg, pos = (np.array(c) for c in zip(*(b.section._pair for b in bases)))
+            pair = (wl[local], den[local], neg[local].T, pos[local].T)
         x_lo, x_hi = breakpoints[elems[at] - 1], breakpoints[elems[at]]
         values = _span_table(section.family, xs[at], x_lo, x_hi, max_order + 1, pair)
         if bases[0].coeffs is not None:
@@ -259,31 +258,29 @@ def jump_vector(space: GTSplineSpace, i: int, order) -> np.ndarray:
 
     ``i`` is a 1-based interior breakpoint index.  An int ``order`` gives
     the ``(N,)`` vector, a 1-D sequence of ``n`` orders the ``(N, n)`` array
-    of those vectors from one operator window and one product.
+    of those vectors from one product per side of ``x_i``.
     """
     m = space.partition.num_intervals
     i = _integer(i, "breakpoint index", DomainError)
     if not (1 <= i <= m - 1):
         raise DomainError(f"breakpoint index {i} outside [1, {m - 1}]")
-    p_left, p_right = space.degrees[i - 1], space.degrees[i]
-    top = min(p_left, p_right)
+    top = min(space.degrees[i - 1 : i + 1])
     scalar = np.ndim(order) == 0
     orders = [_integer(j, "jump order", OrderError) for j in ([order] if scalar else order)]
     for j in orders:
         if not (0 <= j <= top):
             raise OrderError(f"jump order {j} exceeds min local degree {top} at breakpoint {i}")
-    # The functions active on intervals i and i + 1, over those intervals.
-    lo = space.knots.active_range(i)[0] - 1
-    hi = space.knots.active_range(i + 1)[1]
-    c = space.extraction.window(lo, hi, i, i + 1)
-    starts = (0, p_left + 1, p_left + p_right + 2)
-    # One product for every order up to ``top``, so that a column has the
-    # same bits whichever orders are asked for.
-    jumps = jump_rows(c, space.bases[i - 1 : i + 1], starts, 1, slice(0, top + 1))
-    columns = orders[0] if scalar else orders
-    out = np.zeros((space.n_basis,) + np.shape(columns))
-    out[lo:hi] = jumps[:, columns]
-    return out
+    # The left limits from the block and right end table of interval i, the
+    # right limits from those of interval i + 1: one product per side for
+    # every order up to ``top``, so that a column has the same bits whichever
+    # orders are asked for.
+    blocks, bases = space.extraction.blocks, space.bases
+    jumps = np.zeros((space.n_basis, top + 1))
+    lo, hi = space.knots.active_range(i)
+    jumps[lo - 1 : hi] = blocks[i - 1] @ bases[i - 1].right_table[:, : top + 1]
+    lo, hi = space.knots.active_range(i + 1)
+    jumps[lo - 1 : hi] -= blocks[i] @ bases[i].left_table[:, : top + 1]
+    return jumps[:, orders[0] if scalar else orders]
 
 
 @dataclass(eq=False)

@@ -67,6 +67,25 @@ class TestBuild:
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert "degree=200" in err
 
+    @pytest.mark.parametrize(
+        "breakpoints, section",
+        [
+            ([0.0, 1.0], {"family": "exponential", "degree": 3, "omega": 1e200}),
+            ([0.0, 1.0], {"family": "exponential", "degree": 4, "omega": 1e80}),
+            ([0.0, 1e-201], {"family": "trigonometric", "degree": 3, "omega": 1e200}),
+        ],
+        ids=["exp-1e200", "exp-p4-1e80", "trig-1e200"],
+    )
+    def test_overflowing_omega_is_one_error_line(self, breakpoints, section, tmp_path, capfd):
+        cfg = {"breakpoints": breakpoints, "sections": [section], "smoothness": []}
+        path = tmp_path / "omega.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["build", str(path), str(tmp_path / "x.txt")]) == 1
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: non-finite endpoint")
+        assert f"omega={section['omega']!r}" in err
+
     def test_single_patch_reports_identity(self, tmp_path):
         cfg = {
             "breakpoints": [0.0, 1.0],

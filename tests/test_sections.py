@@ -47,8 +47,8 @@ EXP_PAIR = GeneralizedPolynomialFamily(
     3, u=lambda x, d: math.exp(x), v=lambda x, d: (2.0**d) * math.exp(2.0 * x), name="exp-pair"
 )
 
-# one section of each family, the exponential one on both sides of the
-# overflow-safe branch at omega * length = 30
+# one section of each family, the exponential one at omega * length = 25
+# and 40
 ARRAY_SECTIONS = [
     SectionSpace(-1.0, 2.0, PolynomialFamily(4)),
     SectionSpace(0.0, 1e-3, PolynomialFamily(9)),
@@ -59,8 +59,8 @@ ARRAY_SECTIONS = [
 ]
 
 
-# non-polynomial sections with p >= 2: trigonometric, exponential on both
-# sides of omega * length = 30, and custom pairs
+# non-polynomial sections with p >= 2: trigonometric, exponential at
+# omega * length from 1.05 to 40, and custom pairs
 LAYOUT_SECTIONS = [
     SectionSpace(0.0, 1.0, TrigonometricFamily(2, 2.0)),
     SectionSpace(1.0, 2.5, TrigonometricFamily(3, math.pi / 2)),
@@ -263,6 +263,59 @@ class TestFamilyValidation:
         with pytest.raises(InvalidFamilyError):
             PolynomialFamily(-1)
 
+    def test_whole_numbers_are_converted(self):
+        for family in (TrigonometricFamily(3.0, 1), TrigonometricFamily(np.int64(3), np.float64(1))):
+            assert (type(family.degree), type(family.omega)) == (int, float)
+            assert family == TrigonometricFamily(3, 1.0)
+            section = SectionSpace(0.0, 1.0, family)
+            assert section.span_derivatives(0.5, 3).shape == (4, 4)
+
+    @pytest.mark.parametrize(
+        "family, args, match",
+        [
+            (PolynomialFamily, (2.5,), "polynomial degree must be an integer"),
+            (PolynomialFamily, ("3",), "polynomial degree must be an integer"),
+            (PolynomialFamily, (True,), "polynomial degree must be an integer"),
+            (TrigonometricFamily, (3.5, 1.0), "trigonometric degree must be an integer"),
+            (TrigonometricFamily, (3, "1.0"), "trigonometric omega must be a number"),
+            (ExponentialFamily, (3, True), "exponential omega must be a number"),
+            (ExponentialFamily, (np.bool_(True), 2.0), "exponential degree must be an integer"),
+            (
+                GeneralizedPolynomialFamily,
+                (2.5, EXP_PAIR.u, EXP_PAIR.v),
+                "generalized polynomial degree must be an integer",
+            ),
+        ],
+        ids=[
+            "poly-fraction",
+            "poly-string",
+            "poly-bool",
+            "trig-fraction",
+            "trig-omega-string",
+            "exp-omega-bool",
+            "exp-degree-bool",
+            "custom-fraction",
+        ],
+    )
+    def test_parameters_are_checked(self, family, args, match):
+        with pytest.raises(InvalidFamilyError, match=match):
+            family(*args)
+
+    @pytest.mark.parametrize(
+        "family, length",
+        [
+            (ExponentialFamily(3, 1e200), 1.0),
+            (ExponentialFamily(4, 1e80), 1.0),
+            (TrigonometricFamily(3, 1e200), 1e-201),  # omega * length = 0.1 < pi
+        ],
+        ids=["exp-1e200", "exp-p4-1e80", "trig-1e200"],
+    )
+    def test_huge_omega_raises_naming_section(self, family, length):
+        # omega^d overflows: the tables are not finite, and the build says so
+        section = SectionSpace(0.0, length, family)
+        with pytest.raises(EctViolationError, match=re.escape(f"tables of {section!r}")):
+            build_space(SpaceConfig([0.0, length], [family], []))
+
 
 class TestNormalizedPair:
     def test_affine_pair(self):
@@ -405,6 +458,33 @@ def test_span_table_is_invariant_under_change_of_unit(
     for d in range(p + 1):
         want = table[..., d] * scale**-d
         assert np.max(np.abs(got[..., d] - want)) <= 1e-12 * np.max(np.abs(want)), d
+
+
+def _eight_bits(v: float) -> float:
+    """``v`` rounded to 8 significant bits."""
+    mantissa, exponent = math.frexp(v)
+    return math.ldexp(round(mantissa * 256), exponent - 8)
+
+
+@pytest.mark.parametrize("wl", [1e-6, 1e-2, 1.0, 6.0, 29.9, 30.1, 100.0, 700.0])
+def test_exponential_pair_matches_mpmath(wl):
+    # U* = sinh(w (1 - x))/sinh(w), V* = sinh(w x)/sinh(w) on [0, 1] with
+    # w = omega L, against 50 digits.  With w rounded to 8 significant bits
+    # and x = k/8, w x and w (1 - x) are exact, so what is measured is the
+    # formula's own rounding, not the conditioning of sinh in its argument.
+    mpmath = pytest.importorskip("mpmath")
+    p, w = 4, _eight_bits(wl)
+    xs = np.arange(9) / 8.0
+    got = SectionSpace(0.0, 1.0, ExponentialFamily(p, w)).span_derivatives(xs, p)[:, p - 1 :]
+    with mpmath.workdps(50):
+        w_mp = mpmath.mpf(w)
+
+        def rows(v, sign):  # D^0 .. D^p in x of sinh(w v) / sinh(w), dv/dx = sign
+            ratio = [f(w_mp * v) / mpmath.sinh(w_mp) for f in (mpmath.sinh, mpmath.cosh)]
+            return [float((sign * w_mp) ** d * ratio[d % 2]) for d in range(p + 1)]
+
+        want = np.array([[rows(1 - mpmath.mpf(x), -1), rows(mpmath.mpf(x), 1)] for x in xs.tolist()])
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 
 @settings(max_examples=30, deadline=None)

@@ -54,6 +54,13 @@ def custom_pair_space():
     return build_space(SpaceConfig([0.0, 1.0, 2.0], [custom, PolynomialFamily(3)], [1]))
 
 
+def exp_stiff_config() -> SpaceConfig:
+    """Exponential cubics with omega * length = 20, 40, 25, 36: stiff
+    sections on both sides of omega * length = 30."""
+    families = [ExponentialFamily(3, 10.0), ExponentialFamily(3, 20.0)] * 2
+    return SpaceConfig([0.0, 2.0, 4.0, 6.5, 8.3], families, [1, 2, 1])
+
+
 def jittered_cubic_config(n_intervals: int) -> SpaceConfig:
     """C^2 cubics on ``n_intervals`` intervals of random lengths in [0.5, 1.5]."""
     lengths = np.random.default_rng(80).uniform(0.5, 1.5, n_intervals)
@@ -124,16 +131,19 @@ class TestBuildSpace:
         calls[0] = 0
         assert main(["sample", str(path), "--n", "4001", "--deriv", "2", "--csv", csv]) == 0
         # three kernel groups: the quadratic, the trigonometric cubic and the
-        # exponential quartic (omega L = 25, below the stiff branch)
+        # exponential quartic
         assert calls[0] <= build_calls + 3
 
     def test_arrays_build_one_span_table_per_group(self, monkeypatch):
         cubic = build_space(jittered_cubic_config(80))
         mixed = build_space(mixed_family_demo_config())
+        stiff = build_space(exp_stiff_config())  # one group, whatever omega L
         calls = count_span_tables(monkeypatch)
-        eval_basis(cubic, np.linspace(*cubic.domain, 400), 2)
-        assert calls[0] == 1
-        for space, groups in ((cubic, 1), (mixed, 3)):
+        for space in (cubic, stiff):
+            calls[0] = 0
+            eval_basis(space, np.linspace(*space.domain, 400), 2)
+            assert calls[0] == 1
+        for space, groups in ((cubic, 1), (mixed, 3), (stiff, 1)):
             calls[0] = 0
             unit_integral_scaling(space)
             assert calls[0] == groups
@@ -285,10 +295,8 @@ class TestEvalBasisArrays:
         if request.param == "poly-234":  # polynomial degrees 2, 3, 4
             families = [PolynomialFamily(p) for p in (3, 2, 4, 3, 4)]
             return build_space(SpaceConfig([0.0, 0.7, 1.5, 2.0, 3.1, 4.0], families, [1, 2, 2, 1]))
-        if request.param == "exp-stiff":  # omega L = 20, 40, 25, 36: both pair branches
-            families = [ExponentialFamily(3, 10.0), ExponentialFamily(3, 20.0)] * 2
-            breakpoints = [0.0, 2.0, 4.0, 6.5, 8.3]
-            return build_space(SpaceConfig(breakpoints, families, [1, 2, 1]))
+        if request.param == "exp-stiff":
+            return build_space(exp_stiff_config())
         return build_space(random_config(np.random.default_rng(7), n_intervals=5))
 
     def test_rows_equal_scalar_calls(self, space, rng):
