@@ -240,9 +240,13 @@ def cmd_insert(args) -> int:
     config = SpaceConfig.from_json_file(args.config)
     space = build_space(config)
     refined, transfer = insert_knot(space, args.at)
+    # Only the nonzero entries are formatted: every other entry is an exact
+    # 0.0, which ``_fmt`` writes as ``0``.
+    cells = np.full(transfer.shape, "0", dtype=object)
+    at = np.nonzero(transfer)
+    cells[at] = [_fmt(v) for v in transfer[at].tolist()]
     lines = [_space_summary(refined).rstrip("\n"), "transfer"]
-    for row in transfer:
-        lines.append(_fmt_row(row))
+    lines.extend(" ".join(row) for row in cells.tolist())
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -356,7 +356,10 @@ class ExtractionMatrix:
     factor applied at step ``rho`` to the constraint ``knots.columns[rho] =
     (i, j)``, whose band is ``(lo, hi) = knots.band(i, j)``;
     ``apply_factor(np.eye(n), (lo, hi), factors[rho])`` recovers the dense
-    factor, where ``n = knots.n_bernstein - rho``.
+    factor, where ``n = knots.n_bernstein - rho``.  The blocks and factors
+    of a space refined by one knot are spliced: the old space's, re-indexed
+    past the knot, with those of a cascade over the sub-space around it in
+    between (``space.insert_knot``).
     """
 
     blocks: tuple[np.ndarray, ...] = field(repr=False)
@@ -386,7 +389,9 @@ class ExtractionMatrix:
         return out
 
 
-def extraction_operator(constraints: SmoothnessConstraints) -> ExtractionMatrix:
+def extraction_operator(
+    constraints: SmoothnessConstraints, *, _offset: int = 0
+) -> ExtractionMatrix:
     """Run the constraint cascade and return the extraction operator.
 
     Each constraint's jump is read with :func:`jump_rows` from the running
@@ -401,7 +406,10 @@ def extraction_operator(constraints: SmoothnessConstraints) -> ExtractionMatrix:
     rows has its element block cut out, and the window drops the rows and
     columns left of the next unfinished interval.  The result is
     nonnegative with unit column sums and annihilates every constraint.  A
-    failing constraint re-raises its error, prefixed with its location.
+    failing constraint re-raises its error, prefixed with its location; the
+    internal ``_offset`` is added to the breakpoint index it names, so that
+    the cascade of a sub-space names the breakpoints of the space it is cut
+    from.
     """
     bases, kv = constraints.bases, constraints.knots
     columns, starts = kv.columns, kv.block_start.tolist()
@@ -429,9 +437,10 @@ def extraction_operator(constraints: SmoothnessConstraints) -> ExtractionMatrix:
                 try:
                     beta = nullspace_step(jump_rows(win, pair, local, 1, j), band)
                 except GTBError as exc:
-                    where = f"constraint (breakpoint {i}, order {j}): {exc}"
+                    at = i + _offset
+                    where = f"constraint (breakpoint {at}, order {j}): {exc}"
                     if isinstance(exc, BasisNonexistenceError):
-                        raise BasisNonexistenceError(where, breakpoint_index=i, order=j) from exc
+                        raise BasisNonexistenceError(where, breakpoint_index=at, order=j) from exc
                     raise type(exc)(where) from exc
                 factors.append(beta)
                 win = apply_factor(win, band, beta)

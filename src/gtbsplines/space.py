@@ -11,12 +11,14 @@ are nonzero, so ``C`` is stored only as that square block per interval
 point is one product of a block with the Bernstein values of the interval;
 an array takes one batched product and one span-table pass per group of
 intervals of one family kind and degree.  A breakpoint jump reads the two
-element blocks at it, and a knot insertion dense windows of ``C`` over a
-few intervals; ``GTSplineSpace.operator``, the full ``C``, is for
-inspection only.
+element blocks at it.  A knot insertion reruns the cascade only on the
+sub-space that the changed functions cover, splices its blocks into the
+old ones, and reads dense windows of ``C`` over a few intervals;
+``GTSplineSpace.operator``, the full ``C``, is for inspection only.
 
 Objects are immutable after construction; evaluation is pure and safe to
-call concurrently.  Knot insertion returns new objects.
+call concurrently.  Knot insertion returns new objects, which share the
+old space's unchanged blocks and factors.
 """
 
 from __future__ import annotations
@@ -146,10 +148,14 @@ def _warn_maximal_joints(bases, smoothness) -> None:
         )
 
 
-def _assemble(partition: Partition, bases: list[BernsteinBasis], smoothness) -> GTSplineSpace:
-    _warn_maximal_joints(bases, smoothness)
+def _assemble(
+    partition: Partition, bases: list[BernsteinBasis], smoothness, offset: int = 0
+) -> GTSplineSpace:
+    """The space of ``partition``, ``bases`` and ``smoothness`` from one run
+    of the cascade; a cascade error names breakpoint ``i + offset`` for the
+    space's breakpoint ``i``."""
     kv = build_knot_vectors(partition, [b.degree for b in bases], smoothness)
-    ext = extraction_operator(build_constraints(bases, kv))
+    ext = extraction_operator(build_constraints(bases, kv), _offset=offset)
     return GTSplineSpace(partition, bases, kv, ext)
 
 
@@ -171,6 +177,7 @@ def build_space(config: SpaceConfig) -> GTSplineSpace:
     ]
     _check_section_families(sections)
     bases = [build_bernstein(s) for s in sections]
+    _warn_maximal_joints(bases, config.full_smoothness)
     return _assemble(partition, bases, config.full_smoothness)
 
 
@@ -355,6 +362,54 @@ def _refined_components(space: GTSplineSpace, x_new: float):
     return Partition(tuple(new_bp)), bases, tuple(smooth), e, section.degree
 
 
+def _spliced(space, partition, bases, kv, band, cover) -> GTSplineSpace:
+    """The refined space of ``partition``, ``bases`` and knot vectors ``kv``
+    from the old ``space`` and one cascade over the sub-space that the
+    changed functions ``band = (lo, hi)`` cover, refined intervals
+    ``cover = (e_lo, e_hi)``.
+
+    The sub-space runs from ``x_s``, the support start of the first function
+    active on ``e_lo``, to ``x_t``, the support end of the last one active on
+    ``e_hi``, fully discontinuous at both ends; every function active on
+    ``e_lo .. e_hi`` is one of its functions, so its blocks there are the
+    refined ones.  The other blocks are the old space's, past the split.
+    The constraints from the first to the last one whose band meets the
+    changed functions take the sub-space's factors; at one breakpoint a
+    lower order's band starts further right, so a low order can lie right
+    of the changed functions between two that meet them, and it takes the
+    sub-space's factor too.  Every other constraint takes the old factor of
+    its constraint, re-indexed past the knot or the dropped order.
+    """
+    (lo, hi), (e_lo, e_hi) = band, cover
+    s = kv.support(kv.active_range(e_lo)[0])[0]
+    t = kv.support(kv.active_range(e_hi)[1])[1]
+    r = kv.smoothness
+    sub_partition = Partition(partition.breakpoints[s : t + 1])
+    sub = _assemble(sub_partition, bases[s:t], (-1, *r[s + 1 : t], -1), s)
+    old = space.extraction
+    split = len(bases) - len(space.bases)
+    blocks = (
+        old.blocks[: e_lo - 1]
+        + sub.extraction.blocks[e_lo - 1 - s : e_hi - s]
+        + old.blocks[e_hi - split :]
+    )
+    # Sub-space constraints first .. last - 1 run from the first to the last
+    # one whose band meets the changed functions; the sub-space's constraint
+    # rho is the refined constraint start + rho, past the r_i + 1
+    # constraints of each refined breakpoint i <= s.
+    bands = [kv.band(b + s, j) for b, j in sub.knots.columns]
+    first = sum(band_hi <= lo for _, band_hi in bands)
+    last = max((rho + 1 for rho, (band_lo, _) in enumerate(bands) if band_lo <= hi), default=0)
+    start = sum(r[1 : s + 1]) + s
+    shift = kv.n_bernstein - kv.n_basis - len(old.factors)
+    factors = (
+        old.factors[: start + first]
+        + sub.extraction.factors[first:last]
+        + old.factors[start + last - shift :]
+    )
+    return GTSplineSpace(partition, bases, kv, ExtractionMatrix(blocks, factors, kv))
+
+
 def insert_knot(space: GTSplineSpace, x_new: float):
     """Insert one knot, preserving every spline in the space.
 
@@ -365,8 +420,13 @@ def insert_knot(space: GTSplineSpace, x_new: float):
     length of a breakpoint is that breakpoint; at a domain end it raises
     :class:`~gtbsplines.errors.InsertionError`.
 
-    The refined space is rebuilt from scratch, and the two-band factor of
-    ``B_old = F B_new`` is read from the two operators without evaluation:
+    Only the refined functions ``lo .. hi`` of the band below change, so the
+    cascade reruns only over the sub-space their supports cover, and its
+    element blocks and factors are spliced into the old space's (local
+    knot insertion, as Boehm, CAD 12, 1980): the cost depends on the degrees
+    and smoothness near ``x_new``, not on the number of intervals.  The
+    two-band factor of ``B_old = F B_new`` is read from the two operators
+    without evaluation:
     ``C_old R = F C_new``, where ``R``, the identity except on a split
     interval, maps the old Bernstein functions to the refined ones through
     the endpoint tables at each half's outer end.  ``F`` has the band
@@ -389,15 +449,14 @@ def insert_knot(space: GTSplineSpace, x_new: float):
         call allocates.
     """
     partition, bases, smoothness, i, order = _refined_components(space, x_new)
-    refined = _assemble(partition, bases, smoothness)
-
-    kv = refined.knots
+    kv = build_knot_vectors(partition, [b.degree for b in bases], smoothness)
     lo, hi = kv.band(i, order)
-    n = refined.n_basis
     # Refined intervals e_lo .. e_hi run from the start of function lo's
     # support to the end of function hi's; the old ones lack the split.
     e_lo, e_hi = kv.support(lo)[0] + 1, kv.support(hi)[1]
     split = len(bases) > len(space.bases)
+    refined = _spliced(space, partition, bases, kv, (lo, hi), (e_lo, e_hi))
+    n = refined.n_basis
     new = refined.extraction.window(lo - 1, hi, e_lo, e_hi)
     old = space.extraction.window(lo - 1, hi - 1, e_lo, e_hi - split)
     if split:

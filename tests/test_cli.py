@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from gtbsplines.cli import main
+from gtbsplines import build_space, insert_knot
+from gtbsplines.cli import _fmt_row, _space_summary, main
 from gtbsplines.config import mixed_family_demo_config
+
+from helpers import uniform_cubic_config
 
 DEMO_DICT = {
     "breakpoints": [0.0, 1.0, 2.5, 5.0],
@@ -350,6 +353,18 @@ class TestInsert:
         rows = np.array([[float(v) for v in line.split()] for line in tail])
         assert rows.shape == (7, 6)
         assert np.max(np.abs(rows.sum(axis=1) - 1.0)) <= 1e-13
+
+    def test_transfer_text_equals_full_formatting(self, tmp_path):
+        # Only the nonzero entries are formatted; the text equals formatting
+        # every entry of the map.
+        config = uniform_cubic_config(20)
+        path = tmp_path / "cubic.json"
+        path.write_text(json.dumps(config.to_dict()))
+        out = tmp_path / "ins.txt"
+        assert main(["insert", str(path), "--at", "7.5", str(out)]) == 0
+        refined, transfer = insert_knot(build_space(config), 7.5)
+        rows = [_fmt_row(row) for row in transfer]
+        assert out.read_text() == _space_summary(refined) + "transfer\n" + "\n".join(rows) + "\n"
 
     def test_boundary_insert_rejected(self, demo_config_path, tmp_path, capsys):
         code = main(["insert", demo_config_path, "--at", "0.0", str(tmp_path / "x.txt")])

@@ -1,14 +1,17 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+import gtbsplines.extraction as extraction_module
 import gtbsplines.sections as sections_module
 import gtbsplines.space as space_module
 from gtbsplines import (
     AdmissibilityWarning,
+    BasisNonexistenceError,
     DomainError,
     ExponentialFamily,
     ExtractionMatrix,
@@ -159,6 +162,13 @@ class TestBuildSpace:
     def test_maximal_mixed_joint_warns(self):
         with pytest.warns(AdmissibilityWarning):
             build_space(mixed_family_demo_config())
+
+    def test_maximal_joint_warning_names_the_caller(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", AdmissibilityWarning)
+            build_space(mixed_family_demo_config())
+        (warning,) = [w for w in caught if w.category is AdmissibilityWarning]
+        assert warning.filename == __file__
 
     def test_degree_one_trig_section_rejected(self):
         from gtbsplines import ConfigError
@@ -493,13 +503,106 @@ class TestInsertKnot:
         assert refined.n_basis == space.n_basis + 1
         assert np.max(np.abs(transfer.sum(axis=1) - 1.0)) <= 4.5e-16
 
-    def test_cascade_failure_names_its_constraint(self):
-        # 0.3 % from the same end, the refined cascade finds jump entries
-        # outside their band at the new knot, refined breakpoint 2; the
-        # error names the breakpoint and order.
-        space, (lo, hi) = self._cycle_space()
-        with pytest.raises(GTBError, match=r"^constraint \(breakpoint 2, order 0\): constraint"):
-            insert_knot(space, hi - 0.003 * (hi - lo))
+    @pytest.mark.parametrize("e", [2, 6, 10])
+    def test_cascade_failure_names_its_constraint(self, e):
+        # 0.3 % from the right end of trigonometric element e, the refined
+        # cascade finds jump entries outside their band at the new knot,
+        # refined breakpoint e; the error names the breakpoint and order as
+        # a rebuild of the whole refined space does, also where the rerun
+        # sub-space starts past the first breakpoint (e = 6, 10).
+        space, _ = self._cycle_space()
+        lo, hi = space.partition.breakpoints[e - 1 : e + 1]
+        x_new = hi - 0.003 * (hi - lo)
+        pattern = rf"^constraint \(breakpoint {e}, order 0\): constraint"
+        with pytest.raises(GTBError, match=pattern) as local:
+            insert_knot(space, x_new)
+        with pytest.raises(GTBError, match=pattern) as full:
+            space_module._assemble(*space_module._refined_components(space, x_new)[:3])
+        assert str(local.value) == str(full.value)
+
+    def test_basis_nonexistence_names_the_refined_breakpoint(self, monkeypatch):
+        # x = 40.5 becomes refined breakpoint 41 of the cubic; the changed
+        # functions 41 .. 45 cover refined intervals 38 .. 45, whose active
+        # functions have their supports in [x_34, x_48], so the rerun
+        # cascade's first constraint sits at refined breakpoint 35.
+        def degenerate(a, band):
+            raise BasisNonexistenceError("degenerate")
+
+        space = build_space(uniform_cubic_config(80))
+        monkeypatch.setattr(extraction_module, "nullspace_step", degenerate)
+        pattern = r"^constraint \(breakpoint 35, order 0\): degenerate$"
+        with pytest.raises(BasisNonexistenceError, match=pattern) as exc:
+            insert_knot(space, 40.5)
+        assert (exc.value.breakpoint_index, exc.value.order) == (35, 0)
+
+    # The short right piece of the cycle's exponential quartic at 0.3 % is
+    # ill-conditioned (about 4e14) on both paths alike.
+    @pytest.mark.filterwarnings("ignore::gtbsplines.errors.ConditioningWarning")
+    def test_local_rerun_equals_full_rebuild(self, monkeypatch):
+        # Blocks, factors and maps of the spliced refined space against the
+        # cascade over the whole refined space, on random spaces, the
+        # uniform cubic and the mixed cycle, at every interior breakpoint and
+        # midpoint; on the cycle also 1 % and 0.3 % from each element's right
+        # end, where some rebuilds raise.
+        rng = np.random.default_rng(777)
+        spaces = [build_space(random_config(rng)) for _ in range(100)]
+        spaces += [build_space(uniform_cubic_config(80)), self._cycle_space()[0]]
+        splice = space_module._spliced
+        compared = raised = 0
+        for space in spaces:
+            bp = space.partition.breakpoints
+            targets = [x for i, x in enumerate(bp[1:-1], 1) if space.smoothness[i] >= 0]
+            targets += [0.5 * (x + y) for x, y in zip(bp, bp[1:])]
+            if space is spaces[-1]:
+                targets += [x + f * (y - x) for x, y in zip(bp, bp[1:]) for f in (0.99, 0.997)]
+            for x_new in targets:
+                components = space_module._refined_components(space, x_new)
+                try:
+                    full = space_module._assemble(*components[:3])
+                except GTBError as exc:
+                    with pytest.raises(type(exc)) as local:
+                        insert_knot(space, x_new)
+                    assert type(local.value) is type(exc) and str(local.value) == str(exc)
+                    raised += 1
+                    continue
+                refined, transfer = insert_knot(space, x_new)
+                monkeypatch.setattr(space_module, "_spliced", lambda *args: full)
+                _, full_transfer = insert_knot(space, x_new)
+                monkeypatch.setattr(space_module, "_spliced", splice)
+                ours, theirs = refined.extraction, full.extraction
+                assert len(ours.blocks) == len(theirs.blocks)
+                for a, b in zip(ours.blocks, theirs.blocks):
+                    assert np.max(np.abs(a - b)) <= 1e-15
+                assert len(ours.factors) == len(theirs.factors)
+                for a, b in zip(ours.factors, theirs.factors):
+                    assert np.max(np.abs(a - b)) <= 1e-15
+                assert np.max(np.abs(transfer - full_transfer)) <= 1e-15
+                compared += 1
+        assert compared > 500 and raised > 0
+
+    def test_nullspace_steps_do_not_grow_with_m(self, monkeypatch):
+        steps = [0]
+        step = extraction_module.nullspace_step
+
+        def counted(*args):
+            steps[0] += 1
+            return step(*args)
+
+        monkeypatch.setattr(extraction_module, "nullspace_step", counted)
+        calls = []
+        for m in (80, 640):
+            space = build_space(uniform_cubic_config(m))
+            steps[0] = 0
+            insert_knot(space, m / 2 + 0.5)
+            calls.append(steps[0])
+        assert calls[0] == calls[1]
+
+    def test_insertion_does_not_warn(self):
+        space = build_space(mixed_family_demo_config())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", AdmissibilityWarning)
+            insert_knot(space, 3.7)
+        assert not [w for w in caught if w.category is AdmissibilityWarning]
 
     def test_transfer_is_the_only_dense_allocation(self):
         space = build_space(uniform_cubic_config(640))
