@@ -22,6 +22,7 @@ import numpy as np
 
 from .config import SpaceConfig, conic_profile_demo_config, mixed_family_demo_config
 from .errors import BasisNonexistenceError, ConfigError, GTBError, InvalidFamilyError
+from .extraction import block_bounds
 from .oracle import cox_de_boor_basis, cox_de_boor_knots, local_recurrence_eval
 from .sections import PolynomialFamily
 from .space import (
@@ -124,6 +125,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    if args.n < 2:
+        raise ConfigError("need at least 2 samples")
     outdir = args.outdir.rstrip("/")
     os.makedirs(outdir, exist_ok=True)
     if args.name == "example1":
@@ -200,12 +203,9 @@ def cmd_verify(args) -> int:
             jump_err = max(jump_err, np.max(np.abs(jumps)))
     ok &= _check("smoothness-jumps", jump_err <= 1e-9, f"max jump {jump_err:.3g}")
 
-    # Each operator column has its nonzeros in one element block.
-    blocks = space.extraction.blocks
-    col_err = np.max(np.abs(np.concatenate([b.sum(axis=0) for b in blocks]) - 1.0))
-    neg = -min(min(b.min() for b in blocks), 0.0)
+    col_err, low, _ = block_bounds(space.extraction)
     ok &= _check("extraction-column-sums", col_err <= 1e-12, f"max {col_err:.3g}")
-    ok &= _check("extraction-nonnegative", neg <= 1e-14, f"min entry {-neg:.3g}")
+    ok &= _check("extraction-nonnegative", low >= -1e-14, f"min entry {low:.3g}")
 
     scalings = unit_integral_scaling(space)
     total = float(np.sum(1.0 / scalings))
@@ -240,14 +240,18 @@ def cmd_insert(args) -> int:
     config = SpaceConfig.from_json_file(args.config)
     space = build_space(config)
     refined, transfer = insert_knot(space, args.at)
-    # Only the nonzero entries are formatted: every other entry is an exact
-    # 0.0, which ``_fmt`` writes as ``0``.
-    cells = np.full(transfer.shape, "0", dtype=object)
-    at = np.nonzero(transfer)
-    cells[at] = [_fmt(v) for v in transfer[at].tolist()]
-    lines = [_space_summary(refined).rstrip("\n"), "transfer"]
-    lines.extend(" ".join(row) for row in cells.tolist())
-    _write(args.out, "\n".join(lines) + "\n")
+    # Only a row's one or two nonzeros are formatted into the reused cells:
+    # every other entry is an exact 0.0, which ``_fmt`` writes as ``0``.
+    cells = ["0"] * transfer.shape[1]
+    with open(args.out, "w") as fh:
+        fh.write(_space_summary(refined) + "transfer\n")
+        for row in transfer:
+            at = np.flatnonzero(row).tolist()
+            for col, value in zip(at, row[at].tolist()):
+                cells[col] = _fmt(value)
+            fh.write(" ".join(cells) + "\n")
+            for col in at:
+                cells[col] = "0"
     return EXIT_OK
 
 

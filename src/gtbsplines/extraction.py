@@ -55,6 +55,7 @@ __all__ = [
     "pin_band_end",
     "ExtractionMatrix",
     "extraction_operator",
+    "block_bounds",
 ]
 
 # Relative degeneracy threshold for cascade divisors, and the ceiling for
@@ -356,10 +357,12 @@ class ExtractionMatrix:
     factor applied at step ``rho`` to the constraint ``knots.columns[rho] =
     (i, j)``, whose band is ``(lo, hi) = knots.band(i, j)``;
     ``apply_factor(np.eye(n), (lo, hi), factors[rho])`` recovers the dense
-    factor, where ``n = knots.n_bernstein - rho``.  The blocks and factors
-    of a space refined by one knot are spliced: the old space's, re-indexed
-    past the knot, with those of a cascade over the sub-space around it in
-    between (``space.insert_knot``).
+    factor, where ``n = knots.n_bernstein - rho``.  A space refined by one
+    knot takes the blocks of the intervals ``e_lo .. e_hi`` its changed
+    functions cover and the factors of the constraints at breakpoints
+    ``e_lo .. e_hi - 1`` from a cascade over the sub-space around them, and
+    every other one from the old space, re-indexed past the knot
+    (``space.insert_knot``).
     """
 
     blocks: tuple[np.ndarray, ...] = field(repr=False)
@@ -394,6 +397,8 @@ def extraction_operator(
 ) -> ExtractionMatrix:
     """Run the constraint cascade and return the extraction operator.
 
+    The cascade takes the breakpoints in order and, at ``x_i``, the orders
+    ``j = 0 .. r_i``, so a range of breakpoints owns one range of factors.
     Each constraint's jump is read with :func:`jump_rows` from the running
     operator and annihilated by its nullspace factor.  The jumps at ``x_i``
     involve only the running functions that meet intervals ``i`` and
@@ -412,7 +417,7 @@ def extraction_operator(
     from.
     """
     bases, kv = constraints.bases, constraints.knots
-    columns, starts = kv.columns, kv.block_start.tolist()
+    starts = kv.block_start.tolist()
     m = len(bases)
     # 0-based row of the first function active on each interval
     first_rows = [kv.active_range(e)[0] - 1 for e in range(1, m + 1)]
@@ -430,8 +435,7 @@ def extraction_operator(
             win = grown
             # Intervals i and i + 1 as the first pair of a two-interval space.
             pair, local = bases[i - 1 : i + 1], np.subtract(starts[i - 1 : i + 2], win_col)
-            while len(factors) < len(columns) and columns[len(factors)][0] == i:
-                j = columns[len(factors)][1]
+            for j in range(kv.smoothness[i] + 1):
                 lo, hi = kv.band(i, j)
                 band = (lo - win_row, hi - win_row)
                 try:
@@ -463,20 +467,19 @@ def extraction_operator(
             f"internal: dimension mismatch {starts[-1] - len(factors)} != {kv.n_basis}"
         )
     result = ExtractionMatrix(tuple(blocks), factors, kv)
-    _validate_extraction(result)
+    # Every entry is a sum of products of positive coefficients, so an entry
+    # outside the blocks would show as a block column sum short of one.
+    col_err, low, high = block_bounds(result)
+    if low < -1e-14 or high > 1.0 + 1e-14:
+        raise GTBError(f"extraction operator entries outside [0, 1]: min {low:.3g}, max {high:.3g}")
+    if col_err > 1e-12:
+        raise GTBError("extraction operator column sums deviate from one")
     return result
 
 
-def _validate_extraction(ext: ExtractionMatrix) -> None:
-    # Each operator column has its nonzeros in one element block.  Every
-    # entry is a sum of products of positive coefficients, so an entry
-    # outside the blocks would show as a block column sum short of one.
+def block_bounds(ext: ExtractionMatrix) -> tuple[float, float, float]:
+    """The largest deviation of an operator column sum from one and the
+    smallest and largest entry, from the blocks that hold every nonzero."""
     entries = np.concatenate([b.ravel() for b in ext.blocks])
-    if entries.min() < -1e-14 or entries.max() > 1.0 + 1e-14:
-        raise GTBError(
-            f"extraction operator entries outside [0, 1]: min {entries.min():.3g}, "
-            f"max {entries.max():.3g}"
-        )
     col_sums = np.concatenate([b.sum(axis=0) for b in ext.blocks])
-    if np.max(np.abs(col_sums - 1.0)) > 1e-12:
-        raise GTBError("extraction operator column sums deviate from one")
+    return float(np.max(np.abs(col_sums - 1.0))), float(entries.min()), float(entries.max())

@@ -254,8 +254,8 @@ class RecurrenceEvaluator:
 
     # -- queries -----------------------------------------------------------
 
-    def evaluate(self, k: int, x, level: int | None = None):
-        """Value of intermediate function ``k`` at ``x`` (top level by default).
+    def evaluate(self, k: int, x):
+        """Value of basis function ``k`` at ``x``: its top-level function.
 
         A scalar ``x`` gives a float, a 1-D array of points the array of
         their values.  The points are located once, and only those on an
@@ -263,8 +263,7 @@ class RecurrenceEvaluator:
         a Clenshaw step on the one or two points an element holds costs
         several times a step on a scalar.
         """
-        q = self.p_max if level is None else level
-        fn = self.levels[q].get(k)
+        fn = self.levels[self.p_max].get(k)
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.zeros(len(xs))
         if fn is not None:

@@ -24,6 +24,7 @@ old space's unchanged blocks and factors.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -332,7 +333,9 @@ def _refined_components(space: GTSplineSpace, x_new: float):
         raise InsertionError(f"insertion point {x_new!r} outside ({a}, {b})")
     bp = space.partition.breakpoints
     tol = 1e-12 * (b - a)
-    hits = [i for i, x in enumerate(bp) if abs(x - x_new) <= tol]
+    # x_new - tol is rounded: the first breakpoint within tol is k - 1, k or k + 1.
+    k = bisect_left(bp, x_new - tol)
+    hits = [i for i in (k - 1, k, k + 1) if 0 <= i < len(bp) and abs(bp[i] - x_new) <= tol]
 
     if hits:
         i = hits[0]
@@ -362,25 +365,18 @@ def _refined_components(space: GTSplineSpace, x_new: float):
     return Partition(tuple(new_bp)), bases, tuple(smooth), e, section.degree
 
 
-def _spliced(space, partition, bases, kv, band, cover) -> GTSplineSpace:
+def _spliced(space, partition, bases, kv, cover) -> GTSplineSpace:
     """The refined space of ``partition``, ``bases`` and knot vectors ``kv``
-    from the old ``space`` and one cascade over the sub-space that the
-    changed functions ``band = (lo, hi)`` cover, refined intervals
-    ``cover = (e_lo, e_hi)``.
-
-    The sub-space runs from ``x_s``, the support start of the first function
-    active on ``e_lo``, to ``x_t``, the support end of the last one active on
-    ``e_hi``, fully discontinuous at both ends; every function active on
-    ``e_lo .. e_hi`` is one of its functions, so its blocks there are the
-    refined ones.  The other blocks are the old space's, past the split.
-    The constraints from the first to the last one whose band meets the
-    changed functions take the sub-space's factors; at one breakpoint a
-    lower order's band starts further right, so a low order can lie right
-    of the changed functions between two that meet them, and it takes the
-    sub-space's factor too.  Every other constraint takes the old factor of
-    its constraint, re-indexed past the knot or the dropped order.
+    from the old ``space`` and one cascade over the sub-space around the
+    refined intervals ``cover = (e_lo, e_hi)``, which holds every function
+    active on them: from the support start of the first function active on
+    ``e_lo`` to the support end of the last one active on ``e_hi``, fully
+    discontinuous at both ends.  The blocks of intervals ``e_lo .. e_hi``
+    and the factors of the constraints at breakpoints ``e_lo .. e_hi - 1``
+    are the sub-space's; every other block and factor is the old space's,
+    re-indexed past the split interval or the dropped order.
     """
-    (lo, hi), (e_lo, e_hi) = band, cover
+    e_lo, e_hi = cover
     s = kv.support(kv.active_range(e_lo)[0])[0]
     t = kv.support(kv.active_range(e_hi)[1])[1]
     r = kv.smoothness
@@ -393,19 +389,14 @@ def _spliced(space, partition, bases, kv, band, cover) -> GTSplineSpace:
         + sub.extraction.blocks[e_lo - 1 - s : e_hi - s]
         + old.blocks[e_hi - split :]
     )
-    # Sub-space constraints first .. last - 1 run from the first to the last
-    # one whose band meets the changed functions; the sub-space's constraint
-    # rho is the refined constraint start + rho, past the r_i + 1
-    # constraints of each refined breakpoint i <= s.
-    bands = [kv.band(b + s, j) for b, j in sub.knots.columns]
-    first = sum(band_hi <= lo for _, band_hi in bands)
-    last = max((rho + 1 for rho, (band_lo, _) in enumerate(bands) if band_lo <= hi), default=0)
-    start = sum(r[1 : s + 1]) + s
+    # The r_i + 1 constraints of each refined breakpoint i come after those
+    # of breakpoints 1 .. i - 1; the sub-space's first is at breakpoint s + 1.
+    first, last, start = (sum(r[1:i]) + i - 1 for i in (e_lo, e_hi, s + 1))
     shift = kv.n_bernstein - kv.n_basis - len(old.factors)
     factors = (
-        old.factors[: start + first]
-        + sub.extraction.factors[first:last]
-        + old.factors[start + last - shift :]
+        old.factors[:first]
+        + sub.extraction.factors[first - start : last - start]
+        + old.factors[last - shift :]
     )
     return GTSplineSpace(partition, bases, kv, ExtractionMatrix(blocks, factors, kv))
 
@@ -455,7 +446,7 @@ def insert_knot(space: GTSplineSpace, x_new: float):
     # support to the end of function hi's; the old ones lack the split.
     e_lo, e_hi = kv.support(lo)[0] + 1, kv.support(hi)[1]
     split = len(bases) > len(space.bases)
-    refined = _spliced(space, partition, bases, kv, (lo, hi), (e_lo, e_hi))
+    refined = _spliced(space, partition, bases, kv, (e_lo, e_hi))
     n = refined.n_basis
     new = refined.extraction.window(lo - 1, hi, e_lo, e_hi)
     old = space.extraction.window(lo - 1, hi - 1, e_lo, e_hi - split)

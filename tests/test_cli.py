@@ -391,3 +391,13 @@ class TestDemo:
         residuals = (out / "example2_residuals.csv").read_text().splitlines()[1:]
         worst = max(abs(float(line.split(",")[2])) for line in residuals)
         assert worst <= 1e-10
+
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_sample_count_validation(self, name, n, tmp_path, capfd):
+        # the check of ``sample``: one error line, exit 2, no output written
+        out = tmp_path / "demo"
+        assert main(["demo", name, str(out), "--n", str(n)]) == 2
+        stdout, err = capfd.readouterr()
+        assert stdout == "" and err == "error: need at least 2 samples\n"
+        assert not out.exists()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,20 @@ class TestKnotVectors:
     def test_smoothness_bound_violation(self):
         with pytest.raises(ConfigError):
             build_knot_vectors(Partition((0.0, 1.0, 2.0)), (2, 2), (-1, 3, -1))
+
+    @pytest.mark.parametrize(
+        "degrees, smoothness, message",
+        [
+            ((2, 2), (-1, 1), "smoothness vector must have length 3 (got 2)"),
+            ((2, 2), (0, 1, -1), "end smoothness entries must be -1"),
+            ((2, 2), (-1, 1, 0), "end smoothness entries must be -1"),
+            ((2,), (-1, 1, -1), "need 2 degrees, got 1"),
+        ],
+        ids=["smoothness-length", "left-end", "right-end", "degree-count"],
+    )
+    def test_inconsistent_layout_rejected(self, degrees, smoothness, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build_knot_vectors(Partition((0.0, 1.0, 2.0)), degrees, smoothness)
 
 
 class TestSupersmoothness:
@@ -237,6 +252,12 @@ class TestNullspaceStep:
     def test_same_sign_band_rejected(self):
         with pytest.raises(BasisNonexistenceError):
             nullspace_step(np.array([0.0, 1.0, 1.0, 0.0]), (2, 3))
+
+    @pytest.mark.parametrize("band", [(0, 2), (2, 2), (3, 2), (2, 5)])
+    def test_invalid_band_rejected(self, band):
+        message = f"invalid constraint band [{band[0]}, {band[1]}] for length 4"
+        with pytest.raises(BasisNonexistenceError, match=f"^{re.escape(message)}$"):
+            nullspace_step(np.array([0.0, 1.0, -1.0, 0.0]), band)
 
     def test_out_of_band_noise_rejected(self):
         with pytest.raises(GTBError):

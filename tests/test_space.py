@@ -733,6 +733,51 @@ class TestInsertKnot:
         with pytest.raises(InsertionError, match="domain end"):
             insert_knot(mixed_space, x_new)
 
+    @pytest.mark.parametrize(
+        "breakpoints, x_new, hit",
+        [
+            # Breakpoint 3 lies just over the tolerance left of x_new, yet
+            # x_new - tol rounds down onto it; breakpoint 4 lies 2.9e-13 right
+            # of it, an interval shorter than the tolerance.
+            (
+                (0.0, 8.205282341294896e-09, 8.553399672618982e-09, 0.11677484415029879,
+                 0.11677484415058922, 0.26329393249878896, 1.0),
+                0.1167748441512988,
+                4,
+            ),
+            # Breakpoint 1 lies within the tolerance, yet x_new - tol rounds
+            # up past it.
+            ((-1.0, -1.5693309651152338e-12, 1.0), 4.306690348847663e-13, 1),
+            # Both ends of an interval of 5e-10, against a tolerance of
+            # 1.024e-9, lie within the tolerance: the left one is the knot.
+            (tuple(range(513)) + (512 + 5e-10,) + tuple(range(513, 1025)), 512 + 2.5e-10, 512),
+        ],
+        ids=["left-of-rounded-bisection", "right-of-rounded-bisection", "short-interval"],
+    )
+    def test_breakpoint_within_tolerance_is_located_by_bisection(self, breakpoints, x_new, hit):
+        class Counted(tuple):
+            """Breakpoints that count the entries read from them."""
+
+            reads = 0
+
+            def __getitem__(self, i):
+                self.reads += len(range(len(self))[i]) if isinstance(i, slice) else 1
+                return super().__getitem__(i)
+
+            def __iter__(self):
+                self.reads += len(self)
+                return super().__iter__()
+
+        m = len(breakpoints) - 1
+        space = build_space(SpaceConfig(breakpoints, [PolynomialFamily(1)] * m, [0] * (m - 1)))
+        counted = Counted(space.partition.breakpoints)
+        object.__setattr__(space.partition, "breakpoints", counted)
+        assert space_module._refined_components(space, x_new)[3:] == (hit, 0)
+        # the lowest breakpoint within the tolerance, as a scan finds it
+        tol = 1e-12 * (breakpoints[-1] - breakpoints[0])
+        assert hit == min(i for i, x in enumerate(breakpoints) if abs(x - x_new) <= tol)
+        assert counted.reads <= 4 * len(breakpoints).bit_length()
+
     def test_precondition_errors(self, mixed_space, profile_space):
         with pytest.raises(InsertionError):
             insert_knot(mixed_space, 0.0)  # domain endpoint
