@@ -8,8 +8,10 @@ demo    NAME OUTDIR      -- reproduce the bundled demo spaces/curves
 verify  CONFIG           -- run the invariant checks, one PASS/FAIL line each
 insert  CONFIG --at X OUT -- refined-space summary plus the transfer map
 
-Exit codes: 0 success, 1 runtime or degeneracy failure, 2 validation error.
-All numeric output uses 17 significant digits so values round-trip exactly.
+Exit codes: 0 success, 1 runtime or degeneracy failure (including a refused
+memory allocation), 2 validation error (including a sample count ``--n``
+beyond the largest float array numpy can index).  All numeric output uses
+17 significant digits so values round-trip exactly.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ from .space import (
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_VALIDATION = 2
+
+# the largest n whose float array has a byte size numpy can index
+MAX_SAMPLES = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 
 def _fmt(x: float) -> str:
@@ -112,9 +117,15 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def cmd_sample(args) -> int:
-    if args.n < 2:
+def _check_samples(n: int) -> None:
+    if n < 2:
         raise ConfigError("need at least 2 samples")
+    if n > MAX_SAMPLES:
+        raise ConfigError(f"--n {n} exceeds the largest array of {MAX_SAMPLES} samples")
+
+
+def cmd_sample(args) -> int:
+    _check_samples(args.n)
     config = SpaceConfig.from_json_file(args.config)
     space = build_space(config)
     max_deriv = min(space.degrees)
@@ -125,8 +136,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    if args.n < 2:
-        raise ConfigError("need at least 2 samples")
+    _check_samples(args.n)
     outdir = args.outdir.rstrip("/")
     os.makedirs(outdir, exist_ok=True)
     if args.name == "example1":
@@ -303,6 +313,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except (BasisNonexistenceError, GTBError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:  # numpy names the refused size; Python does not
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

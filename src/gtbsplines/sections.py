@@ -88,11 +88,12 @@ def _integer(value, what: str, error: type[Exception]) -> int:
 
 def _number(value, what: str, error: type[Exception]) -> float:
     """``value`` as a float; a string, even a numeric one, a boolean (which
-    ``float`` reads as 0 or 1) and anything else ``float`` cannot convert
-    raise ``error``."""
+    ``float`` reads as 0 or 1), an array, even of one element, and anything
+    else ``float`` cannot convert raise ``error``."""
     if not isinstance(value, (str, bool, np.bool_)):
         try:
-            return float(value)
+            if type(value) in (float, int) or np.ndim(value) == 0:
+                return float(value)
         except (TypeError, ValueError, OverflowError):
             pass
     raise error(f"{what} must be a number, got {value!r}")
@@ -217,6 +218,17 @@ def _as_float(n: int) -> float:
         return float(n)
     except OverflowError:
         return math.inf if n > 0 else -math.inf
+
+
+def _family_groups(indexed) -> dict:
+    """The indices of ``(index, section)`` pairs grouped by the sections'
+    family kind and degree, each group in the given order; a custom pair is
+    a group of its own.  One group shares one span-table arithmetic."""
+    groups = {}
+    for i, section in indexed:
+        custom = isinstance(section.family, GeneralizedPolynomialFamily)
+        groups.setdefault(i if custom else (type(section.family), section.degree), []).append(i)
+    return groups
 
 
 def _inverse_powers(length: float, n: int) -> list[float]:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bernstein import BernsteinBasis, build_bernstein
+from .bernstein import BernsteinBasis, build_bases, build_bernstein
 from .config import SpaceConfig
 from .errors import (
     AdmissibilityWarning,
@@ -51,12 +51,13 @@ from .extraction import (
 from .quadrature import composite_rule
 from .sections import (
     ExponentialFamily,
-    GeneralizedPolynomialFamily,
     Partition,
     PolynomialFamily,
     SectionSpace,
     TrigonometricFamily,
+    _family_groups,
     _integer,
+    _number,
     _span_table,
 )
 
@@ -177,7 +178,7 @@ def build_space(config: SpaceConfig) -> GTSplineSpace:
         for i, fam in enumerate(config.sections)
     ]
     _check_section_families(sections)
-    bases = [build_bernstein(s) for s in sections]
+    bases = build_bases(sections)
     _warn_maximal_joints(bases, config.full_smoothness)
     return _assemble(partition, bases, config.full_smoothness)
 
@@ -235,12 +236,9 @@ def _local_values(space: GTSplineSpace, xs: np.ndarray, elems: np.ndarray, max_o
     and their ``(len(at), p + 1, max_order + 1)`` values, from one
     span-table pass and one batched product each with the coefficients and
     the blocks, each row with the scalar call's bits."""
-    groups = {}  # the intervals holding points of each group, ascending
-    for e in np.flatnonzero(np.bincount(elems)).tolist():
-        section = space.bases[e - 1].section
-        custom = isinstance(section.family, GeneralizedPolynomialFamily)
-        key = e if custom else (type(section.family), section.degree)
-        groups.setdefault(key, []).append(e)
+    # the intervals holding points of each group, ascending
+    held = np.flatnonzero(np.bincount(elems)).tolist()
+    groups = _family_groups((e, space.bases[e - 1].section) for e in held)
     breakpoints = np.array(space.partition.breakpoints)
     for intervals in groups.values():
         inside = np.zeros(len(breakpoints), dtype=bool)
@@ -409,7 +407,8 @@ def insert_knot(space: GTSplineSpace, x_new: float):
     two sections of the same family and the new breakpoint joins them with
     maximal smoothness ``p - 1``.  A point within ``1e-12`` of the domain
     length of a breakpoint is that breakpoint; at a domain end it raises
-    :class:`~gtbsplines.errors.InsertionError`.
+    :class:`~gtbsplines.errors.InsertionError`, as does an ``x_new`` that is
+    no real number (a string, a boolean, an array, ``None``, a complex).
 
     Only the refined functions ``lo .. hi`` of the band below change, so the
     cascade reruns only over the sub-space their supports cover, and its
@@ -439,6 +438,7 @@ def insert_knot(space: GTSplineSpace, x_new: float):
         Every row sums to one.  The map is the only array of its size the
         call allocates.
     """
+    x_new = _number(x_new, "insertion point", InsertionError)
     partition, bases, smoothness, i, order = _refined_components(space, x_new)
     kv = build_knot_vectors(partition, [b.degree for b in bases], smoothness)
     lo, hi = kv.band(i, order)

@@ -1,5 +1,7 @@
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from gtbsplines import (
     build_space,
     eval_basis,
 )
+from gtbsplines.bernstein import build_bases
 from gtbsplines.config import conic_profile_demo_config, mixed_family_demo_config
 
 from helpers import random_config, sections_of, sequential_bernstein
@@ -207,6 +210,156 @@ class TestStackedSolve:
             sequential_bernstein(section)
         assert len(stacked) == len(sequential) == degree + 1
         _assert_same_warnings(stacked, sequential)
+
+
+def _bench_config(workload: str, seed: int) -> SpaceConfig:
+    """The space of a benchmark workload, from the benchmark's own seeded
+    generator."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen_inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_gen_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return SpaceConfig.from_dict(module.generate(workload, seed)[0])
+
+
+def _recorded(build):
+    """``build()``'s result or exception and its warnings as (class,
+    message, condition) triples, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = build()
+        except Exception as exc:  # compared with the reference's
+            result = exc
+    return result, [(w.category, str(w.message), getattr(w.message, "condition", None)) for w in caught]
+
+
+def _one_by_one(sections):
+    return [build_bernstein(s) for s in sections]
+
+
+def _assert_same_outcome(got, want):
+    (got, got_warnings), (want, want_warnings) = got, want
+    assert got_warnings == want_warnings
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a.coeffs is None) == (b.coeffs is None)
+            for name in ("coeffs", "left_table", "right_table"):
+                if getattr(b, name) is not None:
+                    assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+class TestGroupedBuild:
+    """:func:`build_bases` builds each (family kind, degree) group in one
+    stacked pass; its bases, warnings and errors are those of one
+    :func:`build_bernstein` call per section, in section order."""
+
+    PAIR = GeneralizedPolynomialFamily(
+        3, u=lambda x, d: math.exp(x), v=lambda x, d: 2.0**d * math.exp(2.0 * x), name="exp-pair"
+    )
+
+    def test_bases_equal_one_section_builds(self):
+        configs = [mixed_family_demo_config(), conic_profile_demo_config()]
+        configs += [_bench_config(w, 1) for w in ("build-cubic-fine", "sample-mixed", "refine-mixed")]
+        rng = np.random.default_rng(777)
+        configs += [
+            random_config(rng, int(rng.integers(1, 9)), max_degree=7) for _ in range(300)
+        ]
+        configs.append(
+            SpaceConfig(
+                [0.0, 1.0, 2.0, 3.0, 4.0],
+                [PolynomialFamily(3), self.PAIR, TrigonometricFamily(3, 1.0), self.PAIR],
+                [1, 1, 1],
+            )
+        )
+        built = 0
+        for config in configs:
+            sections = sections_of(config)
+            want = _recorded(lambda: _one_by_one(sections))
+            _assert_same_outcome(_recorded(lambda: build_bases(sections)), want)
+            space = _recorded(lambda: build_space(config))[0]
+            if not isinstance(space, Exception):  # some random cascades degenerate
+                _assert_same_outcome((space.bases, want[1]), want)
+                built += 1
+        assert built > 250
+
+    def test_interleaved_warnings_come_in_section_order(self):
+        # short sections in two groups, interleaved: every Hermite system
+        # warns, section by section and then b_j by b_j
+        sections = [
+            SectionSpace(0.0, 0.01, TrigonometricFamily(6, 1.0)),
+            SectionSpace(0.01, 0.11, ExponentialFamily(8, 1.0)),
+            SectionSpace(0.11, 0.12, TrigonometricFamily(6, 1.0)),
+        ]
+        got = _recorded(lambda: build_bases(sections))
+        assert [w[0] for w in got[1]] == [ConditioningWarning] * 23
+        assert [w[1].split(" of ")[1][:20] for w in (got[1][0], got[1][7], got[1][16])] == [
+            "SectionSpace([0.0, 0",
+            "SectionSpace([0.01, ",
+            "SectionSpace([0.11, ",
+        ]
+        _assert_same_outcome(got, _recorded(lambda: _one_by_one(sections)))
+
+    @pytest.mark.parametrize(
+        "middle",
+        [PolynomialFamily(40), TrigonometricFamily(60, 1.0)],
+        ids=["polynomial", "trigonometric"],
+    )
+    def test_non_finite_middle_section_stops_the_build(self, middle):
+        # the last section is in the first one's group and would warn too
+        sections = [
+            SectionSpace(0.0, 0.01, TrigonometricFamily(6, 1.0)),
+            SectionSpace(0.01, 0.01 + 1e-9, middle),
+            SectionSpace(1.0, 1.01, TrigonometricFamily(6, 1.0)),
+        ]
+        got = _recorded(lambda: build_bases(sections))
+        assert isinstance(got[0], EctViolationError)
+        assert "non-finite endpoint derivative tables of SectionSpace([0.01, " in str(got[0])
+        assert len(got[1]) == 7 and all("[0.0, 0.01]" in w[1] for w in got[1])
+        _assert_same_outcome(got, _recorded(lambda: _one_by_one(sections)))
+
+    @pytest.mark.parametrize("routine", ["cond", "solve"])
+    def test_lapack_failure_names_its_section(self, routine, monkeypatch):
+        # LAPACK fails on the systems of the fourth of six sections of one
+        # group; the failure is found section by section and raised after
+        # the warnings of the sections before it
+        sections = [
+            SectionSpace(k, k + 0.01 * (1.0 + 0.1 * k), TrigonometricFamily(6, 1.0)) for k in range(6)
+        ]
+        # D b_0 at x_lo, -4/L: in the systems of that section only
+        marked = sections[3].span_derivatives(sections[3].x_lo, 6)[0, 1]
+        original = getattr(np.linalg, routine)
+
+        def failing(a, *args, **kwargs):
+            if np.any(a == marked):
+                raise np.linalg.LinAlgError("marked section")
+            return original(a, *args, **kwargs)
+
+        for section in sections[:3] + sections[4:]:
+            tables = [section.span_derivatives(x, 6) for x in (section.x_lo, section.x_hi)]
+            assert not np.any(np.array(tables) == marked)
+        monkeypatch.setattr(np.linalg, routine, failing)
+        got = _recorded(lambda: build_bases(sections))
+        assert isinstance(got[0], EctViolationError) and "[3.0, 3.013]" in str(got[0])
+        assert isinstance(got[0].__cause__, np.linalg.LinAlgError)
+        assert len(got[1]) == 3 * 7 + (7 if routine == "solve" else 0)
+        _assert_same_outcome(got, _recorded(lambda: _one_by_one(sections)))
+
+    def test_custom_pair_error_is_raised_in_section_order(self):
+        def broken(x, d):
+            raise ValueError("user function failed")
+
+        pair = GeneralizedPolynomialFamily(3, u=broken, v=broken, name="broken")
+        sections = [
+            SectionSpace(0.0, 1.0, PolynomialFamily(200)),
+            SectionSpace(1.0, 2.0, pair),
+        ]
+        got = _recorded(lambda: build_bases(sections))
+        assert isinstance(got[0], EctViolationError) and "degree=200" in str(got[0])
+        _assert_same_outcome(got, _recorded(lambda: _one_by_one(sections)))
 
 
 class TestClosedForms:

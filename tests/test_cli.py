@@ -70,6 +70,17 @@ class TestBuild:
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert "degree=200" in err
 
+    def test_refused_allocation_is_one_error_line(self, demo_config_path, tmp_path, capfd, monkeypatch):
+        # a MemoryError without a message still gives a readable line
+        import gtbsplines.cli as cli
+
+        def refused(config):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "build_space", refused)
+        assert main(["build", demo_config_path, str(tmp_path / "x.txt")]) == 1
+        assert capfd.readouterr() == ("", "error: out of memory\n")
+
     @pytest.mark.parametrize(
         "breakpoints, section",
         [
@@ -140,6 +151,26 @@ class TestSample:
             main(["sample", demo_config_path, "--n", "1", "--csv", str(tmp_path / "x.csv")])
             == 2
         )
+
+    @pytest.mark.parametrize(
+        "n, code, message",
+        [
+            (10**20, 2, "error: --n 100000000000000000000 exceeds the largest array of "),
+            (2**63 // 8, 2, "error: --n 1152921504606846976 exceeds the largest array of "),
+            (10**15, 1, "error: Unable to allocate "),
+        ],
+        ids=["beyond-intp", "byte-size-overflow", "refused-allocation"],
+    )
+    def test_huge_sample_count_is_one_error_line(
+        self, demo_config_path, tmp_path, capfd, n, code, message
+    ):
+        # 10**15 float samples are 7.1 PiB, past any address space: the
+        # allocation is refused without touching memory
+        csv = tmp_path / "x.csv"
+        assert main(["sample", demo_config_path, "--n", str(n), "--csv", str(csv)]) == code
+        stdout, err = capfd.readouterr()
+        assert stdout == "" and len(err.splitlines()) == 1 and err.startswith(message)
+        assert not csv.exists()
 
 
 class TestVerify:
@@ -391,6 +422,21 @@ class TestDemo:
         residuals = (out / "example2_residuals.csv").read_text().splitlines()[1:]
         worst = max(abs(float(line.split(",")[2])) for line in residuals)
         assert worst <= 1e-10
+
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_huge_sample_count_is_one_error_line(self, name, tmp_path, capfd):
+        # beyond numpy's array size: exit 2 before the directory is made
+        out = tmp_path / "demo"
+        assert main(["demo", name, str(out), "--n", str(10**20)]) == 2
+        stdout, err = capfd.readouterr()
+        assert stdout == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: --n 100000000000000000000 exceeds the largest array of ")
+        assert not out.exists()
+        # 7.1 PiB: the allocation is refused, without touching memory
+        assert main(["demo", name, str(out), "--n", str(10**15)]) == 1
+        stdout, err = capfd.readouterr()
+        assert stdout == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: Unable to allocate ")
 
     @pytest.mark.parametrize("name", ["example1", "example2"])
     @pytest.mark.parametrize("n", [-1, 0, 1])

@@ -597,6 +597,43 @@ class TestInsertKnot:
             calls.append(steps[0])
         assert calls[0] == calls[1]
 
+    def test_hermite_systems_stack_per_group(self, monkeypatch):
+        # The 12-interval cycle has two non-polynomial (family, degree)
+        # groups of three sections: one condition call and one solve each,
+        # not one per section.  Polynomial sections solve nothing.
+        calls = {"cond": 0, "solve": 0}
+        for name in calls:
+            routine = getattr(np.linalg, name)
+
+            def counted(*args, name=name, routine=routine, **kwargs):
+                calls[name] += 1
+                return routine(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        self._cycle_space()
+        assert calls == {"cond": 2, "solve": 2}
+        calls.update(cond=0, solve=0)
+        build_space(uniform_cubic_config(80))
+        assert calls == {"cond": 0, "solve": 0}
+
+    @pytest.mark.parametrize(
+        "x_new",
+        [None, 1.5 + 0.0j, "1.5", True, np.True_, np.array([1.5]), np.array([0.5, 1.5]), [1.5]],
+        ids=["None", "complex", "str", "bool", "numpy-bool", "one-element", "array", "list"],
+    )
+    def test_insertion_point_must_be_a_number(self, mixed_space, x_new):
+        # no builtin TypeError, no True read as 1.0, and no float() of an
+        # array, which numpy deprecates
+        with pytest.raises(InsertionError, match="insertion point must be a number, got "):
+            insert_knot(mixed_space, x_new)
+
+    @pytest.mark.parametrize("x_new", [2, np.int64(2), np.float64(1.5), np.float32(1.5)])
+    def test_insertion_point_ints_and_numpy_scalars(self, mixed_space, x_new):
+        refined, transfer = insert_knot(mixed_space, x_new)
+        want_refined, want_transfer = insert_knot(mixed_space, float(x_new))
+        assert refined.partition == want_refined.partition
+        assert np.array_equal(transfer, want_transfer)
+
     def test_insertion_does_not_warn(self):
         space = build_space(mixed_family_demo_config())
         with warnings.catch_warnings(record=True) as caught:
