@@ -35,15 +35,18 @@ from .sections import (
     SectionSpace,
     _as_float,
     _family_groups,
+    _inverse_powers,
     _span_table,
 )
 
 __all__ = ["BernsteinBasis", "build_bases", "build_bernstein"]
 
 COND_LIMIT = 1e12  # condition number above which a collocation solve is ill conditioned
-# Groups of at least this many trigonometric or exponential sections take
-# their endpoint tables from one array call: its fixed numpy cost is about
-# that of two scalar calls per section for three to six sections (p = 3 .. 7).
+# Trigonometric or exponential groups of at least this many sections take
+# their endpoint tables from one array call, which has a fixed numpy cost of
+# a few sections' scalar calls: on the benchmark the scalar calls win for
+# insertion halves and for refine-mixed's groups of three, the array call
+# for sample-mixed's groups of twelve.
 _ARRAY_SECTIONS = 4
 
 
@@ -137,29 +140,13 @@ def _endpoint_systems(p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_bernstein(section: SectionSpace) -> BernsteinBasis:
-    """Construct the Bernstein-like basis of one section by the one stacked
-    pass per group of :func:`build_bases`, on a group of this section
-    alone: the same bits, warnings and errors."""
-    polynomial = isinstance(section.family, PolynomialFamily)
-    bases, reports = (_polynomial_group if polynomial else _solve_group)([section])
-    _emit(reports)
-    return bases[0]
+    """Construct the Bernstein-like basis of a section: the stacked pass of
+    :func:`build_bases` on this section alone.
 
-
-def build_bases(sections: Sequence[SectionSpace]) -> list[BernsteinBasis]:
-    """Construct the Bernstein-like bases of ``sections``, in one stacked
-    pass per group of sections of one family kind and degree (a custom pair
-    is a group of its own); each basis equals the one-section
-    :func:`build_bernstein` call bit for bit.
-
-    A polynomial group needs no solve: its span basis is the Bernstein
+    A polynomial section needs no solve: its span basis is the Bernstein
     basis (``coeffs is None``), and its endpoint tables are
-    :func:`_binomial_tables` with column ``d`` scaled by the stacked
-    ``L^-d``.  Every other group is built by Hermite solves in the span
-    basis, from the span tables at the sections' ends: one array call for a
-    group of at least four sections, the checked
-    :meth:`~gtbsplines.sections.SectionSpace.span_derivatives` of each
-    section for a smaller one.
+    :func:`_binomial_tables` with column ``d`` scaled by ``L^-d``.  Every
+    other section is built by Hermite solves in its span basis.
 
     Function ``b_j`` has derivatives ``0 .. j-1`` vanishing at ``x_lo``,
     derivatives ``0 .. p-j-1`` vanishing at ``x_hi``, and one normalization:
@@ -170,13 +157,13 @@ def build_bases(sections: Sequence[SectionSpace]) -> list[BernsteinBasis]:
       (this pins the scaling so the basis sums to one whenever constants
       belong to the section).
 
-    The ``p + 1`` systems of a section are dense ``(p+1) x (p+1)`` matrices
-    gathered from its endpoint tables; the systems of the whole group are
-    condition-checked in one call, once its tables are finite, and solved
-    as one stack with partial pivoting, each against a unit normalization
-    value; ``b_1 .. b_{p-1}`` are then scaled in order for the whole stack,
-    since each scale reads the ones before it.  A failed check or a
-    non-finite number (in ``j`` order) raises
+    The ``p + 1`` systems are dense ``(p+1) x (p+1)`` matrices gathered from
+    the endpoint tables of the span basis and solved as one stack with
+    partial pivoting, each against a unit normalization value; ``b_1 ..
+    b_{p-1}`` are then scaled in order, since each scale reads the ones
+    before it.  The condition numbers of the whole stack are computed in one
+    call once the endpoint tables are finite; a failed call or a non-finite
+    number (in ``j`` order) raises
     :class:`~gtbsplines.errors.EctViolationError`, and each number above
     ``1e12`` warns with :class:`~gtbsplines.errors.ConditioningWarning`.
 
@@ -190,194 +177,142 @@ def build_bases(sections: Sequence[SectionSpace]) -> list[BernsteinBasis]:
     For every family a non-finite endpoint table (the factorials overflow
     from ``p = 171`` on, and ``L^-d`` on tiny intervals) raises
     ``EctViolationError`` naming the section, and LAPACK never sees it.
-
-    Warnings and errors come section by section in the order of
-    ``sections``, as from one :func:`build_bernstein` call each: the first
-    error is raised after the warnings of the sections before it, and no
-    later section warns.
     """
-    bases, reports = [None] * len(sections), [[]] * len(sections)
+    return _build_group([section], strict=True)[0]
+
+
+def build_bases(sections: Sequence[SectionSpace]) -> list[BernsteinBasis]:
+    """Construct the Bernstein-like bases of ``sections`` in one stacked pass
+    per group of sections of one family kind and degree (a custom pair is a
+    group of its own): one ``L^-d`` scaling of the exact tables for a
+    polynomial group, and otherwise one condition call and one solve for all
+    the Hermite systems of the group, gathered from the span tables at the
+    sections' ends: one array call for a group of at least four sections,
+    the checked :meth:`~gtbsplines.sections.SectionSpace.span_derivatives`
+    of each section for a smaller one.  Each basis equals the
+    :func:`build_bernstein` call of its section bit for bit.
+
+    The groups are built in the order of their first sections.  A group
+    whose numbers would warn or raise -- a non-finite endpoint table, a
+    condition number that is not finite or above ``1e12``, a LAPACK failure
+    -- ends the pass, and the bases are built again by one
+    :func:`build_bernstein` call per section, whose warnings and errors come
+    in section order.  An error of a custom pair's user functions is raised
+    as it comes: every section before the pair is in a group built before
+    it, without a warning.
+    """
+    bases = [None] * len(sections)
     for members in _family_groups(enumerate(sections)).values():
-        group = [sections[i] for i in members]
-        polynomial = isinstance(group[0].family, PolynomialFamily)
-        built = _polynomial_group(group) if polynomial else _solve_group(group)
-        for i, basis, report in zip(members, *built):
-            bases[i], reports[i] = basis, report
-    _emit(reports)
+        built = _build_group([sections[i] for i in members], strict=False)
+        if built is None:  # as build_bernstein, at its depth: warnings name our caller
+            for i, section in enumerate(sections):
+                bases[i] = _build_group([section], strict=True)[0]
+            return bases
+        for i, basis in zip(members, built):
+            bases[i] = basis
     return bases
 
 
-def _emit(reports: list) -> None:
-    """Give the warnings of the sections' reports in order, and raise the
-    first error, on behalf of the caller of the public entry."""
-    for report in reports:
-        for event in report:
-            if not isinstance(event, Warning):
-                raise event
-            warnings.warn(event, stacklevel=3)
+def _build_group(group: list[SectionSpace], strict: bool) -> list[BernsteinBasis] | None:
+    """The bases of ``group``, sections of one family kind and degree or one
+    custom pair, in one stacked pass.  With ``strict`` the group is one
+    section, whose numbers warn and raise as :func:`build_bernstein` says;
+    otherwise numbers that would warn or raise give ``None``."""
+    section, p = group[0], group[0].degree
+    polynomial = isinstance(section.family, PolynomialFamily)
+    custom = isinstance(section.family, GeneralizedPolynomialFamily)
+    if polynomial:
+        scale = np.array([_inverse_powers(s.length, p) for s in group])[:, None, None]
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            tables = _binomial_tables(p) * scale
+    else:
+        tables = _endpoint_tables(group)
+    if not np.isfinite(tables).all():
+        if strict:
+            raise EctViolationError(f"non-finite endpoint derivative tables of {section!r}")
+        return None
+    t_lo, t_hi = tables[:, 0], tables[:, 1]
+    if polynomial:
+        return list(map(BernsteinBasis, group, [None] * len(group), t_lo, t_hi))
+    rows, unit = _endpoint_systems(p)
+    # row e * (p + 1) + d of a section's stacked endpoint table is order d at end e
+    systems = tables.transpose(0, 1, 3, 2).reshape(len(group), 2 * p + 2, p + 1)
+    systems = systems[:, rows if custom else rows[1:-1]]
+    try:
+        conds = np.linalg.cond(systems)
+    except np.linalg.LinAlgError as exc:
+        if strict:
+            raise EctViolationError(f"condition check failed for {section!r}: {exc}") from exc
+        return None
+    if strict:
+        _check_conditions(section, conds[0].tolist(), custom)
+    elif not (conds <= COND_LIMIT).all():  # NaN included
+        return None
+    if custom:
+        systems = systems[:, 1:-1]
+    try:
+        coeffs = np.linalg.solve(systems, unit)[..., 0]
+    except np.linalg.LinAlgError as exc:
+        if strict:
+            raise EctViolationError(
+                f"singular collocation matrix while building the basis of {section!r}"
+            ) from exc
+        return None
+    left = coeffs @ t_lo
+    for j in range(1, p):
+        coeffs[:, j] *= -np.add.reduce(left[:, :j, j], axis=1, keepdims=True)
+        np.matmul(coeffs[:, j, None], t_lo, out=left[:, j, None])
+    return list(map(BernsteinBasis, group, coeffs, left, coeffs @ t_hi))
 
 
-# A group kernel returns the bases of its sections and one report per
-# section: the warnings its own build gives, in order, and then the
-# exception it raises.  Both stop at the first section that raises, since
-# the build stops there: the sections after it are neither checked nor
-# solved.
-
-
-def _error(message: str, cause: Exception | None = None) -> EctViolationError:
-    """An error to raise later, as ``raise ... from cause`` would."""
-    error = EctViolationError(message)
-    error.__cause__ = cause
-    return error
-
-
-def _failed(report: list) -> bool:
-    return bool(report) and not isinstance(report[-1], Warning)
-
-
-def _finite(group, tables) -> tuple[int, EctViolationError | None]:
-    """The number of leading sections of ``group`` whose ``(g, 2, p+1, p+1)``
-    endpoint ``tables`` are finite, and the error of the next one."""
-    if np.isfinite(tables).all():
-        return len(group), None
-    n = int(np.argmin(np.isfinite(tables).all(axis=(1, 2, 3))))
-    return n, _error(f"non-finite endpoint derivative tables of {group[n]!r}")
-
-
-def _polynomial_group(group) -> tuple[list, list]:
-    """A polynomial group: the exact tables scaled by ``L^-d`` in one
-    broadcast, with no solve."""
+def _endpoint_tables(group: list[SectionSpace]) -> np.ndarray:
+    """The span tables at both ends of each section of a trigonometric or
+    exponential group, or of a custom pair, stacked as ``(g, 2, p + 1, p +
+    1)``.  Fewer than ``_ARRAY_SECTIONS`` sections take their checked span
+    tables, two scalar calls each; a larger group takes one array span-table
+    call at both ends of all its sections, with each section's pair
+    constants, which gives the same bits."""
     p = group[0].degree
-    # [1, 1/L, ..., 1/L^p] by repeated division, as _inverse_powers
-    scale = np.empty((len(group), 1, 1, p + 1))
-    scale[..., 0] = 1.0
-    scale[..., 1:] = np.array([s.length for s in group])[:, None, None, None]
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        tables = _binomial_tables(p) * np.divide.accumulate(scale, axis=-1)
-    n, error = _finite(group, tables)
-    bases = list(map(BernsteinBasis, group[:n], [None] * n, tables[:, 0], tables[:, 1]))
-    if error is None:
-        return bases, [[]] * n
-    return bases + [None], [[]] * n + [[error]]
-
-
-def _endpoint_tables(group) -> tuple[np.ndarray, Exception | None]:
-    """The span tables of a group at its sections' ends, stacked as
-    ``(g, 2, p + 1, p + 1)``.  A few sections take their checked span
-    tables, two scalar calls each; a larger group takes one array
-    span-table call at both ends of all its sections, with each section's
-    pair constants, which has the same bits.  The error is a custom pair's
-    overflow, or what else its user functions raise, with no tables."""
-    p = group[0].degree
-    if len(group) < _ARRAY_SECTIONS:
-        tables = []
-        for section in group:
-            try:
-                tables.append(section.span_derivatives(section.x_lo, p))
-                tables.append(section.span_derivatives(section.x_hi, p))
-            except Exception as exc:  # a custom pair's user functions
-                if isinstance(exc, OverflowError):
-                    exc = _error(f"endpoint derivatives of {section!r} overflow", exc)
-                return np.empty((0, 2, p + 1, p + 1)), exc
-        return np.concatenate(tables).reshape(len(group), 2, p + 1, p + 1), None
+    if len(group) < _ARRAY_SECTIONS:  # a custom pair is a group of one
+        try:
+            tables = [s.span_derivatives(x, p) for s in group for x in (s.x_lo, s.x_hi)]
+        except OverflowError as exc:  # a custom pair's user functions
+            raise EctViolationError(f"endpoint derivatives of {group[0]!r} overflow") from exc
+        return np.array(tables).reshape(len(group), 2, p + 1, p + 1)
     x_lo, x_hi = np.array([s.x_lo for s in group]), np.array([s.x_hi for s in group])
     wl, den, neg, pos = (np.array(c * 2) for c in zip(*(s._pair for s in group)))
     ends, x_lo, x_hi = np.concatenate([x_lo, x_hi]), np.tile(x_lo, 2), np.tile(x_hi, 2)
     # numpy warns where the scalar path overflows silently; both are checked
     with np.errstate(all="ignore"):
         tables = _span_table(group[0].family, ends, x_lo, x_hi, p + 1, (wl, den, neg.T, pos.T))
-    return tables.reshape(2, len(group), p + 1, p + 1).transpose(1, 0, 2, 3), None
+    return tables.reshape(2, len(group), p + 1, p + 1).transpose(1, 0, 2, 3)
 
 
-def _stacked(call, stack):
-    """``call`` on a stack of sections' arrays; when LAPACK fails on it, on
-    each section's array in turn up to the first that fails.  Returns the
-    results of the sections before the failure and the failure, if any."""
-    try:
-        return call(stack), None
-    except np.linalg.LinAlgError:
-        done = []
-        for k in range(len(stack)):
-            try:
-                done.append(call(stack[k]))
-            except np.linalg.LinAlgError as exc:
-                return done, exc
-        raise  # pragma: no cover -- the stack failed, so one section fails
-
-
-def _checked(section: SectionSpace, conds: list, custom: bool) -> list:
-    """The report of one section's condition numbers, in the order its own
-    build checks them: a custom pair's collocation splits, then the Hermite
-    system of each ``b_j``."""
+def _check_conditions(section: SectionSpace, conds: list, custom: bool) -> None:
+    """Raise or warn on the condition numbers of one section's systems, in
+    the order :func:`build_bernstein` says: a custom pair's collocation
+    splits, then the Hermite system of each ``b_j``."""
     p = section.degree
     if custom:
         # split n_lo is system n_lo, except split p + 1, the last system
         for n_lo, cond in enumerate(conds[: p + 1] + conds[-1:]):
             if not math.isfinite(cond) or cond > COND_LIMIT:
-                return [
-                    _error(
-                        f"endpoint collocation split {n_lo}/{p + 1 - n_lo} of {section!r} "
-                        f"is singular or ill conditioned (cond ~ {cond:.3g})"
-                    )
-                ]
+                raise EctViolationError(
+                    f"endpoint collocation split {n_lo}/{p + 1 - n_lo} of {section!r} "
+                    f"is singular or ill conditioned (cond ~ {cond:.3g})"
+                )
         conds = conds[1:-1]
-    report = []
     for j, cond in enumerate(conds):
         if not math.isfinite(cond):
-            message = f"singular collocation matrix while building b_{j} of {section!r}"
-            return report + [_error(message)]
+            raise EctViolationError(
+                f"singular collocation matrix while building b_{j} of {section!r}"
+            )
         if cond > COND_LIMIT:
-            report.append(
+            warnings.warn(
                 ConditioningWarning(
                     f"collocation matrix for b_{j} of {section!r} has condition "
                     f"number {cond:.3g}",
                     condition=cond,
-                )
+                ),
+                stacklevel=4,
             )
-    return report
-
-
-def _solve_group(group) -> tuple[list, list]:
-    """A trigonometric or exponential group, or a custom pair: one condition
-    call and one stacked solve for the whole group."""
-    p = group[0].degree
-    custom = isinstance(group[0].family, GeneralizedPolynomialFamily)
-    tables, error = _endpoint_tables(group)
-    if error is None:
-        n, error = _finite(group, tables)
-        tables = tables[:n]
-    rows, unit = _endpoint_systems(p)
-    # row e * (p + 1) + d of a section's stacked endpoint table is order d at end e
-    systems = tables.transpose(0, 1, 3, 2).reshape(len(tables), 2 * p + 2, p + 1)
-    systems = systems[:, rows if custom else rows[1:-1]]
-    reports = []
-    if len(systems):
-        conds, failure = _stacked(np.linalg.cond, systems)
-        if failure is not None:  # before the tables' error, if any
-            section = group[len(conds)]
-            error = _error(f"condition check failed for {section!r}: {failure}", failure)
-        for section, cond in zip(group, np.asarray(conds).tolist()):
-            reports.append(_checked(section, cond, custom))
-            if _failed(reports[-1]):
-                break
-    if error is not None and not (reports and _failed(reports[-1])):
-        reports.append([error])
-    n = len(reports) - _failed(reports[-1])
-    bases = [None] * len(reports)
-    if n == 0:
-        return bases, reports
-    if custom:
-        systems = systems[:, 1:-1]
-    coeffs, failure = _stacked(lambda a: np.linalg.solve(a, unit), systems[:n])
-    if failure is not None:
-        n = len(coeffs)
-        message = f"singular collocation matrix while building the basis of {group[n]!r}"
-        reports[n:] = [reports[n] + [_error(message, failure)]]
-        coeffs = np.array(coeffs).reshape(n, p + 1, p + 1, 1)
-    coeffs, t_lo, t_hi = coeffs[..., 0], tables[:n, 0], tables[:n, 1]
-    left = coeffs @ t_lo
-    for j in range(1, p):
-        coeffs[:, j] *= -np.add.reduce(left[:, :j, j], axis=1, keepdims=True)
-        np.matmul(coeffs[:, j, None], t_lo, out=left[:, j, None])
-    bases[:n] = map(BernsteinBasis, group, coeffs, left, coeffs @ t_hi)
-    return bases[: len(reports)], reports

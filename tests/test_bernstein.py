@@ -1,7 +1,5 @@
-import importlib.util
 import math
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,14 +210,30 @@ class TestStackedSolve:
         _assert_same_warnings(stacked, sequential)
 
 
-def _bench_config(workload: str, seed: int) -> SpaceConfig:
-    """The space of a benchmark workload, from the benchmark's own seeded
-    generator."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "gen_inputs.py"
-    spec = importlib.util.spec_from_file_location("bench_gen_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return SpaceConfig.from_dict(module.generate(workload, seed)[0])
+def _jittered_config(m: int, rng: np.random.Generator, cycle, joints) -> SpaceConfig:
+    """``m`` intervals on a repeated ``(family, length)`` cycle, each length
+    stretched by up to 10 % with its frequency following, so that omega *
+    length stays the cycle's, and interior joints on the ``joints`` cycle."""
+    breakpoints, families = [0.0], []
+    for i in range(m):
+        family, length = cycle[i % len(cycle)]
+        stretch = 1.0 + float(rng.uniform(-0.1, 0.1))
+        breakpoints.append(breakpoints[-1] + length * stretch)
+        if hasattr(family, "omega"):
+            family = type(family)(family.degree, family.omega / stretch)
+        families.append(family)
+    smoothness = [joints[(i - 1) % len(joints)] for i in range(1, m)]
+    return SpaceConfig(breakpoints, families, smoothness)
+
+
+# a cubic, a trigonometric cubic, an exponential quartic and a quartic,
+# joined C^2 and C^1 in turn
+MIXED_CYCLE = (
+    (PolynomialFamily(3), 1.0),
+    (TrigonometricFamily(3, 1.2), 1.25),
+    (ExponentialFamily(4, 6.0), 1.0),
+    (PolynomialFamily(4), 1.0),
+)
 
 
 def _recorded(build):
@@ -231,7 +245,8 @@ def _recorded(build):
             result = build()
         except Exception as exc:  # compared with the reference's
             result = exc
-    return result, [(w.category, str(w.message), getattr(w.message, "condition", None)) for w in caught]
+    events = [(w.category, str(w.message), getattr(w.message, "condition", None)) for w in caught]
+    return result, events
 
 
 def _one_by_one(sections):
@@ -263,7 +278,12 @@ class TestGroupedBuild:
 
     def test_bases_equal_one_section_builds(self):
         configs = [mixed_family_demo_config(), conic_profile_demo_config()]
-        configs += [_bench_config(w, 1) for w in ("build-cubic-fine", "sample-mixed", "refine-mixed")]
+        jitter = np.random.default_rng(1)
+        configs += [
+            _jittered_config(80, jitter, [(PolynomialFamily(3), 1.0)], [2]),
+            _jittered_config(48, jitter, MIXED_CYCLE, [2, 1]),
+            _jittered_config(12, jitter, MIXED_CYCLE, [2, 1]),
+        ]
         rng = np.random.default_rng(777)
         configs += [
             random_config(rng, int(rng.integers(1, 9)), max_degree=7) for _ in range(300)
@@ -322,12 +342,14 @@ class TestGroupedBuild:
         _assert_same_outcome(got, _recorded(lambda: _one_by_one(sections)))
 
     @pytest.mark.parametrize("routine", ["cond", "solve"])
-    def test_lapack_failure_names_its_section(self, routine, monkeypatch):
+    @pytest.mark.parametrize("length", [0.01, 1.0], ids=["warning", "clean"])
+    def test_lapack_failure_names_its_section(self, routine, length, monkeypatch):
         # LAPACK fails on the systems of the fourth of six sections of one
         # group; the failure is found section by section and raised after
-        # the warnings of the sections before it
+        # the warnings of the sections before it, if short sections warn
         sections = [
-            SectionSpace(k, k + 0.01 * (1.0 + 0.1 * k), TrigonometricFamily(6, 1.0)) for k in range(6)
+            SectionSpace(k, k + length * (1.0 + 0.1 * k), TrigonometricFamily(6, 1.0))
+            for k in range(6)
         ]
         # D b_0 at x_lo, -4/L: in the systems of that section only
         marked = sections[3].span_derivatives(sections[3].x_lo, 6)[0, 1]
@@ -343,9 +365,11 @@ class TestGroupedBuild:
             assert not np.any(np.array(tables) == marked)
         monkeypatch.setattr(np.linalg, routine, failing)
         got = _recorded(lambda: build_bases(sections))
-        assert isinstance(got[0], EctViolationError) and "[3.0, 3.013]" in str(got[0])
+        assert isinstance(got[0], EctViolationError)
+        assert f"[3.0, {sections[3].x_hi}]" in str(got[0])
         assert isinstance(got[0].__cause__, np.linalg.LinAlgError)
-        assert len(got[1]) == 3 * 7 + (7 if routine == "solve" else 0)
+        warned = 3 * 7 + (7 if routine == "solve" else 0)
+        assert len(got[1]) == (warned if length < 1.0 else 0)
         _assert_same_outcome(got, _recorded(lambda: _one_by_one(sections)))
 
     def test_custom_pair_error_is_raised_in_section_order(self):

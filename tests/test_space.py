@@ -477,16 +477,17 @@ class TestInsertKnot:
                     assert np.max(np.abs(curve(float(x)) - fine(float(x)))) <= 1e-12
 
     @staticmethod
-    def _cycle_space():
-        """A 12-interval cycle of a cubic, a trigonometric cubic (omega 1.2
-        on length 1.25), an exponential quartic and a quartic, joined C^2
-        and C^1 in turn, and the ends of its trigonometric element."""
+    def _cycle_space(repeats: int = 3):
+        """A ``4 * repeats``-interval cycle of a cubic, a trigonometric cubic
+        (omega 1.2 on length 1.25), an exponential quartic and a quartic,
+        joined C^2 and C^1 in turn, and the ends of its trigonometric
+        element."""
         cycle = [
             (PolynomialFamily(3), 1.0),
             (TrigonometricFamily(3, 1.2), 1.25),
             (ExponentialFamily(4, 6.0), 1.0),
             (PolynomialFamily(4), 1.0),
-        ] * 3
+        ] * repeats
         breakpoints = [0.0]
         for _, length in cycle:
             breakpoints.append(breakpoints[-1] + length)
@@ -599,8 +600,10 @@ class TestInsertKnot:
 
     def test_hermite_systems_stack_per_group(self, monkeypatch):
         # The 12-interval cycle has two non-polynomial (family, degree)
-        # groups of three sections: one condition call and one solve each,
-        # not one per section.  Polynomial sections solve nothing.
+        # groups of three sections, the 48-interval one two groups of twelve,
+        # whose endpoint tables come from one array call each: one condition
+        # call and one solve per group, not one per section.  Polynomial
+        # sections solve nothing.
         calls = {"cond": 0, "solve": 0}
         for name in calls:
             routine = getattr(np.linalg, name)
@@ -610,8 +613,10 @@ class TestInsertKnot:
                 return routine(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        self._cycle_space()
-        assert calls == {"cond": 2, "solve": 2}
+        for repeats in (3, 12):
+            calls.update(cond=0, solve=0)
+            self._cycle_space(repeats)
+            assert calls == {"cond": 2, "solve": 2}
         calls.update(cond=0, solve=0)
         build_space(uniform_cubic_config(80))
         assert calls == {"cond": 0, "solve": 0}
