@@ -5,17 +5,18 @@ binomial Bernstein polynomials: ``b_j`` vanishes to order ``j`` at the left
 endpoint and to order ``p - j`` at the right endpoint, the basis is
 nonnegative, and for sections containing constants it sums to one.
 
-A polynomial section's span basis is its binomial Bernstein basis, so its
-endpoint tables are exact constants, cached per degree and scaled by
-``L^-d``; nothing is solved.  For the other families the construction gathers
-the dense Hermite interpolation problems of all ``p + 1`` functions, and for a
-custom pair the ECT collocation splits, from the section's endpoint tables,
-and solves them in the span basis.  The bases of a whole space are built in
-one stacked pass per group of sections of one family kind and degree (a
-custom pair on its own): one scaling of the exact tables for a polynomial
-group, and otherwise one condition call and one stacked solve for all the
-Hermite problems of the group.  A single section is the one-section call of
-the same pass.
+Every section's endpoint tables come from one function for every family
+(:func:`~gtbsplines.sections._end_tables`): the exact Bernstein rows, cached
+per degree and scaled by ``L^-d``, then the pair's rows at both ends.  A
+polynomial section's span basis is its binomial Bernstein basis, so nothing
+is solved.  For the other families the construction gathers the dense
+Hermite interpolation problems of all ``p + 1`` functions, and for a custom
+pair the ECT collocation splits, from those tables, and solves them in the
+span basis.  The bases of a whole space are built in one stacked pass per
+group of sections of one family kind and degree (a custom pair on its own):
+one table call for the group and, unless it is polynomial, one condition
+call and one stacked solve for all its Hermite problems.  A single section
+is the one-section call of the same pass.
 """
 
 from __future__ import annotations
@@ -33,21 +34,13 @@ from .sections import (
     GeneralizedPolynomialFamily,
     PolynomialFamily,
     SectionSpace,
-    _as_float,
+    _end_tables,
     _family_groups,
-    _inverse_powers,
-    _span_table,
 )
 
 __all__ = ["BernsteinBasis", "build_bases", "build_bernstein"]
 
 COND_LIMIT = 1e12  # condition number above which a collocation solve is ill conditioned
-# Trigonometric or exponential groups of at least this many sections take
-# their endpoint tables from one array call, which has a fixed numpy cost of
-# a few sections' scalar calls: on the benchmark the scalar calls win for
-# insertion halves and for refine-mixed's groups of three, the array call
-# for sample-mixed's groups of twelve.
-_ARRAY_SECTIONS = 4
 
 
 @dataclass(eq=False)
@@ -92,22 +85,6 @@ class BernsteinBasis:
 
 
 @functools.lru_cache(maxsize=None)
-def _binomial_tables(p: int) -> np.ndarray:
-    """Endpoint tables of the degree-``p`` Bernstein polynomials in ``t`` on
-    ``[0, 1]``, stacked as ``[left, right]``: ``D^d B_j(0) = p!/(p-d)!
-    (-1)^(d-j) C(d, j)`` (zero for ``j > d``) and, by the mirror ``B_j(t) =
-    B_(p-j)(1 - t)``, ``D^d B_j(1) = (-1)^d D^d B_(p-j)(0)``.  Each entry is
-    its integer rounded once; entries beyond the float range are infinite."""
-    left = np.zeros((p + 1, p + 1))
-    for d in range(p + 1):
-        for j in range(d + 1):
-            left[j, d] = _as_float((-1) ** (d - j) * math.perm(p, d) * math.comb(d, j))
-    tables = np.array([left, left[::-1] * (-1.0) ** np.arange(p + 1)])
-    tables.flags.writeable = False
-    return tables
-
-
-@functools.lru_cache(maxsize=None)
 def _endpoint_systems(p: int) -> tuple[np.ndarray, np.ndarray]:
     """Row indices of the ``p + 3`` endpoint systems of a section, and the
     right-hand sides of its ``p + 1`` Hermite systems.
@@ -144,9 +121,9 @@ def build_bernstein(section: SectionSpace) -> BernsteinBasis:
     :func:`build_bases` on this section alone.
 
     A polynomial section needs no solve: its span basis is the Bernstein
-    basis (``coeffs is None``), and its endpoint tables are
-    :func:`_binomial_tables` with column ``d`` scaled by ``L^-d``.  Every
-    other section is built by Hermite solves in its span basis.
+    basis (``coeffs is None``), and its endpoint tables are the exact
+    binomial tables with column ``d`` scaled by ``L^-d``.  Every other
+    section is built by Hermite solves in its span basis.
 
     Function ``b_j`` has derivatives ``0 .. j-1`` vanishing at ``x_lo``,
     derivatives ``0 .. p-j-1`` vanishing at ``x_hi``, and one normalization:
@@ -175,7 +152,8 @@ def build_bernstein(section: SectionSpace) -> BernsteinBasis:
     before any warning, as does a user function that overflows at an end.
 
     For every family a non-finite endpoint table (the factorials overflow
-    from ``p = 171`` on, and ``L^-d`` on tiny intervals) raises
+    from ``p = 151`` on, ``p = 153`` with a pair, and ``L^-d`` on tiny
+    intervals) raises
     ``EctViolationError`` naming the section, and LAPACK never sees it.
     """
     return _build_group([section], strict=True)[0]
@@ -184,13 +162,12 @@ def build_bernstein(section: SectionSpace) -> BernsteinBasis:
 def build_bases(sections: Sequence[SectionSpace]) -> list[BernsteinBasis]:
     """Construct the Bernstein-like bases of ``sections`` in one stacked pass
     per group of sections of one family kind and degree (a custom pair is a
-    group of its own): one ``L^-d`` scaling of the exact tables for a
-    polynomial group, and otherwise one condition call and one solve for all
-    the Hermite systems of the group, gathered from the span tables at the
-    sections' ends: one array call for a group of at least four sections,
-    the checked :meth:`~gtbsplines.sections.SectionSpace.span_derivatives`
-    of each section for a smaller one.  Each basis equals the
-    :func:`build_bernstein` call of its section bit for bit.
+    group of its own): one endpoint-table call for the group -- the exact
+    Bernstein rows in one ``L^-d`` scaling, then for every family but the
+    polynomial one each section's pair rows at both ends -- and, unless the
+    group is polynomial, one condition call and one solve for all its
+    Hermite systems.  Each basis equals the :func:`build_bernstein` call of
+    its section bit for bit.
 
     The groups are built in the order of their first sections.  A group
     whose numbers would warn or raise -- a non-finite endpoint table, a
@@ -219,20 +196,17 @@ def _build_group(group: list[SectionSpace], strict: bool) -> list[BernsteinBasis
     section, whose numbers warn and raise as :func:`build_bernstein` says;
     otherwise numbers that would warn or raise give ``None``."""
     section, p = group[0], group[0].degree
-    polynomial = isinstance(section.family, PolynomialFamily)
     custom = isinstance(section.family, GeneralizedPolynomialFamily)
-    if polynomial:
-        scale = np.array([_inverse_powers(s.length, p) for s in group])[:, None, None]
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            tables = _binomial_tables(p) * scale
-    else:
-        tables = _endpoint_tables(group)
-    if not np.isfinite(tables).all():
+    try:
+        tables = _end_tables(group)
+    except OverflowError as exc:  # a custom pair's user functions
+        raise EctViolationError(f"endpoint derivatives of {section!r} overflow") from exc
+    if tables is None or not np.isfinite(tables).all():
         if strict:
             raise EctViolationError(f"non-finite endpoint derivative tables of {section!r}")
         return None
     t_lo, t_hi = tables[:, 0], tables[:, 1]
-    if polynomial:
+    if isinstance(section.family, PolynomialFamily):
         return list(map(BernsteinBasis, group, [None] * len(group), t_lo, t_hi))
     rows, unit = _endpoint_systems(p)
     # row e * (p + 1) + d of a section's stacked endpoint table is order d at end e
@@ -263,29 +237,6 @@ def _build_group(group: list[SectionSpace], strict: bool) -> list[BernsteinBasis
         coeffs[:, j] *= -np.add.reduce(left[:, :j, j], axis=1, keepdims=True)
         np.matmul(coeffs[:, j, None], t_lo, out=left[:, j, None])
     return list(map(BernsteinBasis, group, coeffs, left, coeffs @ t_hi))
-
-
-def _endpoint_tables(group: list[SectionSpace]) -> np.ndarray:
-    """The span tables at both ends of each section of a trigonometric or
-    exponential group, or of a custom pair, stacked as ``(g, 2, p + 1, p +
-    1)``.  Fewer than ``_ARRAY_SECTIONS`` sections take their checked span
-    tables, two scalar calls each; a larger group takes one array span-table
-    call at both ends of all its sections, with each section's pair
-    constants, which gives the same bits."""
-    p = group[0].degree
-    if len(group) < _ARRAY_SECTIONS:  # a custom pair is a group of one
-        try:
-            tables = [s.span_derivatives(x, p) for s in group for x in (s.x_lo, s.x_hi)]
-        except OverflowError as exc:  # a custom pair's user functions
-            raise EctViolationError(f"endpoint derivatives of {group[0]!r} overflow") from exc
-        return np.array(tables).reshape(len(group), 2, p + 1, p + 1)
-    x_lo, x_hi = np.array([s.x_lo for s in group]), np.array([s.x_hi for s in group])
-    wl, den, neg, pos = (np.array(c * 2) for c in zip(*(s._pair for s in group)))
-    ends, x_lo, x_hi = np.concatenate([x_lo, x_hi]), np.tile(x_lo, 2), np.tile(x_hi, 2)
-    # numpy warns where the scalar path overflows silently; both are checked
-    with np.errstate(all="ignore"):
-        tables = _span_table(group[0].family, ends, x_lo, x_hi, p + 1, (wl, den, neg.T, pos.T))
-    return tables.reshape(2, len(group), p + 1, p + 1).transpose(1, 0, 2, 3)
 
 
 def _check_conditions(section: SectionSpace, conds: list, custom: bool) -> None:

@@ -118,6 +118,8 @@ class Partition:
             raise InvalidFamilyError(f"breakpoints must be finite, got {bp}")
         if any(b <= a for a, b in zip(bp, bp[1:])):
             raise InvalidFamilyError("breakpoints must be strictly increasing")
+        if not math.isfinite(bp[-1] - bp[0]):
+            raise InvalidFamilyError(f"domain [{bp[0]}, {bp[-1]}] too long: b - a overflows")
         object.__setattr__(self, "breakpoints", bp)
 
     @property
@@ -240,6 +242,31 @@ def _inverse_powers(length: float, n: int) -> list[float]:
     return out
 
 
+def _bernstein_degree(family) -> int:
+    """Degree ``q`` of the Bernstein rows that start a section's span basis:
+    ``p`` for a polynomial section, ``p - 2`` when the pair follows."""
+    return family.degree if isinstance(family, PolynomialFamily) else family.degree - 2
+
+
+@functools.lru_cache(maxsize=None)
+def _binomial_tables(q: int) -> np.ndarray | None:
+    """Endpoint tables of the degree-``q`` Bernstein polynomials in ``t`` on
+    ``[0, 1]``, stacked as ``[left, right]``: ``D^d B_j(0) = q!/(q-d)!
+    (-1)^(d-j) C(d, j)`` (zero for ``j > d``) and, by the mirror ``B_j(t) =
+    B_(q-j)(1 - t)``, ``D^d B_j(1) = (-1)^d D^d B_(q-j)(0)``.  Each entry is
+    its integer rounded once; entries beyond the float range are infinite.
+    ``None``, before any integer work, once entry ``(0, q) = q!`` is."""
+    if q > 0 and math.lgamma(q + 1) > math.log(np.finfo(float).max):
+        return None
+    left = np.zeros((q + 1, q + 1))
+    for d in range(q + 1):
+        for j in range(d + 1):
+            left[j, d] = _as_float((-1) ** (d - j) * math.perm(q, d) * math.comb(d, j))
+    tables = np.array([left, left[::-1] * (-1.0) ** np.arange(q + 1)])
+    tables.flags.writeable = False
+    return tables
+
+
 @functools.lru_cache(maxsize=None)
 def _bernstein_layout(q: int, width: int) -> tuple[tuple, tuple, tuple]:
     """Layout ``(monomials, heads, tails)`` of the derivative table of the
@@ -302,12 +329,15 @@ def _pair_constants(family, length: float, orders):
     return wl, den, [neg[d] for d in orders], [pos[d] for d in orders]
 
 
-def _pair_rows(family, t, s, constants, orders) -> tuple[list, list]:
-    """``[D^d U*(x) for d in orders]`` and ``[D^d V*(x) for d in orders]``
-    of a trigonometric/exponential section at ``t = (x - x_lo)/L`` and ``s =
-    (x_hi - x)/L``, from :func:`_pair_constants` whose factor lists start at
-    the same orders.  Each transcendental function is evaluated once per
-    call, whatever the number of orders."""
+def _pair_rows(family, x, t, s, constants, orders) -> list:
+    """The pair rows of a non-polynomial section at ``x``, ``t = (x -
+    x_lo)/L`` and ``s = (x_hi - x)/L``: ``[D^d U(x) for d in orders]`` then
+    the same for ``V``.  A custom pair (``constants`` is ``None``) calls the
+    user's functions; a trigonometric/exponential one gives ``U*``, ``V*``
+    from :func:`_pair_constants` whose factor lists start at the same
+    orders, evaluating each transcendental function once per call."""
+    if constants is None:
+        return [_call_pointwise(f, x, d) for f in (family.u, family.v) for d in orders]
     # At a point, numpy's values are turned into Python floats: the
     # same bits as the array entries, and cheaper arithmetic.
     scalar = not isinstance(t, np.ndarray)
@@ -319,10 +349,9 @@ def _pair_rows(family, t, s, constants, orders) -> tuple[list, list]:
             sa, ca, sb, cb = float(sa), float(ca), float(sb), float(cb)
         # derivative cycle of sin: sin, cos, -sin, -cos
         cyc_a, cyc_b = (sa, ca, -sa, -ca), (sb, cb, -sb, -cb)
-        return (
-            [f * cyc_a[d % 4] / den for f, d in zip(neg, orders)],
-            [f * cyc_b[d % 4] / den for f, d in zip(pos, orders)],
-        )
+        return [f * cyc_a[d % 4] / den for f, d in zip(neg, orders)] + [
+            f * cyc_b[d % 4] / den for f, d in zip(pos, orders)
+        ]
     # (sinh, cosh)(v) / sinh(wl) = e^(v - wl) (1 -+ e^(-2v)) / (1 - e^(-2 wl)),
     # the derivative cycle of sinh: exact and overflow-free for every wl > 0
     ea, ma, eb, mb = np.exp(a - wl), np.expm1(-2.0 * a), np.exp(b - wl), np.expm1(-2.0 * b)
@@ -330,10 +359,9 @@ def _pair_rows(family, t, s, constants, orders) -> tuple[list, list]:
         ea, ma, eb, mb = float(ea), float(ma), float(eb), float(mb)
     ea, eb = ea / den, eb / den
     ratio_a, ratio_b = (-ma * ea, (2.0 + ma) * ea), (-mb * eb, (2.0 + mb) * eb)
-    return (
-        [f * ratio_a[d % 2] for f, d in zip(neg, orders)],
-        [f * ratio_b[d % 2] for f, d in zip(pos, orders)],
-    )
+    return [f * ratio_a[d % 2] for f, d in zip(neg, orders)] + [
+        f * ratio_b[d % 2] for f, d in zip(pos, orders)
+    ]
 
 
 def _span_table(family, x, x_lo, x_hi, width: int, pair) -> np.ndarray:
@@ -341,8 +369,7 @@ def _span_table(family, x, x_lo, x_hi, width: int, pair) -> np.ndarray:
     section ``[x_lo, x_hi]`` with its ``_pair``, or at an array of points of
     sections of one kind and degree (one custom pair) with ``x_lo``,
     ``x_hi`` and the numbers of ``pair`` given per point."""
-    p = family.degree
-    q = p if isinstance(family, PolynomialFamily) else p - 2
+    p, q = family.degree, _bernstein_degree(family)
     # powers by repeated products, a monomial's three factors left to
     # right, an entry's terms in i order
     length = x_hi - x_lo
@@ -357,19 +384,37 @@ def _span_table(family, x, x_lo, x_hi, width: int, pair) -> np.ndarray:
     entries = [f * mono[k] for f, k in heads]
     for e, f, k in tails:
         entries[e] += f * mono[k]  # in place on an array: a fresh product
-    if pair is not None:
-        us, vs = _pair_rows(family, t, s, pair, range(width))
-        entries += us
-        entries += vs
-    elif q < p:  # a custom pair: the user's functions
-        entries += [_call_pointwise(family.u, x, d) for d in range(width)]
-        entries += [_call_pointwise(family.v, x, d) for d in range(width)]
+    if q < p:
+        entries += _pair_rows(family, x, t, s, pair, range(width))
     if not isinstance(x, np.ndarray):
         return np.array(entries).reshape(p + 1, width)
     out = np.empty((len(x), len(entries)))
     for i, column in enumerate(entries):
         out[:, i] = column
     return out.reshape(len(x), p + 1, width)
+
+
+def _end_tables(group) -> np.ndarray | None:
+    """The span tables at both ends of each section of ``group`` (one kind and
+    degree, or one custom pair) as ``(g, 2, p + 1, p + 1)``: the rows of
+    :func:`_binomial_tables` scaled by ``L^-d``, equal to :func:`_span_table`'s
+    up to the sign of zeros, then :func:`_pair_rows`, bit for bit.  ``None``
+    where :func:`_binomial_tables` is; overflow is left to the caller."""
+    p, q = group[0].degree, _bernstein_degree(group[0].family)
+    exact = _binomial_tables(q)
+    if exact is None:
+        return None
+    scale = np.array([_inverse_powers(s.length, q) for s in group])[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = exact * scale
+    if q == p:
+        return rows
+    tables = np.zeros((len(group), 2, p + 1, p + 1))
+    tables[:, :, : q + 1, : q + 1] = rows
+    ends = [(s, x, t) for s in group for x, t in ((s.x_lo, 0.0), (s.x_hi, 1.0))]
+    pairs = [_pair_rows(s.family, x, t, 1.0 - t, s._pair, range(p + 1)) for s, x, t in ends]
+    tables[:, :, q + 1 :] = np.reshape(pairs, (len(group), 2, 2, p + 1))
+    return tables
 
 
 class SectionSpace:
@@ -391,6 +436,8 @@ class SectionSpace:
         x_lo, x_hi = float(x_lo), float(x_hi)
         if not (x_lo < x_hi):
             raise InvalidFamilyError(f"empty section interval [{x_lo}, {x_hi}]")
+        if not math.isfinite(x_hi - x_lo):
+            raise InvalidFamilyError(f"section [{x_lo}, {x_hi}] too long: its length overflows")
         if isinstance(family, TrigonometricFamily):
             if family.omega * (x_hi - x_lo) >= math.pi:
                 raise InvalidFamilyError(
@@ -473,7 +520,7 @@ class SectionSpace:
 
             def pair(x, order=0):
                 t, s = (x - lo) / L, (hi - x) / L
-                (u,), (v,) = _pair_rows(fam, t, s, _pair_constants(fam, L, [order]), [order])
+                u, v = _pair_rows(fam, x, t, s, _pair_constants(fam, L, [order]), [order])
                 return u, v
 
             return pair

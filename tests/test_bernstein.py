@@ -159,6 +159,22 @@ class TestDegreeRange:
             build_bernstein(SectionSpace(0.0, 1.0, TrigonometricFamily(3, 1.0)))
 
 
+@pytest.mark.parametrize(
+    "family",
+    [PolynomialFamily(5000), TrigonometricFamily(5000, 1.0), ExponentialFamily(5000, 1.0)],
+    ids=lambda family: type(family).__name__,
+)
+def test_certain_overflow_computes_no_factorial(family, monkeypatch):
+    # q! is past the float range from q = 171 on, so the tables could only
+    # be non-finite: the build raises before any big-integer work
+    def perm(*args):
+        raise AssertionError(f"math.perm{args} called")
+
+    monkeypatch.setattr(math, "perm", perm)
+    with pytest.raises(EctViolationError, match="non-finite endpoint derivative tables"):
+        build_space(SpaceConfig([0.0, 1.0], [family], []))
+
+
 def _assert_same_warnings(got, want):
     """Conditioning warnings for the same ``b_j`` in the same order, with
     condition numbers within 1e-8 relative."""

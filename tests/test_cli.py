@@ -113,6 +113,32 @@ class TestBuild:
         assert "extraction identity" in out.read_text()
 
 
+@pytest.mark.parametrize(
+    "verb",
+    [
+        ["build", "b.txt"],
+        ["sample", "--csv", "s.csv"],
+        ["verify"],
+        ["insert", "--at", "0.25", "m.csv"],
+    ],
+    ids=lambda verb: verb[0],
+)
+def test_overflowing_domain_length_is_one_error_line(verb, tmp_path, capfd, monkeypatch):
+    # both ends are finite, b - a is not
+    cfg = {
+        "breakpoints": [-1e308, 1e308],
+        "sections": [{"family": "polynomial", "degree": 3}],
+        "smoothness": [],
+    }
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "space.json").write_text(json.dumps(cfg))
+    assert main([verb[0], "space.json", *verb[1:]]) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err == "error: domain [-1e+308, 1e+308] too long: b - a overflows\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["space.json"]
+
+
 class TestSample:
     def test_row_sums_and_blocks(self, demo_config_path, tmp_path):
         out = tmp_path / "s.csv"

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -287,8 +288,17 @@ class TestNullspaceStep:
         factor = apply_factor(np.eye(n), (lo, hi), nullspace_step(a, (lo, hi)))
         assert factor.shape == (n - 1, n)
         assert np.max(np.abs(factor @ a)) <= 1e-13 * np.max(np.abs(a))
-        for k, alpha in alphas.items():
-            assert factor[k - 1, k - 1] == pytest.approx(alpha, rel=1e-12)
+        # The float vector a does not encode the drawn alphas; its own are the
+        # cascade run in rationals.  Each band step multiplies the float
+        # recursion's relative error by at most max(1, beta/alpha).
+        assert factor[lo - 1, lo - 1] == 1.0
+        alpha, growth = Fraction(1), 1.0
+        for k in range(lo, hi - 1):  # 0-based band position k + 1
+            beta = -alpha * Fraction(a[k - 1]) / Fraction(a[k])
+            alpha = 1 - beta
+            growth *= max(1.0, float(beta / alpha))
+            bound = 4 * n * np.finfo(float).eps * growth
+            assert abs(Fraction(factor[k, k]) - alpha) <= Fraction(bound) * alpha
         sums = factor.sum(axis=0)
         if hi < n:
             assert np.max(np.abs(sums - 1.0)) <= 1e-12

@@ -22,7 +22,7 @@ from gtbsplines import (
     build_space,
 )
 from gtbsplines.bernstein import COND_LIMIT, _endpoint_systems
-from gtbsplines.sections import weight_system
+from gtbsplines.sections import _end_tables, weight_system
 
 from helpers import (
     central_diff,
@@ -83,6 +83,19 @@ class TestPartition:
     def test_rejects_non_increasing(self):
         with pytest.raises(InvalidFamilyError):
             Partition((0.0, 1.0, 1.0))
+
+    def test_rejects_overflowing_length(self):
+        # b - a is inf although both ends are finite
+        with pytest.raises(InvalidFamilyError, match=r"\[-1e\+308, 1e\+308\].* overflows"):
+            Partition((-1e308, 1e308))
+        with pytest.raises(InvalidFamilyError, match=r"\[-1e\+308, 1e\+308\].* overflows"):
+            SectionSpace(-1e308, 1e308, PolynomialFamily(3))
+        # each interval's length is finite, the domain's is not: no false
+        # BasisNonexistenceError from the C^2 cubic
+        config = SpaceConfig([-1e308, 0.0, 1e308], [PolynomialFamily(3)] * 2, [2])
+        with pytest.raises(InvalidFamilyError, match=r"domain \[-1e\+308, 1e\+308\]"):
+            build_space(config)
+        Partition((-1e308, 0.0))  # the longest domains still pass
 
     def test_locate_uses_right_limits(self):
         part = Partition((0.0, 1.0, 2.0))
@@ -215,9 +228,65 @@ class TestSpanDerivatives:
         monkeypatch.setattr(SectionSpace, "span_derivatives", counted_span)
         monkeypatch.setattr(np.linalg, "cond", counted_cond)
         build_space(SpaceConfig([section.x_lo, section.x_hi], [section.family], []))
-        # a polynomial section reads its exact tables: no span table, no check
+        # every section reads its exact tables and its pair rows: no span
+        # table; a polynomial section needs no check either
         polynomial = isinstance(section.family, PolynomialFamily)
-        assert calls == ({"span": 0, "cond": 0} if polynomial else {"span": 2, "cond": 1})
+        assert calls == {"span": 0, "cond": 0 if polynomial else 1}
+
+
+def _random_group(rng, kind: str, size: int) -> list:
+    """``size`` adjoining sections of one kind and a random degree (degree-1
+    pairs included), of lengths in 1e-3 .. 10 and random omega; a custom
+    pair is a group of one."""
+    if kind == "custom":
+        c = float(rng.uniform(-2.0, 2.0))
+        family = GeneralizedPolynomialFamily(
+            int(rng.integers(2, 12)),
+            u=lambda x, d: math.exp(c * x) * c**d,
+            v=lambda x, d: math.cos(x + d * math.pi / 2),
+        )
+        return [SectionSpace(0.1, 0.1 + 10.0 ** rng.uniform(-3.0, 1.0), family)]
+    p, group, x = int(rng.integers(1, 12)), [], float(rng.uniform(-5.0, 5.0))
+    for length in 10.0 ** rng.uniform(-3.0, 1.0, size):
+        if kind == "trigonometric":
+            family = TrigonometricFamily(p, rng.uniform(0.01, 0.99) * math.pi / length)
+        else:
+            family = ExponentialFamily(p, 10.0 ** rng.uniform(-3.0, 1.5) / length)
+        group.append(SectionSpace(x, x + length, family))
+        x += length
+    return group
+
+
+class TestEndTables:
+    """The one endpoint-table path: the pair rows are the span table's bits
+    at both ends, the Bernstein rows its values (up to the sign of zeros)."""
+
+    @pytest.mark.parametrize("kind", ["trigonometric", "exponential", "custom"])
+    def test_match_span_tables_at_the_ends(self, kind):
+        rng = np.random.default_rng(23)
+        for size in range(1, 15):
+            group = _random_group(rng, kind, size)
+            tables, p = _end_tables(group), group[0].degree
+            assert tables.shape == (len(group), 2, p + 1, p + 1)
+            for section, ends in zip(group, tables):
+                for got, x in zip(ends, (section.x_lo, section.x_hi)):
+                    want = section.span_derivatives(x, p)
+                    assert got[p - 1 :].tobytes() == want[p - 1 :].tobytes()
+                    assert np.array_equal(got[: p - 1], want[: p - 1])
+
+    @pytest.mark.parametrize("length", [1e-3, 1e-9, 1e-40, 1e-300])
+    @pytest.mark.parametrize("omega_length", [1e-300, 1e-9, 1.0, 3.0])
+    @pytest.mark.parametrize("kind", [TrigonometricFamily, ExponentialFamily])
+    @pytest.mark.parametrize("p", [1, 3, 8, 40])
+    def test_non_finite_exactly_where_the_span_tables_are(self, p, kind, omega_length, length):
+        section = SectionSpace(0.0, length, kind(p, omega_length / length))
+        with np.errstate(all="ignore"):
+            want = [section.span_derivatives(x, p) for x in (section.x_lo, section.x_hi)]
+        finite = np.isfinite(want).all()
+        assert np.isfinite(_end_tables([section])).all() == finite
+        if not finite:
+            with pytest.raises(EctViolationError, match="non-finite endpoint derivative tables"):
+                build_space(SpaceConfig([0.0, length], [section.family], []))
 
 
 class TestCustomPairCheck:
