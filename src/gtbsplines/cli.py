@@ -237,9 +237,7 @@ def cmd_verify(args) -> int:
     else:
         probe = probe[::2]
         ours = eval_basis(space, probe)[:, :, 0]
-        ref = np.array(
-            [local_recurrence_eval(space, k, probe) for k in range(1, space.n_basis + 1)]
-        ).T
+        ref = local_recurrence_eval(space, range(1, space.n_basis + 1), probe)
         err = float(np.max(np.abs(ours - ref)))
         ok &= _check("oracle-integral-recurrence", err <= 1e-7, f"max dev {err:.3g}")
 

@@ -2,19 +2,20 @@
 
 Two kinds of oracles live here:
 
-* Integral recurrences: the smooth basis can be built level by level from
-  weight functions, normalizing each intermediate function to unit mass and
-  integrating differences of neighbors.  Functions are represented as
-  per-element Chebyshev interpolants, so the oracle shares no coefficient
-  representation with the production path; target accuracy ~1e-10.
-  Construction is linear algebra on one cached rule per node count: the
-  matrices that fit node values to coefficients and map coefficients to the
-  within-element cumulative integral at the nodes, and the row that maps
-  them to the element mass.  Each section's weights are evaluated once, on
-  its element's nodes, and each cumulative once per intermediate function.
-  Each intermediate function keeps its pieces, masses and cumulatives only
-  over the elements its support covers, so construction is linear in the
-  number of functions.
+* Integral recurrences: the smooth basis built level by level from the
+  sections' weights (Lyche, *Constr. Approx.* 1, 1985), each intermediate
+  function of unit mass and held as per-element Chebyshev interpolants, so
+  the oracle shares no coefficient representation with the production path;
+  target accuracy ~1e-10.  With ``p`` the largest degree, element ``e`` of
+  degree ``p_e`` carries at level ``q`` the ``K = q - (p - p_e) + 1``
+  functions ending at its last active one, whose integrands there are
+  ``w_(p-q)`` times the first differences of the stencil ``[1 | the
+  unit-mass cumulatives of the K - 1 level-(q-1) functions on e | 0]`` (at
+  ``K = 1`` the base case ``w_(p_e)``; a function of mass <= 0 has
+  cumulative 1).  A level is thus one fit, cumulative and mass product per
+  group of elements of one family kind, degree and node count, then one
+  pass over its (function, element) pairs for the masses before each
+  element.  Only the sections, their weights and the knot layout are read.
 * The classical Cox-de Boor recursion for uniform-degree polynomial spaces,
   including derivatives, as an entirely separate reference: it uses no
   extraction, space or Bernstein code.  It is local: one span search per
@@ -35,9 +36,10 @@ import numpy as np
 import numpy.polynomial.chebyshev as _cheb
 
 from .errors import ConfigError, OracleUnsupportedError
-from .sections import SectionSpace, _points_in, weight_system
+from .sections import _family_groups, _integer, _points_in, _weight_rows, weight_system
 
 if TYPE_CHECKING:
+    from .sections import SectionSpace
     from .space import GTSplineSpace
 
 __all__ = [
@@ -91,59 +93,14 @@ def _section_nodes(section: SectionSpace) -> int:
     return int(min(_MAX_NODES, _BASE_NODES + 16 + 8 * math.ceil(stiffness)))
 
 
-class _Element:
-    """One partition interval with its Chebyshev rule."""
-
-    def __init__(self, lo: float, hi: float, n_nodes: int = _BASE_NODES):
-        self.lo = lo
-        self.hi = hi
-        self.half = 0.5 * (hi - lo)
-        self.mid = 0.5 * (lo + hi)
-        self.n_nodes = n_nodes
-        self.rule = _fit_rule(n_nodes)
-        self.nodes = self.mid + self.half * self.rule.t_nodes
-
-    def to_t(self, x):
-        return (np.asarray(x) - self.mid) / self.half
-
-    def fit(self, values) -> np.ndarray:
-        return self.rule.fit @ np.asarray(values, dtype=float)
-
-    def cumulative(self, coef: np.ndarray) -> np.ndarray:
-        """Integral of the piece ``coef`` from ``lo`` to each node."""
-        return self.half * (self.rule.cumulative @ coef)
-
-    def mass(self, coef: np.ndarray) -> float:
-        """Integral of the piece ``coef`` over the element."""
-        return float(self.half * (self.rule.mass @ coef))
-
-
-class _LevelFunction:
-    """Chebyshev pieces of one intermediate function on the elements
-    ``first, first + 1, ...`` its support covers (``None`` where it has no
-    piece), with their masses and, for a positive total mass, its unit-mass
-    cumulative on the nodes of each element it has a piece on."""
-
-    def __init__(self, first: int, pieces: list[np.ndarray | None], elements: list[_Element]):
-        self.first = first
-        self.pieces = pieces
-        within: list[np.ndarray | None] = [None] * len(pieces)
-        masses = np.zeros(len(pieces))
-        for i, coef in enumerate(pieces):
-            if coef is not None:
-                within[i] = elements[first + i].cumulative(coef)
-                masses[i] = elements[first + i].mass(coef)
-        self.prefix = np.concatenate([[0.0], np.cumsum(masses)])
-        self.total = float(self.prefix[-1])
-        self.cumulative = [
-            None if w is None or self.total <= 0.0 else (self.prefix[i] + w) / self.total
-            for i, w in enumerate(within)
-        ]
-
-    def piece(self, e: int) -> np.ndarray | None:
-        """Chebyshev coefficients on element ``e``, ``None`` off the cover."""
-        i = e - self.first
-        return self.pieces[i] if 0 <= i < len(self.pieces) else None
+def _clenshaw(t, coef):
+    """The Chebyshev series ``coef`` at ``t`` by numpy's ``chebval``
+    recurrence, elementwise: on floats and a list, or on an array of points
+    and the ``(n, len(t))`` array of their series, with the same bits."""
+    x2, c0, c1 = 2.0 * t, coef[-2], coef[-1]
+    for i in range(3, len(coef) + 1):
+        c0, c1 = coef[-i] - c1, c0 + c1 * x2
+    return c0 + c1 * t
 
 
 class RecurrenceEvaluator:
@@ -155,134 +112,159 @@ class RecurrenceEvaluator:
     mode : {"local", "global"}
         ``local`` applies each section's own weight ladder with the
         per-element base case; ``global`` zero-pads the weight ladders to the
-        maximal length and uses one uniform formula for every level.
-        Both reproduce the same basis.
+        maximal length and uses one uniform formula for every level, the
+        base case only at level 0.  Both reproduce the same basis.
+
+    ``levels[q]`` maps each function of level ``q`` to its total mass.
     """
 
     def __init__(self, space: GTSplineSpace, mode: str = "local"):
         if mode not in ("local", "global"):
             raise ValueError(f"unknown mode {mode!r}")
-        self.space = space
-        self.mode = mode
-        self.p_max = max(space.degrees)
-        self.n_basis = space.n_basis
-        bp = space.partition.breakpoints
-        self.elements = [
-            _Element(bp[e], bp[e + 1], _section_nodes(basis.section))
-            for e, basis in enumerate(space.bases)
+        self.space, self.mode = space, mode
+        self.p_max, self.n_basis = max(space.degrees), space.n_basis
+        bp = np.array(space.partition.breakpoints)
+        self._mid, self._half = 0.5 * (bp[:-1] + bp[1:]), 0.5 * (bp[1:] - bp[:-1])
+        self._degree = np.array(space.degrees)
+        self._first = space.knots.sigma[1:] - self._degree  # each element's first function, 1-based
+        sections = [basis.section for basis in space.bases]
+        count = [_section_nodes(section) for section in sections]
+        groups: dict[tuple, list[int]] = {}
+        for key, es in _family_groups(enumerate(sections)).items():
+            for e in es:
+                groups.setdefault((key, count[e]), []).append(e)
+        self._groups = [
+            (count[es[0]], sections[es[0]].degree, np.array(es)) for es in groups.values()
         ]
-        # Support ends as element indices: function k (1-based) starts on
-        # element _first_element[k - 1] and ends before _stop_element[k - 1].
-        first, stop = space.knots.support(np.arange(1, self.n_basis + 1))
-        self._first_element, self._stop_element = first.tolist(), stop.tolist()
-        # Weights w_0 .. w_p of each section on its element's nodes.
-        self._weights: list[np.ndarray] = []
-        for basis, elem in zip(space.bases, self.elements):
-            try:
-                self._weights.append(weight_system(basis.section, elem.nodes))
-            except Exception as exc:
-                raise OracleUnsupportedError(
-                    f"no computable weight ladder for {basis.section!r}: {exc}"
-                ) from exc
-        self.levels: list[dict[int, _LevelFunction]] = []
-        self._build()
+        self._group, self._row = np.zeros((2, len(sections)), dtype=int)  # each element's place
+        for g, (_, _, es) in enumerate(self._groups):
+            self._group[es], self._row[es] = g, np.arange(len(es))
+        self.levels: list[dict[int, float]] = []
+        self._top = self._build(self._weights(sections))
 
-    # -- construction ------------------------------------------------------
+    def _weights(self, sections) -> list[np.ndarray]:
+        """``[w_(p_e - 1), w_(p_e)]`` on each group's nodes as ``(2, n, G)``
+        (ones for degree 0), from one array evaluation per group."""
+        out = []
+        try:
+            for n, p_e, es in self._groups:
+                nodes = self._mid[es] + self._half[es] * _fit_rule(n).t_nodes[:, None]
+                at = np.tile(np.arange(len(es)), n)  # each node's column: its element
+                group = [sections[e] for e in es]
+                rows = _weight_rows(group, nodes.ravel(), at) if p_e else np.ones((2, nodes.size))
+                out.append(rows.reshape(2, n, len(es)))
+        except Exception:
+            # name the first section, in element order, whose weights fail
+            for e, section in enumerate(sections):
+                try:
+                    t_nodes = _fit_rule(_section_nodes(section)).t_nodes
+                    weight_system(section, self._mid[e] + self._half[e] * t_nodes)
+                except Exception as exc:
+                    raise OracleUnsupportedError(
+                        f"no computable weight ladder for {section!r}: {exc}"
+                    ) from exc
+            raise
+        return out
 
-    def _support_elements(self, k: int, q: int) -> range:
-        """0-based element indices covered by the support of function (k, q)."""
-        right_idx = k - self.p_max + q
-        if right_idx < 1:
-            return range(0)
-        return range(self._first_element[k - 1], self._stop_element[right_idx - 1])
-
-    def _term_cumulative(self, level: dict[int, _LevelFunction], j: int, e: int) -> np.ndarray:
-        """Unit-mass cumulative of term ``j`` of the previous level on
-        element ``e`` nodes, honoring the zero-mass step convention."""
-        elem = self.elements[e]
-        if j > self.n_basis:
-            return np.zeros(elem.n_nodes)
-        fn = level.get(j)
-        if fn is None or fn.total <= 0.0:
-            # Zero-mass convention: the normalized cumulative degenerates to a
-            # unit step at the left support knot.
-            step = 1.0 if self._first_element[j - 1] <= e else 0.0
-            return np.full(elem.n_nodes, step)
-        i = e - fn.first
-        cumulative = fn.cumulative[i] if 0 <= i < len(fn.cumulative) else None
-        if cumulative is None:
-            # the mass left of element e: none before the cover, all after it
-            left = fn.prefix[min(max(i, 0), len(fn.pieces))]
-            return np.full(elem.n_nodes, left / fn.total)
-        return cumulative
-
-    def _build(self) -> None:
-        degrees = self.space.degrees
+    def _build(self, weights: list[np.ndarray]) -> list[np.ndarray]:
+        """Run the levels on ``(n, G, K)`` arrays, nodes first, so that a rule
+        is one matrix product; the top level's coefficients per group."""
         p = self.p_max
+        previous: dict[int, tuple] = {}  # a group's last coefficients, masses before, totals
         for q in range(p + 1):
-            level: dict[int, _LevelFunction] = {}
-            prev = self.levels[q - 1] if q > 0 else {}
-            for k in range(p - q + 1, self.n_basis + 1):
-                cover = self._support_elements(k, q)
-                if not cover:
+            level, functions, elements, masses = [], [], [], []
+            for g, (n, p_e, es) in enumerate(self._groups):
+                K = q - (p - p_e) + 1
+                if K < 1:
                     continue
-                pieces: list[np.ndarray | None] = [None] * len(cover)
-                nonzero = False
-                for i, e in enumerate(cover):
-                    p_e = degrees[e]
-                    gap = p - p_e
-                    if self.mode == "local":
-                        if q < gap:
-                            continue
-                        base = q == gap
-                    else:
-                        if p - q > p_e:
-                            continue
-                        base = q == 0
-                    if base:
-                        vals = self._weights[e][p_e]
-                    else:
-                        diff = self._term_cumulative(prev, k, e) - self._term_cumulative(
-                            prev, k + 1, e
-                        )
-                        vals = self._weights[e][p - q] * diff
-                    pieces[i] = self.elements[e].fit(vals)
-                    nonzero = True
-                if nonzero:
-                    level[k] = _LevelFunction(cover.start, pieces, self.elements)
-            self.levels.append(level)
+                rule = _fit_rule(n)
+                if K == 1 and (self.mode == "local" or q == 0):
+                    vals = weights[g][1][:, :, None]
+                else:
+                    stencil = np.ones((n, len(es), K + 1))
+                    stencil[:, :, K] = 0.0
+                    if K > 1:  # the unit-mass cumulatives of the previous level
+                        coef, before, total = previous[g]
+                        within = (rule.cumulative @ coef).reshape(n, len(es), K - 1)
+                        within *= self._half[es, None]
+                        np.divide(before + within, total, out=stencil[:, :, 1:K], where=total > 0)
+                    vals = stencil[:, :, :-1] - stencil[:, :, 1:]
+                    if K <= 2:  # w_(p_e) or w_(p_e - 1); the lower weights are one
+                        vals = weights[g][2 - K][:, :, None] * vals
+                coef = rule.fit @ vals.reshape(n, -1)
+                level.append((g, coef))
+                masses.append(self._half[es, None] * (rule.mass @ coef).reshape(-1, K))
+                functions.append(self._first[es, None] + p_e - K + 1 + np.arange(K))
+                elements.append(np.broadcast_to(es[:, None], (len(es), K)))
+            befores, totals = self._mass_before(functions, elements, masses)
+            previous = {g: (coef, b, t) for (g, coef), b, t in zip(level, befores, totals)}
+        return [coef.reshape(n, len(es), -1) for (n, _, es), (_, coef) in zip(self._groups, level)]
 
-    # -- queries -----------------------------------------------------------
+    def _mass_before(self, functions, elements, masses):
+        """Per group, each (function, element) pair's mass of the function
+        before the element, summed element by element from the left, and its
+        total; the level's totals go to ``levels``."""
+        k, e, mass = (
+            np.concatenate([a.ravel() for a in pairs]) for pairs in (functions, elements, masses)
+        )
+        order = np.lexsort((e, k))
+        k = k[order]
+        head = np.flatnonzero(np.concatenate([[True], k[1:] != k[:-1]]))
+        segment = np.repeat(np.arange(len(head)), np.diff(np.append(head, len(k))))
+        pos = np.arange(len(k)) - head[segment]
+        running = np.zeros((len(head), pos.max() + 1))
+        running[segment, pos] = mass[order]
+        running = np.cumsum(running, axis=1)
+        self.levels.append(dict(zip(k[head].tolist(), running[:, -1].tolist())))
+        before, total = np.empty((2, len(k)))
+        before[order] = np.where(pos > 0, running[segment, pos - 1], 0.0)
+        total[order] = running[segment, -1]
+        ends = np.cumsum([m.size for m in masses])[:-1]
+        return [
+            [a.reshape(m.shape) for a, m in zip(np.split(b, ends), masses)] for b in (before, total)
+        ]
 
-    def evaluate(self, k: int, x):
-        """Value of basis function ``k`` at ``x``: its top-level function.
-
-        A scalar ``x`` gives a float, a 1-D array of points the array of
-        their values.  The points are located once, and only those on an
-        element where the function has a piece are summed, each on its own:
-        a Clenshaw step on the one or two points an element holds costs
-        several times a step on a scalar.
+    def evaluate(self, k, x):
+        """Values of basis function ``k``, an int or a 1-D sequence of them,
+        at ``x``, a point or a 1-D array of points: a float, or an array
+        over the points and then over a sequence of ``k``.  Every (point,
+        function) pair active there is summed by :func:`_clenshaw`, one
+        array pass per group, so each entry has the bits of the scalar call.
         """
-        fn = self.levels[self.p_max].get(k)
+        ks = np.asarray(k)
+        if ks.dtype.kind not in "iu":  # whole numbers as ints, anything else raises
+            whole = [_integer(v, "basis index", ConfigError) for v in ks.ravel().tolist()]
+            ks = np.array(whole, dtype=int).reshape(ks.shape)
+        if ks.ndim == 0 and np.ndim(x) == 0:
+            k, e = int(ks), self.space.partition.locate(x) - 1
+            if not 0 <= k - self._first[e] <= self._degree[e]:
+                return 0.0
+            coef = self._top[self._group[e]][:, self._row[e], k - self._first[e]].tolist()
+            return _clenshaw(float((float(x) - self._mid[e]) / self._half[e]), coef)
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros(len(xs))
-        if fn is not None:
-            elems = self.space.partition.locate(xs) - 1
-            for at, e in enumerate(elems.tolist()):
-                coef = fn.piece(e)
-                if coef is not None:
-                    out[at] = _cheb.chebval(self.elements[e].to_t(xs[at]), coef)
-        return float(out[0]) if np.ndim(x) == 0 else out
+        elems = self.space.partition.locate(xs) - 1
+        local = np.atleast_1d(ks)[None, :] - self._first[elems, None]
+        at, col = np.nonzero((local >= 0) & (local <= self._degree[elems, None]))
+        e, i = elems[at], local[at, col]
+        t, group = (xs[at] - self._mid[e]) / self._half[e], self._group[e]
+        out = np.zeros(local.shape)
+        for g in np.unique(group):
+            sel = group == g
+            out[at[sel], col[sel]] = _clenshaw(t[sel], self._top[g][:, self._row[e[sel]], i[sel]])
+        out = out if ks.ndim else out[:, 0]
+        return out[0] if np.ndim(x) == 0 else out
 
 
-def local_recurrence_eval(space: GTSplineSpace, k: int, x):
-    """Basis value by the per-element integral recurrence (test oracle), at
-    a point or a 1-D array of points."""
+def local_recurrence_eval(space: GTSplineSpace, k, x):
+    """Basis values by the per-element integral recurrence (test oracle), of
+    a function ``k`` or a 1-D sequence of them, at a point or a 1-D array of
+    points (:meth:`RecurrenceEvaluator.evaluate`)."""
     return _evaluator(space, "local").evaluate(k, x)
 
 
-def global_recurrence_eval(space: GTSplineSpace, k: int, x: float) -> float:
-    """Basis value by the zero-padded global integral recurrence (test oracle)."""
+def global_recurrence_eval(space: GTSplineSpace, k, x):
+    """Basis values by the zero-padded global integral recurrence (test
+    oracle), as :func:`local_recurrence_eval`."""
     return _evaluator(space, "global").evaluate(k, x)
 
 

@@ -285,6 +285,12 @@ def _bernstein_layout(q: int, width: int) -> tuple[tuple, tuple, tuple]:
     for d in range(width):
         start.append(len(monomials))
         monomials += [(k, q - d - k, d) for k in range(q - d + 1)]
+    # a term's integers: C(r, j - i), and (-1)^(d-i) q!/(q-d)! C(d, i) per (d, i)
+    binomial = [[math.comb(n, k) for k in range(n + 1)] for n in range(q + 1)]
+    scaled = [
+        [(-1) ** (d - i) * math.perm(q, d) * c for i, c in enumerate(binomial[d])]
+        for d in range(min(width, q + 1))
+    ]
     for j in range(q + 1):
         for d in range(width):
             r = q - d
@@ -292,12 +298,7 @@ def _bernstein_layout(q: int, width: int) -> tuple[tuple, tuple, tuple]:
                 heads.append((0.0, 0))
                 continue
             terms = [
-                (
-                    _as_float(
-                        (-1) ** (d - i) * math.perm(q, d) * math.comb(d, i) * math.comb(r, j - i)
-                    ),
-                    start[d] + j - i,
-                )
+                (_as_float(scaled[d][i] * binomial[r][j - i]), start[d] + j - i)
                 for i in range(max(0, j - r), min(d, j) + 1)
             ]
             tails += [(len(heads), f, k) for f, k in terms[1:]]
@@ -430,6 +431,8 @@ class SectionSpace:
         Family descriptor.  Trigonometric sections additionally require
         ``omega * (x_hi - x_lo) < pi`` (strictly); at equality the section
         stops being an extended Tchebycheff space and is rejected.
+        A trigonometric or exponential ``omega * (x_hi - x_lo)`` that
+        underflows to 0 is rejected too: the pair's normalizer vanishes.
     """
 
     def __init__(self, x_lo: float, x_hi: float, family: SectionFamily):
@@ -451,6 +454,8 @@ class SectionSpace:
         self.dim = family.degree + 1
         self.length = x_hi - x_lo
         self._pair = _pair_constants(family, self.length, range(family.degree + 1))
+        if self._pair is not None and self._pair[1] == 0.0:  # the pair's normalizer
+            raise InvalidFamilyError(f"omega*length of {self!r} underflows to 0")
 
     def __repr__(self):
         return f"SectionSpace([{self.x_lo}, {self.x_hi}], {self.family!r})"
@@ -550,13 +555,39 @@ class SectionSpace:
         return custom
 
 
-def _weight_values(pair, xs: np.ndarray) -> np.ndarray:
-    """``w_{p-1}`` and ``w_p`` (unscaled) at the points ``xs`` as a
-    ``(2, len(xs))`` array, from one array evaluation of the pair per order."""
-    u, v = pair(xs)
-    du, dv = pair(xs, 1)
-    s = u + v
-    return np.array([s, (u * dv - v * du) / (s * s)])
+def _weight_rows(group, xs: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The two non-trivial weights ``[w_{p-1}, w_p]`` of :func:`weight_system`
+    as ``(2, len(xs))``, for sections of degree >= 1 and one family kind and
+    degree (one custom pair), point ``xs[i]`` on ``group[at[i]]``: each
+    section's 100-point grid and ``xs`` in one evaluation of the normalized
+    pair, the sections' numbers given per point; the first section whose
+    weights are not strictly positive on its grid raises InvalidFamilyError."""
+    fam = group[0].family
+    lo, hi, length = (np.array([getattr(s, a) for s in group]) for a in ("x_lo", "x_hi", "length"))
+    grid = np.linspace(lo, hi, 100, axis=1)
+    on = np.concatenate([np.repeat(np.arange(len(group)), 100), at])
+    x, lo, hi, length = np.concatenate([grid.ravel(), xs]), lo[on], hi[on], length[on]
+    t, s = (x - lo) / length, (hi - x) / length
+    if isinstance(fam, GeneralizedPolynomialFamily):
+        pair = group[0].normalized_pair_derivatives()
+        (u, v), (du, dv) = pair(x), pair(x, 1)
+    elif isinstance(fam, PolynomialFamily):
+        u, du, v, dv = s, -1.0 / length, t, 1.0 / length
+    else:
+        wl, den, neg, pos = (np.array(c)[on] for c in zip(*(sec._pair for sec in group)))
+        u, du, v, dv = _pair_rows(fam, x, t, s, (wl, den, neg.T[:2], pos.T[:2]), [0, 1])
+    total = u + v
+    values = np.array([total, (u * dv - v * du) / (total * total)])
+    failed = ~np.all(values[:, : grid.size].reshape(2, len(group), 100) > 0.0, axis=2)
+    if failed.any():
+        i = int(np.argmax(failed.any(axis=0)))
+        name = "u*+v*" if failed[0, i] else "wronskian weight"
+        raise InvalidFamilyError(
+            f"weight {name} is not strictly positive on [{group[i].x_lo}, {group[i].x_hi}]"
+        )
+    # each grid starts at x_lo, where the top weight takes its endpoint value
+    ends, values = values[1, : grid.size : 100], values[:, grid.size :]
+    return np.array([values[0], values[1] / ends[at]])
 
 
 def weight_system(section: SectionSpace, xs) -> np.ndarray:
@@ -573,24 +604,12 @@ def weight_system(section: SectionSpace, xs) -> np.ndarray:
     Both non-trivial weights must be strictly positive on the interval; this
     is verified on a uniform 100-point grid and a violation raises
     :class:`~gtbsplines.errors.InvalidFamilyError`.  The grid and ``xs`` go
-    through one array evaluation of the pair per order.  Used by the
-    integral-recurrence oracles, which call it once per element, on the
-    element's interpolation nodes.
+    through one array evaluation of the pair (:func:`_weight_rows`, which
+    the integral-recurrence oracle calls once per group of sections).
     """
     p = section.degree
+    xs = np.asarray(xs, dtype=float)
     out = np.ones((p + 1, len(xs)))
-    if p == 0:
-        return out
-    pair = section.normalized_pair_derivatives()
-    grid = np.linspace(section.x_lo, section.x_hi, 100)
-    values = _weight_values(pair, np.concatenate([grid, xs]))
-    for row, name in zip(values[:, : len(grid)], ("u*+v*", "wronskian weight")):
-        if not np.all(row > 0.0):
-            raise InvalidFamilyError(
-                f"weight {name} is not strictly positive on "
-                f"[{section.x_lo}, {section.x_hi}]"
-            )
-    # the grid starts at x_lo, where the top weight takes its endpoint value
-    out[p - 1] = values[0, len(grid) :]
-    out[p] = values[1, len(grid) :] / values[1, 0]
+    if p > 0:
+        out[p - 1 :] = _weight_rows([section], xs, np.zeros(len(xs), dtype=int))
     return out

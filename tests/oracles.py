@@ -28,7 +28,31 @@ from gtbsplines import (
     SectionSpace,
     TrigonometricFamily,
 )
-from gtbsplines.oracle import _Element, _section_nodes
+from gtbsplines.oracle import _fit_rule, _section_nodes
+
+
+class _Element:
+    """One interval with the recurrence oracle's Chebyshev rule."""
+
+    def __init__(self, lo: float, hi: float, n_nodes: int):
+        self.half = 0.5 * (hi - lo)
+        self.mid = 0.5 * (lo + hi)
+        self.rule = _fit_rule(n_nodes)
+        self.nodes = self.mid + self.half * self.rule.t_nodes
+
+    def to_t(self, x):
+        return (np.asarray(x) - self.mid) / self.half
+
+    def fit(self, values) -> np.ndarray:
+        return self.rule.fit @ np.asarray(values, dtype=float)
+
+    def cumulative(self, coef: np.ndarray) -> np.ndarray:
+        """Integral of the piece ``coef`` from the left end to each node."""
+        return self.half * (self.rule.cumulative @ coef)
+
+    def mass(self, coef: np.ndarray) -> float:
+        """Integral of the piece ``coef`` over the element."""
+        return float(self.half * (self.rule.mass @ coef))
 
 
 def _basis(section: SectionSpace, coeffs: np.ndarray) -> BernsteinBasis:

@@ -139,6 +139,38 @@ def test_overflowing_domain_length_is_one_error_line(verb, tmp_path, capfd, monk
     assert sorted(path.name for path in tmp_path.iterdir()) == ["space.json"]
 
 
+@pytest.mark.parametrize(
+    "verb",
+    [
+        ["build", "b.txt"],
+        ["sample", "--csv", "s.csv"],
+        ["verify"],
+        ["insert", "--at", "0.5", "m.csv"],
+    ],
+    ids=lambda verb: verb[0],
+)
+@pytest.mark.parametrize("family", ["trigonometric", "exponential"])
+def test_underflowing_omega_length_is_one_error_line(family, verb, tmp_path, capfd, monkeypatch):
+    # omega * length = 1e-200 * 1e-200 underflows to 0.0
+    cfg = {
+        "breakpoints": [-1.0, 0.0, 1e-200, 1.0],
+        "sections": [
+            {"family": "polynomial", "degree": 3},
+            {"family": family, "degree": 3, "omega": 1e-200},
+            {"family": "polynomial", "degree": 3},
+        ],
+        "smoothness": [1, 1],
+    }
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "space.json").write_text(json.dumps(cfg))
+    assert main([verb[0], "space.json", *verb[1:]]) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: omega*length of SectionSpace([0.0, 1e-200]") and "underflows to 0" in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["space.json"]
+
+
 class TestSample:
     def test_row_sums_and_blocks(self, demo_config_path, tmp_path):
         out = tmp_path / "s.csv"
@@ -225,6 +257,17 @@ class TestVerify:
         monkeypatch.setattr(cli, "local_recurrence_eval", lambda *args: exact(*args) + 1e-6)
         assert main(["verify", demo_config_path]) == 1
         assert "FAIL oracle-integral-recurrence (max dev 1e-06)" in capsys.readouterr().out
+
+    def test_recurrence_oracle_is_one_call(self, demo_config_path, capsys, monkeypatch):
+        # one call covers every function and probe point, so a span around
+        # the name times the whole oracle
+        import gtbsplines.cli as cli
+
+        exact, calls = cli.local_recurrence_eval, []
+        monkeypatch.setattr(cli, "local_recurrence_eval", lambda *args: calls.append(args) or exact(*args))
+        assert main(["verify", demo_config_path]) == 0
+        assert "PASS oracle-integral-recurrence" in capsys.readouterr().out
+        assert len(calls) == 1
 
     def test_uniform_polynomial_uses_classical_oracle(self, tmp_path, capsys):
         cfg = {

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from gtbsplines import (
     ConfigError,
     DomainError,
     ExponentialFamily,
+    GeneralizedPolynomialFamily,
     OracleUnsupportedError,
     PolynomialFamily,
     SectionSpace,
@@ -111,6 +113,68 @@ class TestLocalRecurrence:
             assert all(isinstance(v, float) for v in want)
             assert got.shape == xs.shape and np.array_equal(got, want)
 
+    def test_many_functions_equal_single_calls(self, mixed_space):
+        # a sequence of k adds a trailing axis; every entry has the bits of
+        # the single-k call, at a point and at an array of points (unsorted,
+        # repeated, the breakpoints and both ends)
+        bp = mixed_space.partition.breakpoints
+        xs = np.concatenate([np.linspace(5.0, 0.0, 23), bp, bp[1:2]])
+        ks = [3, 1, mixed_space.n_basis, 3, 2]
+        got = local_recurrence_eval(mixed_space, ks, xs)
+        assert got.shape == (len(xs), len(ks))
+        for j, k in enumerate(ks):
+            assert np.array_equal(got[:, j], local_recurrence_eval(mixed_space, k, xs))
+        for x in xs:
+            at_x = local_recurrence_eval(mixed_space, ks, float(x))
+            assert at_x.shape == (len(ks),)
+            assert np.array_equal(at_x, [local_recurrence_eval(mixed_space, k, float(x)) for k in ks])
+        assert np.array_equal(
+            global_recurrence_eval(mixed_space, range(1, mixed_space.n_basis + 1), xs),
+            np.array([global_recurrence_eval(mixed_space, k, xs) for k in range(1, mixed_space.n_basis + 1)]).T,
+        )
+
+    def test_basis_index_is_a_whole_number(self, mixed_space):
+        assert local_recurrence_eval(mixed_space, 2.0, 0.5) == local_recurrence_eval(mixed_space, 2, 0.5)
+        assert np.array_equal(
+            local_recurrence_eval(mixed_space, np.array([1.0, 3.0]), [0.5, 2.0]),
+            local_recurrence_eval(mixed_space, [1, 3], [0.5, 2.0]),
+        )
+        for bad in (2.5, [1, 2.5], True):
+            with pytest.raises(ConfigError, match="basis index must be an integer"):
+                local_recurrence_eval(mixed_space, bad, 0.5)
+
+    def test_matches_extraction_on_mixed_cycle(self):
+        # 48 intervals cycling through cubic, trigonometric, exponential
+        # (omega * length 6) and quartic sections, joints C^2 and C^1
+        cycle = [
+            (PolynomialFamily(3), 1.0),
+            (TrigonometricFamily(3, 1.2), 1.25),
+            (ExponentialFamily(4, 6.0), 1.0),
+            (PolynomialFamily(4), 1.0),
+        ]
+        sections = [cycle[i % 4][0] for i in range(48)]
+        breakpoints = np.concatenate([[0.0], np.cumsum([cycle[i % 4][1] for i in range(48)])])
+        space = build_space(SpaceConfig(list(breakpoints), sections, [2, 1] * 23 + [2]))
+        xs = np.concatenate([np.linspace(0.0, breakpoints[-1], 301), breakpoints])
+        got = local_recurrence_eval(space, range(1, space.n_basis + 1), xs)
+        assert np.max(np.abs(got - eval_basis(space, xs)[:, :, 0])) <= 1e-12
+
+    def test_failing_weights_name_the_first_section(self):
+        # the custom pair raises off its ends: the build reads the ends
+        # only, the oracle's weights need the inside
+        def u(x, d):
+            if not (x == math.floor(x)):
+                raise ValueError("no value inside")
+            return math.exp(x)
+
+        family = GeneralizedPolynomialFamily(3, u=u, v=lambda x, d: (2.0**d) * math.exp(2.0 * x))
+        config = SpaceConfig(
+            [0.0, 1.0, 2.0, 3.0], [PolynomialFamily(3), family, family], [1, 1]
+        )
+        space = build_space(config)
+        with pytest.raises(OracleUnsupportedError, match=re.escape(f"{space.bases[1].section!r}: no value inside")):
+            RecurrenceEvaluator(space)
+
     def test_matches_extraction_on_mixed_demo(self, mixed_space):
         xs = np.linspace(0.0, 5.0, 20)
         for k in range(1, mixed_space.n_basis + 1):
@@ -154,9 +218,10 @@ class TestGlobalRecurrence:
 
     def test_intermediate_masses_positive(self, mixed_space):
         ev = RecurrenceEvaluator(mixed_space, "global")
+        assert len(ev.levels) == ev.p_max + 1
         for q, level in enumerate(ev.levels):
-            for k, fn in level.items():
-                assert fn.total > 0.0, (q, k)
+            for k, total in level.items():
+                assert total > 0.0, (q, k)
 
 
 class TestBernsteinRecurrence:
@@ -221,6 +286,17 @@ class TestOracleAgreementOnRandomSpaces:
                 assert local_recurrence_eval(space, k, float(x)) == pytest.approx(
                     vals[k - 1], abs=1e-9
                 )
+
+    def test_random_spaces_both_modes(self):
+        # degrees up to 5, smoothness from -1 up
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            space = build_space(random_config(rng, int(rng.integers(1, 7)), max_degree=5))
+            xs = np.concatenate([rng.uniform(*space.domain, 25), space.partition.breakpoints])
+            want = eval_basis(space, xs)[:, :, 0]
+            ks = range(1, space.n_basis + 1)
+            for oracle_eval in (local_recurrence_eval, global_recurrence_eval):
+                assert np.max(np.abs(oracle_eval(space, ks, xs) - want)) <= 1e-9
 
     def test_sampled_spaces(self, rng):
         for _ in range(4):

@@ -22,7 +22,7 @@ from gtbsplines import (
     build_space,
 )
 from gtbsplines.bernstein import COND_LIMIT, _endpoint_systems
-from gtbsplines.sections import _end_tables, weight_system
+from gtbsplines.sections import _bernstein_layout, _end_tables, _weight_rows, weight_system
 
 from helpers import (
     central_diff,
@@ -317,7 +317,51 @@ class TestCustomPairCheck:
         assert caught == []
 
 
+def _layout_term_by_term(q: int, width: int) -> tuple[tuple, tuple, tuple]:
+    """``_bernstein_layout`` as first written: every factor its own product
+    of ``perm`` and ``comb``, rounded once."""
+    monomials, heads, tails, start = [], [], [], []
+    for d in range(width):
+        start.append(len(monomials))
+        monomials += [(k, q - d - k, d) for k in range(q - d + 1)]
+    for j in range(q + 1):
+        for d in range(width):
+            r = q - d
+            if r < 0:
+                heads.append((0.0, 0))
+                continue
+            terms = [
+                (
+                    float((-1) ** (d - i) * math.perm(q, d) * math.comb(d, i) * math.comb(r, j - i)),
+                    start[d] + j - i,
+                )
+                for i in range(max(0, j - r), min(d, j) + 1)
+            ]
+            tails += [(len(heads), f, k) for f, k in terms[1:]]
+            heads.append(terms[0])
+    return tuple(monomials), tuple(heads), tuple(tails)
+
+
+@pytest.mark.parametrize("q", range(13))
+def test_bernstein_layout_equals_term_by_term_formula(q):
+    # every width up to q + 3: the orders of a pair section run past q
+    for width in range(1, q + 4):
+        got, want = _bernstein_layout(q, width), _layout_term_by_term(q, width)
+        assert repr(got) == repr(want), width
+
+
 class TestFamilyValidation:
+    @pytest.mark.parametrize("kind", [TrigonometricFamily, ExponentialFamily])
+    def test_rejects_omega_length_underflowing_to_zero(self, kind):
+        # omega and the length are positive, their product is 0.0: the pair's
+        # normalizer sin(wL) or 1 - e^(-2 wL) vanishes
+        family = kind(3, 1e-200)
+        with pytest.raises(InvalidFamilyError, match=r"omega\*length of .*\[0\.0, 1e-200\].* underflows to 0"):
+            SectionSpace(0.0, 1e-200, family)
+        with pytest.raises(InvalidFamilyError, match="underflows to 0"):
+            build_space(SpaceConfig([-1.0, 0.0, 1e-200], [PolynomialFamily(3), family], [1]))
+        SectionSpace(0.0, 1e-200, kind(3, 1e-100))  # omega * length = 1e-300 still passes
+
     def test_trig_rejects_omega_length_at_pi(self):
         with pytest.raises(InvalidFamilyError):
             SectionSpace(0.0, 1.0, TrigonometricFamily(2, math.pi))
@@ -468,6 +512,26 @@ class TestGpbWeights:
         w_lower, w_top = weight_system(section, np.linspace(2.5, 5.0, 100))[3:]
         assert np.all(w_lower > 0.0)
         assert np.all(w_top > 0.0)
+
+    @pytest.mark.parametrize("kind", ["polynomial", "trigonometric", "exponential", "custom"])
+    def test_group_rows_equal_each_section_alone(self, kind):
+        # one array evaluation for a group, unsorted points, gives each
+        # section's weights bit for bit
+        rng = np.random.default_rng(31)
+        for size in (1, 2, 7):
+            if kind == "polynomial":
+                p, bp = int(rng.integers(1, 6)), np.cumsum(rng.uniform(0.1, 3.0, size + 1))
+                group = [SectionSpace(a, b, PolynomialFamily(p)) for a, b in zip(bp, bp[1:])]
+            elif kind == "custom":  # a group of one
+                group = [SectionSpace(0.0, 1.0, EXP_PAIR)]
+            else:
+                group = _random_group(rng, kind, size)
+            at = rng.permutation(np.repeat(np.arange(len(group)), 9))
+            xs = np.array([rng.uniform(group[i].x_lo, group[i].x_hi) for i in at])
+            rows = _weight_rows(group, xs, at)
+            for i, section in enumerate(group):
+                want = weight_system(section, xs[at == i])[section.degree - 1 :]
+                assert rows[:, at == i].tobytes() == want.tobytes()
 
 
 def _assert_close_to_reference(section):
