@@ -119,7 +119,7 @@ class KnotVectors:
     def active_range(self, e: int) -> tuple[int, int]:
         """1-based inclusive range of the basis functions active on interval
         ``e`` (1-based): the ``p_e + 1`` functions ending at ``sigma[e]``."""
-        sigma = int(self.sigma[e])
+        sigma = self.sigma.item(e)
         return sigma - self.degrees[e - 1], sigma
 
     def band(self, i: int, j: int) -> tuple[int, int]:
@@ -128,7 +128,7 @@ class KnotVectors:
         space is smooth to order ``j - 1`` there, as required left of it and
         discontinuous right of it: the band of constraint ``(i, j)``, and for
         ``j = r_i + 1`` that of a knot insertion leaving order ``r_i``."""
-        return int(self.mu[i - 1]) + self.degrees[i - 1] - j + 1, int(self.sigma[i]) + 1
+        return self.mu.item(i - 1) + self.degrees[i - 1] - j + 1, self.sigma.item(i) + 1
 
     @property
     def columns(self) -> list[tuple[int, int]]:
@@ -164,8 +164,8 @@ class KnotVectors:
             raise ConfigError(f"basis index {k} outside [1, {n}]")
         k0 = k - 1
         i, j = self.support(k)
-        r_u = self.degrees[i] - int(self.sigma[i + 1]) + k0
-        r_v = self.degrees[j - 1] - 1 - (k0 - int(self.mu[j - 1]))
+        r_u = self.degrees[i] - self.sigma.item(i + 1) + k0
+        r_v = self.degrees[j - 1] - 1 - (k0 - self.mu.item(j - 1))
         return r_u, r_v
 
 
@@ -336,7 +336,8 @@ def apply_factor(rows: np.ndarray, band: tuple[int, int], beta: np.ndarray) -> n
     lo, hi = band
     beta = beta.reshape((-1,) + (1,) * (rows.ndim - 1))
     out = np.concatenate([rows[: hi - 1], rows[hi:]])
-    out[lo : hi - 1] *= 1.0 - beta[:-1]
+    if hi - lo > 1:  # a one-coefficient band has no interior alpha
+        out[lo : hi - 1] *= 1.0 - beta[:-1]
     out[lo - 1 : hi - 1] += beta * rows[lo:hi]
     return out
 
@@ -421,7 +422,8 @@ def extraction_operator(
     m = len(bases)
     # 0-based row of the first function active on each interval
     first_rows = [kv.active_range(e)[0] - 1 for e in range(1, m + 1)]
-    win = np.eye(starts[1])
+    eye = {p + 1: np.eye(p + 1) for p in set(kv.degrees)}  # one identity per block width
+    win = eye[starts[1]]
     win_row = win_col = 0  # running row and Bernstein column of win[0, 0]
     blocks: list[np.ndarray] = []
     factors: list[np.ndarray] = []
@@ -431,10 +433,10 @@ def extraction_operator(
             width = starts[i + 1] - starts[i]
             grown = np.zeros((n_rows + width, n_cols + width))
             grown[:n_rows, :n_cols] = win
-            np.fill_diagonal(grown[n_rows:, n_cols:], 1.0)
+            grown[n_rows:, n_cols:] = eye[width]
             win = grown
             # Intervals i and i + 1 as the first pair of a two-interval space.
-            pair, local = bases[i - 1 : i + 1], np.subtract(starts[i - 1 : i + 2], win_col)
+            pair, local = bases[i - 1 : i + 1], [s - win_col for s in starts[i - 1 : i + 2]]
             for j in range(kv.smoothness[i] + 1):
                 lo, hi = kv.band(i, j)
                 band = (lo - win_row, hi - win_row)
@@ -479,7 +481,10 @@ def extraction_operator(
 
 def block_bounds(ext: ExtractionMatrix) -> tuple[float, float, float]:
     """The largest deviation of an operator column sum from one and the
-    smallest and largest entry, from the blocks that hold every nonzero."""
-    entries = np.concatenate([b.ravel() for b in ext.blocks])
-    col_sums = np.concatenate([b.sum(axis=0) for b in ext.blocks])
-    return float(np.max(np.abs(col_sums - 1.0))), float(entries.min()), float(entries.max())
+    smallest and largest entry, from the blocks that hold every nonzero: one
+    stacked reduction per block size, each column summed row after row."""
+    sizes = {len(b) for b in ext.blocks}
+    stacks = [np.array([b for b in ext.blocks if len(b) == n]) for n in sizes]
+    deviations = np.concatenate([s.sum(axis=1).ravel() for s in stacks]) - 1.0
+    entries = np.concatenate([s.ravel() for s in stacks])
+    return float(np.abs(deviations).max()), float(entries.min()), float(entries.max())

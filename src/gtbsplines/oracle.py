@@ -87,10 +87,11 @@ def _section_nodes(section: SectionSpace) -> int:
 
     The nested integrations compound the resolution demands of sharply
     peaked exponential weights, so oscillatory/stiff sections get extra
-    points proportional to their effective frequency."""
+    points proportional to their effective frequency; within a relative
+    ``1e-12`` above a whole number, a stiffness counts as that number."""
     fam = section.family
     stiffness = getattr(fam, "omega", 0.0) * section.length
-    return int(min(_MAX_NODES, _BASE_NODES + 16 + 8 * math.ceil(stiffness)))
+    return int(min(_MAX_NODES, _BASE_NODES + 16 + 8 * math.ceil(stiffness * (1.0 - 1e-12))))
 
 
 def _clenshaw(t, coef):

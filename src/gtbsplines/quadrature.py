@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -13,7 +14,15 @@ from .sections import (
     TrigonometricFamily,
 )
 
-__all__ = ["composite_rule"]
+__all__ = ["composite_rule", "gauss_legendre"]
+
+
+@functools.lru_cache(maxsize=None)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``numpy.polynomial.legendre.leggauss(n)`` as read-only arrays, once per ``n``."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def section_panels(section: SectionSpace) -> int:
@@ -31,12 +40,12 @@ def section_panels(section: SectionSpace) -> int:
     return 1
 
 
-def composite_rule(sections: list[SectionSpace], x: np.ndarray, w: np.ndarray) -> tuple:
-    """The reference rule ``(x, w)`` on ``[-1, 1]``, for example
-    ``numpy.polynomial.legendre.leggauss(n)``, mapped onto the
-    ``section_panels(section)`` equal panels of every section in one pass:
-    the nodes, the weights and each node's 1-based section index, section
-    after section and panel after panel."""
+def composite_rule(sections: list[SectionSpace], n: int) -> tuple:
+    """The ``n``-point Gauss-Legendre rule :func:`gauss_legendre` on ``[-1,
+    1]`` mapped onto the ``section_panels(section)`` equal panels of every
+    section in one pass: the nodes, the weights and each node's 1-based
+    section index, section after section and panel after panel."""
+    x, w = gauss_legendre(n)
     panels = np.array([section_panels(s) for s in sections])
     owner = np.repeat(np.arange(len(sections)), panels)
     # the index of each panel within its section

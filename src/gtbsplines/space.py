@@ -67,6 +67,7 @@ __all__ = [
     "build_space",
     "eval_basis",
     "jump_vector",
+    "jump_residuals",
     "eval_curve",
     "insert_knot",
     "unit_integral_scaling",
@@ -276,17 +277,43 @@ def jump_vector(space: GTSplineSpace, i: int, order) -> np.ndarray:
     for j in orders:
         if not (0 <= j <= top):
             raise OrderError(f"jump order {j} exceeds min local degree {top} at breakpoint {i}")
-    # The left limits from the block and right end table of interval i, the
-    # right limits from those of interval i + 1: one product per side for
-    # every order up to ``top``, so that a column has the same bits whichever
-    # orders are asked for.
-    blocks, bases = space.extraction.blocks, space.bases
+    # One product per side of x_i for every order up to ``top``, so that a
+    # column has the same bits whichever orders are asked for.
+    local, lo = _jump_tables(space, [i - 1])[0], space.knots.active_range(i)[0] - 1
     jumps = np.zeros((space.n_basis, top + 1))
-    lo, hi = space.knots.active_range(i)
-    jumps[lo - 1 : hi] = blocks[i - 1] @ bases[i - 1].right_table[:, : top + 1]
-    lo, hi = space.knots.active_range(i + 1)
-    jumps[lo - 1 : hi] -= blocks[i] @ bases[i].left_table[:, : top + 1]
+    jumps[lo : lo + len(local)] = local
     return jumps[:, orders[0] if scalar else orders]
+
+
+def jump_residuals(space: GTSplineSpace) -> np.ndarray:
+    """The largest ``|D^j_- B_k(x_i) - D^j_+ B_k(x_i)|`` over all ``k`` and
+    ``j = 0 .. r_i`` at each interior breakpoint ``x_i`` (zero at ``r_i = -1``),
+    bit for bit that of ``jump_vector(space, i, range(r_i + 1))``: one
+    :func:`_jump_tables` pass per group of one ``(p_i, p_(i+1), r_i)``."""
+    p, r = space.degrees, space.smoothness
+    groups: dict[tuple[int, int, int], list[int]] = {}  # the 0-based intervals left of them
+    for i in range(1, len(p)):
+        if r[i] >= 0:
+            groups.setdefault((p[i - 1], p[i], r[i]), []).append(i - 1)
+    out = np.zeros(len(p) - 1)
+    for (_, _, r_i), es in groups.items():
+        out[es] = np.abs(_jump_tables(space, es)[:, :, : r_i + 1]).max(axis=(1, 2))
+    return out
+
+
+def _jump_tables(space: GTSplineSpace, es: list[int]) -> np.ndarray:
+    """Orders ``0 .. min(p_i, p_(i+1))`` of the jumps at the ``x_i`` right of
+    the 0-based intervals ``es`` of one ``(p_i, p_(i+1), r_i)``, on the rows
+    active left or right of ``x_i``: one stacked product per side of the
+    blocks with their end tables, the right side's rows ``p_i - r_i`` on."""
+    blocks, bases = space.extraction.blocks, space.bases
+    p_l, p_r, r = space.degrees[es[0]], space.degrees[es[0] + 1], space.smoothness[es[0] + 1]
+    top = min(p_l, p_r) + 1
+    block = [np.array([blocks[e + side] for e in es]) for side in (0, 1)]
+    jumps = np.zeros((len(es), p_l + p_r - r + 1, top))
+    jumps[:, : p_l + 1] = block[0] @ np.array([bases[e].right_table[:, :top] for e in es])
+    jumps[:, p_l - r :] -= block[1] @ np.array([bases[e + 1].left_table[:, :top] for e in es])
+    return jumps
 
 
 @dataclass(eq=False)
@@ -491,12 +518,11 @@ def unit_integral_scaling(space: GTSplineSpace) -> np.ndarray:
     (panel count adapted to each section's stiffness) on all sections at once,
     evaluated by the array kernel and summed per basis function.
     """
-    reference = np.polynomial.legendre.leggauss(2 * max(space.degrees) + 2)
-    nodes, weights, elems = composite_rule([b.section for b in space.bases], *reference)
+    x, w, elems = composite_rule([b.section for b in space.bases], 2 * max(space.degrees) + 2)
     integrals = np.zeros(space.n_basis)
-    for at, first, values in _local_values(space, nodes, elems, 0):
+    for at, first, values in _local_values(space, x, elems, 0):
         rows = first[:, None] + np.arange(values.shape[1])
-        np.add.at(integrals, rows, weights[at, None] * values[:, :, 0])
+        np.add.at(integrals, rows, w[at, None] * values[:, :, 0])
     if np.any(integrals <= 0.0):
         raise GTBError("nonpositive basis integral; space is degenerate")
     return 1.0 / integrals

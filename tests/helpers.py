@@ -5,12 +5,15 @@ by counting runs of equal knots, the extraction cascade on the dense running
 operator, knot insertion by value matching one band function at a time, the
 Bernstein construction by one Hermite solve per function, the basis
 integrals element by element, and the span tables, pairs and weights
-evaluated point by point with ``math``."""
+evaluated point by point with ``math``, and the benchmark's input
+generator."""
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 
@@ -33,6 +36,16 @@ from gtbsplines import (
     nullspace_step,
 )
 from gtbsplines.quadrature import section_panels
+
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "gen_inputs.py"
+
+
+def bench_generator():
+    """The module ``bench/gen_inputs.py``, which writes the benchmark's spaces."""
+    spec = importlib.util.spec_from_file_location("bench_gen_inputs", BENCH_INPUTS)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
 
 
 def central_diff(f, x: float, h: float = 1e-6) -> float:

@@ -6,6 +6,7 @@ so these tests check that every name either one uses still exists."""
 import dataclasses
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -74,3 +75,24 @@ def test_traced_build_records_cascade(tracer):
     assert "extraction.cascade" in run.names
     assert run.operator_sizes
     assert space.extraction_operator is original
+
+
+def test_traced_verify_after_untraced_records_verb_spans(tracer, tmp_path, capsys):
+    # The first call builds the CLI's parser untraced; the traced call must
+    # still reach the verb, the build and the oracle through the names the
+    # tracer rebinds.
+    from gtbsplines import cli
+    from gtbsplines.config import mixed_family_demo_config
+
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(mixed_family_demo_config().to_dict()))
+    assert cli.main(["verify", str(path)]) == 0
+    run = tracer.Tracer()
+    run.install()
+    try:
+        assert cli.main(["verify", str(path)]) == 0
+    finally:
+        run.uninstall()
+    assert "FAIL" not in capsys.readouterr().out
+    assert {"cli.verify", "space.build"} <= set(run.names)
+    assert any(name.startswith("oracle.") for name in run.names)

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from gtbsplines import build_space, insert_knot
+from gtbsplines import ExtractionMatrix, SpaceConfig, build_space, insert_knot, jump_vector
 from gtbsplines.cli import _fmt_row, _space_summary, main
-from gtbsplines.config import mixed_family_demo_config
+from gtbsplines.config import conic_profile_demo_config, mixed_family_demo_config
 
-from helpers import uniform_cubic_config
+from helpers import bench_generator, uniform_cubic_config
 
 DEMO_DICT = {
     "breakpoints": [0.0, 1.0, 2.5, 5.0],
@@ -19,6 +19,17 @@ DEMO_DICT = {
     ],
     "smoothness": [2, 2],
 }
+
+
+# the checks of ``verify`` before its oracle, in the order it prints them
+VERIFY_CHECKS = [
+    "partition-of-unity",
+    "local-support",
+    "smoothness-jumps",
+    "extraction-column-sums",
+    "extraction-nonnegative",
+    "unit-integral-total",
+]
 
 
 @pytest.fixture
@@ -269,6 +280,47 @@ class TestVerify:
         assert "PASS oracle-integral-recurrence" in capsys.readouterr().out
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "name", ["build-cubic-fine", "sample-mixed", "refine-mixed", "example1", "example2"]
+    )
+    def test_stdout_on_demo_and_bench_spaces(self, name, tmp_path, capsys):
+        # every check passes and prints exactly its PASS line
+        if name == "example1":
+            configs = [mixed_family_demo_config((r, r)).to_dict() for r in (-1, 0, 1, 2)]
+        elif name == "example2":
+            configs = [conic_profile_demo_config().to_dict()]
+        else:
+            configs = [bench_generator().generate(name, seed)[0] for seed in (0, 1)]
+        oracle = "cox-de-boor" if name == "build-cubic-fine" else "integral-recurrence"
+        checks = VERIFY_CHECKS + [f"oracle-{oracle}"]
+        for cfg in configs:
+            path = tmp_path / "space.json"
+            path.write_text(json.dumps(cfg))
+            assert main(["verify", str(path)]) == 0
+            assert capsys.readouterr().out == "".join(f"PASS {c}\n" for c in checks)
+
+    def test_jump_check_reports_largest_jump(self, demo_config_path, capsys, monkeypatch):
+        # A block shifted by 1e-6 breaks smoothness; the reported maximum is
+        # that of one jump_vector call per breakpoint.
+        import gtbsplines.cli as cli
+
+        def shifted(config):
+            space = build_space(config)
+            blocks = list(space.extraction.blocks)
+            blocks[1] = blocks[1] + 1e-6
+            space.extraction = ExtractionMatrix(tuple(blocks), space.extraction.factors, space.knots)
+            return space
+
+        monkeypatch.setattr(cli, "build_space", shifted)
+        assert main(["verify", demo_config_path]) == 1
+        space = shifted(SpaceConfig.from_json_file(demo_config_path))
+        want = max(
+            np.max(np.abs(jump_vector(space, i, range(space.smoothness[i] + 1))))
+            for i in (1, 2)
+        )
+        assert want > 1e-9
+        assert f"FAIL smoothness-jumps (max jump {want:.3g})\n" in capsys.readouterr().out
+
     def test_uniform_polynomial_uses_classical_oracle(self, tmp_path, capsys):
         cfg = {
             "breakpoints": [0.0, 1.0, 2.0, 3.0],
@@ -441,6 +493,17 @@ class TestVerify:
         captured = capsys.readouterr()
         assert word in captured.err
         assert captured.out == ""
+
+
+def test_parser_is_built_once_and_verbs_looked_up_per_call(demo_config_path, monkeypatch):
+    import gtbsplines.cli as cli
+
+    cli.make_parser.cache_clear()
+    assert main(["verify", demo_config_path]) == 0
+    # a verb rebound after the parser exists is the one called
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: 7)
+    assert main(["verify", demo_config_path]) == 7
+    assert cli.make_parser.cache_info().misses == 1
 
 
 class TestInsert:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gtbsplines import (
     BasisNonexistenceError,
     ConfigError,
+    ExtractionMatrix,
     GTBError,
     Partition,
     PolynomialFamily,
@@ -30,6 +31,7 @@ from gtbsplines.config import (
     conic_profile_demo_config,
     mixed_family_demo_config,
 )
+from gtbsplines.extraction import block_bounds
 from gtbsplines.oracle import cox_de_boor_basis, cox_de_boor_knots
 
 from helpers import (
@@ -38,6 +40,7 @@ from helpers import (
     random_config,
     reference_supersmoothness,
     uniform_cubic_config,
+    uniform_poly_config,
 )
 
 DEMO_PARTITION = Partition((0.0, 1.0, 2.5, 5.0))
@@ -464,6 +467,26 @@ class TestExtractionOperator:
                 assert np.array_equal(block, dense[lo - 1 : hi, starts[e - 1] : starts[e]])
             # nothing of the dense operator lies outside the blocks
             assert np.array_equal(ext.operator, dense)
+
+    def test_block_bounds_equal_per_block_reference(self):
+        # One stacked reduction per block size against one reduction per
+        # block, column by column: equal bit for bit, and a changed entry of
+        # any block shows.
+        rng = np.random.default_rng(707)
+        configs = [mixed_family_demo_config(), conic_profile_demo_config(), uniform_cubic_config(9)]
+        configs += [random_config(rng, int(rng.integers(1, 9)), max_degree=5) for _ in range(40)]
+        configs += [uniform_poly_config(rng, p, 4) for p in (7, 8, 9)]  # sums of 8 and more rows
+        for cfg in configs:
+            ext = build_space(cfg).extraction
+            col_err = max(float(np.max(np.abs(b.sum(axis=0) - 1.0))) for b in ext.blocks)
+            low = min(float(b.min()) for b in ext.blocks)
+            high = max(float(b.max()) for b in ext.blocks)
+            assert block_bounds(ext) == (col_err, low, high)
+            blocks = list(ext.blocks)
+            blocks[-1] = blocks[-1].copy()
+            blocks[-1][0, -1] -= 0.75
+            changed = block_bounds(ExtractionMatrix(tuple(blocks), ext.factors, ext.knots))
+            assert changed[0] >= 0.75 - 1e-12 and changed[1] == min(low, blocks[-1][0, -1])
 
     def test_large_space_stores_element_blocks_only(self):
         m = 640

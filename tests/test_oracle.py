@@ -1,7 +1,5 @@
-import importlib.util
 import math
 import re
-from pathlib import Path
 
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
@@ -34,19 +32,14 @@ from gtbsplines.oracle import (
     local_recurrence_eval,
 )
 
-from helpers import random_config, reference_cox_de_boor
+from helpers import bench_generator, random_config, reference_cox_de_boor
 from oracles import RecurrenceBernstein
-
-
-BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "gen_inputs.py"
 
 
 def _used_node_counts() -> list[int]:
     """Chebyshev node counts of the sections of both demo spaces and of the
     three benchmark spaces (seed 1)."""
-    spec = importlib.util.spec_from_file_location("bench_gen_inputs", BENCH_INPUTS)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    gen = bench_generator()
     configs = [mixed_family_demo_config(), conic_profile_demo_config()]
     configs += [SpaceConfig.from_dict(gen.generate(w, 1)[0]) for w in gen.WORKLOADS]
     return sorted(
@@ -56,6 +49,26 @@ def _used_node_counts() -> list[int]:
             for lo, hi, family in zip(cfg.breakpoints, cfg.breakpoints[1:], cfg.sections)
         }
     )
+
+
+def test_stretched_sections_share_one_node_count():
+    # The benchmark generator scales omega by 1/stretch and the length by
+    # stretch, so the rounded product omega * L of one nominal stiffness lands
+    # on either side of the whole number; every section of one family and
+    # nominal stiffness gets one node count.
+    gen = bench_generator()
+    for seed in range(6):
+        cfg = SpaceConfig.from_dict(gen.generate("sample-mixed", seed)[0])
+        counts: dict[tuple, set[int]] = {}
+        for lo, hi, family in zip(cfg.breakpoints, cfg.breakpoints[1:], cfg.sections):
+            key = (type(family).__name__, family.degree)
+            counts.setdefault(key, set()).add(_section_nodes(SectionSpace(lo, hi, family)))
+        assert all(len(c) == 1 for c in counts.values()), (seed, counts)
+    # the same count exactly at, and within 1e-12 above, a whole number; one
+    # more step beyond it
+    omegas = (6.0, 6.0 * (1 + 2e-16), 6.0 * (1 + 1e-13), 6.0 * (1 + 1e-9))
+    nodes = [_section_nodes(SectionSpace(0.0, 1.0, ExponentialFamily(4, w))) for w in omegas]
+    assert nodes == [nodes[0]] * 3 + [nodes[0] + 8]
 
 
 def test_integration_matrices_match_chebint(rng):

@@ -31,6 +31,8 @@ from gtbsplines import (
     unit_integral_scaling,
 )
 from gtbsplines.cli import main
+from gtbsplines.quadrature import gauss_legendre
+from gtbsplines.space import jump_residuals
 from gtbsplines.config import mixed_family_demo_config
 from gtbsplines.oracle import cox_de_boor_basis, cox_de_boor_knots
 
@@ -421,6 +423,36 @@ class TestJumps:
                 for bad in ([top + 1], [0, top + 1, 1], np.array([1, top + 2])):
                     with pytest.raises(OrderError):
                         jump_vector(space, i, bad)
+
+
+    def test_residuals_equal_jump_vector_bit_for_bit(self, mixed_space, profile_space):
+        # One stacked product per side and (p_i, p_(i+1), r_i) group against
+        # one jump_vector call per breakpoint; r_i = -1 gives zero.
+        rng = np.random.default_rng(777)
+        cycle = (
+            (PolynomialFamily, 3, None, 1.0),
+            (TrigonometricFamily, 3, 1.2, 1.25),
+            (ExponentialFamily, 4, 6.0, 1.0),
+            (PolynomialFamily, 4, None, 1.0),
+        )
+        breakpoints, sections = [0.0], []
+        for e in range(48):
+            family, degree, omega, length = cycle[e % 4]
+            stretch = 1.0 + rng.uniform(-0.1, 0.1)
+            breakpoints.append(breakpoints[-1] + length * stretch)
+            args = (degree,) if omega is None else (degree, omega / stretch)
+            sections.append(family(*args))
+        joints = [(2, 1)[e % 2] for e in range(47)]
+        spaces = [mixed_space, profile_space, custom_pair_space()]
+        spaces.append(build_space(SpaceConfig(breakpoints, sections, joints)))
+        spaces += [build_space(random_config(rng, int(rng.integers(1, 9)))) for _ in range(60)]
+        assert any(-1 in space.smoothness[1:-1] for space in spaces)
+        for space in spaces:
+            want = [
+                np.max(np.abs(jump_vector(space, i, range(r + 1)))) if r >= 0 else 0.0
+                for i, r in enumerate(space.smoothness[1:-1], start=1)
+            ]
+            assert np.array_equal(jump_residuals(space), want)
 
 
 class TestCurve:
@@ -852,6 +884,13 @@ class TestUnitIntegralScaling:
             want = reference_unit_integrals(space)
             got = 1.0 / unit_integral_scaling(space)
             assert np.max(np.abs(got - want) / want) <= 1e-14
+
+    def test_reference_rule_is_computed_once(self):
+        x, w = gauss_legendre(8)
+        assert gauss_legendre(8)[0] is x
+        assert not (x.flags.writeable or w.flags.writeable)
+        want = np.polynomial.legendre.leggauss(8)
+        assert np.array_equal(x, want[0]) and np.array_equal(w, want[1])
 
     def test_total_length(self, rng):
         for _ in range(6):
