@@ -104,8 +104,8 @@ def _write_sample_csv(path: str, space, n: int, deriv: int) -> None:
             if rows.start == rows.stop:
                 continue
             lo, hi = space.knots.active_range(e)
-            slots = ["0"] * (lo - 1) + ["%.17g"] * (hi - lo + 1) + ["0"] * (n_basis - hi)
-            template = ",".join(["%.17g"] + slots * (deriv + 1)) + "\n"
+            slots = ",0" * (lo - 1) + ",%.17g" * (hi - lo + 1) + ",0" * (n_basis - hi)
+            template = "%.17g" + slots * (deriv + 1) + "\n"
             # row-major over (derivative order, active function), as the header
             active = table[rows, lo - 1 : hi].transpose(0, 2, 1)
             values = np.column_stack([xs[rows], active.reshape(len(active), -1)])
@@ -147,24 +147,23 @@ def cmd_demo(args) -> int:
             _write_sample_csv(f"{outdir}/example1_r{r}.csv", space, args.n, 2)
             _write(f"{outdir}/example1_r{r}_summary.txt", _space_summary(space))
         return EXIT_OK
-    if args.name == "example2":
-        config = conic_profile_demo_config()
-        space = build_space(config)
-        curve = SplineCurve(space, config.control_points)
-        a, b = space.domain
-        xs = np.linspace(a, b, args.n)
-        rows = ["x,X,Y"]
-        for x, pt in zip(xs, curve(xs)):
-            rows.append(f"{_fmt(x)},{_fmt(pt[0])},{_fmt(pt[1])}")
-        _write(f"{outdir}/example2_curve.csv", "\n".join(rows) + "\n")
-        rows = ["X,Y"]
-        for pt in curve.control:
-            rows.append(f"{_fmt(pt[0])},{_fmt(pt[1])}")
-        _write(f"{outdir}/example2_control_polygon.csv", "\n".join(rows) + "\n")
-        _write(f"{outdir}/example2_residuals.csv", _profile_residuals(curve, args.n))
-        _write(f"{outdir}/example2_summary.txt", _space_summary(space))
-        return EXIT_OK
-    raise ConfigError(f"unknown demo {args.name!r} (choose example1 or example2)")
+    # example2: the parser admits no other name
+    config = conic_profile_demo_config()
+    space = build_space(config)
+    curve = SplineCurve(space, config.control_points)
+    a, b = space.domain
+    xs = np.linspace(a, b, args.n)
+    rows = ["x,X,Y"]
+    for x, pt in zip(xs, curve(xs)):
+        rows.append(f"{_fmt(x)},{_fmt(pt[0])},{_fmt(pt[1])}")
+    _write(f"{outdir}/example2_curve.csv", "\n".join(rows) + "\n")
+    rows = ["X,Y"]
+    for pt in curve.control:
+        rows.append(f"{_fmt(pt[0])},{_fmt(pt[1])}")
+    _write(f"{outdir}/example2_control_polygon.csv", "\n".join(rows) + "\n")
+    _write(f"{outdir}/example2_residuals.csv", _profile_residuals(curve, args.n))
+    _write(f"{outdir}/example2_summary.txt", _space_summary(space))
+    return EXIT_OK
 
 
 def _profile_residuals(curve: SplineCurve, n: int) -> str:

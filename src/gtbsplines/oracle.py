@@ -29,13 +29,13 @@ Everything here is single-threaded and intended for the tests and the
 from __future__ import annotations
 
 import functools
-import math
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 import numpy.polynomial.chebyshev as _cheb
 
 from .errors import ConfigError, OracleUnsupportedError
+from .quadrature import _stiffness_ceil
 from .sections import _family_groups, _integer, _points_in, _weight_rows, weight_system
 
 if TYPE_CHECKING:
@@ -45,7 +45,6 @@ if TYPE_CHECKING:
 __all__ = [
     "RecurrenceEvaluator",
     "local_recurrence_eval",
-    "global_recurrence_eval",
     "cox_de_boor_knots",
     "cox_de_boor_basis",
 ]
@@ -87,11 +86,9 @@ def _section_nodes(section: SectionSpace) -> int:
 
     The nested integrations compound the resolution demands of sharply
     peaked exponential weights, so oscillatory/stiff sections get extra
-    points proportional to their effective frequency; within a relative
-    ``1e-12`` above a whole number, a stiffness counts as that number."""
-    fam = section.family
-    stiffness = getattr(fam, "omega", 0.0) * section.length
-    return int(min(_MAX_NODES, _BASE_NODES + 16 + 8 * math.ceil(stiffness * (1.0 - 1e-12))))
+    points proportional to their effective frequency, rounded up as
+    :func:`~gtbsplines.quadrature._stiffness_ceil` rounds."""
+    return int(min(_MAX_NODES, _BASE_NODES + 16 + 8 * _stiffness_ceil(section)))
 
 
 def _clenshaw(t, coef):
@@ -107,22 +104,11 @@ def _clenshaw(t, coef):
 class RecurrenceEvaluator:
     """Level-by-level integral-recurrence construction of the smooth basis.
 
-    Parameters
-    ----------
-    space : GTSplineSpace
-    mode : {"local", "global"}
-        ``local`` applies each section's own weight ladder with the
-        per-element base case; ``global`` zero-pads the weight ladders to the
-        maximal length and uses one uniform formula for every level, the
-        base case only at level 0.  Both reproduce the same basis.
-
     ``levels[q]`` maps each function of level ``q`` to its total mass.
     """
 
-    def __init__(self, space: GTSplineSpace, mode: str = "local"):
-        if mode not in ("local", "global"):
-            raise ValueError(f"unknown mode {mode!r}")
-        self.space, self.mode = space, mode
+    def __init__(self, space: GTSplineSpace):
+        self.space = space
         self.p_max, self.n_basis = max(space.degrees), space.n_basis
         bp = np.array(space.partition.breakpoints)
         self._mid, self._half = 0.5 * (bp[:-1] + bp[1:]), 0.5 * (bp[1:] - bp[:-1])
@@ -179,7 +165,7 @@ class RecurrenceEvaluator:
                 if K < 1:
                     continue
                 rule = _fit_rule(n)
-                if K == 1 and (self.mode == "local" or q == 0):
+                if K == 1:
                     vals = weights[g][1][:, :, None]
                 else:
                     stencil = np.ones((n, len(es), K + 1))
@@ -260,27 +246,15 @@ def local_recurrence_eval(space: GTSplineSpace, k, x):
     """Basis values by the per-element integral recurrence (test oracle), of
     a function ``k`` or a 1-D sequence of them, at a point or a 1-D array of
     points (:meth:`RecurrenceEvaluator.evaluate`)."""
-    return _evaluator(space, "local").evaluate(k, x)
-
-
-def global_recurrence_eval(space: GTSplineSpace, k, x):
-    """Basis values by the zero-padded global integral recurrence (test
-    oracle), as :func:`local_recurrence_eval`."""
-    return _evaluator(space, "global").evaluate(k, x)
-
-
-# Evaluators of the last space queried, one per mode.  Each holds its space,
-# so evaluators of earlier spaces are dropped rather than kept alive.
-_EVALUATOR_CACHE: dict[str, RecurrenceEvaluator] = {}
-
-
-def _evaluator(space: GTSplineSpace, mode: str) -> RecurrenceEvaluator:
-    found = _EVALUATOR_CACHE.get(mode)
+    found = _EVALUATOR_CACHE.get("local")
     if found is None or found.space is not space:
-        for other in [m for m, ev in _EVALUATOR_CACHE.items() if ev.space is not space]:
-            del _EVALUATOR_CACHE[other]
-        found = _EVALUATOR_CACHE[mode] = RecurrenceEvaluator(space, mode)
-    return found
+        found = _EVALUATOR_CACHE["local"] = RecurrenceEvaluator(space)
+    return found.evaluate(k, x)
+
+
+# The evaluator of the last space queried.  It holds its space, so the
+# evaluator of an earlier space is dropped rather than kept alive.
+_EVALUATOR_CACHE: dict[str, RecurrenceEvaluator] = {}
 
 
 # -- classical polynomial reference ---------------------------------------

@@ -25,16 +25,25 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def _stiffness_ceil(section: SectionSpace, per: float = 1.0) -> int:
+    """``ceil(omega * length / per)`` for the section (``omega`` 0 for a
+    family without one); within a relative ``1e-12`` above a whole number,
+    the quotient counts as that number, so that the rounding of ``omega *
+    length`` adds no panel or node."""
+    omega = getattr(section.family, "omega", 0.0)
+    return math.ceil(omega * section.length / per * (1.0 - 1e-12))
+
+
 def section_panels(section: SectionSpace) -> int:
     """Panel count that keeps the fixed-order rule near machine accuracy.
 
     Polynomial sections integrate exactly on one panel; oscillatory or stiff
     sections are subdivided so that each panel sees an effective frequency
-    of at most ~2.
+    of at most ~2 (:func:`_stiffness_ceil`).
     """
     fam = section.family
     if isinstance(fam, (TrigonometricFamily, ExponentialFamily)):
-        return max(1, math.ceil(fam.omega * section.length / 2.0))
+        return max(1, _stiffness_ceil(section, 2.0))
     if isinstance(fam, GeneralizedPolynomialFamily):
         return 8
     return 1

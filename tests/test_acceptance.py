@@ -25,7 +25,6 @@ from gtbsplines.config import conic_profile_demo_config, mixed_family_demo_confi
 from gtbsplines.oracle import (
     cox_de_boor_basis,
     cox_de_boor_knots,
-    global_recurrence_eval,
     local_recurrence_eval,
 )
 from gtbsplines.sections import Partition
@@ -214,7 +213,6 @@ def test_criterion_08_recurrence_oracle_agreement():
             vals = eval_basis(space, float(x))[:, 0]
             for k in range(1, space.n_basis + 1):
                 worst = max(worst, abs(local_recurrence_eval(space, k, float(x)) - vals[k - 1]))
-                worst = max(worst, abs(global_recurrence_eval(space, k, float(x)) - vals[k - 1]))
     _report("08 recurrence-oracle", worst <= 1e-7, f"max dev {worst:.3g}")
 
 

@@ -4,9 +4,22 @@ import math
 import numpy as np
 import pytest
 
-from gtbsplines import ExtractionMatrix, SpaceConfig, build_space, insert_knot, jump_vector
+from gtbsplines import (
+    ConfigError,
+    ExtractionMatrix,
+    GeneralizedPolynomialFamily,
+    SpaceConfig,
+    build_space,
+    insert_knot,
+    jump_vector,
+)
 from gtbsplines.cli import _fmt_row, _space_summary, main
-from gtbsplines.config import conic_profile_demo_config, mixed_family_demo_config
+from gtbsplines.config import (
+    conic_profile_demo_config,
+    family_from_dict,
+    family_to_dict,
+    mixed_family_demo_config,
+)
 
 from helpers import bench_generator, uniform_cubic_config
 
@@ -182,6 +195,78 @@ def test_underflowing_omega_length_is_one_error_line(family, verb, tmp_path, cap
     assert sorted(path.name for path in tmp_path.iterdir()) == ["space.json"]
 
 
+def _space_text(**changes) -> str:
+    """A two-interval space file with the given top-level entries replaced."""
+    space = {
+        "breakpoints": [0.0, 1.0, 2.0],
+        "sections": [{"family": "polynomial", "degree": 2}] * 2,
+        "smoothness": [1],
+    }
+    return json.dumps({**space, **changes})
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "cannot read space.json"),
+        ("{not json", "space.json is not valid JSON"),
+        ("[0.0, 1.0]", "malformed space description"),
+        (json.dumps({"breakpoints": [0.0, 1.0], "sections": []}), "malformed space description"),
+        (_space_text(sections=2), "malformed space description"),
+        (_space_text(sections=[{"family": "polynomial"}] * 2), "malformed section entry"),
+        (_space_text(sections=[2, 2]), "malformed section entry"),
+        (_space_text(sections=[{"family": "spline", "degree": 2}] * 2), "unknown section family 'spline'"),
+        (_space_text(sections=[{"family": "exponential", "degree": 2}] * 2), "needs an omega parameter"),
+        (
+            _space_text(sections=[{"family": "exponential", "degree": 2, "omega": None}] * 2),
+            "section omega must be a number, got None",
+        ),
+        (_space_text(breakpoints=[0.0], sections=[], smoothness=[]), "need at least two breakpoints"),
+        (_space_text(sections=[{"family": "polynomial", "degree": 2}]), "2 intervals but 1 section entries"),
+        (_space_text(smoothness=[1, 1]), "1 interior breakpoints but 2 smoothness entries"),
+        (_space_text(control_points=[[0.0, 0.0], [1.0]]), "control points must be rows of numbers: "),
+    ],
+    ids=[
+        "missing-file",
+        "bad-json",
+        "not-an-object",
+        "missing-key",
+        "sections-not-a-list",
+        "section-without-degree",
+        "section-not-an-object",
+        "unknown-family",
+        "missing-omega",
+        "null-omega",
+        "one-breakpoint",
+        "section-count",
+        "smoothness-count",
+        "ragged-control-points",
+    ],
+)
+def test_malformed_space_file_is_one_error_line(text, message, tmp_path, capfd, monkeypatch):
+    # exit 2 with one error line and no traceback; nothing is written
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / "space.json").write_text(text)
+    before = sorted(path.name for path in tmp_path.iterdir())
+    assert main(["build", "space.json", "b.txt"]) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == before
+
+
+def test_custom_family_has_no_file_representation():
+    for family in mixed_family_demo_config().sections:
+        assert family_from_dict(family_to_dict(family)) == family
+    custom = GeneralizedPolynomialFamily(2, u=lambda x, d: x, v=lambda x, d: x, name="pair")
+    with pytest.raises(ConfigError, match="has no file representation"):
+        family_to_dict(custom)
+    with pytest.raises(ConfigError, match="has no file representation"):
+        SpaceConfig([0.0, 1.0], [custom], []).to_dict()
+
+
 class TestSample:
     def test_row_sums_and_blocks(self, demo_config_path, tmp_path):
         out = tmp_path / "s.csv"
@@ -220,6 +305,14 @@ class TestSample:
             main(["sample", demo_config_path, "--n", "1", "--csv", str(tmp_path / "x.csv")])
             == 2
         )
+
+    @pytest.mark.parametrize("deriv", [-1, 3])
+    def test_derivative_order_validation(self, deriv, demo_config_path, tmp_path, capfd):
+        # the demo's lowest degree is 2
+        csv = tmp_path / "x.csv"
+        assert main(["sample", demo_config_path, "--deriv", str(deriv), "--csv", str(csv)]) == 2
+        assert capfd.readouterr() == ("", "error: --deriv must lie in [0, 2] for this space\n")
+        assert not csv.exists()
 
     @pytest.mark.parametrize(
         "n, code, message",
@@ -554,6 +647,15 @@ class TestDemo:
         residuals = (out / "example2_residuals.csv").read_text().splitlines()[1:]
         worst = max(abs(float(line.split(",")[2])) for line in residuals)
         assert worst <= 1e-10
+
+    def test_unknown_demo_is_rejected_by_the_parser(self, tmp_path, capfd):
+        out = tmp_path / "demo"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["demo", "example3", str(out)])
+        assert exit_info.value.code == 2
+        _, err = capfd.readouterr()
+        assert "invalid choice: 'example3'" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("name", ["example1", "example2"])
     def test_huge_sample_count_is_one_error_line(self, name, tmp_path, capfd):

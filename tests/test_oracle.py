@@ -28,7 +28,6 @@ from gtbsplines.oracle import (
     _section_nodes,
     cox_de_boor_basis,
     cox_de_boor_knots,
-    global_recurrence_eval,
     local_recurrence_eval,
 )
 
@@ -95,8 +94,7 @@ def test_evaluator_cache_keeps_last_space_only(monkeypatch):
     ]
     for space in spaces:
         local_recurrence_eval(space, 1, 0.5)
-        global_recurrence_eval(space, 1, 0.5)
-        assert len(oracle._EVALUATOR_CACHE) <= 2
+        assert len(oracle._EVALUATOR_CACHE) == 1
     last = spaces[-1]
     assert all(ev.space is last for ev in oracle._EVALUATOR_CACHE.values())
     cached = oracle._EVALUATOR_CACHE["local"]
@@ -141,10 +139,6 @@ class TestLocalRecurrence:
             at_x = local_recurrence_eval(mixed_space, ks, float(x))
             assert at_x.shape == (len(ks),)
             assert np.array_equal(at_x, [local_recurrence_eval(mixed_space, k, float(x)) for k in ks])
-        assert np.array_equal(
-            global_recurrence_eval(mixed_space, range(1, mixed_space.n_basis + 1), xs),
-            np.array([global_recurrence_eval(mixed_space, k, xs) for k in range(1, mixed_space.n_basis + 1)]).T,
-        )
 
     def test_basis_index_is_a_whole_number(self, mixed_space):
         assert local_recurrence_eval(mixed_space, 2.0, 0.5) == local_recurrence_eval(mixed_space, 2, 0.5)
@@ -197,22 +191,6 @@ class TestLocalRecurrence:
                     ref, abs=1e-7
                 )
 
-
-class TestGlobalRecurrence:
-    def test_agrees_with_local_on_mixed_degrees(self, rng):
-        cfg = SpaceConfig(
-            [0.0, 1.0, 2.2, 3.0],
-            [PolynomialFamily(2), TrigonometricFamily(3, 1.1), PolynomialFamily(4)],
-            [1, 2],
-        )
-        space = build_space(cfg)
-        for _ in range(50):
-            x = float(rng.uniform(0.0, 3.0))
-            k = int(rng.integers(1, space.n_basis + 1))
-            assert global_recurrence_eval(space, k, x) == pytest.approx(
-                local_recurrence_eval(space, k, x), abs=1e-9
-            )
-
     def test_uniform_trig_space(self):
         cfg = SpaceConfig([0.0, 1.0, 2.0, 3.0], [TrigonometricFamily(3, 1.0)] * 3, [2, 2])
         space = build_space(cfg)
@@ -220,17 +198,17 @@ class TestGlobalRecurrence:
         for k in range(1, space.n_basis + 1):
             for x in xs:
                 ref = eval_basis(space, float(x))[k - 1, 0]
-                assert global_recurrence_eval(space, k, float(x)) == pytest.approx(
+                assert local_recurrence_eval(space, k, float(x)) == pytest.approx(
                     ref, abs=1e-9
                 )
 
     def test_right_endpoint_left_limit(self, mixed_space):
-        assert global_recurrence_eval(mixed_space, mixed_space.n_basis, 5.0) == pytest.approx(
+        assert local_recurrence_eval(mixed_space, mixed_space.n_basis, 5.0) == pytest.approx(
             1.0, abs=1e-9
         )
 
     def test_intermediate_masses_positive(self, mixed_space):
-        ev = RecurrenceEvaluator(mixed_space, "global")
+        ev = RecurrenceEvaluator(mixed_space)
         assert len(ev.levels) == ev.p_max + 1
         for q, level in enumerate(ev.levels):
             for k, total in level.items():
@@ -300,7 +278,7 @@ class TestOracleAgreementOnRandomSpaces:
                     vals[k - 1], abs=1e-9
                 )
 
-    def test_random_spaces_both_modes(self):
+    def test_random_spaces(self):
         # degrees up to 5, smoothness from -1 up
         rng = np.random.default_rng(5)
         for _ in range(40):
@@ -308,8 +286,7 @@ class TestOracleAgreementOnRandomSpaces:
             xs = np.concatenate([rng.uniform(*space.domain, 25), space.partition.breakpoints])
             want = eval_basis(space, xs)[:, :, 0]
             ks = range(1, space.n_basis + 1)
-            for oracle_eval in (local_recurrence_eval, global_recurrence_eval):
-                assert np.max(np.abs(oracle_eval(space, ks, xs) - want)) <= 1e-9
+            assert np.max(np.abs(local_recurrence_eval(space, ks, xs) - want)) <= 1e-9
 
     def test_sampled_spaces(self, rng):
         for _ in range(4):

@@ -513,6 +513,19 @@ class TestGpbWeights:
         assert np.all(w_lower > 0.0)
         assert np.all(w_top > 0.0)
 
+    def test_nonpositive_wronskian_weight_raises(self):
+        # D u = 1 and D v = x^3: the Wronskian weight changes sign at x = 0
+        def u(x, d):
+            return (x, 1.0, 0.0)[d]
+
+        def v(x, d):
+            return (x**4 / 4, x**3, 3 * x**2)[d]
+
+        section = SectionSpace(-0.5, 1.0, GeneralizedPolynomialFamily(2, u, v))
+        message = "weight wronskian weight is not strictly positive on [-0.5, 1.0]"
+        with pytest.raises(InvalidFamilyError, match=re.escape(message)):
+            weight_system(section, np.linspace(-0.5, 1.0, 5))
+
     @pytest.mark.parametrize("kind", ["polynomial", "trigonometric", "exponential", "custom"])
     def test_group_rows_equal_each_section_alone(self, kind):
         # one array evaluation for a group, unsorted points, gives each

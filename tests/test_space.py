@@ -12,6 +12,7 @@ import gtbsplines.space as space_module
 from gtbsplines import (
     AdmissibilityWarning,
     BasisNonexistenceError,
+    ConfigError,
     DomainError,
     ExponentialFamily,
     ExtractionMatrix,
@@ -31,7 +32,7 @@ from gtbsplines import (
     unit_integral_scaling,
 )
 from gtbsplines.cli import main
-from gtbsplines.quadrature import gauss_legendre
+from gtbsplines.quadrature import gauss_legendre, section_panels
 from gtbsplines.space import jump_residuals
 from gtbsplines.config import mixed_family_demo_config
 from gtbsplines.oracle import cox_de_boor_basis, cox_de_boor_knots
@@ -470,6 +471,10 @@ class TestCurve:
             X, Y = curve(float(x))
             assert abs((X - 2.0) ** 2 + Y**2 - 1.0) <= 1e-12
 
+    def test_control_rows_must_match_dimension(self, profile_space):
+        with pytest.raises(ConfigError, match="control net has 5 rows, space has dimension 4"):
+            SplineCurve(profile_space, np.zeros((5, 2)))
+
     def test_convex_hull_of_active_controls(self, mixed_space, rng):
         control = rng.uniform(-1.0, 1.0, size=(mixed_space.n_basis, 2))
         curve = SplineCurve(mixed_space, control)
@@ -891,6 +896,16 @@ class TestUnitIntegralScaling:
         assert not (x.flags.writeable or w.flags.writeable)
         want = np.polynomial.legendre.leggauss(8)
         assert np.array_equal(x, want[0]) and np.array_equal(w, want[1])
+
+    def test_panel_count_ignores_rounding_above_a_whole_number(self):
+        # omega * L / 2 is 3 plus one ulp: the rounding of the product adds
+        # no panel; a quotient 1e-9 above 3 does
+        omega = 2.0 * math.nextafter(3.0, math.inf)
+        panels = [
+            section_panels(SectionSpace(0.0, 1.0, ExponentialFamily(3, w)))
+            for w in (6.0, omega, 6.0 * (1 + 1e-13), 6.0 * (1 + 1e-9))
+        ]
+        assert panels == [3, 3, 3, 4]
 
     def test_total_length(self, rng):
         for _ in range(6):
