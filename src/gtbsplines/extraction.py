@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,7 +56,6 @@ __all__ = [
     "pin_band_end",
     "ExtractionMatrix",
     "extraction_operator",
-    "block_bounds",
 ]
 
 # Relative degeneracy threshold for cascade divisors, and the ceiling for
@@ -370,6 +370,17 @@ class ExtractionMatrix:
     factors: list[np.ndarray] = field(repr=False)
     knots: KnotVectors = field(repr=False)
 
+    @cached_property
+    def bounds(self) -> tuple[float, float, float]:
+        """The largest deviation of an operator column sum from one and the
+        smallest and largest entry of the blocks: one stacked reduction per
+        block size, each column summed row after row, computed once."""
+        sizes = {len(b) for b in self.blocks}
+        stacks = [np.array([b for b in self.blocks if len(b) == n]) for n in sizes]
+        deviations = np.concatenate([s.sum(axis=1).ravel() for s in stacks]) - 1.0
+        entries = np.concatenate([s.ravel() for s in stacks])
+        return float(np.abs(deviations).max()), float(entries.min()), float(entries.max())
+
     @property
     def operator(self) -> np.ndarray:
         """The full :meth:`window`: the dense ``n_basis x n_bernstein`` operator."""
@@ -471,20 +482,9 @@ def extraction_operator(
     result = ExtractionMatrix(tuple(blocks), factors, kv)
     # Every entry is a sum of products of positive coefficients, so an entry
     # outside the blocks would show as a block column sum short of one.
-    col_err, low, high = block_bounds(result)
+    col_err, low, high = result.bounds
     if low < -1e-14 or high > 1.0 + 1e-14:
         raise GTBError(f"extraction operator entries outside [0, 1]: min {low:.3g}, max {high:.3g}")
     if col_err > 1e-12:
         raise GTBError("extraction operator column sums deviate from one")
     return result
-
-
-def block_bounds(ext: ExtractionMatrix) -> tuple[float, float, float]:
-    """The largest deviation of an operator column sum from one and the
-    smallest and largest entry, from the blocks that hold every nonzero: one
-    stacked reduction per block size, each column summed row after row."""
-    sizes = {len(b) for b in ext.blocks}
-    stacks = [np.array([b for b in ext.blocks if len(b) == n]) for n in sizes]
-    deviations = np.concatenate([s.sum(axis=1).ravel() for s in stacks]) - 1.0
-    entries = np.concatenate([s.ravel() for s in stacks])
-    return float(np.abs(deviations).max()), float(entries.min()), float(entries.max())

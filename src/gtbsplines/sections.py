@@ -30,8 +30,12 @@ every ``omega L``.  One table arithmetic tabulates the span basis at a point
 points of one section or of many sections of one kind and degree (the grouped
 array kernel of :mod:`gtbsplines.space`); powers come from repeated products
 and ``sin``/``cos``/``exp``/``expm1`` from numpy, once per call, so a point
-gives the same bits alone as inside an array.  The normalized pairs and the
-weights accept arrays too.
+gives the same bits alone as inside an array.  One function,
+:func:`normalized_pair`, gives the normalized pair ``(U*, V*)`` of every
+family (affine for a polynomial section, the pair above for a
+trigonometric/exponential one, the user's pair combined by a 2x2 endpoint
+solve for a custom one) at points of the sections of one group; the
+non-trivial weights of :func:`weight_system` are its sum and its Wronskian.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ __all__ = [
     "ExponentialFamily",
     "GeneralizedPolynomialFamily",
     "SectionSpace",
+    "normalized_pair",
     "weight_system",
 ]
 
@@ -313,8 +318,8 @@ def _call_pointwise(f: Callable[[float, int], float], x, order: int):
     return np.array([f(t, order) for t in x.tolist()], dtype=float)
 
 
-def _pair_constants(family, length: float, orders):
-    """``(w L, den, [(-w)^d], [w^d])`` over ``orders`` for a
+def _pair_constants(family, length: float):
+    """``(w L, den, [(-w)^d], [w^d])``, orders ``0 .. p``, for a
     trigonometric/exponential pair with parameter ``w`` on a section of
     length ``L``, ``den`` its normalizer ``sin(w L)`` or ``1 - e^(-2 w L)``;
     ``None`` for the other families.  The powers come from repeated
@@ -324,10 +329,10 @@ def _pair_constants(family, length: float, orders):
     w, wl = family.omega, family.omega * length
     den = math.sin(wl) if isinstance(family, TrigonometricFamily) else -math.expm1(-2.0 * wl)
     neg, pos = [1.0], [1.0]
-    for _ in range(max(orders)):
+    for _ in range(family.degree):
         neg.append(neg[-1] * -w)
         pos.append(pos[-1] * w)
-    return wl, den, [neg[d] for d in orders], [pos[d] for d in orders]
+    return wl, den, neg, pos
 
 
 def _pair_rows(family, x, t, s, constants, orders) -> list:
@@ -335,8 +340,8 @@ def _pair_rows(family, x, t, s, constants, orders) -> list:
     x_lo)/L`` and ``s = (x_hi - x)/L``: ``[D^d U(x) for d in orders]`` then
     the same for ``V``.  A custom pair (``constants`` is ``None``) calls the
     user's functions; a trigonometric/exponential one gives ``U*``, ``V*``
-    from :func:`_pair_constants` whose factor lists start at the same
-    orders, evaluating each transcendental function once per call."""
+    from :func:`_pair_constants`, evaluating each transcendental function
+    once per call."""
     if constants is None:
         return [_call_pointwise(f, x, d) for f in (family.u, family.v) for d in orders]
     # At a point, numpy's values are turned into Python floats: the
@@ -350,8 +355,8 @@ def _pair_rows(family, x, t, s, constants, orders) -> list:
             sa, ca, sb, cb = float(sa), float(ca), float(sb), float(cb)
         # derivative cycle of sin: sin, cos, -sin, -cos
         cyc_a, cyc_b = (sa, ca, -sa, -ca), (sb, cb, -sb, -cb)
-        return [f * cyc_a[d % 4] / den for f, d in zip(neg, orders)] + [
-            f * cyc_b[d % 4] / den for f, d in zip(pos, orders)
+        return [neg[d] * cyc_a[d % 4] / den for d in orders] + [
+            pos[d] * cyc_b[d % 4] / den for d in orders
         ]
     # (sinh, cosh)(v) / sinh(wl) = e^(v - wl) (1 -+ e^(-2v)) / (1 - e^(-2 wl)),
     # the derivative cycle of sinh: exact and overflow-free for every wl > 0
@@ -360,9 +365,7 @@ def _pair_rows(family, x, t, s, constants, orders) -> list:
         ea, ma, eb, mb = float(ea), float(ma), float(eb), float(mb)
     ea, eb = ea / den, eb / den
     ratio_a, ratio_b = (-ma * ea, (2.0 + ma) * ea), (-mb * eb, (2.0 + mb) * eb)
-    return [f * ratio_a[d % 2] for f, d in zip(neg, orders)] + [
-        f * ratio_b[d % 2] for f, d in zip(pos, orders)
-    ]
+    return [neg[d] * ratio_a[d % 2] for d in orders] + [pos[d] * ratio_b[d % 2] for d in orders]
 
 
 def _span_table(family, x, x_lo, x_hi, width: int, pair) -> np.ndarray:
@@ -453,7 +456,7 @@ class SectionSpace:
         self.degree = family.degree
         self.dim = family.degree + 1
         self.length = x_hi - x_lo
-        self._pair = _pair_constants(family, self.length, range(family.degree + 1))
+        self._pair = _pair_constants(family, self.length)
         if self._pair is not None and self._pair[1] == 0.0:  # the pair's normalizer
             raise InvalidFamilyError(f"omega*length of {self!r} underflows to 0")
 
@@ -494,50 +497,32 @@ class SectionSpace:
             )
         return _span_table(self.family, x, self.x_lo, self.x_hi, max_order + 1, self._pair)
 
-    # -- normalized pair and weights --------------------------------------
 
-    def normalized_pair_derivatives(self):
-        """Normalized two-function generators ``(U*, V*)`` of the section.
+def _pair_at(group, on):
+    """Per point ``i``, the numbers ``(w L, den, [(-w)^d], [w^d])`` (orders
+    ``0 .. p``) of :func:`_pair_constants` cached on section ``group[on[i]]``;
+    ``None`` for a group that is not trigonometric/exponential."""
+    if group[0]._pair is None:
+        return None
+    wl, den, neg, pos = (np.array(c) for c in zip(*(s._pair for s in group)))
+    return wl[on], den[on], neg[on].T, pos[on].T
 
-        Returns one callable ``f(x, order=0)`` giving the exact derivatives
-        ``(D^order U*(x), D^order V*(x))`` at a point, as floats, or at a 1-D
-        array of points, as arrays; the pair satisfies ``U*(x_lo) = 1``,
-        ``U*(x_hi) = 0``, ``V*(x_lo) = 0``, ``V*(x_hi) = 1``.  Only the
-        user's ``u``/``v`` callables of a custom pair are called point by
-        point.
-        """
-        fam = self.family
-        lo, hi, L = self.x_lo, self.x_hi, self.length
-        if isinstance(fam, PolynomialFamily):
-            if fam.degree < 1:
-                raise InvalidFamilyError("normalized pair needs degree >= 1")
 
-            def affine(x, order=0):
-                if order == 0:
-                    return (hi - x) / L, (x - lo) / L
-                du, dv = (-1.0 / L, 1.0 / L) if order == 1 else (0.0, 0.0)
-                if np.ndim(x) == 0:
-                    return du, dv
-                return np.full(len(x), du), np.full(len(x), dv)
-
-            return affine
-        if isinstance(fam, (TrigonometricFamily, ExponentialFamily)):
-
-            def pair(x, order=0):
-                t, s = (x - lo) / L, (hi - x) / L
-                u, v = _pair_rows(fam, x, t, s, _pair_constants(fam, L, [order]), [order])
-                return u, v
-
-            return pair
-        # Custom pair: normalize D^(p-1) of the raw generators by a 2x2
-        # endpoint solve.
-        p = fam.degree
-        gen = np.array(
-            [
-                [fam.u(lo, p - 1), fam.v(lo, p - 1)],
-                [fam.u(hi, p - 1), fam.v(hi, p - 1)],
-            ]
-        )
+def normalized_pair(group, x, on, orders) -> list:
+    """``[D^d U* for d in orders]`` then the same for ``V*``, the normalized
+    pair (``U*(x_lo) = V*(x_hi) = 1``, ``U*(x_hi) = V*(x_lo) = 0``) of
+    sections of degree >= 1 and one family kind and degree, or of one
+    custom-pair section, at point ``x[i]`` of section ``group[on[i]]``: arrays
+    over the points, or numbers for a scalar ``x`` and ``on``.  An order
+    outside ``[0, p]`` raises :class:`OrderError`."""
+    fam, p = group[0].family, group[0].degree
+    if p < 1:
+        raise InvalidFamilyError("normalized pair needs degree >= 1")
+    orders = [_integer(d, "pair order", OrderError) for d in orders]
+    if any(not 0 <= d <= p for d in orders):
+        raise OrderError(f"pair orders {orders} outside [0, {p}]")
+    if isinstance(fam, GeneralizedPolynomialFamily):
+        gen = np.array([[fam.u(z, p - 1), fam.v(z, p - 1)] for z in (group[0].x_lo, group[0].x_hi)])
         try:
             combo = np.linalg.solve(gen, np.eye(2))
         except np.linalg.LinAlgError as exc:
@@ -545,40 +530,33 @@ class SectionSpace:
                 "degenerate endpoint system: the reduced pair does not separate "
                 "the section endpoints"
             ) from exc
-        cu, cv = combo[:, 0], combo[:, 1]
-
-        def custom(x, order=0):
-            gu = _call_pointwise(fam.u, x, p - 1 + order)
-            gv = _call_pointwise(fam.v, x, p - 1 + order)
-            return cu[0] * gu + cu[1] * gv, cv[0] * gu + cv[1] * gv
-
-        return custom
+        raw = [[_call_pointwise(f, x, p - 1 + d) for f in (fam.u, fam.v)] for d in orders]
+        return [c[0] * gu + c[1] * gv for c in combo.T for gu, gv in raw]
+    lo, hi, length = (np.array([getattr(s, a) for s in group]) for a in ("x_lo", "x_hi", "length"))
+    t, s = (x - lo[on]) / length[on], (hi[on] - x) / length[on]
+    if isinstance(fam, PolynomialFamily):
+        slope = np.full(np.shape(x), 1.0) / length[on]
+        return [row[d] if d < 2 else 0.0 * t for row in ((s, -slope), (t, slope)) for d in orders]
+    return _pair_rows(fam, x, t, s, _pair_at(group, on), orders)
 
 
 def _weight_rows(group, xs: np.ndarray, at: np.ndarray) -> np.ndarray:
     """The two non-trivial weights ``[w_{p-1}, w_p]`` of :func:`weight_system`
     as ``(2, len(xs))``, for sections of degree >= 1 and one family kind and
     degree (one custom pair), point ``xs[i]`` on ``group[at[i]]``: each
-    section's 100-point grid and ``xs`` in one evaluation of the normalized
-    pair, the sections' numbers given per point; the first section whose
-    weights are not strictly positive on its grid raises InvalidFamilyError."""
-    fam = group[0].family
-    lo, hi, length = (np.array([getattr(s, a) for s in group]) for a in ("x_lo", "x_hi", "length"))
+    section's 100-point grid and ``xs`` in one :func:`normalized_pair` call;
+    the first section whose weights are not finite and strictly positive on
+    its grid raises InvalidFamilyError."""
+    lo, hi = (np.array([getattr(s, a) for s in group]) for a in ("x_lo", "x_hi"))
     grid = np.linspace(lo, hi, 100, axis=1)
     on = np.concatenate([np.repeat(np.arange(len(group)), 100), at])
-    x, lo, hi, length = np.concatenate([grid.ravel(), xs]), lo[on], hi[on], length[on]
-    t, s = (x - lo) / length, (hi - x) / length
-    if isinstance(fam, GeneralizedPolynomialFamily):
-        pair = group[0].normalized_pair_derivatives()
-        (u, v), (du, dv) = pair(x), pair(x, 1)
-    elif isinstance(fam, PolynomialFamily):
-        u, du, v, dv = s, -1.0 / length, t, 1.0 / length
-    else:
-        wl, den, neg, pos = (np.array(c)[on] for c in zip(*(sec._pair for sec in group)))
-        u, du, v, dv = _pair_rows(fam, x, t, s, (wl, den, neg.T[:2], pos.T[:2]), [0, 1])
-    total = u + v
-    values = np.array([total, (u * dv - v * du) / (total * total)])
-    failed = ~np.all(values[:, : grid.size].reshape(2, len(group), 100) > 0.0, axis=2)
+    # a pair that underflows or overflows gives NaN or infinite weights: they fail
+    with np.errstate(all="ignore"):
+        u, du, v, dv = normalized_pair(group, np.concatenate([grid.ravel(), xs]), on, [0, 1])
+        total = u + v
+        values = np.array([total, (u * dv - v * du) / (total * total)])
+    positive = (values[:, : grid.size] > 0.0) & (values[:, : grid.size] < np.inf)
+    failed = ~np.all(positive.reshape(2, len(group), 100), axis=2)
     if failed.any():
         i = int(np.argmax(failed.any(axis=0)))
         name = "u*+v*" if failed[0, i] else "wronskian weight"
@@ -595,17 +573,18 @@ def weight_system(section: SectionSpace, xs) -> np.ndarray:
     points ``xs``, as a ``(p + 1, len(xs))`` array, each weight scaled so that
     it has value 1 at the section endpoints.
 
-    With the normalized pair ``(U*, V*)`` of
-    :meth:`SectionSpace.normalized_pair_derivatives`, the first ``p - 1``
-    weights are identically one, ``w_{p-1} = U* + V*``, and the top weight is
-    the Wronskian expression ``(U* DV* - V* DU*) / (U* + V*)^2`` divided by
-    its (common) endpoint value, a constant rescaling that leaves the section
-    space unchanged but lets weights of adjoining sections glue continuously.
+    With the section's normalized pair ``(U*, V*)`` (:func:`normalized_pair`),
+    the first ``p - 1`` weights are identically one, ``w_{p-1} = U* + V*``,
+    and the top weight is the Wronskian expression ``(U* DV* - V* DU*) /
+    (U* + V*)^2`` divided by its (common) endpoint value, a constant
+    rescaling that leaves the section space unchanged but lets weights of
+    adjoining sections glue continuously.
     Both non-trivial weights must be strictly positive on the interval; this
     is verified on a uniform 100-point grid and a violation raises
-    :class:`~gtbsplines.errors.InvalidFamilyError`.  The grid and ``xs`` go
-    through one array evaluation of the pair (:func:`_weight_rows`, which
-    the integral-recurrence oracle calls once per group of sections).
+    :class:`~gtbsplines.errors.InvalidFamilyError`, as does a weight that is
+    not finite there.  The grid and ``xs`` go through one
+    :func:`normalized_pair` call (:func:`_weight_rows`, which the
+    integral-recurrence oracle calls once per group of sections).
     """
     p = section.degree
     xs = np.asarray(xs, dtype=float)

@@ -58,6 +58,7 @@ from .sections import (
     _family_groups,
     _integer,
     _number,
+    _pair_at,
     _span_table,
 )
 
@@ -247,10 +248,7 @@ def _local_values(space: GTSplineSpace, xs: np.ndarray, elems: np.ndarray, max_o
         at = np.flatnonzero(inside[elems])
         local = np.searchsorted(intervals, elems[at])  # each point's place in intervals
         bases = [space.bases[e - 1] for e in intervals]
-        section, pair = bases[0].section, bases[0].section._pair
-        if pair is not None:
-            wl, den, neg, pos = (np.array(c) for c in zip(*(b.section._pair for b in bases)))
-            pair = (wl[local], den[local], neg[local].T, pos[local].T)
+        section, pair = bases[0].section, _pair_at([b.section for b in bases], local)
         x_lo, x_hi = breakpoints[elems[at] - 1], breakpoints[elems[at]]
         values = _span_table(section.family, xs[at], x_lo, x_hi, max_order + 1, pair)
         if bases[0].coeffs is not None:

@@ -429,7 +429,7 @@ def reference_span_derivatives(section, x: float, max_order: int) -> np.ndarray:
 
 def reference_pair(section):
     """Reference normalized pair ``f(x, order=0)`` of a section at one point,
-    from ``math``; see :meth:`SectionSpace.normalized_pair_derivatives`."""
+    from ``math``; see :func:`gtbsplines.sections.normalized_pair`."""
     fam = section.family
     lo, hi, L = section.x_lo, section.x_hi, section.length
     if isinstance(fam, PolynomialFamily):

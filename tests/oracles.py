@@ -29,6 +29,7 @@ from gtbsplines import (
     TrigonometricFamily,
 )
 from gtbsplines.oracle import _fit_rule, _section_nodes
+from gtbsplines.sections import normalized_pair
 
 
 class _Element:
@@ -160,9 +161,8 @@ class RecurrenceBernstein:
             )
         self.section = section
         self.element = _Element(section.x_lo, section.x_hi, _section_nodes(section))
-        pair = section.normalized_pair_derivatives()
-        values = np.array([pair(x) for x in self.element.nodes])
-        ladder = [self.element.fit(values[:, 0]), self.element.fit(values[:, 1])]
+        u, v = normalized_pair([section], self.element.nodes, 0, [0])
+        ladder = [self.element.fit(u), self.element.fit(v)]
         for q in range(2, section.degree + 1):
             ladder = self._lift(ladder, self._masses(ladder))
         self.coefficients = ladder

@@ -373,6 +373,24 @@ class TestVerify:
         assert "PASS oracle-integral-recurrence" in capsys.readouterr().out
         assert len(calls) == 1
 
+    def test_unsupported_oracle_is_a_fail_line(self, tmp_path, capfd):
+        # U* + V* of an exponential section at omega * length = 800
+        # underflows mid-interval, so the recurrence oracle has no weights:
+        # its check fails, the other checks print as usual, stderr is empty
+        section = {"family": "exponential", "degree": 3, "omega": 800.0}
+        cfg = {"breakpoints": [0.0, 1.0], "sections": [section], "smoothness": []}
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["verify", str(path)]) == 1
+        out, err = capfd.readouterr()
+        fail = (
+            "FAIL oracle-integral-recurrence (oracle unsupported: no computable weight ladder "
+            "for SectionSpace([0.0, 1.0], ExponentialFamily(degree=3, omega=800.0)): "
+            "weight wronskian weight is not strictly positive on [0.0, 1.0])\n"
+        )
+        assert out == "".join(f"PASS {c}\n" for c in VERIFY_CHECKS) + fail
+        assert err == ""
+
     @pytest.mark.parametrize(
         "name", ["build-cubic-fine", "sample-mixed", "refine-mixed", "example1", "example2"]
     )
@@ -412,7 +430,10 @@ class TestVerify:
             for i in (1, 2)
         )
         assert want > 1e-9
-        assert f"FAIL smoothness-jumps (max jump {want:.3g})\n" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert f"FAIL smoothness-jumps (max jump {want:.3g})\n" in out
+        # the column sums are those of the shifted blocks, not of the built ones
+        assert "FAIL extraction-column-sums" in out
 
     def test_uniform_polynomial_uses_classical_oracle(self, tmp_path, capsys):
         cfg = {

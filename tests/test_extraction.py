@@ -31,7 +31,6 @@ from gtbsplines.config import (
     conic_profile_demo_config,
     mixed_family_demo_config,
 )
-from gtbsplines.extraction import block_bounds
 from gtbsplines.oracle import cox_de_boor_basis, cox_de_boor_knots
 
 from helpers import (
@@ -481,11 +480,12 @@ class TestExtractionOperator:
             col_err = max(float(np.max(np.abs(b.sum(axis=0) - 1.0))) for b in ext.blocks)
             low = min(float(b.min()) for b in ext.blocks)
             high = max(float(b.max()) for b in ext.blocks)
-            assert block_bounds(ext) == (col_err, low, high)
+            assert "bounds" in vars(ext)  # filled by the cascade's closing check
+            assert ext.bounds == (col_err, low, high)
             blocks = list(ext.blocks)
             blocks[-1] = blocks[-1].copy()
             blocks[-1][0, -1] -= 0.75
-            changed = block_bounds(ExtractionMatrix(tuple(blocks), ext.factors, ext.knots))
+            changed = ExtractionMatrix(tuple(blocks), ext.factors, ext.knots).bounds
             assert changed[0] >= 0.75 - 1e-12 and changed[1] == min(low, blocks[-1][0, -1])
 
     def test_large_space_stores_element_blocks_only(self):

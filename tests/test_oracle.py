@@ -30,6 +30,7 @@ from gtbsplines.oracle import (
     cox_de_boor_knots,
     local_recurrence_eval,
 )
+from gtbsplines.sections import normalized_pair
 
 from helpers import bench_generator, random_config, reference_cox_de_boor
 from oracles import RecurrenceBernstein
@@ -234,10 +235,9 @@ class TestBernsteinRecurrence:
     def test_base_level_is_normalized_pair(self):
         section = SectionSpace(0.0, 1.0, ExponentialFamily(1, 2.0))
         ladder = RecurrenceBernstein(section)
-        pair = section.normalized_pair_derivatives()
         for x in np.linspace(0, 1, 9):
             vals = ladder.evaluate(float(x))[:, 0]
-            u_star, v_star = pair(float(x))
+            u_star, v_star = normalized_pair([section], float(x), 0, [0])
             assert vals[0] == pytest.approx(u_star, abs=1e-12)
             assert vals[1] == pytest.approx(v_star, abs=1e-12)
 

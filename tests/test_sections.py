@@ -22,7 +22,13 @@ from gtbsplines import (
     build_space,
 )
 from gtbsplines.bernstein import COND_LIMIT, _endpoint_systems
-from gtbsplines.sections import _bernstein_layout, _end_tables, _weight_rows, weight_system
+from gtbsplines.sections import (
+    _bernstein_layout,
+    _end_tables,
+    _weight_rows,
+    normalized_pair,
+    weight_system,
+)
 
 from helpers import (
     central_diff,
@@ -45,6 +51,16 @@ ALL_SECTIONS = [
 # span {1, x, e^x, e^(2x)}
 EXP_PAIR = GeneralizedPolynomialFamily(
     3, u=lambda x, d: math.exp(x), v=lambda x, d: (2.0**d) * math.exp(2.0 * x), name="exp-pair"
+)
+
+# a custom pair on [0, 1] with U* = D u = 1 + 3x - 4x^2 and V* = D v = x, whose
+# order-2 values (DU*, DV*) are -+1.5e308 inside the interval and -+1 at its ends,
+# so that U* DV* - V* DU* overflows where U* + V* > 1.2
+OVERFLOWING_PAIR = GeneralizedPolynomialFamily(
+    2,
+    u=lambda x, d: (0.0, 1.0 + 3.0 * x - 4.0 * x * x, -1.5e308 if 0.0 < x < 1.0 else -1.0)[d],
+    v=lambda x, d: (0.0, x, 1.5e308 if 0.0 < x < 1.0 else 1.0)[d],
+    name="overflowing-pair",
 )
 
 # one section of each family, the exponential one at omega * length = 25
@@ -430,20 +446,24 @@ class TestFamilyValidation:
             build_space(SpaceConfig([0.0, length], [family], []))
 
 
+def _pair(section, x, order=0) -> tuple:
+    """``(D^order U*, D^order V*)`` of one section at a point or an array."""
+    return tuple(normalized_pair([section], x, 0, [order]))
+
+
 class TestNormalizedPair:
     def test_affine_pair(self):
-        pair = SectionSpace(0.0, 1.0, PolynomialFamily(2)).normalized_pair_derivatives()
+        section = SectionSpace(0.0, 1.0, PolynomialFamily(2))
         xs = np.linspace(0, 1, 11)
-        assert np.allclose([pair(x)[0] for x in xs], 1 - xs)
-        assert np.allclose([pair(x)[1] for x in xs], xs)
+        assert np.allclose([_pair(section, x)[0] for x in xs], 1 - xs)
+        assert np.allclose([_pair(section, x)[1] for x in xs], xs)
 
     def test_trig_pair_closed_form(self):
         # On [1, 5/2] with omega = pi/2 the normalized pair is
         # -sqrt(2) cos(pi/4 + pi x / 2) and -sqrt(2) cos(pi x / 2).
         section = SectionSpace(1.0, 2.5, TrigonometricFamily(3, math.pi / 2))
-        pair = section.normalized_pair_derivatives()
         for x in np.linspace(1.0, 2.5, 17):
-            u_star, v_star = pair(float(x))
+            u_star, v_star = _pair(section, float(x))
             assert u_star == pytest.approx(
                 -math.sqrt(2) * math.cos(math.pi / 4 + math.pi * x / 2), abs=1e-14
             )
@@ -453,18 +473,16 @@ class TestNormalizedPair:
 
     def test_exp_pair_closed_form(self):
         section = SectionSpace(2.5, 5.0, ExponentialFamily(4, 10.0))
-        pair = section.normalized_pair_derivatives()
         for x in np.linspace(2.5, 5.0, 9):
             expected = math.sinh(50 - 10 * x) / math.sinh(25)
-            assert pair(float(x))[0] == pytest.approx(expected, abs=1e-14)
+            assert _pair(section, float(x))[0] == pytest.approx(expected, abs=1e-14)
 
     @pytest.mark.parametrize(
         "section", [s for s in ALL_SECTIONS if s.degree >= 1], ids=lambda s: repr(s.family)
     )
     def test_endpoint_conditions(self, section):
-        pair = section.normalized_pair_derivatives()
-        u_lo, v_lo = pair(section.x_lo)
-        u_hi, v_hi = pair(section.x_hi)
+        u_lo, v_lo = _pair(section, section.x_lo)
+        u_hi, v_hi = _pair(section, section.x_hi)
         assert u_lo == pytest.approx(1.0, abs=1e-14)
         assert u_hi == pytest.approx(0.0, abs=1e-14)
         assert v_lo == pytest.approx(0.0, abs=1e-14)
@@ -475,11 +493,10 @@ class TestNormalizedPair:
         ids=lambda s: repr(s.family),
     )
     def test_array_equals_scalar_calls(self, section, rng):
-        pair = section.normalized_pair_derivatives()
         xs = _points(section, rng)
         for order in range(3):
-            stacked = np.array([pair(float(x), order) for x in xs]).T
-            assert np.array_equal(np.array(pair(xs, order)), stacked)
+            stacked = np.array([_pair(section, float(x), order) for x in xs]).T
+            assert np.array_equal(np.array(_pair(section, xs, order)), stacked)
 
     def test_custom_pair_solves_endpoint_system(self):
         fam = GeneralizedPolynomialFamily(
@@ -488,9 +505,56 @@ class TestNormalizedPair:
             v=lambda x, d: (math.cos(x), -math.sin(x), -math.cos(x), math.sin(x))[d % 4],
         )
         section = SectionSpace(0.0, 1.0, fam)
-        pair = section.normalized_pair_derivatives()
-        assert pair(0.0)[0] == pytest.approx(1.0, abs=1e-14)
-        assert pair(1.0)[1] == pytest.approx(1.0, abs=1e-14)
+        assert _pair(section, 0.0)[0] == pytest.approx(1.0, abs=1e-14)
+        assert _pair(section, 1.0)[1] == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("kind", ["polynomial", "trigonometric", "exponential", "custom"])
+    def test_group_equals_each_section_alone(self, kind):
+        # one call for a group, unsorted points, every order: each section's
+        # rows bit for bit, the exponential group up to omega * length = 40
+        rng = np.random.default_rng(47)
+        for size in (1, 2, 7):
+            if kind == "polynomial":
+                p, bp = int(rng.integers(1, 6)), np.cumsum(rng.uniform(0.1, 3.0, size + 1))
+                group = [SectionSpace(a, b, PolynomialFamily(p)) for a, b in zip(bp, bp[1:])]
+            else:
+                group = _random_group(rng, kind, size)
+            if kind == "exponential":
+                end, p = group[-1].x_hi, group[0].degree
+                group.append(SectionSpace(end, end + 1.0, ExponentialFamily(p, 40.0)))
+            orders = range(group[0].degree + 1)
+            at = rng.permutation(np.repeat(np.arange(len(group)), 9))
+            xs = np.array([rng.uniform(group[i].x_lo, group[i].x_hi) for i in at])
+            rows = np.array(normalized_pair(group, xs, at, orders))
+            for i, section in enumerate(group):
+                want = np.array(normalized_pair([section], xs[at == i], 0, orders))
+                assert rows[:, at == i].tobytes() == want.tobytes()
+                x = float(xs[at == i][0])
+                alone = [float(v) for v in normalized_pair([section], x, 0, orders)]
+                assert alone == want[:, 0].tolist()
+
+    @pytest.mark.parametrize(
+        "family, order",
+        [
+            (PolynomialFamily(1), 2),
+            (TrigonometricFamily(1, 2.0), 2),
+            (ExponentialFamily(1, 2.0), 2),
+            (EXP_PAIR, 4),
+            (ExponentialFamily(3, 2.0), -1),
+        ],
+        ids=["polynomial-p1", "trigonometric-p1", "exponential-p1", "custom-p3", "negative"],
+    )
+    def test_order_outside_degree_raises(self, family, order):
+        # the cached pair numbers stop at order p: a higher order is a
+        # library error, not an IndexError
+        section = SectionSpace(0.0, 1.0, family)
+        for x in (0.5, np.linspace(0.0, 1.0, 5)):
+            with pytest.raises(OrderError, match="outside"):
+                normalized_pair([section], x, 0, [0, order])
+
+    def test_degree_zero_has_no_pair(self):
+        with pytest.raises(InvalidFamilyError, match="degree >= 1"):
+            normalized_pair([SectionSpace(0.0, 1.0, PolynomialFamily(0))], 0.5, 0, [0])
 
 
 class TestGpbWeights:
@@ -525,6 +589,23 @@ class TestGpbWeights:
         message = "weight wronskian weight is not strictly positive on [-0.5, 1.0]"
         with pytest.raises(InvalidFamilyError, match=re.escape(message)):
             weight_system(section, np.linspace(-0.5, 1.0, 5))
+
+    @pytest.mark.parametrize(
+        "section",
+        [
+            # U* + V* underflows to 0 mid-interval: the Wronskian weight is 0/0
+            SectionSpace(0.0, 1.0, ExponentialFamily(3, 800.0)),
+            # U* DV* overflows mid-interval: the Wronskian weight is +inf
+            SectionSpace(0.0, 1.0, OVERFLOWING_PAIR),
+        ],
+        ids=["underflow", "overflow"],
+    )
+    def test_nonfinite_weight_raises_without_warning(self, section):
+        message = "weight wronskian weight is not strictly positive on [0.0, 1.0]"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidFamilyError, match=re.escape(message)):
+                weight_system(section, np.linspace(0.0, 1.0, 5))
 
     @pytest.mark.parametrize("kind", ["polynomial", "trigonometric", "exponential", "custom"])
     def test_group_rows_equal_each_section_alone(self, kind):
