@@ -35,6 +35,7 @@ from .sections import (
     TrigonometricFamily,
     _integer,
     _number,
+    _numbers,
 )
 
 __all__ = [
@@ -90,28 +91,13 @@ class SpaceConfig:
         self.breakpoints = [_number(x, "breakpoint", ConfigError) for x in self.breakpoints]
         self.smoothness = [_integer(r, "smoothness", ConfigError) for r in self.smoothness]
         if self.control_points is not None:
-            try:
-                control = np.asarray(self.control_points)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"control points must be rows of numbers: {exc}") from exc
-            # Integer and float entries only: numpy would parse numeric
-            # strings, and an object array holds something that is no number.
-            if control.dtype.kind not in "iuf":
-                raise ConfigError(
-                    f"control points must be rows of numbers, got {control.dtype} entries"
-                )
-            # numpy reads a boolean among numbers as 0 or 1.
-            entries = np.asarray(self.control_points, dtype=object).flat
-            if any(isinstance(v, (bool, np.bool_)) for v in entries):
-                raise ConfigError("control points must be rows of numbers, got a boolean entry")
-            self.control_points = np.atleast_2d(control.astype(float, copy=False))
+            rule = "control points must be rows of numbers"
+            self.control_points = np.atleast_2d(_numbers(self.control_points, rule, ConfigError))
         m = len(self.breakpoints) - 1
         if m < 1:
             raise ConfigError("need at least two breakpoints")
         if len(self.sections) != m:
-            raise ConfigError(
-                f"{m} intervals but {len(self.sections)} section entries"
-            )
+            raise ConfigError(f"{m} intervals but {len(self.sections)} section entries")
         if len(self.smoothness) != m - 1:
             raise ConfigError(
                 f"{m - 1} interior breakpoints but {len(self.smoothness)} smoothness entries"

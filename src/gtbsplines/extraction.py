@@ -43,7 +43,7 @@ import numpy as np
 
 from .bernstein import BernsteinBasis
 from .errors import BasisNonexistenceError, ConfigError, GTBError
-from .sections import Partition
+from .sections import Partition, _integer
 
 __all__ = [
     "KnotVectors",
@@ -62,24 +62,6 @@ __all__ = [
 # numerically-zero entries outside the structural band.
 _DEGENERACY_RTOL = 1e-12
 _OUT_OF_BAND_RTOL = 1e-10
-
-
-def validate_smoothness(degrees, smoothness, breakpoints) -> None:
-    """Check the admissibility bounds ``-1 <= r_i <= min(p_i, p_{i+1})`` with
-    ``r_0 = r_m = -1``."""
-    m = len(degrees)
-    if len(smoothness) != m + 1:
-        raise ConfigError(
-            f"smoothness vector must have length {m + 1} (got {len(smoothness)})"
-        )
-    if smoothness[0] != -1 or smoothness[m] != -1:
-        raise ConfigError("end smoothness entries must be -1")
-    for i in range(1, m):
-        lim = min(degrees[i - 1], degrees[i])
-        if not (-1 <= smoothness[i] <= lim):
-            raise ConfigError(
-                f"smoothness r={smoothness[i]} at x_{i}={breakpoints[i]!r} outside [-1, {lim}]"
-            )
 
 
 @dataclass(eq=False)
@@ -159,7 +141,7 @@ class KnotVectors:
         ``mu[j - 1]``.  These can exceed the smoothness the space requires at
         that breakpoint.
         """
-        n = self.n_basis
+        n, k = self.n_basis, _integer(k, "basis index", ConfigError)
         if not (1 <= k <= n):
             raise ConfigError(f"basis index {k} outside [1, {n}]")
         k0 = k - 1
@@ -183,19 +165,28 @@ def build_knot_vectors(partition: Partition, degrees, smoothness) -> KnotVectors
     The left vector repeats ``x_i`` with multiplicity ``p_{i+1} - r_i`` for
     ``i = 0 .. m-1``; the right vector repeats ``x_i`` with multiplicity
     ``p_i - r_i`` for ``i = 1 .. m``.  Both have length
-    ``N = p_1 + 1 + sum_i (p_{i+1} - r_i)``, the space dimension.
+    ``N = p_1 + 1 + sum_i (p_{i+1} - r_i)``, the space dimension.  Degrees
+    and orders are integers with ``-1 <= r_i <= min(p_i, p_{i+1})``, ``r_0 =
+    r_m = -1``; anything else raises :class:`~gtbsplines.errors.ConfigError`.
     """
-    degrees = tuple(int(p) for p in degrees)
-    smoothness = tuple(int(r) for r in smoothness)
-    m = partition.num_intervals
+    degrees = tuple(_integer(p, "degree", ConfigError) for p in degrees)
+    smoothness = tuple(_integer(r, "smoothness", ConfigError) for r in smoothness)
+    m, bp = partition.num_intervals, partition.breakpoints
     if len(degrees) != m:
         raise ConfigError(f"need {m} degrees, got {len(degrees)}")
-    validate_smoothness(degrees, smoothness, partition.breakpoints)
+    if len(smoothness) != m + 1:
+        got = len(smoothness)
+        raise ConfigError(f"smoothness vector must have length {m + 1} (got {got})")
+    if smoothness[0] != -1 or smoothness[m] != -1:
+        raise ConfigError("end smoothness entries must be -1")
+    for i, (r, lim) in enumerate(zip(smoothness[1:m], map(min, degrees, degrees[1:])), start=1):
+        if not (-1 <= r <= lim):
+            raise ConfigError(f"smoothness r={r} at x_{i}={bp[i]!r} outside [-1, {lim}]")
 
     # multiplicities p_{i+1} - r_i of x_i in u and p_i - r_i of x_i in v
     sigma = np.cumsum([0] + [p - r for p, r in zip(degrees, smoothness[:-1])])
     mu = np.cumsum([0] + [p - r for p, r in zip(degrees, smoothness[1:])])
-    bp = np.array(partition.breakpoints)
+    bp = np.array(bp)
     kv = KnotVectors(
         u=np.repeat(bp[:-1], np.diff(sigma)),
         v=np.repeat(bp[1:], np.diff(mu)),
@@ -269,9 +260,7 @@ def nullspace_step(a: np.ndarray, band: tuple[int, int]) -> np.ndarray:
     a divisor below ``1e-12 * max|a|`` or a nonpositive coefficient aborts
     with :class:`~gtbsplines.errors.BasisNonexistenceError`.
     """
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    lo, hi = band
+    n, (lo, hi) = len(a), band
     if not (1 <= lo < hi <= n):
         raise BasisNonexistenceError(f"invalid constraint band [{lo}, {hi}] for length {n}")
     # A jump has a handful of entries, so the arithmetic runs on Python
@@ -476,9 +465,7 @@ def extraction_operator(
             win_row, win_col = row, col
 
     if starts[-1] - len(factors) != kv.n_basis:
-        raise GTBError(
-            f"internal: dimension mismatch {starts[-1] - len(factors)} != {kv.n_basis}"
-        )
+        raise GTBError(f"internal: dimension mismatch {starts[-1] - len(factors)} != {kv.n_basis}")
     result = ExtractionMatrix(tuple(blocks), factors, kv)
     # Every entry is a sum of products of positive coefficients, so an entry
     # outside the blocks would show as a block column sum short of one.

@@ -34,9 +34,9 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 import numpy.polynomial.chebyshev as _cheb
 
-from .errors import ConfigError, OracleUnsupportedError
+from .errors import ConfigError, OracleUnsupportedError, OrderError
 from .quadrature import _stiffness_ceil
-from .sections import _family_groups, _integer, _points_in, _weight_rows, weight_system
+from .sections import _family_groups, _integer, _numbers, _points_in, _weight_rows, weight_system
 
 if TYPE_CHECKING:
     from .sections import SectionSpace
@@ -222,7 +222,7 @@ class RecurrenceEvaluator:
         if ks.dtype.kind not in "iu":  # whole numbers as ints, anything else raises
             whole = [_integer(v, "basis index", ConfigError) for v in ks.ravel().tolist()]
             ks = np.array(whole, dtype=int).reshape(ks.shape)
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        xs = np.atleast_1d(_points_in(x, *self.space.domain))
         elems = self.space.partition.locate(xs) - 1
         local = np.atleast_1d(ks)[None, :] - self._first[elems, None]
         at, col = np.nonzero((local >= 0) & (local <= self._degree[elems, None]))
@@ -258,12 +258,12 @@ _EVALUATOR_CACHE: dict[str, RecurrenceEvaluator] = {}
 def cox_de_boor_knots(breakpoints, degree: int, interior_smoothness) -> np.ndarray:
     """Open knot vector for a uniform-degree polynomial space: endpoint
     multiplicity ``p + 1``, interior multiplicity ``p - r_i``."""
-    bp = list(breakpoints)
-    knots = [bp[0]] * (degree + 1)
-    for i, r in enumerate(interior_smoothness, start=1):
-        knots.extend([bp[i]] * (degree - int(r)))
-    knots.extend([bp[-1]] * (degree + 1))
-    return np.asarray(knots, dtype=float)
+    bp = _numbers(breakpoints, "breakpoints must be numbers", ConfigError)
+    p = _integer(degree, "degree", ConfigError)
+    counts = [p + 1, *(p - _integer(r, "smoothness", ConfigError) for r in interior_smoothness)]
+    if bp.ndim != 1 or len(counts) != bp.size - 1 or min(counts) < 0:
+        raise ConfigError(f"need {bp.size - 2} interior smoothness orders in [-1, {p}]")
+    return np.repeat(bp, counts + [p + 1])
 
 
 def cox_de_boor_basis(knots, degree: int, x, max_order: int = 0) -> np.ndarray:
@@ -281,12 +281,15 @@ def cox_de_boor_basis(knots, degree: int, x, max_order: int = 0) -> np.ndarray:
     O(degree^2) per point.  A point outside ``[knots[0], knots[-1]]`` or not
     finite raises :class:`DomainError`.
     """
-    knots = np.asarray(knots, dtype=float)
-    p = degree
-    n = len(knots) - p - 1
-    if n < p + 1 or not knots[0] == knots[p] < knots[n] == knots[-1]:
+    knots = _numbers(knots, "knots must be numbers", ConfigError)
+    p = _integer(degree, "degree", ConfigError)
+    max_order = _integer(max_order, "max_order", OrderError)
+    n = knots.size - p - 1
+    if knots.ndim != 1 or p < 0 or n < p + 1 or not knots[0] == knots[p] < knots[n] == knots[-1]:
         raise ConfigError(f"not an open knot vector of degree {p}: {knots!r}")
-    pts = np.atleast_1d(_points_in(x, float(knots[0]), float(knots[-1])))
+    if max_order < 0:
+        raise OrderError(f"max_order={max_order} is negative")
+    pts = np.atleast_1d(_points_in(x, knots[0], knots[-1]))
     last = int(np.searchsorted(knots, knots[-1], "left")) - 1
     span = np.minimum(np.searchsorted(knots, pts, "right") - 1, last)
     left = [pts - knots[span + 1 - j] for j in range(p + 1)]

@@ -36,6 +36,12 @@ family (affine for a polynomial section, the pair above for a
 trigonometric/exponential one, the user's pair combined by a 2x2 endpoint
 solve for a custom one) at points of the sections of one group; the
 non-trivial weights of :func:`weight_system` are its sum and its Wronskian.
+
+Every number a caller gives the package is read here, never converted by
+``float``/``int`` alone: :func:`_number` reads a float, :func:`_integer` an
+int (no fraction is truncated) and :func:`_numbers` a float array (points
+through :func:`_points_in`), each raising the error class of its caller
+for a string, a boolean, ``None``, a complex value or ragged rows.
 """
 
 from __future__ import annotations
@@ -43,12 +49,12 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, InvalidFamilyError, OrderError
+from .errors import DomainError, EctViolationError, InvalidFamilyError, OrderError
 
 __all__ = [
     "Partition",
@@ -62,46 +68,65 @@ __all__ = [
 ]
 
 
-def _points_in(x, lo: float, hi: float):
-    """``x`` as a float or a 1-D float array, checked to lie in ``[lo, hi]``;
-    a violation names the first offending point."""
-    if isinstance(x, float) or np.ndim(x) == 0:
-        x = float(x)
-        if not (lo <= x <= hi):
-            raise DomainError(f"x={x!r} outside [{lo}, {hi}]")
-        return x
-    xs = np.asarray(x, dtype=float)
-    if xs.ndim != 1:
-        raise DomainError(f"points must be a scalar or a 1-D array, got shape {xs.shape}")
-    outside = ~((lo <= xs) & (xs <= hi))
-    if outside.any():
-        raise DomainError(f"x={float(xs[np.argmax(outside)])!r} outside [{lo}, {hi}]")
-    return xs
-
-
 def _integer(value, what: str, error: type[Exception]) -> int:
-    """``value`` as an int; a boolean and anything that is not a whole
-    number raise ``error`` rather than being converted or truncated."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            if int(value) == value:
-                return int(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
+    """``value`` as an int (an int after one type check); anything but a
+    whole number of an integer or float type raises ``error``."""
+    if type(value) is int:
+        return value
+    try:
+        if np.ndim(value) == 0 and np.asarray(value).dtype.kind in "iuf" and int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
     raise error(f"{what} must be an integer, got {value!r}")
 
 
 def _number(value, what: str, error: type[Exception]) -> float:
-    """``value`` as a float; a string, even a numeric one, a boolean (which
-    ``float`` reads as 0 or 1), an array, even of one element, and anything
-    else ``float`` cannot convert raise ``error``."""
-    if not isinstance(value, (str, bool, np.bool_)):
-        try:
-            if type(value) in (float, int) or np.ndim(value) == 0:
-                return float(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
+    """``value`` as a float (a float after one type check); anything but a
+    scalar of an integer or float type raises ``error``."""
+    if type(value) is float:
+        return value
+    try:
+        if type(value) is int or (np.ndim(value) == 0 and np.asarray(value).dtype.kind in "iuf"):
+            return float(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
     raise error(f"{what} must be a number, got {value!r}")
+
+
+def _numbers(values, what: str, error: type[Exception]) -> np.ndarray:
+    """``values`` as a float array of their shape; an entry that is not of an
+    integer or float type (a boolean among numbers too) or ragged rows raise
+    ``error`` with a message that completes the rule ``what``."""
+    if not (isinstance(values, (np.ndarray, np.generic)) and values.dtype.kind in "iuf"):
+        try:
+            array = np.asarray(values)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise error(f"{what}: {exc}") from exc
+        if array.dtype.kind not in "iuf":
+            raise error(f"{what}, got {array.dtype} entries")
+        if any(isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat):
+            raise error(f"{what}, got a boolean entry")
+        values = array
+    return values.astype(float, copy=False)
+
+
+def _points_in(x, lo: float, hi: float):
+    """``x`` as a float or a 1-D float array (:func:`_numbers`), checked to
+    lie in ``[lo, hi]``; a violation names the first offending point."""
+    if type(x) is not float:
+        x = _numbers(x, "points must be numbers", DomainError)
+        if x.ndim > 1:
+            raise DomainError(f"points must be a scalar or a 1-D array, got shape {x.shape}")
+        x = x.item() if x.ndim == 0 else x
+    if type(x) is float:
+        if not (lo <= x <= hi):
+            raise DomainError(f"x={x!r} outside [{lo}, {hi}]")
+        return x
+    outside = ~((lo <= x) & (x <= hi))
+    if outside.any():
+        raise DomainError(f"x={x[np.argmax(outside)].item()!r} outside [{lo}, {hi}]")
+    return x
 
 
 @dataclass(frozen=True)
@@ -116,7 +141,7 @@ class Partition:
     breakpoints: tuple[float, ...]
 
     def __post_init__(self):
-        bp = tuple(float(x) for x in self.breakpoints)
+        bp = tuple(_number(x, "breakpoint", InvalidFamilyError) for x in self.breakpoints)
         if len(bp) < 2:
             raise InvalidFamilyError("a partition needs at least two breakpoints")
         if not all(math.isfinite(x) for x in bp):
@@ -152,14 +177,14 @@ class Partition:
         x = _points_in(x, self.a, self.b)
         if isinstance(x, float):
             return min(bisect_right(self.breakpoints, x), self.num_intervals)
-        idx = np.searchsorted(self.breakpoints, x, side="right")
-        return np.minimum(idx, self.num_intervals)
+        return np.minimum(np.searchsorted(self.breakpoints, x, side="right"), self.num_intervals)
 
 
 def _check_parameters(family, kind: str, min_degree: int) -> None:
-    """Store a family's ``degree`` as an int of at least ``min_degree`` and
-    its ``omega``, if it has one, as a positive finite float; anything else
-    raises :class:`InvalidFamilyError`."""
+    """A family's ``__post_init__``: store its ``degree`` as an int of at
+    least ``min_degree`` and its ``omega``, if it has one, as a positive
+    finite float, and check that a custom pair's ``u`` and ``v`` are
+    callable; anything else raises :class:`InvalidFamilyError`."""
     degree = _integer(family.degree, f"{kind} degree", InvalidFamilyError)
     if degree < min_degree:
         raise InvalidFamilyError(f"{kind} degree must be >= {min_degree}")
@@ -169,14 +194,15 @@ def _check_parameters(family, kind: str, min_degree: int) -> None:
         if not 0.0 < omega < math.inf:
             raise InvalidFamilyError(f"{kind} omega must be positive and finite, got {omega}")
         object.__setattr__(family, "omega", omega)
+    if hasattr(family, "u") and not (callable(family.u) and callable(family.v)):
+        raise InvalidFamilyError(f"custom pair u, v must be callable: {family.u!r}, {family.v!r}")
 
 
 @dataclass(frozen=True)
 class PolynomialFamily:
     degree: int
 
-    def __post_init__(self):
-        _check_parameters(self, "polynomial", 0)
+    __post_init__ = functools.partialmethod(_check_parameters, "polynomial", 0)
 
 
 @dataclass(frozen=True)
@@ -184,8 +210,7 @@ class TrigonometricFamily:
     degree: int
     omega: float
 
-    def __post_init__(self):
-        _check_parameters(self, "trigonometric", 1)
+    __post_init__ = functools.partialmethod(_check_parameters, "trigonometric", 1)
 
 
 @dataclass(frozen=True)
@@ -193,8 +218,7 @@ class ExponentialFamily:
     degree: int
     omega: float
 
-    def __post_init__(self):
-        _check_parameters(self, "exponential", 1)
+    __post_init__ = functools.partialmethod(_check_parameters, "exponential", 1)
 
 
 @dataclass(frozen=True)
@@ -202,16 +226,17 @@ class GeneralizedPolynomialFamily:
     """Custom pair family: span ``{1, ..., x^(degree-2), u(x), v(x)}``.
 
     ``u`` and ``v`` are callables ``f(x, order)`` returning the exact
-    ``order``-th derivative at ``x`` for every order up to ``degree``.
+    ``order``-th derivative at ``x`` for every order up to ``degree`` (the
+    repr shows ``name`` instead); a return that is no number raises
+    :class:`~gtbsplines.errors.EctViolationError` naming the section.
     """
 
     degree: int
-    u: Callable[[float, int], float]
-    v: Callable[[float, int], float]
+    u: Callable[[float, int], float] = field(repr=False)
+    v: Callable[[float, int], float] = field(repr=False)
     name: str = "custom"
 
-    def __post_init__(self):
-        _check_parameters(self, "generalized polynomial", 2)
+    __post_init__ = functools.partialmethod(_check_parameters, "generalized polynomial", 2)
 
 
 SectionFamily = (
@@ -311,11 +336,18 @@ def _bernstein_layout(q: int, width: int) -> tuple[tuple, tuple, tuple]:
     return tuple(monomials), tuple(heads), tuple(tails)
 
 
-def _call_pointwise(f: Callable[[float, int], float], x, order: int):
-    """A user callable ``f(x, order)`` at a point or at each point of an array."""
-    if np.ndim(x) == 0:
-        return float(f(x, order))
-    return np.array([f(t, order) for t in x.tolist()], dtype=float)
+def _call_pointwise(section, name: str, x, order: int):
+    """The custom pair's function ``name`` (``"u"`` or ``"v"``) of ``section``
+    at a point or at each point of an array; a value that is not a number
+    raises :class:`EctViolationError` naming the section."""
+    f, scalar = getattr(section.family, name), np.ndim(x) == 0
+    values = f(x, order) if scalar else [f(t, order) for t in x.tolist()]
+    if type(values) is float:  # formats the message below only for a value to read
+        return values
+    what = f"{name}(x, {order}) of {section!r}"
+    if scalar:
+        return _number(values, what, EctViolationError)
+    return _numbers(values, f"{what} must be numbers", EctViolationError)
 
 
 def _pair_constants(family, length: float):
@@ -335,21 +367,21 @@ def _pair_constants(family, length: float):
     return wl, den, neg, pos
 
 
-def _pair_rows(family, x, t, s, constants, orders) -> list:
-    """The pair rows of a non-polynomial section at ``x``, ``t = (x -
-    x_lo)/L`` and ``s = (x_hi - x)/L``: ``[D^d U(x) for d in orders]`` then
-    the same for ``V``.  A custom pair (``constants`` is ``None``) calls the
-    user's functions; a trigonometric/exponential one gives ``U*``, ``V*``
-    from :func:`_pair_constants`, evaluating each transcendental function
-    once per call."""
+def _pair_rows(section, x, t, s, constants, orders) -> list:
+    """The pair rows of non-polynomial sections of ``section``'s kind at ``x``,
+    ``t = (x - x_lo)/L`` and ``s = (x_hi - x)/L``: ``[D^d U(x) for d in
+    orders]`` then the same for ``V``.  A custom pair (``constants`` is
+    ``None``) calls ``section``'s functions; a trigonometric/exponential one
+    gives ``U*``, ``V*`` from :func:`_pair_constants`, evaluating each
+    transcendental function once per call."""
     if constants is None:
-        return [_call_pointwise(f, x, d) for f in (family.u, family.v) for d in orders]
+        return [_call_pointwise(section, f, x, d) for f in "uv" for d in orders]
     # At a point, numpy's values are turned into Python floats: the
     # same bits as the array entries, and cheaper arithmetic.
     scalar = not isinstance(t, np.ndarray)
     wl, den, neg, pos = constants
     a, b = wl * s, wl * t
-    if isinstance(family, TrigonometricFamily):
+    if isinstance(section.family, TrigonometricFamily):
         sa, ca, sb, cb = np.sin(a), np.cos(a), np.sin(b), np.cos(b)
         if scalar:
             sa, ca, sb, cb = float(sa), float(ca), float(sb), float(cb)
@@ -368,12 +400,12 @@ def _pair_rows(family, x, t, s, constants, orders) -> list:
     return [neg[d] * ratio_a[d % 2] for d in orders] + [pos[d] * ratio_b[d % 2] for d in orders]
 
 
-def _span_table(family, x, x_lo, x_hi, width: int, pair) -> np.ndarray:
-    """:meth:`SectionSpace.span_derivatives` unchecked, at a point of the
-    section ``[x_lo, x_hi]`` with its ``_pair``, or at an array of points of
-    sections of one kind and degree (one custom pair) with ``x_lo``,
-    ``x_hi`` and the numbers of ``pair`` given per point."""
-    p, q = family.degree, _bernstein_degree(family)
+def _span_table(section, x, x_lo, x_hi, width: int, pair) -> np.ndarray:
+    """:meth:`SectionSpace.span_derivatives` unchecked, at a point of
+    ``section = [x_lo, x_hi]`` with its ``_pair``, or at an array of points of
+    sections of its kind and degree (a custom pair: ``section`` alone) with
+    ``x_lo``, ``x_hi`` and the numbers of ``pair`` given per point."""
+    p, q = section.degree, _bernstein_degree(section.family)
     # powers by repeated products, a monomial's three factors left to
     # right, an entry's terms in i order
     length = x_hi - x_lo
@@ -389,7 +421,7 @@ def _span_table(family, x, x_lo, x_hi, width: int, pair) -> np.ndarray:
     for e, f, k in tails:
         entries[e] += f * mono[k]  # in place on an array: a fresh product
     if q < p:
-        entries += _pair_rows(family, x, t, s, pair, range(width))
+        entries += _pair_rows(section, x, t, s, pair, range(width))
     if not isinstance(x, np.ndarray):
         return np.array(entries).reshape(p + 1, width)
     out = np.empty((len(x), len(entries)))
@@ -416,7 +448,7 @@ def _end_tables(group) -> np.ndarray | None:
     tables = np.zeros((len(group), 2, p + 1, p + 1))
     tables[:, :, : q + 1, : q + 1] = rows
     ends = [(s, x, t) for s in group for x, t in ((s.x_lo, 0.0), (s.x_hi, 1.0))]
-    pairs = [_pair_rows(s.family, x, t, 1.0 - t, s._pair, range(p + 1)) for s, x, t in ends]
+    pairs = [_pair_rows(s, x, t, 1.0 - t, s._pair, range(p + 1)) for s, x, t in ends]
     tables[:, :, q + 1 :] = np.reshape(pairs, (len(group), 2, 2, p + 1))
     return tables
 
@@ -439,23 +471,18 @@ class SectionSpace:
     """
 
     def __init__(self, x_lo: float, x_hi: float, family: SectionFamily):
-        x_lo, x_hi = float(x_lo), float(x_hi)
+        x_lo, x_hi = (_number(x, "section end", InvalidFamilyError) for x in (x_lo, x_hi))
         if not (x_lo < x_hi):
             raise InvalidFamilyError(f"empty section interval [{x_lo}, {x_hi}]")
         if not math.isfinite(x_hi - x_lo):
             raise InvalidFamilyError(f"section [{x_lo}, {x_hi}] too long: its length overflows")
-        if isinstance(family, TrigonometricFamily):
-            if family.omega * (x_hi - x_lo) >= math.pi:
-                raise InvalidFamilyError(
-                    f"trigonometric section needs omega*length < pi, got "
-                    f"{family.omega * (x_hi - x_lo):.6g} on [{x_lo}, {x_hi}]"
-                )
-        self.x_lo = x_lo
-        self.x_hi = x_hi
-        self.family = family
-        self.degree = family.degree
-        self.dim = family.degree + 1
-        self.length = x_hi - x_lo
+        if isinstance(family, TrigonometricFamily) and family.omega * (x_hi - x_lo) >= math.pi:
+            raise InvalidFamilyError(
+                f"trigonometric section needs omega*length < pi, got "
+                f"{family.omega * (x_hi - x_lo):.6g} on [{x_lo}, {x_hi}]"
+            )
+        self.x_lo, self.x_hi, self.family = x_lo, x_hi, family
+        self.degree, self.dim, self.length = family.degree, family.degree + 1, x_hi - x_lo
         self._pair = _pair_constants(family, self.length)
         if self._pair is not None and self._pair[1] == 0.0:  # the pair's normalizer
             raise InvalidFamilyError(f"omega*length of {self!r} underflows to 0")
@@ -465,6 +492,7 @@ class SectionSpace:
 
     def restricted(self, x_lo: float, x_hi: float) -> "SectionSpace":
         """Same family on a subinterval (used when splitting an element)."""
+        x_lo, x_hi = (_number(x, "subinterval end", DomainError) for x in (x_lo, x_hi))
         if not (self.x_lo <= x_lo < x_hi <= self.x_hi):
             raise DomainError(
                 f"[{x_lo}, {x_hi}] is not a subinterval of [{self.x_lo}, {self.x_hi}]"
@@ -489,13 +517,10 @@ class SectionSpace:
         call bit for bit.
         """
         x = _points_in(x, self.x_lo, self.x_hi)
-        if type(max_order) is not int:  # an int skips the call on the scalar path
-            max_order = _integer(max_order, "max_order", OrderError)
+        max_order = _integer(max_order, "max_order", OrderError)
         if not (0 <= max_order <= self.degree):
-            raise OrderError(
-                f"max_order={max_order} outside [0, {self.degree}] for this section"
-            )
-        return _span_table(self.family, x, self.x_lo, self.x_hi, max_order + 1, self._pair)
+            raise OrderError(f"max_order={max_order} outside [0, {self.degree}] for this section")
+        return _span_table(self, x, self.x_lo, self.x_hi, max_order + 1, self._pair)
 
 
 def _pair_at(group, on):
@@ -515,14 +540,15 @@ def normalized_pair(group, x, on, orders) -> list:
     custom-pair section, at point ``x[i]`` of section ``group[on[i]]``: arrays
     over the points, or numbers for a scalar ``x`` and ``on``.  An order
     outside ``[0, p]`` raises :class:`OrderError`."""
-    fam, p = group[0].family, group[0].degree
+    first, p = group[0], group[0].degree
     if p < 1:
         raise InvalidFamilyError("normalized pair needs degree >= 1")
     orders = [_integer(d, "pair order", OrderError) for d in orders]
     if any(not 0 <= d <= p for d in orders):
         raise OrderError(f"pair orders {orders} outside [0, {p}]")
-    if isinstance(fam, GeneralizedPolynomialFamily):
-        gen = np.array([[fam.u(z, p - 1), fam.v(z, p - 1)] for z in (group[0].x_lo, group[0].x_hi)])
+    if isinstance(first.family, GeneralizedPolynomialFamily):
+        ends = (first.x_lo, first.x_hi)
+        gen = np.array([[_call_pointwise(first, f, z, p - 1) for f in "uv"] for z in ends])
         try:
             combo = np.linalg.solve(gen, np.eye(2))
         except np.linalg.LinAlgError as exc:
@@ -530,14 +556,14 @@ def normalized_pair(group, x, on, orders) -> list:
                 "degenerate endpoint system: the reduced pair does not separate "
                 "the section endpoints"
             ) from exc
-        raw = [[_call_pointwise(f, x, p - 1 + d) for f in (fam.u, fam.v)] for d in orders]
+        raw = [[_call_pointwise(first, f, x, p - 1 + d) for f in "uv"] for d in orders]
         return [c[0] * gu + c[1] * gv for c in combo.T for gu, gv in raw]
     lo, hi, length = (np.array([getattr(s, a) for s in group]) for a in ("x_lo", "x_hi", "length"))
     t, s = (x - lo[on]) / length[on], (hi[on] - x) / length[on]
-    if isinstance(fam, PolynomialFamily):
+    if isinstance(first.family, PolynomialFamily):
         slope = np.full(np.shape(x), 1.0) / length[on]
         return [row[d] if d < 2 else 0.0 * t for row in ((s, -slope), (t, slope)) for d in orders]
-    return _pair_rows(fam, x, t, s, _pair_at(group, on), orders)
+    return _pair_rows(first, x, t, s, _pair_at(group, on), orders)
 
 
 def _weight_rows(group, xs: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -569,9 +595,10 @@ def _weight_rows(group, xs: np.ndarray, at: np.ndarray) -> np.ndarray:
 
 
 def weight_system(section: SectionSpace, xs) -> np.ndarray:
-    """Values of the full weight list ``[w_0, ..., w_p]`` of a section at the
-    points ``xs``, as a ``(p + 1, len(xs))`` array, each weight scaled so that
-    it has value 1 at the section endpoints.
+    """Values of the full weight list ``[w_0, ..., w_p]`` of a section at
+    ``xs``, a point or a 1-D array of points of the section (one outside it
+    raises :class:`DomainError`), as a ``(p + 1, len(xs))`` array, each
+    weight scaled so that it has value 1 at the section endpoints.
 
     With the section's normalized pair ``(U*, V*)`` (:func:`normalized_pair`),
     the first ``p - 1`` weights are identically one, ``w_{p-1} = U* + V*``,
@@ -587,7 +614,7 @@ def weight_system(section: SectionSpace, xs) -> np.ndarray:
     integral-recurrence oracle calls once per group of sections).
     """
     p = section.degree
-    xs = np.asarray(xs, dtype=float)
+    xs = np.atleast_1d(_points_in(xs, section.x_lo, section.x_hi))
     out = np.ones((p + 1, len(xs)))
     if p > 0:
         out[p - 1 :] = _weight_rows([section], xs, np.zeros(len(xs), dtype=int))

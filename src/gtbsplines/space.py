@@ -58,7 +58,9 @@ from .sections import (
     _family_groups,
     _integer,
     _number,
+    _numbers,
     _pair_at,
+    _points_in,
     _span_table,
 )
 
@@ -195,7 +197,7 @@ def eval_basis(space: GTSplineSpace, x, max_order: int = 0) -> np.ndarray:
     points may be unsorted or repeated.  Interior breakpoints evaluate from
     the right; the right domain endpoint evaluates from the left.
     """
-    elems = space.partition.locate(x)
+    elems = space.partition.locate(x)  # reads and checks the points
     max_order = _check_order(space, elems, max_order)
     if isinstance(elems, int):
         values = space.extraction.blocks[elems - 1] @ space.bases[elems - 1].evaluate(x, max_order)
@@ -203,7 +205,7 @@ def eval_basis(space: GTSplineSpace, x, max_order: int = 0) -> np.ndarray:
         out = np.zeros((space.n_basis, max_order + 1))
         out[lo : lo + len(values)] = values
         return out
-    xs = np.asarray(x, dtype=float)
+    xs = _points_in(x, *space.domain)
     out = np.zeros((len(xs), space.n_basis, max_order + 1))
     for at, first, values in _local_values(space, xs, elems, max_order):
         out[at[:, None], first[:, None] + np.arange(values.shape[1])] = values
@@ -214,8 +216,7 @@ def _check_order(space: GTSplineSpace, elems, max_order) -> int:
     """``max_order`` as an int, checked against the local degree of the
     1-based interval ``elems`` or of each interval of an array of them; the
     lowest offending interval is named."""
-    if type(max_order) is not int:  # an int skips the call on the scalar path
-        max_order = _integer(max_order, "max_order", OrderError)
+    max_order = _integer(max_order, "max_order", OrderError)
     if not isinstance(elems, int):
         bad = (np.array(space.degrees)[elems - 1] < max_order) | (max_order < 0)
         if not bad.any():
@@ -223,9 +224,7 @@ def _check_order(space: GTSplineSpace, elems, max_order) -> int:
         elems = int(elems[bad].min())
     p_e = space.degrees[elems - 1]
     if not (0 <= max_order <= p_e):
-        raise OrderError(
-            f"max_order={max_order} exceeds the local degree {p_e} on interval {elems}"
-        )
+        raise OrderError(f"max_order={max_order} outside [0, {p_e}] on interval {elems}")
     return max_order
 
 
@@ -250,7 +249,7 @@ def _local_values(space: GTSplineSpace, xs: np.ndarray, elems: np.ndarray, max_o
         bases = [space.bases[e - 1] for e in intervals]
         section, pair = bases[0].section, _pair_at([b.section for b in bases], local)
         x_lo, x_hi = breakpoints[elems[at] - 1], breakpoints[elems[at]]
-        values = _span_table(section.family, xs[at], x_lo, x_hi, max_order + 1, pair)
+        values = _span_table(section, xs[at], x_lo, x_hi, max_order + 1, pair)
         if bases[0].coeffs is not None:
             values = np.stack([b.coeffs for b in bases])[local] @ values
         values = np.stack([space.extraction.blocks[e - 1] for e in intervals])[local] @ values
@@ -274,7 +273,7 @@ def jump_vector(space: GTSplineSpace, i: int, order) -> np.ndarray:
     orders = [_integer(j, "jump order", OrderError) for j in ([order] if scalar else order)]
     for j in orders:
         if not (0 <= j <= top):
-            raise OrderError(f"jump order {j} exceeds min local degree {top} at breakpoint {i}")
+            raise OrderError(f"jump order {j} outside [0, {top}] at breakpoint {i}")
     # One product per side of x_i for every order up to ``top``, so that a
     # column has the same bits whichever orders are asked for.
     local, lo = _jump_tables(space, [i - 1])[0], space.knots.active_range(i)[0] - 1
@@ -322,7 +321,8 @@ class SplineCurve:
     control: np.ndarray
 
     def __post_init__(self):
-        self.control = np.atleast_2d(np.asarray(self.control, dtype=float))
+        rule = "control net must be rows of numbers"
+        self.control = np.atleast_2d(_numbers(self.control, rule, ConfigError))
         if self.control.shape[0] != self.space.n_basis:
             raise ConfigError(
                 f"control net has {self.control.shape[0]} rows, space has "
@@ -368,19 +368,16 @@ def _refined_components(space: GTSplineSpace, x_new: float):
             )
         r_i = space.smoothness[i]
         if r_i < 0:
-            raise InsertionError(
-                f"breakpoint x={bp[i]!r} is already fully discontinuous (r=-1)"
-            )
+            raise InsertionError(f"breakpoint x={bp[i]!r} is already fully discontinuous (r=-1)")
         smooth = list(space.smoothness)
         smooth[i] = r_i - 1
         return space.partition, list(space.bases), tuple(smooth), i, r_i
 
     e = space.partition.locate(x_new)  # 1-based interval containing x_new
     section = space.bases[e - 1].section
-    left = section.restricted(section.x_lo, x_new)
-    right = section.restricted(x_new, section.x_hi)
+    halves = ((section.x_lo, x_new), (x_new, section.x_hi))
     bases = list(space.bases)
-    bases[e - 1 : e] = [build_bernstein(left), build_bernstein(right)]
+    bases[e - 1 : e] = [build_bernstein(section.restricted(*ends)) for ends in halves]
     new_bp = list(bp)
     new_bp.insert(e, x_new)
     smooth = list(space.smoothness)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -129,6 +130,15 @@ class TestHermiteConstruction:
             with pytest.raises(EctViolationError, match=r"split 0/3 of SectionSpace\(\[0\.0, 1\.0\]"):
                 build_bernstein(section)
         assert caught == []
+
+
+def test_non_finite_hermite_condition_names_the_function(monkeypatch):
+    section = SectionSpace(0.0, 1.0, TrigonometricFamily(3, 1.0))
+    # every Hermite system of the section reports a NaN condition number
+    monkeypatch.setattr(np.linalg, "cond", lambda systems: np.full(systems.shape[:-2], np.nan))
+    message = f"singular collocation matrix while building b_0 of {section!r}"
+    with pytest.raises(EctViolationError, match=f"^{re.escape(message)}$"):
+        build_bernstein(section)
 
 
 class TestDegreeRange:

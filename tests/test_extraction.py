@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gtbsplines.extraction as extraction_module
 from gtbsplines import (
     BasisNonexistenceError,
     ConfigError,
@@ -236,6 +237,11 @@ class TestConstraints:
         assert bands[(2, 2)] == (2, 5)
 
 
+    def test_one_basis_per_interval(self, mixed_space):
+        with pytest.raises(ConfigError, match=r"^need 3 Bernstein bases, got 2$"):
+            build_constraints(mixed_space.bases[:2], mixed_space.knots)
+
+
 class TestNullspaceStep:
     def test_hand_example(self):
         beta = nullspace_step(np.array([0.0, 1.0, -1.0, 0.0]), (2, 3))
@@ -323,6 +329,29 @@ class TestExtractionOperator:
         ext = extraction_operator(build_constraints(bases, kv))
         expected = np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]], dtype=float)
         assert np.allclose(ext.operator, expected)
+
+    @pytest.mark.parametrize(
+        "band_end, message",
+        [(2.0, "entries outside [0, 1]: "), (1.0 - 1e-9, "column sums deviate from one")],
+        ids=["entry-above-one", "column-sum-below-one"],
+    )
+    def test_closing_bounds_are_checked(self, monkeypatch, band_end, message):
+        # Each factor's band-end coefficient is pinned to one; a factor that
+        # escapes the pin must not pass the cascade's closing checks.
+        step = extraction_module.nullspace_step
+
+        def skewed(a, band):
+            beta = step(a, band)
+            beta[-1] = band_end
+            return beta
+
+        monkeypatch.setattr(extraction_module, "nullspace_step", skewed)
+        part = Partition((0.0, 1.0, 2.0))
+        sections = [SectionSpace(*part.interval(e), PolynomialFamily(1)) for e in (1, 2)]
+        bases = [build_bernstein(s) for s in sections]
+        kv = build_knot_vectors(part, (1, 1), (-1, 0, -1))
+        with pytest.raises(GTBError, match=f"^{re.escape('extraction operator ' + message)}"):
+            extraction_operator(build_constraints(bases, kv))
 
     def test_demo_operator_properties(self, mixed_space):
         c = mixed_space.operator

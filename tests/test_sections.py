@@ -113,6 +113,25 @@ class TestPartition:
             build_space(config)
         Partition((-1e308, 0.0))  # the longest domains still pass
 
+    @pytest.mark.parametrize(
+        "x_lo, x_hi",
+        [(1.0, 1.0), (2.0, 1.0), (math.nan, 1.0), (0.0, math.nan)],
+        ids=["empty", "reversed", "nan-start", "nan-end"],
+    )
+    def test_section_interval_must_not_be_empty(self, x_lo, x_hi):
+        # a NaN end must not pass for a long section: its length is NaN too
+        with pytest.raises(InvalidFamilyError, match=r"^empty section interval \["):
+            SectionSpace(x_lo, x_hi, PolynomialFamily(2))
+
+    @pytest.mark.parametrize(
+        "ends", [(0.5, 2.0), (-1.0, 0.5), (0.7, 0.3)], ids=["past-end", "before-start", "reversed"]
+    )
+    def test_restricted_needs_a_subinterval(self, ends):
+        section = SectionSpace(0.0, 1.0, TrigonometricFamily(3, 1.0))
+        message = f"[{ends[0]}, {ends[1]}] is not a subinterval of [0.0, 1.0]"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            section.restricted(*ends)
+
     def test_locate_uses_right_limits(self):
         part = Partition((0.0, 1.0, 2.0))
         assert part.locate(0.0) == 1
@@ -452,6 +471,13 @@ def _pair(section, x, order=0) -> tuple:
 
 
 class TestNormalizedPair:
+    def test_degenerate_custom_endpoint_system(self):
+        # u = v: the reduced pair's values at the two ends cannot separate them
+        same = lambda x, d: 1.0 + x  # noqa: E731
+        section = SectionSpace(0.0, 1.0, GeneralizedPolynomialFamily(3, same, same, name="equal"))
+        with pytest.raises(InvalidFamilyError, match="^degenerate endpoint system: "):
+            normalized_pair([section], 0.5, 0, [0])
+
     def test_affine_pair(self):
         section = SectionSpace(0.0, 1.0, PolynomialFamily(2))
         xs = np.linspace(0, 1, 11)

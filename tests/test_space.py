@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -277,6 +278,14 @@ class TestEvalBasis:
         with pytest.raises(OrderError):
             eval_basis(mixed_space, 0.5, 3)  # first interval is quadratic
 
+    @pytest.mark.parametrize("order", [-1, 4], ids=["negative", "too-large"])
+    def test_order_error_names_the_admissible_range(self, mixed_space, order):
+        # x = 1 and x = 2 lie on interval 2, the cubic one (right limits)
+        message = f"max_order={order} outside [0, 3] on interval 2"
+        for x in (1.0, np.array([1.0, 2.0])):
+            with pytest.raises(OrderError, match=f"^{re.escape(message)}$"):
+                eval_basis(mixed_space, x, order)
+
     def test_orders_are_integers(self, mixed_space, profile_space, profile_config):
         # A whole-number float is that order; a boolean or a fraction is
         # refused, never truncated.
@@ -397,6 +406,13 @@ class TestJumps:
             jump_vector(mixed_space, 3, 0)
         with pytest.raises(OrderError):
             jump_vector(mixed_space, 1, 3)
+
+    @pytest.mark.parametrize("orders", [[0, -1], [0, 3]], ids=["negative", "too-large"])
+    def test_order_error_names_the_admissible_range(self, mixed_space, orders):
+        # the quadratic and the cubic meet at x_1: orders 0 .. 2 jump there
+        message = f"jump order {orders[1]} outside [0, 2] at breakpoint 1"
+        with pytest.raises(OrderError, match=f"^{re.escape(message)}$"):
+            jump_vector(mixed_space, 1, orders)
 
     def test_index_and_orders_are_integers(self, mixed_space):
         # A whole-number float is that index or order; a boolean or a
