@@ -33,6 +33,7 @@ from .sections import (
     PolynomialFamily,
     SectionFamily,
     TrigonometricFamily,
+    _each,
     _integer,
     _number,
     _numbers,
@@ -74,6 +75,14 @@ def family_to_dict(family: SectionFamily) -> dict:
     raise ConfigError(f"family {family!r} has no file representation")
 
 
+def _control_net(values, name: str) -> np.ndarray:
+    """``values`` as rows of finite numbers; anything else raises ConfigError."""
+    net = np.atleast_2d(_numbers(values, f"{name} must be rows of numbers", ConfigError))
+    if not np.isfinite(net).all():
+        raise ConfigError("control net must be rows of finite numbers")
+    return net
+
+
 @dataclass(eq=False)
 class SpaceConfig:
     """Description of one spline space, optionally with control points.
@@ -88,11 +97,10 @@ class SpaceConfig:
     control_points: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
-        self.breakpoints = [_number(x, "breakpoint", ConfigError) for x in self.breakpoints]
-        self.smoothness = [_integer(r, "smoothness", ConfigError) for r in self.smoothness]
+        self.breakpoints = _each(_number, self.breakpoints, "breakpoint", ConfigError)
+        self.smoothness = _each(_integer, self.smoothness, "smoothness", ConfigError)
         if self.control_points is not None:
-            rule = "control points must be rows of numbers"
-            self.control_points = np.atleast_2d(_numbers(self.control_points, rule, ConfigError))
+            self.control_points = _control_net(self.control_points, "control points")
         m = len(self.breakpoints) - 1
         if m < 1:
             raise ConfigError("need at least two breakpoints")
@@ -114,13 +122,11 @@ class SpaceConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "SpaceConfig":
         try:
-            breakpoints = list(d["breakpoints"])
+            breakpoints, smoothness = d["breakpoints"], d["smoothness"]
             sections = [family_from_dict(s) for s in d["sections"]]
-            smoothness = list(d["smoothness"])
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed space description: {exc}") from exc
-        control = d.get("control_points")
-        return cls(breakpoints, sections, smoothness, control)
+        return cls(breakpoints, sections, smoothness, d.get("control_points"))
 
     @classmethod
     def from_json_file(cls, path) -> "SpaceConfig":

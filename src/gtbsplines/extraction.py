@@ -43,7 +43,7 @@ import numpy as np
 
 from .bernstein import BernsteinBasis
 from .errors import BasisNonexistenceError, ConfigError, GTBError
-from .sections import Partition, _integer
+from .sections import Partition, _each, _integer
 
 __all__ = [
     "KnotVectors",
@@ -169,8 +169,8 @@ def build_knot_vectors(partition: Partition, degrees, smoothness) -> KnotVectors
     and orders are integers with ``-1 <= r_i <= min(p_i, p_{i+1})``, ``r_0 =
     r_m = -1``; anything else raises :class:`~gtbsplines.errors.ConfigError`.
     """
-    degrees = tuple(_integer(p, "degree", ConfigError) for p in degrees)
-    smoothness = tuple(_integer(r, "smoothness", ConfigError) for r in smoothness)
+    degrees = tuple(_each(_integer, degrees, "degree", ConfigError))
+    smoothness = tuple(_each(_integer, smoothness, "smoothness", ConfigError))
     m, bp = partition.num_intervals, partition.breakpoints
     if len(degrees) != m:
         raise ConfigError(f"need {m} degrees, got {len(degrees)}")

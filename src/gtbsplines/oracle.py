@@ -218,10 +218,9 @@ class RecurrenceEvaluator:
         function) pair active there is summed by :func:`_clenshaw`, one
         array pass per group, so each entry has the bits of a one-point call.
         """
-        ks = np.asarray(k)
-        if ks.dtype.kind not in "iu":  # whole numbers as ints, anything else raises
-            whole = [_integer(v, "basis index", ConfigError) for v in ks.ravel().tolist()]
-            ks = np.array(whole, dtype=int).reshape(ks.shape)
+        ks = _numbers(k, "basis index must be an integer", ConfigError)
+        whole = [_integer(v, "basis index", ConfigError) for v in ks.ravel().tolist()]
+        ks = np.array(whole, dtype=int).reshape(ks.shape)
         xs = np.atleast_1d(_points_in(x, *self.space.domain))
         elems = self.space.partition.locate(xs) - 1
         local = np.atleast_1d(ks)[None, :] - self._first[elems, None]

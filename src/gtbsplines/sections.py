@@ -39,9 +39,10 @@ non-trivial weights of :func:`weight_system` are its sum and its Wronskian.
 
 Every number a caller gives the package is read here, never converted by
 ``float``/``int`` alone: :func:`_number` reads a float, :func:`_integer` an
-int (no fraction is truncated) and :func:`_numbers` a float array (points
-through :func:`_points_in`), each raising the error class of its caller
-for a string, a boolean, ``None``, a complex value or ragged rows.
+int (no fraction is truncated), :func:`_numbers` a float array (points
+through :func:`_points_in`) and :func:`_each` a sequence entry by entry,
+each raising the error class of its caller for a string, a boolean,
+``None``, a complex value, ragged rows or a sequence that is none.
 """
 
 from __future__ import annotations
@@ -69,10 +70,10 @@ __all__ = [
 
 
 def _integer(value, what: str, error: type[Exception]) -> int:
-    """``value`` as an int (an int after one type check); anything but a
-    whole number of an integer or float type raises ``error``."""
-    if type(value) is int:
-        return value
+    """``value`` as an int (at once for an int or a whole float); anything
+    but a whole number of an integer or float type raises ``error``."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
     try:
         if np.ndim(value) == 0 and np.asarray(value).dtype.kind in "iuf" and int(value) == value:
             return int(value)
@@ -111,6 +112,15 @@ def _numbers(values, what: str, error: type[Exception]) -> np.ndarray:
     return values.astype(float, copy=False)
 
 
+def _each(read, values, what: str, error: type[Exception]) -> list:
+    """``read(v, what, error)`` of each entry ``v`` of the sequence ``values``."""
+    try:
+        values = list(values)
+    except TypeError:
+        raise error(f"{what} entries must come in a sequence, got {values!r}") from None
+    return [read(v, what, error) for v in values]
+
+
 def _points_in(x, lo: float, hi: float):
     """``x`` as a float or a 1-D float array (:func:`_numbers`), checked to
     lie in ``[lo, hi]``; a violation names the first offending point."""
@@ -141,7 +151,7 @@ class Partition:
     breakpoints: tuple[float, ...]
 
     def __post_init__(self):
-        bp = tuple(_number(x, "breakpoint", InvalidFamilyError) for x in self.breakpoints)
+        bp = tuple(_each(_number, self.breakpoints, "breakpoint", InvalidFamilyError))
         if len(bp) < 2:
             raise InvalidFamilyError("a partition needs at least two breakpoints")
         if not all(math.isfinite(x) for x in bp):
@@ -174,10 +184,11 @@ class Partition:
         ``x`` is a scalar, giving an ``int``, or a 1-D array, giving an
         integer array of the same length.
         """
-        x = _points_in(x, self.a, self.b)
+        bp = self.breakpoints
+        x = _points_in(x, bp[0], bp[-1])
         if isinstance(x, float):
-            return min(bisect_right(self.breakpoints, x), self.num_intervals)
-        return np.minimum(np.searchsorted(self.breakpoints, x, side="right"), self.num_intervals)
+            return min(bisect_right(bp, x), len(bp) - 1)
+        return np.minimum(np.searchsorted(bp, x, side="right"), len(bp) - 1)
 
 
 def _check_parameters(family, kind: str, min_degree: int) -> None:
@@ -270,12 +281,6 @@ def _inverse_powers(length: float, n: int) -> list[float]:
     for _ in range(n):
         out.append(out[-1] / length)
     return out
-
-
-def _bernstein_degree(family) -> int:
-    """Degree ``q`` of the Bernstein rows that start a section's span basis:
-    ``p`` for a polynomial section, ``p - 2`` when the pair follows."""
-    return family.degree if isinstance(family, PolynomialFamily) else family.degree - 2
 
 
 @functools.lru_cache(maxsize=None)
@@ -402,10 +407,10 @@ def _pair_rows(section, x, t, s, constants, orders) -> list:
 
 def _span_table(section, x, x_lo, x_hi, width: int, pair) -> np.ndarray:
     """:meth:`SectionSpace.span_derivatives` unchecked, at a point of
-    ``section = [x_lo, x_hi]`` with its ``_pair``, or at an array of points of
-    sections of its kind and degree (a custom pair: ``section`` alone) with
-    ``x_lo``, ``x_hi`` and the numbers of ``pair`` given per point."""
-    p, q = section.degree, _bernstein_degree(section.family)
+    ``section = [x_lo, x_hi]`` with its ``_pair``, ``_q`` and ``_scale``, or at
+    an array of points of sections of its kind and degree (a custom pair:
+    ``section`` alone) with ``x_lo``, ``x_hi``, ``pair`` and ``L^-d`` per point."""
+    p, q, scalar = section.degree, section._q, not isinstance(x, np.ndarray)
     # powers by repeated products, a monomial's three factors left to
     # right, an entry's terms in i order
     length = x_hi - x_lo
@@ -414,7 +419,7 @@ def _span_table(section, x, x_lo, x_hi, width: int, pair) -> np.ndarray:
     for _ in range(q):
         t_pow.append(t_pow[-1] * t)
         s_pow.append(s_pow[-1] * s)
-    scale = _inverse_powers(length, width - 1)
+    scale = section._scale if scalar else _inverse_powers(length, width - 1)
     monomials, heads, tails = _bernstein_layout(q, width)
     mono = [scale[d] * t_pow[a] * s_pow[b] for a, b, d in monomials]
     entries = [f * mono[k] for f, k in heads]
@@ -422,7 +427,7 @@ def _span_table(section, x, x_lo, x_hi, width: int, pair) -> np.ndarray:
         entries[e] += f * mono[k]  # in place on an array: a fresh product
     if q < p:
         entries += _pair_rows(section, x, t, s, pair, range(width))
-    if not isinstance(x, np.ndarray):
+    if scalar:
         return np.array(entries).reshape(p + 1, width)
     out = np.empty((len(x), len(entries)))
     for i, column in enumerate(entries):
@@ -436,11 +441,11 @@ def _end_tables(group) -> np.ndarray | None:
     :func:`_binomial_tables` scaled by ``L^-d``, equal to :func:`_span_table`'s
     up to the sign of zeros, then :func:`_pair_rows`, bit for bit.  ``None``
     where :func:`_binomial_tables` is; overflow is left to the caller."""
-    p, q = group[0].degree, _bernstein_degree(group[0].family)
+    p, q = group[0].degree, group[0]._q
     exact = _binomial_tables(q)
     if exact is None:
         return None
-    scale = np.array([_inverse_powers(s.length, q) for s in group])[:, None, None]
+    scale = np.array([s._scale[: q + 1] for s in group])[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
         rows = exact * scale
     if q == p:
@@ -456,7 +461,9 @@ def _end_tables(group) -> np.ndarray | None:
 class SectionSpace:
     """One ECT section: a family on a closed interval ``[x_lo, x_hi]``.
 
-    Immutable after construction; all evaluation methods are pure.
+    Immutable after construction; all evaluation methods are pure.  A table
+    at a point reads the constants set here: ``_pair``, the Bernstein degree
+    ``_q`` (``p - 2`` when the pair follows) and ``_scale = [1, 1/L, ...]``.
 
     Parameters
     ----------
@@ -484,6 +491,8 @@ class SectionSpace:
         self.x_lo, self.x_hi, self.family = x_lo, x_hi, family
         self.degree, self.dim, self.length = family.degree, family.degree + 1, x_hi - x_lo
         self._pair = _pair_constants(family, self.length)
+        self._q = self.degree - (0 if isinstance(family, PolynomialFamily) else 2)
+        self._scale = _inverse_powers(self.length, self.degree)
         if self._pair is not None and self._pair[1] == 0.0:  # the pair's normalizer
             raise InvalidFamilyError(f"omega*length of {self!r} underflows to 0")
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bernstein import BernsteinBasis, build_bases, build_bernstein
-from .config import SpaceConfig
+from .config import SpaceConfig, _control_net
 from .errors import (
     AdmissibilityWarning,
     ConfigError,
@@ -195,36 +195,40 @@ def eval_basis(space: GTSplineSpace, x, max_order: int = 0) -> np.ndarray:
     For a 1-D array of ``n`` points returns the ``(n, N, max_order + 1)``
     stack of those tables, equal entry for entry to the scalar calls; the
     points may be unsorted or repeated.  Interior breakpoints evaluate from
-    the right; the right domain endpoint evaluates from the left.
+    the right; the right domain endpoint evaluates from the left.  A point
+    is read once, and its span table (on its section's constants) times the
+    element block is written into the rows of the functions active there.
     """
-    elems = space.partition.locate(x)  # reads and checks the points
-    max_order = _check_order(space, elems, max_order)
-    if isinstance(elems, int):
-        values = space.extraction.blocks[elems - 1] @ space.bases[elems - 1].evaluate(x, max_order)
-        lo = space.knots.active_range(elems)[0] - 1
-        out = np.zeros((space.n_basis, max_order + 1))
-        out[lo : lo + len(values)] = values
+    x = _points_in(x, space.partition.a, space.partition.b)
+    if type(x) is not float:
+        elems = space.partition.locate(x)
+        max_order = _check_order(space, elems, max_order)
+        out = np.zeros((len(x), space.n_basis, max_order + 1))
+        for at, first, values in _local_values(space, x, elems, max_order):
+            out[at[:, None], first[:, None] + np.arange(values.shape[1])] = values
         return out
-    xs = _points_in(x, *space.domain)
-    out = np.zeros((len(xs), space.n_basis, max_order + 1))
-    for at, first, values in _local_values(space, xs, elems, max_order):
-        out[at[:, None], first[:, None] + np.arange(values.shape[1])] = values
+    e = space.partition.locate(x)
+    basis, p, last = space.bases[e - 1], space.degrees[e - 1], space.knots.sigma.item(e)
+    if type(max_order) is not int or not 0 <= max_order <= p:
+        max_order = _check_order(space, np.array([e]), max_order)
+    s = basis.section
+    table = _span_table(s, x, s.x_lo, s.x_hi, max_order + 1, s._pair)
+    if basis.coeffs is not None:
+        table = basis.coeffs @ table
+    out = np.zeros((space.n_basis, max_order + 1))
+    np.matmul(space.extraction.blocks[e - 1], table, out=out[last - p - 1 : last])
     return out
 
 
-def _check_order(space: GTSplineSpace, elems, max_order) -> int:
-    """``max_order`` as an int, checked against the local degree of the
-    1-based interval ``elems`` or of each interval of an array of them; the
-    lowest offending interval is named."""
+def _check_order(space: GTSplineSpace, elems: np.ndarray, max_order) -> int:
+    """``max_order`` as an int, checked against the local degree of each of
+    the 1-based intervals ``elems``; the lowest offending interval is named."""
     max_order = _integer(max_order, "max_order", OrderError)
-    if not isinstance(elems, int):
-        bad = (np.array(space.degrees)[elems - 1] < max_order) | (max_order < 0)
-        if not bad.any():
-            return max_order
-        elems = int(elems[bad].min())
-    p_e = space.degrees[elems - 1]
-    if not (0 <= max_order <= p_e):
-        raise OrderError(f"max_order={max_order} outside [0, {p_e}] on interval {elems}")
+    bad = elems[(np.array(space.degrees)[elems - 1] < max_order) | (max_order < 0)]
+    if bad.size:
+        e = int(bad.min())
+        p_e = space.degrees[e - 1]
+        raise OrderError(f"max_order={max_order} outside [0, {p_e}] on interval {e}")
     return max_order
 
 
@@ -269,8 +273,8 @@ def jump_vector(space: GTSplineSpace, i: int, order) -> np.ndarray:
     if not (1 <= i <= m - 1):
         raise DomainError(f"breakpoint index {i} outside [1, {m - 1}]")
     top = min(space.degrees[i - 1 : i + 1])
-    scalar = np.ndim(order) == 0
-    orders = [_integer(j, "jump order", OrderError) for j in ([order] if scalar else order)]
+    read = _numbers(order, "jump order must be an integer", OrderError)
+    orders = [_integer(j, "jump order", OrderError) for j in np.atleast_1d(read).tolist()]
     for j in orders:
         if not (0 <= j <= top):
             raise OrderError(f"jump order {j} outside [0, {top}] at breakpoint {i}")
@@ -279,7 +283,7 @@ def jump_vector(space: GTSplineSpace, i: int, order) -> np.ndarray:
     local, lo = _jump_tables(space, [i - 1])[0], space.knots.active_range(i)[0] - 1
     jumps = np.zeros((space.n_basis, top + 1))
     jumps[lo : lo + len(local)] = local
-    return jumps[:, orders[0] if scalar else orders]
+    return jumps[:, orders[0] if read.ndim == 0 else orders]
 
 
 def jump_residuals(space: GTSplineSpace) -> np.ndarray:
@@ -321,8 +325,7 @@ class SplineCurve:
     control: np.ndarray
 
     def __post_init__(self):
-        rule = "control net must be rows of numbers"
-        self.control = np.atleast_2d(_numbers(self.control, rule, ConfigError))
+        self.control = _control_net(self.control, "control net")
         if self.control.shape[0] != self.space.n_basis:
             raise ConfigError(
                 f"control net has {self.control.shape[0]} rows, space has "

@@ -232,6 +232,18 @@ def classical_element_extraction(space, cdb_basis_at):
     return c
 
 
+def reference_eval_basis(space, x: float, max_order: int) -> np.ndarray:
+    """All basis functions at a point by the per-section calls: the element
+    block of the interval ``e`` of ``x`` times ``bases[e - 1].evaluate``,
+    placed at the rows ``knots.active_range(e)``."""
+    e = space.partition.locate(x)
+    values = space.extraction.blocks[e - 1] @ space.bases[e - 1].evaluate(x, max_order)
+    lo = space.knots.active_range(e)[0] - 1
+    out = np.zeros((space.n_basis, max_order + 1))
+    out[lo : lo + len(values)] = values
+    return out
+
+
 def dense_cascade(constraints):
     """Reference extraction cascade on the whole running operator.
 

@@ -225,6 +225,14 @@ def _space_text(**changes) -> str:
         (_space_text(sections=[{"family": "polynomial", "degree": 2}]), "2 intervals but 1 section entries"),
         (_space_text(smoothness=[1, 1]), "1 interior breakpoints but 2 smoothness entries"),
         (_space_text(control_points=[[0.0, 0.0], [1.0]]), "control points must be rows of numbers: "),
+        (
+            _space_text(control_points=[[0.0, math.nan]] + [[0.0, 0.0]] * 3),
+            "control net must be rows of finite numbers",
+        ),
+        (
+            _space_text(control_points=[[-math.inf, 0.0]] + [[0.0, 0.0]] * 3),
+            "control net must be rows of finite numbers",
+        ),
     ],
     ids=[
         "missing-file",
@@ -241,6 +249,8 @@ def _space_text(**changes) -> str:
         "section-count",
         "smoothness-count",
         "ragged-control-points",
+        "nan-control-point",
+        "infinite-control-point",
     ],
 )
 def test_malformed_space_file_is_one_error_line(text, message, tmp_path, capfd, monkeypatch):
@@ -255,6 +265,15 @@ def test_malformed_space_file_is_one_error_line(text, message, tmp_path, capfd, 
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
     assert "Traceback" not in err
     assert sorted(path.name for path in tmp_path.iterdir()) == before
+
+
+def test_verify_refuses_a_nonfinite_control_net(tmp_path, capfd):
+    # ``verify`` reads the same file as ``build``: exit 2, one error line
+    control = [[0.0, 0.0]] * 3 + [[0.0, math.nan]]
+    (tmp_path / "space.json").write_text(_space_text(control_points=control))
+    assert main(["verify", str(tmp_path / "space.json")]) == 2
+    out, err = capfd.readouterr()
+    assert out == "" and err == "error: control net must be rows of finite numbers\n"
 
 
 def test_custom_family_has_no_file_representation():

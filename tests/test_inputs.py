@@ -328,6 +328,20 @@ REPORTED = {
     "weights-outside-the-section": (DomainError, lambda: weight_system(section(), [10.0])),
     "custom-pair-number-u": (InvalidFamilyError, lambda: GeneralizedPolynomialFamily(3, 1, EXP2)),
     "custom-pair-u-returns-none": (EctViolationError, lambda: build_bernstein(pair_section(None))),
+    "jump-orders-ragged": (OrderError, lambda: jump_vector(space(), 1, [[0], [0, 1]])),
+    "recurrence-indices-ragged": (
+        ConfigError,
+        lambda: local_recurrence_eval(space(), [[1], [1, 2]], 0.5),
+    ),
+    "partition-none": (InvalidFamilyError, lambda: Partition(None)),
+    "config-smoothness-none": (
+        ConfigError,
+        lambda: SpaceConfig([0.0, 1.0, 2.0], [PolynomialFamily(2)] * 2, None),
+    ),
+    "knot-vectors-degrees-none": (
+        ConfigError,
+        lambda: build_knot_vectors(partition(), None, [-1, 1, -1]),
+    ),
 }
 
 
@@ -380,6 +394,15 @@ def test_ragged_rows_are_refused(mixed_space):
         eval_basis(mixed_space, ragged)
     with pytest.raises(ConfigError, match="^knots must be numbers: "):
         cox_de_boor_basis([KNOTS, [0.0]], 2, 0.5)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_control_net_must_be_finite(mixed_space, value):
+    message = "^control net must be rows of finite numbers$"
+    with pytest.raises(ConfigError, match=message):
+        SplineCurve(mixed_space, control_net(value, mixed_space.n_basis))
+    with pytest.raises(ConfigError, match=message):
+        SpaceConfig([0.0, 1.0, 2.0], [PolynomialFamily(2)] * 2, [1], control_net(value, 4))
 
 
 def test_every_numeric_type_reads_alike(mixed_space):

@@ -13,6 +13,7 @@ import gtbsplines.space as space_module
 from gtbsplines import (
     AdmissibilityWarning,
     BasisNonexistenceError,
+    BernsteinBasis,
     ConfigError,
     DomainError,
     ExponentialFamily,
@@ -42,6 +43,7 @@ from helpers import (
     boehm_insert,
     central_diff,
     random_config,
+    reference_eval_basis,
     reference_transfer,
     reference_unit_integrals,
     uniform_cubic_config,
@@ -301,26 +303,83 @@ class TestEvalBasis:
                     curve(x, order)
 
 
-class TestEvalBasisArrays:
-    @pytest.fixture(
-        params=["mixed", "profile", "custom-pair", "random", "cubic-80", "poly-234", "exp-stiff"]
-    )
-    def space(self, request, mixed_space, profile_space):
-        if request.param == "mixed":  # polynomial, trigonometric, exponential
-            return mixed_space
-        if request.param == "profile":
-            return profile_space
-        if request.param == "custom-pair":
-            return custom_pair_space()
-        if request.param == "cubic-80":  # many elements, one group
-            return build_space(jittered_cubic_config(80))
-        if request.param == "poly-234":  # polynomial degrees 2, 3, 4
-            families = [PolynomialFamily(p) for p in (3, 2, 4, 3, 4)]
-            return build_space(SpaceConfig([0.0, 0.7, 1.5, 2.0, 3.1, 4.0], families, [1, 2, 2, 1]))
-        if request.param == "exp-stiff":
-            return build_space(exp_stiff_config())
-        return build_space(random_config(np.random.default_rng(7), n_intervals=5))
+@pytest.fixture(params=["mixed", "profile", "custom-pair", "random", "cubic-80", "poly-234", "exp-stiff"])
+def space(request, mixed_space, profile_space):
+    """The spaces of the evaluation tests."""
+    if request.param == "mixed":  # polynomial, trigonometric, exponential
+        return mixed_space
+    if request.param == "profile":
+        return profile_space
+    if request.param == "custom-pair":
+        return custom_pair_space()
+    if request.param == "cubic-80":  # many elements, one group
+        return build_space(jittered_cubic_config(80))
+    if request.param == "poly-234":  # polynomial degrees 2, 3, 4
+        families = [PolynomialFamily(p) for p in (3, 2, 4, 3, 4)]
+        return build_space(SpaceConfig([0.0, 0.7, 1.5, 2.0, 3.1, 4.0], families, [1, 2, 2, 1]))
+    if request.param == "exp-stiff":
+        return build_space(exp_stiff_config())
+    return build_space(random_config(np.random.default_rng(7), n_intervals=5))
 
+
+class TestEvalBasisPoint:
+    """The scalar call: one span table on the section's constants and one
+    block product, with the bits and errors of the per-section calls."""
+
+    @staticmethod
+    def assert_equals_reference(space, xs):
+        for x in xs:
+            e = space.partition.locate(x)
+            for order in range(space.degrees[e - 1] + 1):
+                want = reference_eval_basis(space, x, order)
+                assert np.array_equal(eval_basis(space, x, order), want)
+
+    def test_equals_per_section_calls(self, space, rng):
+        # interior points, every breakpoint and both domain ends
+        inner = rng.uniform(*space.domain, 25).tolist()
+        self.assert_equals_reference(space, inner + list(space.partition.breakpoints))
+
+    def test_equals_per_section_calls_on_random_spaces(self):
+        rng = np.random.default_rng(2029)
+        for _ in range(100):
+            space = build_space(random_config(rng))
+            inner = rng.uniform(*space.domain, 5).tolist()
+            self.assert_equals_reference(space, inner + list(space.partition.breakpoints))
+
+    @pytest.mark.parametrize(
+        "x, order, error, message",
+        [
+            (5.5, 0, DomainError, "x=5.5 outside [0.0, 5.0]"),
+            (math.nan, 0, DomainError, "x=nan outside [0.0, 5.0]"),
+            (True, 0, DomainError, "points must be numbers, got bool entries"),
+            (np.float64(6.0), 0, DomainError, "x=6.0 outside [0.0, 5.0]"),
+            (0.5, 3, OrderError, "max_order=3 outside [0, 2] on interval 1"),
+            (4.0, 5, OrderError, "max_order=5 outside [0, 4] on interval 3"),
+            (0.5, -1, OrderError, "max_order=-1 outside [0, 2] on interval 1"),
+            (0.5, 1.5, OrderError, "max_order must be an integer, got 1.5"),
+        ],
+        ids=[
+            "outside", "nan", "bool", "numpy-scalar", "order-p-plus-one", "order-p-plus-one-last",
+            "order-negative", "order-fraction",
+        ],
+    )
+    def test_errors_are_unchanged(self, mixed_space, x, order, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            eval_basis(mixed_space, x, order)
+
+    def test_one_span_table_and_no_per_section_call(self, space, monkeypatch):
+        tables = count_span_tables(monkeypatch)
+        called = []
+        for owner, name in ((BernsteinBasis, "evaluate"), (SectionSpace, "span_derivatives")):
+            method = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, m=method, n=name: called.append(n) or m(*a))
+        for x in list(space.partition.breakpoints) + [sum(space.domain) / 2.0]:
+            tables[0] = 0
+            eval_basis(space, x, 1 if min(space.degrees) > 0 else 0)
+            assert (tables[0], called) == (1, [])
+
+
+class TestEvalBasisArrays:
     def test_rows_equal_scalar_calls(self, space, rng):
         a, b = space.domain
         inner = rng.uniform(a, b, 40)
