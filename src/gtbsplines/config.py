@@ -75,6 +75,13 @@ def family_to_dict(family: SectionFamily) -> dict:
     raise ConfigError(f"family {family!r} has no file representation")
 
 
+def _family(value, what: str, error: type[Exception]) -> SectionFamily:
+    """``value`` if it is a section family; anything else raises ``error``."""
+    if isinstance(value, SectionFamily):
+        return value
+    raise error(f"{what} must be a section family, got {value!r}")
+
+
 def _control_net(values, name: str) -> np.ndarray:
     """``values`` as rows of finite numbers; anything else raises ConfigError."""
     net = np.atleast_2d(_numbers(values, f"{name} must be rows of numbers", ConfigError))
@@ -98,6 +105,7 @@ class SpaceConfig:
 
     def __post_init__(self):
         self.breakpoints = _each(_number, self.breakpoints, "breakpoint", ConfigError)
+        self.sections = _each(_family, self.sections, "section", ConfigError)
         self.smoothness = _each(_integer, self.smoothness, "smoothness", ConfigError)
         if self.control_points is not None:
             self.control_points = _control_net(self.control_points, "control points")

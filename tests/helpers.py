@@ -5,8 +5,8 @@ by counting runs of equal knots, the extraction cascade on the dense running
 operator, knot insertion by value matching one band function at a time, the
 Bernstein construction by one Hermite solve per function, the basis
 integrals element by element, and the span tables, pairs and weights
-evaluated point by point with ``math``, and the benchmark's input
-generator."""
+evaluated point by point with ``math``, the benchmark's input generator,
+and the CLI's texts with every number written by ``%.17g`` itself."""
 
 from __future__ import annotations
 
@@ -489,3 +489,57 @@ def reference_weight_system(section, xs) -> np.ndarray:
     out[p - 1] = values[0, 1:]
     out[p] = values[1, 1:] / values[1, 0]
     return out
+
+
+def reference_sample_csv(space, n: int, deriv: int) -> bytes:
+    """The CSV of ``gtbspline sample``, row by row through one ``%.17g``
+    template per interval."""
+    a, b = space.domain
+    xs = np.linspace(a, b, n)
+    n_basis = space.n_basis
+    header = ["x"]
+    for d in range(deriv + 1):
+        prefix = "" if d == 0 else ("d" if d == 1 else f"d{d}")
+        header.extend(f"{prefix}B{k}" for k in range(1, n_basis + 1))
+    elems = space.partition.locate(xs)
+    table = eval_basis(space, xs, deriv)
+    starts = np.searchsorted(elems, np.arange(1, space.partition.num_intervals + 2))
+    text = [",".join(header) + "\n"]
+    for e in range(1, space.partition.num_intervals + 1):
+        rows = slice(starts[e - 1], starts[e])
+        if rows.start == rows.stop:
+            continue
+        lo, hi = space.knots.active_range(e)
+        slots = ",0" * (lo - 1) + ",%.17g" * (hi - lo + 1) + ",0" * (n_basis - hi)
+        template = "%.17g" + slots * (deriv + 1) + "\n"
+        active = table[rows, lo - 1 : hi].transpose(0, 2, 1)
+        values = np.column_stack([xs[rows], active.reshape(len(active), -1)])
+        text.extend(template % tuple(v) for v in values.tolist())
+    return "".join(text).encode()
+
+
+def reference_row(values) -> str:
+    """``values`` written by ``%.17g`` one at a time, separated by spaces."""
+    return " ".join("%.17g" % v for v in values)
+
+
+def reference_space_summary(space) -> str:
+    """The text of ``gtbspline build``, every number written by ``%.17g``."""
+    kv = space.knots
+    lines = [
+        f"N {space.n_basis}",
+        f"M {space.n_bernstein}",
+        f"O {space.n_constraints}",
+        "breakpoints " + reference_row(space.partition.breakpoints),
+        "degrees " + " ".join(str(p) for p in space.degrees),
+        "smoothness " + " ".join(str(r) for r in space.smoothness),
+        "u " + reference_row(kv.u),
+        "v " + reference_row(kv.v),
+        "k u_k v_k r_u r_v",
+    ]
+    for k in range(1, space.n_basis + 1):
+        r_u, r_v = kv.supersmoothness(k)
+        lines.append("%d %.17g %.17g %d %d" % (k, kv.u[k - 1], kv.v[k - 1], r_u, r_v))
+    if space.n_constraints == 0:
+        lines.append("extraction identity")
+    return "\n".join(lines) + "\n"

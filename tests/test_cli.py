@@ -1,19 +1,27 @@
 import json
 import math
+import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gtbsplines.cli as cli
 from gtbsplines import (
     ConfigError,
     ExtractionMatrix,
     GeneralizedPolynomialFamily,
+    PolynomialFamily,
     SpaceConfig,
+    SplineCurve,
+    TrigonometricFamily,
     build_space,
     insert_knot,
     jump_vector,
 )
-from gtbsplines.cli import _fmt_row, _space_summary, main
+from gtbsplines.cli import _fmt_row, _format, _space_summary, main
 from gtbsplines.config import (
     conic_profile_demo_config,
     family_from_dict,
@@ -21,7 +29,14 @@ from gtbsplines.config import (
     mixed_family_demo_config,
 )
 
-from helpers import bench_generator, uniform_cubic_config
+from helpers import (
+    bench_generator,
+    random_config,
+    reference_row,
+    reference_sample_csv,
+    reference_space_summary,
+    uniform_cubic_config,
+)
 
 DEMO_DICT = {
     "breakpoints": [0.0, 1.0, 2.5, 5.0],
@@ -721,3 +736,189 @@ class TestDemo:
         stdout, err = capfd.readouterr()
         assert stdout == "" and err == "error: need at least 2 samples\n"
         assert not out.exists()
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+class TestFormat:
+    """The array formatter against ``b"%.17g" % x`` itself: equal bytes."""
+
+    @staticmethod
+    def check(values):
+        values = np.asarray(values, dtype=float)
+        assert _format(values) == [b"%.17g" % x for x in values.tolist()]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.integers(0, 2**64 - 1).map(_from_bits))))
+    def test_every_float(self, values):
+        # every bit pattern: NaNs, infinities, -0.0, subnormals and normals
+        self.check(values)
+
+    def test_subnormals(self):
+        tiny = [5e-324, 1e-320, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308]
+        patterns = np.random.default_rng(11).integers(1, 2**52, 500).view(float)
+        self.check(np.concatenate([tiny, patterns, -patterns]))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        near = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+        self.check(np.concatenate([near, -near]))
+
+    def test_rounding_that_carries_to_a_power_of_ten(self):
+        # doubles below 10**k that 17 digits round up to 10**k
+        carries = {
+            -305: "0x1.c16c5c5253575p-1014",
+            -14: "0x1.6849b86a12b9bp-47",
+            98: "0x1.7688bb5394c25p+325",
+        }
+        for k, text in carries.items():
+            x = float.fromhex(text)
+            assert Fraction(x) < Fraction(10) ** k
+            assert Fraction((b"%.17g" % x).decode()) == Fraction(10) ** k
+            self.check([x, -x])
+
+    def test_no_double_of_the_fast_range_carries(self):
+        # the largest double below 10**k, for every power of ten the range
+        # [1e-4, 1e17) ends at, keeps 17 digits below it
+        for k in range(-3, 18):
+            below = float(Fraction(10) ** k)
+            if Fraction(below) >= Fraction(10) ** k:
+                below = math.nextafter(below, 0.0)
+            assert Fraction((b"%.17g" % below).decode()) < Fraction(10) ** k
+            self.check([below])
+
+    def test_exact_halfway_cases(self):
+        # x * 10**s ends in exactly .5 at 17 digits: x = base + j + odd / 2**(s + 1),
+        # with 17 - s digits before the point (k + 0.25 and k + 0.75 near 2**51 for s = 1)
+        values = []
+        for s in range(1, 5):
+            base = 2 * 10 ** (16 - s)
+            for odd in range(1, 2 ** (s + 1), 2):
+                values.extend(base + j + odd / 2 ** (s + 1) for j in range(100))
+        values.extend(2.0**51 - j - f for j in range(1, 200) for f in (0.25, 0.75))
+        for x in values:
+            assert (Fraction(x) * 10 ** (16 - math.floor(math.log10(x)))).denominator == 2
+        self.check(values + [-x for x in values])
+
+    def test_edges_of_the_fast_range(self):
+        edges = np.array([1e-4, 1e-3, 1.0, 1e15, 1e16, 1e17, 0.0])
+        near = [edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)]
+        near.append(np.nextafter(near[1], 0))
+        values = np.concatenate(near)
+        self.check(np.concatenate([values, -values, [np.nan, np.inf, -np.inf]]))
+
+
+def _sample_bytes(config, tmp_path, n: int, deriv: int) -> bytes:
+    path, csv = tmp_path / "space.json", tmp_path / "s.csv"
+    path.write_text(json.dumps(config.to_dict()))
+    args = ["sample", str(path), "--n", str(n), "--deriv", str(deriv), "--csv", str(csv)]
+    assert main(args) == 0
+    return csv.read_bytes()
+
+
+class TestSampleBytes:
+    """The batched CSV writer against the per-row ``%.17g`` templates."""
+
+    def test_example1_csvs(self, tmp_path):
+        out = tmp_path / "demo1"
+        assert main(["demo", "example1", str(out), "--n", "401"]) == 0
+        for r in (-1, 0, 1, 2):
+            space = build_space(mixed_family_demo_config((r, r)))
+            assert (out / f"example1_r{r}.csv").read_bytes() == reference_sample_csv(space, 401, 2)
+
+    def test_random_spaces_at_every_order(self, tmp_path):
+        rng = np.random.default_rng(2030)
+        for _ in range(50):
+            config = random_config(rng)
+            space = build_space(config)
+            for deriv in range(min(space.degrees) + 1):
+                expected = reference_sample_csv(space, 37, deriv)
+                assert _sample_bytes(config, tmp_path, 37, deriv) == expected
+
+    def test_two_samples(self, tmp_path):
+        config = mixed_family_demo_config()
+        expected = reference_sample_csv(build_space(config), 2, 2)
+        assert _sample_bytes(config, tmp_path, 2, 2) == expected
+
+    @pytest.mark.parametrize(
+        "family", [PolynomialFamily(3), TrigonometricFamily(3, 1.0)], ids=["polynomial", "trig"]
+    )
+    def test_single_interval(self, family, tmp_path):
+        config = SpaceConfig([-1.0, 2.0], [family], [])
+        expected = reference_sample_csv(build_space(config), 51, 3)
+        assert _sample_bytes(config, tmp_path, 51, 3) == expected
+
+    @pytest.mark.parametrize("cells", [1, 40, 100])
+    def test_batch_boundaries_inside_intervals(self, cells, tmp_path, monkeypatch):
+        # at most 16 cells per row: a batch of 40 or 100 cells ends inside an
+        # interval of 40 rows or more, a batch of 1 cell is one row
+        monkeypatch.setattr(cli, "_BATCH_CELLS", cells)
+        config = mixed_family_demo_config()
+        expected = reference_sample_csv(build_space(config), 201, 2)
+        assert _sample_bytes(config, tmp_path, 201, 2) == expected
+
+    @pytest.mark.parametrize("scale", [2.0**-30, 2.0**60], ids=["2^-30", "2^60"])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_scaled_breakpoints(self, scale, degree, tmp_path):
+        # x and the derivatives span exponents from -27 to 60: cells through
+        # the fallback and every fixed layout
+        config = SpaceConfig(
+            [scale * i for i in range(6)], [PolynomialFamily(degree)] * 5, [degree - 1] * 4
+        )
+        space = build_space(config)
+        for deriv in range(degree + 1):
+            expected = reference_sample_csv(space, 61, deriv)
+            assert _sample_bytes(config, tmp_path, 61, deriv) == expected
+
+
+class TestTextBytes:
+    """Summaries, transfer maps and demo curves against ``%.17g`` per number."""
+
+    def test_demo_summaries(self, tmp_path):
+        out = tmp_path / "demo"
+        assert main(["demo", "example1", str(out), "--n", "2"]) == 0
+        assert main(["demo", "example2", str(out), "--n", "2"]) == 0
+        for r in (-1, 0, 1, 2):
+            expected = reference_space_summary(build_space(mixed_family_demo_config((r, r))))
+            assert (out / f"example1_r{r}_summary.txt").read_text() == expected
+        expected = reference_space_summary(build_space(conic_profile_demo_config()))
+        assert (out / "example2_summary.txt").read_text() == expected
+
+    @pytest.mark.parametrize("stage", [-1, 0, 1, 2, "conic"])
+    def test_insert_into_demo_spaces(self, stage, tmp_path):
+        config = (
+            conic_profile_demo_config()
+            if stage == "conic"
+            else mixed_family_demo_config((stage, stage))
+        )
+        path, out = tmp_path / "space.json", tmp_path / "ins.txt"
+        path.write_text(json.dumps(config.to_dict()))
+        a, b = config.breakpoints[0], config.breakpoints[-1]
+        for t in (0.13, 0.37, 0.61, 0.89):
+            at = a + t * (b - a)
+            assert main(["insert", str(path), "--at", repr(at), str(out)]) == 0
+            refined, transfer = insert_knot(build_space(config), at)
+            rows = "".join(reference_row(row) + "\n" for row in transfer)
+            assert out.read_text() == reference_space_summary(refined) + "transfer\n" + rows
+
+    def test_example2_curves(self, tmp_path):
+        out = tmp_path / "demo2"
+        assert main(["demo", "example2", str(out), "--n", "101"]) == 0
+        config = conic_profile_demo_config()
+        curve = SplineCurve(build_space(config), config.control_points)
+        xs = np.linspace(*curve.space.domain, 101)
+        rows = [reference_row(row).replace(" ", ",") for row in np.column_stack([xs, curve(xs)])]
+        expected = "x,X,Y\n" + "".join(row + "\n" for row in rows)
+        assert (out / "example2_curve.csv").read_text() == expected
+        rows = [reference_row(row).replace(" ", ",") for row in curve.control]
+        expected = "X,Y\n" + "".join(row + "\n" for row in rows)
+        assert (out / "example2_control_polygon.csv").read_text() == expected
+        # 17 digits round-trip: each residual cell is %.17g of the number it reads as
+        lines = (out / "example2_residuals.csv").read_text().splitlines()
+        assert lines[0] == "x,segment,residual" and len(lines) == 1 + 3 * 101
+        for line in lines[1:]:
+            x, segment, residual = line.split(",")
+            assert segment in ("1", "2", "3")
+            assert [x, residual] == ["%.17g" % float(x), "%.17g" % float(residual)]

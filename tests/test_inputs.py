@@ -342,6 +342,11 @@ REPORTED = {
         ConfigError,
         lambda: build_knot_vectors(partition(), None, [-1, 1, -1]),
     ),
+    "config-sections-none": (ConfigError, lambda: SpaceConfig([0.0, 1.0, 2.0], None, [1])),
+    "config-sections-integers": (
+        ConfigError,
+        lambda: build_space(SpaceConfig([0.0, 1.0, 2.0], [2, 2], [1])),
+    ),
 }
 
 
