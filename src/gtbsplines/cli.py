@@ -351,18 +351,16 @@ def _profile_residuals(curve: SplineCurve, n: int) -> bytes:
     """Per-segment geometric residuals of the conic demo profile: distance to
     the circle equations on the arc segments, to the line on the middle one."""
     bp = curve.space.partition.breakpoints
+    residuals = (
+        lambda X, Y: (X - 2.0) ** 2 + Y**2 - 1.0,
+        lambda X, Y: Y - 1.0,
+        lambda X, Y: X**2 + (Y - 3.0) ** 2 - 4.0,
+    )
     rows = []
-    for seg in range(3):
+    for seg, residual in enumerate(residuals):
         xs = np.linspace(bp[seg], bp[seg + 1], n)
-        for x, (X, Y) in zip(xs, curve(xs)):
-            if seg == 0:
-                res = (X - 2.0) ** 2 + Y**2 - 1.0
-            elif seg == 1:
-                res = Y - 1.0
-            else:
-                res = X**2 + (Y - 3.0) ** 2 - 4.0
-            rows.append((x, seg + 1, res))
-    return _csv("x,segment,residual", rows)
+        rows.append(np.column_stack([xs, np.full(n, seg + 1.0), residual(*curve(xs).T)]))
+    return _csv("x,segment,residual", np.concatenate(rows))
 
 
 def _check(name: str, ok: bool, detail: str = "") -> bool:

@@ -7,25 +7,27 @@ operator ``C`` mapping the global Bernstein vector to the smooth basis
 smoothness alone.  The index layout is read from the knot vectors only:
 on interval ``e`` only the ``p_e + 1`` functions ``knots.active_range(e)``
 are nonzero, so ``C`` is stored only as that square block per interval
-(Bezier element extraction), as the cascade emits it.  Evaluation at a
-point is one product of a block with the Bernstein values of the interval;
-an array takes one batched product and one span-table pass per group of
-intervals of one family kind and degree.  A breakpoint jump reads the two
-element blocks at it.  A knot insertion reruns the cascade only on the
-sub-space that the changed functions cover, splices its blocks into the
-old ones, and reads dense windows of ``C`` over a few intervals;
-``GTSplineSpace.operator``, the full ``C``, is for inspection only.
+(Bezier element extraction), as the cascade emits it.  Evaluation reads
+a per-space element table: a point is one product of its interval's block
+with the interval's Bernstein values; an array, or a curve, one span-table
+pass and one batched product per group of intervals of one family kind
+and degree.  A breakpoint jump reads the two element blocks at it.  A knot
+insertion reruns the cascade only on the sub-space that the changed
+functions cover, splices its blocks into the old ones, and reads dense
+windows of ``C`` over a few intervals; ``GTSplineSpace.operator``, the
+full ``C``, is for inspection only.
 
 Objects are immutable after construction; evaluation is pure and safe to
 call concurrently.  Knot insertion returns new objects, which share the
-old space's unchanged blocks and factors.
+old space's unchanged blocks and factors, and build their own tables.
 """
 
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -86,6 +88,8 @@ class GTSplineSpace:
     active, and basis function ``k`` vanishes outside ``[u_k, v_k]``.
     ``bases[i - 1].section`` is the section of interval ``i``, and
     ``knots.supersmoothness(k)`` the exact end smoothness of function ``k``.
+    A space is immutable after construction: its element table
+    (:attr:`_elements`), built on its first evaluation, is kept for it.
     """
 
     partition: Partition
@@ -121,6 +125,42 @@ class GTSplineSpace:
     @property
     def domain(self) -> tuple[float, float]:
         return self.partition.a, self.partition.b
+
+    @cached_property
+    def _elements(self) -> "_Elements":
+        """The element table that evaluation reads, built once, on first use."""
+        return _Elements(self)
+
+
+class _Elements:
+    """A space's element table.  ``records[e - 1]``, of interval ``e``, is
+    ``(section, x_lo, x_hi, pair, coeffs, block, first, last, p)``: views of
+    its coefficients (or ``None``) and block in its group's stacks, and the
+    0-based rows ``first .. last - 1`` active on it.  ``groups[g]``, of group
+    ``g`` of :func:`_family_groups`, is ``(section, blocks, coeffs, pairs)``:
+    its first section, its stacks, and its pair constants as ``(w L, den,
+    [(-w)^d], [w^d])`` with one column per interval (or ``None``)."""
+
+    def __init__(self, space: GTSplineSpace):
+        kv, bases = space.knots, space.bases
+        self.breakpoints, self.n_basis = space.partition.breakpoints, kv.n_basis
+        self.edges = np.array(self.breakpoints)
+        # by 1-based interval: interval e is at place slot[e] of groups[group[e]]
+        self.degrees = np.array((0, *kv.degrees))
+        self.group, self.slot = np.zeros_like(self.degrees), np.zeros_like(self.degrees)
+        self.groups, self.records = [], [None] * len(bases)
+        families = _family_groups((e, b.section) for e, b in enumerate(bases, 1))
+        for g, es in enumerate(families.values()):
+            self.group[es], self.slot[es] = g, range(len(es))
+            own = [bases[e - 1] for e in es]
+            blocks = np.stack([space.extraction.blocks[e - 1] for e in es])
+            coeffs = None if own[0].coeffs is None else np.stack([b.coeffs for b in own])
+            sections = [b.section for b in own]
+            self.groups.append((sections[0], blocks, coeffs, _pair_at(sections, slice(None))))
+            for k, (e, s) in enumerate(zip(es, sections)):
+                last, c = kv.sigma.item(e), None if coeffs is None else coeffs[k]
+                record = (s, s.x_lo, s.x_hi, s._pair, c, blocks[k], last - s.dim, last, s.degree)
+                self.records[e - 1] = record
 
 
 def _check_section_families(sections: list[SectionSpace]) -> None:
@@ -196,69 +236,65 @@ def eval_basis(space: GTSplineSpace, x, max_order: int = 0) -> np.ndarray:
     stack of those tables, equal entry for entry to the scalar calls; the
     points may be unsorted or repeated.  Interior breakpoints evaluate from
     the right; the right domain endpoint evaluates from the left.  A point
-    is read once, and its span table (on its section's constants) times the
-    element block is written into the rows of the functions active there.
+    is read once and bisected into the breakpoints; its interval's record
+    gives its span table, whose product with the block is written into the
+    rows of the functions active there.  An array runs :func:`_local_values`.
     """
-    x = _points_in(x, space.partition.a, space.partition.b)
+    table = space._elements
+    bp = table.breakpoints
+    x = _points_in(x, bp[0], bp[-1])
     if type(x) is not float:
-        elems = space.partition.locate(x)
-        max_order = _check_order(space, elems, max_order)
-        out = np.zeros((len(x), space.n_basis, max_order + 1))
+        elems, max_order = _located(table, x, max_order)
+        out = np.zeros((len(x), table.n_basis, max_order + 1))
         for at, first, values in _local_values(space, x, elems, max_order):
             out[at[:, None], first[:, None] + np.arange(values.shape[1])] = values
         return out
-    e = space.partition.locate(x)
-    basis, p, last = space.bases[e - 1], space.degrees[e - 1], space.knots.sigma.item(e)
+    e = min(bisect_right(bp, x), len(bp) - 1)
+    section, x_lo, x_hi, pair, coeffs, block, first, last, p = table.records[e - 1]
     if type(max_order) is not int or not 0 <= max_order <= p:
-        max_order = _check_order(space, np.array([e]), max_order)
-    s = basis.section
-    table = _span_table(s, x, s.x_lo, s.x_hi, max_order + 1, s._pair)
-    if basis.coeffs is not None:
-        table = basis.coeffs @ table
-    out = np.zeros((space.n_basis, max_order + 1))
-    np.matmul(space.extraction.blocks[e - 1], table, out=out[last - p - 1 : last])
+        max_order = _located(table, np.array([x]), max_order)[1]
+    values = _span_table(section, x, x_lo, x_hi, max_order + 1, pair)
+    if coeffs is not None:
+        values = coeffs @ values
+    out = np.zeros((table.n_basis, max_order + 1))
+    np.matmul(block, values, out=out[first:last])
     return out
 
 
-def _check_order(space: GTSplineSpace, elems: np.ndarray, max_order) -> int:
-    """``max_order`` as an int, checked against the local degree of each of
-    the 1-based intervals ``elems``; the lowest offending interval is named."""
+def _located(table: _Elements, xs: np.ndarray, max_order) -> tuple[np.ndarray, int]:
+    """The 1-based intervals of the points ``xs`` (right-limit rule), and
+    ``max_order`` as an int checked against their degrees (naming the lowest)."""
+    elems = np.minimum(np.searchsorted(table.edges, xs, side="right"), len(table.edges) - 1)
     max_order = _integer(max_order, "max_order", OrderError)
-    bad = elems[(np.array(space.degrees)[elems - 1] < max_order) | (max_order < 0)]
+    bad = elems[(table.degrees[elems] < max_order) | (max_order < 0)]
     if bad.size:
         e = int(bad.min())
-        p_e = space.degrees[e - 1]
-        raise OrderError(f"max_order={max_order} outside [0, {p_e}] on interval {e}")
-    return max_order
+        raise OrderError(f"max_order={max_order} outside [0, {table.degrees[e]}] on interval {e}")
+    return elems, max_order
 
 
 def _local_values(space: GTSplineSpace, xs: np.ndarray, elems: np.ndarray, max_order: int):
     """The array kernel at the points ``xs`` of the 1-based intervals
-    ``elems``, for a ``max_order`` checked by :func:`_check_order`.  Per
-    group of intervals of one family kind and degree (a custom pair: one
-    interval) it yields ``(at, first, values)``: the group's
-    points (indices into ``xs``), the 0-based first function active at each
-    and their ``(len(at), p + 1, max_order + 1)`` values, from one
-    span-table pass and one batched product each with the coefficients and
-    the blocks, each row with the scalar call's bits."""
-    # the intervals holding points of each group, ascending
-    held = np.flatnonzero(np.bincount(elems)).tolist()
-    groups = _family_groups((e, space.bases[e - 1].section) for e in held)
-    breakpoints = np.array(space.partition.breakpoints)
-    for intervals in groups.values():
-        inside = np.zeros(len(breakpoints), dtype=bool)
-        inside[intervals] = True
-        at = np.flatnonzero(inside[elems])
-        local = np.searchsorted(intervals, elems[at])  # each point's place in intervals
-        bases = [space.bases[e - 1] for e in intervals]
-        section, pair = bases[0].section, _pair_at([b.section for b in bases], local)
-        x_lo, x_hi = breakpoints[elems[at] - 1], breakpoints[elems[at]]
-        values = _span_table(section, xs[at], x_lo, x_hi, max_order + 1, pair)
-        if bases[0].coeffs is not None:
-            values = np.stack([b.coeffs for b in bases])[local] @ values
-        values = np.stack([space.extraction.blocks[e - 1] for e in intervals])[local] @ values
-        del x_lo, x_hi, pair  # free the per-point inputs before the caller scatters
-        yield at, space.knots.sigma[elems[at]] - section.degree - 1, values
+    ``elems``, for a ``max_order`` checked by :func:`_located`.  Per group of
+    the element table holding points it yields ``(at, first, values)``: the
+    group's points (indices into ``xs``), the 0-based first function active
+    at each and their ``(len(at), p + 1, max_order + 1)`` values, each row
+    with the scalar call's bits, from one span-table pass and one batched
+    product with each of the group's stacks, sliced at the points' slots."""
+    table = space._elements
+    edges, which = table.edges, table.group[elems]
+    for g in np.flatnonzero(np.bincount(which)).tolist():
+        section, blocks, coeffs, pairs = table.groups[g]
+        at = np.flatnonzero(which == g)
+        e = elems[at]
+        local = table.slot[e]
+        pair = None if pairs is None else [c[..., local] for c in pairs]
+        values = _span_table(section, xs[at], edges[e - 1], edges[e], max_order + 1, pair)
+        del pair  # free the per-point inputs before the caller scatters
+        if coeffs is not None:
+            values = coeffs[local] @ values
+        values = blocks[local] @ values
+        yield at, space.knots.sigma[e] - section.dim, values
 
 
 def jump_vector(space: GTSplineSpace, i: int, order) -> np.ndarray:
@@ -344,11 +380,16 @@ def eval_curve(curve: SplineCurve, x, order: int = 0) -> np.ndarray:
     """Curve point (or ``order``-th derivative vector) at parameter ``x``.
 
     A scalar ``x`` gives a ``(d,)`` vector, a 1-D array of ``n`` points an
-    ``(n, d)`` array.
+    ``(n, d)`` array, each from the ``p + 1`` active values and control rows
+    (O(p^2) per point); a scalar runs as an array of one, bit for bit.
     """
-    basis = eval_basis(curve.space, x, order)[..., -1, None]  # column ``order``
-    # One matrix-vector product per point, so that rows equal scalar calls.
-    return (curve.control.T @ basis)[..., 0]
+    xs = np.atleast_1d(_points_in(x, *curve.space.domain))
+    elems, order = _located(curve.space._elements, xs, order)
+    out = np.empty((len(xs), curve.control.shape[1]))
+    for at, first, values in _local_values(curve.space, xs, elems, order):
+        rows = curve.control[first[:, None] + np.arange(values.shape[1])]
+        out[at] = (rows.transpose(0, 2, 1) @ values[:, :, order, None])[..., 0]
+    return out if np.ndim(x) else out[0]
 
 
 def _refined_components(space: GTSplineSpace, x_new: float):

@@ -431,6 +431,58 @@ class TestEvalBasisArrays:
                 assert np.array_equal(point, eval_curve(curve, float(x), order))
 
 
+class TestElementTable:
+    """Evaluation reads one element table per space, built on the space's
+    first evaluation; building or refining a space does not build it."""
+
+    @pytest.mark.parametrize("make", ["mixed", "custom-pair", "cubic-80"])
+    def test_later_calls_gather_nothing(self, make, monkeypatch):
+        space = {
+            "mixed": lambda: build_space(mixed_family_demo_config()),
+            "custom-pair": custom_pair_space,
+            "cubic-80": lambda: build_space(jittered_cubic_config(80)),
+        }[make]()
+        builds, stacks = [], []
+        build, stack = space_module._Elements, np.stack
+        monkeypatch.setattr(space_module, "_Elements", lambda s: builds.append(s) or build(s))
+        monkeypatch.setattr(np, "stack", lambda *a, **k: stacks.append(a) or stack(*a, **k))
+        xs = np.linspace(*space.domain, 50)
+        first = eval_basis(space, xs, 1)
+        assert builds == [space]
+        builds.clear()
+        stacks.clear()
+        assert np.array_equal(eval_basis(space, xs, 1), first)
+        eval_basis(space, float(xs[7]), 1)
+        eval_curve(SplineCurve(space, np.ones((space.n_basis, 2))), xs)
+        unit_integral_scaling(space)
+        assert (builds, stacks) == ([], [])
+
+    @pytest.mark.parametrize(
+        "make, knots",
+        [
+            # splits of the exponential, trigonometric and quadratic sections,
+            # and two dropped orders at x = 2.5
+            (lambda: build_space(mixed_family_demo_config()), (3.7, 1.7, 2.5, 0.4, 2.5)),
+            # splits of the custom pair and of the cubic, two dropped orders at x = 1
+            (custom_pair_space, (0.4, 1.5, 1.0, 0.7, 1.0)),
+        ],
+        ids=["mixed", "custom-pair"],
+    )
+    def test_refined_spaces_read_their_own_tables(self, make, knots, rng):
+        space = make()
+        assert "_elements" not in space.__dict__
+        for x_new in knots:
+            space, _ = insert_knot(space, x_new)
+            assert "_elements" not in space.__dict__  # neither build nor insertion builds it
+            bp = list(space.partition.breakpoints)
+            xs = np.array(rng.uniform(*space.domain, 10).tolist() + bp)
+            for order in range(min(space.degrees) + 1):
+                table = eval_basis(space, xs, order)
+                for x, row in zip(xs.tolist(), table):
+                    assert np.array_equal(row, eval_basis(space, x, order))
+                    assert np.array_equal(row, reference_eval_basis(space, x, order))
+
+
 class TestJumps:
     def test_smooth_orders_vanish(self, mixed_space):
         for i in (1, 2):
