@@ -43,7 +43,7 @@ __all__ = ["BernsteinBasis", "build_bases", "build_bernstein"]
 COND_LIMIT = 1e12  # condition number above which a collocation solve is ill conditioned
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class BernsteinBasis:
     """Bernstein-like basis of one section, stored in span coordinates.
 

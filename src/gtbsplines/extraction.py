@@ -3,12 +3,12 @@
 The smooth B-spline-like basis of a mixed-degree spline space is obtained
 from the piecewise (discontinuous) global Bernstein basis by annihilating
 one smoothness constraint at a time.  Each constraint is the jump of one
-derivative at one breakpoint; :func:`jump_rows` is the one place that
-computes such a jump, for any functions given by their coefficient rows
-over the global Bernstein basis.  The cascade reads each jump from the
-running operator itself, and its explicit nullspace factor is a two-band
-matrix of nonnegative coefficients that sum to one column-wise; the product
-of all factors is the extraction operator ``C`` with ``B(x) = C b(x)``.
+derivative at one breakpoint.  The cascade reads it from the running
+operator with :func:`jump_rows` (``space`` reads a built space's jumps from
+its stacked element blocks), and its explicit nullspace factor is a
+two-band matrix of nonnegative coefficients that sum to one column-wise;
+the product of all factors is the extraction operator ``C`` with
+``B(x) = C b(x)``.
 
 ``C`` is local: on each interval only ``p + 1`` basis functions are active,
 so it is kept as one square block per interval (Bezier element extraction,
@@ -19,18 +19,18 @@ element blocks out of it as their rows become final, so a build takes time
 and memory linear in the number of intervals.  Dense rows of ``C`` come
 from the blocks through :meth:`ExtractionMatrix.window` alone.
 
-A factor is kept as its band coefficients only (:func:`nullspace_step`), and
-:func:`apply_factor` is the one place that knows the two-band layout; a
-knot-insertion map is a single factor of the same form.  The knot vectors
-own the index layout, as in classical spline codes: :class:`KnotVectors`
-gives each interval's Bernstein block and active rows, the order of the
-constraints and the band of each one (:meth:`KnotVectors.band`), which
-the cascade, the element blocks, evaluation and knot insertion all read,
-and the support and exact end smoothness of each function
-(:meth:`KnotVectors.support`, :meth:`KnotVectors.supersmoothness`), all
-from its running multiplicity sums.  No entry of a jump is tested against
-zero to find its band; out-of-band entries are only ever rounding noise
-and are checked against a relative tolerance.
+A factor is kept as its band coefficients only (:func:`nullspace_step`),
+and :func:`apply_factor` applies them; a knot-insertion map is one such
+factor, whose identity head and shifted tail ``insert_knot`` fills itself.
+The knot vectors own the index layout, as in classical spline codes:
+:class:`KnotVectors` gives each interval's Bernstein block and active rows,
+the order of the constraints and the band of each one
+(:meth:`KnotVectors.band`), which the cascade, the element blocks,
+evaluation and knot insertion all read, and the support and exact end
+smoothness of each function (:meth:`KnotVectors.support`,
+:meth:`KnotVectors.supersmoothness`), all from its running multiplicity
+sums.  No jump entry is tested against zero to find its band; out-of-band
+entries are rounding noise, checked against a relative tolerance.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ _DEGENERACY_RTOL = 1e-12
 _OUT_OF_BAND_RTOL = 1e-10
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class KnotVectors:
     """Support descriptors of the basis functions, and the index layout.
 
@@ -206,7 +206,7 @@ def build_knot_vectors(partition: Partition, degrees, smoothness) -> KnotVectors
     return kv
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class SmoothnessConstraints:
     """The jump conditions of the global Bernstein basis: the Bernstein
     bases of the intervals with the knot vectors that order the constraints
@@ -214,21 +214,21 @@ class SmoothnessConstraints:
     (:meth:`KnotVectors.band`).  :func:`jump_rows` computes each jump from
     ``bases`` and ``knots.block_start``."""
 
-    bases: list[BernsteinBasis]
+    bases: tuple[BernsteinBasis, ...]
     knots: KnotVectors
 
 
-def build_constraints(bases: list[BernsteinBasis], kv: KnotVectors) -> SmoothnessConstraints:
+def build_constraints(bases: Sequence[BernsteinBasis], kv: KnotVectors) -> SmoothnessConstraints:
     """Pair the Bernstein bases with the knot vectors ``kv`` that order
     their smoothness constraints."""
     m = len(kv.degrees)
     if len(bases) != m:
         raise ConfigError(f"need {m} Bernstein bases, got {len(bases)}")
-    return SmoothnessConstraints(bases, kv)
+    return SmoothnessConstraints(tuple(bases), kv)
 
 
 def jump_rows(
-    c: np.ndarray, bases: list[BernsteinBasis], block_start: Sequence[int], i: int, j: int | slice
+    c: np.ndarray, bases: Sequence[BernsteinBasis], block_start: Sequence[int], i: int, j: int | slice
 ) -> np.ndarray:
     """Jumps ``D^j_- f(x_i) - D^j_+ f(x_i)`` at interior breakpoint ``x_i``
     (1-based) of the functions ``f`` whose coefficients over the global
@@ -331,7 +331,7 @@ def apply_factor(rows: np.ndarray, band: tuple[int, int], beta: np.ndarray) -> n
     return out
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class ExtractionMatrix:
     """The extraction operator as element blocks, with the cascade that
     built it.
@@ -356,7 +356,7 @@ class ExtractionMatrix:
     """
 
     blocks: tuple[np.ndarray, ...] = field(repr=False)
-    factors: list[np.ndarray] = field(repr=False)
+    factors: tuple[np.ndarray, ...] = field(repr=False)
     knots: KnotVectors = field(repr=False)
 
     @cached_property
@@ -466,7 +466,7 @@ def extraction_operator(
 
     if starts[-1] - len(factors) != kv.n_basis:
         raise GTBError(f"internal: dimension mismatch {starts[-1] - len(factors)} != {kv.n_basis}")
-    result = ExtractionMatrix(tuple(blocks), factors, kv)
+    result = ExtractionMatrix(tuple(blocks), tuple(factors), kv)
     # Every entry is a sum of products of positive coefficients, so an entry
     # outside the blocks would show as a block column sum short of one.
     col_err, low, high = result.bounds

@@ -1,9 +1,9 @@
 """Assembled spline spaces: evaluation, curves, knot insertion, scaling.
 
-A :class:`GTSplineSpace` bundles the partition, the per-interval Bernstein
-bases (each holding its section), the two knot vectors, and the extraction
-operator ``C`` mapping the global Bernstein vector to the smooth basis
-``B(x) = C b(x)``; a space is assembled from its partition, bases and
+A :class:`GTSplineSpace` is the partition, the per-interval Bernstein bases
+(each holding its section) and the extraction operator ``C``, which holds
+the two knot vectors and maps the global Bernstein vector to the smooth
+basis ``B(x) = C b(x)``; a space is assembled from its partition, bases and
 smoothness alone.  The index layout is read from the knot vectors only:
 on interval ``e`` only the ``p_e + 1`` functions ``knots.active_range(e)``
 are nonzero, so ``C`` is stored only as that square block per interval
@@ -17,9 +17,11 @@ functions cover, splices its blocks into the old ones, and reads dense
 windows of ``C`` over a few intervals; ``GTSplineSpace.operator``, the
 full ``C``, is for inspection only.
 
-Objects are immutable after construction; evaluation is pure and safe to
-call concurrently.  Knot insertion returns new objects, which share the
-old space's unchanged blocks and factors, and build their own tables.
+Spaces, curves and the bases, knot vectors, constraints and operators they
+hold are frozen dataclasses with tuple sequences; only the entries of their
+numpy arrays can still be written.  Evaluation is pure and safe to call
+concurrently.  Knot insertion returns new objects, which share the old
+space's unchanged blocks and factors, and build their own tables.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class GTSplineSpace:
     """A spline space with pieces from per-interval section spaces.
 
@@ -88,14 +90,17 @@ class GTSplineSpace:
     active, and basis function ``k`` vanishes outside ``[u_k, v_k]``.
     ``bases[i - 1].section`` is the section of interval ``i``, and
     ``knots.supersmoothness(k)`` the exact end smoothness of function ``k``.
-    A space is immutable after construction: its element table
-    (:attr:`_elements`), built on its first evaluation, is kept for it.
+    A space is frozen and ``knots`` is ``extraction.knots``, so its element
+    table (:attr:`_elements`), built on first use, stays that of its parts.
     """
 
     partition: Partition
-    bases: list[BernsteinBasis]
-    knots: KnotVectors
+    bases: tuple[BernsteinBasis, ...]
     extraction: ExtractionMatrix = field(repr=False)
+
+    @property
+    def knots(self) -> KnotVectors:
+        return self.extraction.knots
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -195,14 +200,14 @@ def _warn_maximal_joints(bases, smoothness) -> None:
 
 
 def _assemble(
-    partition: Partition, bases: list[BernsteinBasis], smoothness, offset: int = 0
+    partition: Partition, bases: tuple[BernsteinBasis, ...], smoothness, offset: int = 0
 ) -> GTSplineSpace:
     """The space of ``partition``, ``bases`` and ``smoothness`` from one run
     of the cascade; a cascade error names breakpoint ``i + offset`` for the
     space's breakpoint ``i``."""
     kv = build_knot_vectors(partition, [b.degree for b in bases], smoothness)
     ext = extraction_operator(build_constraints(bases, kv), _offset=offset)
-    return GTSplineSpace(partition, bases, kv, ext)
+    return GTSplineSpace(partition, bases, ext)
 
 
 def build_space(config: SpaceConfig) -> GTSplineSpace:
@@ -222,7 +227,7 @@ def build_space(config: SpaceConfig) -> GTSplineSpace:
         for i, fam in enumerate(config.sections)
     ]
     _check_section_families(sections)
-    bases = build_bases(sections)
+    bases = tuple(build_bases(sections))
     _warn_maximal_joints(bases, config.full_smoothness)
     return _assemble(partition, bases, config.full_smoothness)
 
@@ -353,7 +358,7 @@ def _jump_tables(space: GTSplineSpace, es: list[int]) -> np.ndarray:
     return jumps
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class SplineCurve:
     """A parametric curve ``s(x) = sum_k d_k B_k(x)`` in ``R^d``."""
 
@@ -361,7 +366,7 @@ class SplineCurve:
     control: np.ndarray
 
     def __post_init__(self):
-        self.control = _control_net(self.control, "control net")
+        object.__setattr__(self, "control", _control_net(self.control, "control net"))
         if self.control.shape[0] != self.space.n_basis:
             raise ConfigError(
                 f"control net has {self.control.shape[0]} rows, space has "
@@ -415,13 +420,13 @@ def _refined_components(space: GTSplineSpace, x_new: float):
             raise InsertionError(f"breakpoint x={bp[i]!r} is already fully discontinuous (r=-1)")
         smooth = list(space.smoothness)
         smooth[i] = r_i - 1
-        return space.partition, list(space.bases), tuple(smooth), i, r_i
+        return space.partition, space.bases, tuple(smooth), i, r_i
 
     e = space.partition.locate(x_new)  # 1-based interval containing x_new
     section = space.bases[e - 1].section
     halves = ((section.x_lo, x_new), (x_new, section.x_hi))
-    bases = list(space.bases)
-    bases[e - 1 : e] = [build_bernstein(section.restricted(*ends)) for ends in halves]
+    pieces = tuple(build_bernstein(section.restricted(*ends)) for ends in halves)
+    bases = space.bases[: e - 1] + pieces + space.bases[e:]
     new_bp = list(bp)
     new_bp.insert(e, x_new)
     smooth = list(space.smoothness)
@@ -462,7 +467,7 @@ def _spliced(space, partition, bases, kv, cover) -> GTSplineSpace:
         + sub.extraction.factors[first - start : last - start]
         + old.factors[last - shift :]
     )
-    return GTSplineSpace(partition, bases, kv, ExtractionMatrix(blocks, factors, kv))
+    return GTSplineSpace(partition, bases, ExtractionMatrix(blocks, factors, kv))
 
 
 def insert_knot(space: GTSplineSpace, x_new: float):

@@ -12,6 +12,7 @@ import gtbsplines.cli as cli
 from gtbsplines import (
     ConfigError,
     ExtractionMatrix,
+    GTSplineSpace,
     GeneralizedPolynomialFamily,
     PolynomialFamily,
     SpaceConfig,
@@ -453,8 +454,8 @@ class TestVerify:
             space = build_space(config)
             blocks = list(space.extraction.blocks)
             blocks[1] = blocks[1] + 1e-6
-            space.extraction = ExtractionMatrix(tuple(blocks), space.extraction.factors, space.knots)
-            return space
+            ext = ExtractionMatrix(tuple(blocks), space.extraction.factors, space.knots)
+            return GTSplineSpace(space.partition, space.bases, ext)
 
         monkeypatch.setattr(cli, "build_space", shifted)
         assert main(["verify", demo_config_path]) == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -26,6 +27,7 @@ from gtbsplines import (
     SpaceConfig,
     SplineCurve,
     TrigonometricFamily,
+    build_constraints,
     build_space,
     eval_basis,
     eval_curve,
@@ -481,6 +483,31 @@ class TestElementTable:
                 for x, row in zip(xs.tolist(), table):
                     assert np.array_equal(row, eval_basis(space, x, order))
                     assert np.array_equal(row, reference_eval_basis(space, x, order))
+
+    def test_built_objects_are_frozen(self):
+        # No field of a space or of its parts can be reassigned, also after
+        # the first evaluation has cached the element table and the bounds.
+        space = build_space(mixed_family_demo_config())
+        split, _ = insert_knot(space, 3.7)
+        dropped, _ = insert_knot(split, 2.5)
+        assert len(split.bases) == len(space.bases) + 1
+        assert dropped.partition is split.partition and dropped.smoothness != split.smoothness
+        curve = SplineCurve(dropped, np.ones((dropped.n_basis, 2)))
+        frozen = [curve]
+        for s in (space, split, dropped):
+            eval_basis(s, np.linspace(*s.domain, 5), 1)
+            assert [f.name for f in dataclasses.fields(s)] == ["partition", "bases", "extraction"]
+            assert s.knots is s.extraction.knots
+            for sequence in (s.bases, s.extraction.blocks, s.extraction.factors):
+                assert type(sequence) is tuple
+            constraints = build_constraints(s.bases, s.knots)
+            frozen += [s, s.extraction, s.knots, constraints, *s.bases]
+        for obj in frozen:
+            for f in dataclasses.fields(obj):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(obj, f.name, getattr(obj, f.name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            space.knots = split.knots
 
 
 class TestJumps:
