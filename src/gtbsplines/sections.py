@@ -26,16 +26,20 @@ function of ``omega * L``, ``t`` and ``s``; the exponential one has the one
 overflow-free formula ``sinh(v)/sinh(omega L) = e^(v - omega L) (1 -
 e^(-2v)) / (1 - e^(-2 omega L))`` (and ``1 + e^(-2v)`` for ``cosh``) for
 every ``omega L``.  One table arithmetic tabulates the span basis at a point
-(:meth:`SectionSpace.span_derivatives`) or, in one numpy pass, at an array of
-points of one section or of many sections of one kind and degree (the grouped
-array kernel of :mod:`gtbsplines.space`); powers come from repeated products
-and ``sin``/``cos``/``exp``/``expm1`` from numpy, once per call, so a point
-gives the same bits alone as inside an array.  One function,
-:func:`normalized_pair`, gives the normalized pair ``(U*, V*)`` of every
-family (affine for a polynomial section, the pair above for a
-trigonometric/exponential one, the user's pair combined by a 2x2 endpoint
-solve for a custom one) at points of the sections of one group; the
-non-trivial weights of :func:`weight_system` are its sum and its Wronskian.
+or, in one numpy pass, at an array of points of a section
+(:meth:`SectionSpace.span_derivatives`).  The evaluation kernel of
+:mod:`gtbsplines.space` reads instead the features of a span table -- the
+monomials ``t^a s^b`` and the pair's values -- at a point or at an array of
+points of many sections of one kind and degree (:func:`_features`), and one
+linear map per section from them to the table (:func:`_feature_map`).  Powers
+come from repeated products and ``sin``/``cos``/``exp``/``expm1`` from numpy,
+once per call, so a point gives the same bits alone as inside an array.
+One function, :func:`normalized_pair`, gives the normalized pair ``(U*,
+V*)`` of every family (affine for a polynomial section, the pair above for
+a trigonometric/exponential one, the user's pair combined by a 2x2
+endpoint solve for a custom one) at points of the sections of one group;
+the non-trivial weights of :func:`weight_system` are its sum and its
+Wronskian.
 
 Every number a caller gives the package is read here, never converted by
 ``float``/``int`` alone: :func:`_number` reads a float, :func:`_integer` an
@@ -266,21 +270,12 @@ def _as_float(n: int) -> float:
 def _family_groups(indexed) -> dict:
     """The indices of ``(index, section)`` pairs grouped by the sections'
     family kind and degree, each group in the given order; a custom pair is
-    a group of its own.  One group shares one span-table arithmetic."""
+    a group of its own.  One group shares one feature arithmetic."""
     groups = {}
     for i, section in indexed:
         custom = isinstance(section.family, GeneralizedPolynomialFamily)
         groups.setdefault(i if custom else (type(section.family), section.degree), []).append(i)
     return groups
-
-
-def _inverse_powers(length: float, n: int) -> list[float]:
-    """``[1, 1/L, ..., 1/L^n]`` by repeated division; ``inf`` past the float
-    range, where ``L ** -n`` would raise."""
-    out = [1.0]
-    for _ in range(n):
-        out.append(out[-1] / length)
-    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -405,34 +400,109 @@ def _pair_rows(section, x, t, s, constants, orders) -> list:
     return [neg[d] * ratio_a[d % 2] for d in orders] + [pos[d] * ratio_b[d % 2] for d in orders]
 
 
-def _span_table(section, x, x_lo, x_hi, width: int, pair) -> np.ndarray:
-    """:meth:`SectionSpace.span_derivatives` unchecked, at a point of
-    ``section = [x_lo, x_hi]`` with its ``_pair``, ``_q`` and ``_scale``, or at
-    an array of points of sections of its kind and degree (a custom pair:
-    ``section`` alone) with ``x_lo``, ``x_hi``, ``pair`` and ``L^-d`` per point."""
-    p, q, scalar = section.degree, section._q, not isinstance(x, np.ndarray)
-    # powers by repeated products, a monomial's three factors left to
-    # right, an entry's terms in i order
+def _powers(x, x_lo, x_hi, q: int) -> tuple:
+    """``t = (x - x_lo)/L``, ``s = (x_hi - x)/L`` and their powers ``0 .. q``
+    by repeated products, at a point or at an array of points."""
     length = x_hi - x_lo
     t, s = (x - x_lo) / length, (x_hi - x) / length
     t_pow, s_pow = [1.0], [1.0]
     for _ in range(q):
         t_pow.append(t_pow[-1] * t)
         s_pow.append(s_pow[-1] * s)
-    scale = section._scale if scalar else _inverse_powers(length, width - 1)
+    return t, s, t_pow, s_pow
+
+
+def _span_table(section, x, width: int) -> np.ndarray:
+    """:meth:`SectionSpace.span_derivatives` unchecked, at a point or at an
+    array of points of ``section``, from its ``_pair``, ``_q`` and ``_scale``."""
+    p, q = section.degree, section._q
+    # a monomial's three factors left to right, an entry's terms in i order
+    t, s, t_pow, s_pow = _powers(x, section.x_lo, section.x_hi, q)
+    scale = section._scale
     monomials, heads, tails = _bernstein_layout(q, width)
     mono = [scale[d] * t_pow[a] * s_pow[b] for a, b, d in monomials]
     entries = [f * mono[k] for f, k in heads]
     for e, f, k in tails:
         entries[e] += f * mono[k]  # in place on an array: a fresh product
     if q < p:
-        entries += _pair_rows(section, x, t, s, pair, range(width))
-    if scalar:
-        return np.array(entries).reshape(p + 1, width)
+        entries += _pair_rows(section, x, t, s, section._pair, range(width))
+    return _stacked(entries, x).reshape(*np.shape(x), p + 1, width)
+
+
+def _stacked(entries: list, x) -> np.ndarray:
+    """``entries``, numbers at a point ``x`` or arrays (and numbers) at the
+    points ``x``, as the array ``(len(entries),)`` or ``(len(x), len(entries))``."""
+    if not isinstance(x, np.ndarray):
+        return np.array(entries)
     out = np.empty((len(x), len(entries)))
     for i, column in enumerate(entries):
         out[:, i] = column
-    return out.reshape(len(x), p + 1, width)
+    return out
+
+
+def _features(section, x, x_lo, x_hi, pair, width: int) -> np.ndarray:
+    """The features of the evaluation matrices of :mod:`gtbsplines.space`
+    for orders ``0 .. width - 1``, at a point of ``section = [x_lo, x_hi]`` or
+    at an array of points of sections of its kind and degree (a custom pair:
+    ``section`` alone) with ``x_lo``, ``x_hi`` and ``pair = (w L, den)`` per
+    point: the monomials ``t^a s^b`` of :func:`_bernstein_layout`, then
+    ``sin`` and ``cos`` of ``a = w L s`` and of ``b = w L t`` over ``den``,
+    for an exponential pair the ratios ``(sinh, cosh)(v) / sinh(w L)`` of
+    :func:`_pair_rows` for ``v = a, b``, and for a custom pair (``pair`` is
+    ``None``) ``D^d u``, then ``D^d v``.  A vector at a point, one row per
+    point at an array, from the same float operations."""
+    q = section._q
+    t, s, t_pow, s_pow = _powers(x, x_lo, x_hi, q)
+    out = [t_pow[a] * s_pow[b] for a, b, _ in _bernstein_layout(q, width)[0]]
+    if q < section.degree and pair is None:
+        out += [_call_pointwise(section, f, x, d) for f in "uv" for d in range(width)]
+    elif q < section.degree:
+        (wl, den), trig = pair, isinstance(section.family, TrigonometricFamily)
+        a, b = wl * s, wl * t
+        if trig:
+            values = np.sin(a), np.cos(a), np.sin(b), np.cos(b)
+        else:
+            values = np.exp(a - wl), np.expm1(-2.0 * a), np.exp(b - wl), np.expm1(-2.0 * b)
+        if not isinstance(x, np.ndarray):  # Python floats: the same bits, cheaper arithmetic
+            values = map(float, values)
+        u0, u1, v0, v1 = values
+        if trig:
+            out += [u0 / den, u1 / den, v0 / den, v1 / den]
+        else:
+            u0, v0 = u0 / den, v0 / den
+            out += [-u1 * u0, (2.0 + u1) * u0, -v1 * v0, (2.0 + v1) * v0]
+    return _stacked(out, x)
+
+
+def _feature_map(group, width: int) -> np.ndarray:
+    """The linear maps ``L_e`` from :func:`_features` to the span tables of
+    the sections of ``group`` (one kind and degree, or one custom pair) for
+    orders ``0 .. width - 1``, as ``(len(group), (p + 1) width, n_f)``, rows
+    ``(j, d)`` row-major: at a monomial, a Bernstein entry's factor of
+    :func:`_bernstein_layout` times ``L^-d``; at a pair value, ``(-w)^d`` or
+    ``w^d`` with the sign of its place in the derivative cycle; at a custom
+    pair's ``D^d u`` or ``D^d v``, one."""
+    p, q, pair = group[0].degree, group[0]._q, group[0]._pair
+    monomials, heads, tails = _bernstein_layout(q, width)
+    f = len(monomials)
+    out = np.zeros((len(group), (p + 1) * width, f if q == p else f + (4 if pair else 2 * width)))
+    # entry (j, d), at row j width + d: one term per monomial of degree q - d
+    terms = [(e, *term) for e, term in enumerate(heads) if e % width <= q] + list(tails)
+    entry, factor, monomial = (np.array(c) for c in zip(*terms))
+    scale = np.array([s._scale[:width] for s in group])
+    out[:, entry, monomial] = factor * scale[:, entry % width]
+    if q == p:
+        return out
+    if pair is None:
+        out[:, (q + 1) * width :, f:] = np.eye(2 * width)
+        return out
+    d = np.arange(width)
+    trig = isinstance(group[0].family, TrigonometricFamily)
+    sign = np.array([1.0, 1.0, -1.0, -1.0])[d % 4] if trig else 1.0  # D^d sin: sin, cos, -sin, -cos
+    for side, i in ((0, 2), (1, 3)):  # U* with (-w)^d, V* with w^d
+        powers = np.array([s._pair[i][:width] for s in group])
+        out[:, (q + 1 + side) * width + d, f + 2 * side + d % 2] = sign * powers
+    return out
 
 
 def _end_tables(group) -> np.ndarray | None:
@@ -492,7 +562,10 @@ class SectionSpace:
         self.degree, self.dim, self.length = family.degree, family.degree + 1, x_hi - x_lo
         self._pair = _pair_constants(family, self.length)
         self._q = self.degree - (0 if isinstance(family, PolynomialFamily) else 2)
-        self._scale = _inverse_powers(self.length, self.degree)
+        # 1/L^d by repeated division: inf past the float range, where L ** -d raises
+        self._scale = [1.0]
+        for _ in range(self.degree):
+            self._scale.append(self._scale[-1] / self.length)
         if self._pair is not None and self._pair[1] == 0.0:  # the pair's normalizer
             raise InvalidFamilyError(f"omega*length of {self!r} underflows to 0")
 
@@ -529,17 +602,7 @@ class SectionSpace:
         max_order = _integer(max_order, "max_order", OrderError)
         if not (0 <= max_order <= self.degree):
             raise OrderError(f"max_order={max_order} outside [0, {self.degree}] for this section")
-        return _span_table(self, x, self.x_lo, self.x_hi, max_order + 1, self._pair)
-
-
-def _pair_at(group, on):
-    """Per point ``i``, the numbers ``(w L, den, [(-w)^d], [w^d])`` (orders
-    ``0 .. p``) of :func:`_pair_constants` cached on section ``group[on[i]]``;
-    ``None`` for a group that is not trigonometric/exponential."""
-    if group[0]._pair is None:
-        return None
-    wl, den, neg, pos = (np.array(c) for c in zip(*(s._pair for s in group)))
-    return wl[on], den[on], neg[on].T, pos[on].T
+        return _span_table(self, x, max_order + 1)
 
 
 def normalized_pair(group, x, on, orders) -> list:
@@ -572,7 +635,9 @@ def normalized_pair(group, x, on, orders) -> list:
     if isinstance(first.family, PolynomialFamily):
         slope = np.full(np.shape(x), 1.0) / length[on]
         return [row[d] if d < 2 else 0.0 * t for row in ((s, -slope), (t, slope)) for d in orders]
-    return _pair_rows(first, x, t, s, _pair_at(group, on), orders)
+    # per point, the (w L, den, [(-w)^d], [w^d]) cached on its section
+    wl, den, neg, pos = (np.array(c) for c in zip(*(section._pair for section in group)))
+    return _pair_rows(first, x, t, s, (wl[on], den[on], neg[on].T, pos[on].T), orders)
 
 
 def _weight_rows(group, xs: np.ndarray, at: np.ndarray) -> np.ndarray:

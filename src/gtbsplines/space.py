@@ -8,14 +8,18 @@ smoothness alone.  The index layout is read from the knot vectors only:
 on interval ``e`` only the ``p_e + 1`` functions ``knots.active_range(e)``
 are nonzero, so ``C`` is stored only as that square block per interval
 (Bezier element extraction), as the cascade emits it.  Evaluation reads
-a per-space element table: a point is one product of its interval's block
-with the interval's Bernstein values; an array, or a curve, one span-table
-pass and one batched product per group of intervals of one family kind
-and degree.  A breakpoint jump reads the two element blocks at it.  A knot
-insertion reruns the cascade only on the sub-space that the changed
-functions cover, splices its blocks into the old ones, and reads dense
-windows of ``C`` over a few intervals; ``GTSplineSpace.operator``, the
-full ``C``, is for inspection only.
+a per-space element table.  On interval ``e`` the active functions and
+their derivatives are one linear map of a few features of the point (the
+monomials ``t^a s^b`` and the pair's values), so the table holds, per
+group of intervals of one family kind and degree and per number of
+orders asked for, the stack of evaluation matrices ``M_e = block_e
+coeffs_e L_e``, built on first use.  A point is one feature vector and
+one product with ``M_e``; an array, or a curve, one feature pass and one
+stacked product per group.  A breakpoint jump reads the two element
+blocks at it.  A knot insertion reruns the cascade only on the sub-space
+that the changed functions cover, splices its blocks into the old ones,
+and reads dense windows of ``C`` over a few intervals;
+``GTSplineSpace.operator``, the full ``C``, is for inspection only.
 
 Spaces, curves and the bases, knot vectors, constraints and operators they
 hold are frozen dataclasses with tuple sequences; only the entries of their
@@ -63,9 +67,9 @@ from .sections import (
     _integer,
     _number,
     _numbers,
-    _pair_at,
+    _feature_map,
+    _features,
     _points_in,
-    _span_table,
 )
 
 __all__ = [
@@ -139,12 +143,14 @@ class GTSplineSpace:
 
 class _Elements:
     """A space's element table.  ``records[e - 1]``, of interval ``e``, is
-    ``(section, x_lo, x_hi, pair, coeffs, block, first, last, p)``: views of
-    its coefficients (or ``None``) and block in its group's stacks, and the
-    0-based rows ``first .. last - 1`` active on it.  ``groups[g]``, of group
-    ``g`` of :func:`_family_groups`, is ``(section, blocks, coeffs, pairs)``:
-    its first section, its stacks, and its pair constants as ``(w L, den,
-    [(-w)^d], [w^d])`` with one column per interval (or ``None``)."""
+    ``(section, x_lo, x_hi, pair, g, k, first, last, p)``: its section, its
+    pair's ``(w L, den)`` (or ``None``), its place ``k`` in group ``g`` and
+    the 0-based rows ``first .. last - 1`` active on it.  ``groups[g]``, of
+    group ``g`` of :func:`_family_groups`, is ``(sections, blocks, coeffs,
+    pairs)``: its sections, the stacks of their blocks and coefficients (or
+    ``None``) and their ``(w L, den)`` as two rows (or ``None``).  Each
+    group's evaluation matrices of one width (:meth:`matrices`) are built
+    on the first evaluation at that width, never with the space."""
 
     def __init__(self, space: GTSplineSpace):
         kv, bases = space.knots, space.bases
@@ -153,7 +159,7 @@ class _Elements:
         # by 1-based interval: interval e is at place slot[e] of groups[group[e]]
         self.degrees = np.array((0, *kv.degrees))
         self.group, self.slot = np.zeros_like(self.degrees), np.zeros_like(self.degrees)
-        self.groups, self.records = [], [None] * len(bases)
+        self.groups, self.records, self._matrices = [], [None] * len(bases), {}
         families = _family_groups((e, b.section) for e, b in enumerate(bases, 1))
         for g, es in enumerate(families.values()):
             self.group[es], self.slot[es] = g, range(len(es))
@@ -161,11 +167,28 @@ class _Elements:
             blocks = np.stack([space.extraction.blocks[e - 1] for e in es])
             coeffs = None if own[0].coeffs is None else np.stack([b.coeffs for b in own])
             sections = [b.section for b in own]
-            self.groups.append((sections[0], blocks, coeffs, _pair_at(sections, slice(None))))
+            pairs = sections[0]._pair and np.array([s._pair[:2] for s in sections]).T
+            self.groups.append((sections, blocks, coeffs, pairs))
             for k, (e, s) in enumerate(zip(es, sections)):
-                last, c = kv.sigma.item(e), None if coeffs is None else coeffs[k]
-                record = (s, s.x_lo, s.x_hi, s._pair, c, blocks[k], last - s.dim, last, s.degree)
-                self.records[e - 1] = record
+                last, pair = kv.sigma.item(e), s._pair and s._pair[:2]
+                self.records[e - 1] = (s, s.x_lo, s.x_hi, pair, g, k, last - s.dim, last, s.degree)
+
+    def matrices(self, g: int, width: int) -> np.ndarray:
+        """The stack of the evaluation matrices ``M_e = block_e coeffs_e L_e``
+        of group ``g``'s intervals for orders ``0 .. width - 1``, with ``L_e``
+        of :func:`_feature_map`: rows ``(function, order)`` row-major, so that
+        ``M_e`` times a point's features (:func:`_features`) is its ``(p + 1,
+        width)`` table.  Built on the first call, in one batched product, and
+        published by one assignment, so concurrent calls see it whole."""
+        stack = self._matrices.get((g, width))
+        if stack is None:
+            sections, blocks, coeffs, _ = self.groups[g]
+            maps = _feature_map(sections, width)
+            product = maps.reshape(len(sections), blocks.shape[1], -1)
+            if coeffs is not None:
+                product = coeffs @ product
+            stack = self._matrices[g, width] = (blocks @ product).reshape(maps.shape)
+        return stack
 
 
 def _check_section_families(sections: list[SectionSpace]) -> None:
@@ -241,29 +264,34 @@ def eval_basis(space: GTSplineSpace, x, max_order: int = 0) -> np.ndarray:
     stack of those tables, equal entry for entry to the scalar calls; the
     points may be unsorted or repeated.  Interior breakpoints evaluate from
     the right; the right domain endpoint evaluates from the left.  A point
-    is read once and bisected into the breakpoints; its interval's record
-    gives its span table, whose product with the block is written into the
-    rows of the functions active there.  An array runs :func:`_local_values`.
+    is read once and bisected into the breakpoints; its features times its
+    interval's evaluation matrix (:meth:`_Elements.matrices`), one
+    matrix-vector product, are the rows of the functions active there.  An
+    array runs :func:`_local_values`, whose per-point products are the
+    same.
     """
     table = space._elements
     bp = table.breakpoints
     x = _points_in(x, bp[0], bp[-1])
     if type(x) is not float:
         elems, max_order = _located(table, x, max_order)
-        out = np.zeros((len(x), table.n_basis, max_order + 1))
+        width = max_order + 1
+        out = np.zeros((len(x), table.n_basis, width))
+        flat = out.reshape(-1)
         for at, first, values in _local_values(space, x, elems, max_order):
-            out[at[:, None], first[:, None] + np.arange(values.shape[1])] = values
+            # rows first .. first + p of a point are one run of cells of ``out``
+            start = (at * table.n_basis + first) * width
+            flat[start[:, None] + np.arange(values[0].size)] = values.reshape(len(at), -1)
         return out
     e = min(bisect_right(bp, x), len(bp) - 1)
-    section, x_lo, x_hi, pair, coeffs, block, first, last, p = table.records[e - 1]
+    section, x_lo, x_hi, pair, g, k, first, last, p = table.records[e - 1]
     if type(max_order) is not int or not 0 <= max_order <= p:
         max_order = _located(table, np.array([x]), max_order)[1]
-    values = _span_table(section, x, x_lo, x_hi, max_order + 1, pair)
-    if coeffs is not None:
-        values = coeffs @ values
-    out = np.zeros((table.n_basis, max_order + 1))
-    np.matmul(block, values, out=out[first:last])
-    return out
+    width = max_order + 1
+    features = _features(section, x, x_lo, x_hi, pair, width)
+    out = np.zeros(table.n_basis * width)
+    table.matrices(g, width)[k].dot(features, out=out[first * width : last * width])
+    return out.reshape(-1, width)
 
 
 def _located(table: _Elements, xs: np.ndarray, max_order) -> tuple[np.ndarray, int]:
@@ -283,23 +311,21 @@ def _local_values(space: GTSplineSpace, xs: np.ndarray, elems: np.ndarray, max_o
     ``elems``, for a ``max_order`` checked by :func:`_located`.  Per group of
     the element table holding points it yields ``(at, first, values)``: the
     group's points (indices into ``xs``), the 0-based first function active
-    at each and their ``(len(at), p + 1, max_order + 1)`` values, each row
-    with the scalar call's bits, from one span-table pass and one batched
-    product with each of the group's stacks, sliced at the points' slots."""
+    at each and their ``(len(at), p + 1, max_order + 1)`` values, each with
+    the scalar call's bits: one feature pass for the group's points and one
+    stacked product with their evaluation matrices, a matrix-vector product
+    per point as in the scalar call."""
     table = space._elements
-    edges, which = table.edges, table.group[elems]
+    edges, which, width = table.edges, table.group[elems], max_order + 1
     for g in np.flatnonzero(np.bincount(which)).tolist():
-        section, blocks, coeffs, pairs = table.groups[g]
+        sections, _, _, pairs = table.groups[g]
         at = np.flatnonzero(which == g)
         e = elems[at]
         local = table.slot[e]
-        pair = None if pairs is None else [c[..., local] for c in pairs]
-        values = _span_table(section, xs[at], edges[e - 1], edges[e], max_order + 1, pair)
-        del pair  # free the per-point inputs before the caller scatters
-        if coeffs is not None:
-            values = coeffs[local] @ values
-        values = blocks[local] @ values
-        yield at, space.knots.sigma[e] - section.dim, values
+        pair = None if pairs is None else pairs[:, local]
+        features = _features(sections[0], xs[at], edges[e - 1], edges[e], pair, width)
+        values = table.matrices(g, width)[local] @ features[:, :, None]
+        yield at, space.knots.sigma[e] - sections[0].dim, values.reshape(len(at), -1, width)
 
 
 def jump_vector(space: GTSplineSpace, i: int, order) -> np.ndarray:

@@ -4,9 +4,10 @@ recursion, per-element extraction), the end smoothness of a basis function
 by counting runs of equal knots, the extraction cascade on the dense running
 operator, knot insertion by value matching one band function at a time, the
 Bernstein construction by one Hermite solve per function, the basis
-integrals element by element, and the span tables, pairs and weights
-evaluated point by point with ``math``, the benchmark's input generator,
-and the CLI's texts with every number written by ``%.17g`` itself."""
+integrals element by element, the span tables, pairs and weights
+evaluated point by point with ``math``, basis tables with 50 digits, the
+benchmark's input generator, and the CLI's texts with every number written
+by ``%.17g`` itself."""
 
 from __future__ import annotations
 
@@ -241,6 +242,70 @@ def reference_eval_basis(space, x: float, max_order: int) -> np.ndarray:
     lo = space.knots.active_range(e)[0] - 1
     out = np.zeros((space.n_basis, max_order + 1))
     out[lo : lo + len(values)] = values
+    return out
+
+
+def reference_magnitude(space, x: float, max_order: int) -> np.ndarray:
+    """Per order ``d``, the largest entry of ``|block| |coeffs| |span table|``
+    at ``x``: the magnitude of the terms that :func:`reference_eval_basis` and
+    the evaluation kernel sum, to which their rounding errors are
+    proportional (with cancellation it exceeds the values themselves)."""
+    e = space.partition.locate(x)
+    basis = space.bases[e - 1]
+    table = np.abs(basis.section.span_derivatives(x, max_order))
+    if basis.coeffs is not None:
+        table = np.abs(basis.coeffs) @ table
+    return (np.abs(space.extraction.blocks[e - 1]) @ table).max(axis=0)
+
+
+def exact_eval_basis(space, x: float, max_order: int) -> np.ndarray:
+    """:func:`reference_eval_basis` evaluated with 50 digits (mpmath) from the
+    same floats: the element block, the section's coefficients and ends, its
+    pair constants ``(w L, den, (-w)^d, w^d)`` and a custom pair's returns
+    are taken as exact; ``t``, ``s``, the span table and both products are
+    not rounded until the end."""
+    import mpmath
+
+    e = space.partition.locate(x)
+    basis = space.bases[e - 1]
+    section, p = basis.section, basis.degree
+    q = p if isinstance(section.family, PolynomialFamily) else p - 2
+    mp = mpmath.mpf
+    with mpmath.workdps(50):
+        lo, hi = mp(section.x_lo), mp(section.x_hi)
+        t, s = (mp(x) - lo) / (hi - lo), (hi - mp(x)) / (hi - lo)
+        table = mpmath.zeros(p + 1, max_order + 1)
+        for j in range(q + 1):
+            for d in range(min(q, max_order) + 1):
+                r = q - d
+                total = sum(
+                    (-1) ** (d - i) * math.comb(d, i) * math.comb(r, j - i)
+                    * t ** (j - i) * s ** (r - j + i)
+                    for i in range(max(0, j - r), min(d, j) + 1)
+                )
+                table[j, d] = math.perm(q, d) * total / (hi - lo) ** d
+        for d in range(max_order + 1 if q < p else 0):
+            fam = section.family
+            if isinstance(fam, GeneralizedPolynomialFamily):
+                table[p - 1, d], table[p, d] = mp(fam.u(x, d)), mp(fam.v(x, d))
+                continue
+            wl, den, neg, pos = section._pair
+            wl = mp(wl)
+            if isinstance(fam, TrigonometricFamily):  # D^d sin: sin, cos, -sin, -cos
+                cycle = (mpmath.sin, mpmath.cos, lambda v: -mpmath.sin(v), lambda v: -mpmath.cos(v))
+                pair = cycle[d % 4]
+            else:  # (sinh, cosh)(v) / sinh(wl) (1 - e^(-2 wl))
+                sign = -1 if d % 2 == 0 else 1
+                pair = lambda v, sign=sign: mpmath.exp(v - wl) * (1 + sign * mpmath.exp(-2 * v))
+            table[p - 1, d] = mp(neg[d]) * pair(wl * s) / mp(den)
+            table[p, d] = mp(pos[d]) * pair(wl * t) / mp(den)
+        if basis.coeffs is not None:
+            table = mpmath.matrix(basis.coeffs.tolist()) * table
+        values = mpmath.matrix(space.extraction.blocks[e - 1].tolist()) * table
+        values = np.array(values.tolist(), dtype=float)
+    lo_row = space.knots.active_range(e)[0] - 1
+    out = np.zeros((space.n_basis, max_order + 1))
+    out[lo_row : lo_row + p + 1] = values
     return out
 
 

@@ -44,8 +44,10 @@ from gtbsplines.oracle import cox_de_boor_basis, cox_de_boor_knots
 from helpers import (
     boehm_insert,
     central_diff,
+    exact_eval_basis,
     random_config,
     reference_eval_basis,
+    reference_magnitude,
     reference_transfer,
     reference_unit_integrals,
     uniform_cubic_config,
@@ -79,19 +81,53 @@ def jittered_cubic_config(n_intervals: int) -> SpaceConfig:
     return SpaceConfig(breakpoints, [PolynomialFamily(3)] * n_intervals, [2] * (n_intervals - 1))
 
 
+EPS = np.finfo(float).eps
+
+
 def count_span_tables(monkeypatch) -> list[int]:
-    """Count the calls of the span-table arithmetic that the point and the
-    array evaluation share; returns the one-element counter."""
+    """Count the passes of the per-point arithmetic that the point and the
+    array evaluation share (``space._features``, the features that the
+    evaluation matrices map to span tables) and of the span-table
+    arithmetic (``sections._span_table``); returns the one-element counter."""
     calls = [0]
-    table = sections_module._span_table
+    for module, name in ((sections_module, "_span_table"), (space_module, "_features")):
+        original = getattr(module, name)
 
-    def counted(*args):
-        calls[0] += 1
-        return table(*args)
+        def counted(*args, original=original):
+            calls[0] += 1
+            return original(*args)
 
-    monkeypatch.setattr(sections_module, "_span_table", counted)
-    monkeypatch.setattr(space_module, "_span_table", counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def count_products(monkeypatch) -> list[str]:
+    """Record every product taken with an evaluation matrix of a space
+    (``dot`` or ``@``); returns the record."""
+    products = []
+
+    class Counted(np.ndarray):
+        def dot(self, *args, **kwargs):
+            products.append("dot")
+            return np.asarray(self).dot(*args, **kwargs)
+
+        def __matmul__(self, other):
+            products.append("@")
+            return np.asarray(self) @ other
+
+    matrices = space_module._Elements.matrices
+    monkeypatch.setattr(
+        space_module._Elements, "matrices", lambda *args: matrices(*args).view(Counted)
+    )
+    return products
+
+
+def assert_near_reference(space, x: float, order: int, got: np.ndarray) -> None:
+    """``got`` is the table of :func:`reference_eval_basis` to 8 eps of the
+    magnitude of its terms, order by order (:func:`reference_magnitude`):
+    the kernel and the reference sum the same products in another order."""
+    want, scale = reference_eval_basis(space, x, order), reference_magnitude(space, x, order)
+    assert np.all(np.abs(got - want) <= 8.0 * EPS * scale)
 
 
 class TestBuildSpace:
@@ -325,16 +361,16 @@ def space(request, mixed_space, profile_space):
 
 
 class TestEvalBasisPoint:
-    """The scalar call: one span table on the section's constants and one
-    block product, with the bits and errors of the per-section calls."""
+    """The scalar call: one feature vector and one product with its
+    interval's evaluation matrix, with the errors of the per-section calls
+    and their values to rounding."""
 
     @staticmethod
     def assert_equals_reference(space, xs):
         for x in xs:
             e = space.partition.locate(x)
             for order in range(space.degrees[e - 1] + 1):
-                want = reference_eval_basis(space, x, order)
-                assert np.array_equal(eval_basis(space, x, order), want)
+                assert_near_reference(space, x, order, eval_basis(space, x, order))
 
     def test_equals_per_section_calls(self, space, rng):
         # interior points, every breakpoint and both domain ends
@@ -482,7 +518,7 @@ class TestElementTable:
                 table = eval_basis(space, xs, order)
                 for x, row in zip(xs.tolist(), table):
                     assert np.array_equal(row, eval_basis(space, x, order))
-                    assert np.array_equal(row, reference_eval_basis(space, x, order))
+                    assert_near_reference(space, x, order, row)
 
     def test_built_objects_are_frozen(self):
         # No field of a space or of its parts can be reassigned, also after
@@ -508,6 +544,122 @@ class TestElementTable:
                     setattr(obj, f.name, getattr(obj, f.name))
         with pytest.raises(dataclasses.FrozenInstanceError):
             space.knots = split.knots
+
+
+class TestEvaluationMatrices:
+    """The evaluation kernel: a point is one feature vector and one product
+    with its interval's evaluation matrix, a space builds its matrices once
+    per width, on its first evaluation at that width, and the kernel is as
+    accurate as the per-section calls."""
+
+    def test_point_is_one_product_and_no_span_table(self, space, monkeypatch):
+        top = min(space.degrees)
+        for order in range(top + 1):  # builds the matrices of every width
+            eval_basis(space, np.linspace(*space.domain, 7), order)
+        spans, table = [], sections_module._span_table
+        monkeypatch.setattr(sections_module, "_span_table", lambda *a: spans.append(a) or table(*a))
+        products = count_products(monkeypatch)
+        for x in list(space.partition.breakpoints) + [sum(space.domain) / 2.0]:
+            for order in range(top + 1):
+                products.clear()
+                eval_basis(space, x, order)
+                assert (spans, products) == ([], ["dot"])
+
+    def test_matrices_are_built_once_per_width(self, monkeypatch):
+        builds, build = [], space_module._feature_map
+        monkeypatch.setattr(space_module, "_feature_map", lambda *a: builds.append(a[1]) or build(*a))
+        space = build_space(mixed_family_demo_config())
+        split, _ = insert_knot(space, 3.7)
+        dropped, _ = insert_knot(split, 2.5)
+        assert builds == []  # neither building nor refining a space builds them
+        for s in (space, split, dropped):
+            xs = np.linspace(*s.domain, 40)
+            groups = len(s._elements.groups)
+            curve = SplineCurve(s, np.ones((s.n_basis, 2)))
+            for order in (0, 2):
+                eval_basis(s, xs, order)
+                assert builds == [order + 1] * groups
+                builds.clear()
+                eval_basis(s, xs, order)
+                eval_basis(s, 2.2, order)
+                eval_curve(curve, xs, order)
+                eval_curve(curve, 4.1, order)
+                if order == 0:
+                    unit_integral_scaling(s)
+                assert builds == []
+
+    def test_concurrent_first_evaluations_agree(self):
+        # Threads evaluating one fresh space at every width at once, with
+        # frequent switches, read the same matrices as a serial run.
+        import sys
+        import threading
+
+        config = mixed_family_demo_config()
+        xs = np.linspace(0.0, 5.0, 23)
+        want = [eval_basis(build_space(config), xs, order) for order in range(3)]
+        space, got, interval = build_space(config), {}, sys.getswitchinterval()
+
+        def work(i):
+            for order in (i % 3, (i + 1) % 3, (i + 2) % 3):
+                point = eval_basis(space, float(xs[11]), order)
+                got[i, order] = (eval_basis(space, xs, order), point)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and len(got) == 18
+        for (i, order), (table, row) in got.items():
+            assert np.array_equal(table, want[order])
+            assert np.array_equal(row, table[11])
+
+    @pytest.mark.parametrize(
+        "families",
+        [("polynomial",), ("polynomial", "trigonometric", "exponential")],
+        ids=["polynomial", "mixed"],
+    )
+    def test_deviation_from_fifty_digits(self, families):
+        # Per space and order, the kernel's largest deviation from a 50-digit
+        # evaluation of the same blocks, coefficients and pair constants, at
+        # random points and every breakpoint, is at most twice the
+        # per-section calls' or 4 eps of the magnitude of the summed terms.
+        pytest.importorskip("mpmath")
+        rng = np.random.default_rng(len(families))
+        for _ in range(20):
+            space = build_space(random_config(rng, families=families, max_degree=6))
+            top = min(space.degrees)
+            got, ref, scale = np.zeros((3, top + 1))
+            for x in rng.uniform(*space.domain, 5).tolist() + list(space.partition.breakpoints):
+                exact = exact_eval_basis(space, x, top)
+                got = np.maximum(got, np.abs(eval_basis(space, x, top) - exact).max(axis=0))
+                want = reference_eval_basis(space, x, top)
+                ref = np.maximum(ref, np.abs(want - exact).max(axis=0))
+                scale = np.maximum(scale, reference_magnitude(space, x, top))
+            assert np.all(got <= np.maximum(2.0 * ref, 4.0 * EPS * scale))
+
+    def test_custom_pair_return_names_the_section(self):
+        # u returns no number inside its section, a number at its ends
+        from gtbsplines import EctViolationError, GeneralizedPolynomialFamily
+
+        family = GeneralizedPolynomialFamily(
+            3,
+            u=lambda x, d: math.exp(x) if x in (0.0, 1.0) else None,
+            v=lambda x, d: (2.0**d) * math.exp(2.0 * x),
+            name="exp-pair",
+        )
+        space = build_space(SpaceConfig([0.0, 1.0, 2.0], [family, PolynomialFamily(3)], [1]))
+        section = space.bases[0].section
+        message = f"u(x, 0) of {section!r} must be a number, got None"
+        with pytest.raises(EctViolationError, match=f"^{re.escape(message)}$"):
+            eval_basis(space, 0.5)
+        message = f"u(x, 0) of {section!r} must be numbers, got object entries"
+        with pytest.raises(EctViolationError, match=f"^{re.escape(message)}$"):
+            eval_basis(space, np.array([0.25, 1.5]))
 
 
 class TestJumps:
