@@ -212,14 +212,19 @@ class RecurrenceEvaluator:
         ]
 
     def evaluate(self, k, x):
-        """Values of basis function ``k``, an int or a 1-D sequence of them,
-        at ``x``, a point or a 1-D array of points: a float, or an array
-        over the points and then over a sequence of ``k``.  Every (point,
-        function) pair active there is summed by :func:`_clenshaw`, one
-        array pass per group, so each entry has the bits of a one-point call.
+        """Values of basis function ``k`` in ``[1, N]``, an int or a 1-D
+        sequence of them, at ``x``, a point or a 1-D array of points: a
+        float, or an array over the points and then over a sequence of
+        ``k``.  Every (point, function) pair active there is summed by
+        :func:`_clenshaw`, one array pass per group, so each entry has the
+        bits of a one-point call.
         """
         ks = _numbers(k, "basis index must be an integer", ConfigError)
         whole = [_integer(v, "basis index", ConfigError) for v in ks.ravel().tolist()]
+        n = self.space.n_basis
+        for v in whole:
+            if not 1 <= v <= n:
+                raise ConfigError(f"basis index {v} outside [1, {n}]")
         ks = np.array(whole, dtype=int).reshape(ks.shape)
         xs = np.atleast_1d(_points_in(x, *self.space.domain))
         elems = self.space.partition.locate(xs) - 1

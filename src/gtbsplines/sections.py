@@ -25,21 +25,20 @@ stiff parameters such as ``sinh(10 x)`` on wide intervals.  The pair is a
 function of ``omega * L``, ``t`` and ``s``; the exponential one has the one
 overflow-free formula ``sinh(v)/sinh(omega L) = e^(v - omega L) (1 -
 e^(-2v)) / (1 - e^(-2 omega L))`` (and ``1 + e^(-2v)`` for ``cosh``) for
-every ``omega L``.  One table arithmetic tabulates the span basis at a point
-or, in one numpy pass, at an array of points of a section
-(:meth:`SectionSpace.span_derivatives`).  The evaluation kernel of
-:mod:`gtbsplines.space` reads instead the features of a span table -- the
-monomials ``t^a s^b`` and the pair's values -- at a point or at an array of
-points of many sections of one kind and degree (:func:`_features`), and one
-linear map per section from them to the table (:func:`_feature_map`).  Powers
-come from repeated products and ``sin``/``cos``/``exp``/``expm1`` from numpy,
-once per call, so a point gives the same bits alone as inside an array.
-One function, :func:`normalized_pair`, gives the normalized pair ``(U*,
-V*)`` of every family (affine for a polynomial section, the pair above for
-a trigonometric/exponential one, the user's pair combined by a 2x2
-endpoint solve for a custom one) at points of the sections of one group;
-the non-trivial weights of :func:`weight_system` are its sum and its
-Wronskian.
+every ``omega L``.  One term layout (:func:`_bernstein_layout`) gives the
+Bernstein rows of every table: a section's linear map (:func:`_feature_map`)
+times the monomials ``t^a s^b``, in the evaluation kernel of
+:mod:`gtbsplines.space` (with the pair's values, :func:`_features`) and in
+:meth:`SectionSpace.span_derivatives` alike.  The pair rows keep two
+arithmetics: a value times a power of ``omega`` in the kernel, and
+:func:`_pair_rows` in span and end tables, whose bits the built bases rest
+on.  Powers come from repeated products and numpy's ``sin``/``cos``/``exp``/
+``expm1``, once per call, so a point gives the same bits alone as inside an
+array.  :func:`normalized_pair` gives the normalized pair ``(U*, V*)`` of
+every family (affine for a polynomial section, the pair above for a
+trigonometric/exponential one, the user's pair combined by a 2x2 endpoint
+solve for a custom one) at points of the sections of one group; the
+non-trivial weights of :func:`weight_system` are its sum and its Wronskian.
 
 Every number a caller gives the package is read here, never converted by
 ``float``/``int`` alone: :func:`_number` reads a float, :func:`_integer` an
@@ -298,42 +297,33 @@ def _binomial_tables(q: int) -> np.ndarray | None:
 
 
 @functools.lru_cache(maxsize=None)
-def _bernstein_layout(q: int, width: int) -> tuple[tuple, tuple, tuple]:
-    """Layout ``(monomials, heads, tails)`` of the derivative table of the
-    degree-``q`` Bernstein basis, orders ``0 .. width-1``.
-
-    Entry ``(j, d)`` is ``D^d b_j = q!/(q-d)! L^-d sum_i (-1)^(d-i) C(d, i)
-    B^(q-d)_(j-i)`` with ``B^r_k = C(r, k) t^k s^(r-k)``: a sum over ``i`` of
-    a factor, which folds in the sign and the three integers, times the
-    monomial ``t^k s^(r-k) L^-d``, ``r = q - d``.  ``monomials`` lists these
-    as ``(k, r - k, d)``, ``heads`` each entry's first term ``(factor,
-    monomial)``, row-major, and ``tails`` every further term ``(entry,
-    factor, monomial)``, in ``i`` order.  An order ``d > q`` has no
-    monomials; its entries are ``0.0`` times the first monomial, exact zeros.
+def _bernstein_layout(q: int, width: int) -> tuple:
+    """The one term layout ``(monomials, entry, factor, monomial)`` of the
+    derivative table of the degree-``q`` Bernstein basis, orders ``0 ..
+    width-1``, which :func:`_feature_map` scatters for every Bernstein row.
+    Entry ``(j, d)``, at ``j width + d``, is ``D^d b_j = q!/(q-d)! L^-d
+    sum_i (-1)^(d-i) C(d, i) B^(q-d)_(j-i)`` with ``B^r_k = C(r, k) t^k
+    s^(r-k)``: a sum over ``i`` of a factor (the sign and three integers,
+    rounded once) times the monomial ``t^k s^(r-k) L^-d``, ``r = q - d``,
+    listed in ``monomials`` as ``(k, r - k, d)``.  The terms, by entry and
+    then ``i``, are the read-only columns ``entry``, ``factor`` and
+    ``monomial`` (an index into ``monomials``); an order ``d > q`` has none.
     """
-    monomials, heads, tails, start = [], [], [], []
+    monomials, terms, start = [], [], []
     for d in range(width):
         start.append(len(monomials))
         monomials += [(k, q - d - k, d) for k in range(q - d + 1)]
-    # a term's integers: C(r, j - i), and (-1)^(d-i) q!/(q-d)! C(d, i) per (d, i)
     binomial = [[math.comb(n, k) for k in range(n + 1)] for n in range(q + 1)]
-    scaled = [
-        [(-1) ** (d - i) * math.perm(q, d) * c for i, c in enumerate(binomial[d])]
-        for d in range(min(width, q + 1))
-    ]
     for j in range(q + 1):
-        for d in range(width):
-            r = q - d
-            if r < 0:
-                heads.append((0.0, 0))
-                continue
-            terms = [
-                (_as_float(scaled[d][i] * binomial[r][j - i]), start[d] + j - i)
-                for i in range(max(0, j - r), min(d, j) + 1)
-            ]
-            tails += [(len(heads), f, k) for f, k in terms[1:]]
-            heads.append(terms[0])
-    return tuple(monomials), tuple(heads), tuple(tails)
+        for d in range(min(width, q + 1)):
+            r, perm = q - d, (-1) ** d * math.perm(q, d)
+            for i in range(max(0, j - r), min(d, j) + 1):  # the factor's integer, rounded once
+                factor = perm * (-1) ** i * binomial[d][i] * binomial[r][j - i]
+                terms.append((j * width + d, _as_float(factor), start[d] + j - i))
+    columns = [np.array([t[c] for t in terms], dtype=k) for c, k in enumerate((int, float, int))]
+    for column in columns:
+        column.flags.writeable = False
+    return (tuple(monomials), *columns)
 
 
 def _call_pointwise(section, name: str, x, order: int):
@@ -351,7 +341,7 @@ def _call_pointwise(section, name: str, x, order: int):
 
 
 def _pair_constants(family, length: float):
-    """``(w L, den, [(-w)^d], [w^d])``, orders ``0 .. p``, for a
+    """``(w L, den, ((-w)^d), (w^d))``, orders ``0 .. p``, for a
     trigonometric/exponential pair with parameter ``w`` on a section of
     length ``L``, ``den`` its normalizer ``sin(w L)`` or ``1 - e^(-2 w L)``;
     ``None`` for the other families.  The powers come from repeated
@@ -364,7 +354,7 @@ def _pair_constants(family, length: float):
     for _ in range(family.degree):
         neg.append(neg[-1] * -w)
         pos.append(pos[-1] * w)
-    return wl, den, neg, pos
+    return wl, den, tuple(neg), tuple(pos)
 
 
 def _pair_rows(section, x, t, s, constants, orders) -> list:
@@ -400,33 +390,30 @@ def _pair_rows(section, x, t, s, constants, orders) -> list:
     return [neg[d] * ratio_a[d % 2] for d in orders] + [pos[d] * ratio_b[d % 2] for d in orders]
 
 
-def _powers(x, x_lo, x_hi, q: int) -> tuple:
-    """``t = (x - x_lo)/L``, ``s = (x_hi - x)/L`` and their powers ``0 .. q``
-    by repeated products, at a point or at an array of points."""
+def _monomials(x, x_lo, x_hi, q: int, width: int) -> tuple:
+    """``t = (x - x_lo)/L``, ``s = (x_hi - x)/L`` and the monomials ``t^a
+    s^b`` of :func:`_bernstein_layout`, orders ``0 .. width - 1``, from
+    powers by repeated products, at a point or at an array of points."""
     length = x_hi - x_lo
     t, s = (x - x_lo) / length, (x_hi - x) / length
     t_pow, s_pow = [1.0], [1.0]
     for _ in range(q):
         t_pow.append(t_pow[-1] * t)
         s_pow.append(s_pow[-1] * s)
-    return t, s, t_pow, s_pow
+    return t, s, [t_pow[a] * s_pow[b] for a, b, _ in _bernstein_layout(q, width)[0]]
 
 
 def _span_table(section, x, width: int) -> np.ndarray:
     """:meth:`SectionSpace.span_derivatives` unchecked, at a point or at an
-    array of points of ``section``, from its ``_pair``, ``_q`` and ``_scale``."""
+    array of points of ``section``: its :func:`_feature_map`'s Bernstein
+    block times the monomials, one matrix-vector product per point as in the
+    evaluation kernel, then :func:`_pair_rows`."""
     p, q = section.degree, section._q
-    # a monomial's three factors left to right, an entry's terms in i order
-    t, s, t_pow, s_pow = _powers(x, section.x_lo, section.x_hi, q)
-    scale = section._scale
-    monomials, heads, tails = _bernstein_layout(q, width)
-    mono = [scale[d] * t_pow[a] * s_pow[b] for a, b, d in monomials]
-    entries = [f * mono[k] for f, k in heads]
-    for e, f, k in tails:
-        entries[e] += f * mono[k]  # in place on an array: a fresh product
-    if q < p:
-        entries += _pair_rows(section, x, t, s, section._pair, range(width))
-    return _stacked(entries, x).reshape(*np.shape(x), p + 1, width)
+    t, s, monomials = _monomials(x, section.x_lo, section.x_hi, q, width)
+    block = _feature_map([section], width)[0, : (q + 1) * width, : len(monomials)]
+    pairs = _pair_rows(section, x, t, s, section._pair, range(width)) if q < p else []
+    rows = [(block @ _stacked(monomials, x)[..., None])[..., 0], _stacked(pairs, x)]
+    return np.concatenate(rows, axis=-1).reshape(*np.shape(x), p + 1, width)
 
 
 def _stacked(entries: list, x) -> np.ndarray:
@@ -452,8 +439,7 @@ def _features(section, x, x_lo, x_hi, pair, width: int) -> np.ndarray:
     ``None``) ``D^d u``, then ``D^d v``.  A vector at a point, one row per
     point at an array, from the same float operations."""
     q = section._q
-    t, s, t_pow, s_pow = _powers(x, x_lo, x_hi, q)
-    out = [t_pow[a] * s_pow[b] for a, b, _ in _bernstein_layout(q, width)[0]]
+    t, s, out = _monomials(x, x_lo, x_hi, q, width)
     if q < section.degree and pair is None:
         out += [_call_pointwise(section, f, x, d) for f in "uv" for d in range(width)]
     elif q < section.degree:
@@ -478,17 +464,15 @@ def _feature_map(group, width: int) -> np.ndarray:
     """The linear maps ``L_e`` from :func:`_features` to the span tables of
     the sections of ``group`` (one kind and degree, or one custom pair) for
     orders ``0 .. width - 1``, as ``(len(group), (p + 1) width, n_f)``, rows
-    ``(j, d)`` row-major: at a monomial, a Bernstein entry's factor of
-    :func:`_bernstein_layout` times ``L^-d``; at a pair value, ``(-w)^d`` or
-    ``w^d`` with the sign of its place in the derivative cycle; at a custom
-    pair's ``D^d u`` or ``D^d v``, one."""
+    ``(j, d)`` row-major: at a monomial, each term's factor of the one layout
+    (:func:`_bernstein_layout`) times ``L^-d``, a block :func:`_span_table`
+    reads too; at a pair value, ``(-w)^d`` or ``w^d`` with the sign of its
+    place in the derivative cycle; at a custom pair's ``D^d u`` or ``D^d
+    v``, one."""
     p, q, pair = group[0].degree, group[0]._q, group[0]._pair
-    monomials, heads, tails = _bernstein_layout(q, width)
+    monomials, entry, factor, monomial = _bernstein_layout(q, width)
     f = len(monomials)
     out = np.zeros((len(group), (p + 1) * width, f if q == p else f + (4 if pair else 2 * width)))
-    # entry (j, d), at row j width + d: one term per monomial of degree q - d
-    terms = [(e, *term) for e, term in enumerate(heads) if e % width <= q] + list(tails)
-    entry, factor, monomial = (np.array(c) for c in zip(*terms))
     scale = np.array([s._scale[:width] for s in group])
     out[:, entry, monomial] = factor * scale[:, entry % width]
     if q == p:
@@ -508,9 +492,10 @@ def _feature_map(group, width: int) -> np.ndarray:
 def _end_tables(group) -> np.ndarray | None:
     """The span tables at both ends of each section of ``group`` (one kind and
     degree, or one custom pair) as ``(g, 2, p + 1, p + 1)``: the rows of
-    :func:`_binomial_tables` scaled by ``L^-d``, equal to :func:`_span_table`'s
-    up to the sign of zeros, then :func:`_pair_rows`, bit for bit.  ``None``
-    where :func:`_binomial_tables` is; overflow is left to the caller."""
+    :func:`_binomial_tables` scaled by ``L^-d``, equal to the evaluation
+    map's rows of :func:`_span_table` up to the sign of zeros, then its pair
+    rows of :func:`_pair_rows` bit for bit, on which the built bases rest.
+    ``None`` where :func:`_binomial_tables` is; overflow is left to the caller."""
     p, q = group[0].degree, group[0]._q
     exact = _binomial_tables(q)
     if exact is None:
@@ -528,12 +513,13 @@ def _end_tables(group) -> np.ndarray | None:
     return tables
 
 
+@dataclass(eq=False, frozen=True, repr=False)
 class SectionSpace:
     """One ECT section: a family on a closed interval ``[x_lo, x_hi]``.
 
-    Immutable after construction; all evaluation methods are pure.  A table
-    at a point reads the constants set here: ``_pair``, the Bernstein degree
-    ``_q`` (``p - 2`` when the pair follows) and ``_scale = [1, 1/L, ...]``.
+    Frozen, with pure methods, compared and hashed by identity.  A table at a
+    point reads the constants set on construction: ``_pair``, the Bernstein
+    degree ``_q`` (``p - 2`` when the pair follows) and ``_scale = (1, 1/L, ...)``.
 
     Parameters
     ----------
@@ -547,8 +533,13 @@ class SectionSpace:
         underflows to 0 is rejected too: the pair's normalizer vanishes.
     """
 
-    def __init__(self, x_lo: float, x_hi: float, family: SectionFamily):
-        x_lo, x_hi = (_number(x, "section end", InvalidFamilyError) for x in (x_lo, x_hi))
+    x_lo: float
+    x_hi: float
+    family: SectionFamily
+
+    def __post_init__(self):
+        family = self.family
+        x_lo, x_hi = (_number(x, "section end", InvalidFamilyError) for x in (self.x_lo, self.x_hi))
         if not (x_lo < x_hi):
             raise InvalidFamilyError(f"empty section interval [{x_lo}, {x_hi}]")
         if not math.isfinite(x_hi - x_lo):
@@ -558,15 +549,14 @@ class SectionSpace:
                 f"trigonometric section needs omega*length < pi, got "
                 f"{family.omega * (x_hi - x_lo):.6g} on [{x_lo}, {x_hi}]"
             )
-        self.x_lo, self.x_hi, self.family = x_lo, x_hi, family
-        self.degree, self.dim, self.length = family.degree, family.degree + 1, x_hi - x_lo
-        self._pair = _pair_constants(family, self.length)
-        self._q = self.degree - (0 if isinstance(family, PolynomialFamily) else 2)
-        # 1/L^d by repeated division: inf past the float range, where L ** -d raises
-        self._scale = [1.0]
-        for _ in range(self.degree):
-            self._scale.append(self._scale[-1] / self.length)
-        if self._pair is not None and self._pair[1] == 0.0:  # the pair's normalizer
+        length, scale = x_hi - x_lo, [1.0]
+        for _ in range(family.degree):  # 1/L^d by repeated division: inf past the float range
+            scale.append(scale[-1] / length)
+        pair = _pair_constants(family, length)
+        q = family.degree - (0 if isinstance(family, PolynomialFamily) else 2)
+        self.__dict__.update(x_lo=x_lo, x_hi=x_hi, degree=family.degree, dim=family.degree + 1)
+        self.__dict__.update(length=length, _pair=pair, _q=q, _scale=tuple(scale))
+        if pair is not None and pair[1] == 0.0:  # the pair's normalizer
             raise InvalidFamilyError(f"omega*length of {self!r} underflows to 0")
 
     def __repr__(self):

@@ -333,6 +333,14 @@ REPORTED = {
         ConfigError,
         lambda: local_recurrence_eval(space(), [[1], [1, 2]], 0.5),
     ),
+    **{
+        f"recurrence-index-{label}": (ConfigError, lambda k=k: local_recurrence_eval(space(), k, 0.5))
+        for label, k in (("zero", 0), ("negative", -1), ("past-n", 7), ("huge", 10**6))
+    },
+    "recurrence-index-in-sequence": (
+        ConfigError,
+        lambda: evaluator().evaluate([1, 7, 0], np.array([0.5, 1.0])),
+    ),
     "partition-none": (InvalidFamilyError, lambda: Partition(None)),
     "config-smoothness-none": (
         ConfigError,
@@ -354,6 +362,18 @@ REPORTED = {
 def test_reported_case_raises_a_library_error(error, call):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("k, named", [(0, 0), (-1, -1), (7, 7), (10**6, 10**6), ([1, 7, 0], 7)])
+def test_recurrence_index_outside_the_space_is_named_as_supersmoothness_names_it(k, named):
+    n = space().n_basis
+    with pytest.raises(ConfigError, match=re.escape(f"basis index {named} outside [1, {n}]")):
+        local_recurrence_eval(space(), k, 0.5)
+    with pytest.raises(ConfigError, match=re.escape(f"basis index {named} outside [1, {n}]")):
+        evaluator().evaluate(k, np.array([0.5]))
+    if np.ndim(k) == 0:
+        with pytest.raises(ConfigError, match=re.escape(f"basis index {k} outside [1, {n}]")):
+            space().knots.supersmoothness(k)
 
 
 def _row_id(row: Row) -> str:

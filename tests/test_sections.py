@@ -20,6 +20,7 @@ from gtbsplines import (
     SpaceConfig,
     TrigonometricFamily,
     build_space,
+    eval_basis,
 )
 from gtbsplines.bernstein import COND_LIMIT, _endpoint_systems
 from gtbsplines.sections import (
@@ -352,37 +353,55 @@ class TestCustomPairCheck:
         assert caught == []
 
 
-def _layout_term_by_term(q: int, width: int) -> tuple[tuple, tuple, tuple]:
-    """``_bernstein_layout`` as first written: every factor its own product
-    of ``perm`` and ``comb``, rounded once."""
-    monomials, heads, tails, start = [], [], [], []
+def _layout_term_by_term(q: int, width: int) -> tuple[tuple, tuple]:
+    """``_bernstein_layout`` as first written, in the flat format: the
+    monomials, then every term ``(entry, factor, monomial)``, each factor its
+    own product of ``perm`` and ``comb``, rounded once."""
+    monomials, terms, start = [], [], []
     for d in range(width):
         start.append(len(monomials))
         monomials += [(k, q - d - k, d) for k in range(q - d + 1)]
     for j in range(q + 1):
-        for d in range(width):
+        for d in range(min(width, q + 1)):
             r = q - d
-            if r < 0:
-                heads.append((0.0, 0))
-                continue
-            terms = [
+            terms += [
                 (
+                    j * width + d,
                     float((-1) ** (d - i) * math.perm(q, d) * math.comb(d, i) * math.comb(r, j - i)),
                     start[d] + j - i,
                 )
                 for i in range(max(0, j - r), min(d, j) + 1)
             ]
-            tails += [(len(heads), f, k) for f, k in terms[1:]]
-            heads.append(terms[0])
-    return tuple(monomials), tuple(heads), tuple(tails)
+    return tuple(monomials), tuple(terms)
 
 
-@pytest.mark.parametrize("q", range(13))
+@pytest.mark.parametrize("q", range(-1, 13))
 def test_bernstein_layout_equals_term_by_term_formula(q):
     # every width up to q + 3: the orders of a pair section run past q
     for width in range(1, q + 4):
-        got, want = _bernstein_layout(q, width), _layout_term_by_term(q, width)
-        assert repr(got) == repr(want), width
+        monomials, *columns = _bernstein_layout(q, width)
+        assert all(not column.flags.writeable for column in columns)
+        got = monomials, tuple(zip(*(column.tolist() for column in columns)))
+        assert repr(got) == repr(_layout_term_by_term(q, width)), width
+
+
+@pytest.mark.parametrize("p", range(13))
+def test_polynomial_span_table_is_eval_basis_bit_for_bit(p):
+    # A polynomial section's span basis is its Bernstein basis and the basis
+    # of its one-interval space: one term layout and one product for all three.
+    rng = np.random.default_rng(1300 + p)
+    for length in 10.0 ** rng.uniform(-2.0, 2.0, 3):
+        a = float(rng.uniform(-10.0, 10.0))
+        space = build_space(SpaceConfig([a, a + length], [PolynomialFamily(p)], []))
+        basis, (a, b) = space.bases[0], space.domain
+        xs = np.array([a, b, 0.5 * (a + b), *rng.uniform(a, b, 4)])
+        for order in range(p + 1):
+            want = eval_basis(space, xs, order)
+            for got in (basis.section.span_derivatives(xs, order), basis.evaluate(xs, order)):
+                assert got.tobytes() == want.tobytes(), (length, order)
+            for x, table in zip(xs.tolist(), want):
+                for got in (basis.section.span_derivatives(x, order), basis.evaluate(x, order)):
+                    assert got.tobytes() == table.tobytes(), (length, x, order)
 
 
 class TestFamilyValidation:

@@ -537,7 +537,12 @@ class TestElementTable:
             for sequence in (s.bases, s.extraction.blocks, s.extraction.factors):
                 assert type(sequence) is tuple
             constraints = build_constraints(s.bases, s.knots)
-            frozen += [s, s.extraction, s.knots, constraints, *s.bases]
+            sections = [b.section for b in s.bases]
+            frozen += [s, s.extraction, s.knots, constraints, *s.bases, *sections]
+            for name in ("degree", "length", "_pair", "_q", "_scale"):  # set once, not fields
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(sections[1], name, getattr(sections[1], name))
+            assert type(sections[1]._scale) is tuple
         for obj in frozen:
             for f in dataclasses.fields(obj):
                 with pytest.raises(dataclasses.FrozenInstanceError):
