@@ -14,8 +14,12 @@ Two kinds of oracles live here:
   ``K = 1`` the base case ``w_(p_e)``; a function of mass <= 0 has
   cumulative 1).  A level is thus one fit, cumulative and mass product per
   group of elements of one family kind, degree and node count, then one
-  pass over its (function, element) pairs for the masses before each
-  element.  Only the sections, their weights and the knot layout are read.
+  scatter of its masses into the (function, element) layout of the top
+  level, sorted once per evaluator, and one running sum over it for the
+  masses before each element.  Evaluation sums every (point, function)
+  pair in one Clenshaw pass over the top level's coefficients, zero-padded
+  to the largest node count.  Only the sections, their weights and the
+  knot layout are read.
 * The classical Cox-de Boor recursion for uniform-degree polynomial spaces,
   including derivatives, as an entirely separate reference: it uses no
   extraction, space or Bernstein code.  It is local: one span search per
@@ -105,6 +109,9 @@ class RecurrenceEvaluator:
     """Level-by-level integral-recurrence construction of the smooth basis.
 
     ``levels[q]`` maps each function of level ``q`` to its total mass.
+    ``_top`` holds the top level's Chebyshev coefficients, zero-padded to the
+    largest node count: row ``_start[e] + i`` is active function ``i`` of
+    element ``e``.
     """
 
     def __init__(self, space: GTSplineSpace):
@@ -114,6 +121,7 @@ class RecurrenceEvaluator:
         self._mid, self._half = 0.5 * (bp[:-1] + bp[1:]), 0.5 * (bp[1:] - bp[:-1])
         self._degree = np.array(space.degrees)
         self._first = space.knots.sigma[1:] - self._degree  # each element's first function, 1-based
+        self._start = np.cumsum(self._degree + 1) - self._degree - 1
         sections = [basis.section for basis in space.bases]
         count = [_section_nodes(section) for section in sections]
         groups: dict[tuple, list[int]] = {}
@@ -123,9 +131,6 @@ class RecurrenceEvaluator:
         self._groups = [
             (count[es[0]], sections[es[0]].degree, np.array(es)) for es in groups.values()
         ]
-        self._group, self._row = np.zeros((2, len(sections)), dtype=int)  # each element's place
-        for g, (_, _, es) in enumerate(self._groups):
-            self._group[es], self._row[es] = g, np.arange(len(es))
         self.levels: list[dict[int, float]] = []
         self._top = self._build(self._weights(sections))
 
@@ -153,71 +158,73 @@ class RecurrenceEvaluator:
             raise
         return out
 
-    def _build(self, weights: list[np.ndarray]) -> list[np.ndarray]:
+    def _build(self, weights: list[np.ndarray]) -> np.ndarray:
         """Run the levels on ``(n, G, K)`` arrays, nodes first, so that a rule
-        is one matrix product; the top level's coefficients per group."""
+        is one matrix product; the top level's coefficients in ``_top``'s
+        layout.
+
+        The masses before each element are summed from the left on one
+        layout of the top level's (function, element) pairs, sorted once: a
+        function's pairs at level ``q`` are those with ``k >= first_e + p -
+        q``, a prefix of its top-level pairs, so each level scatters its
+        masses into the layout and takes one ``cumsum``."""
         p = self.p_max
+        e = np.repeat(np.arange(len(self._degree)), self._degree + 1)
+        local = np.arange(len(e)) - self._start[e]
+        k = self._first[e] + local
+        order = np.lexsort((e, k))
+        head = np.flatnonzero(np.diff(k[order], prepend=-1))
+        segment = np.repeat(np.arange(len(head)), np.diff(head, append=len(k)))
+        pos = np.arange(len(k)) - head[segment]
+        width = pos.max() + 1
+        slot = np.empty(len(k), dtype=int)  # each pair's cell in a (function, place) table
+        slot[order] = segment * width + pos
+        keys, head_local = k[order[head]], local[order[head]]
+        # per group: its elements' halves and, one row per element, their pairs
+        per_group = [(self._half[es, None], self._start[es, None] + np.arange(p_e + 1))
+                     for _, p_e, es in self._groups]
         previous: dict[int, tuple] = {}  # a group's last coefficients, masses before, totals
         for q in range(p + 1):
-            level, functions, elements, masses = [], [], [], []
+            running, level = np.zeros(len(head) * width), []
             for g, (n, p_e, es) in enumerate(self._groups):
                 K = q - (p - p_e) + 1
                 if K < 1:
                     continue
-                rule = _fit_rule(n)
+                rule, (half, pairs) = _fit_rule(n), per_group[g]
                 if K == 1:
                     vals = weights[g][1][:, :, None]
-                else:
+                else:  # the unit-mass cumulatives of the previous level
                     stencil = np.ones((n, len(es), K + 1))
                     stencil[:, :, K] = 0.0
-                    if K > 1:  # the unit-mass cumulatives of the previous level
-                        coef, before, total = previous[g]
-                        within = (rule.cumulative @ coef).reshape(n, len(es), K - 1)
-                        within *= self._half[es, None]
-                        np.divide(before + within, total, out=stencil[:, :, 1:K], where=total > 0)
+                    coef, before, total = previous[g]
+                    within = (rule.cumulative @ coef).reshape(n, len(es), K - 1)
+                    within *= half
+                    np.divide(before + within, total, out=stencil[:, :, 1:K], where=total > 0)
                     vals = stencil[:, :, :-1] - stencil[:, :, 1:]
-                    if K <= 2:  # w_(p_e) or w_(p_e - 1); the lower weights are one
-                        vals = weights[g][2 - K][:, :, None] * vals
+                    if K == 2:  # w_(p_e - 1); the lower weights are one
+                        vals = weights[g][0][:, :, None] * vals
                 coef = rule.fit @ vals.reshape(n, -1)
-                level.append((g, coef))
-                masses.append(self._half[es, None] * (rule.mass @ coef).reshape(-1, K))
-                functions.append(self._first[es, None] + p_e - K + 1 + np.arange(K))
-                elements.append(np.broadcast_to(es[:, None], (len(es), K)))
-            befores, totals = self._mass_before(functions, elements, masses)
-            previous = {g: (coef, b, t) for (g, coef), b, t in zip(level, befores, totals)}
-        return [coef.reshape(n, len(es), -1) for (n, _, es), (_, coef) in zip(self._groups, level)]
-
-    def _mass_before(self, functions, elements, masses):
-        """Per group, each (function, element) pair's mass of the function
-        before the element, summed element by element from the left, and its
-        total; the level's totals go to ``levels``."""
-        k, e, mass = (
-            np.concatenate([a.ravel() for a in pairs]) for pairs in (functions, elements, masses)
-        )
-        order = np.lexsort((e, k))
-        k = k[order]
-        head = np.flatnonzero(np.concatenate([[True], k[1:] != k[:-1]]))
-        segment = np.repeat(np.arange(len(head)), np.diff(np.append(head, len(k))))
-        pos = np.arange(len(k)) - head[segment]
-        running = np.zeros((len(head), pos.max() + 1))
-        running[segment, pos] = mass[order]
-        running = np.cumsum(running, axis=1)
-        self.levels.append(dict(zip(k[head].tolist(), running[:, -1].tolist())))
-        before, total = np.empty((2, len(k)))
-        before[order] = np.where(pos > 0, running[segment, pos - 1], 0.0)
-        total[order] = running[segment, -1]
-        ends = np.cumsum([m.size for m in masses])[:-1]
-        return [
-            [a.reshape(m.shape) for a, m in zip(np.split(b, ends), masses)] for b in (before, total)
-        ]
+                level.append((g, coef, pairs[:, -K:]))
+                running[slot[pairs[:, -K:]]] = half * (rule.mass @ coef).reshape(-1, K)
+            running = np.cumsum(running.reshape(-1, width), axis=1)
+            before = np.where(slot % width > 0, running.ravel()[slot - 1], 0.0)
+            total = running[:, -1]
+            present = head_local >= p - q
+            self.levels.append(dict(zip(keys[present].tolist(), total[present].tolist())))
+            previous = {g: (coef, before[at], total[slot[at] // width]) for g, coef, at in level}
+        top = np.zeros((len(k), max(n for n, _, _ in self._groups)))
+        for (n, _, _), (_, coef, at) in zip(self._groups, level):
+            top[at.ravel(), :n] = coef.T
+        return top
 
     def evaluate(self, k, x):
         """Values of basis function ``k`` in ``[1, N]``, an int or a 1-D
         sequence of them, at ``x``, a point or a 1-D array of points: a
         float, or an array over the points and then over a sequence of
-        ``k``.  Every (point, function) pair active there is summed by
-        :func:`_clenshaw`, one array pass per group, so each entry has the
-        bits of a one-point call.
+        ``k``.  Every (point, function) pair active there is summed by one
+        :func:`_clenshaw` pass over its element's coefficients, zero-padded to
+        the largest node count (the recurrence carries leading zeros
+        exactly), so each entry has the bits of a one-point call.
         """
         ks = _numbers(k, "basis index must be an integer", ConfigError)
         whole = [_integer(v, "basis index", ConfigError) for v in ks.ravel().tolist()]
@@ -231,12 +238,9 @@ class RecurrenceEvaluator:
         local = np.atleast_1d(ks)[None, :] - self._first[elems, None]
         at, col = np.nonzero((local >= 0) & (local <= self._degree[elems, None]))
         e, i = elems[at], local[at, col]
-        t, group = (xs[at] - self._mid[e]) / self._half[e], self._group[e]
         out = np.zeros(local.shape)
-        # the groups present, ascending (np.unique costs about 1 MB of RSS on its first call)
-        for g in np.flatnonzero(np.bincount(group)):
-            sel = group == g
-            out[at[sel], col[sel]] = _clenshaw(t[sel], self._top[g][:, self._row[e[sel]], i[sel]])
+        t = (xs[at] - self._mid[e]) / self._half[e]
+        out[at, col] = _clenshaw(t, self._top[self._start[e] + i].T)
         out = out if ks.ndim else out[:, 0]
         return out[0] if np.ndim(x) == 0 else out
 

@@ -37,7 +37,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .bernstein import BernsteinBasis, build_bases, build_bernstein
+from .bernstein import BernsteinBasis, build_bases
+from .bernstein import build_bernstein  # noqa: F401  (bench/tracer.py wraps this name here)
 from .config import SpaceConfig, _control_net
 from .errors import (
     AdmissibilityWarning,
@@ -451,7 +452,7 @@ def _refined_components(space: GTSplineSpace, x_new: float):
     e = space.partition.locate(x_new)  # 1-based interval containing x_new
     section = space.bases[e - 1].section
     halves = ((section.x_lo, x_new), (x_new, section.x_hi))
-    pieces = tuple(build_bernstein(section.restricted(*ends)) for ends in halves)
+    pieces = tuple(build_bases([section.restricted(*ends) for ends in halves]))
     bases = space.bases[: e - 1] + pieces + space.bases[e:]
     new_bp = list(bp)
     new_bp.insert(e, x_new)

@@ -7,6 +7,10 @@
 * :class:`RecurrenceBernstein`: the Bernstein basis of one section built by
   the integral ladder on per-element Chebyshev interpolants, through the
   same cached rule as the library's recurrence evaluator.
+* :class:`GroupedRecurrence`: the library's recurrence evaluator run group
+  by group -- one sort of the (function, element) pairs per level and one
+  Clenshaw pass per group of elements -- the reference that the evaluator's
+  single layout and single pass must equal bit for bit.
 
 The library takes a polynomial section's basis from its exact endpoint
 tables and builds every other one by a stacked Hermite solve; these are the
@@ -22,14 +26,15 @@ import numpy.polynomial.chebyshev as _cheb
 
 from gtbsplines import (
     BernsteinBasis,
+    ConfigError,
     ExponentialFamily,
     OracleUnsupportedError,
     PolynomialFamily,
     SectionSpace,
     TrigonometricFamily,
 )
-from gtbsplines.oracle import _fit_rule, _section_nodes
-from gtbsplines.sections import normalized_pair
+from gtbsplines.oracle import RecurrenceEvaluator, _clenshaw, _fit_rule, _section_nodes
+from gtbsplines.sections import _family_groups, _integer, _numbers, _points_in, normalized_pair
 
 
 class _Element:
@@ -198,3 +203,103 @@ class RecurrenceBernstein:
             scale /= self.element.half
             # chebder differentiates in t; each order picks up 1/half
         return out
+
+
+class GroupedRecurrence(RecurrenceEvaluator):
+    """The integral recurrence of :class:`~gtbsplines.oracle.RecurrenceEvaluator`
+    with its weights, run on per-group arrays: each level sorts its
+    (function, element) pairs by ``np.lexsort`` for the masses before each
+    element, and ``evaluate`` runs :func:`_clenshaw` once per group of the
+    elements present.  ``_top`` is the list of each group's ``(n, G, K)``
+    top-level coefficients."""
+
+    def __init__(self, space):
+        self.space = space
+        self.p_max, self.n_basis = max(space.degrees), space.n_basis
+        bp = np.array(space.partition.breakpoints)
+        self._mid, self._half = 0.5 * (bp[:-1] + bp[1:]), 0.5 * (bp[1:] - bp[:-1])
+        self._degree = np.array(space.degrees)
+        self._first = space.knots.sigma[1:] - self._degree
+        sections = [basis.section for basis in space.bases]
+        count = [_section_nodes(section) for section in sections]
+        groups: dict[tuple, list[int]] = {}
+        for key, es in _family_groups(enumerate(sections)).items():
+            for e in es:
+                groups.setdefault((key, count[e]), []).append(e)
+        self._groups = [
+            (count[es[0]], sections[es[0]].degree, np.array(es)) for es in groups.values()
+        ]
+        self._group, self._row = np.zeros((2, len(sections)), dtype=int)
+        for g, (_, _, es) in enumerate(self._groups):
+            self._group[es], self._row[es] = g, np.arange(len(es))
+        self.levels = []
+        self._top = self._build(self._weights(sections))
+
+    def _build(self, weights):
+        p = self.p_max
+        previous = {}
+        for q in range(p + 1):
+            level, functions, elements, masses = [], [], [], []
+            for g, (n, p_e, es) in enumerate(self._groups):
+                K = q - (p - p_e) + 1
+                if K < 1:
+                    continue
+                rule = _fit_rule(n)
+                if K == 1:
+                    vals = weights[g][1][:, :, None]
+                else:
+                    stencil = np.ones((n, len(es), K + 1))
+                    stencil[:, :, K] = 0.0
+                    coef, before, total = previous[g]
+                    within = (rule.cumulative @ coef).reshape(n, len(es), K - 1)
+                    within *= self._half[es, None]
+                    np.divide(before + within, total, out=stencil[:, :, 1:K], where=total > 0)
+                    vals = stencil[:, :, :-1] - stencil[:, :, 1:]
+                    if K == 2:
+                        vals = weights[g][0][:, :, None] * vals
+                coef = rule.fit @ vals.reshape(n, -1)
+                level.append((g, coef))
+                masses.append(self._half[es, None] * (rule.mass @ coef).reshape(-1, K))
+                functions.append(self._first[es, None] + p_e - K + 1 + np.arange(K))
+                elements.append(np.broadcast_to(es[:, None], (len(es), K)))
+            befores, totals = self._mass_before(functions, elements, masses)
+            previous = {g: (coef, b, t) for (g, coef), b, t in zip(level, befores, totals)}
+        return [coef.reshape(n, len(es), -1) for (n, _, es), (_, coef) in zip(self._groups, level)]
+
+    def _mass_before(self, functions, elements, masses):
+        k, e, mass = (
+            np.concatenate([a.ravel() for a in pairs]) for pairs in (functions, elements, masses)
+        )
+        order = np.lexsort((e, k))
+        k = k[order]
+        head = np.flatnonzero(np.concatenate([[True], k[1:] != k[:-1]]))
+        segment = np.repeat(np.arange(len(head)), np.diff(np.append(head, len(k))))
+        pos = np.arange(len(k)) - head[segment]
+        running = np.zeros((len(head), pos.max() + 1))
+        running[segment, pos] = mass[order]
+        running = np.cumsum(running, axis=1)
+        self.levels.append(dict(zip(k[head].tolist(), running[:, -1].tolist())))
+        before, total = np.empty((2, len(k)))
+        before[order] = np.where(pos > 0, running[segment, pos - 1], 0.0)
+        total[order] = running[segment, -1]
+        ends = np.cumsum([m.size for m in masses])[:-1]
+        return [
+            [a.reshape(m.shape) for a, m in zip(np.split(b, ends), masses)] for b in (before, total)
+        ]
+
+    def evaluate(self, k, x):
+        ks = _numbers(k, "basis index must be an integer", ConfigError)
+        whole = [_integer(v, "basis index", ConfigError) for v in ks.ravel().tolist()]
+        ks = np.array(whole, dtype=int).reshape(ks.shape)
+        xs = np.atleast_1d(_points_in(x, *self.space.domain))
+        elems = self.space.partition.locate(xs) - 1
+        local = np.atleast_1d(ks)[None, :] - self._first[elems, None]
+        at, col = np.nonzero((local >= 0) & (local <= self._degree[elems, None]))
+        e, i = elems[at], local[at, col]
+        t, group = (xs[at] - self._mid[e]) / self._half[e], self._group[e]
+        out = np.zeros(local.shape)
+        for g in np.flatnonzero(np.bincount(group)):
+            sel = group == g
+            out[at[sel], col[sel]] = _clenshaw(t[sel], self._top[g][:, self._row[e[sel]], i[sel]])
+        out = out if ks.ndim else out[:, 0]
+        return out[0] if np.ndim(x) == 0 else out

@@ -33,7 +33,7 @@ from gtbsplines.oracle import (
 from gtbsplines.sections import normalized_pair
 
 from helpers import bench_generator, random_config, reference_cox_de_boor
-from oracles import RecurrenceBernstein
+from oracles import GroupedRecurrence, RecurrenceBernstein
 
 
 def _used_node_counts() -> list[int]:
@@ -298,6 +298,68 @@ class TestOracleAgreementOnRandomSpaces:
                     assert local_recurrence_eval(space, k, float(x)) == pytest.approx(
                         vals[k - 1], abs=1e-7
                     )
+
+
+def _reference_spaces():
+    """Both demo spaces, the three benchmark spaces for seeds 0-2 and 120
+    random spaces of degree up to 5."""
+    gen = bench_generator()
+    configs = [mixed_family_demo_config(), conic_profile_demo_config()]
+    configs += [SpaceConfig.from_dict(gen.generate(w, s)[0]) for w in gen.WORKLOADS for s in range(3)]
+    rng = np.random.default_rng(35)
+    configs += [random_config(rng, int(rng.integers(1, 7)), max_degree=5) for _ in range(120)]
+    return [build_space(cfg) for cfg in configs]
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+class TestGroupedReference:
+    """The evaluator's one pair layout and one Clenshaw pass against the
+    group-by-group reference: every number equal bit for bit."""
+
+    def test_levels_top_and_values_equal_reference(self):
+        spaces = _reference_spaces()
+        assert len(spaces) >= 131
+        for space in spaces:
+            ours, ref = RecurrenceEvaluator(space), GroupedRecurrence(space)
+            assert len(ours.levels) == len(ref.levels) == ours.p_max + 1
+            for mine, theirs in zip(ours.levels, ref.levels):
+                assert list(mine) == list(theirs)
+                assert _bits(list(mine.values())) == _bits(list(theirs.values()))
+            for (n, p_e, es), top in zip(ref._groups, ref._top):
+                rows = ours._top[ours._start[es, None] + np.arange(p_e + 1)]
+                assert _bits(rows[:, :, :n].transpose(2, 0, 1)) == _bits(top)
+                assert not rows[:, :, n:].any()
+            a, b = space.domain
+            xs = np.concatenate([np.linspace(b, a, 61), space.partition.breakpoints])
+            ks = list(range(1, space.n_basis + 1))
+            assert _bits(ours.evaluate(ks, xs)) == _bits(ref.evaluate(ks, xs))
+            for k in (1, space.n_basis, ks[len(ks) // 2]):
+                assert _bits(ours.evaluate(k, xs)) == _bits(ref.evaluate(k, xs))
+            for x in xs[::10].tolist():
+                assert _bits(ours.evaluate(ks[::-1], x)) == _bits(ref.evaluate(ks[::-1], x))
+                got, want = ours.evaluate(space.n_basis, x), ref.evaluate(space.n_basis, x)
+                assert isinstance(got, float) and _bits(got) == _bits(want)
+
+    def test_custom_pair_space_equals_reference(self):
+        custom = GeneralizedPolynomialFamily(
+            3, u=lambda x, d: math.exp(x), v=lambda x, d: (2.0**d) * math.exp(2.0 * x)
+        )
+        space = build_space(SpaceConfig([0.0, 1.0, 2.0, 3.0], [custom, PolynomialFamily(3), custom], [1, 2]))
+        ours, ref = RecurrenceEvaluator(space), GroupedRecurrence(space)
+        assert ours.levels == ref.levels
+        xs, ks = np.linspace(0.0, 3.0, 41), range(1, space.n_basis + 1)
+        assert _bits(ours.evaluate(ks, xs)) == _bits(ref.evaluate(ks, xs))
+
+    def test_one_sort_per_evaluator(self, monkeypatch, mixed_space):
+        # the (function, element) layout is sorted once, not once per level
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda *args, **kw: calls.append(1) or lexsort(*args, **kw))
+        ev = RecurrenceEvaluator(mixed_space)
+        assert ev.p_max >= 2 and len(calls) == 1
 
 
 class TestCoxDeBoor:

@@ -19,6 +19,7 @@ from gtbsplines import (
     DomainError,
     ExponentialFamily,
     ExtractionMatrix,
+    GeneralizedPolynomialFamily,
     GTBError,
     InsertionError,
     OrderError,
@@ -27,6 +28,7 @@ from gtbsplines import (
     SpaceConfig,
     SplineCurve,
     TrigonometricFamily,
+    build_bernstein,
     build_constraints,
     build_space,
     eval_basis,
@@ -1167,6 +1169,70 @@ class TestInsertKnot:
         tol = 1e-12 * (breakpoints[-1] - breakpoints[0])
         assert hit == min(i for i, x in enumerate(breakpoints) if abs(x - x_new) <= tol)
         assert counted.reads <= 4 * len(breakpoints).bit_length()
+
+    def test_split_halves_equal_two_section_builds(self):
+        # The halves of a split section, built in one pass, against one
+        # build_bernstein call per half: the same bases bit for bit and the
+        # same warnings (class, message, order), or the same error.  Split
+        # at the midpoint and 1 % and 0.3 % from the right end of every
+        # section of random spaces of degree up to 6 and of custom pairs,
+        # one of whose functions fails off the whole numbers.
+        def off_whole(x, d):
+            if not x == math.floor(x):
+                raise ValueError(f"no value at {x!r}")
+            return math.exp(x)
+
+        exp_pair = GeneralizedPolynomialFamily(
+            3, u=lambda x, d: math.exp(x), v=lambda x, d: (2.0**d) * math.exp(2.0 * x)
+        )
+        whole_pair = GeneralizedPolynomialFamily(3, u=off_whole, v=lambda x, d: (3.0**d) * math.exp(3.0 * x))
+        rng = np.random.default_rng(3535)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            spaces = [build_space(random_config(rng, max_degree=6)) for _ in range(40)]
+            spaces.append(build_space(SpaceConfig([0.0, 1.0, 2.0, 3.0], [exp_pair, PolynomialFamily(3), whole_pair], [1, 1])))
+
+        def outcome(build):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    bases = build()
+                except Exception as exc:
+                    bases = (type(exc), str(exc))
+            return bases, [(w.category, str(w.message)) for w in caught]
+
+        kinds, seen = set(), set()
+        for space in spaces:
+            for e, basis in enumerate(space.bases, 1):
+                section = basis.section
+                kinds.add(type(section.family).__name__)
+                for f in (0.5, 0.99, 0.997):
+                    x_new = section.x_lo + f * (section.x_hi - section.x_lo)
+                    halves = ((section.x_lo, x_new), (x_new, section.x_hi))
+                    ours, our_warnings = outcome(
+                        lambda: space_module._refined_components(space, x_new)[1][e - 1 : e + 1]
+                    )
+                    theirs, their_warnings = outcome(
+                        lambda: [build_bernstein(section.restricted(*ends)) for ends in halves]
+                    )
+                    assert our_warnings == their_warnings
+                    if isinstance(theirs, tuple):
+                        assert ours == theirs
+                        seen.add("error")
+                        continue
+                    seen.add("warning" if their_warnings else "clean")
+                    for a, b in zip(ours, theirs, strict=True):
+                        assert (a.section.x_lo, a.section.x_hi) == (b.section.x_lo, b.section.x_hi)
+                        assert a.section.family is b.section.family
+                        assert (a.coeffs is None) == (b.coeffs is None)
+                        if a.coeffs is not None:
+                            assert a.coeffs.tobytes() == b.coeffs.tobytes()
+                        assert a.left_table.tobytes() == b.left_table.tobytes()
+                        assert a.right_table.tobytes() == b.right_table.tobytes()
+        assert kinds == {
+            "PolynomialFamily", "TrigonometricFamily", "ExponentialFamily", "GeneralizedPolynomialFamily"
+        }
+        assert seen == {"clean", "warning", "error"}
 
     def test_precondition_errors(self, mixed_space, profile_space):
         with pytest.raises(InsertionError):
