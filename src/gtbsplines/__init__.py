@@ -7,9 +7,11 @@ represents their nonnegative, locally supported, partition-of-unity basis
 through an extraction operator acting on the piecewise Bernstein basis.
 Knot insertion, derivative evaluation, curve representation, unit-integral
 scaling, and independent recurrence/Cox-de Boor oracles are included.
+``__all__`` names the paper's objects; the cascade's per-constraint steps
+are internals of :mod:`gtbsplines.extraction` and :mod:`gtbsplines.bernstein`.
 """
 
-from .bernstein import BernsteinBasis, build_bernstein
+from .bernstein import BernsteinBasis
 from .config import (
     SpaceConfig,
     conic_profile_demo_config,
@@ -28,17 +30,7 @@ from .errors import (
     OracleUnsupportedError,
     OrderError,
 )
-from .extraction import (
-    ExtractionMatrix,
-    KnotVectors,
-    SmoothnessConstraints,
-    apply_factor,
-    build_constraints,
-    build_knot_vectors,
-    extraction_operator,
-    jump_rows,
-    nullspace_step,
-)
+from .extraction import ExtractionMatrix, KnotVectors, build_knot_vectors
 from .sections import (
     ExponentialFamily,
     GeneralizedPolynomialFamily,
@@ -81,23 +73,16 @@ __all__ = [
     "Partition",
     "PolynomialFamily",
     "SectionSpace",
-    "SmoothnessConstraints",
     "SpaceConfig",
     "SplineCurve",
     "TrigonometricFamily",
-    "apply_factor",
-    "build_bernstein",
-    "build_constraints",
     "build_knot_vectors",
     "build_space",
     "conic_profile_demo_config",
     "eval_basis",
     "eval_curve",
-    "extraction_operator",
     "insert_knot",
-    "jump_rows",
     "jump_vector",
     "mixed_family_demo_config",
-    "nullspace_step",
     "unit_integral_scaling",
 ]

@@ -38,7 +38,7 @@ from .sections import (
     _family_groups,
 )
 
-__all__ = ["BernsteinBasis", "build_bases", "build_bernstein"]
+__all__ = ["BernsteinBasis", "build_bases"]
 
 COND_LIMIT = 1e12  # condition number above which a collocation solve is ill conditioned
 
@@ -117,8 +117,13 @@ def _endpoint_systems(p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_bernstein(section: SectionSpace) -> BernsteinBasis:
-    """Construct the Bernstein-like basis of a section: the stacked pass of
-    :func:`build_bases` on this section alone.
+    """The basis of one section, as :func:`build_bases` builds it alone; its
+    readers are the tests and the bench tracer's ``bernstein.build`` span."""
+    return _build_group([section], strict=True)[0]
+
+
+def build_bases(sections: Sequence[SectionSpace]) -> list[BernsteinBasis]:
+    """Construct the Bernstein-like bases of ``sections``.
 
     A polynomial section needs no solve: its span basis is the Bernstein
     basis (``coeffs is None``), and its endpoint tables are the exact
@@ -155,28 +160,22 @@ def build_bernstein(section: SectionSpace) -> BernsteinBasis:
     from ``p = 151`` on, ``p = 153`` with a pair, and ``L^-d`` on tiny
     intervals) raises
     ``EctViolationError`` naming the section, and LAPACK never sees it.
-    """
-    return _build_group([section], strict=True)[0]
 
-
-def build_bases(sections: Sequence[SectionSpace]) -> list[BernsteinBasis]:
-    """Construct the Bernstein-like bases of ``sections`` in one stacked pass
-    per group of sections of one family kind and degree (a custom pair is a
-    group of its own): one endpoint-table call for the group -- the exact
-    Bernstein rows in one ``L^-d`` scaling, then for every family but the
-    polynomial one each section's pair rows at both ends -- and, unless the
-    group is polynomial, one condition call and one solve for all its
-    Hermite systems.  Each basis equals the :func:`build_bernstein` call of
-    its section bit for bit.
+    The bases are built in one stacked pass per group of sections of one
+    family kind and degree (a custom pair is a group of its own): one
+    endpoint-table call for the group -- the exact Bernstein rows in one
+    ``L^-d`` scaling, then for every family but the polynomial one each
+    section's pair rows at both ends -- and, unless the group is polynomial,
+    one condition call and one solve for all its Hermite systems.  Each
+    basis equals the one-section pass of its section bit for bit.
 
     The groups are built in the order of their first sections.  A group
     whose numbers would warn or raise -- a non-finite endpoint table, a
     condition number that is not finite or above ``1e12``, a LAPACK failure
-    -- ends the pass, and the bases are built again by one
-    :func:`build_bernstein` call per section, whose warnings and errors come
-    in section order.  An error of a custom pair's user functions is raised
-    as it comes: every section before the pair is in a group built before
-    it, without a warning.
+    -- ends the pass, and the bases are built again by one one-section pass
+    per section, whose warnings and errors come in section order.  An error
+    of a custom pair's user functions is raised as it comes: every section
+    before the pair is in a group built before it, without a warning.
     """
     bases = [None] * len(sections)
     for members in _family_groups(enumerate(sections)).values():
@@ -193,7 +192,7 @@ def build_bases(sections: Sequence[SectionSpace]) -> list[BernsteinBasis]:
 def _build_group(group: list[SectionSpace], strict: bool) -> list[BernsteinBasis] | None:
     """The bases of ``group``, sections of one family kind and degree or one
     custom pair, in one stacked pass.  With ``strict`` the group is one
-    section, whose numbers warn and raise as :func:`build_bernstein` says;
+    section, whose numbers warn and raise as :func:`build_bases` says;
     otherwise numbers that would warn or raise give ``None``."""
     section, p = group[0], group[0].degree
     custom = isinstance(section.family, GeneralizedPolynomialFamily)
@@ -241,7 +240,7 @@ def _build_group(group: list[SectionSpace], strict: bool) -> list[BernsteinBasis
 
 def _check_conditions(section: SectionSpace, conds: list, custom: bool) -> None:
     """Raise or warn on the condition numbers of one section's systems, in
-    the order :func:`build_bernstein` says: a custom pair's collocation
+    the order :func:`build_bases` says: a custom pair's collocation
     splits, then the Hermite system of each ``b_j``."""
     p = section.degree
     if custom:

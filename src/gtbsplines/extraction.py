@@ -45,18 +45,7 @@ from .bernstein import BernsteinBasis
 from .errors import BasisNonexistenceError, ConfigError, GTBError
 from .sections import Partition, _each, _integer
 
-__all__ = [
-    "KnotVectors",
-    "build_knot_vectors",
-    "SmoothnessConstraints",
-    "build_constraints",
-    "jump_rows",
-    "nullspace_step",
-    "apply_factor",
-    "pin_band_end",
-    "ExtractionMatrix",
-    "extraction_operator",
-]
+__all__ = ["KnotVectors", "build_knot_vectors", "ExtractionMatrix"]
 
 # Relative degeneracy threshold for cascade divisors, and the ceiling for
 # numerically-zero entries outside the structural band.
@@ -352,7 +341,9 @@ class ExtractionMatrix:
     functions cover and the factors of the constraints at breakpoints
     ``e_lo .. e_hi - 1`` from a cascade over the sub-space around them, and
     every other one from the old space, re-indexed past the knot
-    (``space.insert_knot``).
+    (``space.insert_knot``).  No evaluation reads the factors; they are kept
+    for two readers, the bench tracer's stored-bytes count and the tests,
+    which rebuild the dense factors from them.
     """
 
     blocks: tuple[np.ndarray, ...] = field(repr=False)

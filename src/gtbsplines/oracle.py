@@ -227,12 +227,15 @@ class RecurrenceEvaluator:
         exactly), so each entry has the bits of a one-point call.
         """
         ks = _numbers(k, "basis index must be an integer", ConfigError)
-        whole = [_integer(v, "basis index", ConfigError) for v in ks.ravel().tolist()]
-        n = self.space.n_basis
-        for v in whole:
-            if not 1 <= v <= n:
-                raise ConfigError(f"basis index {v} outside [1, {n}]")
-        ks = np.array(whole, dtype=int).reshape(ks.shape)
+        n, flat = self.space.n_basis, ks.ravel()
+        # the first entry that is not whole, else the first outside [1, n]
+        bad = ~(np.isfinite(flat) & (flat == np.trunc(flat)))
+        if not bad.any():
+            bad = (flat < 1) | (flat > n)
+        if bad.any():
+            v = _integer(flat[np.argmax(bad)].item(), "basis index", ConfigError)
+            raise ConfigError(f"basis index {v} outside [1, {n}]")
+        ks = ks.astype(int)
         xs = np.atleast_1d(_points_in(x, *self.space.domain))
         elems = self.space.partition.locate(xs) - 1
         local = np.atleast_1d(ks)[None, :] - self._first[elems, None]

@@ -67,7 +67,6 @@ __all__ = [
     "ExponentialFamily",
     "GeneralizedPolynomialFamily",
     "SectionSpace",
-    "normalized_pair",
     "weight_system",
 ]
 
@@ -357,6 +356,20 @@ def _pair_constants(family, length: float):
     return wl, den, tuple(neg), tuple(pos)
 
 
+def _transcendentals(trig: bool, wl, s, t, scalar: bool):
+    """``sin`` and ``cos`` of ``a = w L s`` and of ``b = w L t``, or for an
+    exponential pair ``e^(a - w L)``, ``expm1(-2 a)`` and the same of ``b``:
+    the transcendental values of :func:`_pair_rows` and :func:`_features`,
+    as Python floats at a point (the same bits as the array entries, and
+    cheaper arithmetic)."""
+    a, b = wl * s, wl * t
+    if trig:
+        values = np.sin(a), np.cos(a), np.sin(b), np.cos(b)
+    else:
+        values = np.exp(a - wl), np.expm1(-2.0 * a), np.exp(b - wl), np.expm1(-2.0 * b)
+    return map(float, values) if scalar else values
+
+
 def _pair_rows(section, x, t, s, constants, orders) -> list:
     """The pair rows of non-polynomial sections of ``section``'s kind at ``x``,
     ``t = (x - x_lo)/L`` and ``s = (x_hi - x)/L``: ``[D^d U(x) for d in
@@ -366,27 +379,19 @@ def _pair_rows(section, x, t, s, constants, orders) -> list:
     transcendental function once per call."""
     if constants is None:
         return [_call_pointwise(section, f, x, d) for f in "uv" for d in orders]
-    # At a point, numpy's values are turned into Python floats: the
-    # same bits as the array entries, and cheaper arithmetic.
-    scalar = not isinstance(t, np.ndarray)
     wl, den, neg, pos = constants
-    a, b = wl * s, wl * t
-    if isinstance(section.family, TrigonometricFamily):
-        sa, ca, sb, cb = np.sin(a), np.cos(a), np.sin(b), np.cos(b)
-        if scalar:
-            sa, ca, sb, cb = float(sa), float(ca), float(sb), float(cb)
+    trig = isinstance(section.family, TrigonometricFamily)
+    a0, a1, b0, b1 = _transcendentals(trig, wl, s, t, not isinstance(t, np.ndarray))
+    if trig:
         # derivative cycle of sin: sin, cos, -sin, -cos
-        cyc_a, cyc_b = (sa, ca, -sa, -ca), (sb, cb, -sb, -cb)
+        cyc_a, cyc_b = (a0, a1, -a0, -a1), (b0, b1, -b0, -b1)
         return [neg[d] * cyc_a[d % 4] / den for d in orders] + [
             pos[d] * cyc_b[d % 4] / den for d in orders
         ]
     # (sinh, cosh)(v) / sinh(wl) = e^(v - wl) (1 -+ e^(-2v)) / (1 - e^(-2 wl)),
     # the derivative cycle of sinh: exact and overflow-free for every wl > 0
-    ea, ma, eb, mb = np.exp(a - wl), np.expm1(-2.0 * a), np.exp(b - wl), np.expm1(-2.0 * b)
-    if scalar:
-        ea, ma, eb, mb = float(ea), float(ma), float(eb), float(mb)
-    ea, eb = ea / den, eb / den
-    ratio_a, ratio_b = (-ma * ea, (2.0 + ma) * ea), (-mb * eb, (2.0 + mb) * eb)
+    ea, eb = a0 / den, b0 / den
+    ratio_a, ratio_b = (-a1 * ea, (2.0 + a1) * ea), (-b1 * eb, (2.0 + b1) * eb)
     return [neg[d] * ratio_a[d % 2] for d in orders] + [pos[d] * ratio_b[d % 2] for d in orders]
 
 
@@ -444,14 +449,7 @@ def _features(section, x, x_lo, x_hi, pair, width: int) -> np.ndarray:
         out += [_call_pointwise(section, f, x, d) for f in "uv" for d in range(width)]
     elif q < section.degree:
         (wl, den), trig = pair, isinstance(section.family, TrigonometricFamily)
-        a, b = wl * s, wl * t
-        if trig:
-            values = np.sin(a), np.cos(a), np.sin(b), np.cos(b)
-        else:
-            values = np.exp(a - wl), np.expm1(-2.0 * a), np.exp(b - wl), np.expm1(-2.0 * b)
-        if not isinstance(x, np.ndarray):  # Python floats: the same bits, cheaper arithmetic
-            values = map(float, values)
-        u0, u1, v0, v1 = values
+        u0, u1, v0, v1 = _transcendentals(trig, wl, s, t, not isinstance(x, np.ndarray))
         if trig:
             out += [u0 / den, u1 / den, v0 / den, v1 / den]
         else:

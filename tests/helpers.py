@@ -31,11 +31,9 @@ from gtbsplines import (
     SpaceConfig,
     TrigonometricFamily,
     GTBError,
-    apply_factor,
     eval_basis,
-    jump_rows,
-    nullspace_step,
 )
+from gtbsplines.extraction import apply_factor, jump_rows, nullspace_step
 from gtbsplines.quadrature import section_panels
 
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "gen_inputs.py"

@@ -13,7 +13,6 @@ from gtbsplines import (
     SpaceConfig,
     SplineCurve,
     TrigonometricFamily,
-    apply_factor,
     build_knot_vectors,
     build_space,
     eval_basis,
@@ -22,6 +21,7 @@ from gtbsplines import (
     unit_integral_scaling,
 )
 from gtbsplines.config import conic_profile_demo_config, mixed_family_demo_config
+from gtbsplines.extraction import apply_factor
 from gtbsplines.oracle import (
     cox_de_boor_basis,
     cox_de_boor_knots,
@@ -174,7 +174,8 @@ def test_criterion_06_polynomial_oracle_equivalence():
 
 
 def test_criterion_07_closed_form_bernstein_agreement():
-    from gtbsplines import ExponentialFamily, SectionSpace, build_bernstein
+    from gtbsplines import ExponentialFamily, SectionSpace
+    from gtbsplines.bernstein import build_bernstein
 
     from oracles import closed_form_bernstein
 

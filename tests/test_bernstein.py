@@ -17,11 +17,10 @@ from gtbsplines import (
     SectionSpace,
     SpaceConfig,
     TrigonometricFamily,
-    build_bernstein,
     build_space,
     eval_basis,
 )
-from gtbsplines.bernstein import build_bases
+from gtbsplines.bernstein import build_bases, build_bernstein
 from gtbsplines.config import conic_profile_demo_config, mixed_family_demo_config
 
 from helpers import random_config, sections_of, sequential_bernstein

@@ -17,20 +17,22 @@ from gtbsplines import (
     PolynomialFamily,
     SectionSpace,
     TrigonometricFamily,
-    apply_factor,
-    build_bernstein,
-    build_constraints,
     build_knot_vectors,
     build_space,
     eval_basis,
-    extraction_operator,
-    jump_rows,
-    nullspace_step,
 )
+from gtbsplines.bernstein import build_bernstein
 from gtbsplines.config import (
     SpaceConfig,
     conic_profile_demo_config,
     mixed_family_demo_config,
+)
+from gtbsplines.extraction import (
+    apply_factor,
+    build_constraints,
+    extraction_operator,
+    jump_rows,
+    nullspace_step,
 )
 from gtbsplines.oracle import cox_de_boor_basis, cox_de_boor_knots
 

@@ -38,7 +38,6 @@ from gtbsplines import (
     SpaceConfig,
     SplineCurve,
     TrigonometricFamily,
-    build_bernstein,
     build_knot_vectors,
     build_space,
     eval_basis,
@@ -47,6 +46,7 @@ from gtbsplines import (
     jump_vector,
     mixed_family_demo_config,
 )
+from gtbsplines.bernstein import build_bernstein
 from gtbsplines.config import family_from_dict
 from gtbsplines.oracle import (
     RecurrenceEvaluator,
@@ -457,16 +457,9 @@ def test_every_numeric_type_reads_alike(mixed_space):
 EXEMPT = {
     "ExtractionMatrix": "the cascade's output; its window() is an index kernel on the blocks",
     "GTSplineSpace": "assembled by build_space from parts that read their numbers",
-    "SmoothnessConstraints": "pairs the Bernstein bases with the knot vectors",
-    "apply_factor": "per-constraint kernel: applies a factor the cascade computed",
-    "build_constraints": "takes Bernstein bases and knot vectors, no number",
     "build_space": "takes a SpaceConfig, which reads its numbers (its rows)",
     "conic_profile_demo_config": "takes no argument",
-    "extraction_operator": "takes the constraints build_constraints paired",
     "family_to_dict": "writes the numbers a family read when it was built",
-    "jump_rows": "per-constraint kernel: reads the cascade's running operator",
-    "normalized_pair": "per-point kernel: reads points the weights and the oracle made",
-    "nullspace_step": "per-constraint kernel: reads a jump the cascade computed",
     "unit_integral_scaling": "takes a space, no number",
 }
 MODULES = ["gtbsplines", "gtbsplines.sections", "gtbsplines.oracle", "gtbsplines.config"]

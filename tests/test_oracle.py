@@ -16,11 +16,11 @@ from gtbsplines import (
     SectionSpace,
     SpaceConfig,
     TrigonometricFamily,
-    build_bernstein,
     build_space,
     eval_basis,
 )
 from gtbsplines import oracle
+from gtbsplines.bernstein import build_bernstein
 from gtbsplines.config import conic_profile_demo_config, mixed_family_demo_config
 from gtbsplines.oracle import (
     RecurrenceEvaluator,
@@ -150,6 +150,35 @@ class TestLocalRecurrence:
         for bad in (2.5, [1, 2.5], True):
             with pytest.raises(ConfigError, match="basis index must be an integer"):
                 local_recurrence_eval(mixed_space, bad, 0.5)
+
+    def test_basis_indices_are_checked_as_one_array(self, mixed_space, monkeypatch):
+        # One vectorized check of the whole sequence: _integer reads only the
+        # first offending entry, so the messages name it as before, and an
+        # index of every basis function costs no Python call per entry.
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return integer(*args)
+
+        integer = oracle._integer
+        monkeypatch.setattr(oracle, "_integer", counted)
+        n = mixed_space.n_basis
+        evaluator = RecurrenceEvaluator(mixed_space)
+        evaluator.evaluate(range(1, n + 1), [0.5, 2.0])
+        assert len(calls) <= 1
+        cases = [
+            ([1, 2, 1.5, 0, 3], "basis index must be an integer, got 1.5"),
+            ([1, 2, 0, 3, 1.5], "basis index must be an integer, got 1.5"),
+            ([1, 2, 0, n + 1, 3], f"basis index 0 outside [1, {n}]"),
+            ([1, n + 1, 0, 3], f"basis index {n + 1} outside [1, {n}]"),
+        ]
+        for ks, message in cases:
+            calls.clear()
+            with pytest.raises(ConfigError) as info:
+                evaluator.evaluate(ks, 0.5)
+            assert str(info.value) == message
+            assert len(calls) == 1
 
     def test_matches_extraction_on_mixed_cycle(self):
         # 48 intervals cycling through cubic, trigonometric, exponential

@@ -28,8 +28,6 @@ from gtbsplines import (
     SpaceConfig,
     SplineCurve,
     TrigonometricFamily,
-    build_bernstein,
-    build_constraints,
     build_space,
     eval_basis,
     eval_curve,
@@ -37,10 +35,12 @@ from gtbsplines import (
     jump_vector,
     unit_integral_scaling,
 )
+from gtbsplines.bernstein import build_bernstein
 from gtbsplines.cli import main
 from gtbsplines.quadrature import gauss_legendre, section_panels
 from gtbsplines.space import jump_residuals
 from gtbsplines.config import mixed_family_demo_config
+from gtbsplines.extraction import build_constraints
 from gtbsplines.oracle import cox_de_boor_basis, cox_de_boor_knots
 
 from helpers import (
