@@ -409,7 +409,7 @@ def cmd_verify(args) -> int:
         probe = probe[::2]
         ours = eval_basis(space, probe)[:, :, 0]
         try:
-            ref = local_recurrence_eval(space, range(1, space.n_basis + 1), probe)
+            ref = local_recurrence_eval(space, np.arange(1, space.n_basis + 1), probe)
             err = float(np.max(np.abs(ours - ref)))
             passed, detail = err <= 1e-7, f"max dev {err:.3g}"
         except OracleUnsupportedError as exc:  # an oracle that cannot run fails its check

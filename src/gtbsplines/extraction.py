@@ -3,12 +3,13 @@
 The smooth B-spline-like basis of a mixed-degree spline space is obtained
 from the piecewise (discontinuous) global Bernstein basis by annihilating
 one smoothness constraint at a time.  Each constraint is the jump of one
-derivative at one breakpoint.  The cascade reads it from the running
-operator with :func:`jump_rows` (``space`` reads a built space's jumps from
-its stacked element blocks), and its explicit nullspace factor is a
-two-band matrix of nonnegative coefficients that sum to one column-wise;
-the product of all factors is the extraction operator ``C`` with
-``B(x) = C b(x)``.
+derivative at one breakpoint, and reads only the two end tables there
+(:func:`build_constraints`).  :func:`jump_rows` is the one jump kernel:
+the cascade applies it to the running operator's columns of the two
+intervals, ``space`` to a built space's stacked element blocks.  A
+constraint's explicit nullspace factor is a two-band matrix of nonnegative
+coefficients that sum to one column-wise; the product of all factors is
+the extraction operator ``C`` with ``B(x) = C b(x)``.
 
 ``C`` is local: on each interval only ``p + 1`` basis functions are active,
 so it is kept as one square block per interval (Bezier element extraction,
@@ -195,43 +196,33 @@ def build_knot_vectors(partition: Partition, degrees, smoothness) -> KnotVectors
     return kv
 
 
-@dataclass(eq=False, frozen=True)
-class SmoothnessConstraints:
-    """The jump conditions of the global Bernstein basis: the Bernstein
-    bases of the intervals with the knot vectors that order the constraints
+def build_constraints(
+    bases: Sequence[BernsteinBasis], kv: KnotVectors
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The data of the smoothness constraints: for each interior breakpoint
+    ``x_i`` (``i = 1 .. m - 1``) the end tables of the two intervals meeting
+    there, ``(bases[i - 1].right_table, bases[i].left_table)``, the arrays
+    themselves.  The knot vectors ``kv`` order the constraints
     (:attr:`KnotVectors.columns`) and give their bands
-    (:meth:`KnotVectors.band`).  :func:`jump_rows` computes each jump from
-    ``bases`` and ``knots.block_start``."""
-
-    bases: tuple[BernsteinBasis, ...]
-    knots: KnotVectors
-
-
-def build_constraints(bases: Sequence[BernsteinBasis], kv: KnotVectors) -> SmoothnessConstraints:
-    """Pair the Bernstein bases with the knot vectors ``kv`` that order
-    their smoothness constraints."""
+    (:meth:`KnotVectors.band`)."""
     m = len(kv.degrees)
     if len(bases) != m:
         raise ConfigError(f"need {m} Bernstein bases, got {len(bases)}")
-    return SmoothnessConstraints(tuple(bases), kv)
+    return tuple((left.right_table, right.left_table) for left, right in zip(bases, bases[1:]))
 
 
 def jump_rows(
-    c: np.ndarray, bases: Sequence[BernsteinBasis], block_start: Sequence[int], i: int, j: int | slice
+    left: np.ndarray, right: np.ndarray, ends: tuple[np.ndarray, np.ndarray], j: int | slice
 ) -> np.ndarray:
-    """Jumps ``D^j_- f(x_i) - D^j_+ f(x_i)`` at interior breakpoint ``x_i``
-    (1-based) of the functions ``f`` whose coefficients over the global
-    Bernstein basis are the rows of ``c``: one value per row for an int
-    ``j``, one column per order for a slice of orders ``j``.
-
-    Only the column blocks of the two intervals meeting at ``x_i`` enter:
-    the left-limit derivatives come from the right endpoint table of
-    interval ``i``, the right-limit ones from the left endpoint table of
-    interval ``i + 1``.
+    """Jumps ``D^j_- f(x_i) - D^j_+ f(x_i)`` at a breakpoint ``x_i`` of the
+    functions ``f`` whose coefficients over the Bernstein functions of the
+    intervals left and right of ``x_i`` are the aligned rows of ``left`` and
+    ``right``, with ``ends`` their end tables at ``x_i`` (the pair of
+    :func:`build_constraints`): one value per row for an int ``j``, one
+    column per order for a slice of orders ``j``.  Stacks of rows and of
+    tables give the stack of their jumps.
     """
-    left = c[:, block_start[i - 1] : block_start[i]] @ bases[i - 1].right_table[:, j]
-    right = c[:, block_start[i] : block_start[i + 1]] @ bases[i].left_table[:, j]
-    return left - right
+    return left @ ends[0][..., j] - right @ ends[1][..., j]
 
 
 def nullspace_step(a: np.ndarray, band: tuple[int, int]) -> np.ndarray:
@@ -322,8 +313,8 @@ def apply_factor(rows: np.ndarray, band: tuple[int, int], beta: np.ndarray) -> n
 
 @dataclass(eq=False, frozen=True)
 class ExtractionMatrix:
-    """The extraction operator as element blocks, with the cascade that
-    built it.
+    """The extraction operator as element blocks, with the factors of the
+    cascade that built it from the constraints of :func:`build_constraints`.
 
     ``blocks[e - 1]`` is the square block of the operator ``C`` on interval
     ``e`` (1-based): its rows are the ``p_e + 1`` basis functions active on
@@ -385,18 +376,20 @@ class ExtractionMatrix:
 
 
 def extraction_operator(
-    constraints: SmoothnessConstraints, *, _offset: int = 0
+    constraints: Sequence[tuple[np.ndarray, np.ndarray]], kv: KnotVectors, *, _offset: int = 0
 ) -> ExtractionMatrix:
     """Run the constraint cascade and return the extraction operator.
 
     The cascade takes the breakpoints in order and, at ``x_i``, the orders
     ``j = 0 .. r_i``, so a range of breakpoints owns one range of factors.
     Each constraint's jump is read with :func:`jump_rows` from the running
-    operator and annihilated by its nullspace factor.  The jumps at ``x_i``
-    involve only the running functions that meet intervals ``i`` and
-    ``i + 1``, so the cascade holds just a window of the running operator:
-    the rows from the first one active on the oldest unfinished interval,
-    over the columns from that interval on.  At each breakpoint the window
+    operator's columns of intervals ``i`` and ``i + 1`` and the end tables
+    ``constraints[i - 1]`` of :func:`build_constraints`, and annihilated by
+    its nullspace factor.  The jumps at ``x_i`` involve only the running
+    functions that meet intervals ``i`` and ``i + 1``, so the cascade holds
+    just a window of the running operator: the rows from the first one
+    active on the oldest unfinished interval, over the columns from that
+    interval on.  At each breakpoint the window
     grows by the identity rows of interval ``i + 1`` and takes that
     breakpoint's factors.  Rows that do not meet interval ``i + 1`` take no
     part in later factors, so every interval whose active rows are all such
@@ -408,9 +401,8 @@ def extraction_operator(
     the cascade of a sub-space names the breakpoints of the space it is cut
     from.
     """
-    bases, kv = constraints.bases, constraints.knots
     starts = kv.block_start.tolist()
-    m = len(bases)
+    m = len(kv.degrees)
     # 0-based row of the first function active on each interval
     first_rows = [kv.active_range(e)[0] - 1 for e in range(1, m + 1)]
     eye = {p + 1: np.eye(p + 1) for p in set(kv.degrees)}  # one identity per block width
@@ -426,13 +418,14 @@ def extraction_operator(
             grown[:n_rows, :n_cols] = win
             grown[n_rows:, n_cols:] = eye[width]
             win = grown
-            # Intervals i and i + 1 as the first pair of a two-interval space.
-            pair, local = bases[i - 1 : i + 1], [s - win_col for s in starts[i - 1 : i + 2]]
+            # window columns a .. b - 1 of interval i, b .. c - 1 of interval i + 1
+            a, b, c = (s - win_col for s in starts[i - 1 : i + 2])
             for j in range(kv.smoothness[i] + 1):
                 lo, hi = kv.band(i, j)
                 band = (lo - win_row, hi - win_row)
                 try:
-                    beta = nullspace_step(jump_rows(win, pair, local, 1, j), band)
+                    jump = jump_rows(win[:, a:b], win[:, b:c], constraints[i - 1], j)
+                    beta = nullspace_step(jump, band)
                 except GTBError as exc:
                     at = i + _offset
                     where = f"constraint (breakpoint {at}, order {j}): {exc}"

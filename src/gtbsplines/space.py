@@ -55,6 +55,7 @@ from .extraction import (
     build_constraints,
     build_knot_vectors,
     extraction_operator,
+    jump_rows,
     pin_band_end,
 )
 from .quadrature import composite_rule
@@ -230,7 +231,7 @@ def _assemble(
     of the cascade; a cascade error names breakpoint ``i + offset`` for the
     space's breakpoint ``i``."""
     kv = build_knot_vectors(partition, [b.degree for b in bases], smoothness)
-    ext = extraction_operator(build_constraints(bases, kv), _offset=offset)
+    ext = extraction_operator(build_constraints(bases, kv), kv, _offset=offset)
     return GTSplineSpace(partition, bases, ext)
 
 
@@ -373,16 +374,18 @@ def jump_residuals(space: GTSplineSpace) -> np.ndarray:
 def _jump_tables(space: GTSplineSpace, es: list[int]) -> np.ndarray:
     """Orders ``0 .. min(p_i, p_(i+1))`` of the jumps at the ``x_i`` right of
     the 0-based intervals ``es`` of one ``(p_i, p_(i+1), r_i)``, on the rows
-    active left or right of ``x_i``: one stacked product per side of the
-    blocks with their end tables, the right side's rows ``p_i - r_i`` on."""
+    active left or right of ``x_i``: :func:`jump_rows` of the two sides'
+    stacked blocks, zero-padded to those rows (the right side's from row
+    ``p_i - r_i`` on), with their stacked end tables."""
     blocks, bases = space.extraction.blocks, space.bases
     p_l, p_r, r = space.degrees[es[0]], space.degrees[es[0] + 1], space.smoothness[es[0] + 1]
-    top = min(p_l, p_r) + 1
-    block = [np.array([blocks[e + side] for e in es]) for side in (0, 1)]
-    jumps = np.zeros((len(es), p_l + p_r - r + 1, top))
-    jumps[:, : p_l + 1] = block[0] @ np.array([bases[e].right_table[:, :top] for e in es])
-    jumps[:, p_l - r :] -= block[1] @ np.array([bases[e + 1].left_table[:, :top] for e in es])
-    return jumps
+    left = np.zeros((len(es), p_l + p_r - r + 1, p_l + 1))
+    right = np.zeros((len(es), p_l + p_r - r + 1, p_r + 1))
+    left[:, : p_l + 1] = [blocks[e] for e in es]
+    right[:, p_l - r :] = [blocks[e + 1] for e in es]
+    right_ends = np.array([bases[e].right_table for e in es])
+    left_ends = np.array([bases[e + 1].left_table for e in es])
+    return jump_rows(left, right, (right_ends, left_ends), slice(min(p_l, p_r) + 1))
 
 
 @dataclass(eq=False, frozen=True)

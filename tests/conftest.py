@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gtbsplines import build_space
 from gtbsplines.config import conic_profile_demo_config, mixed_family_demo_config
+
+# No example database: a checkout's verdict does not depend on examples a
+# past run stored in its own .hypothesis/ directory.  A failure prints the
+# blob that replays it (@reproduce_failure).  Each test sets its own
+# max_examples and deadline.
+settings.register_profile("gtbsplines", database=None, print_blob=True)
+settings.load_profile("gtbsplines")
 
 
 @pytest.fixture

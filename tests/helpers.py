@@ -307,19 +307,27 @@ def exact_eval_basis(space, x: float, max_order: int) -> np.ndarray:
     return out
 
 
-def dense_cascade(constraints):
+def dense_jumps(c, bases, block_start, i: int, j):
+    """Jumps at interior breakpoint ``x_i`` (1-based) of the functions whose
+    coefficients over the global Bernstein basis are the rows of ``c``: the
+    kernel on the column blocks of intervals ``i`` and ``i + 1``."""
+    left = c[:, block_start[i - 1] : block_start[i]]
+    right = c[:, block_start[i] : block_start[i + 1]]
+    return jump_rows(left, right, (bases[i - 1].right_table, bases[i].left_table), j)
+
+
+def dense_cascade(bases, kv):
     """Reference extraction cascade on the whole running operator.
 
     Starts from the ``M x M`` identity and applies every factor to all rows
     and columns.  Returns ``(operator, factors)``; the windowed production
     cascade must give the same numbers bit for bit.
     """
-    kv = constraints.knots
     c = np.eye(kv.n_bernstein)
     factors = []
     for i, j in kv.columns:
         band = kv.band(i, j)
-        beta = nullspace_step(jump_rows(c, constraints.bases, kv.block_start, i, j), band)
+        beta = nullspace_step(dense_jumps(c, bases, kv.block_start, i, j), band)
         factors.append(beta)
         c = apply_factor(c, band, beta)
     return c, factors

@@ -61,19 +61,30 @@ def test_oracle_cache_can_be_emptied():
     assert callable(oracle._EVALUATOR_CACHE.clear)
 
 
+# Per-layer spans of the cascade's entry points: a call that stops reaching
+# the wrapped name would read 0 in the bench report, not fail.
+CASCADE_SPANS = {"extraction.knot_vectors", "extraction.constraints", "extraction.cascade"}
+
+
 def test_traced_build_records_cascade(tracer):
     from gtbsplines import space
     from gtbsplines.config import mixed_family_demo_config
 
     original = space.extraction_operator
-    run = tracer.Tracer()
-    run.install()
-    try:
-        space.build_space(mixed_family_demo_config())
-    finally:
-        run.uninstall()
-    assert "extraction.cascade" in run.names
-    assert run.operator_sizes
+    built = space.build_space(mixed_family_demo_config())
+    for call in (
+        lambda: space.build_space(mixed_family_demo_config()),
+        lambda: space.insert_knot(built, 3.7),
+    ):
+        run = tracer.Tracer()
+        run.install()
+        try:
+            call()
+        finally:
+            run.uninstall()
+        assert CASCADE_SPANS <= set(run.names)
+        assert not any(run.raised)
+        assert run.operator_sizes
     assert space.extraction_operator is original
 
 

@@ -408,6 +408,19 @@ class TestVerify:
         assert "PASS oracle-integral-recurrence" in capsys.readouterr().out
         assert len(calls) == 1
 
+    def test_recurrence_oracle_gets_an_index_array(self, demo_config_path, capsys, monkeypatch):
+        # The indices 1 .. N go to the oracle as one integer array, which its
+        # argument check reads without a per-entry scan for booleans.
+        import gtbsplines.cli as cli
+
+        exact, calls = cli.local_recurrence_eval, []
+        monkeypatch.setattr(cli, "local_recurrence_eval", lambda *args: calls.append(args) or exact(*args))
+        assert main(["verify", demo_config_path]) == 0
+        assert "PASS oracle-integral-recurrence" in capsys.readouterr().out
+        (space, ks, _), = calls
+        assert type(ks) is np.ndarray and ks.dtype.kind == "i"
+        assert ks.tolist() == list(range(1, space.n_basis + 1))
+
     def test_unsupported_oracle_is_a_fail_line(self, tmp_path, capfd):
         # U* + V* of an exponential section at omega * length = 800
         # underflows mid-interval, so the recurrence oracle has no weights:

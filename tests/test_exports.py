@@ -38,7 +38,6 @@ PUBLIC = set(
 # The cascade's per-constraint and per-point kernels, by their modules.  They
 # keep their names there: the bench tracer wraps some of them by name.
 KERNELS = {
-    "SmoothnessConstraints": "gtbsplines.extraction",
     "apply_factor": "gtbsplines.extraction",
     "build_constraints": "gtbsplines.extraction",
     "extraction_operator": "gtbsplines.extraction",

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gtbsplines.extraction as extraction_module
+import gtbsplines.space as space_module
 from gtbsplines import (
     BasisNonexistenceError,
     ConfigError,
@@ -31,14 +32,15 @@ from gtbsplines.extraction import (
     apply_factor,
     build_constraints,
     extraction_operator,
-    jump_rows,
     nullspace_step,
 )
+from gtbsplines.space import jump_residuals, jump_vector
 from gtbsplines.oracle import cox_de_boor_basis, cox_de_boor_knots
 
 from helpers import (
     classical_element_extraction,
     dense_cascade,
+    dense_jumps,
     random_config,
     reference_supersmoothness,
     uniform_cubic_config,
@@ -181,7 +183,7 @@ class TestSupersmoothness:
                 assert r_v >= cfg.full_smoothness[j]
 
 
-def _demo_constraints():
+def _demo_bases():
     sections = [
         SectionSpace(0.0, 1.0, PolynomialFamily(2)),
         SectionSpace(1.0, 2.5, TrigonometricFamily(3, math.pi / 2)),
@@ -189,17 +191,14 @@ def _demo_constraints():
     ]
     bases = [build_bernstein(s) for s in sections]
     kv = build_knot_vectors(DEMO_PARTITION, DEMO_DEGREES, DEMO_SMOOTHNESS)
-    return build_constraints(bases, kv)
+    return bases, kv
 
 
-def _jump_columns(constraints):
+def _jump_columns(bases, kv):
     """The jumps of every global Bernstein function, one column per
     constraint."""
-    eye = np.eye(constraints.knots.n_bernstein)
-    columns = [
-        jump_rows(eye, constraints.bases, constraints.knots.block_start, i, j)
-        for i, j in constraints.knots.columns
-    ]
+    eye = np.eye(kv.n_bernstein)
+    columns = [dense_jumps(eye, bases, kv.block_start, i, j) for i, j in kv.columns]
     return np.array(columns).reshape(-1, eye.shape[0]).T
 
 
@@ -209,7 +208,7 @@ class TestConstraints:
         sections = [SectionSpace(0, 1, PolynomialFamily(1)), SectionSpace(1, 2, PolynomialFamily(1))]
         bases = [build_bernstein(s) for s in sections]
         kv = build_knot_vectors(part, (1, 1), (-1, 0, -1))
-        jumps = _jump_columns(build_constraints(bases, kv))
+        jumps = _jump_columns(bases, kv)
         assert jumps.shape == (4, 1)
         assert np.allclose(jumps[:, 0], [0.0, 1.0, -1.0, 0.0])
 
@@ -218,11 +217,11 @@ class TestConstraints:
         sections = [SectionSpace(0, 1, PolynomialFamily(2)), SectionSpace(1, 2, PolynomialFamily(2))]
         bases = [build_bernstein(s) for s in sections]
         kv = build_knot_vectors(part, (2, 2), (-1, -1, -1))
-        jumps = _jump_columns(build_constraints(bases, kv))
+        jumps = _jump_columns(bases, kv)
         assert jumps.shape == (6, 0)
 
     def test_demo_shape_and_structural_zeros(self):
-        jumps = _jump_columns(_demo_constraints())
+        jumps = _jump_columns(*_demo_bases())
         assert jumps.shape == (12, 6)
         # columns of breakpoint 1 touch only the blocks of intervals 1 and 2
         for col in range(3):
@@ -231,8 +230,8 @@ class TestConstraints:
             assert np.all(jumps[:3, col] == 0.0)
 
     def test_band_layout(self):
-        constraints = _demo_constraints()
-        bands = {(i, j): constraints.knots.band(i, j) for i, j in constraints.knots.columns}
+        _, kv = _demo_bases()
+        bands = {(i, j): kv.band(i, j) for i, j in kv.columns}
         assert bands[(1, 0)] == (3, 4)
         assert bands[(1, 2)] == (1, 4)
         assert bands[(2, 0)] == (4, 5)
@@ -242,6 +241,37 @@ class TestConstraints:
     def test_one_basis_per_interval(self, mixed_space):
         with pytest.raises(ConfigError, match=r"^need 3 Bernstein bases, got 2$"):
             build_constraints(mixed_space.bases[:2], mixed_space.knots)
+
+    def test_constraints_are_the_end_table_pairs(self, mixed_space, rng):
+        # One pair per interior breakpoint: the end tables of the two
+        # intervals meeting there, the arrays themselves, not copies.
+        spaces = [mixed_space] + [build_space(random_config(rng)) for _ in range(8)]
+        for space in spaces:
+            bases = space.bases
+            constraints = build_constraints(bases, space.knots)
+            assert type(constraints) is tuple and len(constraints) == len(bases) - 1
+            for i, (right_end, left_end) in enumerate(constraints, start=1):
+                assert right_end is bases[i - 1].right_table
+                assert left_end is bases[i].left_table
+
+    def test_build_and_jumps_share_one_kernel(self, monkeypatch, mixed_space):
+        # The cascade, jump_vector and jump_residuals all compute their
+        # jumps with extraction.jump_rows, each by the name its module reads.
+        calls = []
+        kernel = extraction_module.jump_rows
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(extraction_module, "jump_rows", counted)
+        monkeypatch.setattr(space_module, "jump_rows", counted)
+        build_space(mixed_family_demo_config())
+        assert len(calls) == len(mixed_space.knots.columns)
+        for reader in (lambda: jump_vector(mixed_space, 1, 0), lambda: jump_residuals(mixed_space)):
+            calls.clear()
+            reader()
+            assert calls
 
 
 class TestNullspaceStep:
@@ -320,7 +350,7 @@ class TestExtractionOperator:
         sections = [SectionSpace(0, 1, PolynomialFamily(2)), SectionSpace(1, 2, PolynomialFamily(2))]
         bases = [build_bernstein(s) for s in sections]
         kv = build_knot_vectors(part, (2, 2), (-1, -1, -1))
-        ext = extraction_operator(build_constraints(bases, kv))
+        ext = extraction_operator(build_constraints(bases, kv), kv)
         assert np.array_equal(ext.operator, np.eye(6))
 
     def test_two_hats_assembly(self):
@@ -328,7 +358,7 @@ class TestExtractionOperator:
         sections = [SectionSpace(0, 1, PolynomialFamily(1)), SectionSpace(1, 2, PolynomialFamily(1))]
         bases = [build_bernstein(s) for s in sections]
         kv = build_knot_vectors(part, (1, 1), (-1, 0, -1))
-        ext = extraction_operator(build_constraints(bases, kv))
+        ext = extraction_operator(build_constraints(bases, kv), kv)
         expected = np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]], dtype=float)
         assert np.allclose(ext.operator, expected)
 
@@ -353,7 +383,7 @@ class TestExtractionOperator:
         bases = [build_bernstein(s) for s in sections]
         kv = build_knot_vectors(part, (1, 1), (-1, 0, -1))
         with pytest.raises(GTBError, match=f"^{re.escape('extraction operator ' + message)}"):
-            extraction_operator(build_constraints(bases, kv))
+            extraction_operator(build_constraints(bases, kv), kv)
 
     def test_demo_operator_properties(self, mixed_space):
         c = mixed_space.operator
@@ -365,17 +395,13 @@ class TestExtractionOperator:
         for _ in range(12):
             cfg = random_config(rng)
             space = build_space(cfg)
-            a = space.extraction
-            constraints = build_constraints(space.bases, space.knots)
+            a, kv = space.extraction, space.knots
             residual = np.array(
-                [
-                    jump_rows(space.operator, space.bases, space.knots.block_start, i, j)
-                    for i, j in constraints.knots.columns
-                ]
+                [dense_jumps(space.operator, space.bases, kv.block_start, i, j) for i, j in kv.columns]
             )
             if residual.size:
                 assert np.max(np.abs(residual)) <= 1e-11 * max(
-                    1.0, np.max(np.abs(_jump_columns(constraints)))
+                    1.0, np.max(np.abs(_jump_columns(space.bases, kv)))
                 ), f"constraint residual too large for {cfg}"
             assert a.knots.n_basis == space.n_bernstein - len(a.factors)
 
@@ -387,7 +413,7 @@ class TestExtractionOperator:
             kv = space.knots
             c = np.eye(kv.n_bernstein)
             for (i, j), beta in zip(kv.columns, space.extraction.factors):
-                a = np.abs(jump_rows(c, space.bases, kv.block_start, i, j))
+                a = np.abs(dense_jumps(c, space.bases, kv.block_start, i, j))
                 support = np.flatnonzero(a > 1e-10 * a.max()) + 1
                 assert (support[0], support[-1]) == kv.band(i, j)
                 c = apply_factor(c, kv.band(i, j), beta)
@@ -486,7 +512,7 @@ class TestExtractionOperator:
         configs += [random_config(rng) for _ in range(50)]
         for cfg in configs:
             space = build_space(cfg)
-            dense, factors = dense_cascade(build_constraints(space.bases, space.knots))
+            dense, factors = dense_cascade(space.bases, space.knots)
             ext = space.extraction
             assert len(ext.factors) == len(factors)
             for beta, expected in zip(ext.factors, factors):

@@ -40,7 +40,6 @@ from gtbsplines.cli import main
 from gtbsplines.quadrature import gauss_legendre, section_panels
 from gtbsplines.space import jump_residuals
 from gtbsplines.config import mixed_family_demo_config
-from gtbsplines.extraction import build_constraints
 from gtbsplines.oracle import cox_de_boor_basis, cox_de_boor_knots
 
 from helpers import (
@@ -538,9 +537,8 @@ class TestElementTable:
             assert s.knots is s.extraction.knots
             for sequence in (s.bases, s.extraction.blocks, s.extraction.factors):
                 assert type(sequence) is tuple
-            constraints = build_constraints(s.bases, s.knots)
             sections = [b.section for b in s.bases]
-            frozen += [s, s.extraction, s.knots, constraints, *s.bases, *sections]
+            frozen += [s, s.extraction, s.knots, *s.bases, *sections]
             for name in ("degree", "length", "_pair", "_q", "_scale"):  # set once, not fields
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(sections[1], name, getattr(sections[1], name))
