@@ -27,10 +27,12 @@ overflow-free formula ``sinh(v)/sinh(omega L) = e^(v - omega L) (1 -
 e^(-2v)) / (1 - e^(-2 omega L))`` (and ``1 + e^(-2v)`` for ``cosh``) for
 every ``omega L``.  One term layout (:func:`_bernstein_layout`) gives the
 Bernstein rows of every table: a section's linear map (:func:`_feature_map`)
-times the monomials ``t^a s^b``, in the evaluation kernel of
-:mod:`gtbsplines.space` (with the pair's values, :func:`_features`) and in
-:meth:`SectionSpace.span_derivatives` alike.  The pair rows keep two
-arithmetics: a value times a power of ``omega`` in the kernel, and
+times the monomials ``t^a s^b``, in the point and array kernels of
+:mod:`gtbsplines.space` (with the pair's values) and in
+:meth:`SectionSpace.span_derivatives` alike, all from one feature routine
+(:func:`_features`) under a plan of the section's kind, set when the
+section is built, and degree (:func:`_feature_plan`).  The pair rows keep
+two arithmetics: a value times a power of ``omega`` in the kernel, and
 :func:`_pair_rows` in span and end tables, whose bits the built bases rest
 on.  Powers come from repeated products and numpy's ``sin``/``cos``/``exp``/
 ``expm1``, once per call, so a point gives the same bits alone as inside an
@@ -256,6 +258,14 @@ SectionFamily = (
     PolynomialFamily | TrigonometricFamily | ExponentialFamily | GeneralizedPolynomialFamily
 )
 
+# A section's kind, set with it: the arithmetic of its features and pair rows
+# (any other family is a custom pair).
+_KINDS = (
+    ("polynomial", PolynomialFamily),
+    ("trigonometric", TrigonometricFamily),
+    ("exponential", ExponentialFamily),
+)
+
 
 def _as_float(n: int) -> float:
     """The integer ``n`` rounded to a float; ``+-inf`` beyond the float range."""
@@ -339,16 +349,16 @@ def _call_pointwise(section, name: str, x, order: int):
     return _numbers(values, f"{what} must be numbers", EctViolationError)
 
 
-def _pair_constants(family, length: float):
+def _pair_constants(family, kind: str, length: float):
     """``(w L, den, ((-w)^d), (w^d))``, orders ``0 .. p``, for a
     trigonometric/exponential pair with parameter ``w`` on a section of
     length ``L``, ``den`` its normalizer ``sin(w L)`` or ``1 - e^(-2 w L)``;
-    ``None`` for the other families.  The powers come from repeated
+    ``None`` for the other kinds.  The powers come from repeated
     products, so a huge ``w`` gives ``inf`` factors instead of raising."""
-    if not isinstance(family, (TrigonometricFamily, ExponentialFamily)):
+    if kind not in ("trigonometric", "exponential"):
         return None
     w, wl = family.omega, family.omega * length
-    den = math.sin(wl) if isinstance(family, TrigonometricFamily) else -math.expm1(-2.0 * wl)
+    den = math.sin(wl) if kind == "trigonometric" else -math.expm1(-2.0 * wl)
     neg, pos = [1.0], [1.0]
     for _ in range(family.degree):
         neg.append(neg[-1] * -w)
@@ -356,18 +366,15 @@ def _pair_constants(family, length: float):
     return wl, den, tuple(neg), tuple(pos)
 
 
-def _transcendentals(trig: bool, wl, s, t, scalar: bool):
+def _transcendentals(trig: bool, wl, s, t) -> tuple:
     """``sin`` and ``cos`` of ``a = w L s`` and of ``b = w L t``, or for an
     exponential pair ``e^(a - w L)``, ``expm1(-2 a)`` and the same of ``b``:
     the transcendental values of :func:`_pair_rows` and :func:`_features`,
-    as Python floats at a point (the same bits as the array entries, and
-    cheaper arithmetic)."""
+    numpy scalars at a point with the same bits as the array entries."""
     a, b = wl * s, wl * t
     if trig:
-        values = np.sin(a), np.cos(a), np.sin(b), np.cos(b)
-    else:
-        values = np.exp(a - wl), np.expm1(-2.0 * a), np.exp(b - wl), np.expm1(-2.0 * b)
-    return map(float, values) if scalar else values
+        return np.sin(a), np.cos(a), np.sin(b), np.cos(b)
+    return np.exp(a - wl), np.expm1(-2.0 * a), np.exp(b - wl), np.expm1(-2.0 * b)
 
 
 def _pair_rows(section, x, t, s, constants, orders) -> list:
@@ -380,8 +387,10 @@ def _pair_rows(section, x, t, s, constants, orders) -> list:
     if constants is None:
         return [_call_pointwise(section, f, x, d) for f in "uv" for d in orders]
     wl, den, neg, pos = constants
-    trig = isinstance(section.family, TrigonometricFamily)
-    a0, a1, b0, b1 = _transcendentals(trig, wl, s, t, not isinstance(t, np.ndarray))
+    trig = section._kind == "trigonometric"
+    a0, a1, b0, b1 = values = _transcendentals(trig, wl, s, t)
+    if not isinstance(t, np.ndarray):  # Python floats: an overflow here is no warning
+        a0, a1, b0, b1 = map(float, values)
     if trig:
         # derivative cycle of sin: sin, cos, -sin, -cos
         cyc_a, cyc_b = (a0, a1, -a0, -a1), (b0, b1, -b0, -b1)
@@ -395,29 +404,65 @@ def _pair_rows(section, x, t, s, constants, orders) -> list:
     return [neg[d] * ratio_a[d % 2] for d in orders] + [pos[d] * ratio_b[d % 2] for d in orders]
 
 
-def _monomials(x, x_lo, x_hi, q: int, width: int) -> tuple:
-    """``t = (x - x_lo)/L``, ``s = (x_hi - x)/L`` and the monomials ``t^a
-    s^b`` of :func:`_bernstein_layout`, orders ``0 .. width - 1``, from
-    powers by repeated products, at a point or at an array of points."""
-    length = x_hi - x_lo
+def _feature_plan(section, width: int) -> tuple:
+    """The plan of :func:`_features` for ``section``'s kind and degree,
+    orders ``0 .. width - 1``: ``(q, powers, kind, section, width)``, with
+    the monomials ``powers`` of :func:`_bernstein_layout` and the kind set
+    with the section (a plan of kind ``"polynomial"`` gives the monomials
+    alone)."""
+    return section._q, _bernstein_layout(section._q, width)[0], section._kind, section, width
+
+
+def _features(plan, x, x_lo, x_hi, length, pair) -> list:
+    """The features of the evaluation matrices of :mod:`gtbsplines.space`
+    under a :func:`_feature_plan`, at a point of a section ``[x_lo, x_hi]``
+    of length ``L`` or at an array of points of sections of the plan's kind
+    and degree (a custom pair: the plan's section alone) with ``x_lo``,
+    ``x_hi``, ``L`` and ``pair = (w L, den)`` per point: the monomials
+    ``t^a s^b``, ``t = (x - x_lo)/L``, ``s = (x_hi - x)/L``, from powers by
+    repeated products, then ``sin`` and ``cos`` of ``a = w L s`` and of ``b
+    = w L t`` over ``den``, for an exponential pair the ratios ``(sinh,
+    cosh)(v) / sinh(w L)`` of :func:`_pair_rows` for ``v = a, b``, and for a
+    custom pair (``pair`` is ``None``) ``D^d u``, then ``D^d v``.  Numbers at
+    a point, arrays (and numbers) at an array, from the same float
+    operations: the point kernel, the array kernel and :func:`_span_table`
+    all read them."""
+    q, powers, kind, section, width = plan
     t, s = (x - x_lo) / length, (x_hi - x) / length
     t_pow, s_pow = [1.0], [1.0]
     for _ in range(q):
         t_pow.append(t_pow[-1] * t)
         s_pow.append(s_pow[-1] * s)
-    return t, s, [t_pow[a] * s_pow[b] for a, b, _ in _bernstein_layout(q, width)[0]]
+    out = [t_pow[a] * s_pow[b] for a, b, _ in powers]
+    if kind == "polynomial":
+        return out
+    if kind == "custom":
+        return out + [_call_pointwise(section, f, x, d) for f in "uv" for d in range(width)]
+    (wl, den), trig = pair, kind == "trigonometric"
+    u0, u1, v0, v1 = _transcendentals(trig, wl, s, t)
+    if trig:
+        return out + [u0 / den, u1 / den, v0 / den, v1 / den]
+    u0, v0 = u0 / den, v0 / den
+    return out + [-u1 * u0, (2.0 + u1) * u0, -v1 * v0, (2.0 + v1) * v0]
 
 
 def _span_table(section, x, width: int) -> np.ndarray:
     """:meth:`SectionSpace.span_derivatives` unchecked, at a point or at an
-    array of points of ``section``: its :func:`_feature_map`'s Bernstein
-    block times the monomials, one matrix-vector product per point as in the
-    evaluation kernel, then :func:`_pair_rows`."""
-    p, q = section.degree, section._q
-    t, s, monomials = _monomials(x, section.x_lo, section.x_hi, q, width)
-    block = _feature_map([section], width)[0, : (q + 1) * width, : len(monomials)]
+    array of points of ``section``: the Bernstein block of its
+    :func:`_feature_map`, built once per ``width`` and kept on the section,
+    times the monomials of :func:`_features`, one matrix-vector product per
+    point as in the evaluation kernel, then :func:`_pair_rows`."""
+    p, q, lo, hi, length = section.degree, section._q, section.x_lo, section.x_hi, section.length
+    powers = _bernstein_layout(q, width)[0]
+    block = section._span_blocks.get(width)
+    if block is None:  # published by one assignment
+        rows = _feature_map([section], width)[0, : (q + 1) * width, : len(powers)]
+        block = section._span_blocks[width] = rows
+    plan = q, powers, "polynomial", section, width  # the monomials alone
+    monomials = _stacked(_features(plan, x, lo, hi, length, None), x)
+    t, s = (x - lo) / length, (hi - x) / length
     pairs = _pair_rows(section, x, t, s, section._pair, range(width)) if q < p else []
-    rows = [(block @ _stacked(monomials, x)[..., None])[..., 0], _stacked(pairs, x)]
+    rows = [(block @ monomials[..., None])[..., 0], _stacked(pairs, x)]
     return np.concatenate(rows, axis=-1).reshape(*np.shape(x), p + 1, width)
 
 
@@ -430,32 +475,6 @@ def _stacked(entries: list, x) -> np.ndarray:
     for i, column in enumerate(entries):
         out[:, i] = column
     return out
-
-
-def _features(section, x, x_lo, x_hi, pair, width: int) -> np.ndarray:
-    """The features of the evaluation matrices of :mod:`gtbsplines.space`
-    for orders ``0 .. width - 1``, at a point of ``section = [x_lo, x_hi]`` or
-    at an array of points of sections of its kind and degree (a custom pair:
-    ``section`` alone) with ``x_lo``, ``x_hi`` and ``pair = (w L, den)`` per
-    point: the monomials ``t^a s^b`` of :func:`_bernstein_layout`, then
-    ``sin`` and ``cos`` of ``a = w L s`` and of ``b = w L t`` over ``den``,
-    for an exponential pair the ratios ``(sinh, cosh)(v) / sinh(w L)`` of
-    :func:`_pair_rows` for ``v = a, b``, and for a custom pair (``pair`` is
-    ``None``) ``D^d u``, then ``D^d v``.  A vector at a point, one row per
-    point at an array, from the same float operations."""
-    q = section._q
-    t, s, out = _monomials(x, x_lo, x_hi, q, width)
-    if q < section.degree and pair is None:
-        out += [_call_pointwise(section, f, x, d) for f in "uv" for d in range(width)]
-    elif q < section.degree:
-        (wl, den), trig = pair, isinstance(section.family, TrigonometricFamily)
-        u0, u1, v0, v1 = _transcendentals(trig, wl, s, t, not isinstance(x, np.ndarray))
-        if trig:
-            out += [u0 / den, u1 / den, v0 / den, v1 / den]
-        else:
-            u0, v0 = u0 / den, v0 / den
-            out += [-u1 * u0, (2.0 + u1) * u0, -v1 * v0, (2.0 + v1) * v0]
-    return _stacked(out, x)
 
 
 def _feature_map(group, width: int) -> np.ndarray:
@@ -479,7 +498,7 @@ def _feature_map(group, width: int) -> np.ndarray:
         out[:, (q + 1) * width :, f:] = np.eye(2 * width)
         return out
     d = np.arange(width)
-    trig = isinstance(group[0].family, TrigonometricFamily)
+    trig = group[0]._kind == "trigonometric"
     sign = np.array([1.0, 1.0, -1.0, -1.0])[d % 4] if trig else 1.0  # D^d sin: sin, cos, -sin, -cos
     for side, i in ((0, 2), (1, 3)):  # U* with (-w)^d, V* with w^d
         powers = np.array([s._pair[i][:width] for s in group])
@@ -516,8 +535,11 @@ class SectionSpace:
     """One ECT section: a family on a closed interval ``[x_lo, x_hi]``.
 
     Frozen, with pure methods, compared and hashed by identity.  A table at a
-    point reads the constants set on construction: ``_pair``, the Bernstein
-    degree ``_q`` (``p - 2`` when the pair follows) and ``_scale = (1, 1/L, ...)``.
+    point reads the constants set on construction: the kind ``_kind``
+    (``"polynomial"``, ``"trigonometric"``, ``"exponential"`` or
+    ``"custom"``), ``_pair``, the Bernstein degree ``_q`` (``p - 2`` when the
+    pair follows) and ``_scale = (1, 1/L, ...)``; ``_span_blocks`` holds the
+    Bernstein blocks of its span tables, one per width, built on first use.
 
     Parameters
     ----------
@@ -550,10 +572,12 @@ class SectionSpace:
         length, scale = x_hi - x_lo, [1.0]
         for _ in range(family.degree):  # 1/L^d by repeated division: inf past the float range
             scale.append(scale[-1] / length)
-        pair = _pair_constants(family, length)
-        q = family.degree - (0 if isinstance(family, PolynomialFamily) else 2)
+        kind = next((k for k, f in _KINDS if isinstance(family, f)), "custom")
+        pair = _pair_constants(family, kind, length)
+        q = family.degree - (0 if kind == "polynomial" else 2)
         self.__dict__.update(x_lo=x_lo, x_hi=x_hi, degree=family.degree, dim=family.degree + 1)
-        self.__dict__.update(length=length, _pair=pair, _q=q, _scale=tuple(scale))
+        self.__dict__.update(length=length, _kind=kind, _pair=pair, _q=q, _scale=tuple(scale))
+        self.__dict__.update(_span_blocks={})
         if pair is not None and pair[1] == 0.0:  # the pair's normalizer
             raise InvalidFamilyError(f"omega*length of {self!r} underflows to 0")
 

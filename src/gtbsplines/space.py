@@ -13,9 +13,13 @@ their derivatives are one linear map of a few features of the point (the
 monomials ``t^a s^b`` and the pair's values), so the table holds, per
 group of intervals of one family kind and degree and per number of
 orders asked for, the stack of evaluation matrices ``M_e = block_e
-coeffs_e L_e``, built on first use.  A point is one feature vector and
-one product with ``M_e``; an array, or a curve, one feature pass and one
-stacked product per group.  A breakpoint jump reads the two element
+coeffs_e L_e``, built on first use, and per interval and number of
+orders one point-kernel record: ``M_e``, the output cells it fills, the
+interval's ends, length and pair constants, and its feature plan, filled
+on the interval's first scalar call at that number of orders.  A point
+is one record read, one feature vector and one product with ``M_e``; an
+array, or a curve, one feature pass and one stacked product per group,
+from the same feature routine.  A breakpoint jump reads the two element
 blocks at it.  A knot insertion reruns the cascade only on the sub-space
 that the changed functions cover, splices its blocks into the old ones,
 and reads dense windows of ``C`` over a few intervals;
@@ -70,7 +74,9 @@ from .sections import (
     _number,
     _numbers,
     _feature_map,
+    _feature_plan,
     _features,
+    _stacked,
     _points_in,
 )
 
@@ -144,24 +150,26 @@ class GTSplineSpace:
 
 
 class _Elements:
-    """A space's element table.  ``records[e - 1]``, of interval ``e``, is
-    ``(section, x_lo, x_hi, pair, g, k, first, last, p)``: its section, its
-    pair's ``(w L, den)`` (or ``None``), its place ``k`` in group ``g`` and
-    the 0-based rows ``first .. last - 1`` active on it.  ``groups[g]``, of
-    group ``g`` of :func:`_family_groups`, is ``(sections, blocks, coeffs,
-    pairs)``: its sections, the stacks of their blocks and coefficients (or
-    ``None``) and their ``(w L, den)`` as two rows (or ``None``).  Each
-    group's evaluation matrices of one width (:meth:`matrices`) are built
-    on the first evaluation at that width, never with the space."""
+    """A space's element table.  ``groups[g]``, of group ``g`` of
+    :func:`_family_groups`, is ``(sections, blocks, coeffs, pairs)``: its
+    sections, the stacks of their blocks and coefficients (or ``None``) and
+    their ``(w L, den)`` as two rows (or ``None``); interval ``e`` is at
+    place ``slot[e]`` of group ``group[e]`` and its rows ``sigma[e] - p_e -
+    1 .. sigma[e] - 1`` are active on it.  Each group's evaluation matrices
+    of one width (:meth:`matrices`) are built on the first evaluation at
+    that width, never with the space.  ``kernels[e - 1][d]`` is interval
+    ``e``'s point-kernel record for orders ``0 .. d`` (:meth:`kernel`), or
+    ``None`` until its first scalar call at that width."""
 
     def __init__(self, space: GTSplineSpace):
         kv, bases = space.knots, space.bases
         self.breakpoints, self.n_basis = space.partition.breakpoints, kv.n_basis
-        self.edges = np.array(self.breakpoints)
+        self.edges, self.sigma = np.array(self.breakpoints), kv.sigma
         # by 1-based interval: interval e is at place slot[e] of groups[group[e]]
         self.degrees = np.array((0, *kv.degrees))
         self.group, self.slot = np.zeros_like(self.degrees), np.zeros_like(self.degrees)
-        self.groups, self.records, self._matrices = [], [None] * len(bases), {}
+        self.groups, self._matrices = [], {}
+        self.kernels = [[None] * (p + 1) for p in kv.degrees]
         families = _family_groups((e, b.section) for e, b in enumerate(bases, 1))
         for g, es in enumerate(families.values()):
             self.group[es], self.slot[es] = g, range(len(es))
@@ -171,9 +179,29 @@ class _Elements:
             sections = [b.section for b in own]
             pairs = sections[0]._pair and np.array([s._pair[:2] for s in sections]).T
             self.groups.append((sections, blocks, coeffs, pairs))
-            for k, (e, s) in enumerate(zip(es, sections)):
-                last, pair = kv.sigma.item(e), s._pair and s._pair[:2]
-                self.records[e - 1] = (s, s.x_lo, s.x_hi, pair, g, k, last - s.dim, last, s.degree)
+
+    def kernel(self, e: int, width: int) -> tuple:
+        """Interval ``e``'s point-kernel record for orders ``0 .. width - 1``:
+        ``(M_e, start, stop, x_lo, x_hi, L, pair, plan)``, its evaluation
+        matrix (a view into :meth:`matrices`), the cells ``start .. stop -
+        1`` of a flat ``(N, width)`` table that its rows fill, its ends and
+        length, its pair's ``(w L, den)`` (or ``None``) and the
+        :func:`_feature_plan` of its kind and degree.  Built on the first
+        call and published by one assignment, so concurrent calls see it
+        whole."""
+        g, k = self.group.item(e), self.slot.item(e)
+        section, last = self.groups[g][0][k], self.sigma.item(e)
+        record = self.kernels[e - 1][width - 1] = (
+            self.matrices(g, width)[k],
+            (last - section.dim) * width,
+            last * width,
+            section.x_lo,
+            section.x_hi,
+            section.length,
+            section._pair and section._pair[:2],
+            _feature_plan(section, width),
+        )
+        return record
 
     def matrices(self, g: int, width: int) -> np.ndarray:
         """The stack of the evaluation matrices ``M_e = block_e coeffs_e L_e``
@@ -267,10 +295,12 @@ def eval_basis(space: GTSplineSpace, x, max_order: int = 0) -> np.ndarray:
     points may be unsorted or repeated.  Interior breakpoints evaluate from
     the right; the right domain endpoint evaluates from the left.  A point
     is read once and bisected into the breakpoints; its features times its
-    interval's evaluation matrix (:meth:`_Elements.matrices`), one
-    matrix-vector product, are the rows of the functions active there.  An
-    array runs :func:`_local_values`, whose per-point products are the
-    same.
+    interval's evaluation matrix, one matrix-vector product, are the rows
+    of the functions active there: the call reads the point and the order
+    once, bisects, reads the interval's point-kernel record
+    (:meth:`_Elements.kernel`) and takes that product into the output rows.
+    An array runs :func:`_local_values`, whose feature routine and per-point
+    products are the same.
     """
     table = space._elements
     bp = table.breakpoints
@@ -286,13 +316,15 @@ def eval_basis(space: GTSplineSpace, x, max_order: int = 0) -> np.ndarray:
             flat[start[:, None] + np.arange(values[0].size)] = values.reshape(len(at), -1)
         return out
     e = min(bisect_right(bp, x), len(bp) - 1)
-    section, x_lo, x_hi, pair, g, k, first, last, p = table.records[e - 1]
-    if type(max_order) is not int or not 0 <= max_order <= p:
+    kernels = table.kernels[e - 1]
+    if type(max_order) is not int or not 0 <= max_order < len(kernels):
         max_order = _located(table, np.array([x]), max_order)[1]
     width = max_order + 1
-    features = _features(section, x, x_lo, x_hi, pair, width)
+    matrix, start, stop, x_lo, x_hi, length, pair, plan = (
+        kernels[max_order] or table.kernel(e, width)
+    )
     out = np.zeros(table.n_basis * width)
-    table.matrices(g, width)[k].dot(features, out=out[first * width : last * width])
+    matrix.dot(np.array(_features(plan, x, x_lo, x_hi, length, pair)), out=out[start:stop])
     return out.reshape(-1, width)
 
 
@@ -323,11 +355,11 @@ def _local_values(space: GTSplineSpace, xs: np.ndarray, elems: np.ndarray, max_o
         sections, _, _, pairs = table.groups[g]
         at = np.flatnonzero(which == g)
         e = elems[at]
-        local = table.slot[e]
-        pair = None if pairs is None else pairs[:, local]
-        features = _features(sections[0], xs[at], edges[e - 1], edges[e], pair, width)
+        x, local, lo, hi = xs[at], table.slot[e], edges[e - 1], edges[e]
+        pair, plan = None if pairs is None else pairs[:, local], _feature_plan(sections[0], width)
+        features = _stacked(_features(plan, x, lo, hi, hi - lo, pair), x)
         values = table.matrices(g, width)[local] @ features[:, :, None]
-        yield at, space.knots.sigma[e] - sections[0].dim, values.reshape(len(at), -1, width)
+        yield at, table.sigma[e] - sections[0].dim, values.reshape(len(at), -1, width)
 
 
 def jump_vector(space: GTSplineSpace, i: int, order) -> np.ndarray:

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gtbsplines.sections as sections_module
+
 from gtbsplines import (
     DomainError,
     EctViolationError,
@@ -22,7 +24,7 @@ from gtbsplines import (
     build_space,
     eval_basis,
 )
-from gtbsplines.bernstein import COND_LIMIT, _endpoint_systems
+from gtbsplines.bernstein import COND_LIMIT, _endpoint_systems, build_bases
 from gtbsplines.sections import (
     _bernstein_layout,
     _end_tables,
@@ -402,6 +404,51 @@ def test_polynomial_span_table_is_eval_basis_bit_for_bit(p):
             for x, table in zip(xs.tolist(), want):
                 for got in (basis.section.span_derivatives(x, order), basis.evaluate(x, order)):
                     assert got.tobytes() == table.tobytes(), (length, x, order)
+
+
+class TestSpanBlocks:
+    """A section builds the Bernstein block of its span tables once per width
+    and keeps it: later calls, points or arrays, span tables or Bernstein
+    evaluations, build no map and give the same bits."""
+
+    @staticmethod
+    def count_maps(monkeypatch) -> list[int]:
+        builds, build = [], sections_module._feature_map
+        monkeypatch.setattr(
+            sections_module, "_feature_map", lambda *a: builds.append(a[1]) or build(*a)
+        )
+        return builds
+
+    @pytest.mark.parametrize("template", ALL_SECTIONS, ids=repr)
+    def test_second_call_builds_no_map(self, template, monkeypatch):
+        section = SectionSpace(template.x_lo, template.x_hi, template.family)  # none kept yet
+        builds, p = self.count_maps(monkeypatch), section.degree
+        basis = build_bases([section])[0]
+        xs = np.linspace(section.x_lo, section.x_hi, 5)
+        for order in range(p + 1):
+            first = section.span_derivatives(xs, order)
+            assert builds == [order + 1]  # one map, at the first call of this width
+            again = [section.span_derivatives(x, order) for x in xs.tolist()]
+            again += [section.span_derivatives(xs, order), basis.evaluate(xs, order)]
+            again += [basis.evaluate(x, order) for x in xs.tolist()]
+            assert builds == [order + 1]
+            assert np.stack(again[:5]).tobytes() == first.tobytes() == again[5].tobytes()
+            builds.clear()
+
+    @pytest.mark.parametrize("kind", [PolynomialFamily, TrigonometricFamily, ExponentialFamily])
+    def test_kept_block_keeps_zero_entries_when_the_scale_overflows(self, kind):
+        # L^-d is inf from d = 2 on: a kept block holds the scaled factors at
+        # the layout's terms only, so the Bernstein rows of the orders above
+        # q stay exact zeros and a second call repeats the first bit for bit.
+        section = SectionSpace(0.0, 1e-200, kind(4) if kind is PolynomialFamily else kind(4, 1.0))
+        assert section._scale[2] == math.inf
+        q, xs = section._q, np.array([0.0, 0.3e-200, 1e-200])
+        with np.errstate(all="ignore"):
+            first = section.span_derivatives(xs, 4)
+            second = [section.span_derivatives(x, 4) for x in xs.tolist()]
+        assert np.stack(second).tobytes() == first.tobytes()
+        assert np.all(first[:, : q + 1, q + 1 :] == 0.0)
+        assert np.all(np.isfinite(first[:, :, :2]))
 
 
 class TestFamilyValidation:

@@ -86,8 +86,8 @@ EPS = np.finfo(float).eps
 
 
 def count_span_tables(monkeypatch) -> list[int]:
-    """Count the passes of the per-point arithmetic that the point and the
-    array evaluation share (``space._features``, the features that the
+    """Count the passes of the one feature routine that the point and the
+    array kernel call (``space._features``, the features that the
     evaluation matrices map to span tables) and of the span-table
     arithmetic (``sections._span_table``); returns the one-element counter."""
     calls = [0]
@@ -102,9 +102,12 @@ def count_span_tables(monkeypatch) -> list[int]:
     return calls
 
 
-def count_products(monkeypatch) -> list[str]:
-    """Record every product taken with an evaluation matrix of a space
-    (``dot`` or ``@``); returns the record."""
+def count_products(monkeypatch, space) -> list[str]:
+    """Record every product taken with an evaluation matrix of ``space``
+    (``dot`` or ``@``): the array kernel's, whose matrices come from
+    ``_Elements.matrices``, and the point kernel's, whose records hold their
+    matrix views and are built afresh, through ``matrices``, while the
+    count runs; returns the record."""
     products = []
 
     class Counted(np.ndarray):
@@ -120,6 +123,8 @@ def count_products(monkeypatch) -> list[str]:
     monkeypatch.setattr(
         space_module._Elements, "matrices", lambda *args: matrices(*args).view(Counted)
     )
+    table = space._elements
+    monkeypatch.setattr(table, "kernels", [[None] * len(slots) for slots in table.kernels])
     return products
 
 
@@ -563,12 +568,13 @@ class TestEvaluationMatrices:
             eval_basis(space, np.linspace(*space.domain, 7), order)
         spans, table = [], sections_module._span_table
         monkeypatch.setattr(sections_module, "_span_table", lambda *a: spans.append(a) or table(*a))
-        products = count_products(monkeypatch)
+        products = count_products(monkeypatch, space)
         for x in list(space.partition.breakpoints) + [sum(space.domain) / 2.0]:
             for order in range(top + 1):
-                products.clear()
-                eval_basis(space, x, order)
-                assert (spans, products) == ([], ["dot"])
+                for _ in range(2):  # the call that builds the point's record, and one after it
+                    products.clear()
+                    eval_basis(space, x, order)
+                    assert (spans, products) == ([], ["dot"])
 
     def test_matrices_are_built_once_per_width(self, monkeypatch):
         builds, build = [], space_module._feature_map
@@ -593,21 +599,76 @@ class TestEvaluationMatrices:
                     unit_integral_scaling(s)
                 assert builds == []
 
+    def test_point_reads_its_kernel_record(self, monkeypatch):
+        # A record is filled per (interval, width) on the interval's first
+        # scalar call at that width, and the array kernel fills none.  A
+        # filled record holds its interval's matrix view and feature plan,
+        # so a later point builds, looks up and plans nothing.
+        space = build_space(mixed_family_demo_config())
+        table, bp = space._elements, space.partition.breakpoints
+        assert not hasattr(table, "records")
+        assert table.kernels == [[None] * (p + 1) for p in space.degrees]
+        for order in range(3):
+            eval_basis(space, np.linspace(*space.domain, 9), order)
+        assert table.kernels == [[None] * (p + 1) for p in space.degrees]
+        mids = [(a + b) / 2.0 for a, b in zip(bp, bp[1:])]
+        eval_basis(space, mids[1], 2)
+        filled = [
+            (e, d) for e, slots in enumerate(table.kernels, 1) for d, r in enumerate(slots) if r
+        ]
+        assert filled == [(2, 2)]
+        stack = table.matrices(table.group.item(2), 3)
+        assert table.kernels[1][2][0].base is stack.base
+        assert np.array_equal(table.kernels[1][2][0], stack[table.slot.item(2)])
+        for x, p in zip(mids, space.degrees):
+            for order in range(p + 1):
+                eval_basis(space, x, order)
+        assert all(all(slots) for slots in table.kernels)
+        calls = []
+        for owner, name in (
+            (space_module._Elements, "kernel"),
+            (space_module._Elements, "matrices"),
+            (space_module, "_feature_plan"),
+            (sections_module, "_bernstein_layout"),
+        ):
+            original = getattr(owner, name)
+            monkeypatch.setattr(
+                owner, name, lambda *a, f=original, n=name: calls.append(n) or f(*a)
+            )
+        for x in mids + list(bp):
+            e = space.partition.locate(x)
+            for order in range(space.degrees[e - 1] + 1):
+                eval_basis(space, x, order)
+        assert calls == []
+
     def test_concurrent_first_evaluations_agree(self):
-        # Threads evaluating one fresh space at every width at once, with
-        # frequent switches, read the same matrices as a serial run.
+        # Threads evaluating one fresh space at once, with frequent switches,
+        # scalar calls in every interval at every width and arrays at every
+        # width, read the same matrices and fill the same point-kernel
+        # records as a serial run.
         import sys
         import threading
 
         config = mixed_family_demo_config()
         xs = np.linspace(0.0, 5.0, 23)
-        want = [eval_basis(build_space(config), xs, order) for order in range(3)]
+        serial = build_space(config)
+        want = [eval_basis(serial, xs, order) for order in range(3)]
+        # each point at each order up to the degree of its interval
+        calls = [
+            (x, order)
+            for order in range(max(serial.degrees) + 1)
+            for x in xs.tolist()
+            if order <= serial.degrees[serial.partition.locate(x) - 1]
+        ]
+        points = {call: eval_basis(serial, *call) for call in calls}
         space, got, interval = build_space(config), {}, sys.getswitchinterval()
 
         def work(i):
+            start = i * len(calls) // 6  # each thread starts at another width
+            for call in calls[start:] + calls[:start]:
+                got[i, call] = eval_basis(space, *call)
             for order in (i % 3, (i + 1) % 3, (i + 2) % 3):
-                point = eval_basis(space, float(xs[11]), order)
-                got[i, order] = (eval_basis(space, xs, order), point)
+                got[i, order] = eval_basis(space, xs, order)
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
         sys.setswitchinterval(1e-6)
@@ -618,10 +679,14 @@ class TestEvaluationMatrices:
                 thread.join(timeout=60.0)
         finally:
             sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads) and len(got) == 18
-        for (i, order), (table, row) in got.items():
-            assert np.array_equal(table, want[order])
-            assert np.array_equal(row, table[11])
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(got) == 6 * (len(calls) + 3)
+        for (i, key), table in got.items():
+            assert table.tobytes() == (want[key] if key in (0, 1, 2) else points[key]).tobytes()
+        assert all(all(slots) for slots in space._elements.kernels)
+        for order in range(3):
+            for x, row in zip(xs.tolist(), want[order]):
+                assert points[x, order].tobytes() == row.tobytes()
 
     @pytest.mark.parametrize(
         "families",
