@@ -30,13 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConditioningWarning, EctViolationError
-from .sections import (
-    GeneralizedPolynomialFamily,
-    PolynomialFamily,
-    SectionSpace,
-    _end_tables,
-    _family_groups,
-)
+from .sections import SectionSpace, _end_tables, _family_groups
 
 __all__ = ["BernsteinBasis", "build_bases"]
 
@@ -195,7 +189,7 @@ def _build_group(group: list[SectionSpace], strict: bool) -> list[BernsteinBasis
     section, whose numbers warn and raise as :func:`build_bases` says;
     otherwise numbers that would warn or raise give ``None``."""
     section, p = group[0], group[0].degree
-    custom = isinstance(section.family, GeneralizedPolynomialFamily)
+    custom = section._kind == "custom"
     try:
         tables = _end_tables(group)
     except OverflowError as exc:  # a custom pair's user functions
@@ -205,7 +199,7 @@ def _build_group(group: list[SectionSpace], strict: bool) -> list[BernsteinBasis
             raise EctViolationError(f"non-finite endpoint derivative tables of {section!r}")
         return None
     t_lo, t_hi = tables[:, 0], tables[:, 1]
-    if isinstance(section.family, PolynomialFamily):
+    if section._kind == "polynomial":
         return list(map(BernsteinBasis, group, [None] * len(group), t_lo, t_hi))
     rows, unit = _endpoint_systems(p)
     # row e * (p + 1) + d of a section's stacked endpoint table is order d at end e

@@ -36,7 +36,6 @@ import numpy as np
 from .config import SpaceConfig, conic_profile_demo_config, mixed_family_demo_config
 from .errors import ConfigError, GTBError, InvalidFamilyError, OracleUnsupportedError
 from .oracle import cox_de_boor_basis, cox_de_boor_knots, local_recurrence_eval
-from .sections import PolynomialFamily
 from .space import (
     SplineCurve,
     build_space,
@@ -396,10 +395,8 @@ def cmd_verify(args) -> int:
     detail = f"sum {_fmt(total).decode()}"
     ok &= _check("unit-integral-total", abs(total - (b - a)) <= 1e-10, detail)
 
-    polynomial = all(isinstance(s, PolynomialFamily) for s in config.sections)
-    probe = np.linspace(a, b, 37)
-    if polynomial and len(set(config.degrees)) == 1:
-        p = config.degrees[0]
+    probe, p = np.linspace(a, b, 37), config.degrees[0]
+    if {(basis.section._kind, basis.degree) for basis in space.bases} == {("polynomial", p)}:
         knots = cox_de_boor_knots(config.breakpoints, p, config.smoothness)
         ours = eval_basis(space, probe, min(1, p))
         ref = cox_de_boor_basis(knots, p, probe, min(1, p))

@@ -29,11 +29,13 @@ import numpy as np
 
 from .errors import ConfigError
 from .sections import (
+    _KINDS,
     ExponentialFamily,
     PolynomialFamily,
     SectionFamily,
     TrigonometricFamily,
     _each,
+    _family_kind,
     _integer,
     _number,
     _numbers,
@@ -54,25 +56,22 @@ def family_from_dict(d: dict) -> SectionFamily:
         degree = _integer(d["degree"], "section degree", ConfigError)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed section entry {d!r}") from exc
+    cls = next((f for k, f in _KINDS if k == kind), None)
+    if cls is None:
+        raise ConfigError(f"unknown section family {kind!r}")
     if kind == "polynomial":
-        return PolynomialFamily(degree)
-    if kind in ("trigonometric", "exponential"):
-        if "omega" not in d:
-            raise ConfigError(f"section {d!r} needs an omega parameter")
-        omega = _number(d["omega"], "section omega", ConfigError)
-        cls = TrigonometricFamily if kind == "trigonometric" else ExponentialFamily
-        return cls(degree, omega)
-    raise ConfigError(f"unknown section family {kind!r}")
+        return cls(degree)
+    if "omega" not in d:
+        raise ConfigError(f"section {d!r} needs an omega parameter")
+    return cls(degree, _number(d["omega"], "section omega", ConfigError))
 
 
 def family_to_dict(family: SectionFamily) -> dict:
-    if isinstance(family, PolynomialFamily):
-        return {"family": "polynomial", "degree": family.degree}
-    if isinstance(family, TrigonometricFamily):
-        return {"family": "trigonometric", "degree": family.degree, "omega": family.omega}
-    if isinstance(family, ExponentialFamily):
-        return {"family": "exponential", "degree": family.degree, "omega": family.omega}
-    raise ConfigError(f"family {family!r} has no file representation")
+    kind = _family_kind(family)
+    if kind == "custom":
+        raise ConfigError(f"family {family!r} has no file representation")
+    omega = {} if kind == "polynomial" else {"omega": family.omega}
+    return {"family": kind, "degree": family.degree, **omega}
 
 
 def _family(value, what: str, error: type[Exception]) -> SectionFamily:

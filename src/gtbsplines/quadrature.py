@@ -7,12 +7,7 @@ import math
 
 import numpy as np
 
-from .sections import (
-    ExponentialFamily,
-    GeneralizedPolynomialFamily,
-    SectionSpace,
-    TrigonometricFamily,
-)
+from .sections import SectionSpace
 
 __all__ = ["composite_rule", "gauss_legendre"]
 
@@ -37,16 +32,11 @@ def _stiffness_ceil(section: SectionSpace, per: float = 1.0) -> int:
 def section_panels(section: SectionSpace) -> int:
     """Panel count that keeps the fixed-order rule near machine accuracy.
 
-    Polynomial sections integrate exactly on one panel; oscillatory or stiff
-    sections are subdivided so that each panel sees an effective frequency
-    of at most ~2 (:func:`_stiffness_ceil`).
+    A custom pair takes 8 panels.  Polynomial sections (no ``omega``)
+    integrate exactly on one; oscillatory or stiff sections are subdivided so
+    that each panel sees ``omega * length`` of at most ~2 (:func:`_stiffness_ceil`).
     """
-    fam = section.family
-    if isinstance(fam, (TrigonometricFamily, ExponentialFamily)):
-        return max(1, _stiffness_ceil(section, 2.0))
-    if isinstance(fam, GeneralizedPolynomialFamily):
-        return 8
-    return 1
+    return 8 if section._kind == "custom" else max(1, _stiffness_ceil(section, 2.0))
 
 
 def composite_rule(sections: list[SectionSpace], n: int) -> tuple:

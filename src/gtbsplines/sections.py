@@ -11,6 +11,9 @@ on one closed interval of the partition.  Four families are supported:
 * ``GeneralizedPolynomialFamily(p, u, v)`` -- span ``{1, x, ..., x^(p-2),
   u(x), v(x)}`` for user-supplied functions with exact derivatives.
 
+A family's class is tested once, by ``_KINDS`` when its section is built:
+every module that branches on the family reads ``SectionSpace._kind``.
+
 For numerical work every section exposes a *span basis* together with exact
 derivative tables.  Every family starts from the binomial Bernstein
 polynomials ``C(q, k) t^k s^(q-k)`` of degree ``q`` in ``t = (x - x_lo)/L``
@@ -30,8 +33,8 @@ Bernstein rows of every table: a section's linear map (:func:`_feature_map`)
 times the monomials ``t^a s^b``, in the point and array kernels of
 :mod:`gtbsplines.space` (with the pair's values) and in
 :meth:`SectionSpace.span_derivatives` alike, all from one feature routine
-(:func:`_features`) under a plan of the section's kind, set when the
-section is built, and degree (:func:`_feature_plan`).  The pair rows keep
+(:func:`_features`) under a plan of the section's kind and degree
+(:func:`_feature_plan`).  The pair rows keep
 two arithmetics: a value times a power of ``omega`` in the kernel, and
 :func:`_pair_rows` in span and end tables, whose bits the built bases rest
 on.  Powers come from repeated products and numpy's ``sin``/``cos``/``exp``/
@@ -258,13 +261,17 @@ SectionFamily = (
     PolynomialFamily | TrigonometricFamily | ExponentialFamily | GeneralizedPolynomialFamily
 )
 
-# A section's kind, set with it: the arithmetic of its features and pair rows
-# (any other family is a custom pair).
 _KINDS = (
     ("polynomial", PolynomialFamily),
     ("trigonometric", TrigonometricFamily),
     ("exponential", ExponentialFamily),
 )
+
+
+def _family_kind(family) -> str:
+    """The one test of a family's class: its ``_KINDS`` name (a subclass's too),
+    which picks its arithmetic and its JSON ``"family"``, else ``"custom"``."""
+    return next((k for k, f in _KINDS if isinstance(family, f)), "custom")
 
 
 def _as_float(n: int) -> float:
@@ -281,8 +288,8 @@ def _family_groups(indexed) -> dict:
     a group of its own.  One group shares one feature arithmetic."""
     groups = {}
     for i, section in indexed:
-        custom = isinstance(section.family, GeneralizedPolynomialFamily)
-        groups.setdefault(i if custom else (type(section.family), section.degree), []).append(i)
+        kind = section._kind
+        groups.setdefault(i if kind == "custom" else (kind, section.degree), []).append(i)
     return groups
 
 
@@ -536,10 +543,11 @@ class SectionSpace:
 
     Frozen, with pure methods, compared and hashed by identity.  A table at a
     point reads the constants set on construction: the kind ``_kind``
-    (``"polynomial"``, ``"trigonometric"``, ``"exponential"`` or
-    ``"custom"``), ``_pair``, the Bernstein degree ``_q`` (``p - 2`` when the
-    pair follows) and ``_scale = (1, 1/L, ...)``; ``_span_blocks`` holds the
-    Bernstein blocks of its span tables, one per width, built on first use.
+    (``"polynomial"``, ``"trigonometric"``, ``"exponential"`` or ``"custom"``
+    from :func:`_family_kind`, read by every module), ``_pair``, the Bernstein
+    degree ``_q`` (``p - 2`` when the pair follows) and ``_scale = (1, 1/L,
+    ...)``; ``_span_blocks`` holds the Bernstein blocks of its span tables,
+    one per width, built on first use.
 
     Parameters
     ----------
@@ -558,13 +566,13 @@ class SectionSpace:
     family: SectionFamily
 
     def __post_init__(self):
-        family = self.family
+        family, kind = self.family, _family_kind(self.family)
         x_lo, x_hi = (_number(x, "section end", InvalidFamilyError) for x in (self.x_lo, self.x_hi))
         if not (x_lo < x_hi):
             raise InvalidFamilyError(f"empty section interval [{x_lo}, {x_hi}]")
         if not math.isfinite(x_hi - x_lo):
             raise InvalidFamilyError(f"section [{x_lo}, {x_hi}] too long: its length overflows")
-        if isinstance(family, TrigonometricFamily) and family.omega * (x_hi - x_lo) >= math.pi:
+        if kind == "trigonometric" and family.omega * (x_hi - x_lo) >= math.pi:
             raise InvalidFamilyError(
                 f"trigonometric section needs omega*length < pi, got "
                 f"{family.omega * (x_hi - x_lo):.6g} on [{x_lo}, {x_hi}]"
@@ -572,7 +580,6 @@ class SectionSpace:
         length, scale = x_hi - x_lo, [1.0]
         for _ in range(family.degree):  # 1/L^d by repeated division: inf past the float range
             scale.append(scale[-1] / length)
-        kind = next((k for k, f in _KINDS if isinstance(family, f)), "custom")
         pair = _pair_constants(family, kind, length)
         q = family.degree - (0 if kind == "polynomial" else 2)
         self.__dict__.update(x_lo=x_lo, x_hi=x_hi, degree=family.degree, dim=family.degree + 1)
@@ -630,7 +637,7 @@ def normalized_pair(group, x, on, orders) -> list:
     orders = [_integer(d, "pair order", OrderError) for d in orders]
     if any(not 0 <= d <= p for d in orders):
         raise OrderError(f"pair orders {orders} outside [0, {p}]")
-    if isinstance(first.family, GeneralizedPolynomialFamily):
+    if first._kind == "custom":
         ends = (first.x_lo, first.x_hi)
         gen = np.array([[_call_pointwise(first, f, z, p - 1) for f in "uv"] for z in ends])
         try:
@@ -644,7 +651,7 @@ def normalized_pair(group, x, on, orders) -> list:
         return [c[0] * gu + c[1] * gv for c in combo.T for gu, gv in raw]
     lo, hi, length = (np.array([getattr(s, a) for s in group]) for a in ("x_lo", "x_hi", "length"))
     t, s = (x - lo[on]) / length[on], (hi[on] - x) / length[on]
-    if isinstance(first.family, PolynomialFamily):
+    if first._kind == "polynomial":
         slope = np.full(np.shape(x), 1.0) / length[on]
         return [row[d] if d < 2 else 0.0 * t for row in ((s, -slope), (t, slope)) for d in orders]
     # per point, the (w L, den, [(-w)^d], [w^d]) cached on its section

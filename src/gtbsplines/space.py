@@ -64,11 +64,8 @@ from .extraction import (
 )
 from .quadrature import composite_rule
 from .sections import (
-    ExponentialFamily,
     Partition,
-    PolynomialFamily,
     SectionSpace,
-    TrigonometricFamily,
     _family_groups,
     _integer,
     _number,
@@ -223,10 +220,9 @@ class _Elements:
 
 def _check_section_families(sections: list[SectionSpace]) -> None:
     for s in sections:
-        fam = s.family
-        if isinstance(fam, (TrigonometricFamily, ExponentialFamily)) and fam.degree < 2:
+        if s._kind in ("trigonometric", "exponential") and s.degree < 2:
             raise ConfigError(
-                f"section {fam!r} on [{s.x_lo}, {s.x_hi}]: trigonometric and "
+                f"section {s.family!r} on [{s.x_lo}, {s.x_hi}]: trigonometric and "
                 "exponential sections of a spline space need degree >= 2 "
                 "(degree 1 has no constants, breaking partition of unity)"
             )
@@ -239,9 +235,7 @@ def _warn_maximal_joints(bases, smoothness) -> None:
         left, right = bases[i - 1].section, bases[i].section
         if smoothness[i] < min(left.degree, right.degree):
             continue
-        if isinstance(left.family, PolynomialFamily) and isinstance(
-            right.family, PolynomialFamily
-        ):
+        if left._kind == right._kind == "polynomial":
             continue
         warnings.warn(
             f"joint at x={left.x_hi!r} uses the maximal smoothness "
@@ -552,7 +546,8 @@ def insert_knot(space: GTSplineSpace, x_new: float):
     without evaluation:
     ``C_old R = F C_new``, where ``R``, the identity except on a split
     interval, maps the old Bernstein functions to the refined ones through
-    the endpoint tables at each half's outer end.  ``F`` has the band
+    the endpoint tables at each half's outer end (one singular in floats
+    raises :class:`~gtbsplines.errors.GTBError`).  ``F`` has the band
     ``refined.knots.band(i, r + 1)`` of the order ``r + 1`` no longer
     enforced at the breakpoint ``x_i``; with ``alpha_lo = 1`` and
     ``alpha_{k+1} = 1 - beta_{k+1}``, row ``k`` gives ``beta_{k+1}`` in the
@@ -586,8 +581,11 @@ def insert_knot(space: GTSplineSpace, x_new: float):
     if split:
         whole, left, right = space.bases[i - 1], bases[i - 1], bases[i]
         at = space.knots.block_start[i - 1] - space.knots.block_start[e_lo - 1]
-        r_left = np.linalg.solve(left.left_table.T, whole.left_table.T).T
-        r_right = np.linalg.solve(right.right_table.T, whole.right_table.T).T
+        try:
+            r_left = np.linalg.solve(left.left_table.T, whole.left_table.T).T
+            r_right = np.linalg.solve(right.right_table.T, whole.right_table.T).T
+        except np.linalg.LinAlgError as exc:  # a half's end table is singular in floats
+            raise GTBError(f"insertion at x={x_new!r} splits {whole.section!r}: {exc}") from exc
         piece, rest = old[:, at : at + len(r_left)], old[:, at + len(r_left) :]
         old = np.hstack([old[:, :at], piece @ r_left, piece @ r_right, rest])
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import gtbsplines.cli as cli
 from gtbsplines import (
     ConfigError,
+    ExponentialFamily,
     ExtractionMatrix,
     GTSplineSpace,
     GeneralizedPolynomialFamily,
@@ -29,6 +30,7 @@ from gtbsplines.config import (
     family_to_dict,
     mixed_family_demo_config,
 )
+from gtbsplines.sections import _KINDS
 
 from helpers import (
     bench_generator,
@@ -232,6 +234,10 @@ def _space_text(**changes) -> str:
         (_space_text(sections=[{"family": "polynomial"}] * 2), "malformed section entry"),
         (_space_text(sections=[2, 2]), "malformed section entry"),
         (_space_text(sections=[{"family": "spline", "degree": 2}] * 2), "unknown section family 'spline'"),
+        (
+            _space_text(sections=[{"family": ["polynomial"], "degree": 2}] * 2),
+            "unknown section family ['polynomial']",
+        ),
         (_space_text(sections=[{"family": "exponential", "degree": 2}] * 2), "needs an omega parameter"),
         (
             _space_text(sections=[{"family": "exponential", "degree": 2, "omega": None}] * 2),
@@ -259,6 +265,7 @@ def _space_text(**changes) -> str:
         "section-without-degree",
         "section-not-an-object",
         "unknown-family",
+        "unhashable-family",
         "missing-omega",
         "null-omega",
         "one-breakpoint",
@@ -292,14 +299,55 @@ def test_verify_refuses_a_nonfinite_control_net(tmp_path, capfd):
     assert out == "" and err == "error: control net must be rows of finite numbers\n"
 
 
+# one family of each ``_KINDS`` entry, as a file writes it
+KIND_ENTRIES = [
+    {"family": "polynomial", "degree": 3},
+    {"family": "trigonometric", "degree": 3, "omega": 1.25},
+    {"family": "exponential", "degree": 4, "omega": 10.0},
+]
+
+
 def test_custom_family_has_no_file_representation():
-    for family in mixed_family_demo_config().sections:
+    assert [entry["family"] for entry in KIND_ENTRIES] == [kind for kind, _ in _KINDS]
+    kinds = [family_from_dict(entry) for entry in KIND_ENTRIES]
+    for family in mixed_family_demo_config().sections + kinds:
         assert family_from_dict(family_to_dict(family)) == family
+    assert [family_to_dict(family) for family in kinds] == KIND_ENTRIES
     custom = GeneralizedPolynomialFamily(2, u=lambda x, d: x, v=lambda x, d: x, name="pair")
     with pytest.raises(ConfigError, match="has no file representation"):
         family_to_dict(custom)
     with pytest.raises(ConfigError, match="has no file representation"):
         SpaceConfig([0.0, 1.0], [custom], []).to_dict()
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"family": "spline", "degree": 2}, "unknown section family 'spline'"),
+        ({"family": ["polynomial"], "degree": 2}, "unknown section family ['polynomial']"),
+        (
+            {"family": "exponential", "degree": 2},
+            "section {'family': 'exponential', 'degree': 2} needs an omega parameter",
+        ),
+        (
+            {"family": "trigonometric", "degree": 3},
+            "section {'family': 'trigonometric', 'degree': 3} needs an omega parameter",
+        ),
+    ],
+    ids=["unknown", "unhashable", "exp-no-omega", "trig-no-omega"],
+)
+def test_family_entry_errors_are_exact(entry, message):
+    with pytest.raises(ConfigError) as info:
+        family_from_dict(entry)
+    assert str(info.value) == message
+
+
+def test_custom_family_file_error_is_exact():
+    custom = GeneralizedPolynomialFamily(2, u=lambda x, d: x, v=lambda x, d: x, name="pair")
+    for family, text in ((custom, "GeneralizedPolynomialFamily(degree=2, name='pair')"), (None, "None")):
+        with pytest.raises(ConfigError) as info:
+            family_to_dict(family)
+        assert str(info.value) == f"family {text} has no file representation"
 
 
 class TestSample:
@@ -694,6 +742,17 @@ class TestInsert:
     def test_boundary_insert_rejected(self, demo_config_path, tmp_path, capsys):
         code = main(["insert", demo_config_path, "--at", "0.0", str(tmp_path / "x.txt")])
         assert code == 1
+
+    def test_singular_split_is_one_error_line(self, tmp_path, capfd):
+        # the end table of a half of a stiff exponential section is singular:
+        # exit 1 with the library's message and no numpy traceback
+        path = tmp_path / "stiff.json"
+        config = SpaceConfig([0.0, 1.0], [ExponentialFamily(3, 3000.0)], [])
+        path.write_text(json.dumps(config.to_dict()))
+        assert main(["insert", str(path), "--at", "0.37", str(tmp_path / "x.txt")]) == 1
+        out, err = capfd.readouterr()
+        assert out == "" and err.startswith("error: insertion at x=0.37 splits SectionSpace(")
+        assert err.endswith(": Singular matrix\n") and "Traceback" not in err
 
 
 class TestDemo:

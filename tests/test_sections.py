@@ -26,8 +26,10 @@ from gtbsplines import (
 )
 from gtbsplines.bernstein import COND_LIMIT, _endpoint_systems, build_bases
 from gtbsplines.sections import (
+    _KINDS,
     _bernstein_layout,
     _end_tables,
+    _family_groups,
     _weight_rows,
     normalized_pair,
     weight_system,
@@ -529,6 +531,50 @@ class TestFamilyValidation:
         section = SectionSpace(0.0, length, family)
         with pytest.raises(EctViolationError, match=re.escape(f"tables of {section!r}")):
             build_space(SpaceConfig([0.0, length], [family], []))
+
+
+def _kind_args(kind: str) -> tuple:
+    return (3,) if kind == "polynomial" else (3, 1.0)
+
+
+class TestFamilyKind:
+    """``_KINDS`` is the one test of a family's class: a section carries it as
+    ``_kind``, and the groups of the stacked passes read it."""
+
+    @pytest.mark.parametrize("kind, family", _KINDS, ids=[kind for kind, _ in _KINDS])
+    def test_kind_is_the_kinds_entry_of_the_family_and_of_a_subclass(self, kind, family):
+        subclass = type(f"Sub{family.__name__}", (family,), {})
+        for cls in (family, subclass):
+            assert SectionSpace(0.0, 1.0, cls(*_kind_args(kind)))._kind == kind
+
+    def test_custom_pair_kind(self):
+        subclass = type("SubPair", (GeneralizedPolynomialFamily,), {})
+        for family in (EXP_PAIR, subclass(3, EXP_PAIR.u, EXP_PAIR.v)):
+            assert SectionSpace(0.0, 1.0, family)._kind == "custom"
+
+    def test_groups_by_kind_and_degree_in_first_occurrence_order(self):
+        sub = type("SubPolynomialFamily", (PolynomialFamily,), {})
+        families = [
+            PolynomialFamily(2),
+            TrigonometricFamily(3, 1.0),
+            EXP_PAIR,
+            PolynomialFamily(2),
+            PolynomialFamily(3),
+            EXP_PAIR,
+            TrigonometricFamily(3, 0.5),
+            ExponentialFamily(3, 1.0),
+            sub(2),
+        ]
+        sections = [SectionSpace(float(i), i + 1.0, f) for i, f in enumerate(families)]
+        groups = _family_groups(enumerate(sections, 10))
+        assert list(groups.items()) == [
+            (("polynomial", 2), [10, 13, 18]),
+            (("trigonometric", 3), [11, 16]),
+            (12, [12]),
+            (("polynomial", 3), [14]),
+            (15, [15]),
+            (("exponential", 3), [17]),
+        ]
 
 
 def _pair(section, x, order=0) -> tuple:

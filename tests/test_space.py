@@ -1182,6 +1182,19 @@ class TestInsertKnot:
         with pytest.raises(GTBError, match=f"x=1.0: .* refined basis function {lo + 2}$"):
             insert_knot(mixed_space, 1.0)
 
+    def test_singular_half_end_table_is_a_library_error(self):
+        # a stiff exponential cubic: the end table of one half of the split
+        # section is singular in floats, which numpy reports as LinAlgError
+        space = build_space(SpaceConfig([0.0, 1.0], [ExponentialFamily(3, 3000.0)], []))
+        message = (
+            "insertion at x=0.37 splits "
+            "SectionSpace([0.0, 1.0], ExponentialFamily(degree=3, omega=3000.0)): Singular matrix"
+        )
+        with pytest.raises(GTBError) as info:
+            insert_knot(space, 0.37)
+        assert type(info.value) is GTBError and str(info.value) == message
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
     @pytest.mark.parametrize("x_new", [1e-13, 5.0 - 1e-13])
     def test_point_at_domain_end_is_named(self, mixed_space, x_new):
         # within the breakpoint tolerance of a domain end, not of a breakpoint
