@@ -21,8 +21,8 @@ and memory linear in the number of intervals.  Dense rows of ``C`` come
 from the blocks through :meth:`ExtractionMatrix.window` alone.
 
 A factor is kept as its band coefficients only (:func:`nullspace_step`),
-and :func:`apply_factor` applies them; a knot-insertion map is one such
-factor, whose identity head and shifted tail ``insert_knot`` fills itself.
+and :func:`apply_factor` applies them in place; a knot-insertion map is one
+such factor, whose identity head and shifted tail ``insert_knot`` fills itself.
 The knot vectors own the index layout, as in classical spline codes:
 :class:`KnotVectors` gives each interval's Bernstein block and active rows,
 the order of the constraints and the band of each one
@@ -139,6 +139,24 @@ class KnotVectors:
         r_u = self.degrees[i] - self.sigma.item(i + 1) + k0
         r_v = self.degrees[j - 1] - 1 - (k0 - self.mu.item(j - 1))
         return r_u, r_v
+
+    def _inserted(self, i: int, x: float, smoothness: tuple[int, ...], split: bool) -> KnotVectors:
+        """These knot vectors with one more function, at ``x_i = x``: ``x``
+        enters ``u`` at ``sigma[i]`` and ``v`` at ``mu[i - 1]`` (which a ``split``
+        of interval ``i`` first repeats: a breakpoint of order ``p_i`` has no
+        knots), the sums past them grow by one, and only pairs between are checked."""
+        sigma, mu, starts, degrees = self.sigma, self.mu, self.block_start, self.degrees
+        a, b = sigma.item(i), mu.item(i - 1)
+        if split:
+            degrees = degrees[:i] + degrees[i - 1 :]
+            starts = np.concatenate([starts[: i + 1], starts[i:] + degrees[i] + 1])
+        u, v = (np.concatenate([t[:k], [x], t[k:]]) for t, k in ((self.u, a), (self.v, b)))
+        w = slice(max(b - 1, 0), a + 2)
+        if not (np.all(u[w] < v[w]) and np.all(u[w][1:] <= v[w][:-1])):
+            raise GTBError(f"internal: knot vector ordering violated at x={x!r}")
+        sigma = np.concatenate([sigma[: i + 1], sigma[i + 1 - split :] + 1])
+        mu = np.concatenate([mu[:i], mu[i - split :] + 1])
+        return KnotVectors(u, v, sigma, mu, degrees, smoothness, starts)
 
 
 def build_knot_vectors(partition: Partition, degrees, smoothness) -> KnotVectors:
@@ -300,15 +318,17 @@ def apply_factor(rows: np.ndarray, band: tuple[int, int], beta: np.ndarray) -> n
     ``lo <= k < hi``) becomes ``alpha_k row_k + beta_{k+1} row_{k+1}`` with
     ``alpha_lo = 1`` and ``alpha_{k+1} = 1 - beta_{k+1}``; rows right of the
     band shift up by one.  ``apply_factor(np.eye(n), band, beta)`` is the
-    dense ``(n-1) x n`` factor.
+    dense ``(n-1) x n`` factor.  It works in place: ``rows`` is overwritten
+    and its view ``rows[:-1]`` returned, each entry with the product's bits.
     """
     lo, hi = band
     beta = beta.reshape((-1,) + (1,) * (rows.ndim - 1))
-    out = np.concatenate([rows[: hi - 1], rows[hi:]])
+    tail = beta * rows[lo:hi]
     if hi - lo > 1:  # a one-coefficient band has no interior alpha
-        out[lo : hi - 1] *= 1.0 - beta[:-1]
-    out[lo - 1 : hi - 1] += beta * rows[lo:hi]
-    return out
+        rows[lo : hi - 1] *= 1.0 - beta[:-1]
+    rows[lo - 1 : hi - 1] += tail
+    rows[hi - 1 : -1] = rows[hi:]
+    return rows[:-1]
 
 
 @dataclass(eq=False, frozen=True)
@@ -401,11 +421,11 @@ def extraction_operator(
     the cascade of a sub-space names the breakpoints of the space it is cut
     from.
     """
-    starts = kv.block_start.tolist()
-    m = len(kv.degrees)
+    starts, sigma, mu = (array.tolist() for array in (kv.block_start, kv.sigma, kv.mu))
+    degrees, m = kv.degrees, len(kv.degrees)
     # 0-based row of the first function active on each interval
-    first_rows = [kv.active_range(e)[0] - 1 for e in range(1, m + 1)]
-    eye = {p + 1: np.eye(p + 1) for p in set(kv.degrees)}  # one identity per block width
+    first_rows = [s - p - 1 for s, p in zip(sigma[1:], degrees)]
+    eye = {p + 1: np.eye(p + 1) for p in set(degrees)}  # one identity per block width
     win = eye[starts[1]]
     win_row = win_col = 0  # running row and Bernstein column of win[0, 0]
     blocks: list[np.ndarray] = []
@@ -420,9 +440,9 @@ def extraction_operator(
             win = grown
             # window columns a .. b - 1 of interval i, b .. c - 1 of interval i + 1
             a, b, c = (s - win_col for s in starts[i - 1 : i + 2])
+            top, hi = mu[i - 1] + degrees[i - 1] + 1 - win_row, sigma[i] + 1 - win_row
             for j in range(kv.smoothness[i] + 1):
-                lo, hi = kv.band(i, j)
-                band = (lo - win_row, hi - win_row)
+                band = (top - j, hi)  # KnotVectors.band(i, j) in window rows
                 try:
                     jump = jump_rows(win[:, a:b], win[:, b:c], constraints[i - 1], j)
                     beta = nullspace_step(jump, band)

@@ -169,6 +169,15 @@ class Partition:
             raise InvalidFamilyError(f"domain [{bp[0]}, {bp[-1]}] too long: b - a overflows")
         object.__setattr__(self, "breakpoints", bp)
 
+    def _split(self, e: int, x: float) -> Partition:
+        """This partition with the float ``x`` added in interval ``e``, checking only ``x``."""
+        bp = self.breakpoints
+        if not bp[e - 1] < x < bp[e]:
+            raise InvalidFamilyError("breakpoints must be strictly increasing")
+        refined = object.__new__(Partition)
+        object.__setattr__(refined, "breakpoints", bp[:e] + (x,) + bp[e:])
+        return refined
+
     @property
     def num_intervals(self) -> int:
         return len(self.breakpoints) - 1

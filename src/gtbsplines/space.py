@@ -474,20 +474,16 @@ def _refined_components(space: GTSplineSpace, x_new: float):
         r_i = space.smoothness[i]
         if r_i < 0:
             raise InsertionError(f"breakpoint x={bp[i]!r} is already fully discontinuous (r=-1)")
-        smooth = list(space.smoothness)
-        smooth[i] = r_i - 1
-        return space.partition, space.bases, tuple(smooth), i, r_i
+        smooth = space.smoothness[:i] + (r_i - 1,) + space.smoothness[i + 1 :]
+        return space.partition, space.bases, smooth, i, r_i
 
     e = space.partition.locate(x_new)  # 1-based interval containing x_new
     section = space.bases[e - 1].section
     halves = ((section.x_lo, x_new), (x_new, section.x_hi))
     pieces = tuple(build_bases([section.restricted(*ends) for ends in halves]))
     bases = space.bases[: e - 1] + pieces + space.bases[e:]
-    new_bp = list(bp)
-    new_bp.insert(e, x_new)
-    smooth = list(space.smoothness)
-    smooth.insert(e, section.degree - 1)
-    return Partition(tuple(new_bp)), bases, tuple(smooth), e, section.degree
+    smooth = space.smoothness[:e] + (section.degree - 1,) + space.smoothness[e:]
+    return space.partition._split(e, x_new), bases, smooth, e, section.degree
 
 
 def _spliced(space, partition, bases, kv, cover) -> GTSplineSpace:
@@ -504,9 +500,8 @@ def _spliced(space, partition, bases, kv, cover) -> GTSplineSpace:
     e_lo, e_hi = cover
     s = kv.support(kv.active_range(e_lo)[0])[0]
     t = kv.support(kv.active_range(e_hi)[1])[1]
-    r = kv.smoothness
     sub_partition = Partition(partition.breakpoints[s : t + 1])
-    sub = _assemble(sub_partition, bases[s:t], (-1, *r[s + 1 : t], -1), s)
+    sub = _assemble(sub_partition, bases[s:t], (-1, *kv.smoothness[s + 1 : t], -1), s)
     old = space.extraction
     split = len(bases) - len(space.bases)
     blocks = (
@@ -514,9 +509,9 @@ def _spliced(space, partition, bases, kv, cover) -> GTSplineSpace:
         + sub.extraction.blocks[e_lo - 1 - s : e_hi - s]
         + old.blocks[e_hi - split :]
     )
-    # The r_i + 1 constraints of each refined breakpoint i come after those
-    # of breakpoints 1 .. i - 1; the sub-space's first is at breakpoint s + 1.
-    first, last, start = (sum(r[1:i]) + i - 1 for i in (e_lo, e_hi, s + 1))
+    # x_1 .. x_(i-1) own the first block_start[i] - sigma[i] constraints, the
+    # r_j + 1 of each x_j; the sub-space's first breakpoint is x_(s+1).
+    first, last, start = (kv.block_start.item(i) - kv.sigma.item(i) for i in (e_lo, e_hi, s + 1))
     shift = kv.n_bernstein - kv.n_basis - len(old.factors)
     factors = (
         old.factors[:first]
@@ -539,11 +534,12 @@ def insert_knot(space: GTSplineSpace, x_new: float):
 
     Only the refined functions ``lo .. hi`` of the band below change, so the
     cascade reruns only over the sub-space their supports cover, and its
-    element blocks and factors are spliced into the old space's (local
-    knot insertion, as Boehm, CAD 12, 1980): the cost depends on the degrees
-    and smoothness near ``x_new``, not on the number of intervals.  The
-    two-band factor of ``B_old = F B_new`` is read from the two operators
-    without evaluation:
+    element blocks and factors, like the partition and knot vectors, are
+    spliced into the old space's (local knot insertion, as Boehm, CAD 12,
+    1980): the Python work depends on the degrees and smoothness near
+    ``x_new``, not on the number of intervals, which only the dense map and
+    C-level copies of tuples and arrays grow with.  The two-band factor of
+    ``B_old = F B_new`` is read from the two operators without evaluation:
     ``C_old R = F C_new``, where ``R``, the identity except on a split
     interval, maps the old Bernstein functions to the refined ones through
     the endpoint tables at each half's outer end (one singular in floats
@@ -568,12 +564,12 @@ def insert_knot(space: GTSplineSpace, x_new: float):
     """
     x_new = _number(x_new, "insertion point", InsertionError)
     partition, bases, smoothness, i, order = _refined_components(space, x_new)
-    kv = build_knot_vectors(partition, [b.degree for b in bases], smoothness)
+    split = len(bases) > len(space.bases)
+    kv = space.knots._inserted(i, partition.breakpoints[i], smoothness, split)
     lo, hi = kv.band(i, order)
     # Refined intervals e_lo .. e_hi run from the start of function lo's
     # support to the end of function hi's; the old ones lack the split.
     e_lo, e_hi = kv.support(lo)[0] + 1, kv.support(hi)[1]
-    split = len(bases) > len(space.bases)
     refined = _spliced(space, partition, bases, kv, (e_lo, e_hi))
     n = refined.n_basis
     new = refined.extraction.window(lo - 1, hi, e_lo, e_hi)

@@ -344,6 +344,36 @@ class TestNullspaceStep:
             assert np.max(np.abs(sums - 1.0)) <= 1e-12
 
 
+class TestApplyFactor:
+    @staticmethod
+    def _concatenated(rows, band, beta):
+        """The product formula into a new array: the rows left of the band,
+        the band's combinations and the rows right of it, shifted up."""
+        lo, hi = band
+        beta = beta.reshape((-1,) + (1,) * (rows.ndim - 1))
+        out = np.concatenate([rows[: hi - 1], rows[hi:]])
+        if hi - lo > 1:
+            out[lo : hi - 1] *= 1.0 - beta[:-1]
+        out[lo - 1 : hi - 1] += beta * rows[lo:hi]
+        return out
+
+    def test_in_place_equals_concatenated_formula(self, rng):
+        # Every band of 1-D and 2-D rows of up to 9 entries, so bands at
+        # either end of the rows and one-coefficient bands: the same bits,
+        # written into the rows given, whose first n - 1 the result views.
+        for n in range(2, 10):
+            for lo in range(1, n):
+                for hi in range(lo + 1, n + 1):
+                    beta = rng.uniform(0.05, 1.0, hi - lo)
+                    for shape in ((n,), (n, int(rng.integers(1, 7)))):
+                        rows = rng.uniform(-1.0, 1.0, shape)
+                        expected = self._concatenated(rows, (lo, hi), beta)
+                        out = apply_factor(rows, (lo, hi), beta)
+                        assert out.shape == expected.shape
+                        assert out.tobytes() == expected.tobytes()
+                        assert out.base is rows and np.shares_memory(out, rows[: n - 1])
+
+
 class TestExtractionOperator:
     def test_no_constraints_gives_identity(self):
         part = Partition((0.0, 1.0, 2.0))
@@ -523,6 +553,32 @@ class TestExtractionOperator:
                 assert np.array_equal(block, dense[lo - 1 : hi, starts[e - 1] : starts[e]])
             # nothing of the dense operator lies outside the blocks
             assert np.array_equal(ext.operator, dense)
+
+    def test_cascade_leaves_shared_identities_intact(self, monkeypatch):
+        # The window starts as one of the shared identities, one per block
+        # width, and grows by them, while apply_factor writes in place: after
+        # a cascade every identity it made is still one, and the same space
+        # built twice has the same blocks and factors, bit for bit.  One
+        # interval (no factor), mixed widths and the demos.
+        rng = np.random.default_rng(4040)
+        configs = [mixed_family_demo_config(), conic_profile_demo_config(), uniform_cubic_config(9)]
+        configs += [random_config(rng, 1)] + [random_config(rng, max_degree=5) for _ in range(30)]
+        eye, made = np.eye, []
+
+        def recorded(*args, **kwargs):
+            made.append(eye(*args, **kwargs))
+            return made[-1]
+
+        for cfg in configs:
+            space = build_space(cfg)
+            made.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "eye", recorded)
+                ext = extraction_operator(build_constraints(space.bases, space.knots), space.knots)
+            assert made and all(np.array_equal(e, eye(len(e))) for e in made)
+            for again in (build_space(cfg).extraction, space.extraction):
+                assert [b.tobytes() for b in again.blocks] == [b.tobytes() for b in ext.blocks]
+                assert [f.tobytes() for f in again.factors] == [f.tobytes() for f in ext.factors]
 
     def test_block_bounds_equal_per_block_reference(self):
         # One stacked reduction per block size against one reduction per

@@ -1,7 +1,9 @@
+import collections
 import dataclasses
 import json
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 
@@ -22,7 +24,9 @@ from gtbsplines import (
     GeneralizedPolynomialFamily,
     GTBError,
     InsertionError,
+    InvalidFamilyError,
     OrderError,
+    Partition,
     PolynomialFamily,
     SectionSpace,
     SpaceConfig,
@@ -38,6 +42,7 @@ from gtbsplines import (
 from gtbsplines.bernstein import build_bernstein
 from gtbsplines.cli import main
 from gtbsplines.quadrature import gauss_legendre, section_panels
+from gtbsplines.extraction import build_knot_vectors
 from gtbsplines.space import jump_residuals
 from gtbsplines.config import mixed_family_demo_config
 from gtbsplines.oracle import cox_de_boor_basis, cox_de_boor_knots
@@ -949,20 +954,15 @@ class TestInsertKnot:
             insert_knot(space, 40.5)
         assert (exc.value.breakpoint_index, exc.value.order) == (35, 0)
 
-    # The short right piece of the cycle's exponential quartic at 0.3 % is
-    # ill-conditioned (about 4e14) on both paths alike.
-    @pytest.mark.filterwarnings("ignore::gtbsplines.errors.ConditioningWarning")
-    def test_local_rerun_equals_full_rebuild(self, monkeypatch):
-        # Blocks, factors and maps of the spliced refined space against the
-        # cascade over the whole refined space, on random spaces, the
-        # uniform cubic and the mixed cycle, at every interior breakpoint and
-        # midpoint; on the cycle also 1 % and 0.3 % from each element's right
-        # end, where some rebuilds raise.
+    @classmethod
+    def _rerun_cases(cls):
+        """``(space, x_new)`` on random spaces, the uniform cubic and the
+        mixed cycle, at every interior breakpoint with ``r >= 0`` and every
+        midpoint; on the cycle also 1 % and 0.3 % from each element's right
+        end, where some rebuilds raise."""
         rng = np.random.default_rng(777)
         spaces = [build_space(random_config(rng)) for _ in range(100)]
-        spaces += [build_space(uniform_cubic_config(80)), self._cycle_space()[0]]
-        splice = space_module._spliced
-        compared = raised = 0
+        spaces += [build_space(uniform_cubic_config(80)), cls._cycle_space()[0]]
         for space in spaces:
             bp = space.partition.breakpoints
             targets = [x for i, x in enumerate(bp[1:-1], 1) if space.smoothness[i] >= 0]
@@ -970,29 +970,117 @@ class TestInsertKnot:
             if space is spaces[-1]:
                 targets += [x + f * (y - x) for x, y in zip(bp, bp[1:]) for f in (0.99, 0.997)]
             for x_new in targets:
-                components = space_module._refined_components(space, x_new)
-                try:
-                    full = space_module._assemble(*components[:3])
-                except GTBError as exc:
-                    with pytest.raises(type(exc)) as local:
-                        insert_knot(space, x_new)
-                    assert type(local.value) is type(exc) and str(local.value) == str(exc)
-                    raised += 1
-                    continue
-                refined, transfer = insert_knot(space, x_new)
-                monkeypatch.setattr(space_module, "_spliced", lambda *args: full)
-                _, full_transfer = insert_knot(space, x_new)
-                monkeypatch.setattr(space_module, "_spliced", splice)
-                ours, theirs = refined.extraction, full.extraction
-                assert len(ours.blocks) == len(theirs.blocks)
-                for a, b in zip(ours.blocks, theirs.blocks):
-                    assert np.max(np.abs(a - b)) <= 1e-15
-                assert len(ours.factors) == len(theirs.factors)
-                for a, b in zip(ours.factors, theirs.factors):
-                    assert np.max(np.abs(a - b)) <= 1e-15
-                assert np.max(np.abs(transfer - full_transfer)) <= 1e-15
-                compared += 1
+                yield space, x_new
+
+    # The short right piece of the cycle's exponential quartic at 0.3 % is
+    # ill-conditioned (about 4e14) on both paths alike.
+    @pytest.mark.filterwarnings("ignore::gtbsplines.errors.ConditioningWarning")
+    def test_local_rerun_equals_full_rebuild(self, monkeypatch):
+        # Blocks, factors and maps of the spliced refined space against the
+        # cascade over the whole refined space, at every case of
+        # _rerun_cases; an insertion raises as the rebuild does.
+        splice = space_module._spliced
+        compared = raised = 0
+        for space, x_new in self._rerun_cases():
+            components = space_module._refined_components(space, x_new)
+            try:
+                full = space_module._assemble(*components[:3])
+            except GTBError as exc:
+                with pytest.raises(type(exc)) as local:
+                    insert_knot(space, x_new)
+                assert type(local.value) is type(exc) and str(local.value) == str(exc)
+                raised += 1
+                continue
+            refined, transfer = insert_knot(space, x_new)
+            monkeypatch.setattr(space_module, "_spliced", lambda *args: full)
+            _, full_transfer = insert_knot(space, x_new)
+            monkeypatch.setattr(space_module, "_spliced", splice)
+            ours, theirs = refined.extraction, full.extraction
+            assert len(ours.blocks) == len(theirs.blocks)
+            for a, b in zip(ours.blocks, theirs.blocks):
+                assert np.max(np.abs(a - b)) <= 1e-15
+            assert len(ours.factors) == len(theirs.factors)
+            for a, b in zip(ours.factors, theirs.factors):
+                assert np.max(np.abs(a - b)) <= 1e-15
+            assert np.max(np.abs(transfer - full_transfer)) <= 1e-15
+            compared += 1
         assert compared > 500 and raised > 0
+
+    @pytest.mark.filterwarnings("ignore::gtbsplines.errors.ConditioningWarning")
+    def test_spliced_layout_equals_direct_build(self):
+        # The refined partition and the knot vectors spliced from the old
+        # ones against a direct Partition and build_knot_vectors of the
+        # refined configuration: every field equal, with the same types and
+        # dtypes.  An insertion that raises raises as the direct build does.
+        compared = raised = 0
+        for space, x_new in self._rerun_cases():
+            partition, bases, smoothness, _, _ = space_module._refined_components(space, x_new)
+            direct = Partition(tuple(partition.breakpoints))
+            knots = build_knot_vectors(direct, [b.degree for b in bases], smoothness)
+            try:
+                refined, _ = insert_knot(space, x_new)
+            except GTBError as exc:
+                with pytest.raises(type(exc)) as full:
+                    space_module._assemble(direct, bases, smoothness)
+                assert type(full.value) is type(exc) and str(full.value) == str(exc)
+                raised += 1
+                continue
+            assert refined.partition == direct
+            assert [type(x) for x in refined.partition.breakpoints] == [float] * (len(bases) + 1)
+            assert refined.smoothness == knots.smoothness
+            for name in [f.name for f in dataclasses.fields(knots)]:
+                ours, theirs = getattr(refined.knots, name), getattr(knots, name)
+                if isinstance(theirs, tuple):
+                    assert ours == theirs and [type(v) for v in ours] == [int] * len(theirs)
+                else:
+                    assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+            compared += 1
+        assert compared > 500 and raised > 0
+
+    def test_split_partition_checks_the_new_breakpoint(self):
+        partition = Partition((0.0, 1.0, 2.5))
+        assert partition._split(2, 2.0) == Partition((0.0, 1.0, 2.0, 2.5))
+        for x in (1.0, 2.5, 3.0, math.nan):
+            with pytest.raises(InvalidFamilyError, match="^breakpoints must be strictly increasing$"):
+                partition._split(2, x)
+
+    def test_insertion_work_does_not_grow_with_m(self, monkeypatch):
+        # One insertion reads as many numbers and integers and checks as many
+        # partitions at m = 640 as at m = 80, and builds knot vectors once:
+        # for the sub-space its changed functions cover.
+        counts = collections.Counter()
+        built = []
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("_integer", "_number"):
+            original = getattr(sections_module, name)
+            for module in [m for n, m in sys.modules.items() if n.startswith("gtbsplines")]:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted(name, original))
+        check = Partition.__post_init__
+        monkeypatch.setattr(Partition, "__post_init__", counted("partition", check))
+        build = space_module.build_knot_vectors
+
+        def recorded(partition, *args):
+            built.append(partition.num_intervals)
+            return build(partition, *args)
+
+        monkeypatch.setattr(space_module, "build_knot_vectors", recorded)
+        seen = []
+        for m in (80, 640):
+            space = build_space(uniform_cubic_config(m))
+            counts.clear()
+            built.clear()
+            insert_knot(space, m / 2 + 0.5)
+            assert len(built) == 1 and built[0] < 20
+            seen.append((dict(counts), built[0]))
+        assert seen[0] == seen[1] and seen[0][0]["partition"] == 1
 
     def test_nullspace_steps_do_not_grow_with_m(self, monkeypatch):
         steps = [0]
