@@ -348,13 +348,15 @@ class ExtractionMatrix:
     (i, j)``, whose band is ``(lo, hi) = knots.band(i, j)``;
     ``apply_factor(np.eye(n), (lo, hi), factors[rho])`` recovers the dense
     factor, where ``n = knots.n_bernstein - rho``.  A space refined by one
-    knot takes the blocks of the intervals ``e_lo .. e_hi`` its changed
-    functions cover and the factors of the constraints at breakpoints
-    ``e_lo .. e_hi - 1`` from a cascade over the sub-space around them, and
-    every other one from the old space, re-indexed past the knot
-    (``space.insert_knot``).  No evaluation reads the factors; they are kept
-    for two readers, the bench tracer's stored-bytes count and the tests,
-    which rebuild the dense factors from them.
+    knot takes the rows of its changed functions on the intervals ``e_lo ..
+    e_hi`` of their supports and the factors of the constraints at
+    breakpoints ``e_lo .. e_hi - 1`` from a cascade over the sub-space from
+    ``x_s``, where the first function active on ``e_lo`` starts, to
+    ``x_(e_hi)``, and every other row and factor from the old space,
+    re-indexed past the knot (``space.insert_knot``).  No evaluation reads
+    the factors; they are kept for two readers, the bench tracer's
+    stored-bytes count and the tests, which rebuild the dense factors from
+    them.
     """
 
     blocks: tuple[np.ndarray, ...] = field(repr=False)

@@ -18,11 +18,13 @@ orders one point-kernel record: ``M_e``, the output cells it fills, the
 interval's ends, length and pair constants, and its feature plan, filled
 on the interval's first scalar call at that number of orders.  A point
 is one record read, one feature vector and one product with ``M_e``; an
-array, or a curve, one feature pass and one stacked product per group,
-from the same feature routine.  A breakpoint jump reads the two element
+array, or a curve, one feature pass per group, from the same feature
+routine, and one stacked product per run of its points whose gathered
+matrices fit a fixed budget.  A breakpoint jump reads the two element
 blocks at it.  A knot insertion reruns the cascade only on the sub-space
-that the changed functions cover, splices its blocks into the old ones,
-and reads dense windows of ``C`` over a few intervals;
+that shapes the changed functions, up to the end of their supports, takes
+their rows from it and every other row from the old blocks, and reads
+dense windows of ``C`` over a few intervals;
 ``GTSplineSpace.operator``, the full ``C``, is for inspection only.
 
 Spaces, curves and the bases, knot vectors, constraints and operators they
@@ -88,6 +90,10 @@ __all__ = [
     "insert_knot",
     "unit_integral_scaling",
 ]
+
+# The largest stack of evaluation matrices one product of the array kernel
+# gathers; every point's product is the same whatever the run it is in.
+_GATHER_BYTES = 16 * 2**20
 
 
 @dataclass(eq=False, frozen=True)
@@ -337,12 +343,17 @@ def _located(table: _Elements, xs: np.ndarray, max_order) -> tuple[np.ndarray, i
 def _local_values(space: GTSplineSpace, xs: np.ndarray, elems: np.ndarray, max_order: int):
     """The array kernel at the points ``xs`` of the 1-based intervals
     ``elems``, for a ``max_order`` checked by :func:`_located`.  Per group of
-    the element table holding points it yields ``(at, first, values)``: the
-    group's points (indices into ``xs``), the 0-based first function active
-    at each and their ``(len(at), p + 1, max_order + 1)`` values, each with
-    the scalar call's bits: one feature pass for the group's points and one
-    stacked product with their evaluation matrices, a matrix-vector product
-    per point as in the scalar call."""
+    the element table holding points, and per run of its points whose
+    gathered evaluation matrices fit in ``_GATHER_BYTES``, it yields ``(at,
+    first, values)``: the points (indices into ``xs``), the 0-based first
+    function active at each and their ``(len(at), p + 1, max_order + 1)``
+    values, each with the scalar call's bits: one feature pass for the
+    group's points and one stacked product per run with their evaluation
+    matrices, a matrix-vector product per point as in the scalar call.  The
+    gather, about ``n (p + 1)^2 n_f`` doubles at full order, is what bounds
+    the memory of a call.  Orders above the degree ``q`` of a section's
+    Bernstein part read only its pair: their rows of ``M_e`` are zero at
+    every monomial."""
     table = space._elements
     edges, which, width = table.edges, table.group[elems], max_order + 1
     for g in np.flatnonzero(np.bincount(which)).tolist():
@@ -351,9 +362,12 @@ def _local_values(space: GTSplineSpace, xs: np.ndarray, elems: np.ndarray, max_o
         e = elems[at]
         x, local, lo, hi = xs[at], table.slot[e], edges[e - 1], edges[e]
         pair, plan = None if pairs is None else pairs[:, local], _feature_plan(sections[0], width)
-        features = _stacked(_features(plan, x, lo, hi, hi - lo, pair), x)
-        values = table.matrices(g, width)[local] @ features[:, :, None]
-        yield at, table.sigma[e] - sections[0].dim, values.reshape(len(at), -1, width)
+        features = _stacked(_features(plan, x, lo, hi, hi - lo, pair), x)[:, :, None]
+        matrices, first = table.matrices(g, width), table.sigma[e] - sections[0].dim
+        run = max(1, _GATHER_BYTES // matrices[0].nbytes)
+        for c in range(0, len(at), run):
+            values = matrices[local[c : c + run]] @ features[c : c + run]
+            yield at[c : c + run], first[c : c + run], values.reshape(len(values), -1, width)
 
 
 def jump_vector(space: GTSplineSpace, i: int, order) -> np.ndarray:
@@ -486,36 +500,44 @@ def _refined_components(space: GTSplineSpace, x_new: float):
     return space.partition._split(e, x_new), bases, smooth, e, section.degree
 
 
-def _spliced(space, partition, bases, kv, cover) -> GTSplineSpace:
+def _spliced(space, partition, bases, kv, band, cover) -> GTSplineSpace:
     """The refined space of ``partition``, ``bases`` and knot vectors ``kv``
-    from the old ``space`` and one cascade over the sub-space around the
-    refined intervals ``cover = (e_lo, e_hi)``, which holds every function
-    active on them: from the support start of the first function active on
-    ``e_lo`` to the support end of the last one active on ``e_hi``, fully
-    discontinuous at both ends.  The blocks of intervals ``e_lo .. e_hi``
-    and the factors of the constraints at breakpoints ``e_lo .. e_hi - 1``
-    are the sub-space's; every other block and factor is the old space's,
+    from the old ``space`` and one cascade over the sub-space from ``x_s``,
+    the support start of the first function active on refined interval
+    ``e_lo`` of ``cover = (e_lo, e_hi)``, to ``x_(e_hi)``, fully
+    discontinuous at both ends.  The changed functions ``band = (lo, hi)``
+    have their supports in intervals ``e_lo .. e_hi``, and only the
+    constraints at ``x_(s+1) .. x_(e_hi-1)`` shape them: a function ending
+    at ``x_i`` is in no band at ``x_i``.  On those intervals the rows of
+    ``lo .. hi`` are the sub-space's and every other row is the old block's
+    at the same place: rows ``k < lo`` left of the knot from old interval
+    ``e``, rows ``k > hi`` right of it from old interval ``e`` less the
+    split (a split interval's halves hold rows of the band only).  The
+    factors of the constraints at breakpoints ``e_lo .. e_hi - 1`` are the
+    sub-space's; every other block and factor is the old space's,
     re-indexed past the split interval or the dropped order.
     """
-    e_lo, e_hi = cover
+    (lo, hi), (e_lo, e_hi) = band, cover
     s = kv.support(kv.active_range(e_lo)[0])[0]
-    t = kv.support(kv.active_range(e_hi)[1])[1]
-    sub_partition = Partition(partition.breakpoints[s : t + 1])
-    sub = _assemble(sub_partition, bases[s:t], (-1, *kv.smoothness[s + 1 : t], -1), s)
+    sub_partition = Partition(partition.breakpoints[s : e_hi + 1])
+    sub = _assemble(sub_partition, bases[s:e_hi], (-1, *kv.smoothness[s + 1 : e_hi], -1), s)
     old = space.extraction
     split = len(bases) - len(space.bases)
-    blocks = (
-        old.blocks[: e_lo - 1]
-        + sub.extraction.blocks[e_lo - 1 - s : e_hi - s]
-        + old.blocks[e_hi - split :]
-    )
+    fresh = sub.extraction.blocks[e_lo - 1 - s :]
+    for e, block in enumerate(fresh, e_lo):
+        top, bottom = kv.active_range(e)
+        if top < lo:
+            block[: lo - top] = old.blocks[e - 1][: lo - top]
+        if bottom > hi:
+            block[hi + 1 - top :] = old.blocks[e - 1 - split][hi + 1 - top :]
+    blocks = old.blocks[: e_lo - 1] + fresh + old.blocks[e_hi - split :]
     # x_1 .. x_(i-1) own the first block_start[i] - sigma[i] constraints, the
     # r_j + 1 of each x_j; the sub-space's first breakpoint is x_(s+1).
     first, last, start = (kv.block_start.item(i) - kv.sigma.item(i) for i in (e_lo, e_hi, s + 1))
     shift = kv.n_bernstein - kv.n_basis - len(old.factors)
     factors = (
         old.factors[:first]
-        + sub.extraction.factors[first - start : last - start]
+        + sub.extraction.factors[first - start :]
         + old.factors[last - shift :]
     )
     return GTSplineSpace(partition, bases, ExtractionMatrix(blocks, factors, kv))
@@ -532,11 +554,14 @@ def insert_knot(space: GTSplineSpace, x_new: float):
     :class:`~gtbsplines.errors.InsertionError`, as does an ``x_new`` that is
     no real number (a string, a boolean, an array, ``None``, a complex).
 
-    Only the refined functions ``lo .. hi`` of the band below change, so the
-    cascade reruns only over the sub-space their supports cover, and its
-    element blocks and factors, like the partition and knot vectors, are
-    spliced into the old space's (local knot insertion, as Boehm, CAD 12,
-    1980): the Python work depends on the degrees and smoothness near
+    Only the refined functions ``lo .. hi`` of the band below change, and
+    their supports are refined intervals ``e_lo .. e_hi``, so the cascade
+    reruns only over the sub-space from ``x_s``, where the first function
+    active on ``e_lo`` starts, to ``x_(e_hi)``.  Its rows of ``lo .. hi`` on
+    ``e_lo .. e_hi`` and its factors at breakpoints ``e_lo .. e_hi - 1``, like
+    the partition and knot vectors, are spliced into the old space's, whose
+    blocks give every other row bit for bit (local knot insertion, as Boehm,
+    CAD 12, 1980): the Python work depends on the degrees and smoothness near
     ``x_new``, not on the number of intervals, which only the dense map and
     C-level copies of tuples and arrays grow with.  The two-band factor of
     ``B_old = F B_new`` is read from the two operators without evaluation:
@@ -570,7 +595,7 @@ def insert_knot(space: GTSplineSpace, x_new: float):
     # Refined intervals e_lo .. e_hi run from the start of function lo's
     # support to the end of function hi's; the old ones lack the split.
     e_lo, e_hi = kv.support(lo)[0] + 1, kv.support(hi)[1]
-    refined = _spliced(space, partition, bases, kv, (e_lo, e_hi))
+    refined = _spliced(space, partition, bases, kv, (lo, hi), (e_lo, e_hi))
     n = refined.n_basis
     new = refined.extraction.window(lo - 1, hi, e_lo, e_hi)
     old = space.extraction.window(lo - 1, hi - 1, e_lo, e_hi - split)

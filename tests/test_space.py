@@ -470,6 +470,41 @@ class TestEvalBasisArrays:
         with pytest.raises(DomainError):
             eval_basis(mixed_space, np.ones((2, 2)))
 
+    def test_memory_is_bounded_at_full_order(self):
+        # 2,000 points at all 21 orders of the three-interval C^18 space of
+        # degree 20 gather 1.6 GB of evaluation matrices in one product; in
+        # runs under the gather budget the call peaks near 31 MB, with an
+        # 8.4 MB output.
+        families = [PolynomialFamily(20)] * 3
+        space = build_space(SpaceConfig([0.0, 1.0, 2.0, 3.0], families, [18, 18]))
+        xs = np.linspace(0.0, 3.0, 2000)
+        tracemalloc.start()
+        try:
+            table = eval_basis(space, xs, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (2000, space.n_basis, 21)
+        assert peak <= 100e6
+
+    def test_runs_of_points_keep_every_bit(self, mixed_space, profile_space, monkeypatch):
+        # With a gather budget below one evaluation matrix every point is a
+        # run of its own, and every table, curve point and integral keeps
+        # the bits of one run per group.
+        rng = np.random.default_rng(3)
+        cases = [
+            (space, rng.uniform(*space.domain, 60), rng.normal(size=(space.n_basis, 2)))
+            for space in (mixed_space, profile_space, build_space(uniform_cubic_config(12)))
+        ]
+        outputs = []
+        for budget in (space_module._GATHER_BYTES, 1):
+            monkeypatch.setattr(space_module, "_GATHER_BYTES", budget)
+            outputs.append([])
+            for space, xs, control in cases:
+                outputs[-1] += [eval_basis(space, xs, 1), unit_integral_scaling(space)]
+                outputs[-1].append(eval_curve(SplineCurve(space, control), xs, 1))
+        assert all(np.array_equal(a, b) for a, b in zip(*outputs))
+
     def test_curve_rows_equal_scalar_calls(self, profile_space, profile_config):
         curve = SplineCurve(profile_space, profile_config.control_points)
         xs = np.linspace(*profile_space.domain, 31)[::-1]
@@ -941,9 +976,10 @@ class TestInsertKnot:
 
     def test_basis_nonexistence_names_the_refined_breakpoint(self, monkeypatch):
         # x = 40.5 becomes refined breakpoint 41 of the cubic; the changed
-        # functions 41 .. 45 cover refined intervals 38 .. 45, whose active
-        # functions have their supports in [x_34, x_48], so the rerun
-        # cascade's first constraint sits at refined breakpoint 35.
+        # functions 41 .. 45 cover refined intervals 38 .. 45, whose first
+        # active function starts at x_34, so the rerun sub-space runs from
+        # x_34 to x_45 and its cascade's first constraint sits at refined
+        # breakpoint 35.
         def degenerate(a, band):
             raise BasisNonexistenceError("degenerate")
 
@@ -1036,6 +1072,117 @@ class TestInsertKnot:
                     assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
             compared += 1
         assert compared > 500 and raised > 0
+
+    @staticmethod
+    def _insertion_layout(space, x_new):
+        """Inserting ``x_new`` into ``space``: the refined knot vectors, the
+        refined breakpoint ``i`` of the knot, whether it splits interval
+        ``i``, and the band ``(lo, hi)`` of the changed functions."""
+        partition, bases, smoothness, i, order = space_module._refined_components(space, x_new)
+        knots = build_knot_vectors(partition, [b.degree for b in bases], smoothness)
+        return knots, i, len(bases) > len(space.bases), knots.band(i, order)
+
+    @pytest.mark.filterwarnings("ignore::gtbsplines.errors.ConditioningWarning")
+    def test_unchanged_rows_are_the_old_blocks(self):
+        # On every interval that is not a half of a split one, the row of a
+        # function the knot leaves unchanged is the old block's row of that
+        # function bit for bit: old function k for refined k < lo, k - 1
+        # for refined k > hi, on old interval e, or e - 1 past a split.
+        compared = 0
+        for space, x_new in self._rerun_cases():
+            try:
+                refined, _ = insert_knot(space, x_new)
+            except GTBError:
+                continue
+            knots, i, split, (lo, hi) = self._insertion_layout(space, x_new)
+            for e, block in enumerate(refined.extraction.blocks, 1):
+                if split and e in (i, i + 1):
+                    continue
+                old_e = e - 1 if split and e > i else e
+                ks = np.arange(knots.active_range(e)[0], knots.active_range(e)[1] + 1)
+                kept = (ks < lo) | (ks > hi)
+                old_rows = np.where(ks < lo, ks, ks - 1)[kept] - space.knots.active_range(old_e)[0]
+                assert np.array_equal(block[kept], space.extraction.blocks[old_e - 1][old_rows])
+            compared += 1
+        assert compared > 500
+
+    @pytest.mark.filterwarnings("ignore::gtbsplines.errors.ConditioningWarning")
+    def test_insertion_steps_are_the_rerun_constraints(self, monkeypatch):
+        # An insertion takes one nullspace step per constraint at x_(s+1) ..
+        # x_(e_hi - 1), with x_s the support start of the first function
+        # active on the first interval e_lo that the changed functions cover
+        # and x_(e_hi) the end of the last one's support: 30 on the cubic.
+        steps = [0]
+        step = extraction_module.nullspace_step
+
+        def counted(*args):
+            steps[0] += 1
+            return step(*args)
+
+        monkeypatch.setattr(extraction_module, "nullspace_step", counted)
+        cubic = build_space(uniform_cubic_config(80))
+        steps[0] = 0
+        insert_knot(cubic, 40.5)
+        assert steps[0] == 30
+        compared = 0
+        for space, x_new in self._rerun_cases():
+            knots, _, _, (lo, hi) = self._insertion_layout(space, x_new)
+            e_lo, e_hi = knots.support(lo)[0] + 1, knots.support(hi)[1]
+            s = knots.support(knots.active_range(e_lo)[0])[0]
+            steps[0] = 0
+            try:
+                insert_knot(space, x_new)
+            except GTBError:
+                continue
+            assert steps[0] == sum(r + 1 for r in knots.smoothness[s + 1 : e_hi])
+            compared += 1
+        assert compared > 500
+
+    @staticmethod
+    def _chain(space, rng):
+        """An insertion chain of the refine-mixed shape on the mixed cycle
+        ``space``: new knots at 30 .. 70 % of two distinct elements of each
+        of its four families, and the smoothness of one C^2 and one C^1
+        breakpoint dropped by one, in shuffled order."""
+        bp, r = space.partition.breakpoints, space.smoothness
+        chain = []
+        for family in range(4):
+            for e in rng.choice(range(family, len(bp) - 1, 4), 2, replace=False).tolist():
+                chain.append(bp[e] + float(rng.uniform(0.3, 0.7)) * (bp[e + 1] - bp[e]))
+        for order in (2, 1):
+            chain.append(bp[rng.choice([i for i in range(1, len(bp) - 1) if r[i] == order])])
+        rng.shuffle(chain)
+        return chain
+
+    @pytest.mark.filterwarnings("ignore::gtbsplines.errors.ConditioningWarning")
+    def test_chained_insertions_equal_full_rebuilds(self, monkeypatch):
+        # Each step of a chain copies its unchanged rows from a space that
+        # was itself spliced; after every step the blocks, factors and map
+        # stay within the bound of test_local_rerun_equals_full_rebuild of
+        # a cascade over the whole refined space.
+        splice = space_module._spliced
+        cycle = self._cycle_space()[0]
+        chains = [(cycle, self._chain(cycle, np.random.default_rng(seed))) for seed in range(4)]
+        chains.append((build_space(uniform_cubic_config(80)), [40.5, 41.25]))
+        steps = 0
+        for space, chain in chains:
+            for x_new in chain:
+                full = space_module._assemble(*space_module._refined_components(space, x_new)[:3])
+                refined, transfer = insert_knot(space, x_new)
+                monkeypatch.setattr(space_module, "_spliced", lambda *args: full)
+                _, full_transfer = insert_knot(space, x_new)
+                monkeypatch.setattr(space_module, "_spliced", splice)
+                ours, theirs = refined.extraction, full.extraction
+                assert len(ours.blocks) == len(theirs.blocks)
+                for a, b in zip(ours.blocks, theirs.blocks):
+                    assert np.max(np.abs(a - b)) <= 1e-15
+                assert len(ours.factors) == len(theirs.factors)
+                for a, b in zip(ours.factors, theirs.factors):
+                    assert np.max(np.abs(a - b)) <= 1e-15
+                assert np.max(np.abs(transfer - full_transfer)) <= 1e-15
+                space = refined
+                steps += 1
+        assert steps == 4 * 10 + 2
 
     def test_split_partition_checks_the_new_breakpoint(self):
         partition = Partition((0.0, 1.0, 2.5))
